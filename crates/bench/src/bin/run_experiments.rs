@@ -22,8 +22,7 @@ use xuc_core::{implication, instance};
 use xuc_service::workload::{seeded_arrivals, seeded_zipf_requests};
 use xuc_service::{
     admit, admit_delta, admit_delta_in_place, render_arrival_log, render_log, AdmissionMode, DocId,
-    DurableOptions, Gateway, LoadOptions, Request, SuiteCache, Telemetry, ThroughputOptions,
-    Verdict,
+    DurableOptions, Gateway, LoadOptions, Request, SuiteCache, Telemetry, Verdict,
 };
 use xuc_sigstore::Signer;
 use xuc_xpath::Evaluator;
@@ -1115,23 +1114,21 @@ fn main() {
 
     rep.header(
         "E-LOAD",
-        "open-loop latency vs offered load (per-shard work queues + commit coalescing)",
+        "open-loop latency vs offered load (per-document-serialized dispatch)",
         "saturation at 8 workers ≥ 2× 1 worker under hot-document skew (virtual-time model)",
     );
     {
-        // The container pins this harness to one core, so worker scaling
-        // is measured on the deterministic virtual-time queue model
-        // (`xuc_bench::load`, the E-PAR precedent): same config ⇒
-        // bit-identical histograms, so the ratios below are structural
-        // properties of the queue topology. The real gateway is pinned to
-        // the model's contract by the load-differential suite
-        // (crates/service/tests/load.rs) and the determinism arm below.
+        // Worker scaling is measured on the deterministic virtual-time
+        // dispatch model (`xuc_bench::load`, the E-PAR precedent): same
+        // config ⇒ bit-identical histograms, so the ratios below are
+        // structural properties of the dispatch, not of the host. The
+        // real gateway is pinned to the model's contract by the
+        // load-differential suite (crates/service/tests/load.rs) and the
+        // determinism arm below.
         let count = if rep.smoke { 2_000usize } else { 12_000 };
         let base = SimConfig {
             workers: 1,
-            max_coalesce: 8,
-            base_cost: 8,
-            marginal_cost: 1,
+            batch_cost: 8,
             docs: 64,
             skew_centi: 99,
             offered_per_kilotick: 200,
@@ -1140,9 +1137,9 @@ fn main() {
         };
 
         // Saturation sweep: skew × worker count. The hot document at
-        // skew 0.99 serializes on one worker, but coalescing keeps its
-        // amortized per-batch cost near `marginal`, so the cold shards'
-        // parallelism still pays.
+        // skew 0.99 serializes on one worker while the cold documents
+        // drain on the rest, so parallelism still pays until the hot
+        // document's share of the stream binds.
         let mut sat = std::collections::HashMap::new();
         for &skew in &[0u32, 90, 99] {
             for &workers in &[1usize, 2, 8] {
@@ -1197,15 +1194,11 @@ fn main() {
             }
         }
 
-        // Real-execution arm: the throughput gateway's verdict log must
-        // be byte-identical to the reference arm on a hot-document
-        // Zipfian stream at every worker count — and the coalescer must
-        // genuinely fire on an engineered disjoint-subtree stream, where
-        // its merged passes beat batch-at-a-time admission even on one
-        // core.
-        // 64 children: a coalesced run of 8 dirties ⅛ of the document,
-        // safely under the splice's targeted-vs-full-sweep size guard
-        // even with the 17-pattern suite below.
+        // Real-execution arm: the worker pool's verdict log must be
+        // byte-identical to a sequential `submit` loop on a hot-document
+        // Zipfian stream at every worker count.
+        // 64 children per document, under a wide all-linear ↑-suite so
+        // every batch pays the realistic per-pattern splice bookkeeping.
         let mut term = String::from("h(");
         for i in 0..64u64 {
             term.push_str(&format!("p#{}(v#{}),", 1 + 2 * i, 2 + 2 * i));
@@ -1213,10 +1206,6 @@ fn main() {
         term.pop();
         term.push(')');
         let tree = xuc_xtree::parse_term(&term).expect("static");
-        // A wide all-linear ↑-suite: additions are always admissible, so
-        // the engineered insert stream below is all-accept, while every
-        // batch pays the realistic per-pattern splice bookkeeping that
-        // coalescing amortizes.
         let mut suite = vec![xuc_core::parse_constraint("(/p/v, ↑)").expect("static")];
         suite.extend(
             xuc_workloads::queries::overlapping_prefix_suite(&["p", "v"], 16, 4)
@@ -1236,77 +1225,18 @@ fn main() {
         let doc_refs: Vec<(DocId, &DataTree)> = docs.iter().map(|(id, t)| (*id, t)).collect();
         let stream_len = if rep.smoke { 120usize } else { 360 };
         let stream = seeded_zipf_requests(&doc_refs, &["v", "w"], 0xE10A_5EED, stream_len, 99);
-        let reference = render_log(&stream, &fresh().process(&stream, 1));
+        let seq = fresh();
+        let sequential: Vec<Verdict> = stream.iter().map(|r| seq.submit(r)).collect();
+        let reference = render_log(&stream, &sequential);
         for workers in [1usize, 2, 8] {
-            let gw = fresh();
-            let verdicts = gw.process_throughput(&stream, workers, &ThroughputOptions::default());
+            let verdicts = fresh().process(&stream, workers);
             assert_eq!(
                 render_log(&stream, &verdicts),
                 reference,
-                "throughput-mode log diverged at {workers} workers"
+                "pooled log diverged from the submit loop at {workers} workers"
             );
         }
-        println!("   determinism: throughput-mode log byte-identical at 1/2/8 workers ✓");
-
-        // Engineered hot-document runs (each request edits its own child
-        // subtree of one document): the merged fast path must fire, and
-        // its wall-clock against max_coalesce = 1 is recorded — as a
-        // trajectory metric, not a floor (single-core timer noise).
-        let hot = DocId::new("load-0");
-        let hot_stream: Vec<Request> = (0..stream_len as u64)
-            .map(|i| Request {
-                doc: hot,
-                updates: vec![xuc_xtree::Update::InsertLeaf {
-                    parent: xuc_xtree::NodeId::from_raw(1 + 2 * (i % 64)),
-                    id: xuc_xtree::NodeId::fresh(),
-                    label: "v".into(),
-                }],
-            })
-            .collect();
-        let timed = |max_coalesce: usize| {
-            // Publish outside the timed region: only the drain is the
-            // subject (each sample gets its own fresh gateway so every
-            // iteration processes an identical document).
-            let runs = if rep.smoke { 3 } else { 7 };
-            let mut samples: Vec<f64> = (0..runs)
-                .map(|_| {
-                    let gw = fresh();
-                    let t = std::time::Instant::now();
-                    let verdicts =
-                        gw.process_throughput(&hot_stream, 1, &ThroughputOptions { max_coalesce });
-                    let micros = t.elapsed().as_secs_f64() * 1e6;
-                    assert!(verdicts.iter().all(Verdict::is_accepted));
-                    micros
-                })
-                .collect();
-            samples.sort_by(|a, b| a.total_cmp(b));
-            samples[samples.len() / 2]
-        };
-        let sequential = timed(1);
-        let gw = fresh();
-        let verdicts = gw.process_throughput(&hot_stream, 1, &ThroughputOptions::default());
-        assert!(verdicts.iter().all(Verdict::is_accepted));
-        let stats = gw.coalesce_stats();
-        assert!(stats.commits > 0, "the engineered stream must take the merged path: {stats:?}");
-        let coalesced = timed(8);
-        // Trajectory metric, no floor: per-batch certification (required
-        // in both arms — every batch keeps its own chained certificate)
-        // dominates this document scale, so the merged pass's saved
-        // admission sweeps land near wall-clock parity here; the queue
-        // model above is where the structural effect is measured.
-        rep.row("E-LOAD", "max_coalesce", 1, sequential, "batch-at-a-time admission");
-        rep.row(
-            "E-LOAD",
-            "max_coalesce",
-            8,
-            coalesced,
-            &format!(
-                "merged runs ({:.2}x, {} batches coalesced; certification-bound)",
-                sequential / coalesced,
-                stats.batches
-            ),
-        );
-        rep.metric("E-LOAD", "coalesce_wallclock_ratio", sequential / coalesced);
+        println!("   determinism: pooled log ≡ sequential submit loop at 1/2/8 workers ✓");
     }
 
     rep.header(
@@ -1317,11 +1247,10 @@ fn main() {
     {
         // Stage-attribution arm: the E-LOAD deployment (64-child wide
         // documents, 17-pattern all-linear suite) and its skew-0.99
-        // Zipfian stream, drained through *instrumented* gateways at
-        // coalescing windows 1 and 8. The attached telemetry must be
-        // inert (log byte-identical to the uninstrumented reference) and
-        // the per-stage breakdown shows where admission time goes and
-        // how the merged fast path moves it.
+        // Zipfian stream, drained over 2 workers through an
+        // *instrumented* gateway. The attached telemetry must be inert
+        // (log byte-identical to the uninstrumented reference) and the
+        // per-stage breakdown shows where admission time goes.
         let mut term = String::from("h(");
         for i in 0..64u64 {
             term.push_str(&format!("p#{}(v#{}),", 1 + 2 * i, 2 + 2 * i));
@@ -1348,51 +1277,36 @@ fn main() {
         let stream_len = if rep.smoke { 120usize } else { 360 };
         let stream = seeded_zipf_requests(&doc_refs, &["v", "w"], 0xE10A_5EED, stream_len, 99);
         let reference = render_log(&stream, &fresh().process(&stream, 1));
-        for &max_coalesce in &[1usize, 8] {
-            let gw = fresh();
-            let tel = Arc::new(Telemetry::new());
-            gw.attach_telemetry(Arc::clone(&tel));
-            let verdicts = gw.process_throughput(&stream, 2, &ThroughputOptions { max_coalesce });
-            assert_eq!(
-                render_log(&stream, &verdicts),
-                reference,
-                "telemetry must be inert at window {max_coalesce}"
+        let workers = 2usize;
+        let gw = fresh();
+        let tel = Arc::new(Telemetry::new());
+        gw.attach_telemetry(Arc::clone(&tel));
+        let verdicts = gw.process(&stream, workers);
+        assert_eq!(render_log(&stream, &verdicts), reference, "telemetry must be inert");
+        gw.record_metrics();
+        let rows = tel.stages().rows();
+        let total_us = tel.stages().total_micros().max(1) as f64;
+        let spans: u64 = rows.iter().map(|r| r.count).sum();
+        assert!(spans > 0, "instrumented drain must record stage spans");
+        for r in &rows {
+            rep.row(
+                "E-OBS",
+                &format!("{}_us", r.stage.name()),
+                workers,
+                r.total_micros as f64,
+                &format!("{} spans ({:.1}%)", r.count, 100.0 * r.total_micros as f64 / total_us),
             );
-            if max_coalesce > 1 {
-                assert!(
-                    gw.coalesce_stats().attempts > 0,
-                    "the hot-document stream must offer the coalescer runs"
-                );
-            }
-            gw.record_metrics();
-            let rows = tel.stages().rows();
-            let total_us = tel.stages().total_micros().max(1) as f64;
-            let spans: u64 = rows.iter().map(|r| r.count).sum();
-            assert!(spans > 0, "instrumented drain must record stage spans");
-            for r in &rows {
-                rep.row(
-                    "E-OBS",
-                    &format!("{}_us", r.stage.name()),
-                    max_coalesce,
-                    r.total_micros as f64,
-                    &format!(
-                        "{} spans ({:.1}%)",
-                        r.count,
-                        100.0 * r.total_micros as f64 / total_us
-                    ),
-                );
-                rep.metric(
-                    "E-OBS",
-                    &format!("stage_share_{}_mc{max_coalesce}", r.stage.name()),
-                    r.total_micros as f64 / total_us,
-                );
-            }
-            rep.metric("E-OBS", &format!("spans_total_mc{max_coalesce}"), spans as f64);
-            println!(
-                "   window {max_coalesce}: {spans} spans attributed, ring dropped {}",
-                tel.ring().dropped()
+            rep.metric(
+                "E-OBS",
+                &format!("stage_share_{}", r.stage.name()),
+                r.total_micros as f64 / total_us,
             );
         }
+        rep.metric("E-OBS", "spans_total", spans as f64);
+        println!(
+            "   {workers} workers: {spans} spans attributed, ring dropped {}",
+            tel.ring().dropped()
+        );
 
         // Overhead arm: the E-SVC gateway stream drained with and
         // without an attached telemetry bundle, samples interleaved so
@@ -1411,7 +1325,7 @@ fn main() {
                 gw.publish(*id, tree.clone(), suite.clone()).expect("fresh gateway");
             }
             let t0 = std::time::Instant::now();
-            let verdicts = gw.process_throughput(&svc_requests, 2, &ThroughputOptions::default());
+            let verdicts = gw.process(&svc_requests, 2);
             let micros = t0.elapsed().as_secs_f64() * 1e6;
             assert_eq!(verdicts.len(), svc_requests.len());
             micros

@@ -1,20 +1,19 @@
-//! A deterministic virtual-time model of the throughput gateway's
-//! per-shard work queues and commit coalescing, for the E-LOAD
+//! A deterministic virtual-time model of the gateway's
+//! per-document-serialized dispatch, for the E-LOAD
 //! latency-vs-offered-load experiment.
 //!
-//! The benchmark container pins everything to one core, so wall-clock
-//! worker scaling is not measurable there (the E-PAR precedent). This
-//! model reproduces the *queueing structure* of
-//! [`Gateway::process_throughput`](xuc_service::Gateway::process_throughput)
-//! in virtual time instead: open-loop arrivals at a configured offered
-//! rate, Zipfian document skew, a document held by at most one worker at
-//! a time (a hot document serializes), and commit coalescing that admits
-//! a queued run of `k` batches in `base + (k-1)·marginal` ticks instead
-//! of `k·base`. Same config ⇒ bit-identical histogram, so the reported
-//! saturation-throughput ratios are structural properties of the queue
-//! topology, not timer noise — the real-execution differential suite
-//! (`crates/service/tests/load.rs`) pins the gateway itself to the same
-//! contract.
+//! Wall-clock worker scaling needs more cores than a small CI host has
+//! (the E-PAR precedent). This model reproduces the *queueing structure*
+//! of [`Gateway::process`](xuc_service::Gateway::process) in virtual
+//! time instead: open-loop arrivals at a configured offered rate,
+//! Zipfian document skew, and each document's batches admitted one at a
+//! time, in arrival order, by at most one worker at a time — a hot
+//! document serializes while the other documents spread over the pool.
+//! Every batch costs the same number of ticks. Same config ⇒
+//! bit-identical histogram, so the reported saturation-throughput ratios
+//! are structural properties of the dispatch, not timer noise — the
+//! real-execution differential suite (`crates/service/tests/load.rs`)
+//! pins the gateway itself to the same contract.
 
 use crate::latency::LatencyHistogram;
 use std::cmp::Reverse;
@@ -26,12 +25,8 @@ use xuc_service::workload::SplitMix;
 pub struct SimConfig {
     /// Virtual workers draining the queues.
     pub workers: usize,
-    /// Longest coalesced run per claim (1 = no coalescing).
-    pub max_coalesce: usize,
-    /// Ticks to admit a run's first batch…
-    pub base_cost: u64,
-    /// …and each additional coalesced batch.
-    pub marginal_cost: u64,
+    /// Ticks to admit one batch.
+    pub batch_cost: u64,
     /// Documents in the deployment.
     pub docs: usize,
     /// Zipf exponent in hundredths (0 = uniform, 99 = hot-document).
@@ -45,9 +40,9 @@ pub struct SimConfig {
 
 /// What one simulated run measured.
 pub struct SimResult {
-    /// Per-request sojourn time (arrival → run completion), in ticks.
+    /// Per-request sojourn time (arrival → admission completes), in ticks.
     pub hist: LatencyHistogram,
-    /// Tick at which the last run completed.
+    /// Tick at which the last batch completed.
     pub makespan: u64,
     /// Served requests per 1000 ticks of makespan — at offered loads far
     /// above capacity this *is* the saturation throughput.
@@ -85,7 +80,6 @@ fn zipf_indices(docs: usize, skew_centi: u32, seed: u64, count: usize) -> Vec<us
 pub fn simulate(cfg: &SimConfig) -> SimResult {
     assert!(cfg.workers >= 1 && cfg.docs >= 1 && cfg.count >= 1);
     assert!(cfg.offered_per_kilotick >= 1);
-    let max_run = cfg.max_coalesce.max(1);
     // Open-loop arrivals: request i arrives at ⌊i·1000/rate⌋ regardless
     // of queue state — the defining property (a closed loop would slow
     // its own arrivals under saturation and hide the latency cliff).
@@ -96,8 +90,8 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
 
     let mut queues: Vec<VecDeque<(usize, u64)>> = vec![VecDeque::new(); cfg.docs];
     // Documents with arrived, unclaimed work, ordered by head-of-queue
-    // arrival (then doc index) — the shard-affine scan's deterministic
-    // analogue. A held document is in neither set: it re-readies only
+    // arrival (then doc index), so ties break the same way every run.
+    // A held document is in neither set: it re-readies only
     // through its release event, which is what makes a hot document
     // serialize (at most one worker holds it at any virtual instant).
     let mut ready: BTreeSet<(u64, usize)> = BTreeSet::new();
@@ -142,24 +136,17 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
                 (None, None) => unreachable!("unserved requests but no pending events"),
             };
         }
-        // Claim the longest-waiting document and hold it until the run
-        // completes. Another worker's ingestion may have readied work
-        // that arrives after this worker's free time — it starts no
-        // earlier than the head arrival, and coalesces only batches
-        // already queued by then (causality: a run cannot admit an edit
-        // that has not arrived when it begins).
+        // Claim the longest-waiting document and hold it while its head
+        // batch is admitted. Another worker's ingestion may have readied
+        // work that arrives after this worker's free time — it starts no
+        // earlier than the head arrival.
         let &(head, d) = ready.iter().next().expect("checked non-empty");
         ready.remove(&(head, d));
         held[d] = true;
-        let start = now.max(head);
-        let k = queues[d].iter().take(max_run).take_while(|&&(_, at)| at <= start).count().max(1);
-        let run_cost = cfg.base_cost + (k as u64 - 1) * cfg.marginal_cost;
-        let finish = start + run_cost;
-        for _ in 0..k {
-            let (_, at) = queues[d].pop_front().expect("k ≤ queue length");
-            hist.record(finish - at);
-        }
-        served += k;
+        let finish = now.max(head) + cfg.batch_cost;
+        let (_, at) = queues[d].pop_front().expect("a ready document has queued work");
+        hist.record(finish - at);
+        served += 1;
         makespan = makespan.max(finish);
         releases.push(Reverse((finish, d)));
         workers.push(Reverse((finish, w)));
@@ -185,9 +172,7 @@ mod tests {
     fn base_cfg() -> SimConfig {
         SimConfig {
             workers: 1,
-            max_coalesce: 8,
-            base_cost: 8,
-            marginal_cost: 1,
+            batch_cost: 8,
             docs: 64,
             skew_centi: 99,
             offered_per_kilotick: 200,
@@ -214,9 +199,9 @@ mod tests {
         };
         // Uniform skew: 8 virtual workers drain well over 2× one worker.
         assert!(sat(8, 0) >= 2.0 * sat(1, 0), "{} vs {}", sat(8, 0), sat(1, 0));
-        // Hot-document skew: still ≥ 2× — coalescing keeps the serialized
-        // hot document's per-batch cost near `marginal`, so the cold
-        // shards' parallelism is not wasted behind it.
+        // Hot-document skew: still ≥ 2× — the hot document serializes,
+        // but it holds one worker while the cold documents drain on the
+        // rest.
         assert!(sat(8, 99) >= 2.0 * sat(1, 99), "{} vs {}", sat(8, 99), sat(1, 99));
         // One document, every worker: serialization caps scaling — the
         // pool cannot beat the single-document service rate.
@@ -226,13 +211,6 @@ mod tests {
             saturation_throughput(&SimConfig { workers: 8, ..one_doc }),
         );
         assert!(w8 <= w1 * 1.05, "a single hot document must serialize: {w8} vs {w1}");
-    }
-
-    #[test]
-    fn coalescing_raises_single_worker_capacity() {
-        let sat = |max_coalesce| saturation_throughput(&SimConfig { max_coalesce, ..base_cfg() });
-        // Runs of 8 cost 8+7 ticks instead of 64: ≥ 3× capacity.
-        assert!(sat(8) >= 3.0 * sat(1), "{} vs {}", sat(8), sat(1));
     }
 
     #[test]

@@ -116,6 +116,13 @@ impl<'a> Decoder<'a> {
         Decoder { data, pos: 0 }
     }
 
+    /// Bytes not yet consumed — the cap on anything a decoded count may
+    /// allocate, so a hostile length cannot reserve more than the input
+    /// could ever fill.
+    pub fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
         if end > self.data.len() {
@@ -165,12 +172,19 @@ pub fn encode_tree(e: &mut Encoder, tree: &DataTree) {
     }
 }
 
+/// Smallest encoded node: an 8-byte id, a 4-byte parent index and a
+/// 4-byte label length.
+const MIN_NODE_BYTES: usize = 16;
+
 /// Decodes a tree encoded by [`encode_tree`], reproducing exact node ids,
 /// labels and sibling order.
 pub fn decode_tree(d: &mut Decoder) -> Result<DataTree, DecodeError> {
     let n = d.u32()? as usize;
     if n == 0 {
         return Err(DecodeError::BadTree("empty tree".into()));
+    }
+    if n > d.remaining() / MIN_NODE_BYTES {
+        return Err(DecodeError::Truncated);
     }
     let mut tree: Option<DataTree> = None;
     let mut ids: Vec<NodeId> = Vec::with_capacity(n);
@@ -363,6 +377,16 @@ mod tests {
             let mut d = Decoder::new(&bytes[..cut]);
             assert!(decode_tree(&mut d).is_err(), "cut at {cut} must not decode");
         }
+    }
+
+    #[test]
+    fn hostile_node_count_is_refused_before_allocating() {
+        let mut e = Encoder::new();
+        e.u32(u32::MAX);
+        let mut frame = e.into_bytes();
+        frame.resize(24, 0);
+        let mut d = Decoder::new(&frame);
+        assert!(matches!(decode_tree(&mut d), Err(DecodeError::Truncated)));
     }
 
     #[test]

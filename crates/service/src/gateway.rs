@@ -13,8 +13,8 @@
 //!   document* — so the unit of work is **one document's whole request
 //!   subsequence**, processed in arrival order by whichever worker claims
 //!   it;
-//! * units are handed out through a single atomic cursor (work stealing
-//!   decides *who* runs a unit, never *what* the unit computes);
+//! * units are handed out through a single atomic cursor (which worker
+//!   claims a unit is scheduling, never *what* the unit computes);
 //! * commit numbers are per-document counters advanced in that fixed
 //!   order, so even the `commit=` fields of the log are scheduling-free;
 //! * fresh node ids are minted by the *client* (requests carry concrete
@@ -23,27 +23,28 @@
 //!
 //! Cross-document interleaving is where the parallelism lives: documents
 //! are independent by construction (no constraint spans documents), so
-//! per-document order is the *only* order the semantics needs.
+//! per-document order is the *only* order the semantics needs. This is
+//! the gateway's one worker pool: every multi-request drain goes through
+//! it, one batch at a time through [`Gateway::submit`]'s admission path.
 
 use crate::cache::SuiteCache;
-use crate::coalesce::{try_coalesce, CoalesceOutcome};
 use crate::persist::{
     DurableOptions, Journal, JournalError, RecoverError, RecoveredState, ResumeError,
 };
 use crate::session::{AdmissionMode, Session};
-use crate::store::{shard_of, Document, DocumentStore, PublishError, STORE_SHARDS};
+use crate::store::{shard_of, Document, DocumentStore, PublishError};
 use crate::telemetry::ServiceMetrics;
 use crate::{DegradedReason, DocId, RejectReason, Request, Verdict};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use xuc_core::Constraint;
 use xuc_persist::{Clock, SystemClock, WriteFault};
 use xuc_sigstore::{Certificate, Signer};
-use xuc_telemetry::{RecordInto, Stage, Telemetry};
+use xuc_telemetry::{Stage, Telemetry};
 use xuc_xtree::{DataTree, Update};
 
 /// Serving health of a [`Gateway`] — the degraded-mode state machine
@@ -143,12 +144,6 @@ pub struct Gateway {
     quarantine_after: AtomicU32,
     /// Serializes [`try_resume`](Self::try_resume) runs.
     resume_lock: Mutex<()>,
-    /// Runs offered to the commit coalescer ([`Self::submit_coalesced`]).
-    coalesce_attempts: AtomicU64,
-    /// Runs that committed through one merged admission pass.
-    coalesce_commits: AtomicU64,
-    /// Batches those merged passes admitted.
-    coalesce_batches: AtomicU64,
     /// The attached observability bundle, if any
     /// ([`Gateway::attach_telemetry`]): pre-registered metric handles
     /// plus the shared registry / stage table / trace ring. Never
@@ -197,9 +192,6 @@ impl Gateway {
             panic_counts: Mutex::new(HashMap::new()),
             quarantine_after: AtomicU32::new(DEFAULT_QUARANTINE_AFTER),
             resume_lock: Mutex::new(()),
-            coalesce_attempts: AtomicU64::new(0),
-            coalesce_commits: AtomicU64::new(0),
-            coalesce_batches: AtomicU64::new(0),
             telemetry: OnceLock::new(),
             #[cfg(any(test, feature = "test-hooks"))]
             panic_injections: Mutex::new(HashMap::new()),
@@ -270,15 +262,14 @@ impl Gateway {
     }
 
     /// Folds everything that does not stream through the registry into
-    /// it: the coalesce counters plus the process-global XPath-engine
-    /// and durability counters ([`crate::telemetry::scrape_engine_metrics`],
+    /// it: the process-global XPath-engine and durability counters
+    /// ([`crate::telemetry::scrape_engine_metrics`],
     /// [`crate::telemetry::scrape_persist_metrics`]). Call at snapshot
     /// points (before [`xuc_telemetry::MetricsRegistry::snapshot`]); a
     /// no-op without attached telemetry.
     pub fn record_metrics(&self) {
         let Some(m) = self.metrics() else { return };
         let reg = m.tel.registry();
-        self.coalesce_stats().record_into(reg);
         crate::telemetry::scrape_engine_metrics(reg);
         crate::telemetry::scrape_persist_metrics(reg);
     }
@@ -732,10 +723,12 @@ impl Gateway {
 
     /// Drains `requests` over `workers` threads and returns one verdict
     /// per request (same order). The result — and therefore
-    /// [`render_log`] — is **identical at every worker count**; see the
-    /// module docs for why.
+    /// [`render_log`] — is **identical at every worker count**, and
+    /// identical to a sequential [`submit`](Self::submit) loop over the
+    /// stream; see the module docs for why. At most one thread per
+    /// document is spawned: a unit is never split, so extra workers
+    /// would have nothing to claim.
     pub fn process(&self, requests: &[Request], workers: usize) -> Vec<Verdict> {
-        let workers = workers.max(1);
         // Units: each document's request indices, in arrival order.
         let mut order: Vec<DocId> = Vec::new();
         let mut by_doc: HashMap<DocId, Vec<usize>> = HashMap::new();
@@ -752,9 +745,10 @@ impl Gateway {
         // `by_doc` above, so every removal hits.
         let units: Vec<Vec<usize>> =
             order.into_iter().map(|d| by_doc.remove(&d).expect("grouped")).collect();
+        let workers = workers.min(units.len());
 
         let mut verdicts: Vec<Option<Verdict>> = vec![None; requests.len()];
-        if workers == 1 {
+        if workers <= 1 {
             // Inline: identical result by construction, no spawn cost.
             for unit in &units {
                 for &i in unit {
@@ -797,269 +791,40 @@ impl Gateway {
         verdicts.into_iter().map(|v| v.expect("every request verdicted")).collect()
     }
 
-    /// Submits a run of consecutive requests for **one** document,
-    /// attempting to admit them through a single merged splice pass
-    /// (commit coalescing, `crate::coalesce`). Verdicts, resulting
-    /// document state and the certificate chain are **identical** to a
-    /// `submit` loop over the same run — the coalescer takes its fast
-    /// path only when it can prove that, and falls back to the
-    /// sequential loop otherwise. Runs for mixed documents, non-delta
-    /// admission modes, or degraded gateways degrade to plain submits.
-    pub fn submit_coalesced(&self, requests: &[Request]) -> Vec<Verdict> {
-        let Some(first) = requests.first() else { return Vec::new() };
-        if requests.iter().all(|r| r.doc == first.doc) {
-            let run: Vec<&Request> = requests.iter().collect();
-            self.submit_run(first.doc, &run)
-        } else {
-            requests.iter().map(|r| self.submit(r)).collect()
-        }
-    }
-
-    /// How often coalescing was attempted and how often the merged fast
-    /// path actually fired — `(attempts, commits, batches)` counters.
-    /// Load tests assert on these: a differential suite that silently
-    /// never exercises the fast path proves nothing.
-    pub fn coalesce_stats(&self) -> CoalesceStats {
-        CoalesceStats {
-            attempts: self.coalesce_attempts.load(Ordering::Relaxed),
-            commits: self.coalesce_commits.load(Ordering::Relaxed),
-            batches: self.coalesce_batches.load(Ordering::Relaxed),
-        }
-    }
-
-    /// One document's run, all gates applied. The fallback loop re-checks
-    /// the degraded gates per request so its verdicts match a plain
-    /// `submit` loop exactly (a mid-run quarantine or journal fault
-    /// rejects the tail the same way).
-    fn submit_run(&self, doc_id: DocId, run: &[&Request]) -> Vec<Verdict> {
-        debug_assert!(run.iter().all(|r| r.doc == doc_id), "a run is one document's requests");
-        if run.len() >= 2
-            && self.admission == AdmissionMode::Delta
-            && self.refusal(doc_id).is_none()
-        {
-            if let Some(doc) = self.store.document(doc_id) {
-                let mut doc = doc.lock();
-                self.coalesce_attempts.fetch_add(1, Ordering::Relaxed);
-                let m = self.metrics();
-                let tel = m.map(|m| &*m.tel);
-                let tag = m.map_or(0, ServiceMetrics::next_tag);
-                if let CoalesceOutcome::Committed(receipts) =
-                    try_coalesce(&mut doc, &self.signer, run, tel, tag)
-                {
-                    self.coalesce_commits.fetch_add(1, Ordering::Relaxed);
-                    self.coalesce_batches.fetch_add(run.len() as u64, Ordering::Relaxed);
-                    if let Some(journal) = &self.journal {
-                        // Still under the document mutex: per-document
-                        // journal order is commit order, one record per
-                        // batch with its own chained certificate —
-                        // recovery replays the run exactly as if it had
-                        // been admitted sequentially.
-                        let mut logged = true;
-                        for ((receipt, cert), request) in receipts.iter().zip(run) {
-                            if let Err(e) = self.log_commit_traced(
-                                journal,
-                                doc_id,
-                                receipt.commit,
-                                &request.updates,
-                                cert,
-                                tel,
-                                tag,
-                            ) {
-                                self.note_journal_error(e);
-                                logged = false;
-                                break;
-                            }
-                        }
-                        if logged {
-                            if let Err(e) = journal.maybe_snapshot(&doc) {
-                                self.note_journal_error(e);
-                            }
-                        }
-                    }
-                    return receipts
-                        .into_iter()
-                        .map(|(receipt, _)| {
-                            let v = Verdict::Accepted { commit: receipt.commit };
-                            self.note_verdict(&v, doc_id);
-                            v
-                        })
-                        .collect();
-                }
-                // Sequential fallback under the lock we already hold.
-                return run
-                    .iter()
-                    .map(|request| {
-                        let v = self
-                            .refusal(doc_id)
-                            .unwrap_or_else(|| self.submit_locked_contained(&mut doc, request));
-                        self.note_verdict(&v, doc_id);
-                        v
-                    })
-                    .collect();
-            }
-        }
-        run.iter().map(|r| self.submit(r)).collect()
-    }
-
-    /// Drains `requests` over `workers` threads through **per-shard work
-    /// queues** instead of [`process`](Self::process)'s single atomic
-    /// unit cursor, coalescing each document's queued run (up to
-    /// [`ThroughputOptions::max_coalesce`] batches) into merged
-    /// admission passes.
-    ///
-    /// The relaxed-ordering contract: what this mode gives up relative
-    /// to `process` is only *temporal* — which worker runs a document's
-    /// run, and how runs of different documents interleave in wall-clock
-    /// time. Verdicts never relax: each document's requests are still
-    /// admitted in arrival order (a document is held by at most one
-    /// worker at a time and re-enqueued behind its shard), and the
-    /// coalescer's fast path is taken only when provably equal to
-    /// sequential admission — so the returned verdict vector, the final
-    /// trees and the certificate chains are byte-identical to
-    /// `process`'s at every worker count and every `max_coalesce`.
-    /// Workers are shard-affine (worker *w* starts scanning at shard
-    /// `w % 16`) and steal from other shards when their own runs dry,
-    /// so a hot document pins at most one worker while cold shards keep
-    /// draining.
+    /// Benchmark compatibility: `gatebench/`, the repository's
+    /// end-to-end benchmark, is its only caller. Forwards to
+    /// [`process`](Self::process).
+    #[doc(hidden)]
     pub fn process_throughput(
         &self,
         requests: &[Request],
         workers: usize,
-        opts: &ThroughputOptions,
+        _opts: &ThroughputOptions,
     ) -> Vec<Verdict> {
-        let workers = workers.max(1);
-        let max_run = opts.max_coalesce.max(1);
-        // Units: each document's request indices, in arrival order.
-        let mut order: Vec<DocId> = Vec::new();
-        let mut by_doc: HashMap<DocId, Vec<usize>> = HashMap::new();
-        for (i, r) in requests.iter().enumerate() {
-            by_doc
-                .entry(r.doc)
-                .or_insert_with(|| {
-                    order.push(r.doc);
-                    Vec::new()
-                })
-                .push(i);
-        }
-        let docs = order;
-        let pending: Vec<Mutex<VecDeque<usize>>> = docs
-            .iter()
-            // Invariant: `docs` records exactly the keys inserted into
-            // `by_doc` above, so every removal hits.
-            .map(|d| Mutex::new(by_doc.remove(d).expect("grouped").into()))
-            .collect();
-        // Shard-affine ready queues, seeded in first-arrival order so a
-        // single worker drains them deterministically.
-        let ready: Vec<Mutex<VecDeque<usize>>> =
-            (0..STORE_SHARDS).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (u, d) in docs.iter().enumerate() {
-            ready[shard_of(*d)].lock().push_back(u);
-        }
-        let metrics = self.metrics();
-        if let Some(m) = metrics {
-            for q in &ready {
-                m.note_ready_depth(q.lock().len());
-            }
-        }
-        let remaining = AtomicUsize::new(requests.len());
+        self.process(requests, workers)
+    }
 
-        let drain = |home: usize| -> Vec<(usize, Verdict)> {
-            let mut out = Vec::new();
-            while remaining.load(Ordering::Acquire) > 0 {
-                let mut claimed = None;
-                for off in 0..STORE_SHARDS {
-                    let s = (home + off) % STORE_SHARDS;
-                    if let Some(u) = ready[s].lock().pop_front() {
-                        // A claim off the home shard is a steal — the
-                        // temporal freedom this mode trades for
-                        // throughput, counted so load tests can see the
-                        // stealing actually happen.
-                        if off != 0 {
-                            if let Some(m) = metrics {
-                                m.note_steal(home);
-                            }
-                        }
-                        claimed = Some(u);
-                        break;
-                    }
-                }
-                let Some(u) = claimed else {
-                    // Every queued unit is held by some worker; their
-                    // re-enqueues (or the drained counter) end the spin.
-                    std::thread::yield_now();
-                    continue;
-                };
-                // We hold `u` exclusively — it sits in no ready queue
-                // until pushed back — so per-document arrival order is
-                // preserved even though *which* worker serves each run
-                // is scheduling-dependent.
-                let run: Vec<usize> = {
-                    let mut q = pending[u].lock();
-                    let n = q.len().min(max_run);
-                    q.drain(..n).collect()
-                };
-                let refs: Vec<&Request> = run.iter().map(|&i| &requests[i]).collect();
-                let verdicts = self.submit_run(docs[u], &refs);
-                let served = run.len();
-                out.extend(run.into_iter().zip(verdicts));
-                remaining.fetch_sub(served, Ordering::AcqRel);
-                if !pending[u].lock().is_empty() {
-                    let mut q = ready[shard_of(docs[u])].lock();
-                    q.push_back(u);
-                    if let Some(m) = metrics {
-                        m.note_ready_depth(q.len());
-                    }
-                }
-            }
-            out
-        };
-
-        let mut verdicts: Vec<Option<Verdict>> = vec![None; requests.len()];
-        let results: Vec<(usize, Verdict)> = if workers == 1 {
-            drain(0)
-        } else {
-            std::thread::scope(|scope| {
-                let drain = &drain;
-                let handles: Vec<_> =
-                    (0..workers).map(|w| scope.spawn(move || drain(w % STORE_SHARDS))).collect();
-                handles
-                    .into_iter()
-                    // Same invariant as `process`: submits contain every
-                    // request panic, so join can only fail on aborts.
-                    .flat_map(|h| h.join().expect("gateway worker panicked"))
-                    .collect()
-            })
-        };
-        for (i, v) in results {
-            verdicts[i] = Some(v);
-        }
-        verdicts.into_iter().map(|v| v.expect("every request verdicted")).collect()
+    /// Benchmark compatibility: `gatebench/` is its only caller. The
+    /// gateway does not coalesce commits, so both counters read zero.
+    #[doc(hidden)]
+    pub fn coalesce_stats(&self) -> CoalesceStats {
+        CoalesceStats::default()
     }
 }
 
-/// Tuning for [`Gateway::process_throughput`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThroughputOptions {
-    /// Longest run of one document's queued batches offered to the
-    /// commit coalescer per claim (≥ 1; a run of 1 is a plain submit).
-    pub max_coalesce: usize,
-}
+/// Benchmark compatibility: `gatebench/` is its only caller, passing it
+/// to `Gateway::process_throughput`. Carries no options.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ThroughputOptions {}
 
-impl Default for ThroughputOptions {
-    fn default() -> ThroughputOptions {
-        ThroughputOptions { max_coalesce: 8 }
-    }
-}
-
-/// Counters from [`Gateway::coalesce_stats`].
+/// Benchmark compatibility: what `Gateway::coalesce_stats` returns to
+/// `gatebench/`, its only caller. Always zero.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoalesceStats {
-    /// Runs (≥ 2 batches, one document) offered to the coalescer.
     pub attempts: u64,
-    /// Runs admitted through one merged splice pass.
     pub commits: u64,
-    /// Batches those merged passes committed.
-    pub batches: u64,
 }
 
 /// The canonical accept/reject log of one processed stream: one line per
@@ -1092,69 +857,8 @@ mod tests {
         (gw, id)
     }
 
-    /// Two gateways with the same wide all-linear document — the shape
-    /// whose disjoint per-child edits the coalescer can actually merge.
-    fn coalesce_pair() -> (Gateway, Gateway, DocId) {
-        let id = DocId::new("wide");
-        let tree = parse_term("h(p#1(v#2),p#3(v#4),p#5(v#6))").unwrap();
-        let suite = vec![xuc_core::parse_constraint("(/p/v, ↑)").unwrap()];
-        let a = Gateway::new(Signer::new(0xc0a1));
-        let b = Gateway::new(Signer::new(0xc0a1));
-        a.publish(id, tree.clone(), suite.clone()).unwrap();
-        b.publish(id, tree, suite).unwrap();
-        (a, b, id)
-    }
-
-    fn insert_under(doc: DocId, parent: u64, label: &str) -> Request {
-        Request {
-            doc,
-            updates: vec![Update::InsertLeaf {
-                parent: NodeId::from_raw(parent),
-                id: NodeId::fresh(),
-                label: label.into(),
-            }],
-        }
-    }
-
     #[test]
-    fn coalesced_run_fires_and_matches_sequential() {
-        let (co, seq, id) = coalesce_pair();
-        // Disjoint edits under sibling subtrees: insert under p#1,
-        // relabel inside p#3, insert under p#5 — one merged pass.
-        let requests = vec![
-            insert_under(id, 1, "v"),
-            Request {
-                doc: id,
-                updates: vec![Update::Relabel { node: NodeId::from_raw(4), label: "w".into() }],
-            },
-            insert_under(id, 5, "v"),
-        ];
-        // Relabeling v#4 away removes it from (/p/v, ↑)'s range — that
-        // batch must be rejected, which forces the sequential fallback…
-        let verdicts = co.submit_coalesced(&requests);
-        let reference: Vec<Verdict> = requests.iter().map(|r| seq.submit(r)).collect();
-        assert_eq!(verdicts, reference);
-        assert!(verdicts[0].is_accepted() && verdicts[2].is_accepted());
-        assert!(matches!(&verdicts[1], Verdict::Rejected(RejectReason::Violation { .. })));
-        let stats = co.coalesce_stats();
-        assert_eq!((stats.attempts, stats.commits), (1, 0), "violation run must fall back");
-        // …while an all-accepting disjoint run takes the merged pass.
-        let requests = vec![insert_under(id, 1, "v"), insert_under(id, 5, "v")];
-        let verdicts = co.submit_coalesced(&requests);
-        let reference: Vec<Verdict> = requests.iter().map(|r| seq.submit(r)).collect();
-        assert_eq!(verdicts, reference);
-        assert!(verdicts.iter().all(Verdict::is_accepted));
-        let stats = co.coalesce_stats();
-        assert_eq!((stats.commits, stats.batches), (1, 2), "disjoint run must coalesce");
-        // Either way the arms stay indistinguishable: same tree, same
-        // chained certificate, and the certificate verifies the tree.
-        assert_eq!(co.snapshot(id).unwrap().render(), seq.snapshot(id).unwrap().render());
-        assert_eq!(co.certificate(id).unwrap(), seq.certificate(id).unwrap());
-        co.certificate(id).unwrap().verify(0xc0a1, &co.snapshot(id).unwrap()).unwrap();
-    }
-
-    #[test]
-    fn process_throughput_log_matches_process() {
+    fn process_log_matches_sequential_submits() {
         let docs: Vec<(DocId, DataTree)> = (0..4)
             .map(|i| {
                 (DocId::new(&format!("d{i}")), parse_term("h(p#1(v#2),p#3(v#4),p#5(v#6))").unwrap())
@@ -1170,14 +874,15 @@ mod tests {
         };
         let doc_refs: Vec<(DocId, &DataTree)> = docs.iter().map(|(d, t)| (*d, t)).collect();
         let requests = crate::workload::seeded_requests(&doc_refs, &["v", "w"], 0xbeef, 64);
-        let reference = mk().process(&requests, 1);
-        for workers in [1, 2, 8] {
+        let seq = mk();
+        let reference: Vec<Verdict> = requests.iter().map(|r| seq.submit(r)).collect();
+        for workers in [1, 2, 8, 64] {
             let gw = mk();
-            let verdicts = gw.process_throughput(&requests, workers, &ThroughputOptions::default());
+            let verdicts = gw.process(&requests, workers);
             assert_eq!(
                 render_log(&requests, &verdicts),
                 render_log(&requests, &reference),
-                "throughput mode diverged at {workers} workers"
+                "process diverged from the submit loop at {workers} workers"
             );
         }
     }

@@ -71,7 +71,6 @@
 //! ```
 
 pub mod cache;
-pub(crate) mod coalesce;
 pub mod gateway;
 pub mod persist;
 pub mod queue;
@@ -81,7 +80,7 @@ pub mod telemetry;
 pub mod workload;
 
 pub use cache::SuiteCache;
-pub use gateway::{render_log, CoalesceStats, Gateway, GatewayState, ThroughputOptions};
+pub use gateway::{render_log, Gateway, GatewayState, ThroughputOptions};
 pub use persist::{DurableOptions, RecoverError, ResumeError};
 pub use queue::{plan_admission, render_arrival_log, Arrival, LoadOptions, LoadReport, ShedCause};
 pub use session::{

@@ -420,43 +420,37 @@ impl<'a> Session<'a> {
         self.unwind();
     }
 
+    /// Unwinds the undo stack LIFO and re-syncs the warm evaluator with
+    /// **one pooled pass**. Nothing evaluates mid-unwind, so one re-sync
+    /// covers the whole stack: any structural undo forces the single
+    /// re-walk (which subsumes the patches); otherwise the O(1) patches
+    /// replay in undo order (non-structural edits keep the preorder
+    /// layout fixed, so sequential patching stays exact).
     fn unwind(&mut self) {
-        unwind_batch(self.doc, &mut self.undo_stack);
+        let doc = &mut *self.doc;
+        let mut structural = false;
+        let mut patches = Vec::new();
+        while let Some(token) = self.undo_stack.pop() {
+            // Invariant, not fallible IO: every token on the stack was
+            // minted by applying an update to exactly this tree, and
+            // LIFO replay restores the positions each token assumes.
+            let scope = undo(&mut doc.tree, token).expect("undo token applies to its own tree");
+            if scope.is_structural() {
+                structural = true;
+            } else {
+                patches.push(scope);
+            }
+        }
+        if structural {
+            doc.ev.refresh(&doc.tree);
+        } else {
+            for scope in &patches {
+                doc.ev.refresh_after(&doc.tree, scope);
+            }
+        }
         // The tree is back to the committed state: nothing is dirty.
         self.region.clear();
         self.open = false;
-    }
-}
-
-/// Unwinds a LIFO stack of undo tokens over `doc` and re-syncs the warm
-/// evaluator with **one pooled pass** — the rollback engine shared by
-/// [`Session`] and the commit coalescer
-/// ([`crate::coalesce`], which stacks several batches before deciding).
-/// Nothing evaluates mid-unwind, so one re-sync covers the whole stack:
-/// any structural undo forces the single re-walk (which subsumes the
-/// patches); otherwise the O(1) patches replay in undo order
-/// (non-structural edits keep the preorder layout fixed, so sequential
-/// patching stays exact).
-pub(crate) fn unwind_batch(doc: &mut Document, undo_stack: &mut Vec<Undo>) {
-    let mut structural = false;
-    let mut patches = Vec::new();
-    while let Some(token) = undo_stack.pop() {
-        // Invariant, not fallible IO: every token on the stack was
-        // minted by applying an update to exactly this tree, and
-        // LIFO replay restores the positions each token assumes.
-        let scope = undo(&mut doc.tree, token).expect("undo token applies to its own tree");
-        if scope.is_structural() {
-            structural = true;
-        } else {
-            patches.push(scope);
-        }
-    }
-    if structural {
-        doc.ev.refresh(&doc.tree);
-    } else {
-        for scope in &patches {
-            doc.ev.refresh_after(&doc.tree, scope);
-        }
     }
 }
 

@@ -21,9 +21,6 @@
 //!   a mid-run journal fault lands between two racing commits at a
 //!   timing-defined point, so which requests see the degraded gate moves
 //!   with the schedule;
-//! * steal counts, queue-depth high-water marks and coalesce counters
-//!   are **scheduling-dependent** by construction (which worker claims a
-//!   unit, and how long a hot document's run grows, is timing);
 //! * every *scraped* counter ([`scrape_engine_metrics`],
 //!   [`scrape_persist_metrics`]) is classified scheduling-dependent even
 //!   when the underlying quantity is per-gateway deterministic (WAL
@@ -31,12 +28,11 @@
 //!   shared by every gateway in the process, so concurrently-running
 //!   harnesses fold into the same totals.
 
-use crate::gateway::CoalesceStats;
 use crate::queue::LoadReport;
 use crate::{RejectReason, ShedCause, Verdict};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use xuc_telemetry::{Counter, Determinism, Gauge, MetricsRegistry, RecordInto, Telemetry};
+use xuc_telemetry::{Counter, Determinism, MetricsRegistry, RecordInto, Telemetry};
 
 /// The gateway's pre-registered metric handles plus the shared
 /// [`Telemetry`] bundle. Built once at
@@ -64,8 +60,6 @@ pub(crate) struct ServiceMetrics {
     degraded_transitions: Counter,
     resumes: Counter,
     halts: Counter,
-    steals: Counter,
-    ready_queue_depth_peak: Gauge,
 }
 
 impl ServiceMetrics {
@@ -90,8 +84,6 @@ impl ServiceMetrics {
             degraded_transitions: reg.counter("xuc_gateway_degraded_transitions_total", sched),
             resumes: reg.counter("xuc_gateway_resumes_total", sched),
             halts: reg.counter("xuc_gateway_halts_total", sched),
-            steals: reg.counter("xuc_gateway_shard_steals_total", sched),
-            ready_queue_depth_peak: reg.gauge("xuc_gateway_ready_queue_depth_peak", sched),
             tel,
         }
     }
@@ -136,28 +128,8 @@ impl ServiceMetrics {
         self.halts.inc();
     }
 
-    pub(crate) fn note_steal(&self, stripe: usize) {
-        self.steals.add_striped(stripe, 1);
-    }
-
-    pub(crate) fn note_ready_depth(&self, depth: usize) {
-        self.ready_queue_depth_peak.raise_to(depth as i64);
-    }
-
     pub(crate) fn next_tag(&self) -> u16 {
         self.trace_seq.fetch_add(1, Ordering::Relaxed) as u16
-    }
-}
-
-impl RecordInto for CoalesceStats {
-    /// Coalescing is a timing artifact in throughput mode (how long a
-    /// hot document's queued run grows before a worker claims it), so
-    /// all three counters are scheduling-dependent.
-    fn record_into(&self, reg: &MetricsRegistry) {
-        let sched = Determinism::SchedulingDependent;
-        reg.counter("xuc_coalesce_attempts_total", sched).set_absolute(self.attempts);
-        reg.counter("xuc_coalesce_commits_total", sched).set_absolute(self.commits);
-        reg.counter("xuc_coalesce_batches_total", sched).set_absolute(self.batches);
     }
 }
 
@@ -218,16 +190,6 @@ pub fn scrape_persist_metrics(reg: &MetricsRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn coalesce_stats_record_into_registry() {
-        let reg = MetricsRegistry::new();
-        CoalesceStats { attempts: 5, commits: 3, batches: 12 }.record_into(&reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("xuc_coalesce_attempts_total"), Some(5));
-        assert_eq!(snap.counter("xuc_coalesce_commits_total"), Some(3));
-        assert_eq!(snap.counter("xuc_coalesce_batches_total"), Some(12));
-    }
 
     #[test]
     fn load_report_record_into_is_deterministic_class() {

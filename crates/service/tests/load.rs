@@ -1,30 +1,27 @@
-//! The load-differential suite: throughput mode pinned to the
-//! deterministic reference arm under sustained, skewed load.
+//! The load-differential suite: the worker pool pinned to a sequential
+//! reference arm under sustained, skewed load.
 //!
-//! [`Gateway::process_throughput`] relaxes only *temporal* ordering —
-//! which worker serves which document's run, and how runs interleave in
-//! wall-clock time. Everything observable must stay byte-identical to
-//! the reference arm ([`Gateway::process`] at one worker): verdict for
+//! [`Gateway::process`] relaxes only *temporal* ordering — which worker
+//! drains which document, and how documents interleave in wall-clock
+//! time. Everything observable must stay byte-identical to the reference
+//! arm, a plain [`Gateway::submit`] loop in arrival order: verdict for
 //! verdict by request id, committed trees render-identical, baseline
 //! range results equal, certificates equal entry-for-entry and
 //! cross-verifying. This suite drives seeded Zipfian streams (skew 0 and
-//! 0.99) through 1, 2 and 8 workers and several coalescing windows, and
-//! asserts the coalescer was genuinely exercised — a differential suite
-//! whose fast path silently never fires proves nothing.
+//! 0.99) through 1, 2 and 8 workers.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use xuc_core::{parse_constraint, Constraint, ConstraintKind};
 use xuc_service::workload::seeded_zipf_requests;
-use xuc_service::{render_log, DocId, Gateway, Request, Telemetry, ThroughputOptions, Verdict};
+use xuc_service::{render_log, DocId, Gateway, Telemetry, Verdict};
 use xuc_sigstore::Signer;
-use xuc_xtree::{DataTree, Label, NodeId, NodeRef, Update};
+use xuc_xtree::{DataTree, NodeRef};
 
 const KEY: u64 = 0x10AD;
 
-/// Six documents: five wide all-linear ones (the shapes whose disjoint
-/// per-subtree edits the coalescer can merge) and one mixed predicate
-/// document (whose suite forces the splice fallback — the degradation
+/// Six documents: five wide all-linear ones (the shapes the splice
+/// path admits edit-proportionally) and one mixed predicate document (whose suite forces the splice fallback — the degradation
 /// path must stay differential too). Zipf order makes `wide0` hottest.
 fn deployment() -> Vec<(DocId, DataTree, Vec<Constraint>)> {
     let wide_suite: Vec<Constraint> =
@@ -76,21 +73,21 @@ fn publish_into(gw: &Gateway, docs: &[(DocId, DataTree, Vec<Constraint>)]) {
 /// each arm's certificate must verify against the *other* arm's
 /// snapshot.
 fn assert_arms_converged(
-    throughput: &Gateway,
+    pooled: &Gateway,
     reference: &Gateway,
     docs: &[(DocId, DataTree, Vec<Constraint>)],
     ctx: &str,
 ) {
     for (id, ..) in docs {
-        let snap_t = throughput.snapshot(*id).unwrap();
+        let snap_t = pooled.snapshot(*id).unwrap();
         let snap_r = reference.snapshot(*id).unwrap();
         assert_eq!(snap_t.render(), snap_r.render(), "{ctx}: {id} trees diverged");
-        let doc_t = throughput.store().document(*id).unwrap();
+        let doc_t = pooled.store().document(*id).unwrap();
         let doc_r = reference.store().document(*id).unwrap();
         let base_t: Vec<BTreeSet<NodeRef>> = doc_t.lock().baseline().to_vec();
         let base_r: Vec<BTreeSet<NodeRef>> = doc_r.lock().baseline().to_vec();
         assert_eq!(base_t, base_r, "{ctx}: {id} baselines diverged");
-        let cert_t = throughput.certificate(*id).unwrap();
+        let cert_t = pooled.certificate(*id).unwrap();
         let cert_r = reference.certificate(*id).unwrap();
         assert_eq!(cert_t.entries.len(), cert_r.entries.len(), "{ctx}: {id} entry count");
         for (i, (et, er)) in cert_t.entries.iter().zip(&cert_r.entries).enumerate() {
@@ -104,12 +101,12 @@ fn assert_arms_converged(
 }
 
 /// The core load differential: seeded Zipfian streams at skew 0 and
-/// 0.99, drained at 1, 2 and 8 workers, must reproduce the reference
-/// arm's accept/reject log byte-for-byte (position in the log *is* the
-/// request id, so full equality subsumes order-insensitive matching)
-/// and converge to identical internal state.
+/// 0.99, drained at 1, 2 and 8 workers, must reproduce the sequential
+/// `submit` loop's accept/reject log byte-for-byte (position in the log
+/// *is* the request id, so full equality subsumes order-insensitive
+/// matching) and converge to identical internal state.
 #[test]
-fn throughput_mode_is_differential_to_the_reference_arm() {
+fn process_is_differential_to_the_sequential_reference_arm() {
     for (seed, skew_centi) in
         [(0x10AD_0001u64, 0u32), (0x10AD_0002, 99), (0x10AD_0003, 99), (0x10AD_0004, 0)]
     {
@@ -119,15 +116,14 @@ fn throughput_mode_is_differential_to_the_reference_arm() {
 
         let reference = Gateway::new(Signer::new(KEY));
         publish_into(&reference, &docs);
-        let ref_verdicts = reference.process(&requests, 1);
+        let ref_verdicts: Vec<Verdict> = requests.iter().map(|r| reference.submit(r)).collect();
         let ref_log = render_log(&requests, &ref_verdicts);
         assert!(ref_log.contains("ACCEPT") && ref_log.contains("REJECT"));
 
-        // Every throughput arm runs *instrumented*: telemetry must be
+        // Every pooled arm runs *instrumented*: telemetry must be
         // observationally inert under sustained load, and the
         // deterministic exposition must be byte-identical across worker
         // counts just like the verdict log it restates.
-        let mut attempts = 0u64;
         let mut det_exposition: Option<String> = None;
         for workers in [1usize, 2, 8] {
             let ctx = format!("seed {seed:#x} skew {skew_centi} workers {workers}");
@@ -135,10 +131,9 @@ fn throughput_mode_is_differential_to_the_reference_arm() {
             let tel = Arc::new(Telemetry::new());
             gw.attach_telemetry(Arc::clone(&tel));
             publish_into(&gw, &docs);
-            let verdicts = gw.process_throughput(&requests, workers, &ThroughputOptions::default());
+            let verdicts = gw.process(&requests, workers);
             assert_eq!(render_log(&requests, &verdicts), ref_log, "{ctx}: log diverged");
             assert_arms_converged(&gw, &reference, &docs, &ctx);
-            attempts += gw.coalesce_stats().attempts;
             gw.record_metrics();
             let det = tel.registry().snapshot().exposition_deterministic();
             match &det_exposition {
@@ -146,100 +141,5 @@ fn throughput_mode_is_differential_to_the_reference_arm() {
                 Some(first) => assert_eq!(&det, first, "{ctx}: deterministic exposition diverged"),
             }
         }
-        assert!(attempts > 0, "seed {seed:#x}: the coalescer was never even offered a run");
-    }
-}
-
-/// The coalescing window must not be observable either: shrinking the
-/// run length to 1 (pure per-shard dispatch, no coalescer) or growing it
-/// to 32 changes nothing but wall-clock scheduling.
-#[test]
-fn coalescing_window_is_not_observable() {
-    let docs = deployment();
-    let doc_refs: Vec<(DocId, &DataTree)> = docs.iter().map(|(d, t, _)| (*d, t)).collect();
-    let requests = seeded_zipf_requests(&doc_refs, &["w"], 0x57ee1, 180, 99);
-    let reference = Gateway::new(Signer::new(KEY));
-    publish_into(&reference, &docs);
-    let ref_log = render_log(&requests, &reference.process(&requests, 1));
-    for max_coalesce in [1usize, 2, 8, 32] {
-        for workers in [1usize, 8] {
-            let gw = Gateway::new(Signer::new(KEY));
-            publish_into(&gw, &docs);
-            let verdicts =
-                gw.process_throughput(&requests, workers, &ThroughputOptions { max_coalesce });
-            assert_eq!(
-                render_log(&requests, &verdicts),
-                ref_log,
-                "window {max_coalesce} diverged at {workers} workers"
-            );
-            assert_arms_converged(&gw, &reference, &docs, &format!("window {max_coalesce}"));
-        }
-    }
-}
-
-/// An engineered hot-document stream whose runs the merged fast path can
-/// actually admit: every request touches its own child subtree of one
-/// wide document (insert a fresh `v`, or relabel that child's private
-/// `w` leaf), so consecutive runs of 8 are pairwise disjoint. The fast
-/// path must fire — and still be invisible next to the reference arm.
-#[test]
-fn hot_document_runs_take_the_merged_fast_path() {
-    const CHILDREN: u64 = 16;
-    let id = DocId::new("hot");
-    let mut term = String::from("h(");
-    for i in 0..CHILDREN {
-        let p = 1 + 3 * i;
-        term.push_str(&format!("p#{}(v#{},w#{}),", p, p + 1, p + 2));
-    }
-    term.pop();
-    term.push(')');
-    let tree = xuc_xtree::parse_term(&term).unwrap();
-    let suite = vec![parse_constraint("(/p/v, ↑)").unwrap()];
-    let mk = || {
-        let gw = Gateway::new(Signer::new(KEY));
-        gw.publish(id, tree.clone(), suite.clone()).unwrap();
-        gw
-    };
-
-    let relabels = ["w", "x", "y"];
-    let requests: Vec<Request> = (0..240u64)
-        .map(|i| {
-            let child = i % CHILDREN;
-            let update = if i % 2 == 0 {
-                Update::InsertLeaf {
-                    parent: NodeId::from_raw(1 + 3 * child),
-                    id: NodeId::fresh(),
-                    label: Label::new("v"),
-                }
-            } else {
-                Update::Relabel {
-                    node: NodeId::from_raw(3 + 3 * child),
-                    label: Label::new(relabels[(i as usize / 2) % relabels.len()]),
-                }
-            };
-            Request { doc: id, updates: vec![update] }
-        })
-        .collect();
-
-    let reference = mk();
-    let ref_verdicts = reference.process(&requests, 1);
-    assert!(ref_verdicts.iter().all(Verdict::is_accepted), "the engineered stream is compliant");
-
-    for workers in [1usize, 8] {
-        let gw = mk();
-        let verdicts = gw.process_throughput(&requests, workers, &ThroughputOptions::default());
-        assert_eq!(
-            render_log(&requests, &verdicts),
-            render_log(&requests, &ref_verdicts),
-            "hot-document log diverged at {workers} workers"
-        );
-        let stats = gw.coalesce_stats();
-        assert!(stats.commits > 0, "disjoint sibling runs must coalesce: {stats:?}");
-        assert_eq!(stats.attempts, stats.commits, "every offered run is mergeable: {stats:?}");
-        assert!(stats.batches >= 2 * stats.commits, "merged runs hold ≥ 2 batches: {stats:?}");
-        let snap = gw.snapshot(id).unwrap();
-        assert_eq!(snap.render(), reference.snapshot(id).unwrap().render());
-        assert_eq!(gw.certificate(id).unwrap(), reference.certificate(id).unwrap());
-        gw.certificate(id).unwrap().verify(KEY, &snap).unwrap();
     }
 }

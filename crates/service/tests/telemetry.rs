@@ -11,9 +11,10 @@
 //!   streams (a proptest arm draws seed and skew), the
 //!   [`exposition_deterministic`](xuc_service::MetricsSnapshot::exposition_deterministic)
 //!   text is byte-identical at 1, 2 and 8 workers, while
-//!   scheduling-dependent series (shard steals, queue-depth high-water
-//!   marks, coalesce counters) are present in the full exposition but
-//!   explicitly classified out of the deterministic one.
+//!   scheduling-dependent series (degraded-mode refusals, transitions,
+//!   resumes and halts, scraped engine and journal counters) are present
+//!   in the full exposition but explicitly classified out of the
+//!   deterministic one.
 //! * **Ring boundedness** — a trace ring too small for the stream fills,
 //!   counts every further span in its drop counter, and never blocks or
 //!   perturbs the run.
@@ -28,9 +29,7 @@ use std::sync::Arc;
 use xuc_core::clock::SystemClock;
 use xuc_core::{parse_constraint, Constraint};
 use xuc_service::workload::seeded_zipf_requests;
-use xuc_service::{
-    render_log, DocId, Gateway, Request, Stage, Telemetry, ThroughputOptions, Verdict,
-};
+use xuc_service::{render_log, DocId, Gateway, Request, Stage, Telemetry, Verdict};
 use xuc_sigstore::Signer;
 use xuc_xtree::{DataTree, NodeId, Update};
 
@@ -134,7 +133,7 @@ fn trace_ring_overflow_counts_drops_and_never_blocks() {
     let tel = Arc::new(Telemetry::with_clock(Box::new(SystemClock), 8));
     gw.attach_telemetry(Arc::clone(&tel));
     publish_into(&gw, &docs);
-    let verdicts = gw.process_throughput(&requests, 8, &ThroughputOptions::default());
+    let verdicts = gw.process(&requests, 8);
     assert_eq!(render_log(&requests, &verdicts), plain_log, "full ring perturbed the run");
 
     assert_eq!(tel.ring().len(), 8, "ring holds exactly its capacity");
@@ -218,8 +217,9 @@ proptest! {
     /// **Deterministic exposition byte-identity.** For any seed and
     /// skew, the deterministic exposition after draining the stream is
     /// byte-identical at 1, 2 and 8 workers — while the full exposition
-    /// carries the scheduling-dependent series (steals, queue depths,
-    /// coalesce counters) that the deterministic one must exclude.
+    /// carries the scheduling-dependent series (degraded-mode counters,
+    /// scraped engine and journal counters) that the deterministic one
+    /// must exclude.
     #[test]
     fn deterministic_exposition_is_byte_identical_across_worker_counts(
         seed in 1usize..usize::MAX,
@@ -233,7 +233,7 @@ proptest! {
             let tel = Arc::new(Telemetry::new());
             gw.attach_telemetry(Arc::clone(&tel));
             publish_into(&gw, &docs);
-            gw.process_throughput(&requests, workers, &ThroughputOptions::default());
+            gw.process(&requests, workers);
             gw.record_metrics();
             let snap = tel.registry().snapshot();
             let full = snap.exposition();
@@ -242,9 +242,10 @@ proptest! {
             // present in the full exposition, absent from the
             // deterministic one.
             for series in [
-                "xuc_gateway_shard_steals_total",
-                "xuc_gateway_ready_queue_depth_peak",
-                "xuc_coalesce_attempts_total",
+                "xuc_gateway_rejected_degraded_total",
+                "xuc_gateway_degraded_transitions_total",
+                "xuc_gateway_resumes_total",
+                "xuc_gateway_halts_total",
                 "xuc_engine_eval_set_sweeps_total",
                 "xuc_persist_wal_frames_total",
             ] {

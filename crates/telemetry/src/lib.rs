@@ -3,7 +3,7 @@
 //!
 //! The serving path already has six load-bearing mechanisms (delta
 //! admission, suite cache, WAL + group commit, degraded modes,
-//! backpressure shedding, sharded work queues with coalescing); this
+//! backpressure shedding, the per-document worker pool); this
 //! crate is the one place they report to. Three components:
 //!
 //! * [`MetricsRegistry`] — named sharded counters, gauges, and
@@ -46,8 +46,8 @@ pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// Anything that can fold itself into a [`MetricsRegistry`] — the
 /// unification trait for the ad-hoc stats structs that predate this
-/// crate (`CoalesceStats`, `LoadReport`, `SearchStats`): harnesses read
-/// one snapshot instead of three bespoke structs.
+/// crate (`LoadReport`, `SearchStats`): harnesses read one snapshot
+/// instead of bespoke structs.
 pub trait RecordInto {
     fn record_into(&self, reg: &MetricsRegistry);
 }

@@ -13,7 +13,7 @@
 //!    `Deterministic` iff its final value is a pure function of the
 //!    request stream (verdict counts, shed causes, splice fallbacks);
 //!    it is `SchedulingDependent` if thread interleaving can move it
-//!    (steal counts, queue-depth high-water marks, wall-clock
+//!    (degraded-mode transitions, process-global scrapes, wall-clock
 //!    histograms). [`MetricsSnapshot::exposition_deterministic`]
 //!    renders only the former, which is what the worker-count
 //!    byte-identity suites pin.
@@ -36,8 +36,9 @@ pub enum Determinism {
     /// Same final value at 1, 2, or 8 workers — safe to pin byte-for-
     /// byte in differential suites.
     Deterministic,
-    /// Thread interleaving can move the value (steals, queue depths,
-    /// wall-clock timings); excluded from the deterministic exposition.
+    /// Thread interleaving can move the value (degraded-mode
+    /// transitions, wall-clock timings); excluded from the deterministic
+    /// exposition.
     SchedulingDependent,
 }
 

@@ -20,8 +20,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Stage {
-    /// Applying updates to the tree, including the footprint probes a
-    /// coalesced batch runs before merging.
+    /// Applying updates to the tree.
     Apply = 0,
     /// Accumulating edit scopes into the batch's `DirtyRegion`.
     DirtyAccumulate = 1,

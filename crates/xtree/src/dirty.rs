@@ -209,108 +209,6 @@ impl DirtyRegion {
         }
     }
 
-    /// Folds `other` into this region — the union of two batches' regions,
-    /// under the same algebra as [`record`](Self::record): structural roots
-    /// go through the absorb/cover logic, relabels keep the **first**
-    /// recorded entry per node (merge order is batch order, so the earliest
-    /// batch's pre-batch label wins), id-swap chains spanning the two
-    /// regions compress (`a→b` here, `b→c` there records as `a→c`), and
-    /// either side's poison poisons the merge.
-    ///
-    /// `tree` must be the tree *after both batches applied* — the state the
-    /// merged region describes. The caller is responsible for the batches
-    /// being **order-independent** (see [`overlaps`](Self::overlaps)): the
-    /// commit coalescer only merges regions whose edits touch disjoint
-    /// parts of the tree, which is also what keeps every recorded root
-    /// live in the final tree.
-    pub fn merge(&mut self, tree: &DataTree, other: &DirtyRegion) {
-        if other.full {
-            self.record(tree, &EditScope::Structural { root: None });
-            return;
-        }
-        if self.full {
-            return;
-        }
-        for &r in &other.roots {
-            self.record(tree, &EditScope::Structural { root: Some(r) });
-        }
-        for &(node, label) in &other.relabels {
-            if !self.relabels.iter().any(|(n, _)| *n == node) {
-                self.relabels.push((node, label));
-            }
-        }
-        for s in &other.swaps {
-            if let Some(chain) = self.swaps.iter_mut().find(|c| c.to == s.from) {
-                chain.to = s.to;
-                if chain.from == chain.to {
-                    let from = chain.from;
-                    self.swaps.retain(|c| c.from != from);
-                }
-            } else {
-                self.swaps.push(*s);
-            }
-        }
-        self.removed.extend_from_slice(&other.removed);
-    }
-
-    /// Conservative overlap probe for commit coalescing: could an edit
-    /// whose effect covers the subtrees of `anchors` (inclusive) and the
-    /// individual nodes of `points` interact with anything this region
-    /// records? "Interact" errs wide — any id collision, any
-    /// ancestor/descendant relation between a probe and a recorded
-    /// structural root or relabeled node (relabels dirty their whole
-    /// subtree: every descendant's label path runs through them), any
-    /// probe anchor above a live swap target, and any dead or unknown
-    /// node on either side all answer `true`. A `false` answer is a
-    /// guarantee: the probed edit commutes with everything recorded here,
-    /// so per-batch effects stay separable in a merged admission pass.
-    ///
-    /// Probes must be **live** in `tree` (probe a deletion's doomed nodes
-    /// *before* deleting, like [`record_removals`](Self::record_removals));
-    /// an id that does not resolve is treated as overlapping. Recorded
-    /// ids that are dead in `tree` (removed refs, swapped-away sources)
-    /// only participate in the id collision check — their subtree effect
-    /// is anchored by the live structural root their deletion recorded.
-    pub fn overlaps(&self, tree: &DataTree, anchors: &[NodeId], points: &[NodeId]) -> bool {
-        if self.full {
-            return true;
-        }
-        let mut my_ids = self
-            .roots
-            .iter()
-            .copied()
-            .chain(self.relabels.iter().map(|(n, _)| *n))
-            .chain(self.swaps.iter().flat_map(|s| [s.from, s.to]))
-            .chain(self.removed.iter().map(|r| r.id));
-        if my_ids.any(|id| anchors.contains(&id) || points.contains(&id)) {
-            return true;
-        }
-        // Subtree relations run only among live nodes; a dead probe (or a
-        // dead recorded anchor, which record()'s stability invariant rules
-        // out) overlaps by decree.
-        if anchors.iter().chain(points).any(|&q| !tree.contains(q)) {
-            return true;
-        }
-        let related = |a: NodeId, b: NodeId| {
-            tree.is_proper_ancestor(a, b).unwrap_or(true)
-                || tree.is_proper_ancestor(b, a).unwrap_or(true)
-        };
-        for a in self.roots.iter().chain(self.relabels.iter().map(|(n, _)| n)) {
-            if !tree.contains(*a) {
-                return true;
-            }
-            if anchors.iter().chain(points).any(|&q| related(*a, q)) {
-                return true;
-            }
-        }
-        // A probe anchor covering a live swap target: the swapped node's
-        // ref sits inside the probed subtree.
-        self.swaps
-            .iter()
-            .filter(|s| tree.contains(s.to))
-            .any(|s| anchors.iter().any(|&q| tree.is_proper_ancestor(q, s.to).unwrap_or(true)))
-    }
-
     /// Records the refs a deletion is about to remove (their labels as of
     /// deletion time) — the session enumerates the doomed subtree
     /// *before* applying the deletion (cost proportional to the subtree,
@@ -479,119 +377,6 @@ mod tests {
         region.clear();
         assert!(region.is_clean());
         assert!(region.structural_roots().is_empty() && region.relabels().is_empty());
-    }
-
-    #[test]
-    fn merge_unions_under_the_record_algebra() {
-        let t = parse_term("r(a#1(b#2(c#3)),d#4(e#5),f#6)").unwrap();
-        // Roots fold through absorb: a#1 (ours) absorbs b#2 (theirs),
-        // d#4 arrives untouched.
-        let mut ours = DirtyRegion::new();
-        ours.record(&t, &EditScope::Structural { root: Some(n(1)) });
-        ours.record(
-            &t,
-            &EditScope::Relabel { node: n(6), from: Label::new("f"), to: Label::new("g") },
-        );
-        let mut theirs = DirtyRegion::new();
-        theirs.record(&t, &EditScope::Structural { root: Some(n(2)) });
-        theirs.record(&t, &EditScope::Structural { root: Some(n(4)) });
-        theirs.record(
-            &t,
-            &EditScope::Relabel { node: n(6), from: Label::new("g"), to: Label::new("h") },
-        );
-        ours.merge(&t, &theirs);
-        assert_eq!(ours.structural_roots(), [n(1), n(4)]);
-        // First-batch relabel wins: pre-batch label stays "f".
-        assert_eq!(ours.relabels(), [(n(6), Label::new("f"))]);
-    }
-
-    #[test]
-    fn merge_compresses_cross_region_swap_chains() {
-        let mut t = parse_term("r(a#1,b#2)").unwrap();
-        let swap = |t: &mut crate::DataTree, region: &mut DirtyRegion, from, to| {
-            let (_tok, scope) =
-                apply_undoable(t, &Update::ReplaceId { node: from, new_id: to }).unwrap();
-            region.record(t, &scope);
-        };
-        // Batch 1 swaps 1→10; batch 2 swaps 10→11 — the merge must read
-        // as the single chain 1→11, like recording both in one batch.
-        let mut first = DirtyRegion::new();
-        swap(&mut t, &mut first, n(1), n(10));
-        let mut second = DirtyRegion::new();
-        swap(&mut t, &mut second, n(10), n(11));
-        let mut merged = first.clone();
-        merged.merge(&t, &second);
-        assert_eq!(merged.id_swaps(), [IdSwap { from: n(1), to: n(11), label: Label::new("a") }]);
-        // A cross-batch swap-back cancels entirely.
-        let mut back = DirtyRegion::new();
-        swap(&mut t, &mut back, n(11), n(1));
-        merged.merge(&t, &back);
-        assert!(merged.id_swaps().is_empty() && merged.is_clean());
-        // Removed refs concatenate; poison propagates both ways.
-        let mut a = DirtyRegion::new();
-        a.record_removals(&[NodeRef { id: n(2), label: Label::new("b") }]);
-        let mut b = DirtyRegion::new();
-        b.record(&t, &EditScope::Structural { root: None });
-        a.merge(&t, &b);
-        assert!(a.is_full() && a.removed().is_empty());
-        let mut c = DirtyRegion::new();
-        c.record_removals(&[NodeRef { id: n(2), label: Label::new("b") }]);
-        a.merge(&t, &c);
-        assert!(a.is_full(), "poison survives merging a clean-ish region in");
-    }
-
-    #[test]
-    fn overlap_probe_separates_disjoint_subtrees() {
-        let t = parse_term("r(a#1(b#2(c#3)),d#4(e#5),f#6)").unwrap();
-        let mut region = DirtyRegion::new();
-        region.record(&t, &EditScope::Structural { root: Some(n(2)) });
-        // Inside the dirty subtree, at its root, or on an ancestor: overlap.
-        assert!(region.overlaps(&t, &[n(3)], &[]));
-        assert!(region.overlaps(&t, &[], &[n(2)]));
-        assert!(region.overlaps(&t, &[n(1)], &[]));
-        assert!(region.overlaps(&t, &[], &[n(1)]), "point above a root still overlaps");
-        // A disjoint sibling subtree: clear.
-        assert!(!region.overlaps(&t, &[n(4)], &[n(5)]));
-        assert!(!region.overlaps(&t, &[], &[n(6)]));
-        // Unknown probe id: conservative overlap.
-        assert!(region.overlaps(&t, &[], &[n(99)]));
-        // Relabels dirty their subtree both directions too.
-        let mut region = DirtyRegion::new();
-        region.record(
-            &t,
-            &EditScope::Relabel { node: n(4), from: Label::new("d"), to: Label::new("x") },
-        );
-        assert!(region.overlaps(&t, &[n(5)], &[]));
-        assert!(region.overlaps(&t, &[], &[n(5)]));
-        assert!(!region.overlaps(&t, &[n(2)], &[n(6)]));
-        // A poisoned region overlaps everything.
-        let mut region = DirtyRegion::new();
-        region.record(&t, &EditScope::Structural { root: None });
-        assert!(region.overlaps(&t, &[], &[]));
-    }
-
-    #[test]
-    fn overlap_probe_sees_swaps_and_removals_by_id() {
-        let mut t = parse_term("r(a#1(b#2),c#3(d#4))").unwrap();
-        let mut region = DirtyRegion::new();
-        let (_tok, scope) =
-            apply_undoable(&mut t, &Update::ReplaceId { node: n(2), new_id: n(20) }).unwrap();
-        region.record(&t, &scope);
-        // Both endpoints of a swap collide by id; the dead source joins
-        // only the id check, the live target also joins subtree checks.
-        assert!(region.overlaps(&t, &[], &[n(2)]));
-        assert!(region.overlaps(&t, &[], &[n(20)]));
-        assert!(region.overlaps(&t, &[n(1)], &[]), "anchor above the live swap target");
-        assert!(!region.overlaps(&t, &[n(3)], &[n(4)]));
-        // Removed refs collide by their pre-batch id even though dead.
-        let mut region = DirtyRegion::new();
-        region.record_removals(&[NodeRef { id: n(4), label: Label::new("d") }]);
-        let (_tok, scope) = apply_undoable(&mut t, &Update::DeleteNode { node: n(4) }).unwrap();
-        region.record(&t, &scope);
-        assert!(region.overlaps(&t, &[], &[n(4)]));
-        // The deletion's structural root (c#3) anchors the subtree effect.
-        assert!(region.overlaps(&t, &[n(3)], &[]));
-        assert!(!region.overlaps(&t, &[], &[n(20)]));
     }
 
     #[test]

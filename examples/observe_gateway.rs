@@ -2,7 +2,7 @@
 //! end to end.
 //!
 //! Publishes a small hospital fleet, drains a mixed seeded stream
-//! through the throughput path with telemetry attached, then reads back
+//! through the worker pool with telemetry attached, then reads back
 //! everything the bundle collected — all through the public API:
 //!
 //! * the Prometheus-style metrics exposition (and its deterministic
@@ -60,7 +60,7 @@ fn main() {
     // some comply, some trip the ↑/↓ constraints and are rolled back.
     let refs: Vec<(DocId, &DataTree)> = doc_refs.iter().map(|d| (*d, &tree)).collect();
     let stream = seeded_zipf_requests(&refs, &["visit", "note"], 0x0B5E_CAFE, 160, 99);
-    let verdicts = gateway.process_throughput(&stream, 2, &ThroughputOptions::default());
+    let verdicts = gateway.process(&stream, 2);
     let accepted = verdicts.iter().filter(|v| v.is_accepted()).count();
     println!(
         "drained {} requests at 2 workers: {} accepted, {} rejected\n",
@@ -70,8 +70,8 @@ fn main() {
     );
 
     // ---- Metrics: the canonical exposition ---------------------------
-    // `record_metrics` folds the gateway's verdict/shed/coalesce stats
-    // and the engine + persistence counters into the attached registry.
+    // `record_metrics` folds the engine + persistence counters into the
+    // attached registry, next to the gateway's verdict/shed counters.
     gateway.record_metrics();
     let snapshot = telemetry.registry().snapshot();
     println!("--- metrics exposition ---");

@@ -73,7 +73,7 @@ pub mod prelude {
         admit, admit_delta, admit_delta_in_place, plan_admission, render_arrival_log, render_log,
         AdmissionMode, Arrival, DegradedReason, DocId, DocumentStore, DurableOptions, Gateway,
         GatewayState, LoadOptions, LoadReport, RecoverError, RejectReason, Request, ResumeError,
-        RetryPolicy, Session, ShedCause, SuiteCache, ThroughputOptions, Verdict, WriteFault,
+        RetryPolicy, Session, ShedCause, SuiteCache, Verdict, WriteFault,
     };
     pub use xuc_sigstore::{Certificate, Signer};
     pub use xuc_telemetry::{
