@@ -554,8 +554,10 @@ impl Gateway {
 
     /// The current certificate of `id`'s document — what a User fetches
     /// alongside [`snapshot`](Self::snapshot) to verify it independently.
+    /// Materialized under the document lock: one clone of each signed
+    /// set.
     pub fn certificate(&self, id: DocId) -> Option<Certificate> {
-        self.store.document(id).map(|d| d.lock().certificate().clone())
+        self.store.document(id).map(|d| d.lock().certificate())
     }
 
     /// A clone of `id`'s current committed tree (the published state a
@@ -665,15 +667,7 @@ impl Gateway {
                     // real in memory — it degrades the gateway, and the
                     // unjournaled suffix is covered by resume/recovery
                     // like a lost group-commit buffer.
-                    match self.log_commit_traced(
-                        journal,
-                        request.doc,
-                        receipt.commit,
-                        &request.updates,
-                        doc.certificate(),
-                        tel,
-                        tag,
-                    ) {
+                    match self.log_commit_traced(journal, doc, &request.updates, tel, tag) {
                         Ok(()) => {
                             if let Err(e) = journal.maybe_snapshot(doc) {
                                 self.note_journal_error(e);
@@ -697,21 +691,21 @@ impl Gateway {
     /// misattribute under concurrently-journaling gateways, acceptable
     /// for an inherently scheduling-dependent stage) and
     /// [`Stage::JournalAppend`] when it was buffered for group commit.
-    #[allow(clippy::too_many_arguments)]
+    /// The record carries the materialized certificate, so its one clone
+    /// of the signed sets falls inside the span.
     fn log_commit_traced(
         &self,
         journal: &Journal,
-        doc: DocId,
-        commit: u64,
+        doc: &Document,
         updates: &[Update],
-        cert: &Certificate,
         tel: Option<&Telemetry>,
         tag: u16,
     ) -> Result<(), JournalError> {
-        let Some(t) = tel else { return journal.log_commit(doc, commit, updates, cert) };
+        let log = || journal.log_commit(doc.id(), doc.commits(), updates, doc.certificate());
+        let Some(t) = tel else { return log() };
         let fsyncs_before = xuc_persist::persist_counters().wal_fsyncs;
         let started = t.now_micros();
-        let out = journal.log_commit(doc, commit, updates, cert);
+        let out = log();
         let stage = if xuc_persist::persist_counters().wal_fsyncs > fsyncs_before {
             Stage::Fsync
         } else {

@@ -14,7 +14,9 @@
 //! * [`DocumentStore`] — documents sharded by id behind `parking_lot`
 //!   locks; each [`Document`] owns its tree, a **warm** evaluator whose
 //!   snapshot is kept in sync by the edit-scope protocol, its constraint
-//!   suite, the suite's compiled automaton and its current certificate;
+//!   suite, the suite's compiled automaton and its current certificate's
+//!   header (the signed sets themselves are the admission baselines —
+//!   one copy of each);
 //! * [`Session`] — `begin / apply / commit / rollback` transactions built
 //!   on undo tokens: a rejected batch unwinds exactly (same child order,
 //!   [`xuc_xtree::undo`]'s position-restoration invariant) and the
@@ -35,11 +37,13 @@
 //!   and drain a request stream through a deterministic worker pool
 //!   ([`Gateway::process`]) whose accept/reject log is byte-identical at
 //!   every worker count;
-//! * commit **re-certifies** the document
-//!   ([`Signer::certify_precomputed`](xuc_sigstore::Signer::certify_precomputed)
-//!   over the admission pass's own range results), closing the Figure 1
-//!   loop: users can verify every accepted state without seeing its
-//!   predecessor.
+//! * commit **re-certifies** the document incrementally: the splice's
+//!   added and removed set entries are folded into each signed set's
+//!   additive hash ([`xuc_sigstore::SetSum`]) and the O(k) certificate
+//!   header is re-chained ([`xuc_sigstore::CertHeader::rechain`]),
+//!   closing the Figure 1 loop — users can verify every accepted state
+//!   without seeing its predecessor, and the commit costs what the edit
+//!   touched.
 //!
 //! ```
 //! use xuc_core::parse_constraint;

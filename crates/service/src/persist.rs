@@ -272,7 +272,7 @@ impl Journal {
         id: DocId,
         commit: u64,
         updates: &[Update],
-        cert: &Certificate,
+        cert: Certificate,
     ) -> Result<(), JournalError> {
         let mut inner = self.lock();
         if inner.writer.is_sealed() {
@@ -282,7 +282,7 @@ impl Journal {
             doc: id.as_str().to_owned(),
             commit,
             updates: updates.to_vec(),
-            cert: cert.clone(),
+            cert,
         };
         if let Err(e) = inner.writer.append(&rec) {
             // The frame made it into the buffer; only the auto-sync at
@@ -317,7 +317,7 @@ impl Journal {
             tree: doc.tree().clone(),
             suite: doc.suite().to_vec(),
             base_sets: doc.baseline().to_vec(),
-            cert: doc.certificate().clone(),
+            cert: doc.certificate(),
         };
         let outcome = retry_io(self.opts.retry, &*self.clock, || write_snapshot(&self.dir, &snap));
         let mut inner = self.lock();
@@ -410,7 +410,7 @@ impl Journal {
                 tree: doc.tree().clone(),
                 suite: doc.suite().to_vec(),
                 base_sets: doc.baseline().to_vec(),
-                cert: doc.certificate().clone(),
+                cert: doc.certificate(),
             };
             retry_io(self.opts.retry, &*self.clock, || write_snapshot(&self.dir, &snap))
                 .map_err(|f| ResumeError::Persist(PersistError::Io(f.error)))?;
@@ -451,7 +451,9 @@ pub enum RecoverError {
     /// the live admission path disagree on an *accepted* batch.
     ReplayFailed { doc: String, commit: u64, error: String },
     /// Replay ran but did not reproduce the logged commit number or the
-    /// logged certificate (hash chain included).
+    /// logged certificate (hash chain included) — or a snapshot's
+    /// certificate is not the one its own baselines sign (`commit` is
+    /// then the snapshot's commit count).
     Diverged { doc: String, commit: u64 },
     /// The durability directory contradicts itself: two snapshots, or a
     /// snapshot-plus-publish race, claim the same document id. Snapshot
@@ -530,8 +532,9 @@ fn update_max_id(u: &Update) -> u64 {
 /// Rebuilds gateway state from `dir` (created if absent — an empty
 /// directory recovers to an empty, durable gateway):
 ///
-/// 1. install every snapshot (trusted committed state, fresh evaluator,
-///    cache-shared automata);
+/// 1. install every snapshot (committed state with a fresh evaluator and
+///    cache-shared automata; a snapshot whose certificate its own
+///    baselines do not reproduce is [`RecoverError::Diverged`]);
 /// 2. replay the WAL's durable prefix through the live admission path,
 ///    skipping records a snapshot already covers (replay is idempotent),
 ///    and cross-checking each replayed certificate — field for field,
@@ -553,24 +556,16 @@ pub(crate) fn recover(
     let mut snapshotted: HashMap<DocId, u64> = HashMap::new();
 
     for snap in read_snapshots(dir)? {
-        let id = DocId::new(&snap.doc);
+        let (id, commits) = (DocId::new(&snap.doc), snap.commits);
         max_id = max_id.max(tree_max_id(&snap.tree));
         let compiled = cache.get_or_compile(&snap.suite);
-        let doc = Document::restore(
-            id,
-            snap.tree,
-            snap.suite,
-            compiled,
-            snap.base_sets,
-            snap.cert,
-            snap.commits,
-        );
+        let doc = Document::restore(snap, compiled, signer)?;
         if store.install(doc).is_err() {
             // Snapshot file names derive from document names, so a
             // duplicate means the directory contradicts itself.
-            return Err(RecoverError::Conflict { doc: snap.doc });
+            return Err(RecoverError::Conflict { doc: id.as_str().to_owned() });
         }
-        snapshotted.insert(id, snap.commits);
+        snapshotted.insert(id, commits);
     }
 
     let (writer, scan) = WalWriter::open(&wal_path(dir), opts.group_commit)?;
@@ -629,7 +624,8 @@ pub(crate) fn recover(
                         });
                     }
                 }
-                if d.certificate() != &cert {
+                // Field for field, without materializing the replayed one.
+                if !d.header.describes(&cert, &d.base_sets) {
                     return Err(RecoverError::Diverged { doc, commit });
                 }
             }

@@ -19,10 +19,14 @@
 //!   under Definition 2.3. Predicate suites and poisoned regions degrade
 //!   to the full [`eval_set`](xuc_xpath::Evaluator::eval_set) pass
 //!   ([`admit`], still available via [`AdmissionMode::FullPass`]) with
-//!   identical verdicts and baselines. Accepted batches re-certify the
-//!   document from the very sets the check computed
-//!   ([`Signer::certify_precomputed`](xuc_sigstore::Signer::certify_precomputed));
-//!   rejected batches unwind;
+//!   identical verdicts and baselines. Accepted batches re-certify
+//!   **incrementally**: each [`SpliceJournal`] event (an entry added to
+//!   or removed from a signed set) is folded into that set's additive
+//!   hash ([`SetSum`](xuc_sigstore::SetSum)), a full pass re-hashes the
+//!   sets it replaced, and the O(k) certificate header is re-chained
+//!   onto the outgoing certificate's digest
+//!   ([`CertHeader::rechain`](xuc_sigstore::CertHeader::rechain)) — no
+//!   set is copied or serialized. Rejected batches unwind;
 //! * [`Session::rollback`] (and `Drop`, for abandoned sessions) unwinds
 //!   the undo stack in LIFO order. Undo is an *exact* inverse (child
 //!   positions restored), so the tree returns byte-identical to the
@@ -82,12 +86,14 @@ pub fn admit(
     suite: &[Constraint],
     base_sets: &[BTreeSet<NodeRef>],
 ) -> Result<Vec<BTreeSet<NodeRef>>, Rejection> {
-    admit_traced(ev, compiled, suite, base_sets, None, 0)
+    admit_traced(ev, compiled, suite, base_sets, None, 0).0
 }
 
 /// [`admit`] with optional stage tracing: the full `eval_set` sweep is
 /// attributed to [`Stage::Splice`] (the evaluation stage — splice or
-/// full pass), the Definition 2.3 comparison to [`Stage::Verdict`].
+/// full pass). The Definition 2.3 comparison runs in an open
+/// [`Stage::Verdict`] span whose start is returned beside the verdict:
+/// the caller closes it on the reading that opens the next stage.
 /// Telemetry is observationally inert: verdicts and returned sets are
 /// those of [`admit`] on every input.
 pub(crate) fn admit_traced(
@@ -97,27 +103,23 @@ pub(crate) fn admit_traced(
     base_sets: &[BTreeSet<NodeRef>],
     tel: Option<&Telemetry>,
     tag: u16,
-) -> Result<Vec<BTreeSet<NodeRef>>, Rejection> {
+) -> (Result<Vec<BTreeSet<NodeRef>>, Rejection>, Option<u64>) {
     debug_assert_eq!(suite.len(), base_sets.len(), "one baseline per constraint");
     let t0 = tel.map(Telemetry::now_micros);
     let now_sets = ev.eval_set(compiled);
     // Splice closes and Verdict opens on one shared clock reading — the
     // read, not the atomics, is the tracer's hot-path cost.
-    let boundary = splice_boundary(tel, tag, t0);
-    let out = check_against_baseline(suite, base_sets, now_sets);
-    if let (Some(t), Some(t1)) = (tel, boundary) {
-        t.record_stage(Stage::Verdict, tag, t1);
-    }
-    out
+    let verdict_open = close_span(tel, Stage::Splice, tag, t0);
+    (check_against_baseline(suite, base_sets, now_sets), verdict_open)
 }
 
-/// Closes a [`Stage::Splice`] span opened at `t0` and returns the shared
-/// boundary reading that opens the adjacent [`Stage::Verdict`] span.
-fn splice_boundary(tel: Option<&Telemetry>, tag: u16, t0: Option<u64>) -> Option<u64> {
+/// Closes the `stage` span opened at `opened` and returns the closing
+/// reading, which opens the adjacent next span.
+fn close_span(tel: Option<&Telemetry>, stage: Stage, tag: u16, opened: Option<u64>) -> Option<u64> {
     tel.map(|t| {
-        let t1 = t.now_micros();
-        t.record_span(Stage::Splice, tag, t1.saturating_sub(t0.unwrap_or(t1)));
-        t1
+        let now = t.now_micros();
+        t.record_span(stage, tag, now.saturating_sub(opened.unwrap_or(now)));
+        now
     })
 }
 
@@ -171,13 +173,14 @@ pub fn admit_delta_in_place(
     base_sets: &mut Vec<BTreeSet<NodeRef>>,
     region: &DirtyRegion,
 ) -> Result<Option<SpliceJournal>, Rejection> {
-    admit_delta_in_place_traced(ev, compiled, suite, base_sets, region, None, 0)
+    admit_delta_in_place_traced(ev, compiled, suite, base_sets, region, None, 0).0
 }
 
 /// [`admit_delta_in_place`] with optional stage tracing: the splice (or
 /// its full-pass degradation) is attributed to [`Stage::Splice`], the
 /// Definition 2.3 judgement off the journal's net changes (or against
-/// the baseline) to [`Stage::Verdict`]. Telemetry is observationally
+/// the baseline) runs in an open [`Stage::Verdict`] span whose start is
+/// returned, as [`admit_traced`] does. Telemetry is observationally
 /// inert — verdicts, baselines and journals are those of the untraced
 /// form on every input.
 pub(crate) fn admit_delta_in_place_traced(
@@ -188,7 +191,7 @@ pub(crate) fn admit_delta_in_place_traced(
     region: &DirtyRegion,
     tel: Option<&Telemetry>,
     tag: u16,
-) -> Result<Option<SpliceJournal>, Rejection> {
+) -> (Result<Option<SpliceJournal>, Rejection>, Option<u64>) {
     debug_assert_eq!(suite.len(), base_sets.len(), "one baseline per constraint");
     let t0 = tel.map(Telemetry::now_micros);
     match ev.eval_set_splice(compiled, region, base_sets) {
@@ -197,16 +200,15 @@ pub(crate) fn admit_delta_in_place_traced(
             // fell back to are one Splice span — what the evaluation
             // stage cost, not how it got there.
             let now_sets = ev.eval_set(compiled);
-            let boundary = splice_boundary(tel, tag, t0);
-            let checked = check_against_baseline(suite, base_sets, now_sets);
-            if let (Some(t), Some(t1)) = (tel, boundary) {
-                t.record_stage(Stage::Verdict, tag, t1);
-            }
-            *base_sets = checked?;
-            Ok(None)
+            let verdict_open = close_span(tel, Stage::Splice, tag, t0);
+            let checked = check_against_baseline(suite, base_sets, now_sets).map(|now_sets| {
+                *base_sets = now_sets;
+                None
+            });
+            (checked, verdict_open)
         }
         Some(journal) => {
-            let boundary = splice_boundary(tel, tag, t0);
+            let verdict_open = close_span(tel, Stage::Splice, tag, t0);
             let judged = (|| {
                 for (i, c) in suite.iter().enumerate() {
                     let (net_removed, net_added) = journal.net_changes(i);
@@ -221,10 +223,7 @@ pub(crate) fn admit_delta_in_place_traced(
                 }
                 Ok(())
             })();
-            if let (Some(t), Some(t1)) = (tel, boundary) {
-                t.record_stage(Stage::Verdict, tag, t1);
-            }
-            judged.map(|()| Some(journal))
+            (judged.map(|()| Some(journal)), verdict_open)
         }
     }
 }
@@ -347,8 +346,10 @@ impl<'a> Session<'a> {
     ///
     /// * Accepted: the working tree becomes the committed state, the
     ///   admission pass's range results become the new baseline **and**
-    ///   the certification snapshots (no re-evaluation), and the commit
-    ///   counter advances.
+    ///   the signed sets (no re-evaluation, no copy), the certificate
+    ///   header is folded forward and re-chained, and the commit counter
+    ///   advances. [`Stage::Certify`] spans the whole re-certification:
+    ///   the fold, the outgoing digest and the re-chain.
     /// * Rejected: the batch is unwound exactly ([`Session::rollback`])
     ///   before the [`Rejection`] is returned — the document is
     ///   byte-identical to its committed state.
@@ -365,7 +366,7 @@ impl<'a> Session<'a> {
         mode: AdmissionMode,
     ) -> Result<Commit, Rejection> {
         let (tel, tag) = (self.tel, self.tag);
-        let admitted = match mode {
+        let (admitted, verdict_open) = match mode {
             // The delta path splices doc.base_sets in place: on success
             // they already ARE the admission pass's fresh range results,
             // on rejection they have been reverted to the committed
@@ -378,32 +379,54 @@ impl<'a> Session<'a> {
                 &self.region,
                 tel,
                 tag,
-            )
-            .map(|_journal| ()),
-            AdmissionMode::FullPass => admit_traced(
-                &mut self.doc.ev,
-                &self.doc.compiled,
-                &self.doc.suite,
-                &self.doc.base_sets,
-                tel,
-                tag,
-            )
-            .map(|now_sets| self.doc.base_sets = now_sets),
-        };
-        match admitted {
-            Ok(()) => {
-                // Chain onto the outgoing certificate: its digest becomes
-                // the new certificate's `prev_digest`, making the
-                // document's certificate history a hash-linked chain
-                // auditable from the journal alone (see `xuc-persist`).
-                let prev = self.doc.cert.digest();
-                let doc = &mut *self.doc;
-                Telemetry::time(tel, Stage::Certify, tag, || {
-                    doc.cert = signer.certify_chained(&doc.suite, &doc.base_sets, prev);
+            ),
+            AdmissionMode::FullPass => {
+                let (admitted, verdict_open) = admit_traced(
+                    &mut self.doc.ev,
+                    &self.doc.compiled,
+                    &self.doc.suite,
+                    &self.doc.base_sets,
+                    tel,
+                    tag,
+                );
+                let admitted = admitted.map(|now_sets| {
+                    self.doc.base_sets = now_sets;
+                    None
                 });
-                self.doc.commits += 1;
+                (admitted, verdict_open)
+            }
+        };
+        // Verdict closes, and on an accept Certify opens, on one reading.
+        let certify_open = close_span(tel, Stage::Verdict, tag, verdict_open);
+        match admitted {
+            Ok(journal) => {
+                let doc = &mut *self.doc;
+                // Bring each set's sum up to the new baseline: fold the
+                // splice's own events (O(edit)), or re-hash the sets a
+                // full pass replaced wholesale.
+                match &journal {
+                    Some(journal) => {
+                        for (i, entry) in doc.header.entries.iter_mut().enumerate() {
+                            for (r, added) in journal.events(i) {
+                                if *added {
+                                    entry.sum.add(signer, r);
+                                } else {
+                                    entry.sum.remove(signer, r);
+                                }
+                            }
+                        }
+                    }
+                    None => doc.header.resum(signer, &doc.base_sets),
+                }
+                // Chain onto the outgoing certificate: its digest becomes
+                // the new `prev_digest`, making the document's certificate
+                // history a hash-linked chain auditable from the journal
+                // alone (see `xuc-persist`).
+                doc.header.rechain(signer);
+                close_span(tel, Stage::Certify, tag, certify_open);
+                doc.commits += 1;
                 self.open = false;
-                Ok(Commit { commit: self.doc.commits })
+                Ok(Commit { commit: doc.commits })
             }
             Err(rejection) => {
                 self.unwind();

@@ -22,6 +22,7 @@
 //! impossible by construction.
 
 use crate::cache::SuiteCache;
+use crate::persist::RecoverError;
 use crate::DocId;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeSet;
@@ -30,7 +31,8 @@ use std::fmt;
 use std::sync::Arc;
 use xuc_automata::CompiledPatternSet;
 use xuc_core::Constraint;
-use xuc_sigstore::{Certificate, Signer};
+use xuc_persist::DocSnapshot;
+use xuc_sigstore::{CertHeader, Certificate, Signer};
 use xuc_xpath::{Evaluator, Pattern};
 use xuc_xtree::{DataTree, NodeRef};
 
@@ -43,7 +45,11 @@ pub(crate) const STORE_SHARDS: usize = 16;
 /// One served document: its tree, the warm evaluator bound to it, its
 /// constraint suite (with the suite's compiled automaton shared through
 /// the [`SuiteCache`]), the committed range results the next admission
-/// check compares against, and the current certificate.
+/// check compares against, and the current certificate's header.
+///
+/// The range results are the **only** copy of each signed set: the
+/// certificate is kept as a [`CertHeader`] (per-set sums and tags plus
+/// the chain fields) and materialized over `base_sets` when handed out.
 pub struct Document {
     id: DocId,
     pub(crate) tree: DataTree,
@@ -53,7 +59,8 @@ pub struct Document {
     /// `suite[i].range`'s evaluation on the committed tree — the
     /// admission baseline, refreshed on every commit.
     pub(crate) base_sets: Vec<BTreeSet<NodeRef>>,
-    pub(crate) cert: Certificate,
+    /// The current certificate minus its sets, which are `base_sets`.
+    pub(crate) header: CertHeader,
     pub(crate) commits: u64,
 }
 
@@ -67,26 +74,37 @@ impl Document {
     ) -> Document {
         let mut ev = Evaluator::new(&tree);
         let base_sets = ev.eval_set(&*compiled);
-        let cert = signer.certify_precomputed(&suite, &base_sets);
-        Document { id, tree, ev, suite, compiled, base_sets, cert, commits: 0 }
+        let header = CertHeader::new(signer, &suite, &base_sets, 0);
+        Document { id, tree, ev, suite, compiled, base_sets, header, commits: 0 }
     }
 
-    /// Reassembles a document from persisted state (the recovery path).
-    /// The snapshot's baselines, certificate and commit counter are
-    /// trusted as the committed state — only the warm evaluator is
-    /// rebuilt, and the suite's automaton comes back through the cache
-    /// (recovered documents under one policy still share one compile).
+    /// Reassembles a document from a snapshot (the recovery path). The
+    /// snapshot's tree, baselines and commit counter are trusted as the
+    /// committed state; the warm evaluator is rebuilt, the suite's
+    /// automaton comes back through the cache (recovered documents under
+    /// one policy still share one compile), and the certificate's sums
+    /// are re-hashed from the baselines.
+    ///
+    /// A snapshot whose certificate does not match those baselines — other
+    /// constraints than the suite, a signed set that differs from its
+    /// baseline, or a tag or chain tag that the baselines do not
+    /// reproduce — is refused as [`RecoverError::Diverged`]: serving it
+    /// would hand out a certificate that fails `verify`.
     pub(crate) fn restore(
-        id: DocId,
-        tree: DataTree,
-        suite: Vec<Constraint>,
+        snap: DocSnapshot,
         compiled: Arc<CompiledPatternSet>,
-        base_sets: Vec<BTreeSet<NodeRef>>,
-        cert: Certificate,
-        commits: u64,
-    ) -> Document {
+        signer: &Signer,
+    ) -> Result<Document, RecoverError> {
+        let DocSnapshot { doc, commits, tree, suite, base_sets, cert } = snap;
+        if suite.len() != base_sets.len() {
+            return Err(RecoverError::Diverged { doc, commit: commits });
+        }
+        let header = CertHeader::new(signer, &suite, &base_sets, cert.prev_digest);
+        if !header.describes(&cert, &base_sets) {
+            return Err(RecoverError::Diverged { doc, commit: commits });
+        }
         let ev = Evaluator::new(&tree);
-        Document { id, tree, ev, suite, compiled, base_sets, cert, commits }
+        Ok(Document { id: DocId::new(&doc), tree, ev, suite, compiled, base_sets, header, commits })
     }
 
     pub fn id(&self) -> DocId {
@@ -104,9 +122,16 @@ impl Document {
         &self.suite
     }
 
-    /// The certificate of the last committed state.
-    pub fn certificate(&self) -> &Certificate {
-        &self.cert
+    /// The certificate of the last committed state, materialized from
+    /// the header and the baselines (one clone of each signed set).
+    pub fn certificate(&self) -> Certificate {
+        self.header.materialize(&self.base_sets)
+    }
+
+    /// The certificate of the last committed state without its signed
+    /// sets: what a commit re-chains in O(k).
+    pub fn certificate_header(&self) -> &CertHeader {
+        &self.header
     }
 
     /// The committed baseline: `suite()[i].range`'s evaluation on the last
@@ -270,7 +295,7 @@ mod tests {
         assert_eq!(d.commits(), 0);
         assert_eq!(d.suite().len(), 1);
         // The initial certificate covers the published state.
-        assert!(d.certificate().clone().verify(7, d.tree()).is_ok());
+        assert!(d.certificate().verify(7, d.tree()).is_ok());
         // The warm evaluator answers without a rebuild.
         let q = xuc_xpath::parse("/patient/visit").unwrap();
         assert_eq!(d.eval(&q).len(), 1);

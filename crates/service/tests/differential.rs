@@ -373,6 +373,79 @@ fn kill_restart_recovers_byte_identical() {
     );
 }
 
+/// A snapshot that contradicts itself — its certificate is not the one
+/// its own baselines sign — must stop recovery with a typed
+/// `RecoverError::Diverged` naming the snapshot's commit, never bring up a
+/// gateway whose certificate fails `verify`. Each tampered snapshot is
+/// written through `write_snapshot`, so its frame checksum is valid and
+/// only the certificate check can catch it.
+#[test]
+fn self_contradicting_snapshot_recovers_as_diverged() {
+    let key = 0x5AFE;
+    let dir = std::env::temp_dir().join(format!("xuc-diff-snap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = DurableOptions { snapshot_every: Some(2), ..DurableOptions::default() };
+    let doc = DocId::new("snapped");
+    let tree = xuc_xtree::parse_term("h#1(patient#2(visit#3),patient#4)").unwrap();
+    let suite = vec![
+        parse_constraint("(/patient/visit, ↑)").unwrap(),
+        parse_constraint("(/patient, ↓)").unwrap(),
+    ];
+    {
+        let gw = Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, &dir, opts).unwrap();
+        gw.publish(doc, tree, suite).unwrap();
+        for parent in [2, 4] {
+            let visit = Update::InsertLeaf {
+                parent: NodeId::from_raw(parent),
+                id: NodeId::fresh(),
+                label: "visit".into(),
+            };
+            assert!(gw.submit(&Request { doc, updates: vec![visit] }).is_accepted());
+        }
+    }
+    let snaps = xuc_persist::read_snapshots(&dir).unwrap();
+    assert_eq!(snaps.len(), 1);
+    let good = snaps.into_iter().next().unwrap();
+    assert_eq!(good.commits, 2);
+    let recover = || Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, &dir, opts);
+    assert!(recover().is_ok(), "the untampered snapshot recovers");
+
+    fn relabel_first(set: &mut BTreeSet<NodeRef>) {
+        let first = *set.iter().next().unwrap();
+        set.remove(&first);
+        set.insert(NodeRef { id: first.id, label: Label::new("w") });
+    }
+    type Tamper = fn(&mut xuc_persist::DocSnapshot);
+    let tampers: [(&str, Tamper); 5] = [
+        ("signed set differs from its baseline", |s| {
+            relabel_first(&mut s.cert.entries[0].snapshot);
+        }),
+        ("constraint differs from the suite", |s| {
+            s.cert.entries[1].constraint = parse_constraint("(/patient, ↑)").unwrap();
+        }),
+        ("tag differs from the recomputed one", |s| s.cert.entries[1].tag ^= 1),
+        ("chain tag differs from the recomputed one", |s| s.cert.chain_tag ^= 1),
+        // The sets agree, but the carried tag no longer signs them.
+        ("one entry relabelled in the certificate and the baseline", |s| {
+            relabel_first(&mut s.cert.entries[0].snapshot);
+            relabel_first(&mut s.base_sets[0]);
+        }),
+    ];
+    for (what, tamper) in tampers {
+        let mut bad = good.clone();
+        tamper(&mut bad);
+        xuc_persist::write_snapshot(&dir, &bad).unwrap();
+        match recover() {
+            Err(xuc_service::RecoverError::Diverged { doc: d, commit }) => {
+                assert_eq!((d.as_str(), commit), ("snapped", 2), "{what}");
+            }
+            Err(e) => panic!("{what}: expected Diverged, got {e}"),
+            Ok(_) => panic!("{what}: a self-contradicting snapshot was served"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Relabel-only batches are the paper's motivating case: admission must
 /// complete with **zero** pre-order walks — the evaluator patches in
 /// O(1) per relabel and the splice re-drives only the relabeled

@@ -106,9 +106,13 @@ fn attached_telemetry_is_observationally_inert() {
     for stage in [Stage::Apply, Stage::Splice, Stage::Verdict, Stage::Certify] {
         assert!(rows[stage as usize].count > 0, "no {} spans recorded", stage.name());
     }
+    // One Certify span per commit: it covers the whole re-certification
+    // (sum fold, outgoing digest, re-chain), and rejected batches never
+    // open one.
+    let accepted = verdicts.iter().filter(|v| v.is_accepted()).count() as u64;
+    assert_eq!(rows[Stage::Certify as usize].count, accepted, "Certify spans ≠ commits");
     gw.record_metrics();
     let snap = tel.registry().snapshot();
-    let accepted = verdicts.iter().filter(|v| v.is_accepted()).count() as u64;
     assert_eq!(snap.counter("xuc_gateway_commits_accepted_total"), Some(accepted));
     let rejected = (verdicts.len() as u64) - accepted;
     let rejected_counted = snap.counter("xuc_gateway_rejected_violation_total").unwrap()
@@ -169,6 +173,7 @@ fn trace_tags_group_spans_per_request_and_rejects_skip_certify() {
     assert_eq!(gw.submit(&ok), Verdict::Accepted { commit: 1 });
     let bad = Request { doc, updates: vec![Update::DeleteSubtree { node: NodeId::from_raw(3) }] };
     assert!(matches!(gw.submit(&bad), Verdict::Rejected(_)));
+    assert_eq!(tel.stages().rows()[Stage::Certify as usize].count, 1, "one commit, one Certify");
 
     let events = tel.ring().drain();
     assert!(!events.is_empty());

@@ -17,38 +17,130 @@
 //! `verify(J, cert) == Ok` holds exactly when `(I, J)` is valid for the
 //! certified constraints — the certificate is a faithful stand-in for `I`.
 //!
-//! **This is a simulation**: the MAC is a keyed FNV-style hash, not a
-//! cryptographic primitive. The reasoning machinery of `xuc-core` never
-//! depends on the hash strength; it only consumes the validity verdicts.
+//! **Incremental tags.** A signed set's tag is a keyed *additive multiset
+//! hash* (Bellare–Micciancio's AdHash; Clarke et al.'s incremental
+//! multiset hashes): the wrapping sum of a keyed per-element hash, plus
+//! the set's size, finalized under the key ([`SetSum`]). Adding or
+//! removing one element updates the sum in O(1), so a Source that keeps a
+//! [`CertHeader`] — per-set sums and tags plus the chain fields — beside
+//! its sets re-certifies an edited document in time proportional to the
+//! edit ([`CertHeader::rechain`]), and builds the full [`Certificate`]
+//! only when one is handed out ([`CertHeader::materialize`]).
+//! [`Signer::certify_chained`] and [`Certificate::verify`] recompute every
+//! sum from scratch through the same tag and digest functions, so they are
+//! the oracle the incremental path is tested against.
+//!
+//! **This is a simulation**: the MAC and the element hash are keyed
+//! FNV-style mixes, not cryptographic primitives. The reasoning machinery
+//! of `xuc-core` never depends on the hash strength; it only consumes the
+//! validity verdicts.
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use xuc_core::{Constraint, ConstraintKind};
 use xuc_xpath::Evaluator;
-use xuc_xtree::{DataTree, NodeRef};
+use xuc_xtree::{DataTree, Label, NodeRef};
 
-/// A 64-bit FNV-1a style keyed digest (simulation of a MAC).
-fn mac(key: u64, data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ key;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Process-wide count of set elements hashed by [`SetSum`] — every
+/// `add`/`remove` counts one, every from-scratch [`SetSum::of`] counts the
+/// set's size. Only deltas are meaningful.
+static ELEMENTS_HASHED: AtomicU64 = AtomicU64::new(0);
+
+/// The number of set elements hashed so far, across all threads. Tests
+/// diff two readings to show that a commit hashes what its edit touched,
+/// not what the document holds (an operation count, not a timing).
+pub fn elements_hashed_count() -> u64 {
+    ELEMENTS_HASHED.load(Ordering::Relaxed)
+}
+
+fn fnv(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
-    // One extra mixing round keyed again, so extension attacks on the toy
-    // hash are at least inconvenient.
-    h ^= key.rotate_left(17);
-    h = h.wrapping_mul(0x100_0000_01b3);
     h
 }
 
-fn serialize_set(set: &BTreeSet<NodeRef>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(set.len() * 12);
-    for n in set {
-        out.extend_from_slice(&n.id.raw().to_le_bytes());
-        out.extend_from_slice(n.label.as_str().as_bytes());
-        out.push(0);
+/// A 64-bit FNV-1a style keyed digest (simulation of a MAC).
+fn mac(key: u64, data: &[u8]) -> u64 {
+    let h = fnv(FNV_OFFSET ^ key, data);
+    // One extra mixing round keyed again, so extension attacks on the toy
+    // hash are at least inconvenient.
+    (h ^ key.rotate_left(17)).wrapping_mul(FNV_PRIME)
+}
+
+/// The keyed per-element hash summed by [`SetSum`]: the node id mixed
+/// with an FNV of the label's bytes (`label_fnv`, computed by the caller
+/// so runs of one label hash its bytes once). Allocation-free. Like
+/// [`mac`], the one place to swap in a real primitive.
+fn element_hash(key: u64, id: u64, label_fnv: u64) -> u64 {
+    // SplitMix64's finalizer: every input bit reaches every output bit,
+    // so summing element hashes does not cancel structure in the ids.
+    let mut z =
+        (label_fnv ^ key.rotate_left(29)).wrapping_add(id.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn label_fnv(label: Label) -> u64 {
+    fnv(FNV_OFFSET, label.as_str().as_bytes())
+}
+
+/// The additive multiset hash of one signed set: the wrapping (mod 2⁶⁴)
+/// sum of keyed per-element hashes (the id mixed with an FNV of the
+/// label) and the element count. Order-independent, and updated in O(1)
+/// per inserted or removed element, so an entry that is removed and
+/// re-inserted cancels on its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SetSum {
+    sum: u64,
+    len: u64,
+}
+
+impl SetSum {
+    /// The sum of `set`, hashed from scratch.
+    pub fn of(signer: &Signer, set: &BTreeSet<NodeRef>) -> SetSum {
+        let mut out = SetSum { sum: 0, len: set.len() as u64 };
+        let mut last: Option<(Label, u64)> = None;
+        for r in set {
+            let lf = match last {
+                Some((l, h)) if l == r.label => h,
+                _ => {
+                    let h = label_fnv(r.label);
+                    last = Some((r.label, h));
+                    h
+                }
+            };
+            out.sum = out.sum.wrapping_add(element_hash(signer.key, r.id.raw(), lf));
+        }
+        ELEMENTS_HASHED.fetch_add(out.len, Ordering::Relaxed);
+        out
     }
-    out
+
+    /// Folds in one element added to the set.
+    pub fn add(&mut self, signer: &Signer, r: &NodeRef) {
+        self.sum = self.sum.wrapping_add(signer.element(r));
+        self.len = self.len.wrapping_add(1);
+    }
+
+    /// Folds out one element removed from the set.
+    pub fn remove(&mut self, signer: &Signer, r: &NodeRef) {
+        self.sum = self.sum.wrapping_sub(signer.element(r));
+        self.len = self.len.wrapping_sub(1);
+    }
+
+    /// The set's tag: `mac(key, sum ‖ len)`.
+    pub fn tag(&self, signer: &Signer) -> u64 {
+        let mut data = [0u8; 16];
+        data[..8].copy_from_slice(&self.sum.to_le_bytes());
+        data[8..].copy_from_slice(&self.len.to_le_bytes());
+        mac(signer.key, &data)
+    }
 }
 
 /// One certified range: the constraint, the signed node set and its MAC.
@@ -74,9 +166,131 @@ pub struct Certificate {
     /// certificate; `0` marks the origin of a chain (the publish-time
     /// certificate).
     pub prev_digest: u64,
-    /// MAC over `prev_digest` and every entry's tag — the hash-link,
-    /// signed so the chain structure itself is tamper-evident.
+    /// MAC over `prev_digest` and every entry's constraint and tag — the
+    /// hash-link, signed so the chain structure itself is tamper-evident.
     pub chain_tag: u64,
+}
+
+/// One entry of a [`CertHeader`]: a [`CertEntry`] with the signed set
+/// replaced by its running [`SetSum`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HeaderEntry {
+    pub constraint: Constraint,
+    pub sum: SetSum,
+    /// The tag last sealed from `sum` (what the certificate carries).
+    pub tag: u64,
+}
+
+/// A [`Certificate`] without its signed sets: per-entry sums and tags plus
+/// the chain fields — O(k) for k constraints, whatever the document's
+/// size. The holder keeps the sets themselves (one copy of each) and
+/// [`materialize`](Self::materialize)s the certificate over them on
+/// demand.
+///
+/// The lifecycle of one accepted edit: fold each added or removed set
+/// element into the matching entry's [`sum`](HeaderEntry::sum) (or
+/// [`resum`](Self::resum) from the new sets), then
+/// [`rechain`](Self::rechain) — digest the outgoing certificate, seal the
+/// new tags and link them to it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CertHeader {
+    pub entries: Vec<HeaderEntry>,
+    pub prev_digest: u64,
+    pub chain_tag: u64,
+}
+
+impl CertHeader {
+    /// Signs `sets` (one per constraint, hashed from scratch) as the
+    /// successor of the certificate digesting to `prev_digest`.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ.
+    pub fn new(
+        signer: &Signer,
+        constraints: &[Constraint],
+        sets: &[BTreeSet<NodeRef>],
+        prev_digest: u64,
+    ) -> CertHeader {
+        assert_eq!(constraints.len(), sets.len(), "one set per constraint");
+        let entries = constraints
+            .iter()
+            .zip(sets)
+            .map(|(c, set)| HeaderEntry {
+                constraint: c.clone(),
+                sum: SetSum::of(signer, set),
+                tag: 0,
+            })
+            .collect();
+        let mut header = CertHeader { entries, prev_digest: 0, chain_tag: 0 };
+        header.seal(signer, prev_digest);
+        header
+    }
+
+    /// Recomputes every sum from `sets` (for an edit whose set changes
+    /// were not tracked element by element). Tags stay those of the
+    /// outgoing certificate until [`rechain`](Self::rechain).
+    pub fn resum(&mut self, signer: &Signer, sets: &[BTreeSet<NodeRef>]) {
+        debug_assert_eq!(self.entries.len(), sets.len(), "one set per constraint");
+        for (e, set) in self.entries.iter_mut().zip(sets) {
+            e.sum = SetSum::of(signer, set);
+        }
+    }
+
+    /// Turns the header into its successor: the current certificate's
+    /// [`digest`](Self::digest) becomes `prev_digest`, every tag is sealed
+    /// from its (already updated) sum, and the chain tag is re-signed.
+    /// O(k): no set is read.
+    pub fn rechain(&mut self, signer: &Signer) {
+        let prev = self.digest();
+        self.seal(signer, prev);
+    }
+
+    fn seal(&mut self, signer: &Signer, prev_digest: u64) {
+        for e in &mut self.entries {
+            e.tag = e.sum.tag(signer);
+        }
+        self.prev_digest = prev_digest;
+        self.chain_tag = chain_tag(signer.key, prev_digest, self.tagged());
+    }
+
+    fn tagged(&self) -> impl Iterator<Item = (&Constraint, u64)> {
+        self.entries.iter().map(|e| (&e.constraint, e.tag))
+    }
+
+    /// The [`Certificate::digest`] of the certificate this header
+    /// describes, in O(k).
+    pub fn digest(&self) -> u64 {
+        digest(self.prev_digest, self.chain_tag, self.tagged())
+    }
+
+    /// The full certificate over `sets` (which must be the sets the sums
+    /// describe): one clone of each set.
+    pub fn materialize(&self, sets: &[BTreeSet<NodeRef>]) -> Certificate {
+        debug_assert_eq!(self.entries.len(), sets.len(), "one set per constraint");
+        let entries = self
+            .entries
+            .iter()
+            .zip(sets)
+            .map(|(e, set)| CertEntry {
+                constraint: e.constraint.clone(),
+                snapshot: set.clone(),
+                tag: e.tag,
+            })
+            .collect();
+        Certificate { entries, prev_digest: self.prev_digest, chain_tag: self.chain_tag }
+    }
+
+    /// Is `cert` exactly [`materialize(sets)`](Self::materialize)? Field
+    /// for field, without building it.
+    pub fn describes(&self, cert: &Certificate, sets: &[BTreeSet<NodeRef>]) -> bool {
+        self.prev_digest == cert.prev_digest
+            && self.chain_tag == cert.chain_tag
+            && self.entries.len() == cert.entries.len()
+            && sets.len() == cert.entries.len()
+            && self.entries.iter().zip(&cert.entries).zip(sets).all(|((h, c), set)| {
+                h.constraint == c.constraint && h.tag == c.tag && *set == c.snapshot
+            })
+    }
 }
 
 /// Verification failures.
@@ -128,6 +342,12 @@ impl Signer {
         Signer { key }
     }
 
+    /// One element's keyed hash, counted in [`elements_hashed_count`].
+    fn element(&self, r: &NodeRef) -> u64 {
+        ELEMENTS_HASHED.fetch_add(1, Ordering::Relaxed);
+        element_hash(self.key, r.id.raw(), label_fnv(r.label))
+    }
+
     /// Certifies `document` under `constraints`: evaluates each range
     /// (against one shared snapshot of the document) and signs the
     /// selected set.
@@ -140,10 +360,8 @@ impl Signer {
 
     /// [`certify`](Self::certify) over range results the caller already
     /// holds: `snapshots[i]` must be `constraints[i].range`'s evaluation
-    /// on the document being certified. The service layer's commit path
-    /// uses this to sign the exact sets its admission check just computed
-    /// (one `eval_set` pass), instead of re-evaluating the whole suite.
-    /// The result is a chain **origin** (`prev_digest = 0`); commits use
+    /// on the document being certified. The result is a chain **origin**
+    /// (`prev_digest = 0`); later certificates use
     /// [`certify_chained`](Self::certify_chained) to link onto the
     /// document's previous certificate.
     ///
@@ -163,7 +381,8 @@ impl Signer {
     /// a document). The link is folded into the signed payload via the
     /// keyed [`chain_tag`](Certificate::chain_tag), so an auditor holding
     /// the chain can prove each certificate is the authentic successor of
-    /// the one before it.
+    /// the one before it. Hashes every set from scratch: the reference a
+    /// [`CertHeader`] maintained edit by edit must agree with.
     ///
     /// # Panics
     /// Panics if the lengths differ.
@@ -173,70 +392,75 @@ impl Signer {
         snapshots: &[BTreeSet<NodeRef>],
         prev_digest: u64,
     ) -> Certificate {
-        assert_eq!(constraints.len(), snapshots.len(), "one snapshot per constraint");
-        let entries: Vec<CertEntry> = constraints
-            .iter()
-            .zip(snapshots)
-            .map(|(c, snapshot)| {
-                let tag = mac(self.key, &serialize_set(snapshot));
-                CertEntry { constraint: c.clone(), snapshot: snapshot.clone(), tag }
-            })
-            .collect();
-        let chain_tag = mac(self.key, &chain_payload(prev_digest, &entries));
-        Certificate { entries, prev_digest, chain_tag }
+        CertHeader::new(self, constraints, snapshots, prev_digest).materialize(snapshots)
     }
 }
 
-/// The bytes the chain MAC covers: the predecessor link plus every
-/// entry's constraint text and tag (the tags already authenticate the
-/// signed sets, so covering them covers the whole certificate content).
-fn chain_payload(prev_digest: u64, entries: &[CertEntry]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + entries.len() * 24);
+/// The chain MAC: over the predecessor link plus every entry's constraint
+/// text and tag (the tags already authenticate the signed sets, so
+/// covering them covers the whole certificate content).
+fn chain_tag<'a>(
+    key: u64,
+    prev_digest: u64,
+    entries: impl Iterator<Item = (&'a Constraint, u64)>,
+) -> u64 {
+    let mut out = Vec::with_capacity(8 + 64);
     out.extend_from_slice(&prev_digest.to_le_bytes());
-    for e in entries {
-        let c = e.constraint.to_string();
+    for (c, tag) in entries {
+        let c = c.to_string();
         out.extend_from_slice(&(c.len() as u64).to_le_bytes());
         out.extend_from_slice(c.as_bytes());
-        out.extend_from_slice(&e.tag.to_le_bytes());
+        out.extend_from_slice(&tag.to_le_bytes());
     }
-    out
+    mac(key, &out)
+}
+
+/// The unkeyed certificate digest: the chain fields, then each entry's
+/// constraint text and tag.
+fn digest<'a>(
+    prev_digest: u64,
+    chain_tag: u64,
+    entries: impl Iterator<Item = (&'a Constraint, u64)>,
+) -> u64 {
+    let mut h = fnv(FNV_OFFSET, &prev_digest.to_le_bytes());
+    h = fnv(h, &chain_tag.to_le_bytes());
+    for (c, tag) in entries {
+        let c = c.to_string();
+        h = fnv(h, &(c.len() as u64).to_le_bytes());
+        h = fnv(h, c.as_bytes());
+        h = fnv(h, &tag.to_le_bytes());
+    }
+    h
 }
 
 impl Certificate {
+    fn tagged(&self) -> impl Iterator<Item = (&Constraint, u64)> {
+        self.entries.iter().map(|e| (&e.constraint, e.tag))
+    }
+
     /// An **unkeyed** content digest of this certificate — what the
     /// successor certificate stores as its `prev_digest`. Covers the
-    /// predecessor link, every constraint, every signed set and every
-    /// MAC, so two certificates digest equal iff their entire content
-    /// (including chain position) is equal.
+    /// predecessor link, the chain tag, every constraint and every tag,
+    /// but not the signed sets themselves: each tag is a keyed hash of
+    /// its set, so a set cannot change without its tag changing (or
+    /// failing [`verify`](Self::verify)). That keeps the digest O(k) —
+    /// [`CertHeader::digest`] computes the same value without the sets.
     pub fn digest(&self) -> u64 {
-        let mut data = Vec::new();
-        data.extend_from_slice(&self.prev_digest.to_le_bytes());
-        data.extend_from_slice(&self.chain_tag.to_le_bytes());
-        for e in &self.entries {
-            let c = e.constraint.to_string();
-            data.extend_from_slice(&(c.len() as u64).to_le_bytes());
-            data.extend_from_slice(c.as_bytes());
-            data.extend_from_slice(&serialize_set(&e.snapshot));
-            data.extend_from_slice(&e.tag.to_le_bytes());
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &data {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
+        digest(self.prev_digest, self.chain_tag, self.tagged())
     }
+
     /// The User-side check: authenticate every entry and the chain link,
     /// then compare the signed snapshot against the received document's
     /// evaluation (one shared snapshot of the received document for all
     /// entries).
     pub fn verify(&self, key: u64, received: &DataTree) -> Result<(), VerifyError> {
-        if mac(key, &chain_payload(self.prev_digest, &self.entries)) != self.chain_tag {
+        if chain_tag(key, self.prev_digest, self.tagged()) != self.chain_tag {
             return Err(VerifyError::BadChainTag);
         }
+        let signer = Signer::new(key);
         let mut ev = Evaluator::new(received);
         for (index, e) in self.entries.iter().enumerate() {
-            if mac(key, &serialize_set(&e.snapshot)) != e.tag {
+            if SetSum::of(&signer, &e.snapshot).tag(&signer) != e.tag {
                 return Err(VerifyError::BadSignature { index });
             }
             let now = ev.eval(&e.constraint.range);
@@ -389,6 +613,37 @@ mod tests {
     }
 
     #[test]
+    fn incremental_sums_match_from_scratch() {
+        let signer = Signer::new(0x5e7);
+        let i = parse_term("r(a#1(b#2,b#3),c#4(b#5))").unwrap();
+        let constraints = vec![c("(//b, ↑)"), c("(/a, ↓)")];
+        let mut ev = Evaluator::new(&i);
+        let mut sets: Vec<_> = constraints.iter().map(|x| ev.eval(&x.range)).collect();
+        let origin = signer.certify_precomputed(&constraints, &sets);
+        let mut header = CertHeader::new(&signer, &constraints, &sets, 0);
+        assert_eq!(header.materialize(&sets), origin);
+        assert_eq!(header.digest(), origin.digest());
+
+        // Remove b#2, add b#9, remove and re-insert b#3: the fold cancels
+        // the round trip on its own.
+        let b = |id| NodeRef { id: xuc_xtree::NodeId::from_raw(id), label: Label::new("b") };
+        let sum = &mut header.entries[0].sum;
+        sum.remove(&signer, &b(2));
+        sum.add(&signer, &b(9));
+        sum.remove(&signer, &b(3));
+        sum.add(&signer, &b(3));
+        sets[0].remove(&b(2));
+        sets[0].insert(b(9));
+        assert_eq!(header.entries[0].sum, SetSum::of(&signer, &sets[0]));
+        header.rechain(&signer);
+        let reference = signer.certify_chained(&constraints, &sets, origin.digest());
+        assert_eq!(header.materialize(&sets), reference);
+        assert!(header.describes(&reference, &sets));
+        assert_eq!(header.digest(), reference.digest());
+        assert!(!header.describes(&origin, &sets));
+    }
+
+    #[test]
     fn wrong_key_rejected() {
         let i = parse_term("r(a#1)").unwrap();
         let cert = Signer::new(1).certify(&i, &[c("(//a, ↑)")]);
@@ -398,7 +653,7 @@ mod tests {
         // A wrong key with a forged-but-self-consistent chain tag still
         // fails on the entry MACs.
         let mut reforged = cert.clone();
-        reforged.chain_tag = mac(2, &chain_payload(reforged.prev_digest, &reforged.entries));
+        reforged.chain_tag = chain_tag(2, reforged.prev_digest, reforged.tagged());
         assert!(matches!(reforged.verify(2, &i), Err(VerifyError::BadSignature { .. })));
     }
 

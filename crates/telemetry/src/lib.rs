@@ -128,29 +128,15 @@ impl Telemetry {
     }
 
     /// Records a span whose length the caller already computed — the
-    /// primitive under [`record_stage`](Telemetry::record_stage) and
-    /// [`time`](Telemetry::time), exposed so *adjacent* stages can
-    /// split on a single shared clock reading: the tracer's dominant
-    /// hot-path cost is the clock read, not the atomics, so pipelined
-    /// stages (apply → dirty-accumulate, splice → verdict) close one
-    /// span and open the next from the same `now_micros` value.
+    /// primitive under [`record_stage`](Telemetry::record_stage),
+    /// exposed so *adjacent* stages can split on a single shared clock
+    /// reading: the tracer's dominant hot-path cost is the clock read,
+    /// not the atomics, so pipelined stages (apply → dirty-accumulate,
+    /// splice → verdict → certify) close one span and open the next
+    /// from the same `now_micros` value.
     pub fn record_span(&self, stage: Stage, tag: u16, micros: u64) {
         self.stages.record(stage, micros);
         self.ring.record(stage, tag, micros);
-    }
-
-    /// Times `f` as one `stage` span. The `Option<&Telemetry>` shape
-    /// means call sites pay nothing when telemetry is detached.
-    pub fn time<R>(tel: Option<&Telemetry>, stage: Stage, tag: u16, f: impl FnOnce() -> R) -> R {
-        match tel {
-            None => f(),
-            Some(t) => {
-                let t0 = t.now_micros();
-                let r = f();
-                t.record_stage(stage, tag, t0);
-                r
-            }
-        }
     }
 
     /// Renders the per-stage attribution table: name, span count, total
@@ -203,19 +189,6 @@ mod tests {
         assert_eq!(rows[Stage::Splice as usize].total_micros, 120);
         let events = tel.ring().events();
         assert_eq!(events, vec![TraceEvent { stage: Stage::Splice, tag: 3, micros: 120 }]);
-    }
-
-    #[test]
-    fn time_helper_is_a_noop_without_telemetry() {
-        let out = Telemetry::time(None, Stage::Apply, 0, || 7);
-        assert_eq!(out, 7);
-        let (clock, tel) = virtual_telemetry(16);
-        let out = Telemetry::time(Some(&tel), Stage::Apply, 9, || {
-            clock.advance_micros(40);
-            "done"
-        });
-        assert_eq!(out, "done");
-        assert_eq!(tel.stages().rows()[Stage::Apply as usize].total_micros, 40);
     }
 
     #[test]

@@ -166,6 +166,13 @@ impl SpliceJournal {
         (net_removed, net_added)
     }
 
+    /// The raw events of pattern `i`: `(ref, added)` in application
+    /// order — a `false` entry was removed from set `i`, a `true` entry
+    /// inserted. Read-only; folding them in order replays the splice.
+    pub fn events(&self, i: usize) -> &[(NodeRef, bool)] {
+        &self.events[i]
+    }
+
     /// Did the splice change nothing at all?
     pub fn is_empty(&self) -> bool {
         self.events.iter().all(Vec::is_empty)
@@ -617,7 +624,12 @@ impl Evaluator {
         let start_idx =
             *self.index_of.get(&start).unwrap_or_else(|| panic!("start node {start} not in tree"))
                 as usize;
-        let mut out: Vec<BTreeSet<NodeRef>> = vec![BTreeSet::new(); set.pattern_count()];
+        // Members are gathered per pattern and bulk-built at the end: a
+        // bulk-built set fills every leaf and lays them out in order,
+        // where inserting one by one leaves each leaf half full. Every
+        // later walk of the set (admission splices, cloning it out in a
+        // certificate) then touches about half the memory.
+        let mut rows: Vec<Vec<NodeRef>> = vec![Vec::new(); set.pattern_count()];
 
         // Sentinel for nodes outside `start`'s subtree (automaton states
         // are required to stay below it; see the trait contract).
@@ -639,10 +651,11 @@ impl Evaluator {
             let s = set.step(ps, self.labels[v]);
             states[v] = s;
             for_each_set_bit(set.accept_row(s), |q| {
-                out[q].insert(NodeRef { id: self.ids[v], label: self.labels[v] });
+                rows[q].push(NodeRef { id: self.ids[v], label: self.labels[v] });
             });
         }
         self.scratch_states = states;
+        let mut out: Vec<BTreeSet<NodeRef>> = rows.into_iter().map(BTreeSet::from_iter).collect();
 
         crate::stats::bump(&crate::stats::FALLBACK_PATTERN_EVALS, set.fallbacks().len() as u64);
         for (i, q) in set.fallbacks() {
