@@ -21,7 +21,7 @@ use xuc_core::implication::search::find_counterexample_sharded;
 use xuc_core::{implication, instance};
 use xuc_service::workload::{seeded_arrivals, seeded_zipf_requests};
 use xuc_service::{
-    admit, admit_delta, admit_delta_in_place, render_arrival_log, render_log, AdmissionMode, DocId,
+    admit, admit_delta_in_place, render_arrival_log, render_log, AdmissionMode, DocId,
     DurableOptions, Gateway, LoadOptions, Request, SuiteCache, Telemetry, Verdict,
 };
 use xuc_sigstore::Signer;
@@ -596,31 +596,36 @@ fn main() {
                     let batch =
                         xuc_workloads::trees::delta_batches(&mut batch_rng, &work, 1, bsize, mixed)
                             .remove(0);
-                    // Apply the batch exactly as a session would: refresh
-                    // per edit, scopes folded into one dirty region.
+                    // Apply the batch exactly as a session would: doomed
+                    // refs captured before a deletion, refresh per edit,
+                    // scopes folded into one dirty region.
                     let mut region = DirtyRegion::new();
                     let mut stack = Vec::new();
                     for u in &batch {
+                        if let Update::DeleteSubtree { node } = u {
+                            region.record_removals(&work.subtree_nodes(*node).expect("live"));
+                        }
                         let (tok, scope) = apply_undoable(&mut work, u).expect("batch valid");
                         ev.refresh_after(&work, &scope);
                         region.record(&work, &scope);
                         stack.push(tok);
                     }
-                    // Exactness, point by point, at both layers: the
-                    // splice must equal the full set pass, and the delta
-                    // admission must reproduce the full admission's range
-                    // results — before either is timed.
+                    // Exactness of the production path, before anything is
+                    // timed: the in-place admission of a clone must yield
+                    // the full admission's range results, and its journal
+                    // must revert the clone to the baseline.
+                    let mut spliced = base.clone();
+                    let journal =
+                        admit_delta_in_place(&mut ev, &compiled, &suite, &mut spliced, &region)
+                            .expect("batch admits")
+                            .expect("all-linear suite rides the splice");
                     assert_eq!(
-                        ev.eval_set_delta(&*compiled, &region, &base),
-                        ev.eval_set(&*compiled),
-                        "eval_set_delta must equal eval_set"
-                    );
-                    assert_eq!(
-                        admit_delta(&mut ev, &compiled, &suite, &base, &region)
-                            .expect("batch admits"),
+                        spliced,
                         admit(&mut ev, &compiled, &suite, &base).expect("batch admits"),
-                        "admit_delta must equal admit"
+                        "admit_delta_in_place must yield admit's sets"
                     );
+                    journal.revert(&mut spliced);
+                    assert_eq!(spliced, base, "revert must restore the baseline");
                     let full = wl::median_micros(runs, || {
                         admit(&mut ev, &compiled, &suite, &base).expect("batch admits")
                     });

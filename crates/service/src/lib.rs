@@ -87,9 +87,7 @@ pub use cache::SuiteCache;
 pub use gateway::{render_log, Gateway, GatewayState, ThroughputOptions};
 pub use persist::{DurableOptions, RecoverError, ResumeError};
 pub use queue::{plan_admission, render_arrival_log, Arrival, LoadOptions, LoadReport, ShedCause};
-pub use session::{
-    admit, admit_delta, admit_delta_in_place, AdmissionMode, Commit, Rejection, Session,
-};
+pub use session::{admit, admit_delta_in_place, AdmissionMode, Commit, Rejection, Session};
 pub use store::{Document, DocumentStore, PublishError};
 pub use telemetry::{scrape_engine_metrics, scrape_persist_metrics};
 pub use xuc_persist::{RetryPolicy, WriteFault};

@@ -13,13 +13,14 @@
 //! * [`Session::commit`] runs the admission check **edit-proportionally**
 //!   ([`admit_delta_in_place`]): every applied scope is folded into a
 //!   [`DirtyRegion`], and
-//!   [`eval_set_delta`](xuc_xpath::Evaluator::eval_set_delta) re-drives
+//!   [`eval_set_splice`](xuc_xpath::Evaluator::eval_set_splice) re-drives
 //!   the suite's compiled automaton only below the batch's dirty subtrees,
-//!   splicing the fresh sub-results into the committed baseline — compared
-//!   under Definition 2.3. Predicate suites and poisoned regions degrade
-//!   to the full [`eval_set`](xuc_xpath::Evaluator::eval_set) pass
-//!   ([`admit`], still available via [`AdmissionMode::FullPass`]) with
-//!   identical verdicts and baselines. Accepted batches re-certify
+//!   patching the committed baseline in place and judging Definition 2.3
+//!   off its journal. Predicate suites and poisoned regions make the
+//!   splice decline, and the commit falls back to [`admit`], the one
+//!   full-pass admission ([`AdmissionMode::FullPass`] runs it
+//!   unconditionally) — identical verdicts and baselines either way,
+//!   pinned by `tests/differential.rs`. Accepted batches re-certify
 //!   **incrementally**: each [`SpliceJournal`] event (an entry added to
 //!   or removed from a signed set) is folded into that set's additive
 //!   hash ([`SetSum`](xuc_sigstore::SetSum)), a full pass re-hashes the
@@ -77,21 +78,23 @@ impl std::error::Error for Rejection {}
 ///
 /// Returns the fresh range results on success (the caller re-uses them as
 /// the next baseline and as certification snapshots), or the first
-/// violation in suite order. Exposed for the E-SVC experiment, which
-/// measures this exact function under cached vs per-request-recompiled
-/// automata.
+/// violation in suite order. This is the reference admission: the
+/// production splice is checked against it, and a declined splice falls
+/// back to it. Exposed for the E-SVC experiment, which measures this
+/// exact function under cached vs per-request-recompiled automata.
 pub fn admit(
     ev: &mut Evaluator,
     compiled: &CompiledPatternSet,
     suite: &[Constraint],
     base_sets: &[BTreeSet<NodeRef>],
 ) -> Result<Vec<BTreeSet<NodeRef>>, Rejection> {
-    admit_traced(ev, compiled, suite, base_sets, None, 0).0
+    admit_traced(ev, compiled, suite, base_sets, None, 0, None).0
 }
 
 /// [`admit`] with optional stage tracing: the full `eval_set` sweep is
-/// attributed to [`Stage::Splice`] (the evaluation stage — splice or
-/// full pass). The Definition 2.3 comparison runs in an open
+/// attributed to a [`Stage::Splice`] span (the evaluation stage — splice
+/// or full pass) opened at `splice_open`, which a declined splice sets to
+/// before its own attempt. The Definition 2.3 comparison runs in an open
 /// [`Stage::Verdict`] span whose start is returned beside the verdict:
 /// the caller closes it on the reading that opens the next stage.
 /// Telemetry is observationally inert: verdicts and returned sets are
@@ -103,14 +106,35 @@ pub(crate) fn admit_traced(
     base_sets: &[BTreeSet<NodeRef>],
     tel: Option<&Telemetry>,
     tag: u16,
+    splice_open: Option<u64>,
 ) -> (Result<Vec<BTreeSet<NodeRef>>, Rejection>, Option<u64>) {
     debug_assert_eq!(suite.len(), base_sets.len(), "one baseline per constraint");
-    let t0 = tel.map(Telemetry::now_micros);
     let now_sets = ev.eval_set(compiled);
     // Splice closes and Verdict opens on one shared clock reading — the
     // read, not the atomics, is the tracer's hot-path cost.
-    let verdict_open = close_span(tel, Stage::Splice, tag, t0);
+    let verdict_open = close_span(tel, Stage::Splice, tag, splice_open);
     (check_against_baseline(suite, base_sets, now_sets), verdict_open)
+}
+
+/// [`admit_traced`] installing the fresh range results as `base_sets` on
+/// an accept: the full-pass commit, shared by [`AdmissionMode::FullPass`]
+/// and a declined splice. An accept carries no splice journal.
+fn admit_full_in_place(
+    ev: &mut Evaluator,
+    compiled: &CompiledPatternSet,
+    suite: &[Constraint],
+    base_sets: &mut Vec<BTreeSet<NodeRef>>,
+    tel: Option<&Telemetry>,
+    tag: u16,
+    splice_open: Option<u64>,
+) -> (Result<Option<SpliceJournal>, Rejection>, Option<u64>) {
+    let (admitted, verdict_open) =
+        admit_traced(ev, compiled, suite, base_sets, tel, tag, splice_open);
+    let installed = admitted.map(|now_sets| {
+        *base_sets = now_sets;
+        None
+    });
+    (installed, verdict_open)
 }
 
 /// Closes the `stage` span opened at `opened` and returns the closing
@@ -123,32 +147,7 @@ fn close_span(tel: Option<&Telemetry>, stage: Stage, tag: u16, opened: Option<u6
     })
 }
 
-/// [`admit`]'s edit-proportional twin: instead of re-sweeping the whole
-/// document, the fresh range results are **spliced** out of the committed
-/// baselines via
-/// [`eval_set_delta`](Evaluator::eval_set_delta) — the compiled automaton
-/// is re-driven only below the batch's [`DirtyRegion`], so the check costs
-/// what the *batch* touched, not what the document holds. Suites with
-/// predicate fallbacks (membership not determined by the label path) and
-/// poisoned regions degrade to the full pass inside `eval_set_delta`; the
-/// verdict, the returned range results, and therefore the next baseline
-/// and certification snapshots are **identical** to [`admit`]'s on every
-/// input — asserted per sweep point by the E-DLT experiment (the in-place
-/// form the session actually commits through, [`admit_delta_in_place`],
-/// is pinned by the differential harness in `tests/differential.rs`).
-pub fn admit_delta(
-    ev: &mut Evaluator,
-    compiled: &CompiledPatternSet,
-    suite: &[Constraint],
-    base_sets: &[BTreeSet<NodeRef>],
-    region: &DirtyRegion,
-) -> Result<Vec<BTreeSet<NodeRef>>, Rejection> {
-    debug_assert_eq!(suite.len(), base_sets.len(), "one baseline per constraint");
-    let now_sets = ev.eval_set_delta(compiled, region, base_sets);
-    check_against_baseline(suite, base_sets, now_sets)
-}
-
-/// The commit hot path: [`admit_delta`]'s **in-place** form, built on
+/// The commit hot path: edit-proportional admission built on
 /// [`eval_set_splice`](Evaluator::eval_set_splice). The committed
 /// baselines are spliced directly — targeted removals/patches/inserts
 /// proportional to the batch's dirty region, never a clone or re-sweep of
@@ -159,8 +158,8 @@ pub fn admit_delta(
 /// reverted and `base_sets` are byte-identical to the committed
 /// baselines. When the splice does not apply (predicate fallbacks,
 /// poisoned/stale region, or a dirty region so large the clean sweep is
-/// cheaper) the full pass runs instead and `base_sets` is replaced
-/// wholesale.
+/// cheaper) it falls back to [`admit`] and `base_sets` is replaced
+/// wholesale on an accept.
 ///
 /// Returns `Ok(Some(journal))` on a spliced accept, `Ok(None)` on a
 /// full-pass accept. Verdicts, resulting baselines and rejection
@@ -195,18 +194,10 @@ pub(crate) fn admit_delta_in_place_traced(
     debug_assert_eq!(suite.len(), base_sets.len(), "one baseline per constraint");
     let t0 = tel.map(Telemetry::now_micros);
     match ev.eval_set_splice(compiled, region, base_sets) {
-        None => {
-            // Degradation: the splice attempt *and* the full pass it
-            // fell back to are one Splice span — what the evaluation
-            // stage cost, not how it got there.
-            let now_sets = ev.eval_set(compiled);
-            let verdict_open = close_span(tel, Stage::Splice, tag, t0);
-            let checked = check_against_baseline(suite, base_sets, now_sets).map(|now_sets| {
-                *base_sets = now_sets;
-                None
-            });
-            (checked, verdict_open)
-        }
+        // Degradation: the splice attempt *and* the full pass it fell
+        // back to are one Splice span — what the evaluation stage cost,
+        // not how it got there.
+        None => admit_full_in_place(ev, compiled, suite, base_sets, tel, tag, t0),
         Some(journal) => {
             let verdict_open = close_span(tel, Stage::Splice, tag, t0);
             let judged = (|| {
@@ -248,7 +239,8 @@ fn check_against_baseline(
 /// its admission check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionMode {
-    /// Edit-proportional splice ([`admit_delta`]): the production path.
+    /// Edit-proportional splice ([`admit_delta_in_place`]): the
+    /// production path.
     #[default]
     Delta,
     /// Unconditional full `eval_set` pass ([`admit`]): the pre-delta
@@ -260,7 +252,7 @@ pub enum AdmissionMode {
 pub struct Session<'a> {
     doc: &'a mut Document,
     undo_stack: Vec<Undo>,
-    /// Union of the batch's edit scopes — what [`admit_delta`] splices
+    /// Union of the batch's edit scopes — what [`admit_delta_in_place`] splices
     /// against at commit time. Reset (with the undo stack) on rollback.
     region: DirtyRegion,
     open: bool,
@@ -380,21 +372,15 @@ impl<'a> Session<'a> {
                 tel,
                 tag,
             ),
-            AdmissionMode::FullPass => {
-                let (admitted, verdict_open) = admit_traced(
-                    &mut self.doc.ev,
-                    &self.doc.compiled,
-                    &self.doc.suite,
-                    &self.doc.base_sets,
-                    tel,
-                    tag,
-                );
-                let admitted = admitted.map(|now_sets| {
-                    self.doc.base_sets = now_sets;
-                    None
-                });
-                (admitted, verdict_open)
-            }
+            AdmissionMode::FullPass => admit_full_in_place(
+                &mut self.doc.ev,
+                &self.doc.compiled,
+                &self.doc.suite,
+                &mut self.doc.base_sets,
+                tel,
+                tag,
+                tel.map(Telemetry::now_micros),
+            ),
         };
         // Verdict closes, and on an accept Certify opens, on one reading.
         let certify_open = close_span(tel, Stage::Verdict, tag, verdict_open);

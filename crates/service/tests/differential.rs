@@ -218,6 +218,43 @@ fn delta_admission_is_equivalent_to_full_admission() {
     }
 }
 
+/// Fixed inputs that the seeded streams are unlikely to draw, each a
+/// document, its suite and one batch that a from-scratch admission
+/// rejects. Both arms must reject it and stay converged.
+fn pinned_inputs() -> Vec<(DocId, DataTree, Vec<Constraint>, Vec<Update>)> {
+    let n = NodeId::from_raw;
+    vec![(
+        // The move records x#1 as a dirty root; renaming x#1 must carry
+        // the root along, or the insert under d#6 drops it and the splice
+        // never sees m#2 leave /x/m.
+        DocId::new("renamed-root"),
+        xuc_xtree::parse_term("root#100(x#1(m#2,c#3,d#6))").unwrap(),
+        vec![parse_constraint("(/x/m, ↑)").unwrap()],
+        vec![
+            Update::Move { node: n(2), new_parent: n(3) },
+            Update::ReplaceId { node: n(1), new_id: n(7001) },
+            Update::InsertLeaf { parent: n(6), id: n(7002), label: Label::new("z") },
+        ],
+    )]
+}
+
+#[test]
+fn pinned_inputs_reject_on_both_arms_and_stay_converged() {
+    let key = 0x9177;
+    for (id, tree, suite, updates) in pinned_inputs() {
+        let docs = vec![(id, tree, suite)];
+        let delta = Gateway::with_admission(Signer::new(key), AdmissionMode::Delta);
+        let full = Gateway::with_admission(Signer::new(key), AdmissionMode::FullPass);
+        publish_into(&delta, &docs);
+        publish_into(&full, &docs);
+        let req = Request { doc: id, updates };
+        let vf = full.submit(&req);
+        assert!(matches!(vf, Verdict::Rejected(_)), "{id}: full pass must reject, got {vf:?}");
+        assert_eq!(delta.submit(&req), vf, "{id}: verdicts diverged");
+        assert_arms_converged(&delta, &full, &docs, key, &format!("pinned {id}"));
+    }
+}
+
 /// Worker-count determinism re-pinned on the delta path: the log of one
 /// seeded stream is byte-identical at 1, 2 and 8 workers — and identical
 /// to the full-pass arm's log.

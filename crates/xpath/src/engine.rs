@@ -28,6 +28,12 @@
 //!   the oracle `refresh_after` is tested against; [`Evaluator::invalidate`]
 //!   is the guard rail that makes a forgotten refresh a loud panic instead
 //!   of a silent wrong answer.
+//! * [`Evaluator::eval_set_splice`] is the one incremental evaluator: it
+//!   patches cached `eval_set` results in place by re-driving the
+//!   automaton only below a [`DirtyRegion`]'s roots, through the same
+//!   sweep loop as `eval_set`. It is checked against the from-scratch
+//!   passes (`eval_set`, `eval_all`, the naive oracle), never against a
+//!   second incremental copy.
 //!
 //! The algorithm is exactly the one documented in [`crate::eval`](mod@crate::eval)
 //! (Gottlob–Koch–Pichler–Segoufin two-phase evaluation); only the data
@@ -39,6 +45,11 @@ use std::collections::{BTreeSet, HashMap};
 use xuc_xtree::{DataTree, DirtyRegion, EditScope, Label, NodeId, NodeRef};
 
 const NO_PARENT: u32 = u32::MAX;
+
+/// Automaton-state sentinel for nodes outside every swept subtree
+/// (automaton states are required to stay below it; see
+/// [`PatternSetAutomaton`]).
+const NO_STATE: u32 = u32::MAX;
 
 #[inline]
 fn word_count(n: usize) -> usize {
@@ -70,17 +81,6 @@ fn and_assign(dst: &mut [u64], src: &[u64]) {
 #[inline]
 fn is_zero(row: &[u64]) -> bool {
     row.iter().all(|&w| w == 0)
-}
-
-/// Membership test over sorted, disjoint `(start, end)` pre-order ranges
-/// (the dirty-subtree ranges of the delta/splice passes): binary search,
-/// so per-member checks stay O(log ranges) however many baseline members
-/// are scanned.
-fn in_ranges_fn(ranges: &[(usize, usize)]) -> impl Fn(usize) -> bool + '_ {
-    move |idx: usize| {
-        let p = ranges.partition_point(|&(s, _)| s <= idx);
-        p > 0 && idx < ranges[p - 1].1
-    }
 }
 
 /// Calls `f(i)` for every set bit, skipping zero words.
@@ -191,6 +191,17 @@ impl SpliceJournal {
             }
         }
     }
+}
+
+/// What [`Evaluator::eval_set_splice`]'s sweep below the dirty roots
+/// found, as snapshot indices.
+struct DirtySweep {
+    /// Every swept node: dirty roots included, the tree root excluded.
+    touched: Vec<usize>,
+    /// `fresh[i]`: the swept nodes pattern `i` accepts.
+    fresh: Vec<Vec<usize>>,
+    /// The swept pre-order ranges, sorted and disjoint.
+    ranges: Vec<(usize, usize)>,
 }
 
 /// A reusable tree-pattern evaluator bound to one snapshot of a tree.
@@ -630,30 +641,13 @@ impl Evaluator {
         // later walk of the set (admission splices, cloning it out in a
         // certificate) then touches about half the memory.
         let mut rows: Vec<Vec<NodeRef>> = vec![Vec::new(); set.pattern_count()];
-
-        // Sentinel for nodes outside `start`'s subtree (automaton states
-        // are required to stay below it; see the trait contract).
-        const NO_STATE: u32 = u32::MAX;
-        let mut states = std::mem::take(&mut self.scratch_states);
-        states.clear();
-        states.resize(self.n, NO_STATE);
+        let mut states = self.take_states();
         states[start_idx] = set.start_state();
-        // One pre-order sweep: parents precede children, so every node's
-        // state derives from an already-computed parent state. Pre-order
-        // also makes `start`'s subtree contiguous, so the first node whose
-        // parent carries the sentinel is past the subtree — as is
-        // everything after it — and the sweep stops there.
-        for v in start_idx + 1..self.n {
-            let ps = states[self.parent[v] as usize];
-            if ps == NO_STATE {
-                break;
-            }
-            let s = set.step(ps, self.labels[v]);
-            states[v] = s;
+        self.sweep_below(set, &mut states, start_idx, |v, s| {
             for_each_set_bit(set.accept_row(s), |q| {
                 rows[q].push(NodeRef { id: self.ids[v], label: self.labels[v] });
             });
-        }
+        });
         self.scratch_states = states;
         let mut out: Vec<BTreeSet<NodeRef>> = rows.into_iter().map(BTreeSet::from_iter).collect();
 
@@ -662,6 +656,42 @@ impl Evaluator {
             out[*i] = self.eval_at(q, start);
         }
         out
+    }
+
+    /// The reused per-node state buffer, every entry the [`NO_STATE`]
+    /// sentinel. Callers hand it back through `scratch_states`.
+    fn take_states(&mut self) -> Vec<u32> {
+        let mut states = std::mem::take(&mut self.scratch_states);
+        states.clear();
+        states.resize(self.n, NO_STATE);
+        states
+    }
+
+    /// The one set-at-a-time sweep: drives `set` over the pre-order
+    /// subtree strictly below `root`, whose state the caller has stored
+    /// in `states[root]`, calling `visit(v, state)` for each node. Parents
+    /// precede children, so every node's state derives from an
+    /// already-computed parent state. Pre-order also makes the subtree
+    /// contiguous, so the first node whose parent carries the sentinel is
+    /// past it — as is everything after it — and the sweep stops there.
+    /// Returns that end index.
+    fn sweep_below<A: PatternSetAutomaton + ?Sized>(
+        &self,
+        set: &A,
+        states: &mut [u32],
+        root: usize,
+        mut visit: impl FnMut(usize, u32),
+    ) -> usize {
+        for v in root + 1..self.n {
+            let ps = states[self.parent[v] as usize];
+            if ps == NO_STATE {
+                return v;
+            }
+            let s = set.step(ps, self.labels[v]);
+            states[v] = s;
+            visit(v, s);
+        }
+        self.n
     }
 
     /// The dirty subtree roots of `region` as sorted, deduplicated
@@ -690,37 +720,99 @@ impl Evaluator {
         Some(roots)
     }
 
-    /// Edit-proportional batch evaluation: produces exactly
-    /// [`eval_set`](Self::eval_set)'s answer by **splicing** a previously
-    /// computed baseline instead of re-sweeping the whole snapshot. `base`
-    /// must be `eval_set(set)`'s result on some earlier state of the tree,
-    /// and `region` the [`DirtyRegion`] accumulated over every edit (and
-    /// undo) separating that state from the current snapshot.
+    /// Re-drives `set` below each dirty root (`roots`: sorted snapshot
+    /// indices) through [`sweep_below`](Self::sweep_below). Each root's
+    /// state is replayed along its ancestor path (`O(depth)`); roots
+    /// nested inside an earlier range are skipped. Distinct surviving
+    /// subtrees are disjoint, so the sentinel array needs no clearing
+    /// between sweeps: a parent state written by an earlier sweep always
+    /// belongs to the same subtree.
+    fn sweep_dirty_roots<A: PatternSetAutomaton + ?Sized>(
+        &mut self,
+        set: &A,
+        roots: &[usize],
+    ) -> DirtySweep {
+        let mut touched = Vec::new();
+        let mut fresh: Vec<Vec<usize>> = vec![Vec::new(); set.pattern_count()];
+        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(roots.len());
+        let mut states = self.take_states();
+        for &ri in roots {
+            if ranges.last().is_some_and(|&(_, end)| ri < end) {
+                continue;
+            }
+            // Replay the root's state along its ancestor path (the root's
+            // own label is consumed: states are root-anchored, exactly as
+            // in eval_set's sweep from the tree root).
+            let mut path = Vec::new();
+            let mut v = ri;
+            while v != 0 {
+                path.push(v);
+                v = self.parent[v] as usize;
+            }
+            let s = path.iter().rev().fold(set.start_state(), |s, &w| set.step(s, self.labels[w]));
+            states[ri] = s;
+            let mut visit = |v: usize, s: u32| {
+                touched.push(v);
+                for_each_set_bit(set.accept_row(s), |q| fresh[q].push(v));
+            };
+            if ri != 0 {
+                // The dirty root's own membership (the tree root is never
+                // a member — patterns match strictly below it).
+                visit(ri, s);
+            }
+            let end = self.sweep_below(set, &mut states, ri, &mut visit);
+            ranges.push((ri, end));
+        }
+        self.scratch_states = states;
+        DirtySweep { touched, fresh, ranges }
+    }
+
+    /// Edit-proportional batch evaluation, **in place**: the commit hot
+    /// path. `sets` must hold [`eval_set`](Self::eval_set)'s answer on
+    /// some earlier state of the tree, and `region` the [`DirtyRegion`]
+    /// accumulated over every edit (and undo) separating that state from
+    /// the current snapshot. On `Some`, `sets` hold exactly `eval_set`'s
+    /// answer on the current snapshot.
     ///
     /// Soundness rests on the automaton contract: a compiled (linear)
     /// pattern's membership at a node depends **only on the node's
     /// root-to-node label path**. Every path change is confined to the
     /// region — structural edits to their recorded subtree, relabels to
     /// the relabeled node's subtree (each descendant's path runs through
-    /// it), id swaps to nothing (paths are label strings) — so:
+    /// it), id swaps to nothing (paths are label strings). So the
+    /// automaton is re-driven only below each dirty root, whose own state
+    /// is replayed along its ancestor path (`O(depth)`), and `sets` are
+    /// mutated directly, never cloned:
     ///
-    /// 1. the automaton is re-driven only **below each dirty root**, whose
-    ///    own state is replayed along its ancestor path (`O(depth)`), via
-    ///    the same sentinel machinery as [`eval_set_at`](Self::eval_set_at);
-    /// 2. baseline members that were deleted, sit inside a dirty subtree,
-    ///    or received their id from a swap are dropped; everything else
-    ///    provably kept its membership and is retained as-is;
-    /// 3. pinpoint id swaps patch `(from, label)` entries to `(to, label)`
+    /// 1. targeted removals of the baseline entries inside the dirty
+    ///    subtrees (located under their **pre-batch** labels through the
+    ///    region's relabel history), and eviction of the region's
+    ///    [`removed`](DirtyRegion::removed) refs;
+    /// 2. pinpoint id-swap patches: `(from, label)` becomes `(to, label)`
     ///    — same membership, new identity;
-    /// 4. the fresh sub-results are spliced in.
+    /// 3. insertion of the freshly re-derived sub-results.
     ///
-    /// Total cost: `O(Σ dirty-subtree sizes + Σ |base|)` — independent of
-    /// how much *clean* document lies outside the region. Batches whose
-    /// automaton carries predicate [`fallbacks`](PatternSetAutomaton::fallbacks)
-    /// (whose membership is not path-determined), poisoned regions
-    /// ([`DirtyRegion::is_full`]), a stale region (naming nodes not in the
-    /// snapshot), or a mismatched baseline fall back to the full
-    /// [`eval_set`](Self::eval_set) pass — the answer is always exact.
+    /// Total cost is proportional to the dirty region — zero work per
+    /// clean document node and zero work per untouched baseline member.
+    ///
+    /// Every individual mutation is recorded in the returned
+    /// [`SpliceJournal`], whose net changes per pattern are exactly
+    /// `base \ now` and `now \ base` — enough to judge growth/shrink
+    /// admission conditions without ever materializing both sets — and
+    /// which [`SpliceJournal::revert`] replays backwards to restore the
+    /// baselines exactly (the reject path).
+    ///
+    /// Returns `None` — with `sets` untouched — when the splice argument
+    /// does not apply (predicate [`fallbacks`](PatternSetAutomaton::fallbacks),
+    /// whose membership is not path-determined; a poisoned
+    /// ([`DirtyRegion::is_full`]) or stale region, naming nodes not in the
+    /// snapshot; a width mismatch) or when the dirty region is so large
+    /// that the full pass is cheaper; callers then run
+    /// [`eval_set`](Self::eval_set). The property suite in
+    /// `tests/prop.rs` pins the spliced sets against `eval_set`,
+    /// `eval_all` and the naive oracle after every edit and undo; the
+    /// differential harness in `xuc-service` pins admission through it
+    /// against full-pass admission verdict-for-verdict.
     ///
     /// ```
     /// use xuc_automata::PatternSetCompiler;
@@ -733,8 +825,10 @@ impl Evaluator {
     /// let mut ev = Evaluator::new(&tree);
     /// let base = ev.eval_set(&compiled);
     ///
-    /// // A batch: relabel b#5 and delete c#3, accumulated into one region.
+    /// // A batch: relabel b#5 and delete c#3, accumulated into one region
+    /// // (a deletion's doomed refs are recorded before it applies).
     /// let mut region = DirtyRegion::new();
+    /// region.record_removals(&tree.subtree_nodes(NodeId::from_raw(3)).unwrap());
     /// for op in [
     ///     Update::Relabel { node: NodeId::from_raw(5), label: "c".into() },
     ///     Update::DeleteSubtree { node: NodeId::from_raw(3) },
@@ -743,172 +837,14 @@ impl Evaluator {
     ///     ev.refresh_after(&tree, &scope);
     ///     region.record(&tree, &scope);
     /// }
-    /// let spliced = ev.eval_set_delta(&compiled, &region, &base);
-    /// assert_eq!(spliced, ev.eval_set(&compiled)); // ≡ the full pass
-    /// assert_eq!(spliced[0].len(), 1); // b#5 left /a/b…
-    /// assert_eq!(spliced[1].len(), 1); // …and became the only //c
+    /// let mut sets = base.clone();
+    /// let journal = ev.eval_set_splice(&compiled, &region, &mut sets).expect("linear suite");
+    /// assert_eq!(sets, ev.eval_set(&compiled)); // ≡ the full pass
+    /// assert_eq!(sets[0].len(), 1); // b#5 left /a/b…
+    /// assert_eq!(sets[1].len(), 1); // …and became the only //c
+    /// journal.revert(&mut sets);
+    /// assert_eq!(sets, base); // the reject path restores the baselines
     /// ```
-    pub fn eval_set_delta<A: PatternSetAutomaton + ?Sized>(
-        &mut self,
-        set: &A,
-        region: &DirtyRegion,
-        base: &[BTreeSet<NodeRef>],
-    ) -> Vec<BTreeSet<NodeRef>> {
-        assert!(
-            !self.stale,
-            "Evaluator used after invalidate(): call refresh(&tree) after mutating the tree"
-        );
-        if region.is_full() || !set.fallbacks().is_empty() || base.len() != set.pattern_count() {
-            return self.eval_set(set);
-        }
-        if region.is_clean() {
-            return base.to_vec();
-        }
-        let k = set.pattern_count();
-
-        // Dirty roots as snapshot indices. Structural roots are live by
-        // the region's algebra; a relabeled node may since have been
-        // deleted (its subtree is then covered by the deletion's
-        // structural root — skip it when the region can vouch for the
-        // death, otherwise hand the stale region to the full pass).
-        let Some(roots) = self.dirty_root_indices(region) else {
-            return self.eval_set(set);
-        };
-
-        let mut fresh_idx: Vec<Vec<usize>> = vec![Vec::new(); k];
-        let ranges = self.sweep_dirty_roots(set, &roots, |_| {}, |q, v| fresh_idx[q].push(v));
-
-        // Splice. A baseline member keeps its membership iff it still
-        // exists, sits outside every dirty subtree, and did not *receive*
-        // its id from a swap (ids only enter a tree through inserts —
-        // covered by a dirty subtree — or swaps; anything else is the same
-        // node on the same label path). The per-member tests are O(log)
-        // — ranges are sorted and disjoint — so the scan really is the
-        // advertised O(Σ |base|).
-        let in_ranges = in_ranges_fn(&ranges);
-        let swap_targets: BTreeSet<NodeId> = region.id_swaps().iter().map(|sw| sw.to).collect();
-        let mut out: Vec<BTreeSet<NodeRef>> = base.to_vec();
-        for row in &mut out {
-            row.retain(|nr| match self.index_of.get(&nr.id) {
-                None => false,
-                Some(&ix) => !in_ranges(ix as usize) && !swap_targets.contains(&nr.id),
-            });
-        }
-        // Pinpoint id swaps outside the dirty subtrees: same membership,
-        // new identity. (Swapped nodes that were also relabeled or moved
-        // sit inside a dirty subtree — or forced the full-pass fallback
-        // above — so `label` here is still the baseline label.)
-        for sw in region.id_swaps() {
-            let Some(&ix) = self.index_of.get(&sw.to) else { continue };
-            if in_ranges(ix as usize) {
-                continue;
-            }
-            debug_assert_eq!(self.labels[ix as usize], sw.label, "swap label drifted");
-            let old = NodeRef { id: sw.from, label: sw.label };
-            let new = NodeRef { id: sw.to, label: sw.label };
-            for (b, row) in base.iter().zip(&mut out) {
-                if b.contains(&old) {
-                    row.insert(new);
-                }
-            }
-        }
-        for (row, idxs) in out.iter_mut().zip(&fresh_idx) {
-            row.extend(idxs.iter().map(|&v| NodeRef { id: self.ids[v], label: self.labels[v] }));
-        }
-        out
-    }
-
-    /// Re-drives `set` below each dirty root (`roots`: sorted snapshot
-    /// indices), reporting every swept node's index through `on_node`
-    /// (dirty roots included, the tree root excluded) and every accepted
-    /// `(pattern, node index)` through `on_accept`. Returns the swept
-    /// pre-order ranges. Each root's state is replayed along its ancestor
-    /// path (`O(depth)`); roots nested inside an earlier range are
-    /// skipped. Distinct surviving subtrees are disjoint, so the sentinel
-    /// array needs no clearing between sweeps: a parent state written by
-    /// an earlier sweep always belongs to the same subtree.
-    fn sweep_dirty_roots<A: PatternSetAutomaton + ?Sized>(
-        &mut self,
-        set: &A,
-        roots: &[usize],
-        mut on_node: impl FnMut(usize),
-        mut on_accept: impl FnMut(usize, usize),
-    ) -> Vec<(usize, usize)> {
-        const NO_STATE: u32 = u32::MAX;
-        let mut states = std::mem::take(&mut self.scratch_states);
-        states.clear();
-        states.resize(self.n, NO_STATE);
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(roots.len());
-        for &ri in roots {
-            if let Some(&(_, end)) = ranges.last() {
-                if ri < end {
-                    continue;
-                }
-            }
-            // Replay the root's state along its ancestor path (the root's
-            // own label is consumed: states are root-anchored, exactly as
-            // in eval_set's sweep from the tree root).
-            let mut s = set.start_state();
-            let mut path = Vec::new();
-            let mut v = ri;
-            while v != 0 {
-                path.push(v);
-                v = self.parent[v] as usize;
-            }
-            for &w in path.iter().rev() {
-                s = set.step(s, self.labels[w]);
-            }
-            states[ri] = s;
-            if ri != 0 {
-                // The dirty root's own membership (the tree root is never
-                // a member — patterns match strictly below it).
-                on_node(ri);
-                for_each_set_bit(set.accept_row(s), |q| on_accept(q, ri));
-            }
-            let mut end = self.n;
-            for v in ri + 1..self.n {
-                let ps = states[self.parent[v] as usize];
-                if ps == NO_STATE {
-                    end = v;
-                    break;
-                }
-                let s = set.step(ps, self.labels[v]);
-                states[v] = s;
-                on_node(v);
-                for_each_set_bit(set.accept_row(s), |q| on_accept(q, v));
-            }
-            ranges.push((ri, end));
-        }
-        self.scratch_states = states;
-        ranges
-    }
-
-    /// [`eval_set_delta`](Self::eval_set_delta)'s **in-place** twin: the
-    /// commit hot path. Instead of materializing a fresh result vector
-    /// (which costs a full baseline clone however small the edit), the
-    /// splice mutates `sets` — the cached committed baselines — directly:
-    /// targeted removals of the baseline entries inside the dirty
-    /// subtrees (located under their **pre-batch** labels through the
-    /// region's relabel history), eviction of the region's
-    /// [`removed`](DirtyRegion::removed) refs, pinpoint id-swap patches,
-    /// and insertion of the freshly re-derived sub-results. Total cost is
-    /// proportional to the dirty region — zero work per clean document
-    /// node and zero work per untouched baseline member.
-    ///
-    /// Every individual mutation is recorded in the returned
-    /// [`SpliceJournal`], whose net changes per pattern are exactly
-    /// `base \ now` and `now \ base` — enough to judge growth/shrink
-    /// admission conditions without ever materializing both sets — and
-    /// which [`SpliceJournal::revert`] replays backwards to restore the
-    /// baselines exactly (the reject path).
-    ///
-    /// Returns `None` — with `sets` untouched — when the splice argument
-    /// does not apply (predicate fallbacks, poisoned or stale region,
-    /// width mismatch) or when the dirty region is so large that the full
-    /// pass is cheaper; callers then run [`eval_set`](Self::eval_set).
-    /// The differential harness in `xuc-service` pins this function
-    /// against full-pass admission verdict-for-verdict and
-    /// baseline-for-baseline.
     pub fn eval_set_splice<A: PatternSetAutomaton + ?Sized>(
         &mut self,
         set: &A,
@@ -944,10 +880,7 @@ impl Evaluator {
             return Some(journal);
         }
         let roots = self.dirty_root_indices(region)?;
-        let mut touched: Vec<usize> = Vec::new();
-        let mut fresh_idx: Vec<Vec<usize>> = vec![Vec::new(); k];
-        let ranges =
-            self.sweep_dirty_roots(set, &roots, |v| touched.push(v), |q, v| fresh_idx[q].push(v));
+        let DirtySweep { touched, fresh, ranges } = self.sweep_dirty_roots(set, &roots);
         // A dirty region covering most of the document (a root-level move
         // in a small tree) makes targeted splicing slower than one clean
         // sweep: hand it back before any mutation.
@@ -977,8 +910,12 @@ impl Evaluator {
         }
         // 2. Pinpoint id swaps: a target alive outside the dirty subtrees
         //    carries its membership to the new id; a dead or re-derived
-        //    target only evicts the pre-batch entry.
-        let in_ranges = in_ranges_fn(&ranges);
+        //    target only evicts the pre-batch entry. (The swept ranges
+        //    are sorted and disjoint, so "inside" is a binary search.)
+        let in_ranges = |idx: usize| {
+            let p = ranges.partition_point(|&(s, _)| s <= idx);
+            p > 0 && idx < ranges[p - 1].1
+        };
         for sw in region.id_swaps() {
             let old = NodeRef { id: sw.from, label: sw.label };
             let alive_outside = match self.index_of.get(&sw.to) {
@@ -1001,7 +938,7 @@ impl Evaluator {
             }
         }
         // 3. Fresh membership below the dirty roots.
-        for (i, idxs) in fresh_idx.iter().enumerate() {
+        for (i, idxs) in fresh.iter().enumerate() {
             for &v in idxs {
                 let r = NodeRef { id: self.ids[v], label: self.labels[v] };
                 if sets[i].insert(r) {
@@ -1305,7 +1242,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_set_delta_splices_relabels_structural_and_swaps() {
+    fn eval_set_splice_covers_relabels_structural_and_swaps() {
         use xuc_xtree::DirtyRegion;
         let mut t = parse_term("root(a#1(a#2,b#3),x#4(b#5),a#6)").unwrap();
         let set = DepthOneA { fallback: Vec::new() };
@@ -1319,6 +1256,7 @@ mod tests {
         let fresh = NodeId::fresh();
         let mut region = DirtyRegion::new();
         let mut stack = Vec::new();
+        region.record_removals(&t.subtree_nodes(NodeId::from_raw(2)).unwrap());
         for op in [
             Update::DeleteSubtree { node: NodeId::from_raw(2) },
             Update::Relabel { node: NodeId::from_raw(4), label: Label::new("a") },
@@ -1333,9 +1271,12 @@ mod tests {
         assert_eq!(region.relabels(), [(NodeId::from_raw(4), Label::new("x"))]);
         assert_eq!(region.id_swaps().len(), 1);
 
-        let spliced = ev.eval_set_delta(&set, &region, &base);
-        assert_eq!(spliced, ev.eval_set(&set), "delta must equal the full pass");
+        let mut spliced = base.clone();
+        let journal = ev.eval_set_splice(&set, &region, &mut spliced).expect("splice applies");
+        assert_eq!(spliced, ev.eval_set(&set), "splice must equal the full pass");
         assert_eq!(ids(&spliced[0]), vec![1, 4, fresh.raw()]);
+        journal.revert(&mut spliced);
+        assert_eq!(spliced, base, "revert must restore the baseline");
 
         // Unwinding through the same region (undo scopes recorded too)
         // splices straight back to the baseline.
@@ -1345,7 +1286,9 @@ mod tests {
             region.record(&t, &scope);
         }
         assert!(region.id_swaps().is_empty(), "swap-back cancels the patch");
-        assert_eq!(ev.eval_set_delta(&set, &region, &base), base);
+        let mut unwound = base.clone();
+        ev.eval_set_splice(&set, &region, &mut unwound).expect("splice applies");
+        assert_eq!(unwound, base);
     }
 
     #[test]
@@ -1393,24 +1336,29 @@ mod tests {
     }
 
     #[test]
-    fn eval_set_delta_degenerate_regions() {
+    fn eval_set_splice_degenerate_regions() {
         use xuc_xtree::{DirtyRegion, EditScope};
         let t = parse_term("root(a#1(a#2),x#3)").unwrap();
         let set = DepthOneA { fallback: Vec::new() };
         let mut ev = Evaluator::new(&t);
         let base = ev.eval_set(&set);
-        // Clean region: the baseline is the answer.
-        assert_eq!(ev.eval_set_delta(&set, &DirtyRegion::new(), &base), base);
-        // Poisoned region: falls back to (and equals) the full pass.
+        let mut sets = base.clone();
+        // Clean region: the baseline is the answer, the journal empty.
+        let journal = ev.eval_set_splice(&set, &DirtyRegion::new(), &mut sets).expect("clean");
+        assert!(journal.is_empty());
+        assert_eq!(sets, base);
+        // Poisoned region: declined, sets untouched for the full pass.
         let mut full = DirtyRegion::new();
         full.record(&t, &EditScope::Structural { root: None });
-        assert_eq!(ev.eval_set_delta(&set, &full, &base), base);
+        assert!(ev.eval_set_splice(&set, &full, &mut sets).is_none());
+        assert_eq!(sets, base);
         // Whole-tree dirty root: recompute-everything still equals it.
         let mut rooted = DirtyRegion::new();
         rooted.record(&t, &EditScope::Structural { root: Some(t.root_id()) });
-        assert_eq!(ev.eval_set_delta(&set, &rooted, &base), base);
-        // Mismatched baseline width: full-pass fallback, exact answer.
-        assert_eq!(ev.eval_set_delta(&set, &rooted, &[]), base);
+        ev.eval_set_splice(&set, &rooted, &mut sets).expect("whole-tree root splices");
+        assert_eq!(sets, base);
+        // Mismatched baseline width: declined, nothing touched.
+        assert!(ev.eval_set_splice(&set, &rooted, &mut []).is_none());
     }
 
     #[test]

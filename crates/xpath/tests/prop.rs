@@ -6,15 +6,17 @@
 //! [`xuc_automata::PatternSetCompiler`] batch) is pinned against the
 //! per-pattern path and the naive oracle over random trees, random mixed
 //! pattern batches, and post-edit/undo refresh sequences. The
-//! edit-proportional splice (`eval_set_delta` over an accumulated
-//! [`xuc_xtree::DirtyRegion`]) is pinned against all three on the same
-//! sequences, including regions that merge into ancestor scopes and the
-//! predicate-pattern fallback path.
+//! edit-proportional splice (`eval_set_splice` over an accumulated
+//! [`xuc_xtree::DirtyRegion`]) is pinned directly against all three
+//! from-scratch passes after every edit and every undo of the same
+//! sequences, including regions that merge into ancestor scopes and
+//! declined splices; its journal must revert the baseline exactly.
 
 use proptest::prelude::*;
-use xuc_automata::PatternSetCompiler;
+use std::collections::BTreeSet;
+use xuc_automata::{CompiledPatternSet, PatternSetCompiler};
 use xuc_xpath::{canonical, containment, eval, naive, Axis, Evaluator, Pattern, PatternBuilder};
-use xuc_xtree::{apply_undoable, undo, DataTree, DirtyRegion, Label, NodeId, Update};
+use xuc_xtree::{apply_undoable, undo, DataTree, DirtyRegion, Label, NodeId, NodeRef, Update};
 
 const LABELS: &[&str] = &["a", "b", "c", "d"];
 
@@ -83,6 +85,40 @@ fn pattern_strategy_with(max_nodes: usize, allow_desc: bool) -> impl Strategy<Va
             b2.finish(cur)
         })
     })
+}
+
+/// Splices a clone of `base` as admission does, then checks the answer
+/// admission would use — the spliced sets, or `eval_set` when the splice
+/// declines — against `eval_set`, `eval_all` and the naive oracle, and
+/// that the splice journal reverts the clone to `base`.
+fn check_splice(
+    inc: &mut Evaluator,
+    compiled: &CompiledPatternSet,
+    batch: &[Pattern],
+    work: &DataTree,
+    region: &DirtyRegion,
+    base: &[BTreeSet<NodeRef>],
+    ctx: &str,
+) {
+    let full_rows = inc.eval_set(compiled);
+    let mut spliced = base.to_vec();
+    let answer = match inc.eval_set_splice(compiled, region, &mut spliced) {
+        Some(journal) => {
+            let answer = spliced.clone();
+            journal.revert(&mut spliced);
+            prop_assert_eq!(&spliced, base, "revert after {}", ctx);
+            answer
+        }
+        None => {
+            prop_assert_eq!(&spliced, base, "a declined splice touched the sets after {}", ctx);
+            full_rows.clone()
+        }
+    };
+    prop_assert_eq!(&answer, &full_rows, "splice vs eval_set after {}", ctx);
+    prop_assert_eq!(&answer, &Evaluator::new(work).eval_all(batch), "after {}", ctx);
+    for (q, r) in batch.iter().zip(&answer) {
+        prop_assert_eq!(r, &naive::eval(q, work), "{} / {}", ctx, q);
+    }
 }
 
 proptest! {
@@ -347,7 +383,7 @@ proptest! {
     }
 
     #[test]
-    fn eval_set_delta_matches_eval_set_eval_all_and_naive(
+    fn eval_set_splice_matches_eval_set_eval_all_and_naive(
         tree in tree_strategy(12),
         q1 in pattern_strategy(5),
         q2 in pattern_strategy(5),
@@ -357,12 +393,12 @@ proptest! {
     ) {
         // The delta-admission contract: one baseline eval_set, then an
         // arbitrary edit/undo sequence accumulated into ONE DirtyRegion —
-        // after every step the spliced answer must equal the full set
-        // pass, the per-pattern pass, and the naive oracle. Random mixed
-        // batches exercise both the genuine splice path (all-linear) and
-        // the predicate-fallback full pass; deep edit sequences produce
-        // regions whose scopes merge into ancestor scopes (moves/deletes
-        // above earlier dirty roots).
+        // after every step a splice of the baseline must equal the full
+        // set pass, the per-pattern pass, and the naive oracle. Random
+        // mixed batches exercise both the genuine splice path
+        // (all-linear) and the declined splice (predicate fallbacks);
+        // deep edit sequences produce regions whose scopes merge into
+        // ancestor scopes (moves/deletes above earlier dirty roots).
         let batch = vec![q1, q2, q3, q4];
         let compiled = PatternSetCompiler::compile(&batch);
         let mut work = tree.clone();
@@ -390,7 +426,7 @@ proptest! {
                 _ => Update::ReplaceId { node: target, new_id: NodeId::fresh() },
             };
             // Mirror the session's bookkeeping: a deletion's doomed refs
-            // are captured before it applies, for the in-place splice.
+            // are captured before it applies.
             let doomed = match &op {
                 Update::DeleteSubtree { node } => work.subtree_nodes(*node).ok(),
                 Update::DeleteNode { node } => work.node(*node).ok().map(|r| vec![r]),
@@ -403,32 +439,17 @@ proptest! {
             }
             inc.refresh_after(&work, &scope);
             region.record(&work, &scope);
-            let full_rows = inc.eval_set(&compiled);
-            let delta = inc.eval_set_delta(&compiled, &region, &base);
-            prop_assert_eq!(&delta, &full_rows, "apply {}", &op);
-            prop_assert_eq!(&delta, &Evaluator::new(&work).eval_all(&batch), "apply {}", &op);
-            for (q, r) in batch.iter().zip(&delta) {
-                prop_assert_eq!(r, &naive::eval(q, &work), "apply {} / {}", &op, q);
-            }
-            // The in-place splice must agree wherever it applies — and its
-            // journal must revert the baselines exactly.
-            let mut spliced = base.clone();
-            if let Some(journal) = inc.eval_set_splice(&compiled, &region, &mut spliced) {
-                prop_assert_eq!(&spliced, &full_rows, "splice after {}", &op);
-                journal.revert(&mut spliced);
-                prop_assert_eq!(&spliced, &base, "revert after {}", &op);
-            }
+            check_splice(&mut inc, &compiled, &batch, &work, &region, &base, &format!("apply {op}"));
         }
         // Undos feed the SAME region: the splice must track back down.
         while let Some(token) = stack.pop() {
             let scope = undo(&mut work, token).unwrap();
             inc.refresh_after(&work, &scope);
             region.record(&work, &scope);
-            let delta = inc.eval_set_delta(&compiled, &region, &base);
-            prop_assert_eq!(&delta, &inc.eval_set(&compiled));
+            check_splice(&mut inc, &compiled, &batch, &work, &region, &base, "undo");
         }
         prop_assert!(work.identified_eq(&tree), "full unwind must restore the seed");
-        prop_assert_eq!(inc.eval_set_delta(&compiled, &region, &base), base);
+        prop_assert_eq!(inc.eval_set(&compiled), base);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! admission check. Each edit reports an [`EditScope`], but the admission
 //! pass does not want a *sequence* of scopes — it wants the **union**: the
 //! smallest description of everything the batch may have changed, against
-//! which a delta evaluation pass can re-derive answers (and against which
-//! an in-place splice can patch cached result sets). [`DirtyRegion`] is
+//! which an in-place splice re-derives answers and patches cached result
+//! sets (`xuc_xpath`'s `Evaluator::eval_set_splice`). [`DirtyRegion`] is
 //! that union, maintained incrementally as edits are recorded:
 //!
 //! * structural scopes collapse to a set of **disjoint dirty subtree
@@ -27,7 +27,9 @@
 //!   with swap *chains* compressed on the fly (`a→b` then `b→c` records
 //!   as `a→c`; a swap-back `a→b`, `b→a` cancels out), so a patch always
 //!   maps a pre-batch id (under its pre-batch label) to a live post-batch
-//!   id. A relabel entry follows its node across swaps;
+//!   id. A relabel entry and a structural root follow their node across
+//!   swaps (a root left on the dead id would fail every later ancestor
+//!   check and be dropped);
 //! * deletions are recorded as **removed refs** — the deleted nodes under
 //!   their pre-batch ids and labels
 //!   ([`DirtyRegion::record_removals`], fed by the session *before* it
@@ -36,7 +38,7 @@
 //!   sets without scanning them;
 //! * a structural scope with an *unknown* root poisons the region
 //!   ([`is_full`](DirtyRegion::is_full)): the whole tree must be treated
-//!   as dirty and delta consumers fall back to their full pass.
+//!   as dirty and the splice declines to the full pass.
 //!
 //! The ancestor checks run against the tree **as it stands when the scope
 //! is recorded** — call [`record`](DirtyRegion::record) immediately after
@@ -64,8 +66,7 @@ pub struct IdSwap {
 /// The union of a batch of [`EditScope`]s: disjoint structural subtree
 /// roots, pinpoint relabels with original labels, chain-compressed id
 /// swaps, and removed refs. See the [module docs](self) for the algebra
-/// and `xuc_xpath`'s `Evaluator::eval_set_delta` /
-/// `Evaluator::eval_set_splice` for the principal consumers.
+/// and `xuc_xpath`'s `Evaluator::eval_set_splice` for its one consumer.
 #[derive(Debug, Clone, Default)]
 pub struct DirtyRegion {
     /// Roots of disjoint structural dirty subtrees (no recorded root is an
@@ -173,6 +174,12 @@ impl DirtyRegion {
                     .unwrap_or_else(|| tree.label(*to).expect("swap target is live"));
                 if let Some(entry) = self.relabels.iter_mut().find(|(n, _)| n == from) {
                     entry.0 = *to;
+                }
+                // A structural root follows its node too: left on the dead
+                // id, the next structural scope's ancestor check would err
+                // on it and drop the root.
+                if let Some(root) = self.roots.iter_mut().find(|r| **r == *from) {
+                    *root = *to;
                 }
                 if let Some(chain) = self.swaps.iter_mut().find(|s| s.to == *from) {
                     // a→from already recorded: compress to a→to, keeping the
@@ -290,6 +297,26 @@ mod tests {
         step(&mut t, &mut region, Update::DeleteNode { node: n(1) });
         assert_eq!(region.structural_roots(), [t.root_id()]);
         assert_eq!(region.relabels(), [(n(20), Label::new("b"))]);
+    }
+
+    #[test]
+    fn structural_root_follows_its_node_across_a_swap() {
+        let mut t = parse_term("r(x#1(m#2,c#3,d#6))").unwrap();
+        let mut region = DirtyRegion::new();
+        let step = |t: &mut crate::DataTree, region: &mut DirtyRegion, op: Update| {
+            let (_tok, scope) = apply_undoable(t, &op).unwrap();
+            region.record(t, &scope);
+        };
+        // The move records x#1 (the LCA of old and new parent) as a root.
+        step(&mut t, &mut region, Update::Move { node: n(2), new_parent: n(3) });
+        assert_eq!(region.structural_roots(), [n(1)]);
+        // Renaming x#1 renames the root: it must not keep the dead id…
+        step(&mut t, &mut region, Update::ReplaceId { node: n(1), new_id: n(10) });
+        assert_eq!(region.structural_roots(), [n(10)]);
+        // …or a later scope inside its subtree would fail the ancestor
+        // check against the dead id and drop the root.
+        step(&mut t, &mut region, Update::InsertLeaf { parent: n(6), id: n(7), label: "z".into() });
+        assert_eq!(region.structural_roots(), [n(10)]);
     }
 
     #[test]
