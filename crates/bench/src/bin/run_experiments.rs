@@ -26,7 +26,7 @@ use xuc_service::{
 };
 use xuc_sigstore::Signer;
 use xuc_xpath::Evaluator;
-use xuc_xtree::{apply_undoable, undo, DataTree, DirtyRegion, Update};
+use xuc_xtree::{apply_undoable, undo, DataTree, DirtyRegion, NodeId, Update};
 
 /// Collects every printed measurement so the run also emits
 /// `BENCH_results.json` (experiment id → measured µs / ratios), letting the
@@ -143,8 +143,9 @@ impl Mix {
 
 /// Median per-edit cost (µs) of keeping an evaluator in sync across an
 /// apply/undo edit mix: `incremental` uses the edit-scope protocol
-/// (`refresh_after`), the baseline calls the full `refresh` after every
-/// apply and every undo — the shape of the code before this PR.
+/// (`refresh_after`: an O(1) patch per relabel, a re-read of the scope
+/// root's subtree per detach or splice), the baseline calls the full
+/// `refresh` after every apply and every undo.
 fn refresh_cost_micros(
     tree: &DataTree,
     patterns: &[xuc_xpath::Pattern],
@@ -399,7 +400,7 @@ fn main() {
     rep.header(
         "E-IR",
         "incremental (edit-scope) vs full snapshot refresh per edit",
-        "incremental relabel refresh ≥ 10× full refresh at 10k nodes",
+        "incremental relabel, detach and splice refresh each ≥ 10× full refresh at 10k nodes",
     );
     for &nodes in rep.sweep(&[1_000usize, 4_000, 10_000], 1) {
         let (tree, patterns) = wl::eir_workload(nodes);
@@ -417,8 +418,8 @@ fn main() {
                 &format!("incremental ({ratio:.1}x)"),
             );
             rep.metric("E-IR", &format!("{}_ratio_{nodes}", mix.name()), ratio);
-            if matches!(mix, Mix::Relabel) && (nodes == 10_000 || (rep.smoke && nodes == 1_000)) {
-                rep.floor("E-IR", &format!("relabel_ratio_{nodes}"), ratio, 10.0, true);
+            if nodes == 10_000 || (rep.smoke && nodes == 1_000) {
+                rep.floor("E-IR", &format!("{}_ratio_{nodes}", mix.name()), ratio, 10.0, true);
             }
         }
     }
@@ -709,66 +710,117 @@ fn main() {
     rep.header(
         "E-E2E",
         "end-to-end in-memory commit through Gateway::submit, delta vs full pass",
-        "a single-relabel commit ≥ 50× cheaper on the delta path at the largest size",
+        "single-relabel and single-leaf insert/delete commits each ≥ 50× cheaper on the delta \
+         path at the largest size",
     );
     {
-        // The same single-relabel commits (distinct phone→note relabels,
-        // all accepted) submitted one by one to a Delta and a FullPass
-        // gateway: apply, admission, re-certification — everything a
-        // client waits for. The delta arm splices the baselines and folds
-        // the splice journal into the certificate header; the full-pass
-        // arm re-sweeps the document and re-hashes every signed set.
+        // The same single-update commits submitted one by one to a Delta
+        // and a FullPass gateway: apply, admission, re-certification —
+        // everything a client waits for. The delta arm re-syncs the
+        // evaluator below the edit, splices the baselines and folds the
+        // splice journal into the certificate header; the full-pass arm
+        // re-sweeps the document and re-hashes every signed set. Three
+        // shapes, all accepted: distinct phone→note relabels, then `note`
+        // leaf inserts under distinct patients and their deletes.
         let sizes = if rep.smoke { [10_000usize, 100_000] } else { [100_000, 1_000_000] };
-        let mut largest_ratio = 0.0;
+        let mut largest = Vec::new();
         for &nodes in &sizes {
             let (tree, suite) = wl::edlt_workload(nodes, 12);
             let commits = if nodes >= 1_000_000 { 9 } else { 21 };
             let relabels =
                 xuc_workloads::trees::delta_batches(&mut wl::rng(), &tree, 1, commits, false)
                     .remove(0);
+            let patients = tree.children(tree.root_id()).expect("root");
+            let notes: Vec<NodeId> = (0..commits).map(|_| NodeId::fresh()).collect();
+            let inserts: Vec<Update> = notes
+                .iter()
+                .enumerate()
+                .map(|(i, &id)| Update::InsertLeaf {
+                    parent: patients[(i * 7919) % patients.len()],
+                    id,
+                    label: xuc_xtree::Label::new("note"),
+                })
+                .collect();
+            let deletes: Vec<Update> =
+                notes.iter().map(|&node| Update::DeleteSubtree { node }).collect();
             let doc = DocId::new("e2e");
+            // Per-commit wall clock of each shape, in submission order,
+            // and the final certificate.
             let commit_micros = |mode: AdmissionMode| {
                 let gw = Gateway::with_admission(Signer::new(0xE2E), mode);
                 gw.publish(doc, tree.clone(), suite.clone()).expect("fresh gateway");
-                let mut samples: Vec<f64> = relabels
+                let p50s: Vec<f64> = [&relabels, &inserts, &deletes]
                     .iter()
-                    .map(|u| {
-                        let req = Request { doc, updates: vec![u.clone()] };
-                        let t = std::time::Instant::now();
-                        let verdict = gw.submit(&req);
-                        let micros = t.elapsed().as_secs_f64() * 1e6;
-                        assert!(verdict.is_accepted(), "E-E2E relabel refused: {verdict}");
-                        micros
+                    .map(|ops| {
+                        let mut samples: Vec<f64> = ops
+                            .iter()
+                            .map(|u| {
+                                let req = Request { doc, updates: vec![u.clone()] };
+                                let t = std::time::Instant::now();
+                                let verdict = gw.submit(&req);
+                                let micros = t.elapsed().as_secs_f64() * 1e6;
+                                assert!(verdict.is_accepted(), "E-E2E {u} refused: {verdict}");
+                                micros
+                            })
+                            .collect();
+                        samples.sort_by(|a, b| a.total_cmp(b));
+                        samples[samples.len() / 2]
                     })
                     .collect();
-                samples.sort_by(|a, b| a.total_cmp(b));
-                (samples[samples.len() / 2], gw.certificate(doc).expect("published"))
+                (p50s, gw.certificate(doc).expect("published"))
             };
             let (delta, delta_cert) = commit_micros(AdmissionMode::Delta);
             let (full, full_cert) = commit_micros(AdmissionMode::FullPass);
             assert_eq!(delta_cert, full_cert, "delta and full-pass certificates must agree");
-            let ratio = full / delta;
-            rep.row("E-E2E", "fullpass_commit", nodes, full, "full pass + full re-hash");
-            rep.row(
-                "E-E2E",
-                "delta_commit",
-                nodes,
-                delta,
-                &format!("splice + O(edit) re-certification ({ratio:.0}x)"),
-            );
-            rep.metric("E-E2E", &format!("delta_over_fullpass_{nodes}"), ratio);
-            largest_ratio = ratio;
+            largest.clear();
+            // (shape, full-pass row, delta row, ratio metric); the relabel
+            // rows keep their original names.
+            let shapes = [
+                ("relabel", "fullpass_commit", "delta_commit", "delta_over_fullpass"),
+                ("insert", "fullpass_insert", "delta_insert", "insert_delta_over_fullpass"),
+                ("delete", "fullpass_delete", "delta_delete", "delete_delta_over_fullpass"),
+            ];
+            for (i, (shape, full_row, delta_row, metric)) in shapes.into_iter().enumerate() {
+                let ratio = full[i] / delta[i];
+                rep.row("E-E2E", full_row, nodes, full[i], "full pass + full re-hash");
+                rep.row(
+                    "E-E2E",
+                    delta_row,
+                    nodes,
+                    delta[i],
+                    &format!("splice + O(edit) re-certification ({ratio:.0}x)"),
+                );
+                rep.metric("E-E2E", &format!("{metric}_{nodes}"), ratio);
+                largest.push((shape, ratio, delta[i]));
+            }
         }
         // A HARD floor even under XUC_SMOKE: the gap is two orders of
         // magnitude, so no amount of runner noise closes it — only a
         // commit path that went back to touching the whole document.
-        assert!(
-            largest_ratio >= 50.0,
-            "E-E2E delta commit only {largest_ratio:.1}x cheaper than full pass at {} nodes \
-             (floor 50x)",
-            sizes[1]
-        );
-        println!("   floor: delta commit {largest_ratio:.0}x cheaper than full pass (≥ 50x) ✓");
+        for &(shape, ratio, p50) in &largest {
+            assert!(
+                ratio >= 50.0,
+                "E-E2E delta {shape} commit only {ratio:.1}x cheaper than full pass at {} nodes \
+                 (floor 50x)",
+                sizes[1]
+            );
+            println!(
+                "   floor: delta {shape} commit {ratio:.0}x cheaper than full pass (≥ 50x) ✓ \
+                 — p50 {:.3} ms at {} nodes",
+                p50 / 1e3,
+                sizes[1]
+            );
+        }
+        if !rep.smoke {
+            // ROADMAP's target for a structural commit on the 1M document
+            // is ≤ 1 ms p50 (181.6 ms before structural edits were
+            // re-read in place). Reported, not asserted: single runs on a
+            // shared host.
+            for &(shape, _, p50) in &largest[1..] {
+                let verdict = if p50 <= 1e3 { "meets" } else { "misses" };
+                println!("   target: 1M {shape} commit p50 {:.3} ms {verdict} ≤ 1 ms", p50 / 1e3);
+            }
+        }
     }
 
     rep.header(

@@ -8,7 +8,7 @@
 //!   [`apply_undoable`], pushes the undo token, and re-syncs the warm
 //!   evaluator **proportionally to the edit** via
 //!   [`Evaluator::refresh_after`](xuc_xpath::Evaluator::refresh_after) and
-//!   the returned [`EditScope`](xuc_xtree::EditScope) — the evaluator is
+//!   the returned [`EditScope`] — the evaluator is
 //!   never stale, at any point of the session;
 //! * [`Session::commit`] runs the admission check **edit-proportionally**
 //!   ([`admit_delta_in_place`]): every applied scope is folded into a
@@ -31,9 +31,10 @@
 //! * [`Session::rollback`] (and `Drop`, for abandoned sessions) unwinds
 //!   the undo stack in LIFO order. Undo is an *exact* inverse (child
 //!   positions restored), so the tree returns byte-identical to the
-//!   committed state; the evaluator re-syncs once — structural edits pool
-//!   into a single re-walk, pure relabel/id batches replay their O(1)
-//!   patches.
+//!   committed state. The evaluator re-syncs after every undo through
+//!   its scope, as `apply` does — O(1) per relabel or id swap, the scope
+//!   root's subtree per structural undo — and only a scope that is the
+//!   tree root (or unknown) falls back to one full re-read.
 
 use crate::store::Document;
 use std::collections::BTreeSet;
@@ -42,7 +43,7 @@ use xuc_core::{Constraint, ConstraintKind};
 use xuc_sigstore::Signer;
 use xuc_telemetry::{Stage, Telemetry};
 use xuc_xpath::{Evaluator, SpliceJournal};
-use xuc_xtree::{apply_undoable, undo, DirtyRegion, NodeRef, Undo, Update, UpdateError};
+use xuc_xtree::{apply_undoable, undo, DirtyRegion, EditScope, NodeRef, Undo, Update, UpdateError};
 
 /// A committed batch's receipt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -429,33 +430,29 @@ impl<'a> Session<'a> {
         self.unwind();
     }
 
-    /// Unwinds the undo stack LIFO and re-syncs the warm evaluator with
-    /// **one pooled pass**. Nothing evaluates mid-unwind, so one re-sync
-    /// covers the whole stack: any structural undo forces the single
-    /// re-walk (which subsumes the patches); otherwise the O(1) patches
-    /// replay in undo order (non-structural edits keep the preorder
-    /// layout fixed, so sequential patching stays exact).
+    /// Unwinds the undo stack LIFO, re-syncing the warm evaluator after
+    /// each undo through its scope: a relabel or id swap patches in
+    /// O(1), a structural undo re-reads its scope root's subtree. A scope
+    /// that is the tree root or unknown needs the whole document re-read
+    /// anyway, so from the first such scope on the remaining undos skip
+    /// their re-syncs and one [`Evaluator::refresh`] closes the unwind.
     fn unwind(&mut self) {
         let doc = &mut *self.doc;
-        let mut structural = false;
-        let mut patches = Vec::new();
+        let mut full = false;
         while let Some(token) = self.undo_stack.pop() {
             // Invariant, not fallible IO: every token on the stack was
             // minted by applying an update to exactly this tree, and
             // LIFO replay restores the positions each token assumes.
             let scope = undo(&mut doc.tree, token).expect("undo token applies to its own tree");
-            if scope.is_structural() {
-                structural = true;
-            } else {
-                patches.push(scope);
+            full = full
+                || matches!(scope, EditScope::Structural { root }
+                    if root.is_none_or(|r| r == doc.tree.root_id()));
+            if !full {
+                doc.ev.refresh_after(&doc.tree, &scope);
             }
         }
-        if structural {
+        if full {
             doc.ev.refresh(&doc.tree);
-        } else {
-            for scope in &patches {
-                doc.ev.refresh_after(&doc.tree, scope);
-            }
         }
         // The tree is back to the committed state: nothing is dirty.
         self.region.clear();

@@ -518,3 +518,44 @@ fn relabel_only_batches_admit_with_zero_walks() {
     assert!(matches!(gw.submit(&sabotage), Verdict::Rejected(_)), "stripping a visit must reject");
     assert_eq!(xuc_xtree::preorder_walk_count(), walks, "rejection path must also be walk-free");
 }
+
+/// The structural twin: leaf inserts and subtree deletes below the root
+/// admit, and reject, with **zero** walks too — the evaluator re-reads
+/// only each scope root's subtree, the splice sweeps only below it, and a
+/// rejected batch unwinds through the same per-scope re-reads.
+#[test]
+fn structural_batches_admit_with_zero_walks() {
+    let c = |s: &str| parse_constraint(s).unwrap();
+    let gw = Gateway::new(Signer::new(0xAB1E));
+    let doc = DocId::new("linear");
+    let tree = xuc_xtree::parse_term(
+        "hospital#1(patient#2(visit#3,visit#4),patient#5(phone#6),patient#7(visit#8(report#9)))",
+    )
+    .unwrap();
+    let suite =
+        ["(/patient/visit, ↑)", "(//phone, ↓)", "(//report, ↑)", "(/patient, ↓)"].map(c).to_vec();
+    gw.publish(doc, tree, suite).unwrap();
+    let leaf = |parent: u64, id: NodeId, label: &str| Update::InsertLeaf {
+        parent: NodeId::from_raw(parent),
+        id,
+        label: Label::new(label),
+    };
+    let delete = |node: u64| Update::DeleteSubtree { node: NodeId::from_raw(node) };
+    let note = NodeId::fresh();
+    let batches = [
+        (vec![leaf(2, note, "note"), delete(6)], true),
+        (vec![Update::DeleteSubtree { node: note }, leaf(5, NodeId::fresh(), "memo")], true),
+        // A new phone grows `(//phone, ↓)`; a lost report shrinks
+        // `(//report, ↑)`.
+        (vec![leaf(7, NodeId::fresh(), "note"), leaf(2, NodeId::fresh(), "phone")], false),
+        (vec![leaf(2, NodeId::fresh(), "note"), delete(9)], false),
+    ];
+    for (updates, accept) in batches {
+        let what = format!("{updates:?}");
+        let walks = xuc_xtree::preorder_walk_count();
+        let verdict = gw.submit(&Request { doc, updates });
+        assert_eq!(verdict.is_accepted(), accept, "{what}: {verdict:?}");
+        assert!(accept || matches!(verdict, Verdict::Rejected(_)), "{what}: {verdict:?}");
+        assert_eq!(xuc_xtree::preorder_walk_count(), walks, "{what} must not walk the document");
+    }
+}

@@ -3,37 +3,47 @@
 //! [`crate::eval`](mod@crate::eval)'s two-phase algorithm is correct but rebuilds a dense
 //! snapshot of the tree on *every* call and keeps its satisfaction matrices
 //! as `Vec<Vec<bool>>`. The hot consumers — counterexample search, possible
-//! embeddings, certain-facts trees — evaluate *many* patterns against the
-//! *same* tree, so this module restructures the data layout around that
-//! access pattern:
+//! embeddings, certain-facts trees, the update gateway — evaluate *many*
+//! patterns against the *same* tree, and edit it between evaluations, so
+//! this module restructures the data layout around that access pattern.
 //!
-//! * [`Evaluator::new`] builds the snapshot **once**: ids, labels, parent
-//!   indices, children in CSR (compressed sparse row) form, all in pre-order
-//!   (parents before children), plus a lazy per-label bitset cache.
-//! * Satisfaction rows, descendant closures and spine frontiers are packed
-//!   `u64` bitsets; the label test and per-child requirement conjunctions
-//!   are word-wide AND sweeps, and sparse propagation steps (child→parent,
-//!   frontier→children) skip zero words.
-//! * [`Evaluator::eval_all`] amortizes one snapshot across a whole batch of
-//!   patterns; [`Evaluator::eval_set`] goes one step further and runs a
-//!   **set-at-a-time** pass: a whole batch compiled into one deterministic
-//!   automaton (see [`PatternSetAutomaton`] — the compiler lives in
-//!   `xuc_automata`) is driven over the snapshot **once**, labelling every
-//!   node with its satisfied-pattern bitset row in a single pre-order
-//!   sweep; [`Evaluator::refresh_after`] re-syncs after a mutation in
-//!   time proportional to the edit (a relabel patches two bitset words, an
-//!   id swap patches one index entry; only structural edits re-walk — and
-//!   even those reuse every allocation, snapshot buffer and label-row
-//!   cache included); [`Evaluator::refresh`] is the blunt full rebuild and
-//!   the oracle `refresh_after` is tested against; [`Evaluator::invalidate`]
-//!   is the guard rail that makes a forgotten refresh a loud panic instead
-//!   of a silent wrong answer.
-//! * [`Evaluator::eval_set_splice`] is the one incremental evaluator: it
-//!   patches cached `eval_set` results in place by re-driving the
-//!   automaton only below a [`DirtyRegion`]'s roots, through the same
-//!   sweep loop as `eval_set`. It is checked against the from-scratch
-//!   passes (`eval_set`, `eval_all`, the naive oracle), never against a
-//!   second incremental copy.
+//! An [`Evaluator`] holds two views of one tree:
+//!
+//! * the **arena view**, always exact: per slot the node's id, label,
+//!   parent, first child and next sibling, plus one `NodeId → slot` map.
+//!   [`Evaluator::new`] and [`Evaluator::refresh`] read it from the tree
+//!   in one pre-order walk; [`Evaluator::refresh_after`] keeps it exact
+//!   in time proportional to one edit — a relabel patches a label, an id
+//!   swap one map entry, a structural edit frees the scope root's old
+//!   descendants and re-reads its current subtree;
+//! * the **dense view**, a cache: the arena packed in pre-order (slot =
+//!   pre-order index, parents before children) with lazily built
+//!   per-label `u64` bitset rows. A fresh read is already packed; after a
+//!   structural edit the bitset entry points ([`Evaluator::eval`],
+//!   [`Evaluator::eval_at`], [`Evaluator::eval_all`],
+//!   [`Evaluator::eval_ids`], [`Evaluator::holds_below`] and predicate
+//!   fallbacks) re-pack the arena once before they run. Satisfaction
+//!   rows, descendant closures and spine frontiers are packed bitsets;
+//!   the label test and per-child requirement conjunctions are word-wide
+//!   AND sweeps, and sparse propagation steps skip zero words.
+//!
+//! The set-at-a-time passes run on the arena view and never need the
+//! dense one. [`Evaluator::eval_set`] drives a whole batch compiled into
+//! one deterministic automaton (see [`PatternSetAutomaton`] — the
+//! compiler lives in `xuc_automata`) over the tree **once** with an
+//! explicit `(slot, state)` stack, labelling every node with its
+//! satisfied-pattern row. [`Evaluator::eval_set_splice`] is the one
+//! incremental evaluator: it patches cached `eval_set` results in place
+//! by replaying each [`DirtyRegion`] root's ancestor path and re-driving
+//! the automaton below it through the same sweep loop. It is checked
+//! against the from-scratch passes (`eval_set`, `eval_all`, the naive
+//! oracle), never against a second incremental copy.
+//!
+//! [`Evaluator::refresh`] is the blunt full rebuild and the oracle
+//! `refresh_after` is tested against; [`Evaluator::invalidate`] is the
+//! guard rail that makes a forgotten refresh a loud panic instead of a
+//! silent wrong answer. Every full rebuild — `new`, `refresh`, a dense
+//! re-pack — counts one [`xuc_xtree::preorder_walk_count`] walk.
 //!
 //! The algorithm is exactly the one documented in [`crate::eval`](mod@crate::eval)
 //! (Gottlob–Koch–Pichler–Segoufin two-phase evaluation); only the data
@@ -44,12 +54,8 @@ use crate::pattern::{Axis, NodeTest, Pattern};
 use std::collections::{BTreeSet, HashMap};
 use xuc_xtree::{DataTree, DirtyRegion, EditScope, Label, NodeId, NodeRef};
 
-const NO_PARENT: u32 = u32::MAX;
-
-/// Automaton-state sentinel for nodes outside every swept subtree
-/// (automaton states are required to stay below it; see
-/// [`PatternSetAutomaton`]).
-const NO_STATE: u32 = u32::MAX;
+/// "No slot" in the arena's link arrays.
+const NIL: u32 = u32::MAX;
 
 #[inline]
 fn word_count(n: usize) -> usize {
@@ -103,9 +109,8 @@ fn for_each_set_bit(row: &[u64], mut f: impl FnMut(usize)) {
 /// depends on this crate, so the engine consumes the automaton through
 /// this trait rather than the concrete type). The contract:
 ///
-/// * states are opaque `u32`s strictly below `u32::MAX` (the engine uses
-///   `u32::MAX` as its out-of-subtree sentinel), and the automaton is
-///   **complete** — [`step`](Self::step) is total over all labels;
+/// * states are opaque `u32`s, and the automaton is **complete** —
+///   [`step`](Self::step) is total over all labels;
 /// * a node's state is reached by stepping from its parent's state on the
 ///   node's label, starting from [`start_state`](Self::start_state) at
 ///   the evaluation origin (whose own label is *not* consumed — patterns
@@ -193,15 +198,48 @@ impl SpliceJournal {
     }
 }
 
+/// Pre-order walk of the arena subtree strictly below `top` along its
+/// sibling chains, driven by an explicit `(slot, value)` stack of the
+/// current path: each node's value is `step(parent's value, node)`,
+/// `top`'s being `init`. The stack holds height-many entries, and on an
+/// arena packed in pre-order the walk reads every array front to back.
+fn walk_below(
+    first_child: &[u32],
+    next_sibling: &[u32],
+    stack: &mut Vec<(u32, u32)>,
+    top: u32,
+    init: u32,
+    mut step: impl FnMut(u32, u32) -> u32,
+) {
+    stack.clear();
+    let mut v = first_child[top as usize];
+    loop {
+        if v == NIL {
+            // The children of the path's deepest node are done: climb.
+            let Some((done, _)) = stack.pop() else { return };
+            v = next_sibling[done as usize];
+            continue;
+        }
+        let value = step(stack.last().map_or(init, |&(_, x)| x), v);
+        let fc = first_child[v as usize];
+        if fc == NIL {
+            v = next_sibling[v as usize];
+        } else {
+            stack.push((v, value));
+            v = fc;
+        }
+    }
+}
+
 /// What [`Evaluator::eval_set_splice`]'s sweep below the dirty roots
-/// found, as snapshot indices.
+/// found, as arena slots.
 struct DirtySweep {
     /// Every swept node: dirty roots included, the tree root excluded.
-    touched: Vec<usize>,
+    touched: Vec<u32>,
     /// `fresh[i]`: the swept nodes pattern `i` accepts.
-    fresh: Vec<Vec<usize>>,
-    /// The swept pre-order ranges, sorted and disjoint.
-    ranges: Vec<(usize, usize)>,
+    fresh: Vec<Vec<u32>>,
+    /// The swept dirty roots (none below another), sorted.
+    roots: Vec<u32>,
 }
 
 /// A reusable tree-pattern evaluator bound to one snapshot of a tree.
@@ -221,127 +259,267 @@ struct DirtySweep {
 /// assert_eq!(ev.eval(&q).len(), 2);
 /// ```
 pub struct Evaluator {
-    n: usize,
-    words: usize,
+    // The arena view (see the module docs). The root is always slot 0;
+    // children are linked in tree order. A freed slot's entries are dead
+    // and its `parent` threads the free list.
     ids: Vec<NodeId>,
     labels: Vec<Label>,
-    /// Pre-order parent indices; `NO_PARENT` for the root.
+    /// Parent slot; `NIL` for the root (and the free list's end).
     parent: Vec<u32>,
-    /// Children in CSR form: node `v`'s children are
-    /// `child_list[child_start[v]..child_start[v + 1]]`.
-    child_start: Vec<u32>,
-    child_list: Vec<u32>,
-    index_of: HashMap<NodeId, u32>,
-    /// Lazy per-label node bitsets (re-derived in place on refresh, so the
-    /// cache and its allocations survive structural rebuilds).
+    first_child: Vec<u32>,
+    next_sibling: Vec<u32>,
+    slot_of: HashMap<NodeId, u32>,
+    free_head: u32,
+    live: usize,
+    /// Is the dense view valid: the arena packed in pre-order (no free
+    /// slot, every parent before its children) with `words`, `ones` and
+    /// `label_rows` sized to it? Cleared by structural edits, restored by
+    /// [`ensure_dense`](Self::ensure_dense).
+    dense: bool,
+    words: usize,
+    /// Lazy per-label node bitsets of the dense view (re-derived in place
+    /// on every re-pack, so the cache and its allocations survive).
     label_rows: HashMap<Label, Vec<u64>>,
-    /// All-ones row masked to `n` bits (the wildcard test).
+    /// All-ones row masked to `live` bits (the wildcard test).
     ones: Vec<u64>,
-    stale: bool,
-    /// Reused snapshot buffer: one heap allocation across all refreshes.
-    scratch: Vec<(NodeId, Label, Option<usize>)>,
-    /// Reused per-node child-count buffer for the CSR rebuild.
-    scratch_counts: Vec<u32>,
-    /// Reused per-node automaton-state buffer for the set-at-a-time pass.
-    scratch_states: Vec<u32>,
+    /// Set by [`invalidate`](Self::invalidate): the arena itself may no
+    /// longer match the tree, so only a full [`refresh`](Self::refresh)
+    /// can make the evaluator usable again.
+    invalidated: bool,
+    /// Reused `(slot, state)` stack of the sweeps.
+    stack: Vec<(u32, u32)>,
+    /// Nodes freed or re-read by structural
+    /// [`refresh_after`](Self::refresh_after) calls.
+    refresh_nodes_read: u64,
 }
 
 impl Evaluator {
-    /// Builds the snapshot for `tree`. Cost: one pre-order walk plus the
-    /// id index; every subsequent [`eval`](Self::eval) reuses it.
+    /// Reads `tree` into a fresh evaluator: one pre-order walk builds the
+    /// arena view already packed as the dense view; every subsequent
+    /// [`eval`](Self::eval) reuses it.
     pub fn new(tree: &DataTree) -> Evaluator {
         let mut ev = Evaluator {
-            n: 0,
-            words: 0,
             ids: Vec::new(),
             labels: Vec::new(),
             parent: Vec::new(),
-            child_start: Vec::new(),
-            child_list: Vec::new(),
-            index_of: HashMap::new(),
+            first_child: Vec::new(),
+            next_sibling: Vec::new(),
+            slot_of: HashMap::new(),
+            free_head: NIL,
+            live: 0,
+            dense: false,
+            words: 0,
             label_rows: HashMap::new(),
             ones: Vec::new(),
-            stale: true,
-            scratch: Vec::new(),
-            scratch_counts: Vec::new(),
-            scratch_states: Vec::new(),
+            invalidated: true,
+            stack: Vec::new(),
+            refresh_nodes_read: 0,
         };
         ev.refresh(tree);
         ev
     }
 
-    /// Rebuilds the snapshot after `tree` was mutated, reusing the
-    /// existing allocations (including the snapshot buffer itself, via
-    /// [`DataTree::preorder_snapshot_into`]). This is the blunt fallback
-    /// of the refresh protocol — and the oracle the edit-proportional
+    /// Re-reads the whole of `tree` after it was mutated, reusing the
+    /// existing allocations. This is the blunt fallback of the refresh
+    /// protocol — and the oracle the edit-proportional
     /// [`refresh_after`](Self::refresh_after) is tested against; see
-    /// [`invalidate`](Self::invalidate).
+    /// [`invalidate`](Self::invalidate). Slots are handed out in
+    /// pre-order, so the dense view is valid again afterwards.
     pub fn refresh(&mut self, tree: &DataTree) {
-        // Take the scratch buffer out of `self` so the walk can fill it
-        // while the snapshot arrays are rebuilt.
-        let mut flat = std::mem::take(&mut self.scratch);
-        tree.preorder_snapshot_into(&mut flat);
-        let n = flat.len();
-        self.n = n;
-        self.words = word_count(n);
-
+        let n = tree.len();
+        for v in [&mut self.parent, &mut self.first_child, &mut self.next_sibling] {
+            v.clear();
+            v.reserve(n);
+        }
         self.ids.clear();
-        self.labels.clear();
-        self.parent.clear();
-        self.index_of.clear();
         self.ids.reserve(n);
+        self.labels.clear();
         self.labels.reserve(n);
-        self.parent.reserve(n);
-        self.index_of.reserve(n);
+        self.slot_of.clear();
+        self.slot_of.reserve(n);
+        self.free_head = NIL;
+        self.live = 0;
+        let mut path = Vec::new();
+        tree.for_each_preorder(tree.root_id(), |id, label, depth| {
+            self.place(&mut path, id, label, depth);
+        })
+        .expect("the root is live");
+        // Slots are handed out in order, so the map fills in one pass.
+        self.slot_of.extend(self.ids.iter().zip(0..).map(|(&id, slot)| (id, slot)));
+        self.pack_rows();
+        self.invalidated = false;
+    }
 
-        // CSR: count children per node, prefix-sum, then scatter. Pre-order
-        // guarantees parent indices precede their children.
-        let mut counts = std::mem::take(&mut self.scratch_counts);
-        counts.clear();
-        counts.resize(n + 1, 0);
-        for (i, (id, label, parent)) in flat.iter().enumerate() {
-            self.ids.push(*id);
-            self.labels.push(*label);
-            self.index_of.insert(*id, i as u32);
-            match parent {
-                Some(p) => {
-                    debug_assert!(*p < i, "pre-order parents come first");
-                    self.parent.push(*p as u32);
-                    counts[*p] += 1;
+    /// Refreshes the evaluator **proportionally to one applied edit**,
+    /// described by the [`EditScope`] that [`xuc_xtree::apply_undoable`]
+    /// (or [`xuc_xtree::undo`]) returned for it.
+    ///
+    /// * A relabel patches the node's label, and the two affected cached
+    ///   label rows when the dense view is valid — no walk.
+    /// * An id replacement patches the node's id and its map entry.
+    /// * A structural scope rooted at `r` frees `r`'s old descendants and
+    ///   re-reads `r`'s current subtree from `tree`: O(old + new subtree
+    ///   of `r`), counted by
+    ///   [`EngineCounters::refresh_nodes_read`](crate::EngineCounters::refresh_nodes_read).
+    ///   The dense view goes stale and is re-packed by the next bitset
+    ///   entry point that needs it; the set-at-a-time passes do not.
+    /// * A structural scope with an unknown root, or rooted at the tree
+    ///   root, is the full [`refresh`](Self::refresh).
+    ///
+    /// An [invalidated](Self::invalidate) evaluator may not match the
+    /// tree the scope describes, so it takes the full `refresh` whatever
+    /// the scope. Otherwise the scope must describe the **single** edit
+    /// separating the evaluator's state from `tree`'s current state; for
+    /// a batch of edits, call this once per edit as it is applied (or
+    /// undone).
+    pub fn refresh_after(&mut self, tree: &DataTree, scope: &EditScope) {
+        if self.invalidated {
+            return self.refresh(tree);
+        }
+        match scope {
+            EditScope::Relabel { node, from, to } => {
+                let i = self.slot_named(*node, "relabeled") as usize;
+                debug_assert_eq!(self.labels[i], *from, "scope does not match the evaluator");
+                self.labels[i] = *to;
+                if self.dense {
+                    if let Some(row) = self.label_rows.get_mut(from) {
+                        clear_bit(row, i);
+                    }
+                    if let Some(row) = self.label_rows.get_mut(to) {
+                        set_bit(row, i);
+                    }
                 }
-                None => self.parent.push(NO_PARENT),
             }
-        }
-        self.child_start.clear();
-        self.child_start.resize(n + 1, 0);
-        let mut acc = 0u32;
-        for (start, count) in self.child_start[..n].iter_mut().zip(&counts) {
-            *start = acc;
-            acc += count;
-        }
-        self.child_start[n] = acc;
-        self.child_list.clear();
-        self.child_list.resize(acc as usize, 0);
-        // Reuse `counts` as the scatter cursor.
-        counts[..n].copy_from_slice(&self.child_start[..n]);
-        for (i, &p) in self.parent.iter().enumerate() {
-            if p != NO_PARENT {
-                self.child_list[counts[p as usize] as usize] = i as u32;
-                counts[p as usize] += 1;
+            EditScope::ReplaceId { from, to } => {
+                let i = self
+                    .slot_of
+                    .remove(from)
+                    .unwrap_or_else(|| panic!("replaced node {from} not in snapshot"));
+                self.slot_of.insert(*to, i);
+                self.ids[i as usize] = *to;
             }
+            EditScope::Structural { root: Some(r) } => self.reread_below(tree, *r),
+            EditScope::Structural { root: None } => self.refresh(tree),
         }
-        self.scratch_counts = counts;
-        self.scratch = flat;
+    }
 
+    /// The structural arm of [`refresh_after`](Self::refresh_after):
+    /// frees `r`'s old descendants, then re-reads its current subtree.
+    fn reread_below(&mut self, tree: &DataTree, r: NodeId) {
+        let top = match self.slot_of.get(&r) {
+            Some(&top) if top != 0 && tree.contains(r) => top,
+            _ => return self.refresh(tree),
+        };
+        // Freed slots thread the free list through `parent`, which the
+        // walk does not read, so they can be freed as they are visited.
+        let mut freed = 0;
+        walk_below(&self.first_child, &self.next_sibling, &mut self.stack, top, 0, |_, v| {
+            self.slot_of.remove(&self.ids[v as usize]);
+            self.parent[v as usize] = self.free_head;
+            self.free_head = v;
+            freed += 1;
+            0
+        });
+        self.first_child[top as usize] = NIL;
+        self.live -= freed;
+        let mut path = vec![top];
+        let read = tree
+            .for_each_preorder(r, |id, label, depth| {
+                if depth > 0 {
+                    let slot = self.place(&mut path, id, label, depth);
+                    self.slot_of.insert(id, slot);
+                }
+            })
+            .expect("checked live above");
+        self.dense = false;
+        let n = (freed + read) as u64;
+        self.refresh_nodes_read += n;
+        crate::stats::bump(&crate::stats::REFRESH_NODES_READ, n);
+    }
+
+    /// Stores one node of a pre-order read at `depth` below the read's
+    /// top and links it as the last child of its parent: `path` holds the
+    /// slots of the current root path, so `path[depth]`, when present, is
+    /// the previous sibling. Slots come off the free list first (or grow
+    /// the arena); the caller maps the id.
+    fn place(&mut self, path: &mut Vec<u32>, id: NodeId, label: Label, depth: usize) -> u32 {
+        let prev = path.get(depth).copied();
+        path.truncate(depth);
+        let parent = path.last().copied().unwrap_or(NIL);
+        let slot = if self.free_head != NIL {
+            let slot = self.free_head;
+            let s = slot as usize;
+            self.free_head = self.parent[s];
+            self.ids[s] = id;
+            self.labels[s] = label;
+            self.parent[s] = parent;
+            self.first_child[s] = NIL;
+            self.next_sibling[s] = NIL;
+            slot
+        } else {
+            let slot = self.ids.len() as u32;
+            assert!(slot != NIL, "arena full (u32::MAX slots)");
+            self.ids.push(id);
+            self.labels.push(label);
+            self.parent.push(parent);
+            self.first_child.push(NIL);
+            self.next_sibling.push(NIL);
+            slot
+        };
+        match prev {
+            Some(p) => self.next_sibling[p as usize] = slot,
+            None if parent != NIL => self.first_child[parent as usize] = slot,
+            None => {}
+        }
+        path.push(slot);
+        self.live += 1;
+        slot
+    }
+
+    /// Restores the dense view if a structural edit left it stale: packs
+    /// the arena in pre-order (one walk of the arena, counted as a full
+    /// pre-order walk) and re-derives the cached label rows.
+    fn ensure_dense(&mut self) {
+        if self.dense {
+            return;
+        }
+        xuc_xtree::note_preorder_walk();
+        let n = self.live;
+        let ids = std::mem::replace(&mut self.ids, Vec::with_capacity(n));
+        let labels = std::mem::replace(&mut self.labels, Vec::with_capacity(n));
+        let first_child = std::mem::replace(&mut self.first_child, Vec::with_capacity(n));
+        let next_sibling = std::mem::replace(&mut self.next_sibling, Vec::with_capacity(n));
+        self.parent = Vec::with_capacity(n);
+        self.free_head = NIL;
+        self.live = 0;
+        let mut packed_of = vec![NIL; ids.len()];
+        let mut path = Vec::new();
+        packed_of[0] = self.place(&mut path, ids[0], labels[0], 0);
+        let mut stack = std::mem::take(&mut self.stack);
+        walk_below(&first_child, &next_sibling, &mut stack, 0, 0, |depth, v| {
+            let v = v as usize;
+            packed_of[v] = self.place(&mut path, ids[v], labels[v], depth as usize + 1);
+            depth + 1
+        });
+        self.stack = stack;
+        for slot in self.slot_of.values_mut() {
+            *slot = packed_of[*slot as usize];
+        }
+        self.pack_rows();
+    }
+
+    /// Sizes the dense view's rows to the packed arena and re-derives the
+    /// cached label rows from `labels` in one pass (rows for labels no
+    /// longer present become zero rows — still correct answers).
+    fn pack_rows(&mut self) {
+        debug_assert_eq!(self.ids.len(), self.live, "the arena must be packed");
+        let n = self.live;
+        self.words = word_count(n);
         self.ones.clear();
         self.ones.resize(self.words, !0u64);
         if !n.is_multiple_of(64) && self.words > 0 {
             self.ones[self.words - 1] = (1u64 << (n % 64)) - 1;
         }
-
-        // Re-derive the cached label rows from the new `labels` array in
-        // one pass instead of discarding the cache: rows for labels no
-        // longer present simply become zero rows (still correct answers).
         for row in self.label_rows.values_mut() {
             row.clear();
             row.resize(self.words, 0);
@@ -351,70 +529,35 @@ impl Evaluator {
                 set_bit(row, v);
             }
         }
-        self.stale = false;
+        self.dense = true;
     }
 
-    /// Refreshes the snapshot **proportionally to one applied edit**,
-    /// described by the [`EditScope`] that [`xuc_xtree::apply_undoable`]
-    /// (or [`xuc_xtree::undo`]) returned for it.
-    ///
-    /// * A relabel patches `labels[i]` and the two affected cached label
-    ///   rows in place — no walk, no `HashMap` churn.
-    /// * An id replacement patches `ids[i]` and its `index_of` entry.
-    /// * Structural scopes fall back to the full [`refresh`](Self::refresh)
-    ///   (which itself reuses every allocation, including the label-row
-    ///   cache).
-    ///
-    /// The scope must describe the **single** edit separating the
-    /// snapshotted state from `tree`'s current state; for a batch of
-    /// edits, call this once per edit as it is applied (or undone).
-    pub fn refresh_after(&mut self, tree: &DataTree, scope: &EditScope) {
-        match scope {
-            EditScope::Relabel { node, from, to } => {
-                let i = *self
-                    .index_of
-                    .get(node)
-                    .unwrap_or_else(|| panic!("relabeled node {node} not in snapshot"))
-                    as usize;
-                debug_assert_eq!(self.labels[i], *from, "scope does not match snapshot");
-                self.labels[i] = *to;
-                if let Some(row) = self.label_rows.get_mut(from) {
-                    clear_bit(row, i);
-                }
-                if let Some(row) = self.label_rows.get_mut(to) {
-                    set_bit(row, i);
-                }
-                self.stale = false;
-            }
-            EditScope::ReplaceId { from, to } => {
-                let i = self
-                    .index_of
-                    .remove(from)
-                    .unwrap_or_else(|| panic!("replaced node {from} not in snapshot"));
-                self.index_of.insert(*to, i);
-                self.ids[i as usize] = *to;
-                self.stale = false;
-            }
-            EditScope::Structural { .. } => self.refresh(tree),
-        }
-    }
-
-    /// Marks the snapshot stale. Call this when handing the underlying
+    /// Marks the evaluator stale. Call this when handing the underlying
     /// tree out for mutation; any evaluation before the matching
     /// [`refresh`](Self::refresh) panics instead of returning answers
-    /// computed against a dead snapshot.
+    /// computed against a dead snapshot, and
+    /// [`refresh_after`](Self::refresh_after) falls back to `refresh`.
     pub fn invalidate(&mut self) {
-        self.stale = true;
+        self.invalidated = true;
     }
 
-    /// Is the snapshot marked stale?
+    /// Is the evaluator marked stale by [`invalidate`](Self::invalidate)?
+    /// (A dense view awaiting its re-pack is not stale: the evaluator
+    /// still matches the tree.)
     pub fn is_stale(&self) -> bool {
-        self.stale
+        self.invalidated
+    }
+
+    /// Nodes freed or re-read by this evaluator's structural
+    /// [`refresh_after`](Self::refresh_after) calls so far: a pure
+    /// function of the edits it was fed. Monotone; diff two readings.
+    pub fn refresh_nodes_read(&self) -> u64 {
+        self.refresh_nodes_read
     }
 
     /// Number of nodes in the snapshot.
     pub fn len(&self) -> usize {
-        self.n
+        self.live
     }
 
     /// The snapshotted tree's root node.
@@ -427,9 +570,15 @@ impl Evaluator {
         false
     }
 
-    #[inline]
-    fn children(&self, v: usize) -> &[u32] {
-        &self.child_list[self.child_start[v] as usize..self.child_start[v + 1] as usize]
+    fn check_fresh(&self) {
+        assert!(
+            !self.invalidated,
+            "Evaluator used after invalidate(): call refresh(&tree) after mutating the tree"
+        );
+    }
+
+    fn slot_named(&self, id: NodeId, what: &str) -> u32 {
+        *self.slot_of.get(&id).unwrap_or_else(|| panic!("{what} node {id} not in snapshot"))
     }
 
     /// The bitset of nodes whose label passes `test` (cached per label).
@@ -457,7 +606,7 @@ impl Evaluator {
         out.resize(self.words, 0);
         for_each_set_bit(src, |w| {
             let p = self.parent[w];
-            if p != NO_PARENT {
+            if p != NIL {
                 set_bit(out, p as usize);
             }
         });
@@ -469,19 +618,19 @@ impl Evaluator {
     fn any_descendant(&self, src: &[u64], out: &mut Vec<u64>) {
         out.clear();
         out.resize(self.words, 0);
-        for v in (1..self.n).rev() {
+        for v in (1..self.live).rev() {
             if get_bit(src, v) || get_bit(out, v) {
                 set_bit(out, self.parent[v] as usize);
             }
         }
     }
 
-    /// Phase 1 + phase 2 producing the output-node frontier bitset.
-    fn frontier_of(&mut self, q: &Pattern, start_idx: usize) -> Vec<u64> {
-        assert!(
-            !self.stale,
-            "Evaluator used after invalidate(): call refresh(&tree) after mutating the tree"
-        );
+    /// Phase 1 + phase 2 producing the output-node frontier bitset of `q`
+    /// evaluated at `start`, on the dense view.
+    fn frontier_at(&mut self, q: &Pattern, start: NodeId) -> Vec<u64> {
+        self.check_fresh();
+        self.ensure_dense();
+        let start_idx = self.slot_named(start, "start") as usize;
         let words = self.words;
 
         // Phase 1: bottom-up subpattern satisfaction, one bitset row per
@@ -514,16 +663,18 @@ impl Evaluator {
             next.resize(words, 0);
             match q.axis(p) {
                 Axis::Child => {
-                    // Children of the frontier, via CSR.
+                    // Children of the frontier, along the sibling chains.
                     for_each_set_bit(&frontier, |v| {
-                        for &w in self.children(v) {
+                        let mut w = self.first_child[v];
+                        while w != NIL {
                             set_bit(&mut next, w as usize);
+                            w = self.next_sibling[w as usize];
                         }
                     });
                 }
                 Axis::Descendant => {
                     // has-frontier-proper-ancestor by pre-order propagation.
-                    for v in 1..self.n {
+                    for v in 1..self.live {
                         let pv = self.parent[v] as usize;
                         if get_bit(&frontier, pv) || get_bit(&next, pv) {
                             set_bit(&mut next, v);
@@ -550,10 +701,7 @@ impl Evaluator {
     /// # Panics
     /// Panics if `start` is not a node of the snapshotted tree.
     pub fn eval_at(&mut self, q: &Pattern, start: NodeId) -> BTreeSet<NodeRef> {
-        let start_idx =
-            *self.index_of.get(&start).unwrap_or_else(|| panic!("start node {start} not in tree"))
-                as usize;
-        let frontier = self.frontier_of(q, start_idx);
+        let frontier = self.frontier_at(q, start);
         let mut out = BTreeSet::new();
         for_each_set_bit(&frontier, |v| {
             out.insert(NodeRef { id: self.ids[v], label: self.labels[v] });
@@ -568,7 +716,7 @@ impl Evaluator {
     }
 
     /// Set-at-a-time batch evaluation: drives a pre-compiled
-    /// [`PatternSetAutomaton`] over the snapshot **once**, producing the
+    /// [`PatternSetAutomaton`] over the tree **once**, producing the
     /// same results as [`eval_all`](Self::eval_all) on the batch the
     /// automaton was compiled from. The cost is one automaton step plus
     /// one acceptance-row scan per node — independent of how many
@@ -577,11 +725,11 @@ impl Evaluator {
     /// cover (its [`fallbacks`](PatternSetAutomaton::fallbacks)) are
     /// evaluated per-pattern, so the result is always complete.
     ///
-    /// Cooperates with the edit-scope refresh protocol: the pass reads
-    /// `labels` straight from the snapshot, so after a relabel patched in
-    /// O(1) by [`refresh_after`](Self::refresh_after) the very next
-    /// `eval_set` sees the new labels — no automaton recompilation, no
-    /// extra re-sync cost on the set path.
+    /// The pass runs on the arena view, so it follows every
+    /// [`refresh_after`](Self::refresh_after) at once — a relabel patched
+    /// in O(1), a structural edit re-read below its scope — with no
+    /// automaton recompilation and no dense re-pack (only predicate
+    /// fallbacks need the dense view).
     ///
     /// ```
     /// use xuc_automata::PatternSetCompiler;
@@ -627,28 +775,21 @@ impl Evaluator {
         set: &A,
         start: NodeId,
     ) -> Vec<BTreeSet<NodeRef>> {
-        assert!(
-            !self.stale,
-            "Evaluator used after invalidate(): call refresh(&tree) after mutating the tree"
-        );
+        self.check_fresh();
         crate::stats::bump(&crate::stats::EVAL_SET_SWEEPS, 1);
-        let start_idx =
-            *self.index_of.get(&start).unwrap_or_else(|| panic!("start node {start} not in tree"))
-                as usize;
+        let top = self.slot_named(start, "start");
         // Members are gathered per pattern and bulk-built at the end: a
         // bulk-built set fills every leaf and lays them out in order,
         // where inserting one by one leaves each leaf half full. Every
         // later walk of the set (admission splices, cloning it out in a
         // certificate) then touches about half the memory.
         let mut rows: Vec<Vec<NodeRef>> = vec![Vec::new(); set.pattern_count()];
-        let mut states = self.take_states();
-        states[start_idx] = set.start_state();
-        self.sweep_below(set, &mut states, start_idx, |v, s| {
-            for_each_set_bit(set.accept_row(s), |q| {
-                rows[q].push(NodeRef { id: self.ids[v], label: self.labels[v] });
-            });
+        let mut stack = std::mem::take(&mut self.stack);
+        self.sweep_below(set, &mut stack, top, set.start_state(), |v, s| {
+            let r = NodeRef { id: self.ids[v as usize], label: self.labels[v as usize] };
+            for_each_set_bit(set.accept_row(s), |q| rows[q].push(r));
         });
-        self.scratch_states = states;
+        self.stack = stack;
         let mut out: Vec<BTreeSet<NodeRef>> = rows.into_iter().map(BTreeSet::from_iter).collect();
 
         crate::stats::bump(&crate::stats::FALLBACK_PATTERN_EVALS, set.fallbacks().len() as u64);
@@ -658,59 +799,42 @@ impl Evaluator {
         out
     }
 
-    /// The reused per-node state buffer, every entry the [`NO_STATE`]
-    /// sentinel. Callers hand it back through `scratch_states`.
-    fn take_states(&mut self) -> Vec<u32> {
-        let mut states = std::mem::take(&mut self.scratch_states);
-        states.clear();
-        states.resize(self.n, NO_STATE);
-        states
-    }
-
-    /// The one set-at-a-time sweep: drives `set` over the pre-order
-    /// subtree strictly below `root`, whose state the caller has stored
-    /// in `states[root]`, calling `visit(v, state)` for each node. Parents
-    /// precede children, so every node's state derives from an
-    /// already-computed parent state. Pre-order also makes the subtree
-    /// contiguous, so the first node whose parent carries the sentinel is
-    /// past it — as is everything after it — and the sweep stops there.
-    /// Returns that end index.
+    /// The one set-at-a-time sweep: drives `set` over the subtree
+    /// strictly below slot `top`, whose own state is `state`, calling
+    /// `visit(slot, state)` for each node. [`walk_below`]'s
+    /// `(slot, state)` stack carries each parent's state to its children,
+    /// so the sweep touches nothing outside the subtree.
     fn sweep_below<A: PatternSetAutomaton + ?Sized>(
         &self,
         set: &A,
-        states: &mut [u32],
-        root: usize,
-        mut visit: impl FnMut(usize, u32),
-    ) -> usize {
-        for v in root + 1..self.n {
-            let ps = states[self.parent[v] as usize];
-            if ps == NO_STATE {
-                return v;
-            }
-            let s = set.step(ps, self.labels[v]);
-            states[v] = s;
+        stack: &mut Vec<(u32, u32)>,
+        top: u32,
+        state: u32,
+        mut visit: impl FnMut(u32, u32),
+    ) {
+        walk_below(&self.first_child, &self.next_sibling, stack, top, state, |ps, v| {
+            let s = set.step(ps, self.labels[v as usize]);
             visit(v, s);
-        }
-        self.n
+            s
+        });
     }
 
-    /// The dirty subtree roots of `region` as sorted, deduplicated
-    /// snapshot indices — structural roots plus relabeled nodes (a
-    /// relabel dirties its whole subtree: every descendant's label path
-    /// runs through it). `None` when the region names a node this
-    /// snapshot cannot account for (stale region → callers fall back to
-    /// the full pass). Relabeled nodes that the region knows were deleted
-    /// are skipped: the deletion's structural root covers their former
-    /// subtree.
-    fn dirty_root_indices(&self, region: &DirtyRegion) -> Option<Vec<usize>> {
-        let mut roots: Vec<usize> =
+    /// The dirty subtree roots of `region` as sorted, deduplicated slots —
+    /// structural roots plus relabeled nodes (a relabel dirties its whole
+    /// subtree: every descendant's label path runs through it). `None`
+    /// when the region names a node this snapshot cannot account for
+    /// (stale region → callers fall back to the full pass). Relabeled
+    /// nodes that the region knows were deleted are skipped: the
+    /// deletion's structural root covers their former subtree.
+    fn dirty_root_slots(&self, region: &DirtyRegion) -> Option<Vec<u32>> {
+        let mut roots: Vec<u32> =
             Vec::with_capacity(region.structural_roots().len() + region.relabels().len());
         for id in region.structural_roots() {
-            roots.push(*self.index_of.get(id)? as usize);
+            roots.push(*self.slot_of.get(id)?);
         }
         for (id, _) in region.relabels() {
-            match self.index_of.get(id) {
-                Some(&i) => roots.push(i as usize),
+            match self.slot_of.get(id) {
+                Some(&i) => roots.push(i),
                 None if region.removed().iter().any(|r| r.id == *id) => {}
                 None => return None,
             }
@@ -720,38 +844,54 @@ impl Evaluator {
         Some(roots)
     }
 
-    /// Re-drives `set` below each dirty root (`roots`: sorted snapshot
-    /// indices) through [`sweep_below`](Self::sweep_below). Each root's
-    /// state is replayed along its ancestor path (`O(depth)`); roots
-    /// nested inside an earlier range are skipped. Distinct surviving
-    /// subtrees are disjoint, so the sentinel array needs no clearing
-    /// between sweeps: a parent state written by an earlier sweep always
-    /// belongs to the same subtree.
+    /// Is slot `v` inside the subtree of one of `roots` (sorted slots),
+    /// itself included? An ancestor walk: O(depth · log roots).
+    fn below_any(&self, mut v: u32, roots: &[u32]) -> bool {
+        loop {
+            if roots.binary_search(&v).is_ok() {
+                return true;
+            }
+            if v == 0 {
+                return false;
+            }
+            v = self.parent[v as usize];
+        }
+    }
+
+    /// Re-drives `set` below each dirty root (`roots`: sorted slots)
+    /// through [`sweep_below`](Self::sweep_below). One ancestor walk per
+    /// root both replays its state along the path (`O(depth)`) and skips
+    /// it when another dirty root lies above it: that root's sweep covers
+    /// it.
     fn sweep_dirty_roots<A: PatternSetAutomaton + ?Sized>(
         &mut self,
         set: &A,
-        roots: &[usize],
+        roots: &[u32],
     ) -> DirtySweep {
         let mut touched = Vec::new();
-        let mut fresh: Vec<Vec<usize>> = vec![Vec::new(); set.pattern_count()];
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(roots.len());
-        let mut states = self.take_states();
+        let mut fresh: Vec<Vec<u32>> = vec![Vec::new(); set.pattern_count()];
+        let mut kept = Vec::with_capacity(roots.len());
+        let mut stack = std::mem::take(&mut self.stack);
+        let mut path = Vec::new();
         for &ri in roots {
-            if ranges.last().is_some_and(|&(_, end)| ri < end) {
+            path.clear();
+            let (mut v, mut nested) = (ri, false);
+            while v != 0 && !nested {
+                path.push(v);
+                v = self.parent[v as usize];
+                nested = roots.binary_search(&v).is_ok();
+            }
+            if nested {
                 continue;
             }
-            // Replay the root's state along its ancestor path (the root's
-            // own label is consumed: states are root-anchored, exactly as
-            // in eval_set's sweep from the tree root).
-            let mut path = Vec::new();
-            let mut v = ri;
-            while v != 0 {
-                path.push(v);
-                v = self.parent[v] as usize;
-            }
-            let s = path.iter().rev().fold(set.start_state(), |s, &w| set.step(s, self.labels[w]));
-            states[ri] = s;
-            let mut visit = |v: usize, s: u32| {
+            // The root's own label is consumed: states are root-anchored,
+            // exactly as in eval_set's sweep from the tree root.
+            let s = path
+                .iter()
+                .rev()
+                .fold(set.start_state(), |s, &w| set.step(s, self.labels[w as usize]));
+            kept.push(ri);
+            let mut visit = |v: u32, s: u32| {
                 touched.push(v);
                 for_each_set_bit(set.accept_row(s), |q| fresh[q].push(v));
             };
@@ -760,11 +900,10 @@ impl Evaluator {
                 // a member — patterns match strictly below it).
                 visit(ri, s);
             }
-            let end = self.sweep_below(set, &mut states, ri, &mut visit);
-            ranges.push((ri, end));
+            self.sweep_below(set, &mut stack, ri, s, &mut visit);
         }
-        self.scratch_states = states;
-        DirtySweep { touched, fresh, ranges }
+        self.stack = stack;
+        DirtySweep { touched, fresh, roots: kept }
     }
 
     /// Edit-proportional batch evaluation, **in place**: the commit hot
@@ -867,10 +1006,7 @@ impl Evaluator {
         region: &DirtyRegion,
         sets: &mut [BTreeSet<NodeRef>],
     ) -> Option<SpliceJournal> {
-        assert!(
-            !self.stale,
-            "Evaluator used after invalidate(): call refresh(&tree) after mutating the tree"
-        );
+        self.check_fresh();
         if region.is_full() || !set.fallbacks().is_empty() || sets.len() != set.pattern_count() {
             return None;
         }
@@ -879,22 +1015,24 @@ impl Evaluator {
         if region.is_clean() {
             return Some(journal);
         }
-        let roots = self.dirty_root_indices(region)?;
-        let DirtySweep { touched, fresh, ranges } = self.sweep_dirty_roots(set, &roots);
+        let roots = self.dirty_root_slots(region)?;
+        let DirtySweep { touched, fresh, roots: swept } = self.sweep_dirty_roots(set, &roots);
         // A dirty region covering most of the document (a root-level move
         // in a small tree) makes targeted splicing slower than one clean
         // sweep: hand it back before any mutation.
-        if touched.len().saturating_mul(k.max(1)) > 4 * self.n {
+        if touched.len().saturating_mul(k.max(1)) > 4 * self.live {
             return None;
         }
         crate::stats::bump(&crate::stats::DIRTY_ROOTS_SWEPT, roots.len() as u64);
         crate::stats::bump(&crate::stats::DIRTY_NODES_SWEPT, touched.len() as u64);
+        let node = |v: u32| NodeRef { id: self.ids[v as usize], label: self.labels[v as usize] };
 
         // 1. Targeted removals: every baseline entry inside a dirty
         //    subtree, under its pre-batch label, plus every deleted ref.
         for &v in &touched {
-            let id = self.ids[v];
-            let old = NodeRef { id, label: region.original_label(id).unwrap_or(self.labels[v]) };
+            let now = node(v);
+            let old =
+                NodeRef { id: now.id, label: region.original_label(now.id).unwrap_or(now.label) };
             for (i, row) in sets.iter_mut().enumerate() {
                 if row.remove(&old) {
                     journal.events[i].push((old, false));
@@ -910,17 +1048,12 @@ impl Evaluator {
         }
         // 2. Pinpoint id swaps: a target alive outside the dirty subtrees
         //    carries its membership to the new id; a dead or re-derived
-        //    target only evicts the pre-batch entry. (The swept ranges
-        //    are sorted and disjoint, so "inside" is a binary search.)
-        let in_ranges = |idx: usize| {
-            let p = ranges.partition_point(|&(s, _)| s <= idx);
-            p > 0 && idx < ranges[p - 1].1
-        };
+        //    target only evicts the pre-batch entry.
         for sw in region.id_swaps() {
             let old = NodeRef { id: sw.from, label: sw.label };
-            let alive_outside = match self.index_of.get(&sw.to) {
-                Some(&ix) if !in_ranges(ix as usize) => {
-                    debug_assert_eq!(self.labels[ix as usize], sw.label, "swap label drifted");
+            let alive_outside = match self.slot_of.get(&sw.to) {
+                Some(&v) if !self.below_any(v, &swept) => {
+                    debug_assert_eq!(self.labels[v as usize], sw.label, "swap label drifted");
                     true
                 }
                 _ => false,
@@ -938,9 +1071,9 @@ impl Evaluator {
             }
         }
         // 3. Fresh membership below the dirty roots.
-        for (i, idxs) in fresh.iter().enumerate() {
-            for &v in idxs {
-                let r = NodeRef { id: self.ids[v], label: self.labels[v] };
+        for (i, slots) in fresh.iter().enumerate() {
+            for &v in slots {
+                let r = node(v);
                 if sets[i].insert(r) {
                     journal.events[i].push((r, true));
                 }
@@ -951,7 +1084,7 @@ impl Evaluator {
 
     /// The id set of `q(I)` (constraints compare ranges by id).
     pub fn eval_ids(&mut self, q: &Pattern) -> BTreeSet<NodeId> {
-        let frontier = self.frontier_of(q, 0);
+        let frontier = self.frontier_at(q, self.ids[0]);
         let mut out = BTreeSet::new();
         for_each_set_bit(&frontier, |v| {
             out.insert(self.ids[v]);
@@ -961,10 +1094,7 @@ impl Evaluator {
 
     /// Does `q`, read as a boolean query, hold below `start`?
     pub fn holds_below(&mut self, q: &Pattern, start: NodeId) -> bool {
-        let start_idx =
-            *self.index_of.get(&start).unwrap_or_else(|| panic!("start node {start} not in tree"))
-                as usize;
-        !is_zero(&self.frontier_of(q, start_idx))
+        !is_zero(&self.frontier_at(q, start))
     }
 }
 
@@ -1152,39 +1282,112 @@ mod tests {
     #[test]
     fn interleaved_scoped_refreshes_match_full_refresh() {
         // A mixed apply/undo sequence where every step goes through
-        // refresh_after, checked against a from-scratch evaluator.
-        let mut t = parse_term("root(a#1(b#2(c#3),d#4),e#5)").unwrap();
+        // refresh_after — inserts, deletes, splices and moves (one whose
+        // LCA is the root) between relabels and id swaps — checked
+        // against a from-scratch evaluator on every entry point.
+        let mut t = parse_term("root(a#1(b#2(c#3),d#4),e#5,a#6(x#7))").unwrap();
         let queries: Vec<_> =
             ["/a", "//b", "/a/b[/c]", "//*", "/a[/d]//c"].map(|s| parse(s).unwrap()).into();
+        let set = DepthOneA { fallback: Vec::new() };
         let mut ev = Evaluator::new(&t);
         for q in &queries {
             ev.eval(q); // prime caches
         }
         let ops = [
             Update::Relabel { node: NodeId::from_raw(4), label: Label::new("b") },
+            Update::InsertLeaf {
+                parent: NodeId::from_raw(2),
+                id: NodeId::from_raw(20),
+                label: Label::new("c"),
+            },
             Update::DeleteNode { node: NodeId::from_raw(2) },
             Update::Relabel { node: NodeId::from_raw(3), label: Label::new("a") },
             Update::Move { node: NodeId::from_raw(3), new_parent: NodeId::from_raw(5) },
+            Update::DeleteSubtree { node: NodeId::from_raw(7) },
+            Update::InsertLeaf {
+                parent: NodeId::from_raw(6),
+                id: NodeId::from_raw(21),
+                label: Label::new("b"),
+            },
+            Update::Move { node: NodeId::from_raw(20), new_parent: NodeId::from_raw(21) },
             Update::ReplaceId { node: NodeId::from_raw(5), new_id: NodeId::from_raw(50) },
         ];
+        let check = |ev: &mut Evaluator, t: &xuc_xtree::DataTree, ctx: &str| {
+            let mut oracle = Evaluator::new(t);
+            assert_eq!(ev.len(), oracle.len(), "{ctx}");
+            assert_eq!(ev.root(), oracle.root(), "{ctx}");
+            assert_eq!(ev.eval_set(&set), oracle.eval_set(&set), "{ctx}");
+            assert_eq!(ev.eval_all(&queries), oracle.eval_all(&queries), "{ctx}");
+            for id in t.node_ids() {
+                for q in &queries {
+                    assert_eq!(ev.eval_at(q, id), oracle.eval_at(q, id), "{ctx} / {q} at {id}");
+                }
+            }
+        };
         let mut stack = Vec::new();
         for op in &ops {
             let (token, scope) = apply_undoable(&mut t, op).unwrap();
             stack.push(token);
             ev.refresh_after(&t, &scope);
-            let mut oracle = Evaluator::new(&t);
-            for q in &queries {
-                assert_eq!(ev.eval(q), oracle.eval(q), "{op} / {q}");
-            }
+            check(&mut ev, &t, &format!("{op}"));
         }
         while let Some(token) = stack.pop() {
             let scope = undo(&mut t, token).unwrap();
             ev.refresh_after(&t, &scope);
+            check(&mut ev, &t, "undo");
         }
-        let mut oracle = Evaluator::new(&t);
-        for q in &queries {
-            assert_eq!(ev.eval(q), oracle.eval(q), "after full unwind / {q}");
-        }
+    }
+
+    #[test]
+    fn refresh_after_an_invalidate_refreshes_fully() {
+        // The tree changes behind the evaluator's back after invalidate();
+        // a later scoped refresh cannot vouch for those edits, so it must
+        // re-read the whole tree rather than patch and clear the guard.
+        let mut t = parse_term("root(a#1(b#2),a#3)").unwrap();
+        let mut ev = Evaluator::new(&t);
+        ev.invalidate();
+        t.add(NodeId::from_raw(3), "b").unwrap();
+        let op = Update::Relabel { node: NodeId::from_raw(2), label: Label::new("c") };
+        let (_token, scope) = apply_undoable(&mut t, &op).unwrap();
+        ev.refresh_after(&t, &scope);
+        assert!(!ev.is_stale());
+        let q = parse("/a/b").unwrap();
+        assert_eq!(ev.eval(&q).len(), 1, "b under a#3 is visible");
+        assert_eq!(ev.eval(&q), Evaluator::new(&t).eval(&q));
+    }
+
+    #[test]
+    fn structural_refresh_reads_the_scope_and_repacks_on_demand() {
+        // A structural scoped refresh re-reads only the scope root's
+        // subtree; the set pass runs on it without a walk, and the first
+        // bitset entry point re-packs the dense view once.
+        let mut t = parse_term("root(a#1(b#2,b#3),a#4(b#5),a#6)").unwrap();
+        let set = DepthOneA { fallback: Vec::new() };
+        let q = parse("/a/b").unwrap();
+        let mut ev = Evaluator::new(&t);
+        let (walks, read) = (xuc_xtree::preorder_walk_count(), ev.refresh_nodes_read());
+        let op = Update::InsertLeaf {
+            parent: NodeId::from_raw(4),
+            id: NodeId::from_raw(7),
+            label: Label::new("b"),
+        };
+        let (token, scope) = apply_undoable(&mut t, &op).unwrap();
+        ev.refresh_after(&t, &scope);
+        let scope = undo(&mut t, token).unwrap();
+        ev.refresh_after(&t, &scope);
+        let (_token, scope) =
+            apply_undoable(&mut t, &Update::DeleteSubtree { node: NodeId::from_raw(2) }).unwrap();
+        ev.refresh_after(&t, &scope);
+        // Old descendants freed plus the new subtree read: below a#4
+        // 1 + 3, then 2 + 2; below a#1 2 + 2.
+        assert_eq!(ev.refresh_nodes_read() - read, 12);
+        assert_eq!(ev.eval_set(&set), Evaluator::new(&t).eval_set(&set));
+        let walks_after_oracle = xuc_xtree::preorder_walk_count();
+        assert_eq!(walks_after_oracle - walks, 1, "only the oracle walked");
+        assert_eq!(ids(&ev.eval(&q)), vec![3, 5]);
+        assert_eq!(xuc_xtree::preorder_walk_count() - walks_after_oracle, 1, "one re-pack");
+        assert_eq!(ids(&ev.eval(&q)), vec![3, 5]);
+        assert_eq!(xuc_xtree::preorder_walk_count() - walks_after_oracle, 1, "packed once");
     }
 
     /// A hand-rolled two-state automaton for the batch `["/a", "/x[/b]"]`:

@@ -11,6 +11,9 @@
 //! from-scratch passes after every edit and every undo of the same
 //! sequences, including regions that merge into ancestor scopes and
 //! declined splices; its journal must revert the baseline exactly.
+//! Structural edits kept in sync by `refresh_after` alone — scope-root
+//! re-reads on the arena, dense re-packs on demand — are pinned against
+//! a from-scratch evaluator on every entry point.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -450,6 +453,84 @@ proptest! {
         }
         prop_assert!(work.identified_eq(&tree), "full unwind must restore the seed");
         prop_assert_eq!(inc.eval_set(&compiled), base);
+    }
+
+    #[test]
+    fn structural_refresh_after_matches_a_fresh_evaluator(
+        tree in tree_strategy(14),
+        q1 in pattern_strategy(5),
+        q2 in pattern_strategy(4),
+        q3 in pattern_strategy_with(4, false),
+        ops in proptest::collection::vec(
+            (0..5usize, 0..64usize, 0..64usize, any::<bool>()),
+            1..10,
+        ),
+    ) {
+        // Random structural sequences (leaf inserts, subtree and node
+        // deletes, moves — some under the root, so their LCA is the
+        // root) applied and undone through refresh_after alone. After
+        // every checked step the maintained evaluator must equal a
+        // from-scratch one on every entry point, and a splice of the
+        // baseline must equal eval_set and the naive oracle. Unchecked
+        // steps chain structural re-reads with no evaluation between.
+        let batch = vec![q1, q2, q3];
+        let compiled = PatternSetCompiler::compile(&batch);
+        let mut work = tree.clone();
+        let mut inc = Evaluator::new(&work);
+        let base = inc.eval_set(&compiled);
+        let mut region = DirtyRegion::new();
+        let check = |inc: &mut Evaluator, work: &DataTree, region: &DirtyRegion, ctx: &str| {
+            let mut fresh = Evaluator::new(work);
+            prop_assert_eq!(inc.len(), fresh.len(), "len after {}", ctx);
+            prop_assert_eq!(inc.root(), fresh.root(), "root after {}", ctx);
+            check_splice(inc, &compiled, &batch, work, region, &base, ctx);
+            prop_assert_eq!(inc.eval_set(&compiled), fresh.eval_set(&compiled), "{}", ctx);
+            prop_assert_eq!(inc.eval_all(&batch), fresh.eval_all(&batch), "{}", ctx);
+            for id in work.node_ids() {
+                for q in &batch {
+                    prop_assert_eq!(inc.eval_at(q, id), fresh.eval_at(q, id), "{} / {}", ctx, q);
+                }
+            }
+        };
+        let mut stack = Vec::new();
+        for (op_choice, pick_a, pick_b, checked) in ops {
+            let ids = work.node_ids();
+            let target = if ids.len() > 1 { ids[1 + pick_a % (ids.len() - 1)] } else { ids[0] };
+            let other = ids[pick_b % ids.len()];
+            let op = match op_choice {
+                0 => Update::InsertLeaf {
+                    parent: other,
+                    id: NodeId::fresh(),
+                    label: Label::new(LABELS[pick_a % LABELS.len()]),
+                },
+                1 => Update::DeleteSubtree { node: target },
+                2 => Update::DeleteNode { node: target },
+                3 => Update::Move { node: target, new_parent: other },
+                _ => Update::Move { node: target, new_parent: work.root_id() },
+            };
+            let doomed = match &op {
+                Update::DeleteSubtree { node } => work.subtree_nodes(*node).ok(),
+                Update::DeleteNode { node } => work.node(*node).ok().map(|r| vec![r]),
+                _ => None,
+            };
+            let Ok((token, scope)) = apply_undoable(&mut work, &op) else { continue };
+            stack.push(token);
+            if let Some(refs) = doomed {
+                region.record_removals(&refs);
+            }
+            inc.refresh_after(&work, &scope);
+            region.record(&work, &scope);
+            if checked {
+                check(&mut inc, &work, &region, &format!("apply {op}"));
+            }
+        }
+        while let Some(token) = stack.pop() {
+            let scope = undo(&mut work, token).unwrap();
+            inc.refresh_after(&work, &scope);
+            region.record(&work, &scope);
+            check(&mut inc, &work, &region, "undo");
+        }
+        prop_assert!(work.identified_eq(&tree), "full unwind must restore the seed");
     }
 
     #[test]

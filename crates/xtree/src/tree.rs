@@ -30,12 +30,15 @@ use std::collections::HashMap;
 use std::fmt;
 
 thread_local! {
-    /// Per-thread count of full pre-order walks performed by
-    /// [`DataTree::preorder_snapshot_into`] (and its allocating wrapper).
-    /// Tests use the delta of [`preorder_walk_count`] to assert that
-    /// edit-proportional refresh paths really do avoid O(n) re-walks;
-    /// thread-local so concurrently running tests (or search shards)
-    /// cannot inflate each other's deltas.
+    /// Per-thread count of full pre-order walks: every
+    /// [`DataTree::for_each_preorder`] from the root (which
+    /// [`DataTree::preorder_snapshot_into`] and its allocating wrapper
+    /// run), plus every document-sized rebuild a snapshot holder reports
+    /// through [`note_preorder_walk`]. Tests use the delta of
+    /// [`preorder_walk_count`] to assert that edit-proportional refresh
+    /// paths really do avoid O(n) re-walks; thread-local so concurrently
+    /// running tests (or search shards) cannot inflate each other's
+    /// deltas.
     static PREORDER_WALKS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -43,6 +46,14 @@ thread_local! {
 /// calling thread**. Monotone; only deltas are meaningful.
 pub fn preorder_walk_count() -> u64 {
     PREORDER_WALKS.with(Cell::get)
+}
+
+/// Records one full pre-order walk made outside the tree: a snapshot
+/// holder that rebuilds a document-sized view from its own copy (the
+/// XPath evaluator's dense pre-order view) reports it here, so no O(n)
+/// rebuild escapes [`preorder_walk_count`].
+pub fn note_preorder_walk() {
+    PREORDER_WALKS.with(|c| c.set(c.get() + 1));
 }
 
 /// Sentinel for "no slot" in the structural link arrays.
@@ -491,54 +502,55 @@ impl DataTree {
     }
 
     /// Like [`preorder_snapshot`](Self::preorder_snapshot), but fills a
-    /// caller-owned buffer (cleared first) so repeated snapshots — e.g. an
-    /// evaluator refreshing after every candidate edit — reuse one heap
-    /// allocation instead of allocating a fresh triple `Vec` per call.
-    ///
-    /// Implemented as an iterative sibling-chain walk over the dense
-    /// arrays: no recursion (stack-safe at any depth) and no per-node
-    /// heap traffic beyond the output buffer and an ancestor stack of
-    /// height-many indices.
+    /// caller-owned buffer (cleared first) so repeated snapshots reuse
+    /// one heap allocation instead of allocating a fresh triple `Vec` per
+    /// call.
     pub fn preorder_snapshot_into(&self, out: &mut Vec<(NodeId, Label, Option<usize>)>) {
-        PREORDER_WALKS.with(|c| c.set(c.get() + 1));
         out.clear();
         out.reserve(self.live);
         // Output indices of the current root path; `last()` is the
         // parent index for the node being emitted.
         let mut ancestors: Vec<usize> = Vec::new();
-        let mut slot = self.root;
-        loop {
-            let my_index = out.len();
-            out.push((
-                self.ids[slot as usize],
-                self.labels[slot as usize],
-                ancestors.last().copied(),
-            ));
-            let fc = self.first_child[slot as usize];
-            if fc != NIL {
-                ancestors.push(my_index);
-                slot = fc;
-                continue;
-            }
-            loop {
-                if slot == self.root {
-                    return;
-                }
-                let ns = self.next_sibling[slot as usize];
-                if ns != NIL {
-                    slot = ns;
-                    break;
-                }
-                slot = self.parent[slot as usize];
-                ancestors.pop();
-            }
-        }
+        self.for_each_preorder(self.root_id(), |id, label, depth| {
+            ancestors.truncate(depth);
+            ancestors.push(out.len());
+            out.push((id, label, depth.checked_sub(1).map(|d| ancestors[d])));
+        })
+        .expect("the root is live");
     }
 
-    /// Iterative pre-order walk with depth, for depth-aware consumers
-    /// (height, rendering).
-    fn walk_depth(&self, f: &mut impl FnMut(u32, usize)) {
-        let mut slot = self.root;
+    /// Calls `f(id, label, depth)` for every node of `id`'s subtree
+    /// (inclusive) in pre-order, `depth` counted from `id` (0 for `id`
+    /// itself), and returns the number of nodes visited. A node's parent
+    /// is the last node visited at `depth - 1`, so a caller can rebuild
+    /// the subtree's links with a stack of height-many entries.
+    ///
+    /// Implemented as an iterative sibling-chain walk over the dense
+    /// arrays: no recursion (stack-safe at any depth) and no heap
+    /// traffic. A walk from the root counts as one full pre-order walk
+    /// ([`preorder_walk_count`]); a walk below it costs its subtree.
+    pub fn for_each_preorder(
+        &self,
+        id: NodeId,
+        mut f: impl FnMut(NodeId, Label, usize),
+    ) -> Result<usize, TreeError> {
+        let start = self.slot(id)?;
+        if start == self.root {
+            note_preorder_walk();
+        }
+        let mut visited = 0;
+        self.walk_depth_from(start, &mut |slot, depth| {
+            f(self.ids[slot as usize], self.labels[slot as usize], depth);
+            visited += 1;
+        });
+        Ok(visited)
+    }
+
+    /// Iterative pre-order walk of `start`'s subtree with depth counted
+    /// from `start`, for depth-aware consumers (height, rendering,
+    /// [`for_each_preorder`](Self::for_each_preorder)).
+    fn walk_depth_from(&self, start: u32, f: &mut impl FnMut(u32, usize)) {
+        let mut slot = start;
         let mut depth = 0usize;
         loop {
             f(slot, depth);
@@ -549,7 +561,7 @@ impl DataTree {
                 continue;
             }
             loop {
-                if slot == self.root {
+                if slot == start {
                     return;
                 }
                 let ns = self.next_sibling[slot as usize];
@@ -577,7 +589,7 @@ impl DataTree {
     /// Maximum depth over all nodes.
     pub fn height(&self) -> usize {
         let mut max = 0;
-        self.walk_depth(&mut |_, d| max = max.max(d));
+        self.walk_depth_from(self.root, &mut |_, d| max = max.max(d));
         max
     }
 
@@ -1075,7 +1087,7 @@ impl DataTree {
     /// Pretty indented rendering (ids and labels), for debugging and demos.
     pub fn render(&self) -> String {
         let mut s = String::new();
-        self.walk_depth(&mut |slot, depth| {
+        self.walk_depth_from(self.root, &mut |slot, depth| {
             for _ in 0..depth {
                 s.push_str("  ");
             }

@@ -20,8 +20,9 @@
 //!   → `to`); a derived snapshot patches one id-index entry.
 //! * [`EditScope::Structural`] — the pre-order layout changed; `root` is
 //!   the deepest node whose subtree contains every change (the LCA of
-//!   source and target parent for moves, `None` when unknown), and a full
-//!   re-snapshot is always a correct response.
+//!   source and target parent for moves, `None` when unknown), so a
+//!   derived snapshot re-reads that subtree; a full re-snapshot is always
+//!   a correct response.
 //!
 //! # The position-restoration invariant
 //!
@@ -118,8 +119,8 @@ pub fn apply_update(tree: &mut DataTree, update: &Update) -> Result<(), UpdateEr
 /// [`apply_undoable`] returns the scope of the edit it applied and
 /// [`undo`] returns the scope of the reversal, so snapshot holders can
 /// refresh **proportionally to the edit**: a relabel patches one label
-/// cell and two bitset words, an id swap patches one index entry, and
-/// only genuinely structural edits force a re-walk.
+/// cell and two bitset words, an id swap patches one index entry, and a
+/// structural edit re-reads the subtree below its `root`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EditScope {
     /// Only `node`'s label changed (`from` → `to`): ids, parents and the
