@@ -16,8 +16,8 @@
 //! A second group (`bench_refresh`, EXPERIMENTS.md §E-IR) measures the
 //! edit-scope refresh protocol: keeping an evaluator in sync across an
 //! apply/undo relabel via `refresh_after` (two bitset-word patches) versus
-//! the full `refresh` re-walk, plus the structural-edit path that re-reads
-//! the scope root's subtree.
+//! the full `refresh` re-walk, plus the structural-edit path that relinks
+//! the subtree its scope names.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -8,18 +8,19 @@
 //!   [`apply_undoable`], pushes the undo token, and re-syncs the warm
 //!   evaluator **proportionally to the edit** via
 //!   [`Evaluator::refresh_after`](xuc_xpath::Evaluator::refresh_after) and
-//!   the returned [`EditScope`] — the evaluator is
+//!   the returned [`EditScope`](xuc_xtree::EditScope) — the evaluator is
 //!   never stale, at any point of the session;
 //! * [`Session::commit`] runs the admission check **edit-proportionally**
 //!   ([`admit_delta_in_place`]): every applied scope is folded into a
 //!   [`DirtyRegion`], and
 //!   [`eval_set_splice`](xuc_xpath::Evaluator::eval_set_splice) re-drives
-//!   the suite's compiled automaton only below the batch's dirty subtrees,
-//!   patching the committed baseline in place and judging Definition 2.3
-//!   off its journal. Predicate suites and poisoned regions make the
-//!   splice decline, and the commit falls back to [`admit`], the one
-//!   full-pass admission ([`AdmissionMode::FullPass`] runs it
-//!   unconditionally) — identical verdicts and baselines either way,
+//!   the suite's compiled automaton only below the batch's dirty subtrees
+//!   — the subtrees whose root path changed, at any depth — patching the
+//!   committed baseline in place and judging Definition 2.3 off its
+//!   journal. Predicate suites make the splice decline, and the commit
+//!   falls back to [`admit`], the one full-pass admission
+//!   ([`AdmissionMode::FullPass`] runs it unconditionally) — identical
+//!   verdicts and baselines either way,
 //!   pinned by `tests/differential.rs`. Accepted batches re-certify
 //!   **incrementally**: each [`SpliceJournal`] event (an entry added to
 //!   or removed from a signed set) is folded into that set's additive
@@ -32,9 +33,9 @@
 //!   the undo stack in LIFO order. Undo is an *exact* inverse (child
 //!   positions restored), so the tree returns byte-identical to the
 //!   committed state. The evaluator re-syncs after every undo through
-//!   its scope, as `apply` does — O(1) per relabel or id swap, the scope
-//!   root's subtree per structural undo — and only a scope that is the
-//!   tree root (or unknown) falls back to one full re-read.
+//!   its scope, as `apply` does — O(1) per relabel or id swap, the
+//!   subtree the scope names per structural undo, at any depth — so a
+//!   rejected batch never re-reads the document.
 
 use crate::store::Document;
 use std::collections::BTreeSet;
@@ -43,7 +44,7 @@ use xuc_core::{Constraint, ConstraintKind};
 use xuc_sigstore::Signer;
 use xuc_telemetry::{Stage, Telemetry};
 use xuc_xpath::{Evaluator, SpliceJournal};
-use xuc_xtree::{apply_undoable, undo, DirtyRegion, EditScope, NodeRef, Undo, Update, UpdateError};
+use xuc_xtree::{apply_undoable, undo, DirtyRegion, NodeRef, Undo, Update, UpdateError};
 
 /// A committed batch's receipt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,8 +158,8 @@ fn close_span(tel: Option<&Telemetry>, stage: Stage, tag: u16, opened: Option<u6
 /// per ↓). On success `base_sets` **are** the admission pass's fresh
 /// range results (certify from them); on rejection the splice has been
 /// reverted and `base_sets` are byte-identical to the committed
-/// baselines. When the splice does not apply (predicate fallbacks,
-/// poisoned/stale region, or a dirty region so large the clean sweep is
+/// baselines. When the splice does not apply (predicate fallbacks, a
+/// stale region, or a dirty region so large the clean sweep is
 /// cheaper) it falls back to [`admit`] and `base_sets` is replaced
 /// wholesale on an accept.
 ///
@@ -431,28 +432,16 @@ impl<'a> Session<'a> {
     }
 
     /// Unwinds the undo stack LIFO, re-syncing the warm evaluator after
-    /// each undo through its scope: a relabel or id swap patches in
-    /// O(1), a structural undo re-reads its scope root's subtree. A scope
-    /// that is the tree root or unknown needs the whole document re-read
-    /// anyway, so from the first such scope on the remaining undos skip
-    /// their re-syncs and one [`Evaluator::refresh`] closes the unwind.
+    /// each undo through its scope: a relabel or id swap patches in O(1),
+    /// a structural undo relinks the subtree its scope names.
     fn unwind(&mut self) {
         let doc = &mut *self.doc;
-        let mut full = false;
         while let Some(token) = self.undo_stack.pop() {
             // Invariant, not fallible IO: every token on the stack was
             // minted by applying an update to exactly this tree, and
             // LIFO replay restores the positions each token assumes.
             let scope = undo(&mut doc.tree, token).expect("undo token applies to its own tree");
-            full = full
-                || matches!(scope, EditScope::Structural { root }
-                    if root.is_none_or(|r| r == doc.tree.root_id()));
-            if !full {
-                doc.ev.refresh_after(&doc.tree, &scope);
-            }
-        }
-        if full {
-            doc.ev.refresh(&doc.tree);
+            doc.ev.refresh_after(&doc.tree, &scope);
         }
         // The tree is back to the committed state: nothing is dirty.
         self.region.clear();

@@ -220,22 +220,73 @@ fn delta_admission_is_equivalent_to_full_admission() {
 
 /// Fixed inputs that the seeded streams are unlikely to draw, each a
 /// document, its suite and one batch that a from-scratch admission
-/// rejects. Both arms must reject it and stay converged.
+/// rejects. Both arms must reject it and stay converged, and the delta
+/// arm must not walk the document.
 fn pinned_inputs() -> Vec<(DocId, DataTree, Vec<Constraint>, Vec<Update>)> {
     let n = NodeId::from_raw;
-    vec![(
-        // The move records x#1 as a dirty root; renaming x#1 must carry
-        // the root along, or the insert under d#6 drops it and the splice
-        // never sees m#2 leave /x/m.
-        DocId::new("renamed-root"),
-        xuc_xtree::parse_term("root#100(x#1(m#2,c#3,d#6))").unwrap(),
-        vec![parse_constraint("(/x/m, ↑)").unwrap()],
-        vec![
-            Update::Move { node: n(2), new_parent: n(3) },
-            Update::ReplaceId { node: n(1), new_id: n(7001) },
-            Update::InsertLeaf { parent: n(6), id: n(7002), label: Label::new("z") },
-        ],
-    )]
+    let c = |s: &str| parse_constraint(s).unwrap();
+    let hospital = |s: &str| xuc_xtree::parse_term(s).unwrap();
+    vec![
+        (
+            // A structural root must follow its node across an id swap:
+            // left on the dead id, a later scope's ancestor check errs on
+            // it and the splice never sees m#2 leave /x/m.
+            DocId::new("renamed-root"),
+            hospital("root#100(x#1(m#2,c#3,d#6))"),
+            vec![c("(/x/m, ↑)")],
+            vec![
+                Update::Move { node: n(2), new_parent: n(3) },
+                Update::ReplaceId { node: n(1), new_id: n(7001) },
+                Update::InsertLeaf { parent: n(6), id: n(7002), label: Label::new("z") },
+            ],
+        ),
+        (
+            // The same with the moved node itself renamed, and an insert
+            // below it that its root must cover.
+            DocId::new("renamed-moved-root"),
+            hospital("root#110(x#111(m#112,c#113))"),
+            vec![c("(/x/m, ↑)")],
+            vec![
+                Update::Move { node: n(112), new_parent: n(113) },
+                Update::ReplaceId { node: n(112), new_id: n(7111) },
+                Update::InsertLeaf { parent: n(7111), id: n(7112), label: Label::new("z") },
+            ],
+        ),
+        (
+            // Move x, then delete x's new parent: the move's dirty root
+            // dies with the delete and must be dropped, not swept.
+            DocId::new("moved-then-deleted"),
+            hospital("hospital#200(patient#201(visit#202(report#203)),patient#204(visit#205))"),
+            vec![c("(/patient/visit, ↑)"), c("(//report, ↑)")],
+            vec![
+                Update::Move { node: n(202), new_parent: n(204) },
+                Update::DeleteSubtree { node: n(204) },
+            ],
+        ),
+        (
+            // Insert y under p, then splice p out: y and p's other child
+            // re-root under the hospital, and y now grows `/note`.
+            DocId::new("inserted-then-spliced"),
+            hospital("hospital#300(patient#301(visit#302),patient#303)"),
+            vec![c("(/note, ↓)"), c("(/patient, ↓)")],
+            vec![
+                Update::InsertLeaf { parent: n(301), id: n(7301), label: Label::new("note") },
+                Update::DeleteNode { node: n(301) },
+            ],
+        ),
+        (
+            // Splice a patient out, then move one of its former children
+            // to another patient: the other child's root path lost its
+            // `patient`, so `(/patient/clinicalTrial, ↑)` shrinks.
+            DocId::new("spliced-then-moved"),
+            hospital("hospital#400(patient#401(visit#402,clinicalTrial#403),patient#404)"),
+            vec![c("(/patient/visit, ↑)"), c("(/patient/clinicalTrial, ↑)")],
+            vec![
+                Update::DeleteNode { node: n(401) },
+                Update::Move { node: n(402), new_parent: n(404) },
+            ],
+        ),
+    ]
 }
 
 #[test]
@@ -250,7 +301,11 @@ fn pinned_inputs_reject_on_both_arms_and_stay_converged() {
         let req = Request { doc: id, updates };
         let vf = full.submit(&req);
         assert!(matches!(vf, Verdict::Rejected(_)), "{id}: full pass must reject, got {vf:?}");
+        // The walk counter is per thread, and the gateway admits on the
+        // submitting one: concurrently running tests cannot inflate it.
+        let walks = xuc_xtree::preorder_walk_count();
         assert_eq!(delta.submit(&req), vf, "{id}: verdicts diverged");
+        assert_eq!(xuc_xtree::preorder_walk_count(), walks, "{id}: the delta arm walked");
         assert_arms_converged(&delta, &full, &docs, key, &format!("pinned {id}"));
     }
 }
@@ -520,9 +575,10 @@ fn relabel_only_batches_admit_with_zero_walks() {
 }
 
 /// The structural twin: leaf inserts and subtree deletes below the root
-/// admit, and reject, with **zero** walks too — the evaluator re-reads
-/// only each scope root's subtree, the splice sweeps only below it, and a
-/// rejected batch unwinds through the same per-scope re-reads.
+/// admit, and reject, with **zero** walks too — the evaluator relinks
+/// only the subtree each scope names, the splice sweeps only below the
+/// dirty roots, and a rejected batch unwinds through the same per-scope
+/// relinks.
 #[test]
 fn structural_batches_admit_with_zero_walks() {
     let c = |s: &str| parse_constraint(s).unwrap();

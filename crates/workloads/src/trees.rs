@@ -234,14 +234,26 @@ mod tests {
             assert_eq!(batches.len(), 3);
             for batch in &batches {
                 assert_eq!(batch.len(), 8);
-                // Valid against the initial tree, and every edit scope is a
-                // patient-or-deeper subtree — never the hospital root.
+                // Valid against the initial tree, and every structural
+                // scope names the leaf it inserted or deleted: a subtree
+                // below a patient, never the hospital root.
                 let mut work = t.clone();
                 for u in batch {
+                    use xuc_xtree::{EditScope, Update};
+                    if let Update::DeleteSubtree { node } = u {
+                        assert_eq!(work.depth(*node).unwrap(), 2, "{u} is below a patient");
+                    }
                     let (_tok, scope) = xuc_xtree::apply_undoable(&mut work, u).unwrap();
-                    if let xuc_xtree::EditScope::Structural { root } = scope {
-                        let r = root.expect("local scopes are known");
-                        assert_ne!(r, work.root_id(), "{u} must not dirty the root");
+                    match (u, scope) {
+                        (Update::InsertLeaf { id, .. }, EditScope::Attached { node }) => {
+                            assert_eq!(node, *id, "{u}");
+                            assert_eq!(work.depth(node).unwrap(), 2, "{u} is below a patient");
+                        }
+                        (Update::DeleteSubtree { node: id }, EditScope::Detached { node }) => {
+                            assert_eq!(node, *id, "{u}");
+                        }
+                        (Update::Relabel { .. }, EditScope::Relabel { .. }) => {}
+                        (u, scope) => panic!("{u} reported {scope:?}"),
                     }
                 }
             }

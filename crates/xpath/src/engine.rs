@@ -10,12 +10,15 @@
 //! An [`Evaluator`] holds two views of one tree:
 //!
 //! * the **arena view**, always exact: per slot the node's id, label,
-//!   parent, first child and next sibling, plus one `NodeId → slot` map.
-//!   [`Evaluator::new`] and [`Evaluator::refresh`] read it from the tree
-//!   in one pre-order walk; [`Evaluator::refresh_after`] keeps it exact
-//!   in time proportional to one edit — a relabel patches a label, an id
-//!   swap one map entry, a structural edit frees the scope root's old
-//!   descendants and re-reads its current subtree;
+//!   parent, first child, next and previous sibling, plus one
+//!   `NodeId → slot` map. [`Evaluator::new`] and [`Evaluator::refresh`]
+//!   read it from the tree in one pre-order walk;
+//!   [`Evaluator::refresh_after`] keeps it exact in time proportional to
+//!   one edit — a relabel patches a label, an id swap one map entry, a
+//!   structural edit relinks the subtrees its scope names (an attached
+//!   subtree read in after its previous sibling, a detached one freed, a
+//!   spliced node's children handed to its parent), with O(1) unlinks
+//!   whatever the parent's fan-out;
 //! * the **dense view**, a cache: the arena packed in pre-order (slot =
 //!   pre-order index, parents before children) with lazily built
 //!   per-label `u64` bitset rows. A fresh read is already packed; after a
@@ -268,6 +271,9 @@ pub struct Evaluator {
     parent: Vec<u32>,
     first_child: Vec<u32>,
     next_sibling: Vec<u32>,
+    /// Previous sibling slot: unlinking a node is O(1) whatever its
+    /// parent's fan-out.
+    prev_sibling: Vec<u32>,
     slot_of: HashMap<NodeId, u32>,
     free_head: u32,
     live: usize,
@@ -304,6 +310,7 @@ impl Evaluator {
             parent: Vec::new(),
             first_child: Vec::new(),
             next_sibling: Vec::new(),
+            prev_sibling: Vec::new(),
             slot_of: HashMap::new(),
             free_head: NIL,
             live: 0,
@@ -327,7 +334,12 @@ impl Evaluator {
     /// pre-order, so the dense view is valid again afterwards.
     pub fn refresh(&mut self, tree: &DataTree) {
         let n = tree.len();
-        for v in [&mut self.parent, &mut self.first_child, &mut self.next_sibling] {
+        for v in [
+            &mut self.parent,
+            &mut self.first_child,
+            &mut self.next_sibling,
+            &mut self.prev_sibling,
+        ] {
             v.clear();
             v.reserve(n);
         }
@@ -357,26 +369,36 @@ impl Evaluator {
     /// * A relabel patches the node's label, and the two affected cached
     ///   label rows when the dense view is valid — no walk.
     /// * An id replacement patches the node's id and its map entry.
-    /// * A structural scope rooted at `r` frees `r`'s old descendants and
-    ///   re-reads `r`'s current subtree from `tree`: O(old + new subtree
-    ///   of `r`), counted by
-    ///   [`EngineCounters::refresh_nodes_read`](crate::EngineCounters::refresh_nodes_read).
-    ///   The dense view goes stale and is re-packed by the next bitset
-    ///   entry point that needs it; the set-at-a-time passes do not.
-    /// * A structural scope with an unknown root, or rooted at the tree
-    ///   root, is the full [`refresh`](Self::refresh).
+    /// * A structural scope relinks the arena view instead of re-reading
+    ///   a common ancestor: an [`Attached`](EditScope::Attached) node
+    ///   frees the slots its current subtree already owns (a moved node,
+    ///   an unspliced node's re-adopted children) and reads the subtree
+    ///   in, linked right after its previous sibling in `tree`; a
+    ///   [`Detached`](EditScope::Detached) node frees its subtree; a
+    ///   [`Spliced`](EditScope::Spliced) node hands its children to its
+    ///   parent, linked after their previous sibling in `tree`, and frees
+    ///   its slot. Unlinking is O(1) whatever the parent's fan-out, so
+    ///   the cost is the nodes of the named subtrees (the spliced node's
+    ///   children), counted by
+    ///   [`EngineCounters::refresh_nodes_read`](crate::EngineCounters::refresh_nodes_read),
+    ///   at any depth — a root-level move costs the moved subtree. The
+    ///   dense view goes stale and is re-packed by the next bitset entry
+    ///   point that needs it; the set-at-a-time passes do not.
     ///
     /// An [invalidated](Self::invalidate) evaluator may not match the
-    /// tree the scope describes, so it takes the full `refresh` whatever
-    /// the scope. Otherwise the scope must describe the **single** edit
-    /// separating the evaluator's state from `tree`'s current state; for
-    /// a batch of edits, call this once per edit as it is applied (or
-    /// undone).
+    /// tree the scope describes, so it takes the full
+    /// [`refresh`](Self::refresh) whatever the scope. Otherwise the scope
+    /// must describe the **single** edit separating the evaluator's state
+    /// from `tree`'s current state; for a batch of edits, call this once
+    /// per edit as it is applied (or undone).
+    ///
+    /// # Panics
+    /// Panics if the scope names a node the snapshot does not hold.
     pub fn refresh_after(&mut self, tree: &DataTree, scope: &EditScope) {
         if self.invalidated {
             return self.refresh(tree);
         }
-        match scope {
+        let touched = match scope {
             EditScope::Relabel { node, from, to } => {
                 let i = self.slot_named(*node, "relabeled") as usize;
                 debug_assert_eq!(self.labels[i], *from, "scope does not match the evaluator");
@@ -389,6 +411,7 @@ impl Evaluator {
                         set_bit(row, i);
                     }
                 }
+                return;
             }
             EditScope::ReplaceId { from, to } => {
                 let i = self
@@ -397,19 +420,83 @@ impl Evaluator {
                     .unwrap_or_else(|| panic!("replaced node {from} not in snapshot"));
                 self.slot_of.insert(*to, i);
                 self.ids[i as usize] = *to;
+                return;
             }
-            EditScope::Structural { root: Some(r) } => self.reread_below(tree, *r),
-            EditScope::Structural { root: None } => self.refresh(tree),
-        }
+            EditScope::Attached { node } => self.attach(tree, *node),
+            EditScope::Detached { node } => {
+                let v = self.slot_named(*node, "detached");
+                self.free_subtree(v)
+            }
+            EditScope::Spliced { node, .. } => self.splice_out(tree, *node),
+        };
+        self.dense = false;
+        let n = touched as u64;
+        self.refresh_nodes_read += n;
+        crate::stats::bump(&crate::stats::REFRESH_NODES_READ, n);
     }
 
-    /// The structural arm of [`refresh_after`](Self::refresh_after):
-    /// frees `r`'s old descendants, then re-reads its current subtree.
-    fn reread_below(&mut self, tree: &DataTree, r: NodeId) {
-        let top = match self.slot_of.get(&r) {
-            Some(&top) if top != 0 && tree.contains(r) => top,
-            _ => return self.refresh(tree),
-        };
+    /// The [`Attached`](EditScope::Attached) arm of
+    /// [`refresh_after`](Self::refresh_after): frees the slots `node`'s
+    /// current subtree already owns — `node`'s own, when it moved, else
+    /// its re-adopted children's — then reads the subtree in from `tree`
+    /// under its parent, right after its previous sibling. Returns the
+    /// nodes freed plus read.
+    fn attach(&mut self, tree: &DataTree, node: NodeId) -> usize {
+        let mut touched = 0;
+        if let Some(&v) = self.slot_of.get(&node) {
+            touched += self.free_subtree(v);
+        } else {
+            for c in tree.children_iter(node).expect("attached node is live") {
+                if let Some(&v) = self.slot_of.get(&c) {
+                    touched += self.free_subtree(v);
+                }
+            }
+        }
+        let parent = tree.parent(node).expect("live").expect("an attached node has a parent");
+        let mut path = vec![self.slot_named(parent, "attached node's parent")];
+        if let Some(prev) = tree.prev_sibling(node).expect("live") {
+            path.push(self.slot_named(prev, "attached node's previous sibling"));
+        }
+        touched += tree
+            .for_each_preorder(node, |id, label, depth| {
+                let slot = self.place(&mut path, id, label, depth + 1);
+                self.slot_of.insert(id, slot);
+            })
+            .expect("live");
+        touched
+    }
+
+    /// The [`Spliced`](EditScope::Spliced) arm of
+    /// [`refresh_after`](Self::refresh_after): relinks `node`'s children
+    /// under its parent after their previous sibling in `tree`, then frees
+    /// `node`'s slot. Returns the children moved plus one.
+    fn splice_out(&mut self, tree: &DataTree, node: NodeId) -> usize {
+        let v = self.slot_named(node, "spliced");
+        let parent = self.parent[v as usize];
+        self.unlink(v);
+        let mut c = self.first_child[v as usize];
+        let mut prev = NIL;
+        if c != NIL {
+            let first = self.ids[c as usize];
+            if let Some(p) = tree.prev_sibling(first).expect("promoted child is live") {
+                prev = self.slot_named(p, "promoted child's previous sibling");
+            }
+        }
+        let mut moved = 0;
+        while c != NIL {
+            let next = self.next_sibling[c as usize];
+            self.link(c, parent, prev);
+            (prev, c) = (c, next);
+            moved += 1;
+        }
+        self.release(v);
+        moved + 1
+    }
+
+    /// Unlinks slot `top` from its parent and frees it with its whole
+    /// arena subtree; returns the number of slots freed.
+    fn free_subtree(&mut self, top: u32) -> usize {
+        self.unlink(top);
         // Freed slots thread the free list through `parent`, which the
         // walk does not read, so they can be freed as they are visited.
         let mut freed = 0;
@@ -420,30 +507,62 @@ impl Evaluator {
             freed += 1;
             0
         });
-        self.first_child[top as usize] = NIL;
         self.live -= freed;
-        let mut path = vec![top];
-        let read = tree
-            .for_each_preorder(r, |id, label, depth| {
-                if depth > 0 {
-                    let slot = self.place(&mut path, id, label, depth);
-                    self.slot_of.insert(id, slot);
-                }
-            })
-            .expect("checked live above");
-        self.dense = false;
-        let n = (freed + read) as u64;
-        self.refresh_nodes_read += n;
-        crate::stats::bump(&crate::stats::REFRESH_NODES_READ, n);
+        self.release(top);
+        freed + 1
+    }
+
+    /// Frees one unlinked slot: unmaps its id and pushes it on the free
+    /// list.
+    fn release(&mut self, slot: u32) {
+        self.slot_of.remove(&self.ids[slot as usize]);
+        self.parent[slot as usize] = self.free_head;
+        self.free_head = slot;
+        self.live -= 1;
+    }
+
+    /// Links `slot` under `parent` right after the sibling `prev` (as the
+    /// first child when `prev` is `NIL`; a root when `parent` is `NIL`).
+    fn link(&mut self, slot: u32, parent: u32, prev: u32) {
+        let s = slot as usize;
+        let next = if prev != NIL {
+            std::mem::replace(&mut self.next_sibling[prev as usize], slot)
+        } else if parent != NIL {
+            std::mem::replace(&mut self.first_child[parent as usize], slot)
+        } else {
+            NIL
+        };
+        self.parent[s] = parent;
+        self.prev_sibling[s] = prev;
+        self.next_sibling[s] = next;
+        if next != NIL {
+            self.prev_sibling[next as usize] = slot;
+        }
+    }
+
+    /// Unlinks `slot` from its parent's child list in O(1) (its own
+    /// links are left for the caller to relink or free).
+    fn unlink(&mut self, slot: u32) {
+        let s = slot as usize;
+        let (prev, next) = (self.prev_sibling[s], self.next_sibling[s]);
+        if prev != NIL {
+            self.next_sibling[prev as usize] = next;
+        } else {
+            self.first_child[self.parent[s] as usize] = next;
+        }
+        if next != NIL {
+            self.prev_sibling[next as usize] = prev;
+        }
     }
 
     /// Stores one node of a pre-order read at `depth` below the read's
-    /// top and links it as the last child of its parent: `path` holds the
-    /// slots of the current root path, so `path[depth]`, when present, is
-    /// the previous sibling. Slots come off the free list first (or grow
-    /// the arena); the caller maps the id.
+    /// top: `path` holds the slots of the current root path, so
+    /// `path[depth - 1]` is the parent and `path[depth]`, when present,
+    /// the previous sibling, after which the node is linked. Slots come
+    /// off the free list first (or grow the arena); the caller maps the
+    /// id.
     fn place(&mut self, path: &mut Vec<u32>, id: NodeId, label: Label, depth: usize) -> u32 {
-        let prev = path.get(depth).copied();
+        let prev = path.get(depth).copied().unwrap_or(NIL);
         path.truncate(depth);
         let parent = path.last().copied().unwrap_or(NIL);
         let slot = if self.free_head != NIL {
@@ -452,25 +571,20 @@ impl Evaluator {
             self.free_head = self.parent[s];
             self.ids[s] = id;
             self.labels[s] = label;
-            self.parent[s] = parent;
             self.first_child[s] = NIL;
-            self.next_sibling[s] = NIL;
             slot
         } else {
             let slot = self.ids.len() as u32;
             assert!(slot != NIL, "arena full (u32::MAX slots)");
             self.ids.push(id);
             self.labels.push(label);
-            self.parent.push(parent);
+            self.parent.push(NIL);
             self.first_child.push(NIL);
             self.next_sibling.push(NIL);
+            self.prev_sibling.push(NIL);
             slot
         };
-        match prev {
-            Some(p) => self.next_sibling[p as usize] = slot,
-            None if parent != NIL => self.first_child[parent as usize] = slot,
-            None => {}
-        }
+        self.link(slot, parent, prev);
         path.push(slot);
         self.live += 1;
         slot
@@ -490,6 +604,7 @@ impl Evaluator {
         let first_child = std::mem::replace(&mut self.first_child, Vec::with_capacity(n));
         let next_sibling = std::mem::replace(&mut self.next_sibling, Vec::with_capacity(n));
         self.parent = Vec::with_capacity(n);
+        self.prev_sibling = Vec::with_capacity(n);
         self.free_head = NIL;
         self.live = 0;
         let mut packed_of = vec![NIL; ids.len()];
@@ -824,8 +939,9 @@ impl Evaluator {
     /// subtree: every descendant's label path runs through it). `None`
     /// when the region names a node this snapshot cannot account for
     /// (stale region → callers fall back to the full pass). Relabeled
-    /// nodes that the region knows were deleted are skipped: the
-    /// deletion's structural root covers their former subtree.
+    /// nodes that the region knows were deleted are skipped (their
+    /// removals are recorded refs), and so is a relabeled tree root:
+    /// patterns match strictly below it, so its label is on no path.
     fn dirty_root_slots(&self, region: &DirtyRegion) -> Option<Vec<u32>> {
         let mut roots: Vec<u32> =
             Vec::with_capacity(region.structural_roots().len() + region.relabels().len());
@@ -834,6 +950,7 @@ impl Evaluator {
         }
         for (id, _) in region.relabels() {
             match self.slot_of.get(id) {
+                Some(0) => {}
                 Some(&i) => roots.push(i),
                 None if region.removed().iter().any(|r| r.id == *id) => {}
                 None => return None,
@@ -895,11 +1012,9 @@ impl Evaluator {
                 touched.push(v);
                 for_each_set_bit(set.accept_row(s), |q| fresh[q].push(v));
             };
-            if ri != 0 {
-                // The dirty root's own membership (the tree root is never
-                // a member — patterns match strictly below it).
-                visit(ri, s);
-            }
+            // The dirty root's own membership (never the tree root's:
+            // dirty roots lie strictly below it).
+            visit(ri, s);
             self.sweep_below(set, &mut stack, ri, s, &mut visit);
         }
         self.stack = stack;
@@ -943,10 +1058,9 @@ impl Evaluator {
     ///
     /// Returns `None` — with `sets` untouched — when the splice argument
     /// does not apply (predicate [`fallbacks`](PatternSetAutomaton::fallbacks),
-    /// whose membership is not path-determined; a poisoned
-    /// ([`DirtyRegion::is_full`]) or stale region, naming nodes not in the
-    /// snapshot; a width mismatch) or when the dirty region is so large
-    /// that the full pass is cheaper; callers then run
+    /// whose membership is not path-determined; a stale region, naming
+    /// nodes not in the snapshot; a width mismatch) or when the dirty
+    /// region is so large that the full pass is cheaper; callers then run
     /// [`eval_set`](Self::eval_set). The property suite in
     /// `tests/prop.rs` pins the spliced sets against `eval_set`,
     /// `eval_all` and the naive oracle after every edit and undo; the
@@ -1007,7 +1121,7 @@ impl Evaluator {
         sets: &mut [BTreeSet<NodeRef>],
     ) -> Option<SpliceJournal> {
         self.check_fresh();
-        if region.is_full() || !set.fallbacks().is_empty() || sets.len() != set.pattern_count() {
+        if !set.fallbacks().is_empty() || sets.len() != set.pattern_count() {
             return None;
         }
         let k = set.pattern_count();
@@ -1052,16 +1166,15 @@ impl Evaluator {
         for sw in region.id_swaps() {
             let old = NodeRef { id: sw.from, label: sw.label };
             let alive_outside = match self.slot_of.get(&sw.to) {
-                Some(&v) if !self.below_any(v, &swept) => {
-                    debug_assert_eq!(self.labels[v as usize], sw.label, "swap label drifted");
-                    true
-                }
-                _ => false,
+                Some(&v) if !self.below_any(v, &swept) => Some(v),
+                _ => None,
             };
             for (i, row) in sets.iter_mut().enumerate() {
                 if row.remove(&old) {
                     journal.events[i].push((old, false));
-                    if alive_outside {
+                    if let Some(v) = alive_outside {
+                        // A member outside the swept subtrees kept its label.
+                        debug_assert_eq!(self.labels[v as usize], sw.label, "swap label drifted");
                         let new = NodeRef { id: sw.to, label: sw.label };
                         if row.insert(new) {
                             journal.events[i].push((new, true));
@@ -1282,8 +1395,8 @@ mod tests {
     #[test]
     fn interleaved_scoped_refreshes_match_full_refresh() {
         // A mixed apply/undo sequence where every step goes through
-        // refresh_after — inserts, deletes, splices and moves (one whose
-        // LCA is the root) between relabels and id swaps — checked
+        // refresh_after — inserts, deletes, splices and moves (one across
+        // the root) between relabels and id swaps — checked
         // against a from-scratch evaluator on every entry point.
         let mut t = parse_term("root(a#1(b#2(c#3),d#4),e#5,a#6(x#7))").unwrap();
         let queries: Vec<_> =
@@ -1358,8 +1471,8 @@ mod tests {
 
     #[test]
     fn structural_refresh_reads_the_scope_and_repacks_on_demand() {
-        // A structural scoped refresh re-reads only the scope root's
-        // subtree; the set pass runs on it without a walk, and the first
+        // A structural scoped refresh touches only the subtree its scope
+        // names; the set pass runs on it without a walk, and the first
         // bitset entry point re-packs the dense view once.
         let mut t = parse_term("root(a#1(b#2,b#3),a#4(b#5),a#6)").unwrap();
         let set = DepthOneA { fallback: Vec::new() };
@@ -1378,9 +1491,8 @@ mod tests {
         let (_token, scope) =
             apply_undoable(&mut t, &Update::DeleteSubtree { node: NodeId::from_raw(2) }).unwrap();
         ev.refresh_after(&t, &scope);
-        // Old descendants freed plus the new subtree read: below a#4
-        // 1 + 3, then 2 + 2; below a#1 2 + 2.
-        assert_eq!(ev.refresh_nodes_read() - read, 12);
+        // One leaf read in, the same leaf freed, then b#2 freed.
+        assert_eq!(ev.refresh_nodes_read() - read, 3);
         assert_eq!(ev.eval_set(&set), Evaluator::new(&t).eval_set(&set));
         let walks_after_oracle = xuc_xtree::preorder_walk_count();
         assert_eq!(walks_after_oracle - walks, 1, "only the oracle walked");
@@ -1388,6 +1500,42 @@ mod tests {
         assert_eq!(xuc_xtree::preorder_walk_count() - walks_after_oracle, 1, "one re-pack");
         assert_eq!(ids(&ev.eval(&q)), vec![3, 5]);
         assert_eq!(xuc_xtree::preorder_walk_count() - walks_after_oracle, 1, "packed once");
+    }
+
+    #[test]
+    fn root_level_edits_cost_the_subtrees_they_name() {
+        // Under a wide root, moves across it, splices and deletes of its
+        // children and inserts under it cost the nodes of the subtrees
+        // their scopes name — never the root's fan-out.
+        let mut t = xuc_xtree::DataTree::new("root");
+        let root = t.root_id();
+        let kids: Vec<NodeId> = (0..500).map(|_| t.add(root, "a").unwrap()).collect();
+        let leaf = t.add(kids[7], "b").unwrap();
+        let set = DepthOneA { fallback: Vec::new() };
+        let mut ev = Evaluator::new(&t);
+        let mut stack = Vec::new();
+        for (op, cost) in [
+            (Update::Move { node: leaf, new_parent: kids[400] }, 2),
+            (Update::InsertLeaf { parent: root, id: NodeId::fresh(), label: Label::new("a") }, 1),
+            (Update::DeleteNode { node: kids[400] }, 2),
+            (Update::Move { node: kids[3], new_parent: kids[450] }, 2),
+            (Update::DeleteSubtree { node: kids[450] }, 2),
+        ] {
+            let read = ev.refresh_nodes_read();
+            let (token, scope) = apply_undoable(&mut t, &op).unwrap();
+            stack.push(token);
+            ev.refresh_after(&t, &scope);
+            assert_eq!(ev.refresh_nodes_read() - read, cost, "{op}");
+            assert_eq!(ev.eval_set(&set), Evaluator::new(&t).eval_set(&set), "{op}");
+        }
+        while let Some(token) = stack.pop() {
+            let read = ev.refresh_nodes_read();
+            let scope = undo(&mut t, token).unwrap();
+            ev.refresh_after(&t, &scope);
+            assert!(ev.refresh_nodes_read() - read <= 4, "undo to {scope:?}");
+            assert_eq!(ev.eval_set(&set), Evaluator::new(&t).eval_set(&set), "undo");
+        }
+        assert_eq!(ev.len(), t.len());
     }
 
     /// A hand-rolled two-state automaton for the batch `["/a", "/x[/b]"]`:
@@ -1470,7 +1618,9 @@ mod tests {
             region.record(&t, &scope);
             stack.push(token);
         }
-        assert_eq!(region.structural_roots(), [NodeId::from_raw(1)]);
+        // The deleted subtree leaves removed refs, not a dirty root.
+        assert!(region.structural_roots().is_empty());
+        assert_eq!(region.removed().len(), 1);
         assert_eq!(region.relabels(), [(NodeId::from_raw(4), Label::new("x"))]);
         assert_eq!(region.id_swaps().len(), 1);
 
@@ -1550,15 +1700,13 @@ mod tests {
         let journal = ev.eval_set_splice(&set, &DirtyRegion::new(), &mut sets).expect("clean");
         assert!(journal.is_empty());
         assert_eq!(sets, base);
-        // Poisoned region: declined, sets untouched for the full pass.
-        let mut full = DirtyRegion::new();
-        full.record(&t, &EditScope::Structural { root: None });
-        assert!(ev.eval_set_splice(&set, &full, &mut sets).is_none());
-        assert_eq!(sets, base);
-        // Whole-tree dirty root: recompute-everything still equals it.
+        // A relabeled tree root dirties nothing: its label is on no
+        // pattern's path.
         let mut rooted = DirtyRegion::new();
-        rooted.record(&t, &EditScope::Structural { root: Some(t.root_id()) });
-        ev.eval_set_splice(&set, &rooted, &mut sets).expect("whole-tree root splices");
+        let root = Label::new("root");
+        rooted.record(&t, &EditScope::Relabel { node: t.root_id(), from: root, to: root });
+        let journal = ev.eval_set_splice(&set, &rooted, &mut sets).expect("root relabel splices");
+        assert!(journal.is_empty());
         assert_eq!(sets, base);
         // Mismatched baseline width: declined, nothing touched.
         assert!(ev.eval_set_splice(&set, &rooted, &mut []).is_none());

@@ -41,9 +41,9 @@ pub struct EngineCounters {
     pub splice_attempts: u64,
     /// Splices that produced a journal (the edit-proportional path).
     pub splice_commits: u64,
-    /// Splices that declined (predicate fallbacks, poisoned/stale
-    /// region, width mismatch, or oversize dirty region) — the caller
-    /// then pays a full sweep.
+    /// Splices that declined (predicate fallbacks, stale region, width
+    /// mismatch, or oversize dirty region) — the caller then pays a full
+    /// sweep.
     pub splice_declined: u64,
     /// Dirty subtree roots re-driven by committed splices.
     pub dirty_roots_swept: u64,
@@ -52,8 +52,9 @@ pub struct EngineCounters {
     pub dirty_nodes_swept: u64,
     /// Nodes freed or re-read by structural
     /// [`Evaluator::refresh_after`](crate::Evaluator::refresh_after)
-    /// calls: the old plus the new subtree of each scope root. (Full
-    /// rebuilds are counted as walks by `xuc_xtree::preorder_walk_count`.)
+    /// calls: the nodes of the subtrees each scope names (old plus new
+    /// for a moved one). (Full rebuilds are counted as walks by
+    /// `xuc_xtree::preorder_walk_count`.)
     pub refresh_nodes_read: u64,
 }
 

@@ -11,9 +11,11 @@
 //! from-scratch passes after every edit and every undo of the same
 //! sequences, including regions that merge into ancestor scopes and
 //! declined splices; its journal must revert the baseline exactly.
-//! Structural edits kept in sync by `refresh_after` alone — scope-root
-//! re-reads on the arena, dense re-packs on demand — are pinned against
-//! a from-scratch evaluator on every entry point.
+//! Structural edits kept in sync by `refresh_after` alone — arena relinks
+//! of the subtrees each scope names, dense re-packs on demand — are pinned against
+//! a from-scratch evaluator on every entry point, including batches of
+//! root-level moves, splices, deletes and inserts whose re-sync must
+//! cost the subtrees their scopes name.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -87,6 +89,21 @@ fn pattern_strategy_with(max_nodes: usize, allow_desc: bool) -> impl Strategy<Va
             }
             b2.finish(cur)
         })
+    })
+}
+
+/// Strategy: a random **linear** pattern (a chain of `/` and `//` steps),
+/// the class the set automaton compiles and the splice re-derives.
+fn linear_pattern_strategy(max_steps: usize) -> impl Strategy<Value = Pattern> {
+    proptest::collection::vec((any::<bool>(), 0..=LABELS.len()), 1..max_steps).prop_map(|steps| {
+        let axis_of = |b: bool| if b { Axis::Descendant } else { Axis::Child };
+        let test_of = |t: usize| if t == LABELS.len() { "*" } else { LABELS[t] };
+        let mut b = PatternBuilder::new(axis_of(steps[0].0), test_of(steps[0].1));
+        let mut last = b.root();
+        for &(desc, t) in &steps[1..] {
+            last = b.add(last, axis_of(desc), test_of(t));
+        }
+        b.finish(last)
     })
 }
 
@@ -467,8 +484,8 @@ proptest! {
         ),
     ) {
         // Random structural sequences (leaf inserts, subtree and node
-        // deletes, moves — some under the root, so their LCA is the
-        // root) applied and undone through refresh_after alone. After
+        // deletes, moves — some under the root) applied and undone
+        // through refresh_after alone. After
         // every checked step the maintained evaluator must equal a
         // from-scratch one on every entry point, and a splice of the
         // baseline must equal eval_set and the naive oracle. Unchecked
@@ -531,6 +548,91 @@ proptest! {
             check(&mut inc, &work, &region, "undo");
         }
         prop_assert!(work.identified_eq(&tree), "full unwind must restore the seed");
+    }
+
+    #[test]
+    fn root_level_batches_relink_and_splice_like_the_full_pass(
+        tree in tree_strategy(16),
+        q1 in linear_pattern_strategy(4),
+        q2 in linear_pattern_strategy(4),
+        q3 in linear_pattern_strategy(3),
+        ops in proptest::collection::vec((0..7usize, 0..64usize, 0..64usize), 1..10),
+    ) {
+        // Batches of root-level edits — moves across the root, splices
+        // and deletes of the root's children, inserts under the root —
+        // mixed with deeper inserts and relabels, so recorded dirty roots
+        // die (a delete above them) or get re-rooted (a splice above
+        // them) later in the batch. Each scope names only the subtrees
+        // whose root path changed, so after every apply and every undo
+        // the maintained evaluator must equal a from-scratch one, the
+        // splice must equal eval_set and the naive oracle, every recorded
+        // root must be live, and the re-sync must cost the named
+        // subtrees, never the root's fan-out.
+        let batch = vec![q1, q2, q3];
+        let compiled = PatternSetCompiler::compile(&batch);
+        let mut work = tree.clone();
+        let root = work.root_id();
+        let mut inc = Evaluator::new(&work);
+        let base = inc.eval_set(&compiled);
+        let mut region = DirtyRegion::new();
+        let check = |inc: &mut Evaluator, work: &DataTree, region: &DirtyRegion, ctx: &str| {
+            let mut fresh = Evaluator::new(work);
+            prop_assert_eq!(inc.len(), fresh.len(), "len after {}", ctx);
+            prop_assert!(region.structural_roots().iter().all(|&r| work.contains(r)), "{}", ctx);
+            check_splice(inc, &compiled, &batch, work, region, &base, ctx);
+            prop_assert_eq!(inc.eval_set(&compiled), fresh.eval_set(&compiled), "{}", ctx);
+            prop_assert_eq!(inc.eval_all(&batch), fresh.eval_all(&batch), "{}", ctx);
+        };
+        let mut stack = Vec::new();
+        for (op_choice, pick_a, pick_b) in ops {
+            let ids = work.node_ids();
+            let kids = work.children(root).unwrap();
+            let any = ids[pick_a % ids.len()];
+            let kid = |pick: usize| kids.get(pick % kids.len().max(1)).copied().unwrap_or(root);
+            let grandchild = work.children(kid(pick_a)).unwrap().first().copied().unwrap_or(any);
+            let label = Label::new(LABELS[pick_b % LABELS.len()]);
+            let op = match op_choice {
+                0 => Update::Move { node: any, new_parent: root },
+                1 => Update::Move { node: grandchild, new_parent: kid(pick_b) },
+                2 => Update::DeleteNode { node: kid(pick_a) },
+                3 => Update::DeleteSubtree { node: kid(pick_a) },
+                4 => Update::InsertLeaf { parent: root, id: NodeId::fresh(), label },
+                5 => Update::InsertLeaf { parent: any, id: NodeId::fresh(), label },
+                _ => Update::Relabel { node: any, label },
+            };
+            let doomed = match &op {
+                Update::DeleteSubtree { node } => work.subtree_nodes(*node).ok(),
+                Update::DeleteNode { node } => work.node(*node).ok().map(|r| vec![r]),
+                _ => None,
+            };
+            // What the scope may cost: the moved or deleted subtree, the
+            // spliced node's children, one inserted leaf.
+            let bound = match &op {
+                Update::Move { node, .. } | Update::DeleteSubtree { node } => {
+                    work.subtree_nodes(*node).map_or(0, |n| 2 * n.len() as u64)
+                }
+                Update::DeleteNode { node } => work.children(*node).map_or(0, |c| c.len() as u64 + 1),
+                _ => 1,
+            };
+            let read = inc.refresh_nodes_read();
+            let Ok((token, scope)) = apply_undoable(&mut work, &op) else { continue };
+            stack.push(token);
+            if let Some(refs) = doomed {
+                region.record_removals(&refs);
+            }
+            inc.refresh_after(&work, &scope);
+            prop_assert!(inc.refresh_nodes_read() - read <= bound, "{} cost", &op);
+            region.record(&work, &scope);
+            check(&mut inc, &work, &region, &format!("apply {op}"));
+        }
+        while let Some(token) = stack.pop() {
+            let scope = undo(&mut work, token).unwrap();
+            inc.refresh_after(&work, &scope);
+            region.record(&work, &scope);
+            check(&mut inc, &work, &region, "undo");
+        }
+        prop_assert!(work.identified_eq(&tree), "full unwind must restore the seed");
+        prop_assert_eq!(inc.eval_set(&compiled), base);
     }
 
     #[test]

@@ -9,9 +9,14 @@
 //! that union, maintained incrementally as edits are recorded:
 //!
 //! * structural scopes collapse to a set of **disjoint dirty subtree
-//!   roots**: a newly recorded root absorbs every recorded root inside
-//!   its subtree, and is itself dropped when an already-recorded root
-//!   covers it — so the region never holds nested or duplicate subtrees;
+//!   roots**, the subtrees whose root path changed: an
+//!   [`Attached`](EditScope::Attached) node is recorded as a root, and a
+//!   [`Spliced`](EditScope::Spliced) node's former children are each
+//!   recorded as one. A newly recorded root absorbs every recorded root
+//!   inside its subtree, and is itself dropped when an already-recorded
+//!   root covers it — so the region never holds nested or duplicate
+//!   subtrees. A [`Detached`](EditScope::Detached) subtree records no
+//!   root (its refs are already recorded as removals, below);
 //! * relabel scopes stay **pinpoint** `(node, original label)` entries,
 //!   so a batch of scattered relabels does not LCA-merge into one huge
 //!   structural subtree. (Consumers evaluating *root-anchored* linear
@@ -35,18 +40,19 @@
 //!   ([`DirtyRegion::record_removals`], fed by the session *before* it
 //!   applies a deletion, proportionally to the deleted subtree) — so a
 //!   splice consumer can evict exactly the vanished entries from cached
-//!   sets without scanning them;
-//! * a structural scope with an *unknown* root poisons the region
-//!   ([`is_full`](DirtyRegion::is_full)): the whole tree must be treated
-//!   as dirty and the splice declines to the full pass.
+//!   sets without scanning them.
 //!
 //! The ancestor checks run against the tree **as it stands when the scope
 //! is recorded** — call [`record`](DirtyRegion::record) immediately after
 //! each [`apply_undoable`](crate::apply_undoable) (or
 //! [`undo`](crate::undo)), with the scope it returned. Recorded structural
-//! roots are then stable: any later edit that detaches or deletes a
-//! recorded root reports a scope rooted at an ancestor, which absorbs it,
-//! so the final roots are always live in the final tree.
+//! roots are then always live: a `Detached` or `Spliced` scope drops every
+//! recorded root that the edit took out of the tree (a root inside a
+//! deleted subtree, or the spliced node itself), whose refs the caller
+//! recorded as removals before the deletion — and a spliced node's
+//! children, the only nodes whose root path it changed, become roots in
+//! its stead. So the final roots are live in the final tree, and a splice
+//! consumer never meets a dead one.
 
 use crate::node::NodeId;
 use crate::tree::{DataTree, NodeRef};
@@ -79,9 +85,6 @@ pub struct DirtyRegion {
     swaps: Vec<IdSwap>,
     /// Refs deleted from the tree, under their pre-batch ids and labels.
     removed: Vec<NodeRef>,
-    /// An unknown-root structural scope was recorded: everything may have
-    /// changed.
-    full: bool,
 }
 
 impl DirtyRegion {
@@ -92,16 +95,10 @@ impl DirtyRegion {
 
     /// Has nothing been recorded (or everything recorded been reset)?
     pub fn is_clean(&self) -> bool {
-        !self.full
-            && self.roots.is_empty()
+        self.roots.is_empty()
             && self.relabels.is_empty()
             && self.swaps.is_empty()
             && self.removed.is_empty()
-    }
-
-    /// Must the whole tree be treated as dirty?
-    pub fn is_full(&self) -> bool {
-        self.full
     }
 
     /// The disjoint structural dirty subtree roots.
@@ -141,7 +138,6 @@ impl DirtyRegion {
         self.relabels.clear();
         self.swaps.clear();
         self.removed.clear();
-        self.full = false;
     }
 
     /// Is `node` inside the subtree of a recorded structural root
@@ -150,14 +146,21 @@ impl DirtyRegion {
         self.roots.iter().any(|&r| r == node || tree.is_proper_ancestor(r, node).unwrap_or(false))
     }
 
+    /// Records `r` as a dirty subtree root: dropped when a recorded root
+    /// covers it, else it absorbs every recorded root inside its subtree.
+    fn add_root(&mut self, tree: &DataTree, r: NodeId) {
+        if self.covered(tree, r) {
+            return;
+        }
+        self.roots.retain(|&old| !tree.is_proper_ancestor(r, old).unwrap_or(false));
+        self.roots.push(r);
+    }
+
     /// Folds one more scope into the region. `tree` must be the tree the
     /// scope describes — i.e. call this right after the
     /// [`apply_undoable`](crate::apply_undoable)/[`undo`](crate::undo)
     /// that produced `scope`, before any further edit.
     pub fn record(&mut self, tree: &DataTree, scope: &EditScope) {
-        if self.full {
-            return;
-        }
         match scope {
             EditScope::Relabel { node, from, .. } => {
                 // First relabel wins: `from` is then the pre-batch label.
@@ -194,24 +197,16 @@ impl DirtyRegion {
                     self.swaps.push(IdSwap { from: *from, to: *to, label });
                 }
             }
-            EditScope::Structural { root: Some(r) } => {
-                if self.covered(tree, *r) {
-                    return;
+            EditScope::Attached { node } => self.add_root(tree, *node),
+            EditScope::Detached { .. } => self.roots.retain(|&r| tree.contains(r)),
+            EditScope::Spliced { first, count, .. } => {
+                self.roots.retain(|&r| tree.contains(r));
+                let mut child = *first;
+                for _ in 0..*count {
+                    let c = child.expect("the promoted run holds `count` children");
+                    self.add_root(tree, c);
+                    child = tree.next_sibling(c).expect("promoted child is live");
                 }
-                // The new root absorbs every root inside its subtree (a
-                // dead old root — its subtree just deleted — is absorbed
-                // too: the ancestor check errs on its missing node).
-                self.roots.retain(|&old| {
-                    !(old == *r || tree.is_proper_ancestor(*r, old).unwrap_or(true))
-                });
-                self.roots.push(*r);
-            }
-            EditScope::Structural { root: None } => {
-                self.full = true;
-                self.roots.clear();
-                self.relabels.clear();
-                self.swaps.clear();
-                self.removed.clear();
             }
         }
     }
@@ -223,9 +218,6 @@ impl DirtyRegion {
     /// through the relabel history; nodes whose id arrived via a swap are
     /// left to the swap patch (its chain already names the pre-batch ref).
     pub fn record_removals(&mut self, refs: &[NodeRef]) {
-        if self.full {
-            return;
-        }
         for r in refs {
             if self.swaps.iter().any(|s| s.to == r.id) {
                 continue;
@@ -250,10 +242,10 @@ mod tests {
     fn sibling_scopes_stay_disjoint_roots() {
         let t = parse_term("r(a#1(b#2),c#3(d#4))").unwrap();
         let mut region = DirtyRegion::new();
-        region.record(&t, &EditScope::Structural { root: Some(n(1)) });
-        region.record(&t, &EditScope::Structural { root: Some(n(3)) });
+        region.record(&t, &EditScope::Attached { node: n(1) });
+        region.record(&t, &EditScope::Attached { node: n(3) });
         assert_eq!(region.structural_roots(), [n(1), n(3)]);
-        assert!(!region.is_full() && !region.is_clean());
+        assert!(!region.is_clean());
     }
 
     #[test]
@@ -261,16 +253,16 @@ mod tests {
         let t = parse_term("r(a#1(b#2(c#3)),d#4)").unwrap();
         // Descendant first, ancestor second: the ancestor replaces it.
         let mut region = DirtyRegion::new();
-        region.record(&t, &EditScope::Structural { root: Some(n(2)) });
-        region.record(&t, &EditScope::Structural { root: Some(n(1)) });
+        region.record(&t, &EditScope::Attached { node: n(2) });
+        region.record(&t, &EditScope::Attached { node: n(1) });
         assert_eq!(region.structural_roots(), [n(1)]);
         // Ancestor first: the descendant is dropped on arrival.
         let mut region = DirtyRegion::new();
-        region.record(&t, &EditScope::Structural { root: Some(n(1)) });
-        region.record(&t, &EditScope::Structural { root: Some(n(3)) });
+        region.record(&t, &EditScope::Attached { node: n(1) });
+        region.record(&t, &EditScope::Attached { node: n(3) });
         assert_eq!(region.structural_roots(), [n(1)]);
         // Duplicates collapse too.
-        region.record(&t, &EditScope::Structural { root: Some(n(1)) });
+        region.record(&t, &EditScope::Attached { node: n(1) });
         assert_eq!(region.structural_roots(), [n(1)]);
     }
 
@@ -294,8 +286,9 @@ mod tests {
         assert_eq!(region.id_swaps(), [IdSwap { from: n(2), to: n(20), label: Label::new("b") }]);
         // Entries survive a covering structural scope: splice consumers
         // need the label history of nodes inside dirty subtrees.
+        // Splicing a#1 out re-roots its former child: n20 becomes a root.
         step(&mut t, &mut region, Update::DeleteNode { node: n(1) });
-        assert_eq!(region.structural_roots(), [t.root_id()]);
+        assert_eq!(region.structural_roots(), [n(20)]);
         assert_eq!(region.relabels(), [(n(20), Label::new("b"))]);
     }
 
@@ -307,15 +300,19 @@ mod tests {
             let (_tok, scope) = apply_undoable(t, &op).unwrap();
             region.record(t, &scope);
         };
-        // The move records x#1 (the LCA of old and new parent) as a root.
+        // The move records the moved node m#2 as a root.
         step(&mut t, &mut region, Update::Move { node: n(2), new_parent: n(3) });
-        assert_eq!(region.structural_roots(), [n(1)]);
-        // Renaming x#1 renames the root: it must not keep the dead id…
-        step(&mut t, &mut region, Update::ReplaceId { node: n(1), new_id: n(10) });
+        assert_eq!(region.structural_roots(), [n(2)]);
+        // Renaming m#2 renames the root: it must not keep the dead id…
+        step(&mut t, &mut region, Update::ReplaceId { node: n(2), new_id: n(10) });
         assert_eq!(region.structural_roots(), [n(10)]);
         // …or a later scope inside its subtree would fail the ancestor
-        // check against the dead id and drop the root.
-        step(&mut t, &mut region, Update::InsertLeaf { parent: n(6), id: n(7), label: "z".into() });
+        // check against the dead id and record a nested root.
+        step(
+            &mut t,
+            &mut region,
+            Update::InsertLeaf { parent: n(10), id: n(7), label: "z".into() },
+        );
         assert_eq!(region.structural_roots(), [n(10)]);
     }
 
@@ -375,26 +372,57 @@ mod tests {
     }
 
     #[test]
-    fn unknown_root_poisons_the_region() {
-        let t = parse_term("r(a#1)").unwrap();
+    fn detached_subtrees_drop_the_roots_they_killed() {
+        let mut t = parse_term("r(a#1(b#2(c#3)),d#4)").unwrap();
         let mut region = DirtyRegion::new();
-        region.record(&t, &EditScope::Structural { root: Some(n(1)) });
-        region.record(&t, &EditScope::Structural { root: None });
-        assert!(region.is_full());
+        let step = |t: &mut crate::DataTree, region: &mut DirtyRegion, op: Update| {
+            let (_tok, scope) = apply_undoable(t, &op).unwrap();
+            region.record(t, &scope);
+        };
+        step(&mut t, &mut region, Update::InsertLeaf { parent: n(2), id: n(9), label: "z".into() });
+        step(&mut t, &mut region, Update::Move { node: n(3), new_parent: n(4) });
+        assert_eq!(region.structural_roots(), [n(9), n(3)]);
+        // Deleting a#1 kills z#9, a root inside it; c#3 lives on under d#4.
+        step(&mut t, &mut region, Update::DeleteSubtree { node: n(1) });
+        assert_eq!(region.structural_roots(), [n(3)]);
+        // A detached subtree records no root of its own.
+        step(&mut t, &mut region, Update::DeleteSubtree { node: n(4) });
         assert!(region.structural_roots().is_empty());
-        // Poisoned regions ignore further detail but clear back to clean.
-        region.record(&t, &EditScope::Structural { root: Some(n(1)) });
-        region.record_removals(&[NodeRef { id: n(1), label: Label::new("a") }]);
-        assert!(region.structural_roots().is_empty() && region.removed().is_empty());
-        region.clear();
-        assert!(region.is_clean() && !region.is_full());
+        // Every recorded root stays live across the batch.
+        assert!(region.structural_roots().iter().all(|&r| t.contains(r)));
+    }
+
+    #[test]
+    fn spliced_nodes_re_root_their_former_children() {
+        let mut t = parse_term("r(a#1(b#2,c#3(e#5)),d#4)").unwrap();
+        let mut region = DirtyRegion::new();
+        let step = |t: &mut crate::DataTree, region: &mut DirtyRegion, op: Update| {
+            let (_tok, scope) = apply_undoable(t, &op).unwrap();
+            region.record(t, &scope);
+        };
+        step(&mut t, &mut region, Update::InsertLeaf { parent: n(5), id: n(9), label: "z".into() });
+        step(&mut t, &mut region, Update::Move { node: n(1), new_parent: n(4) });
+        assert_eq!(region.structural_roots(), [n(1)]);
+        // The spliced root a#1 dies; each former child becomes a root (c#3
+        // still covers z#9, which a#1 had absorbed).
+        step(&mut t, &mut region, Update::DeleteNode { node: n(1) });
+        assert_eq!(region.structural_roots(), [n(2), n(3)]);
+        // Both now hang under d#4; a leaf inserted below b#2 is covered.
+        step(&mut t, &mut region, Update::InsertLeaf { parent: n(2), id: n(8), label: "y".into() });
+        assert_eq!(region.structural_roots(), [n(2), n(3)]);
+        // Splicing out the root c#3 hands its place to e#5.
+        step(&mut t, &mut region, Update::DeleteNode { node: n(3) });
+        assert_eq!(region.structural_roots(), [n(2), n(5)]);
+        // A leaf splices with an empty run: only the dead root goes.
+        step(&mut t, &mut region, Update::DeleteNode { node: n(9) });
+        assert_eq!(region.structural_roots(), [n(2), n(5)]);
     }
 
     #[test]
     fn rollback_reset_leaves_region_clean() {
         let t = parse_term("r(a#1(b#2))").unwrap();
         let mut region = DirtyRegion::new();
-        region.record(&t, &EditScope::Structural { root: Some(n(1)) });
+        region.record(&t, &EditScope::Attached { node: n(1) });
         region.record(
             &t,
             &EditScope::Relabel { node: n(2), from: Label::new("b"), to: Label::new("c") },

@@ -141,9 +141,10 @@ pub struct SpliceToken {
 }
 
 impl DetachToken {
-    /// The detached subtree's former parent (for edit-scope reporting).
-    pub(crate) fn parent_id(&self, tree: &DataTree) -> NodeId {
-        tree.ids[self.parent_slot as usize]
+    /// The detached subtree's root (for edit-scope reporting). A parked
+    /// slot keeps its id, so this holds before and after the reattach.
+    pub(crate) fn node_id(&self, tree: &DataTree) -> NodeId {
+        tree.ids[self.slot as usize]
     }
 }
 
@@ -151,6 +152,19 @@ impl SpliceToken {
     /// The spliced node's former parent (for edit-scope reporting).
     pub(crate) fn parent_id(&self, tree: &DataTree) -> NodeId {
         tree.ids[self.parent_slot as usize]
+    }
+
+    /// The spliced node's id.
+    pub(crate) fn node_id(&self) -> NodeId {
+        self.id
+    }
+
+    /// The spliced node's first promoted child, if any, and the number of
+    /// promoted children: they hang as one run of consecutive siblings
+    /// under the former parent (for edit-scope reporting).
+    pub(crate) fn promoted(&self, tree: &DataTree) -> (Option<NodeId>, usize) {
+        let first = self.child_slots.first().map(|&(c, _)| tree.ids[c as usize]);
+        (first, self.child_slots.len())
     }
 }
 
@@ -446,6 +460,20 @@ impl DataTree {
     pub fn parent(&self, id: NodeId) -> Result<Option<NodeId>, TreeError> {
         let p = self.parent[self.slot(id)? as usize];
         Ok((p != NIL).then(|| self.ids[p as usize]))
+    }
+
+    /// The sibling just before `id` in its parent's child list (`None`
+    /// for a first child or the root). O(1) whatever the fan-out.
+    pub fn prev_sibling(&self, id: NodeId) -> Result<Option<NodeId>, TreeError> {
+        let p = self.prev_sibling[self.slot(id)? as usize];
+        Ok((p != NIL).then(|| self.ids[p as usize]))
+    }
+
+    /// The sibling just after `id` in its parent's child list (`None` for
+    /// a last child or the root). O(1) whatever the fan-out.
+    pub fn next_sibling(&self, id: NodeId) -> Result<Option<NodeId>, TreeError> {
+        let n = self.next_sibling[self.slot(id)? as usize];
+        Ok((n != NIL).then(|| self.ids[n as usize]))
     }
 
     /// Child ids of `id` (order is incidental; the tree is unordered).

@@ -18,11 +18,21 @@
 //!   derived snapshot patches one label cell and two cached bitset words.
 //! * [`EditScope::ReplaceId`] — only one node's identity changed (`from`
 //!   → `to`); a derived snapshot patches one id-index entry.
-//! * [`EditScope::Structural`] — the pre-order layout changed; `root` is
-//!   the deepest node whose subtree contains every change (the LCA of
-//!   source and target parent for moves, `None` when unknown), so a
-//!   derived snapshot re-reads that subtree; a full re-snapshot is always
-//!   a correct response.
+//! * [`EditScope::Attached`] — `node`'s subtree now hangs at its current
+//!   position under a new root path (an inserted leaf, a moved node, a
+//!   re-attached subtree, a re-inserted spliced node with its children);
+//! * [`EditScope::Detached`] — `node`'s subtree left the tree;
+//! * [`EditScope::Spliced`] — `node` left the tree and its former children
+//!   now hang under `parent`, one run of consecutive siblings.
+//!
+//! The three structural scopes name the subtrees whose **root path**
+//! changed and the subtree that left, never a common ancestor of the
+//! change: a root-level move or a patient delete names a patient-sized
+//! subtree, not the document. Every other node keeps its root path, and
+//! its position relative to its parent, so a derived snapshot relinks the
+//! named subtrees and touches nothing else (`xuc_xpath`'s
+//! `Evaluator::refresh_after`); a full re-snapshot is always a correct
+//! response.
 //!
 //! # The position-restoration invariant
 //!
@@ -120,7 +130,8 @@ pub fn apply_update(tree: &mut DataTree, update: &Update) -> Result<(), UpdateEr
 /// [`undo`] returns the scope of the reversal, so snapshot holders can
 /// refresh **proportionally to the edit**: a relabel patches one label
 /// cell and two bitset words, an id swap patches one index entry, and a
-/// structural edit re-reads the subtree below its `root`.
+/// structural edit relinks the subtrees it names (see the
+/// [module docs](self)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EditScope {
     /// Only `node`'s label changed (`from` → `to`): ids, parents and the
@@ -129,39 +140,26 @@ pub enum EditScope {
     /// Only one node's identity changed (`from` → `to`): labels and the
     /// preorder layout are untouched.
     ReplaceId { from: NodeId, to: NodeId },
-    /// The preorder layout changed. `root` is the deepest node whose
-    /// subtree contains every change (`None` when unknown); a full
-    /// re-snapshot is always a correct response.
-    Structural { root: Option<NodeId> },
+    /// `node`'s subtree now hangs at its current position, right after
+    /// its previous sibling, under a new root path. Nodes of that subtree
+    /// may have been elsewhere in the tree before (a moved node, children
+    /// re-adopted by an unspliced node) or nowhere (an inserted leaf, a
+    /// re-attached subtree).
+    Attached { node: NodeId },
+    /// `node`'s subtree left the tree.
+    Detached { node: NodeId },
+    /// `node` left the tree; its `count` former children, the first being
+    /// `first`, now hang under `parent` as one run of consecutive
+    /// siblings (at the end of `parent`'s child list).
+    Spliced { node: NodeId, parent: NodeId, first: Option<NodeId>, count: usize },
 }
 
 impl EditScope {
     /// Did the edit change the preorder layout (as opposed to patching a
     /// label or an identity in place)?
     pub fn is_structural(&self) -> bool {
-        matches!(self, EditScope::Structural { .. })
+        !matches!(self, EditScope::Relabel { .. } | EditScope::ReplaceId { .. })
     }
-}
-
-/// The deepest common ancestor of `a` and `b` (both must be live).
-/// Allocation-free — this runs on every move apply/undo in the search's
-/// candidate loop.
-fn lca(tree: &DataTree, mut a: NodeId, mut b: NodeId) -> Option<NodeId> {
-    let mut da = tree.depth(a).ok()?;
-    let mut db = tree.depth(b).ok()?;
-    while da > db {
-        a = tree.parent(a).ok()??;
-        da -= 1;
-    }
-    while db > da {
-        b = tree.parent(b).ok()??;
-        db -= 1;
-    }
-    while a != b {
-        a = tree.parent(a).ok()??;
-        b = tree.parent(b).ok()??;
-    }
-    Some(a)
 }
 
 /// The inverse record of one applied [`Update`], produced by
@@ -199,25 +197,27 @@ pub fn apply_undoable(
     Ok(match update {
         Update::InsertLeaf { parent, id, label } => {
             tree.add_with_id(*parent, *id, *label)?;
-            (Undo::RemoveLeaf { id: *id }, EditScope::Structural { root: Some(*parent) })
+            (Undo::RemoveLeaf { id: *id }, EditScope::Attached { node: *id })
         }
         Update::DeleteSubtree { node } => {
             let token = tree.detach_subtree(*node)?;
-            let root = Some(token.parent_id(tree));
-            (Undo::Reattach(token), EditScope::Structural { root })
+            (Undo::Reattach(token), EditScope::Detached { node: *node })
         }
         Update::DeleteNode { node } => {
             let token = tree.splice_node(*node)?;
-            let root = Some(token.parent_id(tree));
-            (Undo::Unsplice(token), EditScope::Structural { root })
+            let (first, count) = token.promoted(tree);
+            let parent = token.parent_id(tree);
+            (Undo::Unsplice(token), EditScope::Spliced { node: *node, parent, first, count })
         }
         Update::Move { node, new_parent } => {
             let old_parent =
                 tree.parent(*node)?.ok_or(UpdateError::Tree(TreeError::RootImmovable))?;
             let old_index = tree.child_position(*node)?.expect("non-root has a position");
             tree.move_node(*node, *new_parent)?;
-            let root = lca(tree, old_parent, *new_parent);
-            (Undo::MoveBack { node: *node, old_parent, old_index }, EditScope::Structural { root })
+            (
+                Undo::MoveBack { node: *node, old_parent, old_index },
+                EditScope::Attached { node: *node },
+            )
         }
         Update::Relabel { node, label } => {
             let old = tree.label(*node)?;
@@ -244,27 +244,23 @@ pub fn apply_undoable(
 pub fn undo(tree: &mut DataTree, token: Undo) -> Result<EditScope, UpdateError> {
     Ok(match token {
         Undo::RemoveLeaf { id } => {
-            let parent = tree.parent(id)?;
             tree.delete_subtree(id)?;
-            EditScope::Structural { root: parent }
+            EditScope::Detached { node: id }
         }
         Undo::Reattach(t) => {
-            let root = Some(t.parent_id(tree));
+            let node = t.node_id(tree);
             tree.reattach_subtree(t)?;
-            EditScope::Structural { root }
+            EditScope::Attached { node }
         }
         Undo::Unsplice(t) => {
-            let root = Some(t.parent_id(tree));
+            let node = t.node_id();
             tree.unsplice_node(t)?;
-            EditScope::Structural { root }
+            EditScope::Attached { node }
         }
         Undo::MoveBack { node, old_parent, old_index } => {
-            let cur_parent =
-                tree.parent(node)?.ok_or(UpdateError::Tree(TreeError::RootImmovable))?;
             tree.move_node(node, old_parent)?;
             tree.restore_child_position(node, old_index);
-            let root = lca(tree, old_parent, cur_parent);
-            EditScope::Structural { root }
+            EditScope::Attached { node }
         }
         Undo::Relabel { node, old } => {
             let from = tree.label(node)?;
@@ -434,26 +430,43 @@ mod tests {
         assert_eq!(scope, EditScope::ReplaceId { from: n(4), to: fresh });
         assert_eq!(undo(&mut t, tok).unwrap(), EditScope::ReplaceId { from: fresh, to: n(4) });
 
-        // Structural edits report the deepest node containing every change.
+        // Structural edits name the subtrees whose root path changed and
+        // the subtree that left, never a common ancestor.
         let (tok, scope) = apply_undoable(&mut t, &Update::DeleteSubtree { node: n(2) }).unwrap();
-        assert_eq!(scope, EditScope::Structural { root: Some(n(1)) });
-        assert_eq!(undo(&mut t, tok).unwrap(), EditScope::Structural { root: Some(n(1)) });
+        assert_eq!(scope, EditScope::Detached { node: n(2) });
+        assert_eq!(undo(&mut t, tok).unwrap(), EditScope::Attached { node: n(2) });
 
         let (tok, scope) = apply_undoable(&mut t, &Update::DeleteNode { node: n(2) }).unwrap();
-        assert_eq!(scope, EditScope::Structural { root: Some(n(1)) });
-        assert_eq!(undo(&mut t, tok).unwrap(), EditScope::Structural { root: Some(n(1)) });
+        assert_eq!(
+            scope,
+            EditScope::Spliced { node: n(2), parent: n(1), first: Some(n(3)), count: 1 }
+        );
+        assert_eq!(t.children(n(1)).unwrap(), [n(4), n(3)], "promoted to the end");
+        assert_eq!(undo(&mut t, tok).unwrap(), EditScope::Attached { node: n(2) });
 
-        // Move from under a#1 to under e#5: the common ancestor is the root.
+        // A childless node splices with an empty run.
+        let (tok, scope) = apply_undoable(&mut t, &Update::DeleteNode { node: n(5) }).unwrap();
+        assert_eq!(
+            scope,
+            EditScope::Spliced { node: n(5), parent: t.root_id(), first: None, count: 0 }
+        );
+        assert_eq!(undo(&mut t, tok).unwrap(), EditScope::Attached { node: n(5) });
+
+        // A move across the root names the moved node, both ways.
         let (tok, scope) =
             apply_undoable(&mut t, &Update::Move { node: n(2), new_parent: n(5) }).unwrap();
-        assert_eq!(scope, EditScope::Structural { root: Some(t.root_id()) });
-        assert_eq!(undo(&mut t, tok).unwrap(), EditScope::Structural { root: Some(t.root_id()) });
+        assert_eq!(scope, EditScope::Attached { node: n(2) });
+        assert_eq!(undo(&mut t, tok).unwrap(), EditScope::Attached { node: n(2) });
 
-        // Move within one subtree: the scope narrows to that subtree.
-        let (tok, scope) =
-            apply_undoable(&mut t, &Update::Move { node: n(3), new_parent: n(4) }).unwrap();
-        assert_eq!(scope, EditScope::Structural { root: Some(n(1)) });
-        assert_eq!(undo(&mut t, tok).unwrap(), EditScope::Structural { root: Some(n(1)) });
+        let (leaf, root) = (NodeId::fresh(), t.root_id());
+        let (tok, scope) = apply_undoable(
+            &mut t,
+            &Update::InsertLeaf { parent: root, id: leaf, label: Label::new("z") },
+        )
+        .unwrap();
+        assert_eq!(scope, EditScope::Attached { node: leaf });
+        assert!(scope.is_structural());
+        assert_eq!(undo(&mut t, tok).unwrap(), EditScope::Detached { node: leaf });
     }
 
     #[test]
