@@ -533,23 +533,11 @@ fn run_random_stream(ctx: &SearchCtx, stream: u64, base: u64) {
         let base_goal = ev.eval(&ctx.goal.range);
         let edits = 1 + rng.below(3);
         let mut stack = Vec::new();
-        let mut scopes = Vec::new();
         for _ in 0..edits {
             let op = random_update(&mut rng, &t, ctx.labels);
             if let Ok((token, scope)) = apply_undoable(&mut t, &op) {
+                ev.refresh_after(&t, &scope);
                 stack.push(token);
-                scopes.push(scope);
-            }
-        }
-        // Nothing is evaluated between the edits, so sync once for the
-        // whole batch: one re-walk if any edit was structural, else the
-        // O(1) patches replayed in order (non-structural edits keep the
-        // layout fixed, so sequential patching stays in sync).
-        if scopes.iter().any(xuc_xtree::EditScope::is_structural) {
-            ev.refresh(&t);
-        } else {
-            for scope in &scopes {
-                ev.refresh_after(&t, scope);
             }
         }
         let after_goal = ev.eval(&ctx.goal.range);

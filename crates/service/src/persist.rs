@@ -515,7 +515,10 @@ pub(crate) struct RecoveredState {
 }
 
 fn tree_max_id(tree: &DataTree) -> u64 {
-    tree.preorder_snapshot().iter().map(|(id, _, _)| id.raw()).max().unwrap_or(0)
+    let mut max = 0;
+    tree.for_each_preorder(tree.root_id(), |id, _, _| max = max.max(id.raw()))
+        .expect("the root is live");
+    max
 }
 
 fn update_max_id(u: &Update) -> u64 {

@@ -28,10 +28,14 @@
 //!   sets it replaced, and the O(k) certificate header is re-chained
 //!   onto the outgoing certificate's digest
 //!   ([`CertHeader::rechain`](xuc_sigstore::CertHeader::rechain)) — no
-//!   set is copied or serialized. Rejected batches unwind;
+//!   set is copied or serialized. An accepted batch then [`release`]s
+//!   its undo tokens: the slots its deletions parked go back on the
+//!   arena's free list, so a document's arena stays bounded by its peak
+//!   live size however many deletions it commits. Rejected batches
+//!   unwind;
 //! * [`Session::rollback`] (and `Drop`, for abandoned sessions) unwinds
-//!   the undo stack in LIFO order. Undo is an *exact* inverse (child
-//!   positions restored), so the tree returns byte-identical to the
+//!   the undo stack in LIFO order. Undo is an *exact* inverse (each node
+//!   relinked after its former previous sibling), so the tree returns byte-identical to the
 //!   committed state. The evaluator re-syncs after every undo through
 //!   its scope, as `apply` does — O(1) per relabel or id swap, the
 //!   subtree the scope names per structural undo, at any depth — so a
@@ -44,7 +48,7 @@ use xuc_core::{Constraint, ConstraintKind};
 use xuc_sigstore::Signer;
 use xuc_telemetry::{Stage, Telemetry};
 use xuc_xpath::{Evaluator, SpliceJournal};
-use xuc_xtree::{apply_undoable, undo, DirtyRegion, NodeRef, Undo, Update, UpdateError};
+use xuc_xtree::{apply_undoable, release, undo, DirtyRegion, NodeRef, Undo, Update, UpdateError};
 
 /// A committed batch's receipt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,8 +346,10 @@ impl<'a> Session<'a> {
     ///   admission pass's range results become the new baseline **and**
     ///   the signed sets (no re-evaluation, no copy), the certificate
     ///   header is folded forward and re-chained, and the commit counter
-    ///   advances. [`Stage::Certify`] spans the whole re-certification:
-    ///   the fold, the outgoing digest and the re-chain.
+    ///   advances. The undo tokens are [`release`]d, freeing the slots
+    ///   the batch's deletions parked. [`Stage::Certify`] spans the whole
+    ///   re-certification — the fold, the outgoing digest and the
+    ///   re-chain — and the release, O(deleted nodes).
     /// * Rejected: the batch is unwound exactly ([`Session::rollback`])
     ///   before the [`Rejection`] is returned — the document is
     ///   byte-identical to its committed state.
@@ -411,6 +417,9 @@ impl<'a> Session<'a> {
                 // history a hash-linked chain auditable from the journal
                 // alone (see `xuc-persist`).
                 doc.header.rechain(signer);
+                for token in self.undo_stack.drain(..) {
+                    release(&mut doc.tree, token);
+                }
                 close_span(tel, Stage::Certify, tag, certify_open);
                 doc.commits += 1;
                 self.open = false;

@@ -13,7 +13,10 @@
 //!   exactly like a freshly built one (and its staleness guard never
 //!   fires);
 //! * **worker-count determinism** — the accept/reject log of a seeded
-//!   request stream is byte-identical at 1, 2 and 8 workers.
+//!   request stream is byte-identical at 1, 2 and 8 workers;
+//! * **committed deletions free their slots** — no slot stays parked
+//!   once a batch ends, so the served arena never outgrows the document's
+//!   peak size, however many deletions it commits.
 
 use proptest::prelude::*;
 use xuc_core::constraint::all_satisfied;
@@ -124,8 +127,14 @@ proptest! {
         let ids = tree.node_ids();
         let mut committed = tree;
         let mut commits = 0u64;
+        // Peak of live plus parked nodes: a batch's deletions park their
+        // slots until it ends, so within a batch the footprint is the
+        // committed size plus the batch's inserts.
+        let mut peak = committed.len();
         for ops in &batches {
             let updates = decode(ops, &ids);
+            let inserts = updates.iter().filter(|u| matches!(u, Update::InsertLeaf { .. })).count();
+            peak = peak.max(committed.len() + inserts);
             let verdict = gw.submit(&Request { doc: id, updates: updates.clone() });
             match apply_all(&committed, &updates) {
                 Err(_) => {
@@ -155,10 +164,20 @@ proptest! {
                     }
                 }
             }
-            // Accepted or not, the served state equals the model state.
+            // Accepted or not, the served state equals the model state,
+            // and nothing is left parked in its arena.
+            let served = gw.snapshot(id).unwrap();
+            prop_assert_eq!(served.canonical_form(), committed.canonical_form());
             prop_assert_eq!(
-                gw.snapshot(id).unwrap().canonical_form(),
-                committed.canonical_form()
+                served.slot_capacity(),
+                served.len() + served.free_slots(),
+                "a finished batch left slots parked"
+            );
+            prop_assert!(
+                served.slot_capacity() <= peak,
+                "served arena capacity {} leaked past peak {}",
+                served.slot_capacity(),
+                peak
             );
         }
         assert_evaluator_synced(&gw, id, &suite);
@@ -322,4 +341,41 @@ fn users_can_verify_served_documents() {
         tampered.delete_subtree(visit.id).unwrap();
         assert!(cert.verify(0xBEEF, &tampered).is_err(), "tampering must be caught");
     }
+}
+
+/// Sends 1 000 accepted insert-then-delete commit pairs of one `note`
+/// leaf through `Gateway::submit` and returns the served tree's arena
+/// capacity. The document peaks at 5 nodes.
+fn capacity_after_churn(delete: fn(NodeId) -> Update) -> usize {
+    let gw = Gateway::new(Signer::new(0xC4A7));
+    let id = DocId::new("churn");
+    let tree = xuc_xtree::parse_term("root(p#1(a#2),p#3)").unwrap();
+    gw.publish(id, tree, vec![parse_constraint("(//phone, ↓)").unwrap()]).unwrap();
+    for _ in 0..1_000 {
+        let note = NodeId::fresh();
+        let insert =
+            Update::InsertLeaf { parent: NodeId::from_raw(1), id: note, label: Label::new("note") };
+        for u in [insert, delete(note)] {
+            let verdict = gw.submit(&Request { doc: id, updates: vec![u] });
+            assert!(verdict.is_accepted(), "{verdict:?}");
+        }
+    }
+    let served = gw.snapshot(id).unwrap();
+    assert_eq!(served.len(), 4);
+    served.slot_capacity()
+}
+
+/// An accepted subtree deletion frees the slots it parked, so 1 000
+/// insert/delete commits reuse one slot.
+#[test]
+fn committed_subtree_deletions_free_their_slots() {
+    let capacity = capacity_after_churn(|node| Update::DeleteSubtree { node });
+    assert!(capacity <= 5, "served arena grew to {capacity} slots");
+}
+
+/// The same for node deletions (`DeleteNode` splices the leaf out).
+#[test]
+fn committed_node_deletions_free_their_slots() {
+    let capacity = capacity_after_churn(|node| Update::DeleteNode { node });
+    assert!(capacity <= 5, "served arena grew to {capacity} slots");
 }

@@ -37,5 +37,5 @@ pub use tree::{
     TreeError,
 };
 pub use update::{
-    apply_all, apply_undoable, apply_update, undo, EditScope, Undo, Update, UpdateError,
+    apply_all, apply_undoable, apply_update, release, undo, EditScope, Undo, Update, UpdateError,
 };

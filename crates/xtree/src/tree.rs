@@ -11,11 +11,20 @@
 //! undo restoring exact positions) because deterministic consumers rely
 //! on it.
 //!
-//! Deleted slots go on a free list (threaded through `next_sibling`) and
-//! are reused by later insertions, so arena capacity is bounded by the
-//! peak number of live-or-parked nodes, not by the total ever inserted.
-//! Every reuse bumps the slot's **generation tag**; undo tokens record
-//! the generations of the slots they reference and are rejected with
+//! There is one deletion path: [`DataTree::detach_subtree`] and
+//! [`DataTree::splice_node`] *park* the removed slots behind a restore
+//! token, which an undo consumes (relinking right after the former
+//! previous sibling, O(1)) or [`DataTree::free_detached`] /
+//! [`DataTree::free_spliced`] gives up, putting the slots on the free
+//! list (threaded through `next_sibling`) for reuse by later insertions;
+//! `delete_subtree` and `delete_node` are park-then-free. Arena capacity
+//! is bounded by the peak number of live-or-parked nodes — once every
+//! token is consumed or freed, by the peak live count — never by the
+//! total ever inserted.
+//!
+//! Every free bumps the slot's **generation tag**; restore tokens record
+//! the generations of the slots they reference (the node, its parent,
+//! its previous sibling, promoted children) and are rejected with
 //! [`TreeError::StaleToken`] if any referenced slot has been recycled
 //! since (ABA safety). `NodeId`s themselves are never recycled, so the
 //! public id-keyed API needs no generation checks.
@@ -104,8 +113,21 @@ pub struct NodeRef {
     pub label: Label,
 }
 
+/// Where a parked node goes back: under `parent`, right after `prev`
+/// (`NIL` for a first child), each with its generation at issue time.
+/// Under LIFO that is the exact former position, so undo is an exact
+/// inverse, which the deterministic sharded search relies on.
+#[derive(Debug)]
+struct Anchor {
+    parent: u32,
+    parent_generation: u32,
+    prev: u32,
+    prev_generation: u32,
+}
+
 /// Opaque restore token for [`DataTree::detach_subtree`]. Valid only on
-/// the issuing tree, consumed LIFO by [`DataTree::reattach_subtree`].
+/// the issuing tree, consumed LIFO by [`DataTree::reattach_subtree`] or
+/// given up by [`DataTree::free_detached`].
 ///
 /// The token records the generation of every slot it references; if any
 /// has been recycled in the meantime the reattach is rejected with
@@ -114,26 +136,18 @@ pub struct NodeRef {
 pub struct DetachToken {
     slot: u32,
     generation: u32,
-    parent_slot: u32,
-    parent_generation: u32,
-    /// Position in the parent's child list, restored on reattach so that
-    /// an apply/undo round trip reproduces the original child order (the
-    /// tree is semantically unordered, but deterministic consumers — the
-    /// sharded search — rely on undo being an *exact* inverse).
-    child_index: usize,
+    anchor: Anchor,
 }
 
 /// Opaque restore token for [`DataTree::splice_node`]. Valid only on the
-/// issuing tree, consumed LIFO by [`DataTree::unsplice_node`]; stale
-/// tokens are rejected (see [`DetachToken`]).
+/// issuing tree, consumed LIFO by [`DataTree::unsplice_node`] or given up
+/// by [`DataTree::free_spliced`]; stale tokens are rejected (see
+/// [`DetachToken`]).
 #[derive(Debug)]
 pub struct SpliceToken {
     slot: u32,
     generation: u32,
-    parent_slot: u32,
-    parent_generation: u32,
-    /// Position in the parent's child list (see [`DetachToken`]).
-    child_index: usize,
+    anchor: Anchor,
     /// The promoted children with their generations at splice time, in
     /// original child order.
     child_slots: Vec<(u32, u32)>,
@@ -151,7 +165,7 @@ impl DetachToken {
 impl SpliceToken {
     /// The spliced node's former parent (for edit-scope reporting).
     pub(crate) fn parent_id(&self, tree: &DataTree) -> NodeId {
-        tree.ids[self.parent_slot as usize]
+        tree.ids[self.anchor.parent as usize]
     }
 
     /// The spliced node's id.
@@ -169,23 +183,24 @@ impl SpliceToken {
 }
 
 /// Iterative pre-order walk over the sibling-chain arrays, confined to
-/// the subtree rooted at `start`. Free function (not a method) so callers
-/// holding disjoint `&mut` borrows of other `DataTree` fields — e.g. the
-/// id index during detach/reattach — can walk without allocating a slot
-/// buffer.
+/// the subtree rooted at `start`, calling `f(slot, depth)` with depth
+/// counted from `start`: no recursion (stack-safe at any depth) and no
+/// heap traffic. Free function (not a method) so callers holding disjoint
+/// `&mut` borrows of other `DataTree` fields — e.g. the id index during
+/// detach/reattach — can walk without allocating a slot buffer.
 fn chain_walk(
     first_child: &[u32],
     next_sibling: &[u32],
     parent: &[u32],
     start: u32,
-    f: &mut impl FnMut(u32),
+    f: &mut impl FnMut(u32, usize),
 ) {
-    let mut slot = start;
+    let (mut slot, mut depth) = (start, 0);
     loop {
-        f(slot);
+        f(slot, depth);
         let fc = first_child[slot as usize];
         if fc != NIL {
-            slot = fc;
+            (slot, depth) = (fc, depth + 1);
             continue;
         }
         loop {
@@ -197,7 +212,7 @@ fn chain_walk(
                 slot = ns;
                 break;
             }
-            slot = parent[slot as usize];
+            (slot, depth) = (parent[slot as usize], depth - 1);
         }
     }
 }
@@ -324,45 +339,51 @@ impl DataTree {
 
     /// Appends `slot` at the end of `parent`'s child chain.
     fn link_last(&mut self, parent: u32, slot: u32) {
-        let p = parent as usize;
-        let s = slot as usize;
-        let tail = self.last_child[p];
-        self.parent[s] = parent;
-        self.prev_sibling[s] = tail;
-        self.next_sibling[s] = NIL;
-        if tail == NIL {
-            self.first_child[p] = slot;
-        } else {
-            self.next_sibling[tail as usize] = slot;
-        }
-        self.last_child[p] = slot;
+        self.link_after(parent, self.last_child[parent as usize], slot);
     }
 
-    /// Inserts `slot` so it ends up at position `min(index, len)` in
-    /// `parent`'s child chain.
-    fn link_at(&mut self, parent: u32, slot: u32, index: usize) {
-        let mut cursor = self.first_child[parent as usize];
-        let mut i = 0;
-        while cursor != NIL && i < index {
-            cursor = self.next_sibling[cursor as usize];
-            i += 1;
-        }
-        if cursor == NIL {
-            self.link_last(parent, slot);
-            return;
-        }
-        let c = cursor as usize;
-        let s = slot as usize;
-        let before = self.prev_sibling[c];
+    /// Links `slot` into `parent`'s child chain right after `prev` (a
+    /// child of `parent`), or first when `prev` is `NIL`. O(1).
+    fn link_after(&mut self, parent: u32, prev: u32, slot: u32) {
+        let (p, s) = (parent as usize, slot as usize);
+        let next = if prev == NIL { self.first_child[p] } else { self.next_sibling[prev as usize] };
         self.parent[s] = parent;
-        self.prev_sibling[s] = before;
-        self.next_sibling[s] = cursor;
-        self.prev_sibling[c] = slot;
-        if before == NIL {
-            self.first_child[parent as usize] = slot;
+        self.prev_sibling[s] = prev;
+        self.next_sibling[s] = next;
+        if prev == NIL {
+            self.first_child[p] = slot;
         } else {
-            self.next_sibling[before as usize] = slot;
+            self.next_sibling[prev as usize] = slot;
         }
+        if next == NIL {
+            self.last_child[p] = slot;
+        } else {
+            self.prev_sibling[next as usize] = slot;
+        }
+    }
+
+    /// The position `slot` holds now, for a restore token.
+    fn anchor(&self, slot: u32) -> Anchor {
+        let (parent, prev) = (self.parent[slot as usize], self.prev_sibling[slot as usize]);
+        Anchor {
+            parent,
+            parent_generation: self.generation[parent as usize],
+            prev,
+            prev_generation: if prev == NIL { 0 } else { self.generation[prev as usize] },
+        }
+    }
+
+    /// Can a token relink at `a`? Neither slot may have been recycled,
+    /// and the previous sibling must still hang in `a.parent`'s child
+    /// chain — always so under LIFO, where the tree at undo time is the
+    /// tree right after the edit.
+    fn anchor_holds(&self, a: &Anchor) -> bool {
+        let (parent, prev) = (a.parent as usize, a.prev as usize);
+        let prev_holds = a.prev == NIL
+            || (self.generation[prev] == a.prev_generation
+                && self.parent[prev] == a.parent
+                && (self.prev_sibling[prev] != NIL || self.first_child[parent] == a.prev));
+        self.generation[parent] == a.parent_generation && prev_holds
     }
 
     /// Unlinks `slot` from its parent's child chain (parent pointer is
@@ -386,17 +407,6 @@ impl DataTree {
         self.next_sibling[s] = NIL;
     }
 
-    /// Position of `slot` in its parent's child chain.
-    fn position_in_parent(&self, slot: u32) -> usize {
-        let mut cursor = self.first_child[self.parent[slot as usize] as usize];
-        let mut i = 0;
-        while cursor != slot {
-            cursor = self.next_sibling[cursor as usize];
-            i += 1;
-        }
-        i
-    }
-
     fn child_slot_iter(&self, slot: u32) -> impl Iterator<Item = u32> + '_ {
         let first = self.first_child[slot as usize];
         std::iter::successors((first != NIL).then_some(first), move |&c| {
@@ -406,7 +416,37 @@ impl DataTree {
     }
 
     fn walk_slots(&self, start: u32, f: &mut impl FnMut(u32)) {
+        self.walk_depth_from(start, &mut |s, _| f(s));
+    }
+
+    /// [`chain_walk`] of `start`'s subtree, for depth-aware consumers
+    /// (height, rendering, [`for_each_preorder`](Self::for_each_preorder)).
+    fn walk_depth_from(&self, start: u32, f: &mut impl FnMut(u32, usize)) {
         chain_walk(&self.first_child, &self.next_sibling, &self.parent, start, f);
+    }
+
+    /// Registers (`attach`) or unregisters the ids of `slot`'s subtree in
+    /// the id index and moves them into or out of the live count: the
+    /// O(subtree) half of a reattach or detach.
+    fn index_subtree(&mut self, slot: u32, attach: bool) {
+        let Self { ref first_child, ref next_sibling, ref parent, ref ids, ref mut by_id, .. } =
+            *self;
+        let mut count = 0;
+        chain_walk(first_child, next_sibling, parent, slot, &mut |s, _| {
+            let id = ids[s as usize];
+            if attach {
+                let clash = by_id.insert(id, s);
+                debug_assert!(clash.is_none(), "id {id} was re-inserted while it was detached");
+            } else {
+                by_id.remove(&id);
+            }
+            count += 1;
+        });
+        if attach {
+            self.live += count;
+        } else {
+            self.live -= count;
+        }
     }
 
     /// The root node's id.
@@ -574,35 +614,6 @@ impl DataTree {
         Ok(visited)
     }
 
-    /// Iterative pre-order walk of `start`'s subtree with depth counted
-    /// from `start`, for depth-aware consumers (height, rendering,
-    /// [`for_each_preorder`](Self::for_each_preorder)).
-    fn walk_depth_from(&self, start: u32, f: &mut impl FnMut(u32, usize)) {
-        let mut slot = start;
-        let mut depth = 0usize;
-        loop {
-            f(slot, depth);
-            let fc = self.first_child[slot as usize];
-            if fc != NIL {
-                depth += 1;
-                slot = fc;
-                continue;
-            }
-            loop {
-                if slot == start {
-                    return;
-                }
-                let ns = self.next_sibling[slot as usize];
-                if ns != NIL {
-                    slot = ns;
-                    break;
-                }
-                slot = self.parent[slot as usize];
-                depth -= 1;
-            }
-        }
-    }
-
     /// Depth of `id`: the root has depth 0.
     pub fn depth(&self, id: NodeId) -> Result<usize, TreeError> {
         let mut slot = self.slot(id)?;
@@ -704,48 +715,23 @@ impl DataTree {
         Ok(())
     }
 
-    /// Deletes the subtree rooted at `id` (the root cannot be deleted).
-    /// Freed slots go on the free list for reuse by later insertions.
+    /// Deletes the subtree rooted at `id` (the root cannot be deleted):
+    /// [`detach_subtree`](Self::detach_subtree), then
+    /// [`free_detached`](Self::free_detached). Freed slots go on the free
+    /// list for reuse by later insertions.
     pub fn delete_subtree(&mut self, id: NodeId) -> Result<(), TreeError> {
-        let slot = self.slot(id)?;
-        if slot == self.root {
-            return Err(TreeError::RootImmovable);
-        }
-        self.unlink(slot);
-        // Collect before freeing: free-list threading reuses the
-        // `next_sibling` cells the walk still needs.
-        let mut doomed = Vec::new();
-        self.walk_slots(slot, &mut |s| doomed.push(s));
-        for &s in &doomed {
-            self.by_id.remove(&self.ids[s as usize]);
-            self.free_slot(s);
-        }
-        self.live -= doomed.len();
+        let token = self.detach_subtree(id)?;
+        self.free_detached(token);
         Ok(())
     }
 
-    /// Deletes the node `id` only, promoting its children to its parent
-    /// ("splice out").
+    /// Deletes the node `id` only, promoting its children to the end of
+    /// its parent's child list ("splice out"):
+    /// [`splice_node`](Self::splice_node), then
+    /// [`free_spliced`](Self::free_spliced).
     pub fn delete_node(&mut self, id: NodeId) -> Result<(), TreeError> {
-        let slot = self.slot(id)?;
-        if slot == self.root {
-            return Err(TreeError::RootImmovable);
-        }
-        let parent_slot = self.parent[slot as usize];
-        self.unlink(slot);
-        // Promote children, preserving order, appended at the end of the
-        // parent's chain (matching the historical `retain` + `extend`).
-        let mut c = self.first_child[slot as usize];
-        self.first_child[slot as usize] = NIL;
-        self.last_child[slot as usize] = NIL;
-        while c != NIL {
-            let next = self.next_sibling[c as usize];
-            self.link_last(parent_slot, c);
-            c = next;
-        }
-        self.by_id.remove(&id);
-        self.free_slot(slot);
-        self.live -= 1;
+        let token = self.splice_node(id)?;
+        self.free_spliced(token);
         Ok(())
     }
 
@@ -773,16 +759,39 @@ impl DataTree {
         Ok(())
     }
 
+    /// Moves `id` under `new_parent`, right after `prev` (first when
+    /// `None`). Crate-internal: the undo of a move puts the node back after
+    /// its former previous sibling, in O(1). Fails with
+    /// [`TreeError::StaleToken`], the tree untouched, if `prev` is `id`
+    /// or not a child of `new_parent` (a LIFO violation).
+    pub(crate) fn move_after(
+        &mut self,
+        id: NodeId,
+        new_parent: NodeId,
+        prev: Option<NodeId>,
+    ) -> Result<(), TreeError> {
+        let (slot, target) = (self.slot(id)?, self.slot(new_parent)?);
+        let prev = prev.map_or(Ok(NIL), |p| self.slot(p))?;
+        if prev != NIL && (prev == slot || self.parent[prev as usize] != target) {
+            return Err(TreeError::StaleToken);
+        }
+        self.move_node(id, new_parent)?;
+        self.unlink(slot);
+        self.link_after(target, prev, slot);
+        Ok(())
+    }
+
     /// Detaches the subtree rooted at `id` without destroying it: the
     /// subtree's nodes stay in the arena but become unreachable and their
     /// ids are unregistered, so the tree behaves exactly as after
     /// [`delete_subtree`](Self::delete_subtree). The returned token
-    /// restores the subtree via [`reattach_subtree`](Self::reattach_subtree).
+    /// restores the subtree via [`reattach_subtree`](Self::reattach_subtree)
+    /// or frees it via [`free_detached`](Self::free_detached).
     ///
     /// This is the undoable half of subtree deletion used by clone-free
     /// candidate search: apply → evaluate → reattach, no tree copies.
     /// Parked slots are not on the free list, so they cannot be recycled
-    /// out from under the token.
+    /// out from under the token. Cost: the subtree, never the fan-out.
     ///
     /// Tokens are only valid on the tree that issued them and must be
     /// consumed LIFO with respect to other undoable edits; while a subtree
@@ -793,131 +802,101 @@ impl DataTree {
         if slot == self.root {
             return Err(TreeError::RootImmovable);
         }
-        let parent_slot = self.parent[slot as usize];
-        let child_index = self.position_in_parent(slot);
-        let mut count = 0usize;
-        {
-            let Self {
-                ref first_child, ref next_sibling, ref parent, ref ids, ref mut by_id, ..
-            } = *self;
-            chain_walk(first_child, next_sibling, parent, slot, &mut |s| {
-                by_id.remove(&ids[s as usize]);
-                count += 1;
-            });
-        }
-        self.live -= count;
+        let anchor = self.anchor(slot);
+        self.index_subtree(slot, false);
         self.unlink(slot);
-        Ok(DetachToken {
-            slot,
-            generation: self.generation[slot as usize],
-            parent_slot,
-            parent_generation: self.generation[parent_slot as usize],
-            child_index,
-        })
+        Ok(DetachToken { slot, generation: self.generation[slot as usize], anchor })
     }
 
-    /// Restores a subtree detached by [`detach_subtree`](Self::detach_subtree),
-    /// at its original position in the parent's child list — undo is an
-    /// exact inverse, not merely an isomorphic one.
+    /// Restores a subtree detached by [`detach_subtree`](Self::detach_subtree)
+    /// right after its former previous sibling — under LIFO its original
+    /// position in the parent's child list, so undo is an exact inverse,
+    /// not merely an isomorphic one. O(subtree).
     ///
     /// Fails with [`TreeError::StaleToken`] (leaving the tree untouched)
-    /// if the former parent's slot — or the subtree's own — was freed and
-    /// recycled after the token was issued.
+    /// if the subtree's own slot, its former parent's or its former
+    /// previous sibling's was freed and recycled after the token was
+    /// issued, or if that sibling no longer hangs under the parent.
     pub fn reattach_subtree(&mut self, token: DetachToken) -> Result<(), TreeError> {
-        let DetachToken { slot, generation, parent_slot, parent_generation, child_index } = token;
-        if self.generation[slot as usize] != generation
-            || self.generation[parent_slot as usize] != parent_generation
-        {
+        let DetachToken { slot, generation, anchor } = token;
+        if self.generation[slot as usize] != generation || !self.anchor_holds(&anchor) {
             return Err(TreeError::StaleToken);
         }
-        let mut count = 0usize;
-        {
-            let Self {
-                ref first_child, ref next_sibling, ref parent, ref ids, ref mut by_id, ..
-            } = *self;
-            chain_walk(first_child, next_sibling, parent, slot, &mut |s| {
-                let sid = ids[s as usize];
-                let prev = by_id.insert(sid, s);
-                debug_assert!(
-                    prev.is_none(),
-                    "id {sid} was re-inserted while its subtree was detached"
-                );
-                count += 1;
-            });
-        }
-        self.live += count;
-        self.link_at(parent_slot, slot, child_index);
+        self.index_subtree(slot, true);
+        self.link_after(anchor.parent, anchor.prev, slot);
         Ok(())
     }
 
+    /// Gives up a detached subtree for good: its parked slots go on the
+    /// free list, generations bumped, for reuse by later insertions. The
+    /// second half of [`delete_subtree`](Self::delete_subtree). O(subtree).
+    ///
+    /// Panics on a token this tree did not issue: only its own token can
+    /// free a parked slot, so the slot's generation cannot have moved on.
+    pub fn free_detached(&mut self, token: DetachToken) {
+        assert_eq!(self.generation[token.slot as usize], token.generation, "foreign token");
+        // Collect before freeing: free-list threading reuses the
+        // `next_sibling` cells the walk still needs.
+        let mut doomed = Vec::new();
+        self.walk_slots(token.slot, &mut |s| doomed.push(s));
+        for s in doomed {
+            self.free_slot(s);
+        }
+    }
+
     /// Splices out node `id` without destroying it: its children are
-    /// promoted to its parent and the node becomes unreachable, exactly as
-    /// after [`delete_node`](Self::delete_node). The returned token
-    /// restores it via [`unsplice_node`](Self::unsplice_node); the same
-    /// LIFO discipline as [`detach_subtree`](Self::detach_subtree) applies.
+    /// promoted to the end of its parent's child list and the node becomes
+    /// unreachable, exactly as after [`delete_node`](Self::delete_node).
+    /// The returned token restores it via
+    /// [`unsplice_node`](Self::unsplice_node) or frees its slot via
+    /// [`free_spliced`](Self::free_spliced); the same LIFO discipline as
+    /// [`detach_subtree`](Self::detach_subtree) applies. Cost: the
+    /// promoted children, never the fan-out of the parent.
     pub fn splice_node(&mut self, id: NodeId) -> Result<SpliceToken, TreeError> {
         let slot = self.slot(id)?;
         if slot == self.root {
             return Err(TreeError::RootImmovable);
         }
-        let parent_slot = self.parent[slot as usize];
-        let child_index = self.position_in_parent(slot);
+        let anchor = self.anchor(slot);
         let child_slots: Vec<(u32, u32)> =
             self.child_slot_iter(slot).map(|c| (c, self.generation[c as usize])).collect();
         self.unlink(slot);
-        let mut c = self.first_child[slot as usize];
+        for &(c, _) in &child_slots {
+            self.link_last(anchor.parent, c);
+        }
         self.first_child[slot as usize] = NIL;
         self.last_child[slot as usize] = NIL;
-        while c != NIL {
-            let next = self.next_sibling[c as usize];
-            self.link_last(parent_slot, c);
-            c = next;
-        }
         self.by_id.remove(&id);
         self.live -= 1;
-        Ok(SpliceToken {
-            slot,
-            generation: self.generation[slot as usize],
-            parent_slot,
-            parent_generation: self.generation[parent_slot as usize],
-            child_index,
-            child_slots,
-            id,
-        })
+        let generation = self.generation[slot as usize];
+        Ok(SpliceToken { slot, generation, anchor, child_slots, id })
     }
 
-    /// Restores a node spliced out by [`splice_node`](Self::splice_node),
-    /// at its original position in the parent's child list (see
-    /// [`reattach_subtree`](Self::reattach_subtree)).
+    /// Restores a node spliced out by [`splice_node`](Self::splice_node)
+    /// right after its former previous sibling, and re-adopts its promoted
+    /// children (see [`reattach_subtree`](Self::reattach_subtree)).
+    /// O(promoted children).
     ///
     /// Fails with [`TreeError::StaleToken`] (leaving the tree untouched)
-    /// if the node's former slot, its former parent's, or any promoted
-    /// child's was freed and recycled after the token was issued.
+    /// if the node's former slot, its former parent's, its former previous
+    /// sibling's or any promoted child's was freed and recycled after the
+    /// token was issued, or if that sibling no longer hangs under the
+    /// parent.
     pub fn unsplice_node(&mut self, token: SpliceToken) -> Result<(), TreeError> {
-        let SpliceToken {
-            slot,
-            generation,
-            parent_slot,
-            parent_generation,
-            child_index,
-            child_slots,
-            id,
-        } = token;
+        let SpliceToken { slot, generation, anchor, child_slots, id } = token;
         if self.generation[slot as usize] != generation
-            || self.generation[parent_slot as usize] != parent_generation
+            || !self.anchor_holds(&anchor)
             || child_slots.iter().any(|&(c, g)| self.generation[c as usize] != g)
         {
             return Err(TreeError::StaleToken);
         }
+        self.link_after(anchor.parent, anchor.prev, slot);
         for &(c, _) in &child_slots {
             debug_assert_eq!(
-                self.parent[c as usize], parent_slot,
+                self.parent[c as usize], anchor.parent,
                 "promoted child moved while its parent was spliced out (LIFO violation)"
             );
             self.unlink(c);
-        }
-        self.link_at(parent_slot, slot, child_index);
-        for &(c, _) in &child_slots {
             self.link_last(slot, c);
         }
         debug_assert!(
@@ -929,28 +908,13 @@ impl DataTree {
         Ok(())
     }
 
-    /// The position of `id` in its parent's child list (`None` for the
-    /// root). Crate-internal: lets undoable moves record and restore exact
-    /// child order.
-    pub(crate) fn child_position(&self, id: NodeId) -> Result<Option<usize>, TreeError> {
-        let slot = self.slot(id)?;
-        if self.parent[slot as usize] == NIL {
-            return Ok(None);
-        }
-        Ok(Some(self.position_in_parent(slot)))
-    }
-
-    /// Moves `id` (already a child of its current parent) to position
-    /// `index` in that parent's child list. Crate-internal counterpart of
-    /// [`child_position`](Self::child_position).
-    pub(crate) fn restore_child_position(&mut self, id: NodeId, index: usize) {
-        let slot = self.slot(id).expect("live node");
-        let parent = self.parent[slot as usize];
-        if parent == NIL {
-            return;
-        }
-        self.unlink(slot);
-        self.link_at(parent, slot, index);
+    /// Gives up a spliced-out node for good: its parked slot goes on the
+    /// free list, generation bumped. The second half of
+    /// [`delete_node`](Self::delete_node). O(1). Panics on a token this
+    /// tree did not issue (see [`free_detached`](Self::free_detached)).
+    pub fn free_spliced(&mut self, token: SpliceToken) {
+        assert_eq!(self.generation[token.slot as usize], token.generation, "foreign token");
+        self.free_slot(token.slot);
     }
 
     /// Grafts a copy of the subtree of `other` rooted at `src` under
@@ -1491,6 +1455,83 @@ mod tests {
         t.delete_subtree(c).unwrap(); // frees c's slot
         t.add(a, "d").unwrap(); // recycles it
         assert!(matches!(t.unsplice_node(token), Err(TreeError::StaleToken)));
+    }
+
+    #[test]
+    fn stale_anchor_rejected_after_slot_reuse() {
+        // The token anchors on x's previous sibling p. Breaking LIFO, p
+        // is deleted and its slot recycled: relinking "after p" would
+        // thread x next to an unrelated node, so the token is refused.
+        let mut t = DataTree::new("r");
+        let root = t.root_id();
+        let p = t.add(root, "p").unwrap();
+        let x = t.add(root, "x").unwrap();
+        t.add(x, "c").unwrap();
+        let token = t.detach_subtree(x).unwrap();
+        t.delete_subtree(p).unwrap();
+        let cap = t.slot_capacity();
+        t.add(root, "q").unwrap();
+        assert_eq!(t.slot_capacity(), cap, "q recycles p's slot");
+        let before = t.render();
+        assert!(matches!(t.reattach_subtree(token), Err(TreeError::StaleToken)));
+        assert_eq!(t.render(), before, "failed reattach must leave the tree untouched");
+        assert!(!t.contains(x));
+
+        // The same for a splice token: x's child c is promoted, p's slot
+        // recycled.
+        let mut t = DataTree::new("r");
+        let root = t.root_id();
+        let p = t.add(root, "p").unwrap();
+        let x = t.add(root, "x").unwrap();
+        let c = t.add(x, "c").unwrap();
+        let token = t.splice_node(x).unwrap();
+        t.delete_subtree(p).unwrap();
+        t.add(root, "q").unwrap();
+        let before = t.render();
+        assert!(matches!(t.unsplice_node(token), Err(TreeError::StaleToken)));
+        assert_eq!(t.render(), before, "failed unsplice must leave the tree untouched");
+        assert_eq!(t.parent(c).unwrap(), Some(root));
+    }
+
+    #[test]
+    fn anchor_moved_away_is_refused() {
+        // Not recycled, but no longer a sibling: relinking after it would
+        // put x under the wrong parent's chain.
+        let mut t = DataTree::new("r");
+        let root = t.root_id();
+        let p = t.add(root, "p").unwrap();
+        let x = t.add(root, "x").unwrap();
+        let y = t.add(root, "y").unwrap();
+        let token = t.detach_subtree(x).unwrap();
+        t.move_node(p, y).unwrap();
+        let before = t.render();
+        assert!(matches!(t.reattach_subtree(token), Err(TreeError::StaleToken)));
+        assert_eq!(t.render(), before);
+        // A parked anchor is refused too.
+        t.move_node(p, root).unwrap();
+        let q = t.add(root, "q").unwrap();
+        let token = t.detach_subtree(q).unwrap();
+        let parked = t.detach_subtree(p).unwrap();
+        assert!(matches!(t.reattach_subtree(token), Err(TreeError::StaleToken)));
+        t.reattach_subtree(parked).unwrap();
+        assert_eq!(t.children(root).unwrap(), [y, p]);
+    }
+
+    #[test]
+    fn freeing_a_token_recycles_exactly_its_parked_slots() {
+        let mut t = sample();
+        let kids = t.children(t.root_id()).unwrap();
+        let cap = t.slot_capacity();
+        let detached = t.detach_subtree(kids[0]).unwrap(); // a, b, c, d
+        let spliced = t.splice_node(kids[1]).unwrap(); // e
+        assert_eq!((t.len(), t.free_slots()), (1, 0), "parked, not free");
+        t.free_detached(detached);
+        t.free_spliced(spliced);
+        assert_eq!(t.free_slots(), 5);
+        for _ in 0..5 {
+            t.add(t.root_id(), "n").unwrap();
+        }
+        assert_eq!((t.slot_capacity(), t.free_slots()), (cap, 0));
     }
 
     #[test]

@@ -37,14 +37,26 @@
 //! # The position-restoration invariant
 //!
 //! [`undo`] is an **exact** inverse, not merely an isomorphic one: every
-//! [`Undo`] token records the child *position* of what it detached,
-//! spliced or moved ([`DetachToken`]/[`SpliceToken`] inside the tree,
-//! `old_index` in [`Undo::MoveBack`]), and restores it on revert. After
-//! any apply/undo round trip the tree is bit-identical to its former
-//! self — same child order, not just the same unordered tree. The
-//! deterministic sharded counterexample search relies on this: a worker's
-//! working tree must not depend on *which* candidates it happened to try
-//! before, or the search result would vary with scheduling.
+//! [`Undo`] token records the *anchor* of what it detached, spliced or
+//! moved — its parent and its previous sibling, `None` for a first child
+//! ([`DetachToken`]/[`SpliceToken`] inside the tree, `old_prev` in
+//! [`Undo::MoveBack`]) — and relinks it right after that sibling on
+//! revert, in O(1) whatever the fan-out. Tokens are consumed LIFO, so the
+//! tree at undo time is the tree right after the apply and the anchor
+//! sibling is still there: after any apply/undo round trip the tree is
+//! bit-identical to its former self — same child order, not just the
+//! same unordered tree. The deterministic sharded counterexample search
+//! relies on this: a worker's working tree must not depend on *which*
+//! candidates it happened to try before, or the search result would vary
+//! with scheduling.
+//!
+//! # One deletion path
+//!
+//! An applied edit ends in exactly one of two ways: [`undo`] reverts it,
+//! or [`release`] finalizes it. A deletion parks the removed nodes in the
+//! arena until then; `release` frees them for reuse. [`apply_update`] is
+//! `apply_undoable` followed by `release`, so there is no second,
+//! destructive deletion path to keep in step.
 
 use crate::label::Label;
 use crate::node::NodeId;
@@ -107,18 +119,11 @@ impl From<TreeError> for UpdateError {
     }
 }
 
-/// Applies one update in place.
+/// Applies one update in place for good: [`apply_undoable`], then
+/// [`release`].
 pub fn apply_update(tree: &mut DataTree, update: &Update) -> Result<(), UpdateError> {
-    match update {
-        Update::InsertLeaf { parent, id, label } => {
-            tree.add_with_id(*parent, *id, *label)?;
-        }
-        Update::DeleteSubtree { node } => tree.delete_subtree(*node)?,
-        Update::DeleteNode { node } => tree.delete_node(*node)?,
-        Update::Move { node, new_parent } => tree.move_node(*node, *new_parent)?,
-        Update::Relabel { node, label } => tree.relabel(*node, *label)?,
-        Update::ReplaceId { node, new_id } => tree.replace_id(*node, *new_id)?,
-    }
+    let (token, _scope) = apply_undoable(tree, update)?;
+    release(tree, token);
     Ok(())
 }
 
@@ -166,23 +171,25 @@ impl EditScope {
 /// [`apply_undoable`] and consumed (LIFO) by [`undo`].
 ///
 /// Deletions are recorded as *detachments* — the removed nodes stay parked
-/// in the tree's arena — so a full apply/undo round trip performs **no
-/// tree clones and no node reconstruction**. This is what lets candidate
-/// searches edit one working tree in place instead of cloning per
-/// candidate.
+/// in the tree's arena until [`undo`] relinks them or [`release`] frees
+/// them — so a full apply/undo round trip performs **no tree clones and
+/// no node reconstruction**. This is what lets candidate searches edit one
+/// working tree in place instead of cloning per candidate. A token that
+/// is dropped instead keeps its parked slots out of reuse for the tree's
+/// lifetime.
 ///
-/// Undo is an **exact** inverse, not merely an isomorphic one: child
-/// positions are recorded and restored, so an apply/undo round trip
-/// reproduces the original child order. Deterministic consumers (the
-/// sharded counterexample search) rely on the working tree being
-/// bit-identical to the seed after every round trip, independent of which
-/// candidates were tried before.
+/// Undo is an **exact** inverse, not merely an isomorphic one: each
+/// token records its node's previous sibling and relinks right after it,
+/// so an apply/undo round trip reproduces the original child order.
+/// Deterministic consumers (the sharded counterexample search) rely on the
+/// working tree being bit-identical to the seed after every round trip,
+/// independent of which candidates were tried before.
 #[derive(Debug)]
 pub enum Undo {
     RemoveLeaf { id: NodeId },
     Reattach(DetachToken),
     Unsplice(SpliceToken),
-    MoveBack { node: NodeId, old_parent: NodeId, old_index: usize },
+    MoveBack { node: NodeId, old_parent: NodeId, old_prev: Option<NodeId> },
     Relabel { node: NodeId, old: Label },
     RestoreId { current: NodeId, old: NodeId },
 }
@@ -210,12 +217,11 @@ pub fn apply_undoable(
             (Undo::Unsplice(token), EditScope::Spliced { node: *node, parent, first, count })
         }
         Update::Move { node, new_parent } => {
-            let old_parent =
-                tree.parent(*node)?.ok_or(UpdateError::Tree(TreeError::RootImmovable))?;
-            let old_index = tree.child_position(*node)?.expect("non-root has a position");
+            let (old_parent, old_prev) = (tree.parent(*node)?, tree.prev_sibling(*node)?);
             tree.move_node(*node, *new_parent)?;
+            let old_parent = old_parent.expect("the root is immovable");
             (
-                Undo::MoveBack { node: *node, old_parent, old_index },
+                Undo::MoveBack { node: *node, old_parent, old_prev },
                 EditScope::Attached { node: *node },
             )
         }
@@ -257,9 +263,8 @@ pub fn undo(tree: &mut DataTree, token: Undo) -> Result<EditScope, UpdateError> 
             tree.unsplice_node(t)?;
             EditScope::Attached { node }
         }
-        Undo::MoveBack { node, old_parent, old_index } => {
-            tree.move_node(node, old_parent)?;
-            tree.restore_child_position(node, old_index);
+        Undo::MoveBack { node, old_parent, old_prev } => {
+            tree.move_after(node, old_parent, old_prev)?;
             EditScope::Attached { node }
         }
         Undo::Relabel { node, old } => {
@@ -272,6 +277,20 @@ pub fn undo(tree: &mut DataTree, token: Undo) -> Result<EditScope, UpdateError> 
             EditScope::ReplaceId { from: current, to: old }
         }
     })
+}
+
+/// Finalizes one update applied by [`apply_undoable`], giving up its
+/// undo: a deletion's parked slots ([`Undo::Reattach`], [`Undo::Unsplice`])
+/// go back on the tree's free list with their generations bumped, so
+/// later insertions reuse them; every other token holds no slot and is
+/// simply dropped. O(deleted nodes). Tokens may be released in any order
+/// once their batch is final.
+pub fn release(tree: &mut DataTree, token: Undo) {
+    match token {
+        Undo::Reattach(t) => tree.free_detached(t),
+        Undo::Unsplice(t) => tree.free_spliced(t),
+        _ => {}
+    }
 }
 
 /// Applies a sequence of updates to a copy of `before`, returning the
@@ -498,6 +517,24 @@ mod tests {
             undo(&mut work, token).unwrap();
         }
         assert_eq!(work.render(), original.render());
+    }
+
+    #[test]
+    fn out_of_order_move_back_is_refused() {
+        // LIFO broken: x's former previous sibling p moves away before
+        // x's move is undone, so x has no anchor under its old parent.
+        let mut t = parse_term("r(p#1,x#2,y#3)").unwrap();
+        let n = NodeId::from_raw;
+        let (tok, _) =
+            apply_undoable(&mut t, &Update::Move { node: n(2), new_parent: n(3) }).unwrap();
+        apply_undoable(&mut t, &Update::Move { node: n(1), new_parent: n(3) }).unwrap();
+        let before = t.render();
+        assert_eq!(undo(&mut t, tok), Err(UpdateError::Tree(TreeError::StaleToken)));
+        assert_eq!(t.render(), before);
+        // So is a hand-built token anchoring a node on itself.
+        let tok = Undo::MoveBack { node: n(2), old_parent: n(3), old_prev: Some(n(2)) };
+        assert_eq!(undo(&mut t, tok), Err(UpdateError::Tree(TreeError::StaleToken)));
+        assert_eq!(t.render(), before);
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! output (child order included), pre-order snapshots, parent/child
 //! queries and error outcomes — while the arena additionally keeps its
 //! slot capacity bounded by the peak live count, which the historical
-//! representation could not.
+//! representation could not. Batches of undoable edits, each committed
+//! (every token released) or rolled back (LIFO undo), must leave the
+//! arena equal to the model with only the committed batches applied and
+//! no slot parked.
 
 use proptest::prelude::*;
-use xuc_xtree::{apply_undoable, apply_update, undo, DataTree, Label, NodeId, Update};
+use xuc_xtree::{apply_undoable, apply_update, release, undo, DataTree, Label, NodeId, Update};
 
 const LABELS: &[&str] = &["a", "b", "c", "d"];
 
@@ -246,6 +249,70 @@ proptest! {
                 "arena capacity {} leaked past peak live {}",
                 work.slot_capacity(),
                 peak_live
+            );
+        }
+    }
+
+    /// Batches end in a commit (every token released) or a rollback (LIFO
+    /// undo). After each, the arena renders exactly like the model with
+    /// only the committed batches applied, no slot is left parked, and
+    /// capacity stays within the peak of live plus parked nodes: a
+    /// batch's deletions park their slots until it ends, so within a
+    /// batch that peak is the size at its start plus its inserts.
+    #[test]
+    fn committed_and_rolled_back_batches_match_the_model(
+        seed_parents in proptest::collection::vec(0..8usize, 0..8),
+        batches in proptest::collection::vec(
+            (any::<bool>(), proptest::collection::vec(op_strategy(), 1..6)),
+            1..8,
+        ),
+    ) {
+        let mut work = DataTree::new("root");
+        let mut model = ModelTree::new(work.root_id(), Label::new("root"));
+        let mut ids = vec![work.root_id()];
+        for (i, p) in seed_parents.iter().enumerate() {
+            let parent = ids[*p % ids.len()];
+            let id = work.add(parent, LABELS[i % LABELS.len()]).unwrap();
+            assert!(model.add_with_id(parent, id, Label::new(LABELS[i % LABELS.len()])));
+            ids.push(id);
+        }
+        let mut peak = work.len();
+        for (commit, ops) in batches {
+            let start = work.len();
+            let (mut stack, mut applied, mut inserted) = (Vec::new(), Vec::new(), 0);
+            for choice in ops {
+                let op = resolve_op(&work, choice, NodeId::fresh());
+                if let Ok((token, _scope)) = apply_undoable(&mut work, &op) {
+                    inserted += usize::from(matches!(op, Update::InsertLeaf { .. }));
+                    stack.push(token);
+                    applied.push(op);
+                }
+            }
+            peak = peak.max(start + inserted);
+            if commit {
+                for token in stack {
+                    release(&mut work, token);
+                }
+                for op in &applied {
+                    prop_assert!(model.apply(op), "model refused {}", op);
+                }
+            } else {
+                while let Some(token) = stack.pop() {
+                    undo(&mut work, token).unwrap();
+                }
+            }
+            prop_assert_eq!(work.len(), model.len());
+            prop_assert_eq!(work.render(), model.render(), "after a batch (commit: {})", commit);
+            prop_assert_eq!(
+                work.slot_capacity(),
+                work.len() + work.free_slots(),
+                "a finished batch left slots parked"
+            );
+            prop_assert!(
+                work.slot_capacity() <= peak,
+                "arena capacity {} leaked past peak live-or-parked {}",
+                work.slot_capacity(),
+                peak
             );
         }
     }
