@@ -731,14 +731,35 @@ impl Gateway {
     /// document is spawned: a unit is never split, so extra workers
     /// would have nothing to claim.
     pub fn process(&self, requests: &[Request], workers: usize) -> Vec<Verdict> {
-        // Units: each document's request indices, in arrival order.
+        let mut verdicts: Vec<Option<Verdict>> = vec![None; requests.len()];
+        let docs = requests.iter().map(|r| r.doc).enumerate();
+        self.drain(docs, &mut verdicts, workers, |i| self.submit(&requests[i]));
+        // Invariant: the units partition `0..requests.len()` and every
+        // unit was drained (serially or by a worker), so no slot is None.
+        verdicts.into_iter().map(|v| v.expect("every request verdicted")).collect()
+    }
+
+    /// The one worker pool of [`process`](Self::process) and
+    /// [`process_open_loop`](Self::process_open_loop): groups the
+    /// `(index, document)` items into units — each document's indices,
+    /// in arrival order — and drains them over `workers` threads claiming
+    /// whole units off a shared cursor, storing `serve(i)` in
+    /// `verdicts[i]`. A unit is never split, so at most one thread per
+    /// unit is spawned, and one worker (or one unit) runs inline.
+    pub(crate) fn drain(
+        &self,
+        items: impl Iterator<Item = (usize, DocId)>,
+        verdicts: &mut [Option<Verdict>],
+        workers: usize,
+        serve: impl Fn(usize) -> Verdict + Sync,
+    ) {
         let mut order: Vec<DocId> = Vec::new();
         let mut by_doc: HashMap<DocId, Vec<usize>> = HashMap::new();
-        for (i, r) in requests.iter().enumerate() {
+        for (i, doc) in items {
             by_doc
-                .entry(r.doc)
+                .entry(doc)
                 .or_insert_with(|| {
-                    order.push(r.doc);
+                    order.push(doc);
                     Vec::new()
                 })
                 .push(i);
@@ -748,49 +769,42 @@ impl Gateway {
         let units: Vec<Vec<usize>> =
             order.into_iter().map(|d| by_doc.remove(&d).expect("grouped")).collect();
         let workers = workers.min(units.len());
-
-        let mut verdicts: Vec<Option<Verdict>> = vec![None; requests.len()];
         if workers <= 1 {
             // Inline: identical result by construction, no spawn cost.
-            for unit in &units {
-                for &i in unit {
-                    verdicts[i] = Some(self.submit(&requests[i]));
-                }
+            for &i in units.iter().flatten() {
+                verdicts[i] = Some(serve(i));
             }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut out = Vec::new();
-                            loop {
-                                let u = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(unit) = units.get(u) else { break };
-                                for &i in unit {
-                                    out.push((i, self.submit(&requests[i])));
-                                }
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // Invariant, not an IO-path unwrap: `submit` contains
-                    // every request panic at the unit boundary, so a
-                    // worker can only die of something non-unwindable
-                    // (abort), which join cannot observe anyway.
-                    .flat_map(|h| h.join().expect("gateway worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (i, v) in results {
-                verdicts[i] = Some(v);
-            }
+            return;
         }
-        // Invariant: the units partition `0..requests.len()` and every
-        // unit was drained (serially or by a worker), so no slot is None.
-        verdicts.into_iter().map(|v| v.expect("every request verdicted")).collect()
+        let cursor = AtomicUsize::new(0);
+        let results = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut out = Vec::new();
+                        loop {
+                            let u = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(unit) = units.get(u) else { break };
+                            for &i in unit {
+                                out.push((i, serve(i)));
+                            }
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                // Invariant, not an IO-path unwrap: `serve` routes through
+                // `submit` or `read`, which contain every request panic at
+                // the unit boundary, so a worker can only die of something
+                // non-unwindable (abort), which join cannot observe anyway.
+                .flat_map(|h| h.join().expect("gateway worker panicked"))
+                .collect::<Vec<_>>()
+        });
+        for (i, v) in results {
+            verdicts[i] = Some(v);
+        }
     }
 
     /// Benchmark compatibility: `gatebench/`, the repository's

@@ -311,14 +311,7 @@ impl Journal {
     /// disk that cannot take snapshots can never truncate its log — the
     /// gateway must degrade before the log grows without bound.
     pub(crate) fn snapshot(&self, doc: &Document) -> Result<(), JournalError> {
-        let snap = DocSnapshot {
-            doc: doc.id().as_str().to_owned(),
-            commits: doc.commits(),
-            tree: doc.tree().clone(),
-            suite: doc.suite().to_vec(),
-            base_sets: doc.baseline().to_vec(),
-            cert: doc.certificate(),
-        };
+        let snap = doc_snapshot(doc);
         let outcome = retry_io(self.opts.retry, &*self.clock, || write_snapshot(&self.dir, &snap));
         let mut inner = self.lock();
         self.settle(&mut inner, outcome.map(|o| o.retries), "snapshot write")?;
@@ -404,14 +397,7 @@ impl Journal {
             if covered && doc.commits() == durable {
                 continue;
             }
-            let snap = DocSnapshot {
-                doc: id.as_str().to_owned(),
-                commits: doc.commits(),
-                tree: doc.tree().clone(),
-                suite: doc.suite().to_vec(),
-                base_sets: doc.baseline().to_vec(),
-                cert: doc.certificate(),
-            };
+            let snap = doc_snapshot(&doc);
             retry_io(self.opts.retry, &*self.clock, || write_snapshot(&self.dir, &snap))
                 .map_err(|f| ResumeError::Persist(PersistError::Io(f.error)))?;
             resnapshotted.push((id, doc.commits()));
@@ -433,6 +419,19 @@ impl Journal {
     /// ([`Gateway::simulate_crash`](crate::Gateway::simulate_crash)).
     pub(crate) fn into_writer(self) -> WalWriter {
         self.inner.into_inner().writer
+    }
+}
+
+/// The snapshot of `doc`'s current state: the one snapshot builder of
+/// [`Journal::snapshot`] and [`Journal::resume`].
+fn doc_snapshot(doc: &Document) -> DocSnapshot {
+    DocSnapshot {
+        doc: doc.id().as_str().to_owned(),
+        commits: doc.commits(),
+        tree: doc.tree().clone(),
+        suite: doc.suite().to_vec(),
+        base_sets: doc.baseline().to_vec(),
+        cert: doc.certificate(),
     }
 }
 

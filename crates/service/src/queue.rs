@@ -34,9 +34,7 @@
 
 use crate::store::{shard_of, STORE_SHARDS};
 use crate::{DocId, Gateway, RejectReason, Request, Verdict};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tuning knobs of the admission queues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,7 +233,6 @@ impl Gateway {
         workers: usize,
         opts: &LoadOptions,
     ) -> (Vec<Verdict>, LoadReport) {
-        let workers = workers.max(1);
         let plan = plan_admission(arrivals, opts);
         // Shed verdicts never reach `submit`/`read`, so their counters
         // bump here; the plan is pure, so these counts are deterministic
@@ -249,77 +246,24 @@ impl Gateway {
             }
         }
 
-        // Units: each document's *admitted* arrival indices, in order —
-        // the same grouping discipline as `Gateway::process`.
-        let mut order: Vec<DocId> = Vec::new();
-        let mut by_doc: HashMap<DocId, Vec<usize>> = HashMap::new();
-        for (i, a) in arrivals.iter().enumerate() {
-            if plan[i].is_some() {
-                continue;
-            }
-            by_doc
-                .entry(a.request.doc)
-                .or_insert_with(|| {
-                    order.push(a.request.doc);
-                    Vec::new()
-                })
-                .push(i);
-        }
-        // Invariant: `order` records exactly the keys inserted into
-        // `by_doc` above, so every removal hits.
-        let units: Vec<Vec<usize>> =
-            order.into_iter().map(|d| by_doc.remove(&d).expect("grouped")).collect();
-
         let mut verdicts: Vec<Option<Verdict>> = plan
             .iter()
             .map(|p| p.map(|cause| Verdict::Rejected(RejectReason::Overloaded { cause })))
             .collect();
-        let serve = |i: usize| {
+        // Admitted arrivals only, through `Gateway::process`'s pool.
+        let admitted = arrivals
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| plan[i].is_none())
+            .map(|(i, a)| (i, a.request.doc));
+        self.drain(admitted, &mut verdicts, workers, |i| {
             let a = &arrivals[i];
             if a.read {
                 self.read(a.request.doc)
             } else {
                 self.submit(&a.request)
             }
-        };
-        if workers == 1 {
-            for unit in &units {
-                for &i in unit {
-                    verdicts[i] = Some(serve(i));
-                }
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut out = Vec::new();
-                            loop {
-                                let u = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(unit) = units.get(u) else { break };
-                                for &i in unit {
-                                    out.push((i, serve(i)));
-                                }
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // Invariant, not an IO-path unwrap: `serve` routes
-                    // through `read`/`submit`, which contain every
-                    // request panic, so a worker can only die of
-                    // something non-unwindable (abort), which join
-                    // cannot observe anyway.
-                    .flat_map(|h| h.join().expect("gateway worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (i, v) in results {
-                verdicts[i] = Some(v);
-            }
-        }
+        });
 
         let mut report = LoadReport { offered: arrivals.len(), ..LoadReport::default() };
         for (a, p) in arrivals.iter().zip(&plan) {

@@ -538,6 +538,104 @@ fn self_contradicting_snapshot_recovers_as_diverged() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Wrong but well-formed WAL records — each frame written through
+/// `WalWriter::append`, so every checksum is valid — must stop recovery
+/// with a typed error naming the first bad commit, never serve a gateway
+/// and never panic: a commit-number gap is `Diverged`, a commit for a
+/// document never published is `UnknownDocument`, and two commits with
+/// their update batches swapped are `Diverged` or `ReplayFailed`.
+#[test]
+fn wrong_wal_records_recover_as_typed_errors() {
+    use xuc_persist::{read_wal, WalRecord, WalWriter};
+    use xuc_service::persist::wal_path;
+    use xuc_service::RecoverError;
+
+    let key = 0x3A1;
+    let base = std::env::temp_dir().join(format!("xuc-diff-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let opts =
+        DurableOptions { group_commit: 1, snapshot_every: None, ..DurableOptions::default() };
+    let recover = |dir: &std::path::Path| {
+        Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, dir, opts)
+    };
+    let doc = DocId::new("journaled");
+    let source = base.join("source");
+    {
+        let gw = recover(&source).unwrap();
+        let tree = xuc_xtree::parse_term("h#1(patient#2(visit#3),patient#4)").unwrap();
+        gw.publish(doc, tree, vec![parse_constraint("(/patient/visit, ↑)").unwrap()]).unwrap();
+        // Three accepted commits: a visit under each patient, then a note.
+        for (parent, label) in [(2, "visit"), (4, "visit"), (4, "note")] {
+            let insert = Update::InsertLeaf {
+                parent: NodeId::from_raw(parent),
+                id: NodeId::fresh(),
+                label: label.into(),
+            };
+            assert!(gw.submit(&Request { doc, updates: vec![insert] }).is_accepted());
+        }
+    }
+    let records = read_wal(&wal_path(&source)).unwrap().records;
+    assert_eq!(records.len(), 4, "one publish and three commits");
+    assert!(recover(&source).is_ok(), "the untampered journal recovers");
+
+    // Rewrites the journal into a fresh directory and recovers from it.
+    let rewritten = |name: &str, records: &[WalRecord]| {
+        let dir = base.join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mut writer, _) = WalWriter::open(&wal_path(&dir), 1).unwrap();
+        for r in records {
+            writer.append(r).unwrap();
+        }
+        drop(writer);
+        recover(&dir)
+    };
+    let commit_of = |r: &WalRecord| match r {
+        WalRecord::Commit { commit, .. } => *commit,
+        WalRecord::Publish { .. } => 0,
+    };
+    assert_eq!(records.iter().map(commit_of).collect::<Vec<_>>(), [0, 1, 2, 3]);
+
+    // Commit 2 missing: commit 3 follows commit 1.
+    let gap = [records[0].clone(), records[1].clone(), records[3].clone()];
+    match rewritten("gap", &gap) {
+        Err(RecoverError::Diverged { doc: d, commit }) => {
+            assert_eq!((d.as_str(), commit), ("journaled", 3))
+        }
+        Err(e) => panic!("a commit-number gap: expected Diverged, got {e}"),
+        Ok(_) => panic!("a commit-number gap was served"),
+    }
+
+    // Commit 1 names a document nobody published.
+    let mut ghost = records.clone();
+    if let WalRecord::Commit { doc: d, .. } = &mut ghost[1] {
+        *d = "ghost".to_owned();
+    }
+    match rewritten("ghost", &ghost) {
+        Err(RecoverError::UnknownDocument { doc: d }) => assert_eq!(d, "ghost"),
+        Err(e) => panic!("a commit for an unpublished document: expected UnknownDocument, got {e}"),
+        Ok(_) => panic!("a commit for an unpublished document was served"),
+    }
+
+    // Commits 1 and 2 carry each other's updates.
+    let mut swapped = records.clone();
+    let (head, tail) = swapped.split_at_mut(2);
+    match (&mut head[1], &mut tail[0]) {
+        (WalRecord::Commit { updates: a, .. }, WalRecord::Commit { updates: b, .. }) => {
+            std::mem::swap(a, b)
+        }
+        _ => unreachable!("records 1 and 2 are commits"),
+    }
+    match rewritten("swapped", &swapped) {
+        Err(RecoverError::Diverged { doc: d, commit })
+        | Err(RecoverError::ReplayFailed { doc: d, commit, .. }) => {
+            assert_eq!((d.as_str(), commit), ("journaled", 1), "the first bad commit")
+        }
+        Err(e) => panic!("swapped updates: expected Diverged or ReplayFailed, got {e}"),
+        Ok(_) => panic!("swapped updates were served"),
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 /// Relabel-only batches are the paper's motivating case: admission must
 /// complete with **zero** pre-order walks — the evaluator patches in
 /// O(1) per relabel and the splice re-drives only the relabeled

@@ -7,46 +7,53 @@
 //! patterns against the *same* tree, and edit it between evaluations, so
 //! this module restructures the data layout around that access pattern.
 //!
-//! An [`Evaluator`] holds two views of one tree:
+//! An [`Evaluator`] holds one private [`DataTree`] **replica** of the
+//! document. [`Evaluator::new`] and [`Evaluator::refresh`] build it with
+//! one packed pre-order copy ([`DataTree::packed_copy`],
+//! [`DataTree::copy_packed_from`]);
+//! [`Evaluator::refresh_after`] keeps it exact in time proportional to one
+//! edit by re-applying the edit's [`EditScope`] with the tree's own
+//! operations — a relabel or id swap in place, a detached subtree deleted,
+//! a spliced node deleted with its children promoted, a moved node moved
+//! after its previous sibling, and an inserted, re-attached or unspliced
+//! node inserted after its previous sibling, with its re-adopted children
+//! moved under it or its re-attached subtree grafted. So there is one
+//! linked arena, the one `xuc_xtree` tests, and the evaluator reads it
+//! through its read-only slot view ([`xuc_xtree::Slots`]).
 //!
-//! * the **arena view**, always exact: per slot the node's id, label,
-//!   parent, first child, next and previous sibling, plus one
-//!   `NodeId → slot` map. [`Evaluator::new`] and [`Evaluator::refresh`]
-//!   read it from the tree in one pre-order walk;
-//!   [`Evaluator::refresh_after`] keeps it exact in time proportional to
-//!   one edit — a relabel patches a label, an id swap one map entry, a
-//!   structural edit relinks the subtrees its scope names (an attached
-//!   subtree read in after its previous sibling, a detached one freed, a
-//!   spliced node's children handed to its parent), with O(1) unlinks
-//!   whatever the parent's fan-out;
-//! * the **dense view**, a cache: the arena packed in pre-order (slot =
-//!   pre-order index, parents before children) with lazily built
-//!   per-label `u64` bitset rows. A fresh read is already packed; after a
-//!   structural edit the bitset entry points ([`Evaluator::eval`],
-//!   [`Evaluator::eval_at`], [`Evaluator::eval_all`],
-//!   [`Evaluator::eval_ids`], [`Evaluator::holds_below`] and predicate
-//!   fallbacks) re-pack the arena once before they run. Satisfaction
-//!   rows, descendant closures and spine frontiers are packed bitsets;
-//!   the label test and per-child requirement conjunctions are word-wide
-//!   AND sweeps, and sparse propagation steps skip zero words.
+//! The per-pattern bitset path ([`Evaluator::eval`],
+//! [`Evaluator::eval_at`], [`Evaluator::eval_all`],
+//! [`Evaluator::eval_ids`], [`Evaluator::holds_below`] and predicate
+//! fallbacks) indexes its `u64` rows by replica slot: a live mask (the
+//! wildcard test) and lazily built per-label rows. A relabel patches two
+//! bits; a structural re-sync leaves them stale, and the next bitset entry
+//! point re-derives them in one scan of the slots (a free slot has no
+//! parent). Satisfaction rows, descendant closures and spine frontiers are
+//! packed bitsets; the label test and per-child requirement conjunctions
+//! are word-wide AND sweeps. Descendant axes never assume slot order:
+//! "has a marked descendant" walks up from each set bit and stops at a
+//! set ancestor; "has a frontier ancestor" is one pass in slot order for
+//! every node whose parent sits at a lower slot (all of them on a fresh
+//! copy), then marks, below each other node that lies under the
+//! frontier, its subtree, skipping subtrees already marked.
 //!
-//! The set-at-a-time passes run on the arena view and never need the
-//! dense one. [`Evaluator::eval_set`] drives a whole batch compiled into
-//! one deterministic automaton (see [`PatternSetAutomaton`] — the
-//! compiler lives in `xuc_automata`) over the tree **once** with an
-//! explicit `(slot, state)` stack, labelling every node with its
-//! satisfied-pattern row. [`Evaluator::eval_set_splice`] is the one
-//! incremental evaluator: it patches cached `eval_set` results in place
-//! by replaying each [`DirtyRegion`] root's ancestor path and re-driving
-//! the automaton below it through the same sweep loop. It is checked
-//! against the from-scratch passes (`eval_set`, `eval_all`, the naive
-//! oracle), never against a second incremental copy.
+//! The set-at-a-time passes never need the rows. [`Evaluator::eval_set`]
+//! drives a whole batch compiled into one deterministic automaton (see
+//! [`PatternSetAutomaton`] — the compiler lives in `xuc_automata`) over
+//! the replica **once** with an explicit `(slot, state)` stack, labelling
+//! every node with its satisfied-pattern row. [`Evaluator::eval_set_splice`]
+//! is the one incremental evaluator: it patches cached `eval_set` results
+//! in place by replaying each [`DirtyRegion`] root's ancestor path and
+//! re-driving the automaton below it through the same sweep loop. It is
+//! checked against the from-scratch passes (`eval_set`, `eval_all`, the
+//! naive oracle), never against a second incremental copy.
 //!
 //! [`Evaluator::refresh`] is the blunt full rebuild and the oracle
 //! `refresh_after` is tested against; [`Evaluator::invalidate`] is the
 //! guard rail that makes a forgotten refresh a loud panic instead of a
-//! silent wrong answer. Every full rebuild — `new`, `refresh`, a dense
-//! re-pack — counts one [`xuc_xtree::preorder_walk_count`] walk.
+//! silent wrong answer. Every document-sized rebuild — `new`, `refresh`,
+//! re-deriving the rows after a structural re-sync — counts one
+//! [`xuc_xtree::preorder_walk_count`] walk.
 //!
 //! The algorithm is exactly the one documented in [`crate::eval`](mod@crate::eval)
 //! (Gottlob–Koch–Pichler–Segoufin two-phase evaluation); only the data
@@ -55,10 +62,9 @@
 
 use crate::pattern::{Axis, NodeTest, Pattern};
 use std::collections::{BTreeSet, HashMap};
-use xuc_xtree::{DataTree, DirtyRegion, EditScope, Label, NodeId, NodeRef};
+use xuc_xtree::{DataTree, DirtyRegion, EditScope, Label, NodeId, NodeRef, Slots, TreeError};
 
-/// "No slot" in the arena's link arrays.
-const NIL: u32 = u32::MAX;
+const NIL: u32 = Slots::NIL;
 
 #[inline]
 fn word_count(n: usize) -> usize {
@@ -103,6 +109,12 @@ fn for_each_set_bit(row: &[u64], mut f: impl FnMut(usize)) {
             w &= w - 1;
         }
     }
+}
+
+/// Unwraps a replica operation: it fails only when the scope does not
+/// describe the edit separating the replica from the document.
+fn synced<T>(r: Result<T, TreeError>) -> T {
+    r.unwrap_or_else(|e| panic!("edit scope does not match the evaluator's replica: {e}"))
 }
 
 /// A pattern batch compiled into one deterministic automaton over
@@ -201,41 +213,8 @@ impl SpliceJournal {
     }
 }
 
-/// Pre-order walk of the arena subtree strictly below `top` along its
-/// sibling chains, driven by an explicit `(slot, value)` stack of the
-/// current path: each node's value is `step(parent's value, node)`,
-/// `top`'s being `init`. The stack holds height-many entries, and on an
-/// arena packed in pre-order the walk reads every array front to back.
-fn walk_below(
-    first_child: &[u32],
-    next_sibling: &[u32],
-    stack: &mut Vec<(u32, u32)>,
-    top: u32,
-    init: u32,
-    mut step: impl FnMut(u32, u32) -> u32,
-) {
-    stack.clear();
-    let mut v = first_child[top as usize];
-    loop {
-        if v == NIL {
-            // The children of the path's deepest node are done: climb.
-            let Some((done, _)) = stack.pop() else { return };
-            v = next_sibling[done as usize];
-            continue;
-        }
-        let value = step(stack.last().map_or(init, |&(_, x)| x), v);
-        let fc = first_child[v as usize];
-        if fc == NIL {
-            v = next_sibling[v as usize];
-        } else {
-            stack.push((v, value));
-            v = fc;
-        }
-    }
-}
-
 /// What [`Evaluator::eval_set_splice`]'s sweep below the dirty roots
-/// found, as arena slots.
+/// found, as replica slots.
 struct DirtySweep {
     /// Every swept node: dirty roots included, the tree root excluded.
     touched: Vec<u32>,
@@ -262,67 +241,44 @@ struct DirtySweep {
 /// assert_eq!(ev.eval(&q).len(), 2);
 /// ```
 pub struct Evaluator {
-    // The arena view (see the module docs). The root is always slot 0;
-    // children are linked in tree order. A freed slot's entries are dead
-    // and its `parent` threads the free list.
-    ids: Vec<NodeId>,
-    labels: Vec<Label>,
-    /// Parent slot; `NIL` for the root (and the free list's end).
-    parent: Vec<u32>,
-    first_child: Vec<u32>,
-    next_sibling: Vec<u32>,
-    /// Previous sibling slot: unlinking a node is O(1) whatever its
-    /// parent's fan-out.
-    prev_sibling: Vec<u32>,
-    slot_of: HashMap<NodeId, u32>,
-    free_head: u32,
-    live: usize,
-    /// Is the dense view valid: the arena packed in pre-order (no free
-    /// slot, every parent before its children) with `words`, `ones` and
-    /// `label_rows` sized to it? Cleared by structural edits, restored by
-    /// [`ensure_dense`](Self::ensure_dense).
-    dense: bool,
-    words: usize,
-    /// Lazy per-label node bitsets of the dense view (re-derived in place
-    /// on every re-pack, so the cache and its allocations survive).
-    label_rows: HashMap<Label, Vec<u64>>,
-    /// All-ones row masked to `live` bits (the wildcard test).
+    /// The replica of the document (see the module docs); only
+    /// [`refresh`](Self::refresh) and
+    /// [`refresh_after`](Self::refresh_after) edit it.
+    tree: DataTree,
+    /// Live mask over the replica's slots (the wildcard test).
     ones: Vec<u64>,
-    /// Set by [`invalidate`](Self::invalidate): the arena itself may no
+    /// Lazy per-label bitsets over the replica's slots (re-derived in
+    /// place after a structural re-sync, so the cache and its allocations
+    /// survive).
+    label_rows: HashMap<Label, Vec<u64>>,
+    /// Did a structural re-sync leave `ones` and `label_rows` stale?
+    rows_stale: bool,
+    /// Set by [`invalidate`](Self::invalidate): the replica itself may no
     /// longer match the tree, so only a full [`refresh`](Self::refresh)
     /// can make the evaluator usable again.
     invalidated: bool,
     /// Reused `(slot, state)` stack of the sweeps.
     stack: Vec<(u32, u32)>,
-    /// Nodes freed or re-read by structural
+    /// Nodes touched by structural
     /// [`refresh_after`](Self::refresh_after) calls.
     refresh_nodes_read: u64,
 }
 
 impl Evaluator {
-    /// Reads `tree` into a fresh evaluator: one pre-order walk builds the
-    /// arena view already packed as the dense view; every subsequent
-    /// [`eval`](Self::eval) reuses it.
+    /// Reads `tree` into a fresh evaluator: one packed pre-order copy
+    /// builds the replica; every subsequent [`eval`](Self::eval) reuses
+    /// it.
     pub fn new(tree: &DataTree) -> Evaluator {
         let mut ev = Evaluator {
-            ids: Vec::new(),
-            labels: Vec::new(),
-            parent: Vec::new(),
-            first_child: Vec::new(),
-            next_sibling: Vec::new(),
-            prev_sibling: Vec::new(),
-            slot_of: HashMap::new(),
-            free_head: NIL,
-            live: 0,
-            dense: false,
-            words: 0,
-            label_rows: HashMap::new(),
+            tree: tree.packed_copy(),
             ones: Vec::new(),
-            invalidated: true,
+            label_rows: HashMap::new(),
+            rows_stale: false,
+            invalidated: false,
             stack: Vec::new(),
             refresh_nodes_read: 0,
         };
-        ev.refresh(tree);
+        ev.derive_rows();
         ev
     }
 
@@ -330,60 +286,37 @@ impl Evaluator {
     /// existing allocations. This is the blunt fallback of the refresh
     /// protocol — and the oracle the edit-proportional
     /// [`refresh_after`](Self::refresh_after) is tested against; see
-    /// [`invalidate`](Self::invalidate). Slots are handed out in
-    /// pre-order, so the dense view is valid again afterwards.
+    /// [`invalidate`](Self::invalidate).
     pub fn refresh(&mut self, tree: &DataTree) {
-        let n = tree.len();
-        for v in [
-            &mut self.parent,
-            &mut self.first_child,
-            &mut self.next_sibling,
-            &mut self.prev_sibling,
-        ] {
-            v.clear();
-            v.reserve(n);
-        }
-        self.ids.clear();
-        self.ids.reserve(n);
-        self.labels.clear();
-        self.labels.reserve(n);
-        self.slot_of.clear();
-        self.slot_of.reserve(n);
-        self.free_head = NIL;
-        self.live = 0;
-        let mut path = Vec::new();
-        tree.for_each_preorder(tree.root_id(), |id, label, depth| {
-            self.place(&mut path, id, label, depth);
-        })
-        .expect("the root is live");
-        // Slots are handed out in order, so the map fills in one pass.
-        self.slot_of.extend(self.ids.iter().zip(0..).map(|(&id, slot)| (id, slot)));
-        self.pack_rows();
+        self.tree.copy_packed_from(tree);
+        self.derive_rows();
         self.invalidated = false;
     }
 
     /// Refreshes the evaluator **proportionally to one applied edit**,
     /// described by the [`EditScope`] that [`xuc_xtree::apply_undoable`]
-    /// (or [`xuc_xtree::undo`]) returned for it.
+    /// (or [`xuc_xtree::undo`]) returned for it, by re-applying the edit
+    /// to the replica with the tree's own operations.
     ///
-    /// * A relabel patches the node's label, and the two affected cached
-    ///   label rows when the dense view is valid — no walk.
-    /// * An id replacement patches the node's id and its map entry.
-    /// * A structural scope relinks the arena view instead of re-reading
-    ///   a common ancestor: an [`Attached`](EditScope::Attached) node
-    ///   frees the slots its current subtree already owns (a moved node,
-    ///   an unspliced node's re-adopted children) and reads the subtree
-    ///   in, linked right after its previous sibling in `tree`; a
-    ///   [`Detached`](EditScope::Detached) node frees its subtree; a
-    ///   [`Spliced`](EditScope::Spliced) node hands its children to its
-    ///   parent, linked after their previous sibling in `tree`, and frees
-    ///   its slot. Unlinking is O(1) whatever the parent's fan-out, so
-    ///   the cost is the nodes of the named subtrees (the spliced node's
-    ///   children), counted by
+    /// * A relabel relabels the replica's node, and patches the two
+    ///   affected cached label rows when they are not stale — no walk.
+    /// * An id replacement replaces the replica node's id.
+    /// * A structural scope edits the subtrees it names, never a common
+    ///   ancestor: a [`Detached`](EditScope::Detached) node's subtree is
+    ///   deleted; a [`Spliced`](EditScope::Spliced) node is deleted, its
+    ///   children promoted; an [`Attached`](EditScope::Attached) node the
+    ///   replica holds (a move) is moved after its previous sibling in
+    ///   `tree`, and one it does not hold is inserted there, its
+    ///   re-adopted children (an unsplice) moved under it and the rest of
+    ///   its subtree (a re-attached one) grafted from `tree`. Linking is
+    ///   O(1) whatever the parent's fan-out, so the cost is the nodes
+    ///   touched — one for a move or an inserted leaf, the subtree for a
+    ///   delete or a re-attach, the children plus one for a splice or an
+    ///   unsplice — counted by
     ///   [`EngineCounters::refresh_nodes_read`](crate::EngineCounters::refresh_nodes_read),
-    ///   at any depth — a root-level move costs the moved subtree. The
-    ///   dense view goes stale and is re-packed by the next bitset entry
-    ///   point that needs it; the set-at-a-time passes do not.
+    ///   at any depth. The cached rows go stale and are re-derived by the
+    ///   next bitset entry point that needs them; the set-at-a-time
+    ///   passes do not.
     ///
     /// An [invalidated](Self::invalidate) evaluator may not match the
     /// tree the scope describes, so it takes the full
@@ -393,258 +326,86 @@ impl Evaluator {
     /// per edit as it is applied (or undone).
     ///
     /// # Panics
-    /// Panics if the scope names a node the snapshot does not hold.
+    /// Panics if the scope does not match the replica (names a node it
+    /// does not hold, say).
     pub fn refresh_after(&mut self, tree: &DataTree, scope: &EditScope) {
         if self.invalidated {
             return self.refresh(tree);
         }
-        let touched = match scope {
+        let replica = &mut self.tree;
+        let len = replica.len();
+        let touched = match *scope {
             EditScope::Relabel { node, from, to } => {
-                let i = self.slot_named(*node, "relabeled") as usize;
-                debug_assert_eq!(self.labels[i], *from, "scope does not match the evaluator");
-                self.labels[i] = *to;
-                if self.dense {
-                    if let Some(row) = self.label_rows.get_mut(from) {
+                let i = self.slot_named(node, "relabeled") as usize;
+                debug_assert_eq!(self.tree.label(node), Ok(from), "scope does not match");
+                synced(self.tree.relabel(node, to));
+                if !self.rows_stale {
+                    if let Some(row) = self.label_rows.get_mut(&from) {
                         clear_bit(row, i);
                     }
-                    if let Some(row) = self.label_rows.get_mut(to) {
+                    if let Some(row) = self.label_rows.get_mut(&to) {
                         set_bit(row, i);
                     }
                 }
                 return;
             }
-            EditScope::ReplaceId { from, to } => {
-                let i = self
-                    .slot_of
-                    .remove(from)
-                    .unwrap_or_else(|| panic!("replaced node {from} not in snapshot"));
-                self.slot_of.insert(*to, i);
-                self.ids[i as usize] = *to;
-                return;
+            EditScope::ReplaceId { from, to } => return synced(replica.replace_id(from, to)),
+            EditScope::Attached { node } => {
+                let parent = synced(tree.parent(node)).expect("an attached node has a parent");
+                let prev = synced(tree.prev_sibling(node));
+                if replica.contains(node) {
+                    synced(replica.move_after(node, parent, prev));
+                    1
+                } else {
+                    synced(replica.add_after(parent, prev, node, synced(tree.label(node))));
+                    let mut moved = 0;
+                    for c in synced(tree.children_iter(node)) {
+                        if replica.contains(c) {
+                            synced(replica.move_node(c, node));
+                            moved += 1;
+                        } else {
+                            synced(replica.graft_subtree(node, tree, c));
+                        }
+                    }
+                    replica.len() - len + moved
+                }
             }
-            EditScope::Attached { node } => self.attach(tree, *node),
             EditScope::Detached { node } => {
-                let v = self.slot_named(*node, "detached");
-                self.free_subtree(v)
+                synced(replica.delete_subtree(node));
+                len - replica.len()
             }
-            EditScope::Spliced { node, .. } => self.splice_out(tree, *node),
+            EditScope::Spliced { node, count, .. } => {
+                synced(replica.delete_node(node));
+                count + 1
+            }
         };
-        self.dense = false;
+        self.rows_stale = true;
         let n = touched as u64;
         self.refresh_nodes_read += n;
         crate::stats::bump(&crate::stats::REFRESH_NODES_READ, n);
     }
 
-    /// The [`Attached`](EditScope::Attached) arm of
-    /// [`refresh_after`](Self::refresh_after): frees the slots `node`'s
-    /// current subtree already owns — `node`'s own, when it moved, else
-    /// its re-adopted children's — then reads the subtree in from `tree`
-    /// under its parent, right after its previous sibling. Returns the
-    /// nodes freed plus read.
-    fn attach(&mut self, tree: &DataTree, node: NodeId) -> usize {
-        let mut touched = 0;
-        if let Some(&v) = self.slot_of.get(&node) {
-            touched += self.free_subtree(v);
-        } else {
-            for c in tree.children_iter(node).expect("attached node is live") {
-                if let Some(&v) = self.slot_of.get(&c) {
-                    touched += self.free_subtree(v);
+    /// Sizes the live mask and the cached label rows to the replica's
+    /// slots and re-derives them in one scan (rows for labels no longer
+    /// present become zero rows — still correct answers).
+    fn derive_rows(&mut self) {
+        let s = self.tree.slots();
+        let words = word_count(s.ids.len());
+        self.ones.clear();
+        self.ones.resize(words, 0);
+        for row in self.label_rows.values_mut() {
+            row.clear();
+            row.resize(words, 0);
+        }
+        for (v, l) in s.labels.iter().enumerate() {
+            if s.parent[v] != NIL || v as u32 == s.root {
+                set_bit(&mut self.ones, v);
+                if let Some(row) = self.label_rows.get_mut(l) {
+                    set_bit(row, v);
                 }
             }
         }
-        let parent = tree.parent(node).expect("live").expect("an attached node has a parent");
-        let mut path = vec![self.slot_named(parent, "attached node's parent")];
-        if let Some(prev) = tree.prev_sibling(node).expect("live") {
-            path.push(self.slot_named(prev, "attached node's previous sibling"));
-        }
-        touched += tree
-            .for_each_preorder(node, |id, label, depth| {
-                let slot = self.place(&mut path, id, label, depth + 1);
-                self.slot_of.insert(id, slot);
-            })
-            .expect("live");
-        touched
-    }
-
-    /// The [`Spliced`](EditScope::Spliced) arm of
-    /// [`refresh_after`](Self::refresh_after): relinks `node`'s children
-    /// under its parent after their previous sibling in `tree`, then frees
-    /// `node`'s slot. Returns the children moved plus one.
-    fn splice_out(&mut self, tree: &DataTree, node: NodeId) -> usize {
-        let v = self.slot_named(node, "spliced");
-        let parent = self.parent[v as usize];
-        self.unlink(v);
-        let mut c = self.first_child[v as usize];
-        let mut prev = NIL;
-        if c != NIL {
-            let first = self.ids[c as usize];
-            if let Some(p) = tree.prev_sibling(first).expect("promoted child is live") {
-                prev = self.slot_named(p, "promoted child's previous sibling");
-            }
-        }
-        let mut moved = 0;
-        while c != NIL {
-            let next = self.next_sibling[c as usize];
-            self.link(c, parent, prev);
-            (prev, c) = (c, next);
-            moved += 1;
-        }
-        self.release(v);
-        moved + 1
-    }
-
-    /// Unlinks slot `top` from its parent and frees it with its whole
-    /// arena subtree; returns the number of slots freed.
-    fn free_subtree(&mut self, top: u32) -> usize {
-        self.unlink(top);
-        // Freed slots thread the free list through `parent`, which the
-        // walk does not read, so they can be freed as they are visited.
-        let mut freed = 0;
-        walk_below(&self.first_child, &self.next_sibling, &mut self.stack, top, 0, |_, v| {
-            self.slot_of.remove(&self.ids[v as usize]);
-            self.parent[v as usize] = self.free_head;
-            self.free_head = v;
-            freed += 1;
-            0
-        });
-        self.live -= freed;
-        self.release(top);
-        freed + 1
-    }
-
-    /// Frees one unlinked slot: unmaps its id and pushes it on the free
-    /// list.
-    fn release(&mut self, slot: u32) {
-        self.slot_of.remove(&self.ids[slot as usize]);
-        self.parent[slot as usize] = self.free_head;
-        self.free_head = slot;
-        self.live -= 1;
-    }
-
-    /// Links `slot` under `parent` right after the sibling `prev` (as the
-    /// first child when `prev` is `NIL`; a root when `parent` is `NIL`).
-    fn link(&mut self, slot: u32, parent: u32, prev: u32) {
-        let s = slot as usize;
-        let next = if prev != NIL {
-            std::mem::replace(&mut self.next_sibling[prev as usize], slot)
-        } else if parent != NIL {
-            std::mem::replace(&mut self.first_child[parent as usize], slot)
-        } else {
-            NIL
-        };
-        self.parent[s] = parent;
-        self.prev_sibling[s] = prev;
-        self.next_sibling[s] = next;
-        if next != NIL {
-            self.prev_sibling[next as usize] = slot;
-        }
-    }
-
-    /// Unlinks `slot` from its parent's child list in O(1) (its own
-    /// links are left for the caller to relink or free).
-    fn unlink(&mut self, slot: u32) {
-        let s = slot as usize;
-        let (prev, next) = (self.prev_sibling[s], self.next_sibling[s]);
-        if prev != NIL {
-            self.next_sibling[prev as usize] = next;
-        } else {
-            self.first_child[self.parent[s] as usize] = next;
-        }
-        if next != NIL {
-            self.prev_sibling[next as usize] = prev;
-        }
-    }
-
-    /// Stores one node of a pre-order read at `depth` below the read's
-    /// top: `path` holds the slots of the current root path, so
-    /// `path[depth - 1]` is the parent and `path[depth]`, when present,
-    /// the previous sibling, after which the node is linked. Slots come
-    /// off the free list first (or grow the arena); the caller maps the
-    /// id.
-    fn place(&mut self, path: &mut Vec<u32>, id: NodeId, label: Label, depth: usize) -> u32 {
-        let prev = path.get(depth).copied().unwrap_or(NIL);
-        path.truncate(depth);
-        let parent = path.last().copied().unwrap_or(NIL);
-        let slot = if self.free_head != NIL {
-            let slot = self.free_head;
-            let s = slot as usize;
-            self.free_head = self.parent[s];
-            self.ids[s] = id;
-            self.labels[s] = label;
-            self.first_child[s] = NIL;
-            slot
-        } else {
-            let slot = self.ids.len() as u32;
-            assert!(slot != NIL, "arena full (u32::MAX slots)");
-            self.ids.push(id);
-            self.labels.push(label);
-            self.parent.push(NIL);
-            self.first_child.push(NIL);
-            self.next_sibling.push(NIL);
-            self.prev_sibling.push(NIL);
-            slot
-        };
-        self.link(slot, parent, prev);
-        path.push(slot);
-        self.live += 1;
-        slot
-    }
-
-    /// Restores the dense view if a structural edit left it stale: packs
-    /// the arena in pre-order (one walk of the arena, counted as a full
-    /// pre-order walk) and re-derives the cached label rows.
-    fn ensure_dense(&mut self) {
-        if self.dense {
-            return;
-        }
-        xuc_xtree::note_preorder_walk();
-        let n = self.live;
-        let ids = std::mem::replace(&mut self.ids, Vec::with_capacity(n));
-        let labels = std::mem::replace(&mut self.labels, Vec::with_capacity(n));
-        let first_child = std::mem::replace(&mut self.first_child, Vec::with_capacity(n));
-        let next_sibling = std::mem::replace(&mut self.next_sibling, Vec::with_capacity(n));
-        self.parent = Vec::with_capacity(n);
-        self.prev_sibling = Vec::with_capacity(n);
-        self.free_head = NIL;
-        self.live = 0;
-        let mut packed_of = vec![NIL; ids.len()];
-        let mut path = Vec::new();
-        packed_of[0] = self.place(&mut path, ids[0], labels[0], 0);
-        let mut stack = std::mem::take(&mut self.stack);
-        walk_below(&first_child, &next_sibling, &mut stack, 0, 0, |depth, v| {
-            let v = v as usize;
-            packed_of[v] = self.place(&mut path, ids[v], labels[v], depth as usize + 1);
-            depth + 1
-        });
-        self.stack = stack;
-        for slot in self.slot_of.values_mut() {
-            *slot = packed_of[*slot as usize];
-        }
-        self.pack_rows();
-    }
-
-    /// Sizes the dense view's rows to the packed arena and re-derives the
-    /// cached label rows from `labels` in one pass (rows for labels no
-    /// longer present become zero rows — still correct answers).
-    fn pack_rows(&mut self) {
-        debug_assert_eq!(self.ids.len(), self.live, "the arena must be packed");
-        let n = self.live;
-        self.words = word_count(n);
-        self.ones.clear();
-        self.ones.resize(self.words, !0u64);
-        if !n.is_multiple_of(64) && self.words > 0 {
-            self.ones[self.words - 1] = (1u64 << (n % 64)) - 1;
-        }
-        for row in self.label_rows.values_mut() {
-            row.clear();
-            row.resize(self.words, 0);
-        }
-        for (v, l) in self.labels.iter().enumerate() {
-            if let Some(row) = self.label_rows.get_mut(l) {
-                set_bit(row, v);
-            }
-        }
-        self.dense = true;
+        self.rows_stale = false;
     }
 
     /// Marks the evaluator stale. Call this when handing the underlying
@@ -657,13 +418,13 @@ impl Evaluator {
     }
 
     /// Is the evaluator marked stale by [`invalidate`](Self::invalidate)?
-    /// (A dense view awaiting its re-pack is not stale: the evaluator
-    /// still matches the tree.)
+    /// (Label rows awaiting re-derivation are not stale in this sense:
+    /// the replica still matches the tree.)
     pub fn is_stale(&self) -> bool {
         self.invalidated
     }
 
-    /// Nodes freed or re-read by this evaluator's structural
+    /// Nodes touched by this evaluator's structural
     /// [`refresh_after`](Self::refresh_after) calls so far: a pure
     /// function of the edits it was fed. Monotone; diff two readings.
     pub fn refresh_nodes_read(&self) -> u64 {
@@ -672,12 +433,12 @@ impl Evaluator {
 
     /// Number of nodes in the snapshot.
     pub fn len(&self) -> usize {
-        self.live
+        self.tree.len()
     }
 
     /// The snapshotted tree's root node.
     pub fn root(&self) -> NodeRef {
-        NodeRef { id: self.ids[0], label: self.labels[0] }
+        NodeRef { id: self.tree.root_id(), label: self.tree.root_label() }
     }
 
     /// Trees always have a root, so a snapshot is never empty.
@@ -693,21 +454,23 @@ impl Evaluator {
     }
 
     fn slot_named(&self, id: NodeId, what: &str) -> u32 {
-        *self.slot_of.get(&id).unwrap_or_else(|| panic!("{what} node {id} not in snapshot"))
+        self.tree.slot_of(id).unwrap_or_else(|| panic!("{what} node {id} not in snapshot"))
     }
 
-    /// The bitset of nodes whose label passes `test` (cached per label).
+    /// The bitset of live slots whose label passes `test` (cached per
+    /// label).
     fn test_row(&mut self, test: NodeTest) -> &[u64] {
         match test {
             NodeTest::Wildcard => &self.ones,
             NodeTest::Label(l) => {
                 if !self.label_rows.contains_key(&l) {
-                    let mut row = vec![0u64; self.words];
-                    for (v, &vl) in self.labels.iter().enumerate() {
-                        if vl == l {
+                    let labels = self.tree.slots().labels;
+                    let mut row = vec![0u64; self.ones.len()];
+                    for_each_set_bit(&self.ones, |v| {
+                        if labels[v] == l {
                             set_bit(&mut row, v);
                         }
-                    }
+                    });
                     self.label_rows.insert(l, row);
                 }
                 &self.label_rows[&l]
@@ -717,10 +480,11 @@ impl Evaluator {
 
     /// `out[v] = 1` iff some child `w` of `v` has `src[w] = 1`.
     fn any_child(&self, src: &[u64], out: &mut Vec<u64>) {
+        let parent = self.tree.slots().parent;
         out.clear();
-        out.resize(self.words, 0);
+        out.resize(src.len(), 0);
         for_each_set_bit(src, |w| {
-            let p = self.parent[w];
+            let p = parent[w];
             if p != NIL {
                 set_bit(out, p as usize);
             }
@@ -728,25 +492,32 @@ impl Evaluator {
     }
 
     /// `out[v] = 1` iff some *proper descendant* `w` of `v` has
-    /// `src[w] = 1`. One reverse pre-order pass: children are visited
-    /// before their parents, so `out` accumulates bottom-up.
+    /// `src[w] = 1`. From each set bit, walks up and marks ancestors,
+    /// stopping at one already marked: its ancestors are marked too, so
+    /// each node is marked once, whatever the slot order.
     fn any_descendant(&self, src: &[u64], out: &mut Vec<u64>) {
+        let parent = self.tree.slots().parent;
         out.clear();
-        out.resize(self.words, 0);
-        for v in (1..self.live).rev() {
-            if get_bit(src, v) || get_bit(out, v) {
-                set_bit(out, self.parent[v] as usize);
+        out.resize(src.len(), 0);
+        for_each_set_bit(src, |w| {
+            let mut v = parent[w];
+            while v != NIL && !get_bit(out, v as usize) {
+                set_bit(out, v as usize);
+                v = parent[v as usize];
             }
-        }
+        });
     }
 
     /// Phase 1 + phase 2 producing the output-node frontier bitset of `q`
-    /// evaluated at `start`, on the dense view.
+    /// evaluated at `start`, on rows indexed by replica slot.
     fn frontier_at(&mut self, q: &Pattern, start: NodeId) -> Vec<u64> {
         self.check_fresh();
-        self.ensure_dense();
+        if self.rows_stale {
+            xuc_xtree::note_preorder_walk();
+            self.derive_rows();
+        }
         let start_idx = self.slot_named(start, "start") as usize;
-        let words = self.words;
+        let words = self.ones.len();
 
         // Phase 1: bottom-up subpattern satisfaction, one bitset row per
         // pattern node. Children are processed before parents, so child
@@ -770,9 +541,11 @@ impl Evaluator {
 
         // Phase 2: walk the spine from `start_idx`, keeping the frontier of
         // nodes matching the spine prefix.
+        let s = self.tree.slots();
         let mut frontier = vec![0u64; words];
         set_bit(&mut frontier, start_idx);
         let mut next = vec![0u64; words];
+        let (mut late, mut todo) = (Vec::new(), Vec::new());
         for p in q.spine() {
             next.clear();
             next.resize(words, 0);
@@ -780,19 +553,52 @@ impl Evaluator {
                 Axis::Child => {
                     // Children of the frontier, along the sibling chains.
                     for_each_set_bit(&frontier, |v| {
-                        let mut w = self.first_child[v];
+                        let mut w = s.first_child[v];
                         while w != NIL {
                             set_bit(&mut next, w as usize);
-                            w = self.next_sibling[w as usize];
+                            w = s.next_sibling[w as usize];
                         }
                     });
                 }
                 Axis::Descendant => {
-                    // has-frontier-proper-ancestor by pre-order propagation.
-                    for v in 1..self.live {
-                        let pv = self.parent[v] as usize;
-                        if get_bit(&frontier, pv) || get_bit(&next, pv) {
+                    // Has a frontier proper ancestor: one pass in slot
+                    // order decides every node whose parent sits at a
+                    // lower slot (all of them on a fresh copy)...
+                    late.clear();
+                    for (v, &p) in s.parent.iter().enumerate() {
+                        if p == NIL {
+                            continue;
+                        }
+                        let p = p as usize;
+                        if p > v {
+                            late.push(v as u32);
+                        } else if get_bit(&frontier, p) || get_bit(&next, p) {
                             set_bit(&mut next, v);
+                        }
+                    }
+                    // ...and each node decided before its parent climbs
+                    // to the root. If it lies below the frontier, it and
+                    // its subtree are marked, skipping marked subtrees:
+                    // a node the pass missed lies below such a node.
+                    for &v in &late {
+                        let mut u = s.parent[v as usize];
+                        while u != NIL && !get_bit(&frontier, u as usize) {
+                            u = s.parent[u as usize];
+                        }
+                        if u == NIL || get_bit(&next, v as usize) {
+                            continue;
+                        }
+                        set_bit(&mut next, v as usize);
+                        todo.push(v);
+                        while let Some(w) = todo.pop() {
+                            let mut c = s.first_child[w as usize];
+                            while c != NIL {
+                                if !get_bit(&next, c as usize) {
+                                    set_bit(&mut next, c as usize);
+                                    todo.push(c);
+                                }
+                                c = s.next_sibling[c as usize];
+                            }
                         }
                     }
                 }
@@ -808,7 +614,7 @@ impl Evaluator {
 
     /// Evaluates `q` from the document root: `q(I)`.
     pub fn eval(&mut self, q: &Pattern) -> BTreeSet<NodeRef> {
-        self.eval_at(q, self.ids[0])
+        self.eval_at(q, self.tree.root_id())
     }
 
     /// Evaluates `q` on the subtree rooted at `start`: `q(n, I)`.
@@ -817,9 +623,10 @@ impl Evaluator {
     /// Panics if `start` is not a node of the snapshotted tree.
     pub fn eval_at(&mut self, q: &Pattern, start: NodeId) -> BTreeSet<NodeRef> {
         let frontier = self.frontier_at(q, start);
+        let s = self.tree.slots();
         let mut out = BTreeSet::new();
         for_each_set_bit(&frontier, |v| {
-            out.insert(NodeRef { id: self.ids[v], label: self.labels[v] });
+            out.insert(NodeRef { id: s.ids[v], label: s.labels[v] });
         });
         out
     }
@@ -840,11 +647,11 @@ impl Evaluator {
     /// cover (its [`fallbacks`](PatternSetAutomaton::fallbacks)) are
     /// evaluated per-pattern, so the result is always complete.
     ///
-    /// The pass runs on the arena view, so it follows every
+    /// The pass runs on the replica, so it follows every
     /// [`refresh_after`](Self::refresh_after) at once — a relabel patched
-    /// in O(1), a structural edit re-read below its scope — with no
-    /// automaton recompilation and no dense re-pack (only predicate
-    /// fallbacks need the dense view).
+    /// in O(1), a structural edit re-applied to its scope — with no
+    /// automaton recompilation and no row re-derivation (only predicate
+    /// fallbacks need the bitset rows).
     ///
     /// ```
     /// use xuc_automata::PatternSetCompiler;
@@ -863,7 +670,7 @@ impl Evaluator {
     /// assert_eq!(rows[0].len(), 2); // b#2 and b#5
     /// ```
     pub fn eval_set<A: PatternSetAutomaton + ?Sized>(&mut self, set: &A) -> Vec<BTreeSet<NodeRef>> {
-        self.eval_set_at(set, self.ids[0])
+        self.eval_set_at(set, self.tree.root_id())
     }
 
     /// [`eval_set`](Self::eval_set) on the subtree rooted at `start`:
@@ -900,8 +707,9 @@ impl Evaluator {
         // certificate) then touches about half the memory.
         let mut rows: Vec<Vec<NodeRef>> = vec![Vec::new(); set.pattern_count()];
         let mut stack = std::mem::take(&mut self.stack);
+        let slots = self.tree.slots();
         self.sweep_below(set, &mut stack, top, set.start_state(), |v, s| {
-            let r = NodeRef { id: self.ids[v as usize], label: self.labels[v as usize] };
+            let r = NodeRef { id: slots.ids[v as usize], label: slots.labels[v as usize] };
             for_each_set_bit(set.accept_row(s), |q| rows[q].push(r));
         });
         self.stack = stack;
@@ -914,11 +722,12 @@ impl Evaluator {
         out
     }
 
-    /// The one set-at-a-time sweep: drives `set` over the subtree
-    /// strictly below slot `top`, whose own state is `state`, calling
-    /// `visit(slot, state)` for each node. [`walk_below`]'s
-    /// `(slot, state)` stack carries each parent's state to its children,
-    /// so the sweep touches nothing outside the subtree.
+    /// The one set-at-a-time sweep: drives `set` over the replica
+    /// subtree strictly below slot `top`, whose own state is `state`,
+    /// calling `visit(slot, state)` for each node in pre-order along the
+    /// sibling chains. An explicit `(slot, state)` stack of the current
+    /// path (height-many entries) carries each parent's state to its
+    /// children, so the sweep touches nothing outside the subtree.
     fn sweep_below<A: PatternSetAutomaton + ?Sized>(
         &self,
         set: &A,
@@ -927,11 +736,26 @@ impl Evaluator {
         state: u32,
         mut visit: impl FnMut(u32, u32),
     ) {
-        walk_below(&self.first_child, &self.next_sibling, stack, top, state, |ps, v| {
-            let s = set.step(ps, self.labels[v as usize]);
-            visit(v, s);
-            s
-        });
+        let s = self.tree.slots();
+        stack.clear();
+        let mut v = s.first_child[top as usize];
+        loop {
+            if v == NIL {
+                // The children of the path's deepest node are done: climb.
+                let Some((done, _)) = stack.pop() else { return };
+                v = s.next_sibling[done as usize];
+                continue;
+            }
+            let vs = set.step(stack.last().map_or(state, |&(_, x)| x), s.labels[v as usize]);
+            visit(v, vs);
+            let fc = s.first_child[v as usize];
+            if fc == NIL {
+                v = s.next_sibling[v as usize];
+            } else {
+                stack.push((v, vs));
+                v = fc;
+            }
+        }
     }
 
     /// The dirty subtree roots of `region` as sorted, deduplicated slots —
@@ -946,12 +770,13 @@ impl Evaluator {
         let mut roots: Vec<u32> =
             Vec::with_capacity(region.structural_roots().len() + region.relabels().len());
         for id in region.structural_roots() {
-            roots.push(*self.slot_of.get(id)?);
+            roots.push(self.tree.slot_of(*id)?);
         }
+        let root = self.tree.slots().root;
         for (id, _) in region.relabels() {
-            match self.slot_of.get(id) {
-                Some(0) => {}
-                Some(&i) => roots.push(i),
+            match self.tree.slot_of(*id) {
+                Some(i) if i == root => {}
+                Some(i) => roots.push(i),
                 None if region.removed().iter().any(|r| r.id == *id) => {}
                 None => return None,
             }
@@ -964,14 +789,15 @@ impl Evaluator {
     /// Is slot `v` inside the subtree of one of `roots` (sorted slots),
     /// itself included? An ancestor walk: O(depth · log roots).
     fn below_any(&self, mut v: u32, roots: &[u32]) -> bool {
+        let s = self.tree.slots();
         loop {
             if roots.binary_search(&v).is_ok() {
                 return true;
             }
-            if v == 0 {
+            if v == s.root {
                 return false;
             }
-            v = self.parent[v as usize];
+            v = s.parent[v as usize];
         }
     }
 
@@ -990,12 +816,13 @@ impl Evaluator {
         let mut kept = Vec::with_capacity(roots.len());
         let mut stack = std::mem::take(&mut self.stack);
         let mut path = Vec::new();
+        let slots = self.tree.slots();
         for &ri in roots {
             path.clear();
             let (mut v, mut nested) = (ri, false);
-            while v != 0 && !nested {
+            while v != slots.root && !nested {
                 path.push(v);
-                v = self.parent[v as usize];
+                v = slots.parent[v as usize];
                 nested = roots.binary_search(&v).is_ok();
             }
             if nested {
@@ -1006,7 +833,7 @@ impl Evaluator {
             let s = path
                 .iter()
                 .rev()
-                .fold(set.start_state(), |s, &w| set.step(s, self.labels[w as usize]));
+                .fold(set.start_state(), |s, &w| set.step(s, slots.labels[w as usize]));
             kept.push(ri);
             let mut visit = |v: u32, s: u32| {
                 touched.push(v);
@@ -1134,12 +961,13 @@ impl Evaluator {
         // A dirty region covering most of the document (a root-level move
         // in a small tree) makes targeted splicing slower than one clean
         // sweep: hand it back before any mutation.
-        if touched.len().saturating_mul(k.max(1)) > 4 * self.live {
+        if touched.len().saturating_mul(k.max(1)) > 4 * self.tree.len() {
             return None;
         }
         crate::stats::bump(&crate::stats::DIRTY_ROOTS_SWEPT, roots.len() as u64);
         crate::stats::bump(&crate::stats::DIRTY_NODES_SWEPT, touched.len() as u64);
-        let node = |v: u32| NodeRef { id: self.ids[v as usize], label: self.labels[v as usize] };
+        let slots = self.tree.slots();
+        let node = |v: u32| NodeRef { id: slots.ids[v as usize], label: slots.labels[v as usize] };
 
         // 1. Targeted removals: every baseline entry inside a dirty
         //    subtree, under its pre-batch label, plus every deleted ref.
@@ -1165,8 +993,8 @@ impl Evaluator {
         //    target only evicts the pre-batch entry.
         for sw in region.id_swaps() {
             let old = NodeRef { id: sw.from, label: sw.label };
-            let alive_outside = match self.slot_of.get(&sw.to) {
-                Some(&v) if !self.below_any(v, &swept) => Some(v),
+            let alive_outside = match self.tree.slot_of(sw.to) {
+                Some(v) if !self.below_any(v, &swept) => Some(v),
                 _ => None,
             };
             for (i, row) in sets.iter_mut().enumerate() {
@@ -1174,7 +1002,7 @@ impl Evaluator {
                     journal.events[i].push((old, false));
                     if let Some(v) = alive_outside {
                         // A member outside the swept subtrees kept its label.
-                        debug_assert_eq!(self.labels[v as usize], sw.label, "swap label drifted");
+                        debug_assert_eq!(slots.labels[v as usize], sw.label, "swap label drifted");
                         let new = NodeRef { id: sw.to, label: sw.label };
                         if row.insert(new) {
                             journal.events[i].push((new, true));
@@ -1197,10 +1025,11 @@ impl Evaluator {
 
     /// The id set of `q(I)` (constraints compare ranges by id).
     pub fn eval_ids(&mut self, q: &Pattern) -> BTreeSet<NodeId> {
-        let frontier = self.frontier_at(q, self.ids[0]);
+        let frontier = self.frontier_at(q, self.tree.root_id());
+        let ids = self.tree.slots().ids;
         let mut out = BTreeSet::new();
         for_each_set_bit(&frontier, |v| {
-            out.insert(self.ids[v]);
+            out.insert(ids[v]);
         });
         out
     }
@@ -1470,10 +1299,10 @@ mod tests {
     }
 
     #[test]
-    fn structural_refresh_reads_the_scope_and_repacks_on_demand() {
+    fn structural_refresh_reads_the_scope_and_rederives_rows_on_demand() {
         // A structural scoped refresh touches only the subtree its scope
         // names; the set pass runs on it without a walk, and the first
-        // bitset entry point re-packs the dense view once.
+        // bitset entry point re-derives the label rows once.
         let mut t = parse_term("root(a#1(b#2,b#3),a#4(b#5),a#6)").unwrap();
         let set = DepthOneA { fallback: Vec::new() };
         let q = parse("/a/b").unwrap();
@@ -1497,16 +1326,25 @@ mod tests {
         let walks_after_oracle = xuc_xtree::preorder_walk_count();
         assert_eq!(walks_after_oracle - walks, 1, "only the oracle walked");
         assert_eq!(ids(&ev.eval(&q)), vec![3, 5]);
-        assert_eq!(xuc_xtree::preorder_walk_count() - walks_after_oracle, 1, "one re-pack");
+        assert_eq!(
+            xuc_xtree::preorder_walk_count() - walks_after_oracle,
+            1,
+            "one row re-derivation"
+        );
         assert_eq!(ids(&ev.eval(&q)), vec![3, 5]);
-        assert_eq!(xuc_xtree::preorder_walk_count() - walks_after_oracle, 1, "packed once");
+        assert_eq!(
+            xuc_xtree::preorder_walk_count() - walks_after_oracle,
+            1,
+            "rows re-derived once"
+        );
     }
 
     #[test]
     fn root_level_edits_cost_the_subtrees_they_name() {
         // Under a wide root, moves across it, splices and deletes of its
         // children and inserts under it cost the nodes of the subtrees
-        // their scopes name — never the root's fan-out.
+        // their scopes name — never the root's fan-out. A move relinks
+        // one node, whatever its subtree.
         let mut t = xuc_xtree::DataTree::new("root");
         let root = t.root_id();
         let kids: Vec<NodeId> = (0..500).map(|_| t.add(root, "a").unwrap()).collect();
@@ -1515,10 +1353,10 @@ mod tests {
         let mut ev = Evaluator::new(&t);
         let mut stack = Vec::new();
         for (op, cost) in [
-            (Update::Move { node: leaf, new_parent: kids[400] }, 2),
+            (Update::Move { node: leaf, new_parent: kids[400] }, 1),
             (Update::InsertLeaf { parent: root, id: NodeId::fresh(), label: Label::new("a") }, 1),
             (Update::DeleteNode { node: kids[400] }, 2),
-            (Update::Move { node: kids[3], new_parent: kids[450] }, 2),
+            (Update::Move { node: kids[3], new_parent: kids[450] }, 1),
             (Update::DeleteSubtree { node: kids[450] }, 2),
         ] {
             let read = ev.refresh_nodes_read();
@@ -1536,6 +1374,33 @@ mod tests {
             assert_eq!(ev.eval_set(&set), Evaluator::new(&t).eval_set(&set), "undo");
         }
         assert_eq!(ev.len(), t.len());
+    }
+
+    #[test]
+    fn descendant_axes_hold_on_any_slot_order() {
+        // Nodes are moved under nodes created after them, so most parents
+        // sit at higher replica slots than their children: the slot-order
+        // pass decides almost nothing and the subtree marking does the rest.
+        let mut t = xuc_xtree::DataTree::new("root");
+        let root = t.root_id();
+        let ids: Vec<NodeId> =
+            (0..40).map(|i| t.add(root, ["a", "b", "c"][i % 3]).unwrap()).collect();
+        let mut ev = Evaluator::new(&t);
+        let mut moves = 0;
+        for (_, w) in ids.windows(2).enumerate().filter(|(i, _)| i % 7 != 6) {
+            let (_token, scope) =
+                apply_undoable(&mut t, &Update::Move { node: w[0], new_parent: w[1] }).unwrap();
+            ev.refresh_after(&t, &scope);
+            moves += 1;
+        }
+        assert_eq!(ev.refresh_nodes_read(), moves, "a move touches one node");
+        let queries = ["//a", "//a//b", "/c//a[/b]", "//b[//c]/a", "/*//*", "//c//c//c"];
+        for q in queries.map(|s| parse(s).unwrap()) {
+            assert_eq!(ev.eval(&q), crate::naive::eval(&q, &t), "{q}");
+            for &id in ids.iter().step_by(5) {
+                assert_eq!(ev.eval_at(&q, id), crate::naive::eval_at(&q, &t, id), "{q} at {id}");
+            }
+        }
     }
 
     /// A hand-rolled two-state automaton for the batch `["/a", "/x[/b]"]`:

@@ -18,8 +18,9 @@
 //! * [`parse`] — a parser for the grammar above ([`parser`]),
 //! * [`eval()`](eval()) — PTIME evaluation on [`xuc_xtree::DataTree`]s ([`mod@eval`]),
 //!   plus a naive exponential oracle in [`naive`],
-//! * [`Evaluator`] — the reusable bitset engine behind [`eval()`](eval()): one dense
-//!   snapshot amortized across many pattern evaluations ([`engine`]), with
+//! * [`Evaluator`] — the reusable bitset engine behind [`eval()`](eval()): one
+//!   `DataTree` replica amortized across many pattern evaluations and kept
+//!   in sync per edit ([`engine`]), with
 //!   a set-at-a-time batch path ([`Evaluator::eval_set`]) driven by a
 //!   compiled [`PatternSetAutomaton`] (compiler in `xuc_automata`),
 //! * containment / equivalence via homomorphisms (sound, PTIME) and

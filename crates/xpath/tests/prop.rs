@@ -11,8 +11,9 @@
 //! from-scratch passes after every edit and every undo of the same
 //! sequences, including regions that merge into ancestor scopes and
 //! declined splices; its journal must revert the baseline exactly.
-//! Structural edits kept in sync by `refresh_after` alone — arena relinks
-//! of the subtrees each scope names, dense re-packs on demand — are pinned against
+//! Structural edits kept in sync by `refresh_after` alone — each scope
+//! re-applied to the evaluator's replica, bitset rows re-derived on
+//! demand — are pinned against
 //! a from-scratch evaluator on every entry point, including batches of
 //! root-level moves, splices, deletes and inserts whose re-sync must
 //! cost the subtrees their scopes name.

@@ -59,14 +59,33 @@ pub fn preorder_walk_count() -> u64 {
 
 /// Records one full pre-order walk made outside the tree: a snapshot
 /// holder that rebuilds a document-sized view from its own copy (the
-/// XPath evaluator's dense pre-order view) reports it here, so no O(n)
-/// rebuild escapes [`preorder_walk_count`].
+/// XPath evaluator re-deriving its bitset rows from its replica) reports
+/// it here, so no O(n) rebuild escapes [`preorder_walk_count`].
 pub fn note_preorder_walk() {
     PREORDER_WALKS.with(|c| c.set(c.get() + 1));
 }
 
 /// Sentinel for "no slot" in the structural link arrays.
 const NIL: u32 = u32::MAX;
+
+/// A read-only view of a tree's arena slots, for snapshot holders that
+/// sweep the link arrays directly (the XPath evaluator's replica). Links
+/// hold slot indices or [`Slots::NIL`]. A free slot has no parent and is
+/// not the root; a parked one (behind an undo token) keeps its links.
+#[derive(Clone, Copy)]
+pub struct Slots<'a> {
+    pub ids: &'a [NodeId],
+    pub labels: &'a [Label],
+    pub parent: &'a [u32],
+    pub first_child: &'a [u32],
+    pub next_sibling: &'a [u32],
+    pub root: u32,
+}
+
+impl Slots<'_> {
+    /// "No slot": an absent parent, child or sibling.
+    pub const NIL: u32 = NIL;
+}
 
 /// Errors raised by tree manipulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -265,22 +284,38 @@ impl DataTree {
 
     /// Creates a tree consisting of a single root node with the given id.
     pub fn with_root_id(id: NodeId, root_label: impl Into<Label>) -> Self {
-        let mut by_id = HashMap::new();
-        by_id.insert(id, 0);
+        let mut t = DataTree::unfilled();
+        t.root = t.alloc(id, root_label.into());
+        t.by_id.insert(id, t.root);
+        t.live = 1;
+        t
+    }
+
+    /// A copy of `self` packed in pre-order (see
+    /// [`copy_packed_from`](Self::copy_packed_from)).
+    pub fn packed_copy(&self) -> DataTree {
+        let mut t = DataTree::unfilled();
+        t.copy_packed_from(self);
+        t
+    }
+
+    /// An arena with no slot at all, not even a root: only a fill that
+    /// allocates the root may follow.
+    fn unfilled() -> DataTree {
         DataTree {
-            ids: vec![id],
-            labels: vec![root_label.into()],
-            generation: vec![0],
-            parent: vec![NIL],
-            first_child: vec![NIL],
-            last_child: vec![NIL],
-            prev_sibling: vec![NIL],
-            next_sibling: vec![NIL],
+            ids: Vec::new(),
+            labels: Vec::new(),
+            generation: Vec::new(),
+            parent: Vec::new(),
+            first_child: Vec::new(),
+            last_child: Vec::new(),
+            prev_sibling: Vec::new(),
+            next_sibling: Vec::new(),
             free_head: NIL,
             free_len: 0,
             root: 0,
-            by_id,
-            live: 1,
+            by_id: HashMap::new(),
+            live: 0,
         }
     }
 
@@ -427,7 +462,7 @@ impl DataTree {
 
     /// Registers (`attach`) or unregisters the ids of `slot`'s subtree in
     /// the id index and moves them into or out of the live count: the
-    /// O(subtree) half of a reattach or detach.
+    /// O(subtree) half of a reattach, a detach or a graft.
     fn index_subtree(&mut self, slot: u32, attach: bool) {
         let Self { ref first_child, ref next_sibling, ref parent, ref ids, ref mut by_id, .. } =
             *self;
@@ -436,7 +471,7 @@ impl DataTree {
             let id = ids[s as usize];
             if attach {
                 let clash = by_id.insert(id, s);
-                debug_assert!(clash.is_none(), "id {id} was re-inserted while it was detached");
+                debug_assert!(clash.is_none(), "id {id} registered while already live");
             } else {
                 by_id.remove(&id);
             }
@@ -447,6 +482,54 @@ impl DataTree {
         } else {
             self.live -= count;
         }
+    }
+
+    /// The arena's slots, read-only (see [`Slots`]).
+    pub fn slots(&self) -> Slots<'_> {
+        Slots {
+            ids: &self.ids,
+            labels: &self.labels,
+            parent: &self.parent,
+            first_child: &self.first_child,
+            next_sibling: &self.next_sibling,
+            root: self.root,
+        }
+    }
+
+    /// The slot holding `id`, if live.
+    pub fn slot_of(&self, id: NodeId) -> Option<u32> {
+        self.by_id.get(&id).copied()
+    }
+
+    /// Makes `self` a copy of `src` packed in pre-order — slot `i` holds
+    /// the `i`-th node of the walk, the root slot 0, no free slot —
+    /// reusing `self`'s allocations. One full pre-order walk of `src`;
+    /// unlike `clone()`, the copy never inherits `src`'s free slots or
+    /// slot order.
+    pub fn copy_packed_from(&mut self, src: &DataTree) {
+        let n = src.live;
+        for v in [
+            &mut self.generation,
+            &mut self.parent,
+            &mut self.first_child,
+            &mut self.last_child,
+            &mut self.prev_sibling,
+            &mut self.next_sibling,
+        ] {
+            v.clear();
+            v.reserve(n);
+        }
+        self.ids.clear();
+        self.ids.reserve(n);
+        self.labels.clear();
+        self.labels.reserve(n);
+        self.by_id.clear();
+        self.by_id.reserve(n);
+        (self.free_head, self.free_len, self.live) = (NIL, 0, n);
+        note_preorder_walk();
+        self.root = self.append_copy(NIL, src, src.root, false);
+        // Slots are handed out in order, so the index fills in one pass.
+        self.by_id.extend(self.ids.iter().zip(0..).map(|(&id, slot)| (id, slot)));
     }
 
     /// The root node's id.
@@ -683,12 +766,45 @@ impl DataTree {
         id: NodeId,
         label: impl Into<Label>,
     ) -> Result<NodeId, TreeError> {
-        let parent_slot = self.slot(parent)?;
+        let p = self.slot(parent)?;
+        self.insert_after(p, self.last_child[p as usize], id, label.into())
+    }
+
+    /// Inserts a new leaf with an explicit id under `parent`, right after
+    /// its child `prev` (first when `None`). O(1) whatever the fan-out.
+    /// Fails with [`TreeError::NodeNotFound`] for a `prev` that is not a
+    /// child of `parent`.
+    pub fn add_after(
+        &mut self,
+        parent: NodeId,
+        prev: Option<NodeId>,
+        id: NodeId,
+        label: impl Into<Label>,
+    ) -> Result<NodeId, TreeError> {
+        let p = self.slot(parent)?;
+        let after = match prev {
+            None => NIL,
+            Some(prev) => match self.by_id.get(&prev) {
+                Some(&s) if self.parent[s as usize] == p => s,
+                _ => return Err(TreeError::NodeNotFound(prev)),
+            },
+        };
+        self.insert_after(p, after, id, label.into())
+    }
+
+    #[inline]
+    fn insert_after(
+        &mut self,
+        parent: u32,
+        prev: u32,
+        id: NodeId,
+        label: Label,
+    ) -> Result<NodeId, TreeError> {
         if self.by_id.contains_key(&id) {
             return Err(TreeError::DuplicateId(id));
         }
-        let slot = self.alloc(id, label.into());
-        self.link_last(parent_slot, slot);
+        let slot = self.alloc(id, label);
+        self.link_after(parent, prev, slot);
         self.by_id.insert(id, slot);
         self.live += 1;
         Ok(id)
@@ -760,11 +876,12 @@ impl DataTree {
     }
 
     /// Moves `id` under `new_parent`, right after `prev` (first when
-    /// `None`). Crate-internal: the undo of a move puts the node back after
-    /// its former previous sibling, in O(1). Fails with
+    /// `None`): the undo of a move puts the node back after its former
+    /// previous sibling, and a replica follows a move, in O(depth) for
+    /// the cycle check and O(1) whatever the fan-out. Fails with
     /// [`TreeError::StaleToken`], the tree untouched, if `prev` is `id`
     /// or not a child of `new_parent` (a LIFO violation).
-    pub(crate) fn move_after(
+    pub fn move_after(
         &mut self,
         id: NodeId,
         new_parent: NodeId,
@@ -962,25 +1079,30 @@ impl DataTree {
                 return Err(TreeError::DuplicateId(id));
             }
         }
-        // Iterative pre-order copy: the stack holds (source slot, dest
-        // parent id), children pushed in reverse so they pop — and are
-        // appended — in original order.
-        let mut stack = vec![(src_slot, parent)];
-        let mut scratch: Vec<u32> = Vec::new();
-        let mut new_root = None;
-        while let Some((slot, dst_parent)) = stack.pop() {
-            let id = if fresh { NodeId::fresh() } else { other.ids[slot as usize] };
-            let new_id = self.add_with_id(dst_parent, id, other.labels[slot as usize])?;
-            if new_root.is_none() {
-                new_root = Some(new_id);
+        let top = self.append_copy(self.slot(parent)?, other, src_slot, fresh);
+        self.index_subtree(top, true);
+        Ok(self.ids[top as usize])
+    }
+
+    /// Appends a pre-order copy of `other`'s subtree at slot `src` as the
+    /// last child of slot `parent` (as a root when `parent` is `NIL`),
+    /// keeping `other`'s ids or minting fresh ones. Returns the copy's
+    /// top slot; the caller registers the ids, which it has made sure are
+    /// new here.
+    fn append_copy(&mut self, parent: u32, other: &DataTree, src: u32, fresh: bool) -> u32 {
+        // `path[d]`: the copy of the current root path's node at depth `d`.
+        let mut path: Vec<u32> = Vec::new();
+        other.walk_depth_from(src, &mut |s, depth| {
+            path.truncate(depth);
+            let id = if fresh { NodeId::fresh() } else { other.ids[s as usize] };
+            let slot = self.alloc(id, other.labels[s as usize]);
+            let p = path.last().copied().unwrap_or(parent);
+            if p != NIL {
+                self.link_last(p, slot);
             }
-            scratch.clear();
-            scratch.extend(other.child_slot_iter(slot));
-            for &c in scratch.iter().rev() {
-                stack.push((c, new_id));
-            }
-        }
-        Ok(new_root.expect("non-empty graft"))
+            path.push(slot);
+        });
+        path[0]
     }
 
     /// The refs of the subtree rooted at `id` (inclusive), in pre-order.
@@ -1532,6 +1654,57 @@ mod tests {
             t.add(t.root_id(), "n").unwrap();
         }
         assert_eq!((t.slot_capacity(), t.free_slots()), (cap, 0));
+    }
+
+    #[test]
+    fn add_after_links_in_place_and_refuses_a_foreign_prev() {
+        let mut t = sample();
+        let root = t.root_id();
+        let kids = t.children(root).unwrap();
+        let x = t.add_after(root, Some(kids[0]), NodeId::fresh(), "x").unwrap();
+        let first = t.add_after(root, None, NodeId::fresh(), "f").unwrap();
+        assert_eq!(t.children(root).unwrap(), [first, kids[0], x, kids[1]]);
+        let b = t.children(kids[0]).unwrap()[0];
+        let before = t.render();
+        assert_eq!(
+            t.add_after(root, Some(b), NodeId::fresh(), "y"),
+            Err(TreeError::NodeNotFound(b))
+        );
+        assert_eq!(t.add_after(root, None, x, "dup"), Err(TreeError::DuplicateId(x)));
+        assert_eq!(t.render(), before, "a refused insert leaves the tree untouched");
+    }
+
+    #[test]
+    fn packed_copy_is_an_exact_preorder_copy() {
+        let mut t = sample();
+        let kids = t.children(t.root_id()).unwrap();
+        t.delete_subtree(kids[0]).unwrap();
+        // A free slot has no parent and is not the root.
+        let s = t.slots();
+        let orphans = (0..s.ids.len()).filter(|&v| s.parent[v] == Slots::NIL).count();
+        assert_eq!(orphans, 1 + t.free_slots());
+        // Churn leaves the source with free slots out of pre-order.
+        let late = t.add(t.root_id(), "late").unwrap();
+        t.add(kids[1], "z").unwrap();
+        let mut copy = DataTree::with_root_id(NodeId::fresh(), "placeholder");
+        copy.copy_packed_from(&t);
+        assert_eq!(copy.render(), t.render(), "same nodes in the same child order");
+        assert!(copy.identified_eq(&t));
+        assert_eq!((copy.slot_capacity(), copy.free_slots()), (t.len(), 0));
+        let s = copy.slots();
+        assert_eq!(s.root, 0);
+        for (i, id) in copy.node_ids().into_iter().enumerate() {
+            assert_eq!(
+                (copy.slot_of(id), s.ids[i]),
+                (Some(i as u32), id),
+                "slot = pre-order index"
+            );
+        }
+        assert!((1..copy.len()).all(|v| (s.parent[v] as usize) < v), "parents first");
+        assert_eq!(copy.slot_of(kids[0]), None);
+        assert_eq!(t.packed_copy().render(), copy.render());
+        copy.add(late, "w").unwrap();
+        assert_eq!(copy.len(), t.len() + 1, "the copy is a working tree");
     }
 
     #[test]
