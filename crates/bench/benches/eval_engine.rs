@@ -13,11 +13,11 @@
 //! The acceptance bar for the engine is `amortized ≥ 3× cold_per_call` on
 //! this workload; measured numbers are recorded in EXPERIMENTS.md.
 //!
-//! A second group (`bench_refresh`, EXPERIMENTS.md §E-IR) measures the
-//! edit-scope refresh protocol: keeping an evaluator in sync across an
-//! apply/undo relabel via `refresh_after` (two bitset-word patches) versus
-//! the full `refresh` re-walk, plus the structural-edit path that relinks
-//! the subtree its scope names.
+//! A second group (`bench_refresh`, EXPERIMENTS.md §E-IR) measures what an
+//! apply/undo costs an evaluator that owns its tree (`Evaluator::apply`
+//! and `undo`: two bitset-word patches for a relabel, a stale mark for a
+//! detach) versus re-copying the tree with the full `refresh` after each
+//! edit of a separate working tree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -74,8 +74,9 @@ fn bench_eval_engine(c: &mut Criterion) {
     g.finish();
 }
 
-/// E-IR: per-edit evaluator re-sync cost — the edit-scope protocol against
-/// the full re-walk, for a relabel (patchable) and a detach (structural).
+/// E-IR: per-edit evaluator cost — edits through an evaluator that owns
+/// its tree against the full re-copy, for a relabel (patchable) and a
+/// detach (structural).
 fn bench_refresh(c: &mut Criterion) {
     let mut g = c.benchmark_group("bench_refresh");
     g.sample_size(10);
@@ -103,22 +104,22 @@ fn bench_refresh(c: &mut Criterion) {
                 ev.len()
             })
         });
+        let mut owned = Evaluator::from_tree(tree.clone());
+        for q in &patterns {
+            owned.eval(q); // prime the label-row cache
+        }
         g.bench_with_input(BenchmarkId::new("relabel_scoped_refresh", nodes), &nodes, |b, _| {
             b.iter(|| {
-                let (token, scope) = apply_undoable(&mut work, black_box(&relabel)).unwrap();
-                ev.refresh_after(&work, &scope);
-                let scope = undo(&mut work, token).unwrap();
-                ev.refresh_after(&work, &scope);
-                ev.len()
+                let (token, _) = owned.apply(black_box(&relabel)).unwrap();
+                owned.undo(token).unwrap();
+                owned.len()
             })
         });
         g.bench_with_input(BenchmarkId::new("detach_scoped_refresh", nodes), &nodes, |b, _| {
             b.iter(|| {
-                let (token, scope) = apply_undoable(&mut work, black_box(&detach)).unwrap();
-                ev.refresh_after(&work, &scope);
-                let scope = undo(&mut work, token).unwrap();
-                ev.refresh_after(&work, &scope);
-                ev.len()
+                let (token, _) = owned.apply(black_box(&detach)).unwrap();
+                owned.undo(token).unwrap();
+                owned.len()
             })
         });
     }

@@ -141,11 +141,11 @@ impl Mix {
     }
 }
 
-/// Median per-edit cost (µs) of keeping an evaluator in sync across an
-/// apply/undo edit mix: `incremental` uses the edit-scope protocol
-/// (`refresh_after`: an O(1) patch per relabel, a relink of the subtree
-/// the scope names per detach or splice), the baseline calls the full
-/// `refresh` after every apply and every undo.
+/// Median per-edit cost (µs) of keeping an evaluator current across an
+/// apply/undo edit mix: `incremental` edits through an evaluator that
+/// owns its tree (`Evaluator::apply`/`undo`: an O(1) patch per relabel, a
+/// stale mark per detach or splice), the baseline edits a separate tree
+/// and calls the full `refresh` after every apply and every undo.
 fn refresh_cost_micros(
     tree: &DataTree,
     patterns: &[xuc_xpath::Pattern],
@@ -155,7 +155,8 @@ fn refresh_cost_micros(
 ) -> f64 {
     const EDITS: usize = 64;
     let mut work = tree.clone();
-    let mut ev = Evaluator::new(&work);
+    let mut ev =
+        if incremental { Evaluator::from_tree(tree.clone()) } else { Evaluator::new(tree) };
     for q in patterns {
         ev.eval(q); // prime the label-row cache
     }
@@ -169,16 +170,13 @@ fn refresh_cost_micros(
                 Mix::Detach => Update::DeleteSubtree { node: target },
                 Mix::Splice => Update::DeleteNode { node: target },
             };
-            let (token, scope) = apply_undoable(&mut work, &op).expect("valid edit target");
             if incremental {
-                ev.refresh_after(&work, &scope);
+                let (token, _) = ev.apply(&op).expect("valid edit target");
+                ev.undo(token).expect("undo own token");
             } else {
+                let (token, _) = apply_undoable(&mut work, &op).expect("valid edit target");
                 ev.refresh(&work);
-            }
-            let undo_scope = undo(&mut work, token).expect("undo own token");
-            if incremental {
-                ev.refresh_after(&work, &undo_scope);
-            } else {
+                undo(&mut work, token).expect("undo own token");
                 ev.refresh(&work);
             }
         }
@@ -586,29 +584,33 @@ fn main() {
             // settles with fewer samples.
             let runs = if rep.smoke || nodes >= 1_000_000 { 5 } else { 9 };
             let (tree, suite) = wl::edlt_workload(nodes, 12);
-            let mut work = tree;
             let cache = SuiteCache::new();
             let compiled = cache.get_or_compile(&suite);
             assert_eq!(compiled.fallback_count(), 0, "E-DLT suite must compile fully");
-            let mut ev = Evaluator::new(&work);
+            let mut ev = Evaluator::from_tree(tree);
             let mut base = ev.eval_set(&*compiled);
             for (mix_name, mixed) in [("relabel", false), ("mixed", true)] {
                 for &bsize in &[1usize, 8] {
-                    let batch =
-                        xuc_workloads::trees::delta_batches(&mut batch_rng, &work, 1, bsize, mixed)
-                            .remove(0);
+                    let batch = xuc_workloads::trees::delta_batches(
+                        &mut batch_rng,
+                        ev.tree(),
+                        1,
+                        bsize,
+                        mixed,
+                    )
+                    .remove(0);
                     // Apply the batch exactly as a session would: doomed
-                    // refs captured before a deletion, refresh per edit,
-                    // scopes folded into one dirty region.
+                    // refs captured before a deletion, each edit through
+                    // the evaluator that owns the tree, scopes folded into
+                    // one dirty region.
                     let mut region = DirtyRegion::new();
                     let mut stack = Vec::new();
                     for u in &batch {
                         if let Update::DeleteSubtree { node } = u {
-                            region.record_removals(&work.subtree_nodes(*node).expect("live"));
+                            region.record_removals(&ev.tree().subtree_nodes(*node).expect("live"));
                         }
-                        let (tok, scope) = apply_undoable(&mut work, u).expect("batch valid");
-                        ev.refresh_after(&work, &scope);
-                        region.record(&work, &scope);
+                        let (tok, scope) = ev.apply(u).expect("batch valid");
+                        region.record(ev.tree(), &scope);
                         stack.push(tok);
                     }
                     // Exactness of the production path, before anything is
@@ -667,8 +669,7 @@ fn main() {
                         );
                     }
                     while let Some(tok) = stack.pop() {
-                        let scope = undo(&mut work, tok).expect("undo own token");
-                        ev.refresh_after(&work, &scope);
+                        ev.undo(tok).expect("undo own token");
                     }
                 }
             }
@@ -934,23 +935,25 @@ fn main() {
         rep.metric("E-M1", "amortized_speedup", eval_ratio);
         rep.floor("E-M1", "amortized_speedup", eval_ratio, 2.0, true);
 
-        // Incremental refresh at scale: a 4-edit relabel batch kept in
-        // sync via edit scopes vs the full-rebuild baseline that
-        // re-walks the whole document per refresh.
+        // Incremental refresh at scale: a 4-edit relabel batch through an
+        // evaluator that owns a copy of the document (two row bits per
+        // edit) vs the full-rebuild baseline that re-copies the whole
+        // document per refresh.
+        let mut owned = Evaluator::from_tree(work.clone());
         let mut ev = Evaluator::new(&work);
         for q in &patterns {
-            ev.eval(q); // prime the label-row cache
+            owned.eval(q); // prime the label-row caches
+            ev.eval(q);
         }
         let batch =
             xuc_workloads::trees::delta_batches(&mut wl::rng(), &work, 1, 4, false).remove(0);
         let incr = wl::median_micros(runs, || {
             for u in &batch {
-                let (tok, scope) = apply_undoable(&mut work, u).expect("valid batch");
-                ev.refresh_after(&work, &scope);
-                let undo_scope = undo(&mut work, tok).expect("undo own token");
-                ev.refresh_after(&work, &undo_scope);
+                let (tok, _) = owned.apply(u).expect("valid batch");
+                owned.undo(tok).expect("undo own token");
             }
         }) / batch.len() as f64;
+        drop(owned);
         let full = wl::median_micros(runs, || {
             for u in &batch {
                 let (tok, _scope) = apply_undoable(&mut work, u).expect("valid batch");

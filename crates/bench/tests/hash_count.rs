@@ -10,7 +10,7 @@ use xuc_automata::PatternSetCompiler;
 use xuc_service::{admit_delta_in_place, DocId, Gateway, Request};
 use xuc_sigstore::{elements_hashed_count, Signer};
 use xuc_xpath::Evaluator;
-use xuc_xtree::{apply_undoable, DirtyRegion};
+use xuc_xtree::DirtyRegion;
 
 #[test]
 fn single_relabel_commit_hashes_one_element_per_journal_event() {
@@ -21,14 +21,12 @@ fn single_relabel_commit_hashes_one_element_per_journal_event() {
     // The splice journal this commit produces, replayed outside the
     // gateway through the same admission function.
     let compiled = PatternSetCompiler::compile(suite.iter().map(|c| &c.range));
-    let mut work = tree.clone();
-    let mut ev = Evaluator::new(&work);
+    let mut ev = Evaluator::from_tree(tree.clone());
     let mut base = ev.eval_set(&compiled);
     let mut region = DirtyRegion::new();
     for u in &updates {
-        let (_, scope) = apply_undoable(&mut work, u).expect("relabel applies");
-        ev.refresh_after(&work, &scope);
-        region.record(&work, &scope);
+        let (_, scope) = ev.apply(u).expect("relabel applies");
+        region.record(ev.tree(), &scope);
     }
     let journal = admit_delta_in_place(&mut ev, &compiled, &suite, &mut base, &region)
         .expect("the relabel is accepted")

@@ -19,15 +19,14 @@
 //! # Hot-path layout
 //!
 //! The search examines thousands of candidates per call, so it never
-//! clones a tree per candidate. Each working tree gets **one** reusable
-//! [`Evaluator`]; every candidate edit is applied via
-//! [`xuc_xtree::apply_undoable`], the evaluator is re-synced **in time
-//! proportional to the edit** via [`Evaluator::refresh_after`] and the
-//! [`xuc_xtree::EditScope`] the apply returned (a relabel candidate costs
-//! two bitset-word patches, not an O(n) re-walk), all range results are
-//! compared against the seed's cached results as plain set inclusions, and
-//! the edit is reverted via [`xuc_xtree::undo`]. Trees are cloned exactly
-//! once per *returned* counterexample.
+//! clones a tree per candidate. Each working tree is owned by **one**
+//! reusable [`Evaluator`]; every candidate edit is applied through it
+//! ([`Evaluator::apply`]), which follows the edit **in time proportional
+//! to the edit** (a relabel candidate costs two bitset-word patches, not
+//! an O(n) re-walk), all range results are compared against the seed's
+//! cached results as plain set inclusions, and the edit is reverted via
+//! [`Evaluator::undo`]. Trees are cloned exactly once per *returned*
+//! counterexample.
 //!
 //! Large constraint batches additionally take the **set-at-a-time** path:
 //! when at least `SET_PATH_CROSSOVER` constraint ranges are linear, the
@@ -77,7 +76,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use xuc_automata::{CompiledPatternSet, PatternSetCompiler};
 use xuc_xpath::{canonical, Evaluator, Pattern};
-use xuc_xtree::{apply_undoable, undo, DataTree, Label, NodeId, NodeRef, Update};
+use xuc_xtree::{DataTree, Label, NodeId, NodeRef, Update};
 
 /// Crossover for the set-at-a-time constraint verification path: the
 /// range batch is compiled into one automaton when at least this many
@@ -374,13 +373,11 @@ impl SearchCtx<'_> {
     }
 }
 
-/// Per-worker cached state for phase-1 units: one working copy of the
-/// current seed plus its evaluator and cached range results. Reused across
-/// chunks of the same seed; the evaluator's allocations survive even a
-/// switch to a different seed.
+/// Per-worker cached state for phase-1 units: the evaluator owning one
+/// working copy of the current seed, and its cached range results.
+/// Reused across chunks of the same seed.
 struct SeedState {
     seed: usize,
-    work: DataTree,
     ev: Evaluator,
     base_sets: Vec<BTreeSet<NodeRef>>,
 }
@@ -416,17 +413,9 @@ fn run_edit_chunk(
         return;
     }
     if cache.as_ref().is_none_or(|s| s.seed != seed) {
-        let work = ctx.seeds[seed].0.clone();
-        let mut ev = match cache.take() {
-            // Reuse the previous evaluator's allocations.
-            Some(mut prev) => {
-                prev.ev.refresh(&work);
-                prev.ev
-            }
-            None => Evaluator::new(&work),
-        };
+        let mut ev = Evaluator::from_tree(ctx.seeds[seed].0.clone());
         let base_sets = eval_ranges(ctx, &mut ev);
-        *cache = Some(SeedState { seed, work, ev, base_sets });
+        *cache = Some(SeedState { seed, ev, base_sets });
     }
     let st = cache.as_mut().expect("just built");
     let seed_tree = &ctx.seeds[seed].0;
@@ -440,9 +429,7 @@ fn run_edit_chunk(
         if idx_fwd >= ctx.budget || idx_fwd >= ctx.best.load(Ordering::Relaxed) {
             return;
         }
-        let (token, scope) =
-            apply_undoable(&mut st.work, edit).expect("pre-filtered candidates apply");
-        st.ev.refresh_after(&st.work, &scope);
+        let (token, _) = st.ev.apply(edit).expect("pre-filtered candidates apply");
         ctx.spent.fetch_add(1, Ordering::Relaxed);
 
         // Goal range first: most candidates leave the goal satisfied in
@@ -468,7 +455,7 @@ fn run_edit_chunk(
                 .all(|(i, c)| c.kind.satisfied_on(&before_sets[i], &after_sets[i]))
         };
         if fwd && constraints_ok(&st.base_sets, &after) {
-            let ce = CounterExample { before: seed_tree.clone(), after: st.work.clone() };
+            let ce = CounterExample { before: seed_tree.clone(), after: st.ev.tree().clone() };
             debug_assert!(ce.verify(ctx.set, ctx.goal), "set-level refutation must verify");
             if ce.verify(ctx.set, ctx.goal) {
                 ctx.offer(idx_fwd, ce);
@@ -477,15 +464,14 @@ fn run_edit_chunk(
         if idx_bwd < ctx.budget && idx_bwd < ctx.best.load(Ordering::Relaxed) {
             ctx.spent.fetch_add(1, Ordering::Relaxed);
             if bwd && constraints_ok(&after, &st.base_sets) {
-                let ce = CounterExample { before: st.work.clone(), after: seed_tree.clone() };
+                let ce = CounterExample { before: st.ev.tree().clone(), after: seed_tree.clone() };
                 debug_assert!(ce.verify(ctx.set, ctx.goal), "set-level refutation must verify");
                 if ce.verify(ctx.set, ctx.goal) {
                     ctx.offer(idx_bwd, ce);
                 }
             }
         }
-        let scope = undo(&mut st.work, token).expect("undo token applies to its own tree");
-        st.ev.refresh_after(&st.work, &scope);
+        st.ev.undo(token).expect("undo token applies to its own tree");
     }
 }
 
@@ -526,27 +512,25 @@ fn run_random_stream(ctx: &SearchCtx, stream: u64, base: u64) {
         }
         ctx.spent.fetch_add(1, Ordering::Relaxed);
         let size = 2 + rng.below(7);
-        let mut t = random_tree(&mut rng, ctx.labels, size);
-        let mut ev = Evaluator::new(&t);
+        let mut ev = Evaluator::from_tree(random_tree(&mut rng, ctx.labels, size));
         // Goal range only: constraint validity is left to `verify` on the
         // rare candidates whose goal check fires.
         let base_goal = ev.eval(&ctx.goal.range);
         let edits = 1 + rng.below(3);
         let mut stack = Vec::new();
         for _ in 0..edits {
-            let op = random_update(&mut rng, &t, ctx.labels);
-            if let Ok((token, scope)) = apply_undoable(&mut t, &op) {
-                ev.refresh_after(&t, &scope);
+            let op = random_update(&mut rng, ev.tree(), ctx.labels);
+            if let Ok((token, _)) = ev.apply(&op) {
                 stack.push(token);
             }
         }
         let after_goal = ev.eval(&ctx.goal.range);
         if !ctx.goal.kind.satisfied_on(&base_goal, &after_goal) {
-            let after_tree = t.clone();
+            let after_tree = ev.tree().clone();
             while let Some(token) = stack.pop() {
-                undo(&mut t, token).expect("undo token applies to its own tree");
+                ev.undo(token).expect("undo token applies to its own tree");
             }
-            let ce = CounterExample { before: t, after: after_tree };
+            let ce = CounterExample { before: ev.into_tree(), after: after_tree };
             if ce.verify(ctx.set, ctx.goal) {
                 ctx.offer(idx, ce);
             }
@@ -704,6 +688,7 @@ pub(crate) fn random_edit(
 mod tests {
     use super::*;
     use crate::constraint::parse_constraint;
+    use xuc_xtree::{apply_undoable, undo};
 
     fn c(s: &str) -> Constraint {
         parse_constraint(s).unwrap()
@@ -861,8 +846,9 @@ mod tests {
             run_edit_chunk(&ctx, &mut cache, s, 0, edits.len(), 0);
         }
         let walks = xuc_xtree::preorder_walk_count() - walks_before;
-        // One walk per per-seed state build (Evaluator::new / refresh);
-        // zero walks for the relabel candidates themselves.
+        // One walk per per-seed state build (the first derivation of the
+        // owned tree's rows); zero walks for the relabel candidates
+        // themselves.
         assert_eq!(
             walks, seeds_built,
             "walks {walks} != seed builds {seeds_built} over {total} relabel candidates"

@@ -629,10 +629,7 @@ impl Gateway {
     /// [`submit_locked`](Self::submit_locked) under the panic-containment
     /// boundary described on [`submit`](Self::submit).
     fn submit_locked_contained(&self, doc: &mut Document, request: &Request) -> Verdict {
-        let read_before = doc.ev.refresh_nodes_read();
-        let verdict = match panic::catch_unwind(AssertUnwindSafe(|| {
-            self.submit_locked(doc, request)
-        })) {
+        match panic::catch_unwind(AssertUnwindSafe(|| self.submit_locked(doc, request))) {
             Ok(verdict) => verdict,
             Err(payload) => {
                 let error = payload
@@ -643,12 +640,7 @@ impl Gateway {
                 self.record_contained_panic(request.doc);
                 Verdict::Rejected(RejectReason::Internal { error: bounded_internal_error(error) })
             }
-        };
-        if let Some(m) = self.metrics() {
-            let read = doc.ev.refresh_nodes_read().saturating_sub(read_before);
-            m.note_refresh_nodes_read(read, shard_of(request.doc));
         }
-        verdict
     }
 
     fn submit_locked(&self, doc: &mut Document, request: &Request) -> Verdict {

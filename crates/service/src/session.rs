@@ -4,12 +4,12 @@
 //! holds the document's mutex) in `begin / apply / commit / rollback`
 //! semantics:
 //!
-//! * [`Session::apply`] edits the working tree through
-//!   [`apply_undoable`], pushes the undo token, and re-syncs the warm
-//!   evaluator **proportionally to the edit** via
-//!   [`Evaluator::refresh_after`](xuc_xpath::Evaluator::refresh_after) and
-//!   the returned [`EditScope`](xuc_xtree::EditScope) — the evaluator is
-//!   never stale, at any point of the session;
+//! * [`Session::apply`] edits the document's tree through its warm
+//!   evaluator, which owns it ([`Evaluator::apply`], wrapping
+//!   [`xuc_xtree::apply_undoable`]), and pushes the undo token. The
+//!   evaluator follows the edit itself — two label-row bits for a
+//!   relabel, a stale mark for a structural edit — so it answers for the
+//!   working tree at any point of the session;
 //! * [`Session::commit`] runs the admission check **edit-proportionally**
 //!   ([`admit_delta_in_place`]): every applied scope is folded into a
 //!   [`DirtyRegion`], and
@@ -28,18 +28,17 @@
 //!   sets it replaced, and the O(k) certificate header is re-chained
 //!   onto the outgoing certificate's digest
 //!   ([`CertHeader::rechain`](xuc_sigstore::CertHeader::rechain)) — no
-//!   set is copied or serialized. An accepted batch then [`release`]s
-//!   its undo tokens: the slots its deletions parked go back on the
-//!   arena's free list, so a document's arena stays bounded by its peak
-//!   live size however many deletions it commits. Rejected batches
-//!   unwind;
+//!   set is copied or serialized. An accepted batch then releases
+//!   ([`Evaluator::release`]) its undo tokens: the slots its deletions
+//!   parked go back on the arena's free list, so a document's arena
+//!   stays bounded by its peak live size however many deletions it
+//!   commits. Rejected batches unwind;
 //! * [`Session::rollback`] (and `Drop`, for abandoned sessions) unwinds
 //!   the undo stack in LIFO order. Undo is an *exact* inverse (each node
-//!   relinked after its former previous sibling), so the tree returns byte-identical to the
-//!   committed state. The evaluator re-syncs after every undo through
-//!   its scope, as `apply` does — O(1) per relabel or id swap, the
-//!   subtree the scope names per structural undo, at any depth — so a
-//!   rejected batch never re-reads the document.
+//!   relinked after its former previous sibling), so the tree returns
+//!   byte-identical to the committed state. Each undo goes through the
+//!   evaluator as `apply` does ([`Evaluator::undo`]), so a rejected batch
+//!   never re-reads the document.
 
 use crate::store::Document;
 use std::collections::BTreeSet;
@@ -48,7 +47,7 @@ use xuc_core::{Constraint, ConstraintKind};
 use xuc_sigstore::Signer;
 use xuc_telemetry::{Stage, Telemetry};
 use xuc_xpath::{Evaluator, SpliceJournal};
-use xuc_xtree::{apply_undoable, release, undo, DirtyRegion, NodeRef, Undo, Update, UpdateError};
+use xuc_xtree::{DirtyRegion, NodeRef, Undo, Update, UpdateError};
 
 /// A committed batch's receipt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,16 +290,16 @@ impl<'a> Session<'a> {
         self.undo_stack.len()
     }
 
-    /// Applies one update to the working tree and re-syncs the evaluator
-    /// in time proportional to the edit. On error the tree is untouched
+    /// Applies one update to the working tree through the evaluator, in
+    /// time proportional to the edit. On error the tree is untouched
     /// (the primitive either applies fully or not at all) and the session
     /// stays usable — the caller decides whether to continue or roll
     /// back.
     pub fn apply(&mut self, update: &Update) -> Result<(), UpdateError> {
         let (tel, tag) = (self.tel, self.tag);
         let doc = &mut *self.doc;
-        // Stage::Apply covers the footprint probe, the edit and the
-        // evaluator re-sync — everything proportional to the edit;
+        // Stage::Apply covers the footprint probe and the edit —
+        // everything proportional to the edit;
         // Stage::DirtyAccumulate the region bookkeeping. The two spans
         // split on ONE shared boundary reading: the tracer's hot-path
         // cost is the clock, so adjacent stages never read it twice at
@@ -312,12 +311,11 @@ impl<'a> Session<'a> {
         // deletion itself): the commit-time splice evicts exactly
         // these baseline entries instead of scanning for absentees.
         let doomed = match update {
-            Update::DeleteSubtree { node } => doc.tree.subtree_nodes(*node).ok(),
-            Update::DeleteNode { node } => doc.tree.node(*node).ok().map(|r| vec![r]),
+            Update::DeleteSubtree { node } => doc.tree().subtree_nodes(*node).ok(),
+            Update::DeleteNode { node } => doc.tree().node(*node).ok().map(|r| vec![r]),
             _ => None,
         };
-        let (token, scope) = apply_undoable(&mut doc.tree, update)?;
-        doc.ev.refresh_after(&doc.tree, &scope);
+        let (token, scope) = doc.ev.apply(update)?;
         let boundary = tel.map(|t| {
             let t1 = t.now_micros();
             t.record_span(Stage::Apply, tag, t1.saturating_sub(t0.unwrap_or(t1)));
@@ -326,7 +324,7 @@ impl<'a> Session<'a> {
         if let Some(refs) = doomed {
             self.region.record_removals(&refs);
         }
-        self.region.record(&doc.tree, &scope);
+        self.region.record(doc.tree(), &scope);
         if let (Some(t), Some(t1)) = (tel, boundary) {
             t.record_stage(Stage::DirtyAccumulate, tag, t1);
         }
@@ -346,7 +344,7 @@ impl<'a> Session<'a> {
     ///   admission pass's range results become the new baseline **and**
     ///   the signed sets (no re-evaluation, no copy), the certificate
     ///   header is folded forward and re-chained, and the commit counter
-    ///   advances. The undo tokens are [`release`]d, freeing the slots
+    ///   advances. The undo tokens are released, freeing the slots
     ///   the batch's deletions parked. [`Stage::Certify`] spans the whole
     ///   re-certification — the fold, the outgoing digest and the
     ///   re-chain — and the release, O(deleted nodes).
@@ -418,7 +416,7 @@ impl<'a> Session<'a> {
                 // alone (see `xuc-persist`).
                 doc.header.rechain(signer);
                 for token in self.undo_stack.drain(..) {
-                    release(&mut doc.tree, token);
+                    doc.ev.release(token);
                 }
                 close_span(tel, Stage::Certify, tag, certify_open);
                 doc.commits += 1;
@@ -432,25 +430,23 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Abandons the batch: unwinds every applied update in LIFO order and
-    /// re-syncs the evaluator. The document is left byte-identical to its
+    /// Abandons the batch: unwinds every applied update in LIFO order
+    /// through the evaluator. The document is left byte-identical to its
     /// committed state (exact child order — the undo tokens' position
     /// restoration invariant).
     pub fn rollback(mut self) {
         self.unwind();
     }
 
-    /// Unwinds the undo stack LIFO, re-syncing the warm evaluator after
-    /// each undo through its scope: a relabel or id swap patches in O(1),
-    /// a structural undo relinks the subtree its scope names.
+    /// Unwinds the undo stack LIFO through the warm evaluator: a relabel
+    /// patches two row bits, a structural undo marks the rows stale.
     fn unwind(&mut self) {
         let doc = &mut *self.doc;
         while let Some(token) = self.undo_stack.pop() {
             // Invariant, not fallible IO: every token on the stack was
             // minted by applying an update to exactly this tree, and
             // LIFO replay restores the positions each token assumes.
-            let scope = undo(&mut doc.tree, token).expect("undo token applies to its own tree");
-            doc.ev.refresh_after(&doc.tree, &scope);
+            doc.ev.undo(token).expect("undo token applies to its own tree");
         }
         // The tree is back to the committed state: nothing is dirty.
         self.region.clear();
@@ -460,8 +456,7 @@ impl<'a> Session<'a> {
 
 impl Drop for Session<'_> {
     /// A dropped open session rolls back — a panicking or early-returning
-    /// request handler can never leave a document mid-edit or its
-    /// evaluator out of sync.
+    /// request handler can never leave a document mid-edit.
     fn drop(&mut self) {
         if self.open {
             self.unwind();

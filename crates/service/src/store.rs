@@ -42,17 +42,17 @@ use xuc_xtree::{DataTree, NodeRef};
 /// overload unit matches the contention unit.
 pub(crate) const STORE_SHARDS: usize = 16;
 
-/// One served document: its tree, the warm evaluator bound to it, its
-/// constraint suite (with the suite's compiled automaton shared through
-/// the [`SuiteCache`]), the committed range results the next admission
-/// check compares against, and the current certificate's header.
+/// One served document: the warm evaluator, which owns the document's
+/// tree (the one arena every session edits), its constraint suite (with
+/// the suite's compiled automaton shared through the [`SuiteCache`]), the
+/// committed range results the next admission check compares against,
+/// and the current certificate's header.
 ///
 /// The range results are the **only** copy of each signed set: the
 /// certificate is kept as a [`CertHeader`] (per-set sums and tags plus
 /// the chain fields) and materialized over `base_sets` when handed out.
 pub struct Document {
     id: DocId,
-    pub(crate) tree: DataTree,
     pub(crate) ev: Evaluator,
     pub(crate) suite: Vec<Constraint>,
     pub(crate) compiled: Arc<CompiledPatternSet>,
@@ -72,15 +72,15 @@ impl Document {
         compiled: Arc<CompiledPatternSet>,
         signer: &Signer,
     ) -> Document {
-        let mut ev = Evaluator::new(&tree);
+        let mut ev = Evaluator::from_tree(tree);
         let base_sets = ev.eval_set(&*compiled);
         let header = CertHeader::new(signer, &suite, &base_sets, 0);
-        Document { id, tree, ev, suite, compiled, base_sets, header, commits: 0 }
+        Document { id, ev, suite, compiled, base_sets, header, commits: 0 }
     }
 
     /// Reassembles a document from a snapshot (the recovery path). The
     /// snapshot's tree, baselines and commit counter are trusted as the
-    /// committed state; the warm evaluator is rebuilt, the suite's
+    /// committed state; the warm evaluator takes the tree over, the suite's
     /// automaton comes back through the cache (recovered documents under
     /// one policy still share one compile), and the certificate's sums
     /// are re-hashed from the baselines.
@@ -103,8 +103,8 @@ impl Document {
         if !header.describes(&cert, &base_sets) {
             return Err(RecoverError::Diverged { doc, commit: commits });
         }
-        let ev = Evaluator::new(&tree);
-        Ok(Document { id: DocId::new(&doc), tree, ev, suite, compiled, base_sets, header, commits })
+        let ev = Evaluator::from_tree(tree);
+        Ok(Document { id: DocId::new(&doc), ev, suite, compiled, base_sets, header, commits })
     }
 
     pub fn id(&self) -> DocId {
@@ -115,7 +115,7 @@ impl Document {
     /// sessions see the last committed state; mid-session, the working
     /// state).
     pub fn tree(&self) -> &DataTree {
-        &self.tree
+        self.ev.tree()
     }
 
     pub fn suite(&self) -> &[Constraint] {
@@ -148,10 +148,9 @@ impl Document {
         self.commits
     }
 
-    /// Evaluates `q` on the document through its **warm** evaluator —
-    /// no snapshot rebuild. Panics (via the evaluator's staleness guard)
-    /// if the session discipline was ever broken, which is exactly the
-    /// property the session tests lean on.
+    /// Evaluates `q` on the document through its **warm** evaluator — no
+    /// copy of the tree, and the rows re-derived only if a structural
+    /// commit left them stale.
     pub fn eval(&mut self, q: &Pattern) -> BTreeSet<NodeRef> {
         self.ev.eval(q)
     }
@@ -199,9 +198,10 @@ impl DocumentStore {
         DocumentStore { shards: (0..STORE_SHARDS).map(|_| RwLock::default()).collect() }
     }
 
-    /// Publishes a document: compiles (or cache-hits) its suite, builds
-    /// the warm evaluator and admission baseline, certifies the initial
-    /// state, and inserts it under `id`.
+    /// Publishes a document: compiles (or cache-hits) its suite, hands
+    /// the tree to the warm evaluator (no copy, no walk), evaluates the
+    /// admission baseline in one set pass, certifies the initial state,
+    /// and inserts it under `id`.
     pub fn publish(
         &self,
         id: DocId,

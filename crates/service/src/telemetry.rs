@@ -17,11 +17,6 @@
 //!   subject, and [`plan_admission`](crate::plan_admission) is pure;
 //! * panic containments and quarantine entries are **deterministic** —
 //!   panics fire per document in per-document order;
-//! * nodes re-read by structural evaluator re-syncs
-//!   (`xuc_engine_refresh_nodes_read_total`) are **deterministic**: the
-//!   gateway adds each request's delta of its document's own evaluator
-//!   counter, a pure function of that document's edits in
-//!   per-document order;
 //! * degraded-mode refusals and transitions are **scheduling-dependent**:
 //!   a mid-run journal fault lands between two racing commits at a
 //!   timing-defined point, so which requests see the degraded gate moves
@@ -65,7 +60,6 @@ pub(crate) struct ServiceMetrics {
     degraded_transitions: Counter,
     resumes: Counter,
     halts: Counter,
-    refresh_nodes_read: Counter,
 }
 
 impl ServiceMetrics {
@@ -90,7 +84,6 @@ impl ServiceMetrics {
             degraded_transitions: reg.counter("xuc_gateway_degraded_transitions_total", sched),
             resumes: reg.counter("xuc_gateway_resumes_total", sched),
             halts: reg.counter("xuc_gateway_halts_total", sched),
-            refresh_nodes_read: reg.counter("xuc_engine_refresh_nodes_read_total", det),
             tel,
         }
     }
@@ -121,12 +114,6 @@ impl ServiceMetrics {
         if quarantined_now {
             self.quarantines_entered.inc();
         }
-    }
-
-    /// Adds the nodes one request's structural evaluator re-syncs
-    /// re-read ([`xuc_xpath::Evaluator::refresh_nodes_read`]).
-    pub(crate) fn note_refresh_nodes_read(&self, n: u64, stripe: usize) {
-        self.refresh_nodes_read.add_striped(stripe, n);
     }
 
     pub(crate) fn note_degraded_transition(&self) {

@@ -7,40 +7,39 @@
 //! patterns against the *same* tree, and edit it between evaluations, so
 //! this module restructures the data layout around that access pattern.
 //!
-//! An [`Evaluator`] holds one private [`DataTree`] **replica** of the
-//! document. [`Evaluator::new`] and [`Evaluator::refresh`] build it with
-//! one packed pre-order copy ([`DataTree::packed_copy`],
-//! [`DataTree::copy_packed_from`]);
-//! [`Evaluator::refresh_after`] keeps it exact in time proportional to one
-//! edit by re-applying the edit's [`EditScope`] with the tree's own
-//! operations — a relabel or id swap in place, a detached subtree deleted,
-//! a spliced node deleted with its children promoted, a moved node moved
-//! after its previous sibling, and an inserted, re-attached or unspliced
-//! node inserted after its previous sibling, with its re-adopted children
-//! moved under it or its re-attached subtree grafted. So there is one
-//! linked arena, the one `xuc_xtree` tests, and the evaluator reads it
-//! through its read-only slot view ([`xuc_xtree::Slots`]).
+//! An [`Evaluator`] owns the [`DataTree`] it evaluates. A served document
+//! hands its tree over ([`Evaluator::from_tree`]: no copy) and is edited
+//! through the evaluator ([`Evaluator::apply`], [`Evaluator::undo`],
+//! [`Evaluator::release`], which wrap `xuc_xtree`'s undoable edits), so
+//! each document has one arena, the one `xuc_xtree` tests. The evaluator
+//! reads it through its read-only slot view ([`xuc_xtree::Slots`]). Cold callers that keep
+//! their own tree ([`Evaluator::new`], [`Evaluator::refresh`]) hand in a
+//! packed pre-order copy ([`DataTree::packed_copy`]) instead.
 //!
 //! The per-pattern bitset path ([`Evaluator::eval`],
 //! [`Evaluator::eval_at`], [`Evaluator::eval_all`],
-//! [`Evaluator::eval_ids`], [`Evaluator::holds_below`] and predicate
-//! fallbacks) indexes its `u64` rows by replica slot: a live mask (the
-//! wildcard test) and lazily built per-label rows. A relabel patches two
-//! bits; a structural re-sync leaves them stale, and the next bitset entry
-//! point re-derives them in one scan of the slots (a free slot has no
-//! parent). Satisfaction rows, descendant closures and spine frontiers are
-//! packed bitsets; the label test and per-child requirement conjunctions
-//! are word-wide AND sweeps. Descendant axes never assume slot order:
-//! "has a marked descendant" walks up from each set bit and stops at a
-//! set ancestor; "has a frontier ancestor" is one pass in slot order for
-//! every node whose parent sits at a lower slot (all of them on a fresh
-//! copy), then marks, below each other node that lies under the
-//! frontier, its subtree, skipping subtrees already marked.
+//! [`Evaluator::eval_ids`] and predicate fallbacks) indexes its `u64`
+//! rows by arena slot: a live mask (the wildcard test) and lazily built
+//! per-label rows. A relabel patches two bits; a structural edit leaves
+//! them stale, and the next bitset entry point re-derives them in one
+//! walk from the root ([`Slots::for_each_live`]): the arena's free slots
+//! and the slots a pending deletion parks are not reachable from it,
+//! though parked ones keep their parent links. Satisfaction rows,
+//! descendant closures and spine frontiers are packed bitsets; the label
+//! test and per-child requirement conjunctions are word-wide AND sweeps.
+//! Descendant axes never assume slot order: "has a marked descendant"
+//! walks up from each set bit and stops at a set ancestor; "has a
+//! frontier ancestor" is one pass in slot order for every node whose
+//! parent sits at a lower slot (all of them on a packed copy), then
+//! marks, below each other node that lies under the frontier, its
+//! subtree, skipping subtrees already marked. Rows of satisfaction are
+//! masked by the live rows, so whatever these passes mark in parked
+//! slots never reaches an answer.
 //!
 //! The set-at-a-time passes never need the rows. [`Evaluator::eval_set`]
 //! drives a whole batch compiled into one deterministic automaton (see
 //! [`PatternSetAutomaton`] — the compiler lives in `xuc_automata`) over
-//! the replica **once** with an explicit `(slot, state)` stack, labelling
+//! the tree **once** with an explicit `(slot, state)` stack, labelling
 //! every node with its satisfied-pattern row. [`Evaluator::eval_set_splice`]
 //! is the one incremental evaluator: it patches cached `eval_set` results
 //! in place by replaying each [`DirtyRegion`] root's ancestor path and
@@ -48,11 +47,11 @@
 //! checked against the from-scratch passes (`eval_set`, `eval_all`, the
 //! naive oracle), never against a second incremental copy.
 //!
-//! [`Evaluator::refresh`] is the blunt full rebuild and the oracle
-//! `refresh_after` is tested against; [`Evaluator::invalidate`] is the
-//! guard rail that makes a forgotten refresh a loud panic instead of a
-//! silent wrong answer. Every document-sized rebuild — `new`, `refresh`,
-//! re-deriving the rows after a structural re-sync — counts one
+//! [`Evaluator::refresh`] re-copies a cold caller's tree after it
+//! changed; [`Evaluator::invalidate`] is the guard rail that makes a
+//! forgotten refresh a loud panic instead of a silent wrong answer. Every
+//! document-sized rebuild — the copy of `new` and `refresh`, re-deriving
+//! the rows after a structural edit — counts one
 //! [`xuc_xtree::preorder_walk_count`] walk.
 //!
 //! The algorithm is exactly the one documented in [`crate::eval`](mod@crate::eval)
@@ -62,7 +61,10 @@
 
 use crate::pattern::{Axis, NodeTest, Pattern};
 use std::collections::{BTreeSet, HashMap};
-use xuc_xtree::{DataTree, DirtyRegion, EditScope, Label, NodeId, NodeRef, Slots, TreeError};
+use xuc_xtree::{
+    apply_undoable, DataTree, DirtyRegion, EditScope, Label, NodeId, NodeRef, Slots, Undo, Update,
+    UpdateError,
+};
 
 const NIL: u32 = Slots::NIL;
 
@@ -109,12 +111,6 @@ fn for_each_set_bit(row: &[u64], mut f: impl FnMut(usize)) {
             w &= w - 1;
         }
     }
-}
-
-/// Unwraps a replica operation: it fails only when the scope does not
-/// describe the edit separating the replica from the document.
-fn synced<T>(r: Result<T, TreeError>) -> T {
-    r.unwrap_or_else(|e| panic!("edit scope does not match the evaluator's replica: {e}"))
 }
 
 /// A pattern batch compiled into one deterministic automaton over
@@ -214,7 +210,7 @@ impl SpliceJournal {
 }
 
 /// What [`Evaluator::eval_set_splice`]'s sweep below the dirty roots
-/// found, as replica slots.
+/// found, as slots.
 struct DirtySweep {
     /// Every swept node: dirty roots included, the tree root excluded.
     touched: Vec<u32>,
@@ -224,224 +220,204 @@ struct DirtySweep {
     roots: Vec<u32>,
 }
 
-/// A reusable tree-pattern evaluator bound to one snapshot of a tree.
+/// A reusable tree-pattern evaluator that owns the tree it evaluates.
 ///
 /// ```
 /// use xuc_xpath::{parse, Evaluator};
-/// use xuc_xtree::parse_term;
+/// use xuc_xtree::{parse_term, NodeId, Update};
 ///
-/// let mut tree = parse_term("root(a#1(b#2),a#3)").unwrap();
-/// let mut ev = Evaluator::new(&tree);
+/// let mut ev = Evaluator::from_tree(parse_term("root(a#1(b#2),a#3)").unwrap());
 /// let q = parse("/a[/b]").unwrap();
 /// assert_eq!(ev.eval(&q).len(), 1);
 ///
-/// // After mutating the tree, refresh before evaluating again.
-/// tree.add(xuc_xtree::NodeId::from_raw(3), "b").unwrap();
-/// ev.refresh(&tree);
+/// // Edits go through the evaluator, which follows them itself.
+/// let op = Update::InsertLeaf { parent: NodeId::from_raw(3), id: NodeId::fresh(), label: "b".into() };
+/// let (token, _scope) = ev.apply(&op).unwrap();
 /// assert_eq!(ev.eval(&q).len(), 2);
+/// ev.undo(token).unwrap();
+/// assert_eq!(ev.eval(&q).len(), 1);
 /// ```
 pub struct Evaluator {
-    /// The replica of the document (see the module docs); only
-    /// [`refresh`](Self::refresh) and
-    /// [`refresh_after`](Self::refresh_after) edit it.
+    /// The evaluated tree: handed over by [`from_tree`](Self::from_tree)
+    /// and edited through [`apply`](Self::apply), or a packed copy made
+    /// by [`new`](Self::new) and [`refresh`](Self::refresh).
     tree: DataTree,
-    /// Live mask over the replica's slots (the wildcard test).
+    /// Live mask over the tree's slots (the wildcard test).
     ones: Vec<u64>,
-    /// Lazy per-label bitsets over the replica's slots (re-derived in
-    /// place after a structural re-sync, so the cache and its allocations
-    /// survive).
+    /// Lazy per-label bitsets over the tree's slots (re-derived in place
+    /// after a structural edit, so the cache and its allocations survive).
     label_rows: HashMap<Label, Vec<u64>>,
-    /// Did a structural re-sync leave `ones` and `label_rows` stale?
+    /// Did a structural edit leave `ones` and `label_rows` stale?
     rows_stale: bool,
-    /// Set by [`invalidate`](Self::invalidate): the replica itself may no
-    /// longer match the tree, so only a full [`refresh`](Self::refresh)
+    /// Set by [`invalidate`](Self::invalidate): a copied tree may no
+    /// longer match its source, so only a full [`refresh`](Self::refresh)
     /// can make the evaluator usable again.
     invalidated: bool,
     /// Reused `(slot, state)` stack of the sweeps.
     stack: Vec<(u32, u32)>,
-    /// Nodes touched by structural
-    /// [`refresh_after`](Self::refresh_after) calls.
-    refresh_nodes_read: u64,
 }
 
 impl Evaluator {
-    /// Reads `tree` into a fresh evaluator: one packed pre-order copy
-    /// builds the replica; every subsequent [`eval`](Self::eval) reuses
-    /// it.
-    pub fn new(tree: &DataTree) -> Evaluator {
-        let mut ev = Evaluator {
-            tree: tree.packed_copy(),
+    /// Takes ownership of `tree` without copying it. The bitset rows are
+    /// derived on the first per-pattern evaluation; the set-at-a-time
+    /// passes never need them.
+    pub fn from_tree(tree: DataTree) -> Evaluator {
+        Evaluator {
+            tree,
             ones: Vec::new(),
             label_rows: HashMap::new(),
-            rows_stale: false,
+            rows_stale: true,
             invalidated: false,
             stack: Vec::new(),
-            refresh_nodes_read: 0,
-        };
-        ev.derive_rows();
-        ev
+        }
     }
 
-    /// Re-reads the whole of `tree` after it was mutated, reusing the
-    /// existing allocations. This is the blunt fallback of the refresh
-    /// protocol — and the oracle the edit-proportional
-    /// [`refresh_after`](Self::refresh_after) is tested against; see
+    /// Reads a packed pre-order copy of `tree` into a fresh evaluator:
+    /// the cold entry point for callers that keep their tree.
+    pub fn new(tree: &DataTree) -> Evaluator {
+        Evaluator::from_tree(tree.packed_copy())
+    }
+
+    /// The evaluated tree.
+    pub fn tree(&self) -> &DataTree {
+        &self.tree
+    }
+
+    /// Gives the evaluated tree back.
+    pub fn into_tree(self) -> DataTree {
+        self.tree
+    }
+
+    /// Applies one update to the tree ([`xuc_xtree::apply_undoable`]) and
+    /// follows it: a relabel patches two cached label-row bits, an id swap
+    /// needs nothing (answers read ids off the slots), and a structural
+    /// edit marks the rows stale for the next per-pattern evaluation. On
+    /// error the tree is untouched.
+    pub fn apply(&mut self, update: &Update) -> Result<(Undo, EditScope), UpdateError> {
+        let (token, scope) = apply_undoable(&mut self.tree, update)?;
+        self.follow(&scope);
+        Ok((token, scope))
+    }
+
+    /// Reverts one update ([`xuc_xtree::undo`], LIFO) and follows it as
+    /// [`apply`](Self::apply) does.
+    pub fn undo(&mut self, token: Undo) -> Result<EditScope, UpdateError> {
+        let scope = xuc_xtree::undo(&mut self.tree, token)?;
+        self.follow(&scope);
+        Ok(scope)
+    }
+
+    /// Finalizes one applied update ([`xuc_xtree::release`]): the slots a
+    /// deletion parked go on the free list. Liveness does not change, so
+    /// the rows stay as they are.
+    pub fn release(&mut self, token: Undo) {
+        xuc_xtree::release(&mut self.tree, token);
+    }
+
+    /// Brings the rows up to one edit of the tree: two bits for a
+    /// relabel while the rows are current, a stale mark for a structural
+    /// edit.
+    fn follow(&mut self, scope: &EditScope) {
+        match *scope {
+            EditScope::Relabel { node, from, to } => {
+                if self.rows_stale {
+                    return;
+                }
+                let i = self.slot_named(node, "relabeled") as usize;
+                if let Some(row) = self.label_rows.get_mut(&from) {
+                    clear_bit(row, i);
+                }
+                if let Some(row) = self.label_rows.get_mut(&to) {
+                    set_bit(row, i);
+                }
+            }
+            EditScope::ReplaceId { .. } => {}
+            _ => self.rows_stale = true,
+        }
+    }
+
+    /// Re-reads the whole of `tree` into the evaluator's packed copy after
+    /// it was mutated, reusing the existing allocations; see
     /// [`invalidate`](Self::invalidate).
     pub fn refresh(&mut self, tree: &DataTree) {
         self.tree.copy_packed_from(tree);
-        self.derive_rows();
+        self.rows_stale = true;
         self.invalidated = false;
     }
 
-    /// Refreshes the evaluator **proportionally to one applied edit**,
-    /// described by the [`EditScope`] that [`xuc_xtree::apply_undoable`]
-    /// (or [`xuc_xtree::undo`]) returned for it, by re-applying the edit
-    /// to the replica with the tree's own operations.
-    ///
-    /// * A relabel relabels the replica's node, and patches the two
-    ///   affected cached label rows when they are not stale — no walk.
-    /// * An id replacement replaces the replica node's id.
-    /// * A structural scope edits the subtrees it names, never a common
-    ///   ancestor: a [`Detached`](EditScope::Detached) node's subtree is
-    ///   deleted; a [`Spliced`](EditScope::Spliced) node is deleted, its
-    ///   children promoted; an [`Attached`](EditScope::Attached) node the
-    ///   replica holds (a move) is moved after its previous sibling in
-    ///   `tree`, and one it does not hold is inserted there, its
-    ///   re-adopted children (an unsplice) moved under it and the rest of
-    ///   its subtree (a re-attached one) grafted from `tree`. Linking is
-    ///   O(1) whatever the parent's fan-out, so the cost is the nodes
-    ///   touched — one for a move or an inserted leaf, the subtree for a
-    ///   delete or a re-attach, the children plus one for a splice or an
-    ///   unsplice — counted by
-    ///   [`EngineCounters::refresh_nodes_read`](crate::EngineCounters::refresh_nodes_read),
-    ///   at any depth. The cached rows go stale and are re-derived by the
-    ///   next bitset entry point that needs them; the set-at-a-time
-    ///   passes do not.
-    ///
-    /// An [invalidated](Self::invalidate) evaluator may not match the
-    /// tree the scope describes, so it takes the full
-    /// [`refresh`](Self::refresh) whatever the scope. Otherwise the scope
-    /// must describe the **single** edit separating the evaluator's state
-    /// from `tree`'s current state; for a batch of edits, call this once
-    /// per edit as it is applied (or undone).
-    ///
-    /// # Panics
-    /// Panics if the scope does not match the replica (names a node it
-    /// does not hold, say).
+    /// Benchmark compatibility: `gatebench/`'s traced mirror, which edits
+    /// a tree of its own, is its only caller outside this module's tests.
+    /// Brings a copying evaluator ([`new`](Self::new)) up to one edit of
+    /// `tree`, described by the [`EditScope`] that
+    /// [`xuc_xtree::apply_undoable`] (or [`xuc_xtree::undo`]) returned
+    /// for it: a relabel or an id swap is patched in O(1), any other scope
+    /// (or an [invalidated](Self::invalidate) evaluator) takes one full
+    /// [`refresh`](Self::refresh). An evaluator that owns its tree
+    /// follows [`apply`](Self::apply) instead.
+    #[doc(hidden)]
     pub fn refresh_after(&mut self, tree: &DataTree, scope: &EditScope) {
-        if self.invalidated {
-            return self.refresh(tree);
-        }
-        let replica = &mut self.tree;
-        let len = replica.len();
-        let touched = match *scope {
-            EditScope::Relabel { node, from, to } => {
-                let i = self.slot_named(node, "relabeled") as usize;
-                debug_assert_eq!(self.tree.label(node), Ok(from), "scope does not match");
-                synced(self.tree.relabel(node, to));
-                if !self.rows_stale {
-                    if let Some(row) = self.label_rows.get_mut(&from) {
-                        clear_bit(row, i);
-                    }
-                    if let Some(row) = self.label_rows.get_mut(&to) {
-                        set_bit(row, i);
-                    }
-                }
-                return;
-            }
-            EditScope::ReplaceId { from, to } => return synced(replica.replace_id(from, to)),
-            EditScope::Attached { node } => {
-                let parent = synced(tree.parent(node)).expect("an attached node has a parent");
-                let prev = synced(tree.prev_sibling(node));
-                if replica.contains(node) {
-                    synced(replica.move_after(node, parent, prev));
-                    1
-                } else {
-                    synced(replica.add_after(parent, prev, node, synced(tree.label(node))));
-                    let mut moved = 0;
-                    for c in synced(tree.children_iter(node)) {
-                        if replica.contains(c) {
-                            synced(replica.move_node(c, node));
-                            moved += 1;
-                        } else {
-                            synced(replica.graft_subtree(node, tree, c));
-                        }
-                    }
-                    replica.len() - len + moved
-                }
-            }
-            EditScope::Detached { node } => {
-                synced(replica.delete_subtree(node));
-                len - replica.len()
-            }
-            EditScope::Spliced { node, count, .. } => {
-                synced(replica.delete_node(node));
-                count + 1
-            }
+        let patched = match *scope {
+            _ if self.invalidated => false,
+            EditScope::Relabel { node, to, .. } => self.tree.relabel(node, to).is_ok(),
+            EditScope::ReplaceId { from, to } => self.tree.replace_id(from, to).is_ok(),
+            _ => false,
         };
-        self.rows_stale = true;
-        let n = touched as u64;
-        self.refresh_nodes_read += n;
-        crate::stats::bump(&crate::stats::REFRESH_NODES_READ, n);
+        if patched {
+            self.follow(scope);
+        } else {
+            self.refresh(tree);
+        }
     }
 
-    /// Sizes the live mask and the cached label rows to the replica's
-    /// slots and re-derives them in one scan (rows for labels no longer
-    /// present become zero rows — still correct answers).
+    /// Sizes the live mask and the cached label rows to the tree's slots
+    /// and re-derives them in one walk from the root (rows for labels no
+    /// longer present become zero rows — still correct answers).
     fn derive_rows(&mut self) {
-        let s = self.tree.slots();
+        let Evaluator { tree, ones, label_rows, .. } = &mut *self;
+        let s = tree.slots();
         let words = word_count(s.ids.len());
-        self.ones.clear();
-        self.ones.resize(words, 0);
-        for row in self.label_rows.values_mut() {
+        ones.clear();
+        ones.resize(words, 0);
+        for row in label_rows.values_mut() {
             row.clear();
             row.resize(words, 0);
         }
-        for (v, l) in s.labels.iter().enumerate() {
-            if s.parent[v] != NIL || v as u32 == s.root {
-                set_bit(&mut self.ones, v);
-                if let Some(row) = self.label_rows.get_mut(l) {
-                    set_bit(row, v);
-                }
+        s.for_each_live(|v| {
+            let v = v as usize;
+            set_bit(ones, v);
+            if let Some(row) = label_rows.get_mut(&s.labels[v]) {
+                set_bit(row, v);
             }
-        }
+        });
         self.rows_stale = false;
     }
 
-    /// Marks the evaluator stale. Call this when handing the underlying
-    /// tree out for mutation; any evaluation before the matching
-    /// [`refresh`](Self::refresh) panics instead of returning answers
-    /// computed against a dead snapshot, and
-    /// [`refresh_after`](Self::refresh_after) falls back to `refresh`.
+    /// Marks the evaluator stale. Call this when the tree a copying
+    /// evaluator ([`new`](Self::new)) was built from is mutated; any
+    /// evaluation before the matching [`refresh`](Self::refresh) panics
+    /// instead of returning answers computed against a dead copy.
     pub fn invalidate(&mut self) {
         self.invalidated = true;
     }
 
     /// Is the evaluator marked stale by [`invalidate`](Self::invalidate)?
     /// (Label rows awaiting re-derivation are not stale in this sense:
-    /// the replica still matches the tree.)
+    /// the tree is current.)
     pub fn is_stale(&self) -> bool {
         self.invalidated
     }
 
-    /// Nodes touched by this evaluator's structural
-    /// [`refresh_after`](Self::refresh_after) calls so far: a pure
-    /// function of the edits it was fed. Monotone; diff two readings.
-    pub fn refresh_nodes_read(&self) -> u64 {
-        self.refresh_nodes_read
-    }
-
-    /// Number of nodes in the snapshot.
+    /// Number of nodes in the tree.
     pub fn len(&self) -> usize {
         self.tree.len()
     }
 
-    /// The snapshotted tree's root node.
+    /// The tree's root node.
     pub fn root(&self) -> NodeRef {
         NodeRef { id: self.tree.root_id(), label: self.tree.root_label() }
     }
 
-    /// Trees always have a root, so a snapshot is never empty.
+    /// Trees always have a root, so an evaluator is never empty.
     pub fn is_empty(&self) -> bool {
         false
     }
@@ -454,7 +430,7 @@ impl Evaluator {
     }
 
     fn slot_named(&self, id: NodeId, what: &str) -> u32 {
-        self.tree.slot_of(id).unwrap_or_else(|| panic!("{what} node {id} not in snapshot"))
+        self.tree.slot_of(id).unwrap_or_else(|| panic!("{what} node {id} not in the tree"))
     }
 
     /// The bitset of live slots whose label passes `test` (cached per
@@ -509,11 +485,10 @@ impl Evaluator {
     }
 
     /// Phase 1 + phase 2 producing the output-node frontier bitset of `q`
-    /// evaluated at `start`, on rows indexed by replica slot.
+    /// evaluated at `start`, on rows indexed by slot.
     fn frontier_at(&mut self, q: &Pattern, start: NodeId) -> Vec<u64> {
         self.check_fresh();
         if self.rows_stale {
-            xuc_xtree::note_preorder_walk();
             self.derive_rows();
         }
         let start_idx = self.slot_named(start, "start") as usize;
@@ -620,7 +595,7 @@ impl Evaluator {
     /// Evaluates `q` on the subtree rooted at `start`: `q(n, I)`.
     ///
     /// # Panics
-    /// Panics if `start` is not a node of the snapshotted tree.
+    /// Panics if `start` is not a node of the tree.
     pub fn eval_at(&mut self, q: &Pattern, start: NodeId) -> BTreeSet<NodeRef> {
         let frontier = self.frontier_at(q, start);
         let s = self.tree.slots();
@@ -631,8 +606,8 @@ impl Evaluator {
         out
     }
 
-    /// Evaluates a batch of patterns against the shared snapshot; the
-    /// snapshot cost is paid once for the whole batch.
+    /// Evaluates a batch of patterns against the shared rows; the row
+    /// derivation is paid once for the whole batch.
     pub fn eval_all(&mut self, queries: &[Pattern]) -> Vec<BTreeSet<NodeRef>> {
         queries.iter().map(|q| self.eval(q)).collect()
     }
@@ -647,9 +622,8 @@ impl Evaluator {
     /// cover (its [`fallbacks`](PatternSetAutomaton::fallbacks)) are
     /// evaluated per-pattern, so the result is always complete.
     ///
-    /// The pass runs on the replica, so it follows every
-    /// [`refresh_after`](Self::refresh_after) at once — a relabel patched
-    /// in O(1), a structural edit re-applied to its scope — with no
+    /// The pass reads the tree's slots directly, so it follows every
+    /// [`apply`](Self::apply) and [`undo`](Self::undo) at once, with no
     /// automaton recompilation and no row re-derivation (only predicate
     /// fallbacks need the bitset rows).
     ///
@@ -691,7 +665,7 @@ impl Evaluator {
     /// ```
     ///
     /// # Panics
-    /// Panics if `start` is not a node of the snapshotted tree.
+    /// Panics if `start` is not a node of the tree.
     pub fn eval_set_at<A: PatternSetAutomaton + ?Sized>(
         &mut self,
         set: &A,
@@ -722,7 +696,7 @@ impl Evaluator {
         out
     }
 
-    /// The one set-at-a-time sweep: drives `set` over the replica
+    /// The one set-at-a-time sweep: drives `set` over the tree
     /// subtree strictly below slot `top`, whose own state is `state`,
     /// calling `visit(slot, state)` for each node in pre-order along the
     /// sibling chains. An explicit `(slot, state)` stack of the current
@@ -761,7 +735,7 @@ impl Evaluator {
     /// The dirty subtree roots of `region` as sorted, deduplicated slots —
     /// structural roots plus relabeled nodes (a relabel dirties its whole
     /// subtree: every descendant's label path runs through it). `None`
-    /// when the region names a node this snapshot cannot account for
+    /// when the region names a node this tree cannot account for
     /// (stale region → callers fall back to the full pass). Relabeled
     /// nodes that the region knows were deleted are skipped (their
     /// removals are recorded refs), and so is a relabeled tree root:
@@ -852,8 +826,8 @@ impl Evaluator {
     /// path. `sets` must hold [`eval_set`](Self::eval_set)'s answer on
     /// some earlier state of the tree, and `region` the [`DirtyRegion`]
     /// accumulated over every edit (and undo) separating that state from
-    /// the current snapshot. On `Some`, `sets` hold exactly `eval_set`'s
-    /// answer on the current snapshot.
+    /// the current tree. On `Some`, `sets` hold exactly `eval_set`'s
+    /// answer on the current tree.
     ///
     /// Soundness rests on the automaton contract: a compiled (linear)
     /// pattern's membership at a node depends **only on the node's
@@ -886,7 +860,7 @@ impl Evaluator {
     /// Returns `None` — with `sets` untouched — when the splice argument
     /// does not apply (predicate [`fallbacks`](PatternSetAutomaton::fallbacks),
     /// whose membership is not path-determined; a stale region, naming
-    /// nodes not in the snapshot; a width mismatch) or when the dirty
+    /// nodes not in the tree; a width mismatch) or when the dirty
     /// region is so large that the full pass is cheaper; callers then run
     /// [`eval_set`](Self::eval_set). The property suite in
     /// `tests/prop.rs` pins the spliced sets against `eval_set`,
@@ -897,25 +871,24 @@ impl Evaluator {
     /// ```
     /// use xuc_automata::PatternSetCompiler;
     /// use xuc_xpath::{parse, Evaluator};
-    /// use xuc_xtree::{apply_undoable, parse_term, DirtyRegion, NodeId, Update};
+    /// use xuc_xtree::{parse_term, DirtyRegion, NodeId, Update};
     ///
-    /// let mut tree = parse_term("root(a#1(b#2(c#3)),a#4(b#5))").unwrap();
+    /// let tree = parse_term("root(a#1(b#2(c#3)),a#4(b#5))").unwrap();
     /// let suite: Vec<_> = ["/a/b", "//c"].iter().map(|s| parse(s).unwrap()).collect();
     /// let compiled = PatternSetCompiler::compile(&suite);
-    /// let mut ev = Evaluator::new(&tree);
+    /// let mut ev = Evaluator::from_tree(tree);
     /// let base = ev.eval_set(&compiled);
     ///
     /// // A batch: relabel b#5 and delete c#3, accumulated into one region
     /// // (a deletion's doomed refs are recorded before it applies).
     /// let mut region = DirtyRegion::new();
-    /// region.record_removals(&tree.subtree_nodes(NodeId::from_raw(3)).unwrap());
+    /// region.record_removals(&ev.tree().subtree_nodes(NodeId::from_raw(3)).unwrap());
     /// for op in [
     ///     Update::Relabel { node: NodeId::from_raw(5), label: "c".into() },
     ///     Update::DeleteSubtree { node: NodeId::from_raw(3) },
     /// ] {
-    ///     let (_token, scope) = apply_undoable(&mut tree, &op).unwrap();
-    ///     ev.refresh_after(&tree, &scope);
-    ///     region.record(&tree, &scope);
+    ///     let (_token, scope) = ev.apply(&op).unwrap();
+    ///     region.record(ev.tree(), &scope);
     /// }
     /// let mut sets = base.clone();
     /// let journal = ev.eval_set_splice(&compiled, &region, &mut sets).expect("linear suite");
@@ -1033,18 +1006,13 @@ impl Evaluator {
         });
         out
     }
-
-    /// Does `q`, read as a boolean query, hold below `start`?
-    pub fn holds_below(&mut self, q: &Pattern, start: NodeId) -> bool {
-        !is_zero(&self.frontier_at(q, start))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use xuc_xtree::{apply_undoable, parse_term, undo, Update};
+    use xuc_xtree::{apply_undoable, parse_term, undo, DataTree};
 
     fn ids(set: &BTreeSet<NodeRef>) -> Vec<u64> {
         set.iter().map(|n| n.id.raw()).collect()
@@ -1090,8 +1058,6 @@ mod tests {
         let mut ev = Evaluator::new(&t);
         assert_eq!(ids(&ev.eval_at(&q, NodeId::from_raw(1))), vec![3]);
         assert_eq!(ids(&ev.eval(&q)), vec![5]);
-        assert!(ev.holds_below(&q, NodeId::from_raw(1)));
-        assert!(!ev.holds_below(&q, NodeId::from_raw(2)));
     }
 
     #[test]
@@ -1223,15 +1189,15 @@ mod tests {
 
     #[test]
     fn interleaved_scoped_refreshes_match_full_refresh() {
-        // A mixed apply/undo sequence where every step goes through
-        // refresh_after — inserts, deletes, splices and moves (one across
-        // the root) between relabels and id swaps — checked
-        // against a from-scratch evaluator on every entry point.
-        let mut t = parse_term("root(a#1(b#2(c#3),d#4),e#5,a#6(x#7))").unwrap();
+        // A mixed apply/undo sequence on an owned tree — inserts, deletes,
+        // splices and moves (one across the root) between relabels and id
+        // swaps — checked after every step against a fresh copying
+        // evaluator on every entry point.
+        let t = parse_term("root(a#1(b#2(c#3),d#4),e#5,a#6(x#7))").unwrap();
         let queries: Vec<_> =
             ["/a", "//b", "/a/b[/c]", "//*", "/a[/d]//c"].map(|s| parse(s).unwrap()).into();
         let set = DepthOneA { fallback: Vec::new() };
-        let mut ev = Evaluator::new(&t);
+        let mut ev = Evaluator::from_tree(t);
         for q in &queries {
             ev.eval(q); // prime caches
         }
@@ -1254,13 +1220,13 @@ mod tests {
             Update::Move { node: NodeId::from_raw(20), new_parent: NodeId::from_raw(21) },
             Update::ReplaceId { node: NodeId::from_raw(5), new_id: NodeId::from_raw(50) },
         ];
-        let check = |ev: &mut Evaluator, t: &xuc_xtree::DataTree, ctx: &str| {
-            let mut oracle = Evaluator::new(t);
+        let check = |ev: &mut Evaluator, ctx: &str| {
+            let mut oracle = Evaluator::new(ev.tree());
             assert_eq!(ev.len(), oracle.len(), "{ctx}");
             assert_eq!(ev.root(), oracle.root(), "{ctx}");
             assert_eq!(ev.eval_set(&set), oracle.eval_set(&set), "{ctx}");
             assert_eq!(ev.eval_all(&queries), oracle.eval_all(&queries), "{ctx}");
-            for id in t.node_ids() {
+            for id in ev.tree().node_ids() {
                 for q in &queries {
                     assert_eq!(ev.eval_at(q, id), oracle.eval_at(q, id), "{ctx} / {q} at {id}");
                 }
@@ -1268,15 +1234,12 @@ mod tests {
         };
         let mut stack = Vec::new();
         for op in &ops {
-            let (token, scope) = apply_undoable(&mut t, op).unwrap();
-            stack.push(token);
-            ev.refresh_after(&t, &scope);
-            check(&mut ev, &t, &format!("{op}"));
+            stack.push(ev.apply(op).unwrap().0);
+            check(&mut ev, &format!("{op}"));
         }
         while let Some(token) = stack.pop() {
-            let scope = undo(&mut t, token).unwrap();
-            ev.refresh_after(&t, &scope);
-            check(&mut ev, &t, "undo");
+            ev.undo(token).unwrap();
+            check(&mut ev, "undo");
         }
     }
 
@@ -1300,29 +1263,25 @@ mod tests {
 
     #[test]
     fn structural_refresh_reads_the_scope_and_rederives_rows_on_demand() {
-        // A structural scoped refresh touches only the subtree its scope
-        // names; the set pass runs on it without a walk, and the first
-        // bitset entry point re-derives the label rows once.
-        let mut t = parse_term("root(a#1(b#2,b#3),a#4(b#5),a#6)").unwrap();
+        // Structural edits on an owned tree cost the evaluator nothing but
+        // a stale mark: the set pass runs on the edited arena without a
+        // walk, and the first bitset entry point re-derives the label rows
+        // once.
+        let t = parse_term("root(a#1(b#2,b#3),a#4(b#5),a#6)").unwrap();
         let set = DepthOneA { fallback: Vec::new() };
         let q = parse("/a/b").unwrap();
-        let mut ev = Evaluator::new(&t);
-        let (walks, read) = (xuc_xtree::preorder_walk_count(), ev.refresh_nodes_read());
+        let mut ev = Evaluator::from_tree(t);
+        assert_eq!(ids(&ev.eval(&q)), vec![2, 3, 5]);
+        let walks = xuc_xtree::preorder_walk_count();
         let op = Update::InsertLeaf {
             parent: NodeId::from_raw(4),
             id: NodeId::from_raw(7),
             label: Label::new("b"),
         };
-        let (token, scope) = apply_undoable(&mut t, &op).unwrap();
-        ev.refresh_after(&t, &scope);
-        let scope = undo(&mut t, token).unwrap();
-        ev.refresh_after(&t, &scope);
-        let (_token, scope) =
-            apply_undoable(&mut t, &Update::DeleteSubtree { node: NodeId::from_raw(2) }).unwrap();
-        ev.refresh_after(&t, &scope);
-        // One leaf read in, the same leaf freed, then b#2 freed.
-        assert_eq!(ev.refresh_nodes_read() - read, 3);
-        assert_eq!(ev.eval_set(&set), Evaluator::new(&t).eval_set(&set));
+        let (token, _) = ev.apply(&op).unwrap();
+        ev.undo(token).unwrap();
+        let (token, _) = ev.apply(&Update::DeleteSubtree { node: NodeId::from_raw(2) }).unwrap();
+        assert_eq!(ev.eval_set(&set), Evaluator::new(ev.tree()).eval_set(&set));
         let walks_after_oracle = xuc_xtree::preorder_walk_count();
         assert_eq!(walks_after_oracle - walks, 1, "only the oracle walked");
         assert_eq!(ids(&ev.eval(&q)), vec![3, 5]);
@@ -1331,76 +1290,97 @@ mod tests {
             1,
             "one row re-derivation"
         );
+        ev.release(token);
         assert_eq!(ids(&ev.eval(&q)), vec![3, 5]);
         assert_eq!(
             xuc_xtree::preorder_walk_count() - walks_after_oracle,
             1,
-            "rows re-derived once"
+            "rows re-derived once; a release leaves them current"
         );
     }
 
     #[test]
     fn root_level_edits_cost_the_subtrees_they_name() {
         // Under a wide root, moves across it, splices and deletes of its
-        // children and inserts under it cost the nodes of the subtrees
-        // their scopes name — never the root's fan-out. A move relinks
-        // one node, whatever its subtree.
-        let mut t = xuc_xtree::DataTree::new("root");
+        // children and inserts under it cost the evaluator no walk at all,
+        // applied or undone, whatever the root's fan-out: the tree edits
+        // itself in O(edit) and the set pass follows it.
+        let mut t = DataTree::new("root");
         let root = t.root_id();
         let kids: Vec<NodeId> = (0..500).map(|_| t.add(root, "a").unwrap()).collect();
         let leaf = t.add(kids[7], "b").unwrap();
         let set = DepthOneA { fallback: Vec::new() };
-        let mut ev = Evaluator::new(&t);
+        let mut ev = Evaluator::from_tree(t);
         let mut stack = Vec::new();
-        for (op, cost) in [
-            (Update::Move { node: leaf, new_parent: kids[400] }, 1),
-            (Update::InsertLeaf { parent: root, id: NodeId::fresh(), label: Label::new("a") }, 1),
-            (Update::DeleteNode { node: kids[400] }, 2),
-            (Update::Move { node: kids[3], new_parent: kids[450] }, 1),
-            (Update::DeleteSubtree { node: kids[450] }, 2),
+        for op in [
+            Update::Move { node: leaf, new_parent: kids[400] },
+            Update::InsertLeaf { parent: root, id: NodeId::fresh(), label: Label::new("a") },
+            Update::DeleteNode { node: kids[400] },
+            Update::Move { node: kids[3], new_parent: kids[450] },
+            Update::DeleteSubtree { node: kids[450] },
         ] {
-            let read = ev.refresh_nodes_read();
-            let (token, scope) = apply_undoable(&mut t, &op).unwrap();
-            stack.push(token);
-            ev.refresh_after(&t, &scope);
-            assert_eq!(ev.refresh_nodes_read() - read, cost, "{op}");
-            assert_eq!(ev.eval_set(&set), Evaluator::new(&t).eval_set(&set), "{op}");
+            let walks = xuc_xtree::preorder_walk_count();
+            stack.push(ev.apply(&op).unwrap().0);
+            assert_eq!(xuc_xtree::preorder_walk_count(), walks, "{op}");
+            assert_eq!(ev.eval_set(&set), Evaluator::new(ev.tree()).eval_set(&set), "{op}");
         }
         while let Some(token) = stack.pop() {
-            let read = ev.refresh_nodes_read();
-            let scope = undo(&mut t, token).unwrap();
-            ev.refresh_after(&t, &scope);
-            assert!(ev.refresh_nodes_read() - read <= 4, "undo to {scope:?}");
-            assert_eq!(ev.eval_set(&set), Evaluator::new(&t).eval_set(&set), "undo");
+            let walks = xuc_xtree::preorder_walk_count();
+            let scope = ev.undo(token).unwrap();
+            assert_eq!(xuc_xtree::preorder_walk_count(), walks, "undo to {scope:?}");
+            assert_eq!(ev.eval_set(&set), Evaluator::new(ev.tree()).eval_set(&set), "undo");
         }
-        assert_eq!(ev.len(), t.len());
+        assert_eq!(ev.len(), 502);
     }
 
     #[test]
     fn descendant_axes_hold_on_any_slot_order() {
         // Nodes are moved under nodes created after them, so most parents
-        // sit at higher replica slots than their children: the slot-order
-        // pass decides almost nothing and the subtree marking does the rest.
-        let mut t = xuc_xtree::DataTree::new("root");
+        // sit at higher slots than their children: the slot-order pass
+        // decides almost nothing and the subtree marking does the rest.
+        let mut t = DataTree::new("root");
         let root = t.root_id();
         let ids: Vec<NodeId> =
             (0..40).map(|i| t.add(root, ["a", "b", "c"][i % 3]).unwrap()).collect();
-        let mut ev = Evaluator::new(&t);
-        let mut moves = 0;
+        let mut ev = Evaluator::from_tree(t);
         for (_, w) in ids.windows(2).enumerate().filter(|(i, _)| i % 7 != 6) {
-            let (_token, scope) =
-                apply_undoable(&mut t, &Update::Move { node: w[0], new_parent: w[1] }).unwrap();
-            ev.refresh_after(&t, &scope);
-            moves += 1;
+            ev.apply(&Update::Move { node: w[0], new_parent: w[1] }).unwrap();
         }
-        assert_eq!(ev.refresh_nodes_read(), moves, "a move touches one node");
         let queries = ["//a", "//a//b", "/c//a[/b]", "//b[//c]/a", "/*//*", "//c//c//c"];
         for q in queries.map(|s| parse(s).unwrap()) {
-            assert_eq!(ev.eval(&q), crate::naive::eval(&q, &t), "{q}");
+            assert_eq!(ev.eval(&q), crate::naive::eval(&q, ev.tree()), "{q}");
             for &id in ids.iter().step_by(5) {
-                assert_eq!(ev.eval_at(&q, id), crate::naive::eval_at(&q, &t, id), "{q} at {id}");
+                let want = crate::naive::eval_at(&q, ev.tree(), id);
+                assert_eq!(ev.eval_at(&q, id), want, "{q} at {id}");
             }
         }
+    }
+
+    #[test]
+    fn parked_slots_are_not_live_mid_batch() {
+        // A pending deletion parks its slots with their parent links
+        // intact. Mid-batch — after a subtree delete and after a node
+        // splice, before any release — a `//` query and a predicate query
+        // must not see the parked nodes.
+        let t = parse_term("root(p#1(a#2(x#3)),p#4(a#5),q#6(x#7))").unwrap();
+        let queries = ["//a", "//x", "/p[/a]", "/*[//x]", "//*"].map(|s| parse(s).unwrap());
+        let mut ev = Evaluator::from_tree(t);
+        let check = |ev: &mut Evaluator, ctx: &str| {
+            for q in &queries {
+                assert_eq!(ev.eval(q), crate::naive::eval(q, ev.tree()), "{ctx}: {q}");
+            }
+        };
+        check(&mut ev, "before");
+        let (first, _) = ev.apply(&Update::DeleteSubtree { node: NodeId::from_raw(2) }).unwrap();
+        check(&mut ev, "after DeleteSubtree a#2");
+        let (second, _) = ev.apply(&Update::DeleteNode { node: NodeId::from_raw(5) }).unwrap();
+        check(&mut ev, "after DeleteNode a#5");
+        let (third, _) = ev.apply(&Update::DeleteNode { node: NodeId::from_raw(7) }).unwrap();
+        check(&mut ev, "after DeleteNode x#7");
+        for token in [third, second, first] {
+            ev.undo(token).unwrap();
+        }
+        check(&mut ev, "unwound");
     }
 
     /// A hand-rolled two-state automaton for the batch `["/a", "/x[/b]"]`:
@@ -1460,9 +1440,9 @@ mod tests {
     #[test]
     fn eval_set_splice_covers_relabels_structural_and_swaps() {
         use xuc_xtree::DirtyRegion;
-        let mut t = parse_term("root(a#1(a#2,b#3),x#4(b#5),a#6)").unwrap();
+        let t = parse_term("root(a#1(a#2,b#3),x#4(b#5),a#6)").unwrap();
         let set = DepthOneA { fallback: Vec::new() };
-        let mut ev = Evaluator::new(&t);
+        let mut ev = Evaluator::from_tree(t);
         let base = ev.eval_set(&set);
         assert_eq!(ids(&base[0]), vec![1, 6]);
 
@@ -1472,15 +1452,14 @@ mod tests {
         let fresh = NodeId::fresh();
         let mut region = DirtyRegion::new();
         let mut stack = Vec::new();
-        region.record_removals(&t.subtree_nodes(NodeId::from_raw(2)).unwrap());
+        region.record_removals(&ev.tree().subtree_nodes(NodeId::from_raw(2)).unwrap());
         for op in [
             Update::DeleteSubtree { node: NodeId::from_raw(2) },
             Update::Relabel { node: NodeId::from_raw(4), label: Label::new("a") },
             Update::ReplaceId { node: NodeId::from_raw(6), new_id: fresh },
         ] {
-            let (token, scope) = apply_undoable(&mut t, &op).unwrap();
-            ev.refresh_after(&t, &scope);
-            region.record(&t, &scope);
+            let (token, scope) = ev.apply(&op).unwrap();
+            region.record(ev.tree(), &scope);
             stack.push(token);
         }
         // The deleted subtree leaves removed refs, not a dirty root.
@@ -1499,9 +1478,8 @@ mod tests {
         // Unwinding through the same region (undo scopes recorded too)
         // splices straight back to the baseline.
         while let Some(token) = stack.pop() {
-            let scope = undo(&mut t, token).unwrap();
-            ev.refresh_after(&t, &scope);
-            region.record(&t, &scope);
+            let scope = ev.undo(token).unwrap();
+            region.record(ev.tree(), &scope);
         }
         assert!(region.id_swaps().is_empty(), "swap-back cancels the patch");
         let mut unwound = base.clone();
@@ -1512,26 +1490,20 @@ mod tests {
     #[test]
     fn eval_set_splice_patches_in_place_and_reverts() {
         use xuc_xtree::DirtyRegion;
-        let mut t = parse_term("root(a#1(a#2,b#3),x#4(b#5),a#6)").unwrap();
+        let t = parse_term("root(a#1(a#2,b#3),x#4(b#5),a#6)").unwrap();
         let set = DepthOneA { fallback: Vec::new() };
-        let mut ev = Evaluator::new(&t);
+        let mut ev = Evaluator::from_tree(t);
         let base = ev.eval_set(&set);
 
         let mut region = DirtyRegion::new();
         let mut live = base.clone();
         // Deletion bookkeeping mirrors the session: doomed refs first.
-        region.record_removals(&t.subtree_nodes(NodeId::from_raw(1)).unwrap());
-        let (_tok, scope) =
-            apply_undoable(&mut t, &Update::DeleteSubtree { node: NodeId::from_raw(1) }).unwrap();
-        ev.refresh_after(&t, &scope);
-        region.record(&t, &scope);
-        let (_tok, scope) = apply_undoable(
-            &mut t,
-            &Update::Relabel { node: NodeId::from_raw(4), label: Label::new("a") },
-        )
-        .unwrap();
-        ev.refresh_after(&t, &scope);
-        region.record(&t, &scope);
+        region.record_removals(&ev.tree().subtree_nodes(NodeId::from_raw(1)).unwrap());
+        let (_tok, scope) = ev.apply(&Update::DeleteSubtree { node: NodeId::from_raw(1) }).unwrap();
+        region.record(ev.tree(), &scope);
+        let relabel = Update::Relabel { node: NodeId::from_raw(4), label: Label::new("a") };
+        let (_tok, scope) = ev.apply(&relabel).unwrap();
+        region.record(ev.tree(), &scope);
 
         let journal = ev.eval_set_splice(&set, &region, &mut live).expect("splice applies");
         assert_eq!(live, ev.eval_set(&set), "in-place splice must equal the full pass");

@@ -39,18 +39,6 @@ pub fn eval_at(q: &Pattern, tree: &DataTree, start: NodeId) -> BTreeSet<NodeRef>
     Evaluator::new(tree).eval_at(q, start)
 }
 
-/// Does `q`, read as a boolean query, hold below `start`
-/// (i.e. is `q(start, tree)` non-empty)? Cold path; see [`eval`].
-pub fn holds_below(q: &Pattern, tree: &DataTree, start: NodeId) -> bool {
-    Evaluator::new(tree).holds_below(q, start)
-}
-
-/// The set of node ids in `q(tree)`. Cold-path convenience; callers with
-/// a live [`Evaluator`] should use [`Evaluator::eval_ids`] instead.
-pub fn eval_ids(q: &Pattern, tree: &DataTree) -> BTreeSet<NodeId> {
-    Evaluator::new(tree).eval_ids(q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,7 +121,6 @@ mod tests {
         let t = parse_term("root(a#1)").unwrap();
         let q = parse("/b").unwrap();
         assert!(eval(&q, &t).is_empty());
-        assert!(!holds_below(&q, &t, t.root_id()));
     }
 
     #[test]

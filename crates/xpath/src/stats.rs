@@ -1,7 +1,6 @@
 //! Process-global engine counters: how often admission went through the
-//! full `eval_set` sweep vs the in-place splice, how much dirty
-//! document each splice touched, and how much each structural refresh
-//! re-read.
+//! full `eval_set` sweep vs the in-place splice, and how much dirty
+//! document each splice touched.
 //!
 //! `xuc-xpath` sits below the telemetry crate in the dependency graph,
 //! so it cannot hold registry handles; instead it bumps these plain
@@ -22,7 +21,6 @@ pub(crate) static SPLICE_COMMITS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SPLICE_DECLINED: AtomicU64 = AtomicU64::new(0);
 pub(crate) static DIRTY_ROOTS_SWEPT: AtomicU64 = AtomicU64::new(0);
 pub(crate) static DIRTY_NODES_SWEPT: AtomicU64 = AtomicU64::new(0);
-pub(crate) static REFRESH_NODES_READ: AtomicU64 = AtomicU64::new(0);
 
 pub(crate) fn bump(counter: &AtomicU64, n: u64) {
     counter.fetch_add(n, Ordering::Relaxed);
@@ -50,12 +48,6 @@ pub struct EngineCounters {
     /// Total nodes inside those dirty subtrees (the splice's actual
     /// sweep volume — the thing that stays edit-proportional).
     pub dirty_nodes_swept: u64,
-    /// Nodes freed or re-read by structural
-    /// [`Evaluator::refresh_after`](crate::Evaluator::refresh_after)
-    /// calls: the nodes of the subtrees each scope names (old plus new
-    /// for a moved one). (Full rebuilds are counted as walks by
-    /// `xuc_xtree::preorder_walk_count`.)
-    pub refresh_nodes_read: u64,
 }
 
 /// Reads all engine counters. Totals are process-lifetime; diff two
@@ -69,7 +61,6 @@ pub fn engine_counters() -> EngineCounters {
         splice_declined: SPLICE_DECLINED.load(Ordering::Relaxed),
         dirty_roots_swept: DIRTY_ROOTS_SWEPT.load(Ordering::Relaxed),
         dirty_nodes_swept: DIRTY_NODES_SWEPT.load(Ordering::Relaxed),
-        refresh_nodes_read: REFRESH_NODES_READ.load(Ordering::Relaxed),
     }
 }
 
@@ -85,7 +76,6 @@ impl EngineCounters {
             splice_declined: self.splice_declined - base.splice_declined,
             dirty_roots_swept: self.dirty_roots_swept - base.dirty_roots_swept,
             dirty_nodes_swept: self.dirty_nodes_swept - base.dirty_nodes_swept,
-            refresh_nodes_read: self.refresh_nodes_read - base.refresh_nodes_read,
         }
     }
 }

@@ -11,18 +11,21 @@
 //! from-scratch passes after every edit and every undo of the same
 //! sequences, including regions that merge into ancestor scopes and
 //! declined splices; its journal must revert the baseline exactly.
-//! Structural edits kept in sync by `refresh_after` alone — each scope
-//! re-applied to the evaluator's replica, bitset rows re-derived on
-//! demand — are pinned against
-//! a from-scratch evaluator on every entry point, including batches of
-//! root-level moves, splices, deletes and inserts whose re-sync must
-//! cost the subtrees their scopes name.
+//! Edit sequences applied and undone through an evaluator that owns its
+//! tree (`Evaluator::apply`/`undo`, bitset rows re-derived on demand,
+//! parked slots mid-batch) are pinned against a fresh copying evaluator
+//! on that tree and the naive oracle on every entry point, including
+//! batches of root-level moves, splices, deletes and inserts, none of
+//! which may walk the tree.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use xuc_automata::{CompiledPatternSet, PatternSetCompiler};
 use xuc_xpath::{canonical, containment, eval, naive, Axis, Evaluator, Pattern, PatternBuilder};
-use xuc_xtree::{apply_undoable, undo, DataTree, DirtyRegion, Label, NodeId, NodeRef, Update};
+use xuc_xtree::{
+    apply_undoable, preorder_walk_count, undo, DataTree, DirtyRegion, Label, NodeId, NodeRef,
+    Update,
+};
 
 const LABELS: &[&str] = &["a", "b", "c", "d"];
 
@@ -110,13 +113,13 @@ fn linear_pattern_strategy(max_steps: usize) -> impl Strategy<Value = Pattern> {
 
 /// Splices a clone of `base` as admission does, then checks the answer
 /// admission would use — the spliced sets, or `eval_set` when the splice
-/// declines — against `eval_set`, `eval_all` and the naive oracle, and
-/// that the splice journal reverts the clone to `base`.
+/// declines — against `eval_set`, a fresh evaluator's `eval_all` and the
+/// naive oracle on `inc`'s tree, and that the splice journal reverts the
+/// clone to `base`.
 fn check_splice(
     inc: &mut Evaluator,
     compiled: &CompiledPatternSet,
     batch: &[Pattern],
-    work: &DataTree,
     region: &DirtyRegion,
     base: &[BTreeSet<NodeRef>],
     ctx: &str,
@@ -136,9 +139,19 @@ fn check_splice(
         }
     };
     prop_assert_eq!(&answer, &full_rows, "splice vs eval_set after {}", ctx);
-    prop_assert_eq!(&answer, &Evaluator::new(work).eval_all(batch), "after {}", ctx);
+    prop_assert_eq!(&answer, &Evaluator::new(inc.tree()).eval_all(batch), "after {}", ctx);
     for (q, r) in batch.iter().zip(&answer) {
-        prop_assert_eq!(r, &naive::eval(q, work), "{} / {}", ctx, q);
+        prop_assert_eq!(r, &naive::eval(q, inc.tree()), "{} / {}", ctx, q);
+    }
+}
+
+/// What a deletion is about to remove, captured before it applies (the
+/// session's bookkeeping for `DirtyRegion::record_removals`).
+fn doomed_refs(tree: &DataTree, op: &Update) -> Option<Vec<NodeRef>> {
+    match op {
+        Update::DeleteSubtree { node } => tree.subtree_nodes(*node).ok(),
+        Update::DeleteNode { node } => tree.node(*node).ok().map(|r| vec![r]),
+        _ => None,
     }
 }
 
@@ -285,15 +298,14 @@ proptest! {
         ops in proptest::collection::vec((0..5usize, 0..64usize, 0..64usize), 1..8),
     ) {
         // Random edit sequences (relabel, detach, splice, move, replace-id)
-        // applied through the edit-scope protocol: after every apply and
-        // every undo, the incrementally refreshed evaluator must agree with
-        // a from-scratch evaluator and with the naive oracle.
-        let mut work = tree.clone();
-        let mut inc = Evaluator::new(&work);
+        // applied through an evaluator that owns its tree: after every
+        // apply and every undo, it must agree with a from-scratch
+        // evaluator and with the naive oracle.
+        let mut inc = Evaluator::from_tree(tree.clone());
         inc.eval(&q); // prime the label-row cache so in-place patching is exercised
         let mut stack = Vec::new();
         for (op_choice, pick_a, pick_b) in ops {
-            let ids = work.node_ids();
+            let ids = inc.tree().node_ids();
             let target = if ids.len() > 1 {
                 ids[1 + pick_a % (ids.len() - 1)]
             } else {
@@ -310,21 +322,19 @@ proptest! {
                 3 => Update::Move { node: target, new_parent: other },
                 _ => Update::ReplaceId { node: target, new_id: NodeId::fresh() },
             };
-            let Ok((token, scope)) = apply_undoable(&mut work, &op) else { continue };
+            let Ok((token, _)) = inc.apply(&op) else { continue };
             stack.push(token);
-            inc.refresh_after(&work, &scope);
             let incremental = inc.eval(&q);
-            prop_assert_eq!(&incremental, &Evaluator::new(&work).eval(&q), "apply {}", &op);
-            prop_assert_eq!(&incremental, &naive::eval(&q, &work), "apply {}", &op);
+            prop_assert_eq!(&incremental, &Evaluator::new(inc.tree()).eval(&q), "apply {}", &op);
+            prop_assert_eq!(&incremental, &naive::eval(&q, inc.tree()), "apply {}", &op);
         }
         while let Some(token) = stack.pop() {
-            let scope = undo(&mut work, token).unwrap();
-            inc.refresh_after(&work, &scope);
+            inc.undo(token).unwrap();
             let incremental = inc.eval(&q);
-            prop_assert_eq!(&incremental, &Evaluator::new(&work).eval(&q));
-            prop_assert_eq!(&incremental, &naive::eval(&q, &work));
+            prop_assert_eq!(&incremental, &Evaluator::new(inc.tree()).eval(&q));
+            prop_assert_eq!(&incremental, &naive::eval(&q, inc.tree()));
         }
-        prop_assert!(work.identified_eq(&tree), "full unwind must restore the seed");
+        prop_assert!(inc.tree().identified_eq(&tree), "full unwind must restore the seed");
     }
 
     #[test]
@@ -363,19 +373,18 @@ proptest! {
         q3 in pattern_strategy(4),
         ops in proptest::collection::vec((0..5usize, 0..64usize, 0..64usize), 1..6),
     ) {
-        // The compiled automaton is built ONCE; the evaluator is patched
-        // via refresh_after across a random apply/undo sequence. After
-        // every step the single-pass answer must match a from-scratch
+        // The compiled automaton is built ONCE; the evaluator follows a
+        // random apply/undo sequence on the tree it owns. After every
+        // step the single-pass answer must match a from-scratch
         // evaluator's per-pattern answer — i.e. the set path needs no
-        // recompilation and no extra re-sync to stay exact.
+        // recompilation and no re-sync to stay exact.
         let batch = vec![q1, q2, q3];
         let compiled = PatternSetCompiler::compile(&batch);
-        let mut work = tree.clone();
-        let mut inc = Evaluator::new(&work);
+        let mut inc = Evaluator::from_tree(tree.clone());
         inc.eval_set(&compiled); // prime caches (fallback label rows)
         let mut stack = Vec::new();
         for (op_choice, pick_a, pick_b) in ops {
-            let ids = work.node_ids();
+            let ids = inc.tree().node_ids();
             let target = if ids.len() > 1 { ids[1 + pick_a % (ids.len() - 1)] } else { ids[0] };
             let other = ids[pick_b % ids.len()];
             let op = match op_choice {
@@ -388,19 +397,17 @@ proptest! {
                 3 => Update::Move { node: target, new_parent: other },
                 _ => Update::ReplaceId { node: target, new_id: NodeId::fresh() },
             };
-            let Ok((token, scope)) = apply_undoable(&mut work, &op) else { continue };
+            let Ok((token, _)) = inc.apply(&op) else { continue };
             stack.push(token);
-            inc.refresh_after(&work, &scope);
             let rows = inc.eval_set(&compiled);
-            prop_assert_eq!(&rows, &Evaluator::new(&work).eval_all(&batch), "apply {}", &op);
+            prop_assert_eq!(&rows, &Evaluator::new(inc.tree()).eval_all(&batch), "apply {}", &op);
         }
         while let Some(token) = stack.pop() {
-            let scope = undo(&mut work, token).unwrap();
-            inc.refresh_after(&work, &scope);
+            inc.undo(token).unwrap();
             let rows = inc.eval_set(&compiled);
-            prop_assert_eq!(&rows, &Evaluator::new(&work).eval_all(&batch));
+            prop_assert_eq!(&rows, &Evaluator::new(inc.tree()).eval_all(&batch));
         }
-        prop_assert!(work.identified_eq(&tree), "full unwind must restore the seed");
+        prop_assert!(inc.tree().identified_eq(&tree), "full unwind must restore the seed");
     }
 
     #[test]
@@ -422,13 +429,12 @@ proptest! {
         // ancestor scopes (moves/deletes above earlier dirty roots).
         let batch = vec![q1, q2, q3, q4];
         let compiled = PatternSetCompiler::compile(&batch);
-        let mut work = tree.clone();
-        let mut inc = Evaluator::new(&work);
+        let mut inc = Evaluator::from_tree(tree.clone());
         let base = inc.eval_set(&compiled);
         let mut region = DirtyRegion::new();
         let mut stack = Vec::new();
         for (op_choice, pick_a, pick_b) in ops {
-            let ids = work.node_ids();
+            let ids = inc.tree().node_ids();
             let target = if ids.len() > 1 { ids[1 + pick_a % (ids.len() - 1)] } else { ids[0] };
             let other = ids[pick_b % ids.len()];
             let op = match op_choice {
@@ -448,28 +454,22 @@ proptest! {
             };
             // Mirror the session's bookkeeping: a deletion's doomed refs
             // are captured before it applies.
-            let doomed = match &op {
-                Update::DeleteSubtree { node } => work.subtree_nodes(*node).ok(),
-                Update::DeleteNode { node } => work.node(*node).ok().map(|r| vec![r]),
-                _ => None,
-            };
-            let Ok((token, scope)) = apply_undoable(&mut work, &op) else { continue };
+            let doomed = doomed_refs(inc.tree(), &op);
+            let Ok((token, scope)) = inc.apply(&op) else { continue };
             stack.push(token);
             if let Some(refs) = doomed {
                 region.record_removals(&refs);
             }
-            inc.refresh_after(&work, &scope);
-            region.record(&work, &scope);
-            check_splice(&mut inc, &compiled, &batch, &work, &region, &base, &format!("apply {op}"));
+            region.record(inc.tree(), &scope);
+            check_splice(&mut inc, &compiled, &batch, &region, &base, &format!("apply {op}"));
         }
         // Undos feed the SAME region: the splice must track back down.
         while let Some(token) = stack.pop() {
-            let scope = undo(&mut work, token).unwrap();
-            inc.refresh_after(&work, &scope);
-            region.record(&work, &scope);
-            check_splice(&mut inc, &compiled, &batch, &work, &region, &base, "undo");
+            let scope = inc.undo(token).unwrap();
+            region.record(inc.tree(), &scope);
+            check_splice(&mut inc, &compiled, &batch, &region, &base, "undo");
         }
-        prop_assert!(work.identified_eq(&tree), "full unwind must restore the seed");
+        prop_assert!(inc.tree().identified_eq(&tree), "full unwind must restore the seed");
         prop_assert_eq!(inc.eval_set(&compiled), base);
     }
 
@@ -486,25 +486,24 @@ proptest! {
     ) {
         // Random structural sequences (leaf inserts, subtree and node
         // deletes, moves — some under the root) applied and undone
-        // through refresh_after alone. After
-        // every checked step the maintained evaluator must equal a
-        // from-scratch one on every entry point, and a splice of the
-        // baseline must equal eval_set and the naive oracle. Unchecked
-        // steps chain structural re-reads with no evaluation between.
+        // through an evaluator that owns its tree. After every checked
+        // step it must equal a fresh copying evaluator on every entry
+        // point, and a splice of the baseline must equal eval_set and the
+        // naive oracle. Unchecked steps chain structural edits with no
+        // evaluation between.
         let batch = vec![q1, q2, q3];
         let compiled = PatternSetCompiler::compile(&batch);
-        let mut work = tree.clone();
-        let mut inc = Evaluator::new(&work);
+        let mut inc = Evaluator::from_tree(tree.clone());
         let base = inc.eval_set(&compiled);
         let mut region = DirtyRegion::new();
-        let check = |inc: &mut Evaluator, work: &DataTree, region: &DirtyRegion, ctx: &str| {
-            let mut fresh = Evaluator::new(work);
+        let check = |inc: &mut Evaluator, region: &DirtyRegion, ctx: &str| {
+            let mut fresh = Evaluator::new(inc.tree());
             prop_assert_eq!(inc.len(), fresh.len(), "len after {}", ctx);
             prop_assert_eq!(inc.root(), fresh.root(), "root after {}", ctx);
-            check_splice(inc, &compiled, &batch, work, region, &base, ctx);
+            check_splice(inc, &compiled, &batch, region, &base, ctx);
             prop_assert_eq!(inc.eval_set(&compiled), fresh.eval_set(&compiled), "{}", ctx);
             prop_assert_eq!(inc.eval_all(&batch), fresh.eval_all(&batch), "{}", ctx);
-            for id in work.node_ids() {
+            for id in inc.tree().node_ids() {
                 for q in &batch {
                     prop_assert_eq!(inc.eval_at(q, id), fresh.eval_at(q, id), "{} / {}", ctx, q);
                 }
@@ -512,7 +511,7 @@ proptest! {
         };
         let mut stack = Vec::new();
         for (op_choice, pick_a, pick_b, checked) in ops {
-            let ids = work.node_ids();
+            let ids = inc.tree().node_ids();
             let target = if ids.len() > 1 { ids[1 + pick_a % (ids.len() - 1)] } else { ids[0] };
             let other = ids[pick_b % ids.len()];
             let op = match op_choice {
@@ -524,31 +523,25 @@ proptest! {
                 1 => Update::DeleteSubtree { node: target },
                 2 => Update::DeleteNode { node: target },
                 3 => Update::Move { node: target, new_parent: other },
-                _ => Update::Move { node: target, new_parent: work.root_id() },
+                _ => Update::Move { node: target, new_parent: inc.tree().root_id() },
             };
-            let doomed = match &op {
-                Update::DeleteSubtree { node } => work.subtree_nodes(*node).ok(),
-                Update::DeleteNode { node } => work.node(*node).ok().map(|r| vec![r]),
-                _ => None,
-            };
-            let Ok((token, scope)) = apply_undoable(&mut work, &op) else { continue };
+            let doomed = doomed_refs(inc.tree(), &op);
+            let Ok((token, scope)) = inc.apply(&op) else { continue };
             stack.push(token);
             if let Some(refs) = doomed {
                 region.record_removals(&refs);
             }
-            inc.refresh_after(&work, &scope);
-            region.record(&work, &scope);
+            region.record(inc.tree(), &scope);
             if checked {
-                check(&mut inc, &work, &region, &format!("apply {op}"));
+                check(&mut inc, &region, &format!("apply {op}"));
             }
         }
         while let Some(token) = stack.pop() {
-            let scope = undo(&mut work, token).unwrap();
-            inc.refresh_after(&work, &scope);
-            region.record(&work, &scope);
-            check(&mut inc, &work, &region, "undo");
+            let scope = inc.undo(token).unwrap();
+            region.record(inc.tree(), &scope);
+            check(&mut inc, &region, "undo");
         }
-        prop_assert!(work.identified_eq(&tree), "full unwind must restore the seed");
+        prop_assert!(inc.tree().identified_eq(&tree), "full unwind must restore the seed");
     }
 
     #[test]
@@ -565,27 +558,28 @@ proptest! {
         // die (a delete above them) or get re-rooted (a splice above
         // them) later in the batch. Each scope names only the subtrees
         // whose root path changed, so after every apply and every undo
-        // the maintained evaluator must equal a from-scratch one, the
-        // splice must equal eval_set and the naive oracle, every recorded
-        // root must be live, and the re-sync must cost the named
-        // subtrees, never the root's fan-out.
+        // the evaluator owning the tree must equal a fresh copying one,
+        // the splice must equal eval_set and the naive oracle, every
+        // recorded root must be live, and no apply or undo may walk the
+        // tree, whatever the root's fan-out.
         let batch = vec![q1, q2, q3];
         let compiled = PatternSetCompiler::compile(&batch);
-        let mut work = tree.clone();
-        let root = work.root_id();
-        let mut inc = Evaluator::new(&work);
+        let root = tree.root_id();
+        let mut inc = Evaluator::from_tree(tree.clone());
         let base = inc.eval_set(&compiled);
         let mut region = DirtyRegion::new();
-        let check = |inc: &mut Evaluator, work: &DataTree, region: &DirtyRegion, ctx: &str| {
-            let mut fresh = Evaluator::new(work);
+        let check = |inc: &mut Evaluator, region: &DirtyRegion, ctx: &str| {
+            let mut fresh = Evaluator::new(inc.tree());
             prop_assert_eq!(inc.len(), fresh.len(), "len after {}", ctx);
-            prop_assert!(region.structural_roots().iter().all(|&r| work.contains(r)), "{}", ctx);
-            check_splice(inc, &compiled, &batch, work, region, &base, ctx);
+            let live = region.structural_roots().iter().all(|&r| inc.tree().contains(r));
+            prop_assert!(live, "{}", ctx);
+            check_splice(inc, &compiled, &batch, region, &base, ctx);
             prop_assert_eq!(inc.eval_set(&compiled), fresh.eval_set(&compiled), "{}", ctx);
             prop_assert_eq!(inc.eval_all(&batch), fresh.eval_all(&batch), "{}", ctx);
         };
         let mut stack = Vec::new();
         for (op_choice, pick_a, pick_b) in ops {
+            let work = inc.tree();
             let ids = work.node_ids();
             let kids = work.children(root).unwrap();
             let any = ids[pick_a % ids.len()];
@@ -601,38 +595,25 @@ proptest! {
                 5 => Update::InsertLeaf { parent: any, id: NodeId::fresh(), label },
                 _ => Update::Relabel { node: any, label },
             };
-            let doomed = match &op {
-                Update::DeleteSubtree { node } => work.subtree_nodes(*node).ok(),
-                Update::DeleteNode { node } => work.node(*node).ok().map(|r| vec![r]),
-                _ => None,
-            };
-            // What the scope may cost: the moved or deleted subtree, the
-            // spliced node's children, one inserted leaf.
-            let bound = match &op {
-                Update::Move { node, .. } | Update::DeleteSubtree { node } => {
-                    work.subtree_nodes(*node).map_or(0, |n| 2 * n.len() as u64)
-                }
-                Update::DeleteNode { node } => work.children(*node).map_or(0, |c| c.len() as u64 + 1),
-                _ => 1,
-            };
-            let read = inc.refresh_nodes_read();
-            let Ok((token, scope)) = apply_undoable(&mut work, &op) else { continue };
+            let doomed = doomed_refs(work, &op);
+            let walks = preorder_walk_count();
+            let Ok((token, scope)) = inc.apply(&op) else { continue };
+            prop_assert_eq!(preorder_walk_count(), walks, "{} walked", &op);
             stack.push(token);
             if let Some(refs) = doomed {
                 region.record_removals(&refs);
             }
-            inc.refresh_after(&work, &scope);
-            prop_assert!(inc.refresh_nodes_read() - read <= bound, "{} cost", &op);
-            region.record(&work, &scope);
-            check(&mut inc, &work, &region, &format!("apply {op}"));
+            region.record(inc.tree(), &scope);
+            check(&mut inc, &region, &format!("apply {op}"));
         }
         while let Some(token) = stack.pop() {
-            let scope = undo(&mut work, token).unwrap();
-            inc.refresh_after(&work, &scope);
-            region.record(&work, &scope);
-            check(&mut inc, &work, &region, "undo");
+            let walks = preorder_walk_count();
+            let scope = inc.undo(token).unwrap();
+            prop_assert_eq!(preorder_walk_count(), walks, "undo to {:?} walked", &scope);
+            region.record(inc.tree(), &scope);
+            check(&mut inc, &region, "undo");
         }
-        prop_assert!(work.identified_eq(&tree), "full unwind must restore the seed");
+        prop_assert!(inc.tree().identified_eq(&tree), "full unwind must restore the seed");
         prop_assert_eq!(inc.eval_set(&compiled), base);
     }
 

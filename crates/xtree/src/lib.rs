@@ -33,8 +33,7 @@ pub use label::Label;
 pub use node::NodeId;
 pub use term::{parse_term, to_term};
 pub use tree::{
-    note_preorder_walk, preorder_walk_count, ChildIds, DataTree, DetachToken, NodeRef, Slots,
-    SpliceToken, TreeError,
+    preorder_walk_count, ChildIds, DataTree, DetachToken, NodeRef, Slots, SpliceToken, TreeError,
 };
 pub use update::{
     apply_all, apply_undoable, apply_update, release, undo, EditScope, Undo, Update, UpdateError,

@@ -42,8 +42,8 @@ thread_local! {
     /// Per-thread count of full pre-order walks: every
     /// [`DataTree::for_each_preorder`] from the root (which
     /// [`DataTree::preorder_snapshot_into`] and its allocating wrapper
-    /// run), plus every document-sized rebuild a snapshot holder reports
-    /// through [`note_preorder_walk`]. Tests use the delta of
+    /// run), every packed copy, and every [`Slots::for_each_live`] walk a
+    /// snapshot holder makes over the arena. Tests use the delta of
     /// [`preorder_walk_count`] to assert that edit-proportional refresh
     /// paths really do avoid O(n) re-walks; thread-local so concurrently
     /// running tests (or search shards) cannot inflate each other's
@@ -57,11 +57,9 @@ pub fn preorder_walk_count() -> u64 {
     PREORDER_WALKS.with(Cell::get)
 }
 
-/// Records one full pre-order walk made outside the tree: a snapshot
-/// holder that rebuilds a document-sized view from its own copy (the
-/// XPath evaluator re-deriving its bitset rows from its replica) reports
-/// it here, so no O(n) rebuild escapes [`preorder_walk_count`].
-pub fn note_preorder_walk() {
+/// Records one full pre-order walk, so no O(n) rebuild escapes
+/// [`preorder_walk_count`].
+fn note_preorder_walk() {
     PREORDER_WALKS.with(|c| c.set(c.get() + 1));
 }
 
@@ -69,9 +67,11 @@ pub fn note_preorder_walk() {
 const NIL: u32 = u32::MAX;
 
 /// A read-only view of a tree's arena slots, for snapshot holders that
-/// sweep the link arrays directly (the XPath evaluator's replica). Links
-/// hold slot indices or [`Slots::NIL`]. A free slot has no parent and is
-/// not the root; a parked one (behind an undo token) keeps its links.
+/// sweep the link arrays directly (the XPath evaluator). Links hold slot
+/// indices or [`Slots::NIL`]. The live slots are exactly those reachable
+/// from `root` along the child chains: a free slot is not, and neither is
+/// a parked one (behind an undo token), although it keeps its parent
+/// link — so a parent link alone does not make a slot live.
 #[derive(Clone, Copy)]
 pub struct Slots<'a> {
     pub ids: &'a [NodeId],
@@ -85,6 +85,13 @@ pub struct Slots<'a> {
 impl Slots<'_> {
     /// "No slot": an absent parent, child or sibling.
     pub const NIL: u32 = NIL;
+
+    /// Calls `f(slot)` for every live slot, in pre-order from the root:
+    /// one full pre-order walk ([`preorder_walk_count`]).
+    pub fn for_each_live(&self, mut f: impl FnMut(u32)) {
+        note_preorder_walk();
+        chain_walk(self.first_child, self.next_sibling, self.parent, self.root, &mut |s, _| f(s));
+    }
 }
 
 /// Errors raised by tree manipulation.
@@ -760,6 +767,7 @@ impl DataTree {
     }
 
     /// Inserts a new leaf with an explicit id under `parent`.
+    #[inline]
     pub fn add_with_id(
         &mut self,
         parent: NodeId,
@@ -767,44 +775,11 @@ impl DataTree {
         label: impl Into<Label>,
     ) -> Result<NodeId, TreeError> {
         let p = self.slot(parent)?;
-        self.insert_after(p, self.last_child[p as usize], id, label.into())
-    }
-
-    /// Inserts a new leaf with an explicit id under `parent`, right after
-    /// its child `prev` (first when `None`). O(1) whatever the fan-out.
-    /// Fails with [`TreeError::NodeNotFound`] for a `prev` that is not a
-    /// child of `parent`.
-    pub fn add_after(
-        &mut self,
-        parent: NodeId,
-        prev: Option<NodeId>,
-        id: NodeId,
-        label: impl Into<Label>,
-    ) -> Result<NodeId, TreeError> {
-        let p = self.slot(parent)?;
-        let after = match prev {
-            None => NIL,
-            Some(prev) => match self.by_id.get(&prev) {
-                Some(&s) if self.parent[s as usize] == p => s,
-                _ => return Err(TreeError::NodeNotFound(prev)),
-            },
-        };
-        self.insert_after(p, after, id, label.into())
-    }
-
-    #[inline]
-    fn insert_after(
-        &mut self,
-        parent: u32,
-        prev: u32,
-        id: NodeId,
-        label: Label,
-    ) -> Result<NodeId, TreeError> {
         if self.by_id.contains_key(&id) {
             return Err(TreeError::DuplicateId(id));
         }
-        let slot = self.alloc(id, label);
-        self.link_after(parent, prev, slot);
+        let slot = self.alloc(id, label.into());
+        self.link_last(p, slot);
         self.by_id.insert(id, slot);
         self.live += 1;
         Ok(id)
@@ -877,11 +852,11 @@ impl DataTree {
 
     /// Moves `id` under `new_parent`, right after `prev` (first when
     /// `None`): the undo of a move puts the node back after its former
-    /// previous sibling, and a replica follows a move, in O(depth) for
-    /// the cycle check and O(1) whatever the fan-out. Fails with
-    /// [`TreeError::StaleToken`], the tree untouched, if `prev` is `id`
-    /// or not a child of `new_parent` (a LIFO violation).
-    pub fn move_after(
+    /// previous sibling, in O(depth) for the cycle check and O(1)
+    /// whatever the fan-out. Fails with [`TreeError::StaleToken`], the
+    /// tree untouched, if `prev` is `id` or not a child of `new_parent`
+    /// (a LIFO violation).
+    pub(crate) fn move_after(
         &mut self,
         id: NodeId,
         new_parent: NodeId,
@@ -1657,21 +1632,19 @@ mod tests {
     }
 
     #[test]
-    fn add_after_links_in_place_and_refuses_a_foreign_prev() {
+    fn live_slots_exclude_parked_and_free_ones() {
+        // A parked subtree keeps its parent link and a free slot threads
+        // the free list; neither is reachable from the root.
         let mut t = sample();
-        let root = t.root_id();
-        let kids = t.children(root).unwrap();
-        let x = t.add_after(root, Some(kids[0]), NodeId::fresh(), "x").unwrap();
-        let first = t.add_after(root, None, NodeId::fresh(), "f").unwrap();
-        assert_eq!(t.children(root).unwrap(), [first, kids[0], x, kids[1]]);
-        let b = t.children(kids[0]).unwrap()[0];
-        let before = t.render();
-        assert_eq!(
-            t.add_after(root, Some(b), NodeId::fresh(), "y"),
-            Err(TreeError::NodeNotFound(b))
-        );
-        assert_eq!(t.add_after(root, None, x, "dup"), Err(TreeError::DuplicateId(x)));
-        assert_eq!(t.render(), before, "a refused insert leaves the tree untouched");
+        let kids = t.children(t.root_id()).unwrap();
+        let token = t.detach_subtree(kids[0]).unwrap();
+        t.delete_node(kids[1]).unwrap();
+        let s = t.slots();
+        let mut live = Vec::new();
+        s.for_each_live(|v| live.push(s.ids[v as usize]));
+        assert_eq!(live, t.node_ids());
+        assert_eq!(s.parent[1], s.root, "the parked `a` keeps its parent link");
+        t.reattach_subtree(token).unwrap();
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! # The edit-scope protocol
 //!
 //! [`apply_undoable`] and [`undo`] return an [`EditScope`] classifying
-//! what the edit touched, so snapshot holders (`xuc_xpath::Evaluator`,
-//! and through it the counterexample search) can re-sync proportionally
-//! to the edit instead of re-walking the tree:
+//! what the edit touched, so state derived from the tree (the
+//! `xuc_xpath::Evaluator`'s label rows, a session's dirty region) can
+//! follow the edit instead of re-walking the tree:
 //!
 //! * [`EditScope::Relabel`] — only one node's label changed (`from` →
 //!   `to`); ids, parents and the pre-order layout are untouched, so a
@@ -29,9 +29,9 @@
 //! changed and the subtree that left, never a common ancestor of the
 //! change: a root-level move or a patient delete names a patient-sized
 //! subtree, not the document. Every other node keeps its root path, and
-//! its position relative to its parent, so a derived snapshot relinks the
-//! named subtrees and touches nothing else (`xuc_xpath`'s
-//! `Evaluator::refresh_after`); a full re-snapshot is always a correct
+//! its position relative to its parent, so an incremental pass re-derives
+//! below the named subtrees and touches nothing else (`xuc_xpath`'s
+//! `Evaluator::eval_set_splice`); a full re-snapshot is always a correct
 //! response.
 //!
 //! # The position-restoration invariant
@@ -128,15 +128,13 @@ pub fn apply_update(tree: &mut DataTree, update: &Update) -> Result<(), UpdateEr
 }
 
 /// How an applied (or undone) edit affected the tree, from the point of
-/// view of derived snapshots (evaluator id indexes, label bitset caches,
-/// preorder layouts).
+/// view of derived state (label bitset caches, dirty regions).
 ///
 /// [`apply_undoable`] returns the scope of the edit it applied and
-/// [`undo`] returns the scope of the reversal, so snapshot holders can
-/// refresh **proportionally to the edit**: a relabel patches one label
-/// cell and two bitset words, an id swap patches one index entry, and a
-/// structural edit relinks the subtrees it names (see the
-/// [module docs](self)).
+/// [`undo`] returns the scope of the reversal, so derived state can
+/// follow **proportionally to the edit**: a relabel patches two bitset
+/// words, an id swap nothing, and a structural edit names the subtrees
+/// whose root path changed (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EditScope {
     /// Only `node`'s label changed (`from` → `to`): ids, parents and the
