@@ -19,13 +19,14 @@ use xuc_bench as wl;
 use xuc_bench::load::{saturation_throughput, simulate, SimConfig};
 use xuc_core::implication::search::find_counterexample_sharded;
 use xuc_core::{implication, instance};
+use xuc_service::reference::{admit, FullPass};
 use xuc_service::workload::{seeded_arrivals, seeded_zipf_requests};
 use xuc_service::{
-    admit, admit_delta_in_place, render_arrival_log, render_log, AdmissionMode, DocId,
-    DurableOptions, Gateway, LoadOptions, Request, SuiteCache, Telemetry, Verdict,
+    admit_delta_in_place, render_arrival_log, render_log, DocId, DurableOptions, Gateway,
+    LoadOptions, Request, SuiteCache, SystemClock, Telemetry, Verdict,
 };
 use xuc_sigstore::Signer;
-use xuc_xpath::Evaluator;
+use xuc_xpath::{engine_counters, Evaluator};
 use xuc_xtree::{apply_undoable, undo, DataTree, DirtyRegion, NodeId, Update};
 
 /// Collects every printed measurement so the run also emits
@@ -614,14 +615,20 @@ fn main() {
                         stack.push(tok);
                     }
                     // Exactness of the production path, before anything is
-                    // timed: the in-place admission of a clone must yield
-                    // the full admission's range results, and its journal
-                    // must revert the clone to the baseline.
+                    // timed: the in-place admission of a clone must ride
+                    // the splice and yield the full admission's range
+                    // results, and its journal must revert the clone to
+                    // the baseline.
                     let mut spliced = base.clone();
+                    let declined = engine_counters().splice_declined;
                     let journal =
                         admit_delta_in_place(&mut ev, &compiled, &suite, &mut spliced, &region)
-                            .expect("batch admits")
-                            .expect("all-linear suite rides the splice");
+                            .expect("batch admits");
+                    assert_eq!(
+                        engine_counters().splice_declined,
+                        declined,
+                        "all-linear suite rides the splice"
+                    );
                     assert_eq!(
                         spliced,
                         admit(&mut ev, &compiled, &suite, &base).expect("batch admits"),
@@ -639,8 +646,7 @@ fn main() {
                     let delta = wl::median_micros(runs, || {
                         let journal =
                             admit_delta_in_place(&mut ev, &compiled, &suite, &mut base, &region)
-                                .expect("batch admits")
-                                .expect("all-linear suite rides the splice");
+                                .expect("batch admits");
                         journal.revert(&mut base);
                     });
                     let ratio = full / delta;
@@ -677,7 +683,7 @@ fn main() {
 
         // Worker-pool determinism re-pinned on the delta admission path:
         // byte-identical log at 1/2/8 workers, and identical to the
-        // full-pass reference arm.
+        // full-pass reference commit's.
         let (tree, suite) = wl::edlt_workload(10_000, 12);
         let doc = DocId::new("edlt");
         let stream = xuc_service::workload::seeded_requests(
@@ -686,41 +692,41 @@ fn main() {
             0x0E17_D317,
             60,
         );
-        let run_at = |mode: AdmissionMode, workers: usize| {
-            let gw = Gateway::with_admission(Signer::new(0xD317), mode);
+        let run_at = |workers: usize| {
+            let gw = Gateway::new(Signer::new(0xD317));
             gw.publish(doc, tree.clone(), suite.clone()).expect("fresh gateway");
             let verdicts = gw.process(&stream, workers);
             render_log(&stream, &verdicts)
         };
-        let reference = run_at(AdmissionMode::Delta, 1);
+        let reference = run_at(1);
         for workers in [2usize, 8] {
-            assert_eq!(
-                run_at(AdmissionMode::Delta, workers),
-                reference,
-                "delta log diverged at {workers} workers"
-            );
+            assert_eq!(run_at(workers), reference, "delta log diverged at {workers} workers");
         }
+        let mut full = FullPass::new(Signer::new(0xD317));
+        full.publish(doc, tree.clone(), suite.clone());
+        let verdicts: Vec<Verdict> = stream.iter().map(|r| full.submit(r)).collect();
         assert_eq!(
-            run_at(AdmissionMode::FullPass, 2),
+            render_log(&stream, &verdicts),
             reference,
-            "delta and full-pass gateway logs must agree"
+            "gateway and full-pass reference logs must agree"
         );
         println!("   determinism: 60-request delta-path gateway log identical at 1/2/8 workers ✓");
     }
 
     rep.header(
         "E-E2E",
-        "end-to-end in-memory commit through Gateway::submit, delta vs full pass",
+        "end-to-end in-memory commit through Gateway::submit vs the full-pass reference commit",
         "single-relabel, single-leaf insert/delete and root-level insert/move/splice commits \
          each ≥ 50× cheaper on the delta path at the largest size",
     );
     {
-        // The same single-update commits submitted one by one to a Delta
-        // and a FullPass gateway: apply, admission, re-certification —
-        // everything a client waits for. The delta arm re-syncs the
-        // evaluator below the edit, splices the baselines and folds the
-        // splice journal into the certificate header; the full-pass arm
-        // re-sweeps the document and re-hashes every signed set. Six
+        // The same single-update commits submitted one by one to a gateway
+        // and to the full-pass reference (`reference::FullPass`, the
+        // pre-delta commit): apply, admission, re-certification —
+        // everything a client waits for. The gateway splices the
+        // baselines below the edit and folds the splice journal into the
+        // certificate header; the reference re-sweeps the document and
+        // re-hashes every signed set. Six
         // shapes, all accepted: distinct phone→note relabels, then `note`
         // leaf inserts under distinct patients and their deletes, then the
         // root-level arm — `note` leaves inserted under the hospital root,
@@ -780,35 +786,41 @@ fn main() {
                 .collect();
             assert_eq!((moves.len(), splices.len()), (commits, commits), "E-E2E root-level shapes");
             let doc = DocId::new("e2e");
-            // Per-commit wall clock of each shape, in submission order,
-            // and the final certificate.
-            let commit_micros = |mode: AdmissionMode| {
-                let gw = Gateway::with_admission(Signer::new(0xE2E), mode);
-                gw.publish(doc, tree.clone(), suite.clone()).expect("fresh gateway");
-                let p50s: Vec<f64> =
-                    [&relabels, &inserts, &deletes, &root_inserts, &moves, &splices]
-                        .iter()
-                        .map(|ops| {
-                            let mut samples: Vec<f64> = ops
-                                .iter()
-                                .map(|u| {
-                                    let req = Request { doc, updates: vec![u.clone()] };
-                                    let t = std::time::Instant::now();
-                                    let verdict = gw.submit(&req);
-                                    let micros = t.elapsed().as_secs_f64() * 1e6;
-                                    assert!(verdict.is_accepted(), "E-E2E {u} refused: {verdict}");
-                                    micros
-                                })
-                                .collect();
-                            samples.sort_by(|a, b| a.total_cmp(b));
-                            samples[samples.len() / 2]
-                        })
-                        .collect();
-                (p50s, gw.certificate(doc).expect("published"))
+            // Per-commit wall clock of each shape through `submit`, in
+            // submission order.
+            let commit_micros = |submit: &mut dyn FnMut(&Request) -> Verdict| -> Vec<f64> {
+                [&relabels, &inserts, &deletes, &root_inserts, &moves, &splices]
+                    .iter()
+                    .map(|ops| {
+                        let mut samples: Vec<f64> = ops
+                            .iter()
+                            .map(|u| {
+                                let req = Request { doc, updates: vec![u.clone()] };
+                                let t = std::time::Instant::now();
+                                let verdict = submit(&req);
+                                let micros = t.elapsed().as_secs_f64() * 1e6;
+                                assert!(verdict.is_accepted(), "E-E2E {u} refused: {verdict}");
+                                micros
+                            })
+                            .collect();
+                        samples.sort_by(|a, b| a.total_cmp(b));
+                        samples[samples.len() / 2]
+                    })
+                    .collect()
             };
-            let (delta, delta_cert) = commit_micros(AdmissionMode::Delta);
-            let (full, full_cert) = commit_micros(AdmissionMode::FullPass);
-            assert_eq!(delta_cert, full_cert, "delta and full-pass certificates must agree");
+            let gw = Gateway::new(Signer::new(0xE2E));
+            gw.publish(doc, tree.clone(), suite.clone()).expect("fresh gateway");
+            let delta = commit_micros(&mut |req| gw.submit(req));
+            let delta_cert = gw.certificate(doc).expect("published");
+            drop(gw);
+            let mut reference = FullPass::new(Signer::new(0xE2E));
+            reference.publish(doc, tree.clone(), suite.clone());
+            let full = commit_micros(&mut |req| reference.submit(req));
+            assert_eq!(
+                delta_cert,
+                reference.certificate(doc).expect("published"),
+                "gateway and full-pass reference certificates must agree"
+            );
             largest.clear();
             // (shape, full-pass row, delta row, ratio metric); the relabel
             // rows keep their original names.
@@ -827,7 +839,7 @@ fn main() {
             ];
             for (i, (shape, full_row, delta_row, metric)) in shapes.into_iter().enumerate() {
                 let ratio = full[i] / delta[i];
-                rep.row("E-E2E", full_row, nodes, full[i], "full pass + full re-hash");
+                rep.row("E-E2E", full_row, nodes, full[i], "reference: full pass + full re-hash");
                 rep.row(
                     "E-E2E",
                     delta_row,
@@ -1086,8 +1098,9 @@ fn main() {
             let _ = std::fs::remove_dir_all(&dir);
             let opts =
                 DurableOptions { group_commit: 8, snapshot_every: cadence, ..Default::default() };
-            let gw = Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, &dir, opts)
-                .expect("fresh durability dir");
+            let recover =
+                || Gateway::recover_with_clock(Signer::new(key), &dir, opts, Box::new(SystemClock));
+            let gw = recover().expect("fresh durability dir");
             gw.publish(doc, tree.clone(), suite.clone()).expect("fresh gateway");
             for (i, r) in requests.iter().enumerate() {
                 assert!(gw.submit(r).is_accepted(), "E-REC request #{i} must be accepted");
@@ -1097,13 +1110,9 @@ fn main() {
             // Discarded warm-up: the first recovery in a process pays
             // page-cache/heap-growth costs (the cold WAL here is ~260 MB)
             // that would otherwise inflate whichever arm runs first.
-            drop(
-                Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, &dir, opts)
-                    .expect("recovery"),
-            );
+            drop(recover().expect("recovery"));
             let t = wl::median_micros(3, || {
-                let rec = Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, &dir, opts)
-                    .expect("recovery");
+                let rec = recover().expect("recovery");
                 assert_eq!(
                     rec.store().document(doc).expect("recovered").lock().commits(),
                     commits as u64,
@@ -1111,8 +1120,7 @@ fn main() {
                 );
             });
             // Recovery must land on identical state whatever the cadence.
-            let rec = Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, &dir, opts)
-                .expect("recovery");
+            let rec = recover().expect("recovery");
             let render = rec.snapshot(doc).expect("recovered").render();
             let cert = rec.certificate(doc).expect("recovered");
             match &reference {

@@ -254,9 +254,6 @@ fn try_assign_ids(
     // must actually put the witness in q(image) — guaranteed by
     // construction, but check cheaply in debug builds.
     debug_assert!(ctx.image_ev.eval(ctx.q).iter().any(|n| n.id == witness_img));
-    // The enumeration in `place` mutates the image as soon as we return;
-    // mark the snapshot stale so any eval before the next refresh panics.
-    ctx.image_ev.invalidate();
 
     for id in image.node_ids() {
         if id == image.root_id() {

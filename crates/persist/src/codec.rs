@@ -81,6 +81,11 @@ impl Encoder {
         Encoder { buf: Vec::new() }
     }
 
+    /// An encoder that appends to `buf`.
+    pub(crate) fn with_bytes(buf: Vec<u8>) -> Encoder {
+        Encoder { buf }
+    }
+
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
@@ -161,15 +166,27 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Encodes `tree` as its preorder snapshot (see the module docs).
+/// Encodes `tree` as its preorder snapshot (see the module docs),
+/// streamed from one pre-order walk: no snapshot of the tree is built.
 pub fn encode_tree(e: &mut Encoder, tree: &DataTree) {
-    let snap = tree.preorder_snapshot();
-    e.u32(u32::try_from(snap.len()).expect("tree size fits u32"));
-    for (id, label, parent) in &snap {
-        e.u64(id.raw());
-        e.u32(parent.map_or(0, |p| u32::try_from(p + 1).expect("parent index fits u32")));
-        e.str(label.as_str());
-    }
+    e.u32(u32::try_from(tree.len()).expect("tree size fits u32"));
+    // Preorder indices of the current root path; a node's parent is the
+    // entry one level up.
+    let mut ancestors: Vec<u32> = Vec::new();
+    let mut next = 0u32;
+    let visited = tree
+        .for_each_preorder(tree.root_id(), |id, label, depth| {
+            ancestors.truncate(depth);
+            e.u64(id.raw());
+            e.u32(depth.checked_sub(1).map_or(0, |d| ancestors[d] + 1));
+            e.str(label.as_str());
+            ancestors.push(next);
+            next += 1;
+        })
+        .expect("the root is live");
+    // The count written first must match the nodes encoded, or the frame
+    // decodes wrong.
+    assert_eq!(visited, tree.len(), "every live node is reachable from the root");
 }
 
 /// Smallest encoded node: an 8-byte id, a 4-byte parent index and a

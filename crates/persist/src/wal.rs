@@ -91,22 +91,21 @@ impl WalRecord {
 
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
+        self.encode_into(&mut e);
+        e.into_bytes()
+    }
+
+    fn encode_into(&self, e: &mut Encoder) {
         match self {
-            WalRecord::Publish { doc, tree, suite } => {
-                e.u8(1);
-                e.str(doc);
-                encode_tree(&mut e, tree);
-                encode_suite(&mut e, suite);
-            }
+            WalRecord::Publish { doc, tree, suite } => encode_publish(e, doc, tree, suite),
             WalRecord::Commit { doc, commit, updates, cert } => {
                 e.u8(2);
                 e.str(doc);
                 e.u64(*commit);
-                encode_updates(&mut e, updates);
-                encode_certificate(&mut e, cert);
+                encode_updates(e, updates);
+                encode_certificate(e, cert);
             }
         }
-        e.into_bytes()
     }
 
     pub fn decode(payload: &[u8]) -> Result<WalRecord, DecodeError> {
@@ -130,6 +129,14 @@ impl WalRecord {
         d.finish()?;
         Ok(rec)
     }
+}
+
+/// Encodes a [`WalRecord::Publish`] from borrowed parts.
+fn encode_publish(e: &mut Encoder, doc: &str, tree: &DataTree, suite: &[Constraint]) {
+    e.u8(1);
+    e.str(doc);
+    encode_tree(e, tree);
+    encode_suite(e, suite);
 }
 
 /// The result of scanning a WAL file: the durable records, how many bytes
@@ -284,15 +291,38 @@ impl WalWriter {
     /// Frames `record` into the group-commit buffer; writes and syncs the
     /// buffer once it holds `group_commit` frames.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        let payload = record.encode();
+        self.append_with(|e| record.encode_into(e))
+    }
+
+    /// [`append`](Self::append)s the [`WalRecord::Publish`] of `doc`,
+    /// `tree` and `suite` without building the record: the tree is encoded
+    /// where it lies, not cloned into one.
+    pub fn append_publish(
+        &mut self,
+        doc: &str,
+        tree: &DataTree,
+        suite: &[Constraint],
+    ) -> io::Result<()> {
+        self.append_with(|e| encode_publish(e, doc, tree, suite))
+    }
+
+    /// Frames the payload `encode` writes, encoding it straight into the
+    /// group-commit buffer (the frame header is patched in after it), so
+    /// no second copy of the payload exists.
+    fn append_with(&mut self, encode: impl FnOnce(&mut Encoder)) -> io::Result<()> {
+        let start = self.pending.len();
+        let mut e = Encoder::with_bytes(std::mem::take(&mut self.pending));
+        e.u32(0);
+        e.u64(0);
+        encode(&mut e);
+        self.pending = e.into_bytes();
+        let (header, payload) = self.pending[start..].split_at_mut(FRAME_HEADER as usize);
+        let len = u32::try_from(payload.len()).expect("payload fits u32");
+        header[..4].copy_from_slice(&len.to_le_bytes());
+        header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
         crate::stats::bump(&crate::stats::WAL_FRAMES, 1);
-        crate::stats::bump(&crate::stats::WAL_BYTES, 12 + payload.len() as u64);
-        self.last_frame_start = self.len + self.pending.len() as u64;
-        self.pending.extend_from_slice(
-            &u32::try_from(payload.len()).expect("payload fits u32").to_le_bytes(),
-        );
-        self.pending.extend_from_slice(&checksum64(&payload).to_le_bytes());
-        self.pending.extend_from_slice(&payload);
+        crate::stats::bump(&crate::stats::WAL_BYTES, FRAME_HEADER + payload.len() as u64);
+        self.last_frame_start = self.len + start as u64;
         self.pending_frames += 1;
         if self.pending_frames >= self.group_commit {
             self.sync()?;

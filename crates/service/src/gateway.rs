@@ -25,13 +25,22 @@
 //! are independent by construction (no constraint spans documents), so
 //! per-document order is the *only* order the semantics needs. This is
 //! the gateway's one worker pool: every multi-request drain goes through
-//! it, one batch at a time through [`Gateway::submit`]'s admission path.
+//! it, one batch at a time through [`Gateway::submit`].
+//!
+//! # One admission path
+//!
+//! Every commit — live, in a drain, or replayed by recovery — runs
+//! [`Session::commit`]: splice the baselines, or sweep the document when
+//! the splice declines, then judge and certify off the one resulting
+//! [`SpliceJournal`](xuc_xpath::SpliceJournal). The gateway has no
+//! admission mode; the pre-delta full pass lives in [`crate::reference`](mod@crate::reference)
+//! as the differential suites' oracle.
 
 use crate::cache::SuiteCache;
 use crate::persist::{
     DurableOptions, Journal, JournalError, RecoverError, RecoveredState, ResumeError,
 };
-use crate::session::{AdmissionMode, Session};
+use crate::session::Session;
 use crate::store::{shard_of, Document, DocumentStore, PublishError};
 use crate::telemetry::ServiceMetrics;
 use crate::{DegradedReason, DocId, RejectReason, Request, Verdict};
@@ -130,7 +139,6 @@ pub struct Gateway {
     store: DocumentStore,
     cache: SuiteCache,
     signer: Signer,
-    admission: AdmissionMode,
     /// `Some` on durable gateways ([`Gateway::recover`]).
     journal: Option<Journal>,
     /// The degraded-mode state machine ([`GatewayState`]).
@@ -138,8 +146,6 @@ pub struct Gateway {
     /// The fault that degraded/halted the gateway (first one wins —
     /// later faults of a degraded gateway add no information).
     last_fault: Mutex<Option<String>>,
-    /// Contained panics per document, for the quarantine policy.
-    panic_counts: Mutex<HashMap<DocId, u32>>,
     /// Contained panics before a document is quarantined (`0` disables).
     quarantine_after: AtomicU32,
     /// Serializes [`try_resume`](Self::try_resume) runs.
@@ -161,35 +167,24 @@ pub struct Gateway {
 const DEFAULT_QUARANTINE_AFTER: u32 = 3;
 
 impl Gateway {
-    /// A gateway on the production admission path
-    /// ([`AdmissionMode::Delta`]: edit-proportional commit validation).
+    /// An in-memory gateway.
     pub fn new(signer: Signer) -> Gateway {
-        Gateway::with_admission(signer, AdmissionMode::Delta)
-    }
-
-    /// A gateway with an explicit [`AdmissionMode`] —
-    /// [`AdmissionMode::FullPass`] is the reference arm the differential
-    /// harness and the E-DLT experiment compare the delta path against.
-    pub fn with_admission(signer: Signer, admission: AdmissionMode) -> Gateway {
-        Gateway::assemble(DocumentStore::new(), SuiteCache::new(), signer, admission, None)
+        Gateway::assemble(DocumentStore::new(), SuiteCache::new(), signer, None)
     }
 
     fn assemble(
         store: DocumentStore,
         cache: SuiteCache,
         signer: Signer,
-        admission: AdmissionMode,
         journal: Option<Journal>,
     ) -> Gateway {
         Gateway {
             store,
             cache,
             signer,
-            admission,
             journal,
             state: AtomicU8::new(STATE_SERVING),
             last_fault: Mutex::new(None),
-            panic_counts: Mutex::new(HashMap::new()),
             quarantine_after: AtomicU32::new(DEFAULT_QUARANTINE_AFTER),
             resume_lock: Mutex::new(()),
             telemetry: OnceLock::new(),
@@ -204,18 +199,20 @@ impl Gateway {
     /// on. An empty directory recovers to an empty gateway, so this is
     /// also how a durable gateway is *started*.
     pub fn recover(signer: Signer, dir: impl AsRef<Path>) -> Result<Gateway, RecoverError> {
-        Gateway::recover_with(signer, AdmissionMode::Delta, dir, DurableOptions::default())
+        Gateway::recover_with_clock(signer, dir, DurableOptions::default(), Box::new(SystemClock))
     }
 
-    /// [`recover`](Self::recover) with explicit [`AdmissionMode`] and
-    /// [`DurableOptions`] (group-commit batch size, snapshot cadence).
+    /// [`recover`](Self::recover) with explicit [`DurableOptions`]
+    /// (group-commit batch size, snapshot cadence). The `AdmissionMode`
+    /// is accepted for benchmark compatibility and ignored: there is one
+    /// admission path.
     pub fn recover_with(
         signer: Signer,
-        admission: AdmissionMode,
+        _admission: AdmissionMode,
         dir: impl AsRef<Path>,
         opts: DurableOptions,
     ) -> Result<Gateway, RecoverError> {
-        Gateway::recover_with_clock(signer, admission, dir, opts, Box::new(SystemClock))
+        Gateway::recover_with_clock(signer, dir, opts, Box::new(SystemClock))
     }
 
     /// [`recover_with`](Self::recover_with) with an injectable retry
@@ -223,14 +220,13 @@ impl Gateway {
     /// backoff loop runs (and is asserted) without real sleeping.
     pub fn recover_with_clock(
         signer: Signer,
-        admission: AdmissionMode,
         dir: impl AsRef<Path>,
         opts: DurableOptions,
         clock: Box<dyn Clock + Send + Sync>,
     ) -> Result<Gateway, RecoverError> {
         let RecoveredState { store, cache, journal } =
-            crate::persist::recover(&signer, admission, dir.as_ref(), opts, clock)?;
-        Ok(Gateway::assemble(store, cache, signer, admission, Some(journal)))
+            crate::persist::recover(&signer, dir.as_ref(), opts, clock)?;
+        Ok(Gateway::assemble(store, cache, signer, Some(journal)))
     }
 
     /// Whether this gateway journals its commits.
@@ -395,34 +391,29 @@ impl Gateway {
         self.quarantine_after.store(after, Ordering::Relaxed);
     }
 
-    /// Contained panics recorded against `doc`.
+    /// Contained panics recorded against `doc` (0 for an unknown
+    /// document). Locks the document.
     pub fn contained_panics(&self, doc: DocId) -> u32 {
-        self.panic_counts.lock().get(&doc).copied().unwrap_or(0)
+        self.store.document(doc).map_or(0, |d| d.lock().panics)
     }
 
     /// Whether `doc`'s commits are currently refused for repeated
     /// contained panics. Reads are unaffected: quarantine isolates
     /// *sessions*, and reads touch only committed state.
     pub fn is_quarantined(&self, doc: DocId) -> bool {
+        self.quarantines(self.contained_panics(doc))
+    }
+
+    /// Whether `panics` contained panics put a document in quarantine.
+    fn quarantines(&self, panics: u32) -> bool {
         let after = self.quarantine_threshold();
-        after > 0 && self.contained_panics(doc) >= after
+        after > 0 && panics >= after
     }
 
     /// Clears `doc`'s panic record, letting its commits serve again.
     pub fn lift_quarantine(&self, doc: DocId) {
-        self.panic_counts.lock().remove(&doc);
-    }
-
-    fn record_contained_panic(&self, doc: DocId) {
-        let count = {
-            let mut map = self.panic_counts.lock();
-            let c = map.entry(doc).or_insert(0);
-            *c += 1;
-            *c
-        };
-        if let Some(m) = self.metrics() {
-            let after = self.quarantine_threshold();
-            m.note_contained_panic(after > 0 && count == after);
+        if let Some(d) = self.store.document(doc) {
+            d.lock().panics = 0;
         }
     }
 
@@ -503,11 +494,6 @@ impl Gateway {
         }
     }
 
-    /// The admission mode every [`submit`](Self::submit) commit runs under.
-    pub fn admission_mode(&self) -> AdmissionMode {
-        self.admission
-    }
-
     /// Publishes a document under its constraint suite (the Source side
     /// of Figure 1): compiles or cache-hits the suite, certifies the
     /// initial state, and starts serving it.
@@ -525,18 +511,15 @@ impl Gateway {
         if self.state() == GatewayState::Halted {
             return Err(PublishError::Halted);
         }
+        let doc = self.store.prepare(id, tree, suite, &self.cache, &self.signer)?;
         let Some(journal) = &self.journal else {
-            return self.store.publish(id, tree, suite, &self.cache, &self.signer);
+            return self.store.install(doc);
         };
-        // Store first (it rejects duplicates), then journal — synced
-        // before we return, so an acknowledged publish is never lost to
-        // group-commit buffering and every logged commit has its publish
-        // earlier in the log.
-        self.store.publish(id, tree.clone(), suite.clone(), &self.cache, &self.signer)?;
-        if self.state() == GatewayState::Serving {
-            if let Err(e) = journal.log_publish(id, tree, suite) {
-                self.note_journal_error(e);
-            }
+        // Journaled (and synced, so an acknowledged publish is never lost
+        // to group-commit buffering) before the document becomes visible:
+        // every logged commit has its publish earlier in the log.
+        if let Err(e) = journal.publish(&self.store, doc)? {
+            self.note_journal_error(e);
         }
         Ok(())
     }
@@ -591,39 +574,23 @@ impl Gateway {
     /// counting happens exactly once per verdict, at whichever boundary
     /// produced it.
     fn submit_uncounted(&self, request: &Request) -> Verdict {
-        if let Some(refused) = self.refusal(request.doc) {
-            return refused;
+        let degraded = |reason| Verdict::Rejected(RejectReason::Degraded { reason });
+        match self.state() {
+            GatewayState::Serving => {}
+            GatewayState::ReadOnly => return degraded(DegradedReason::ReadOnly),
+            GatewayState::Halted => return degraded(DegradedReason::Halted),
         }
         let Some(doc) = self.store.document(request.doc) else {
             return Verdict::Rejected(RejectReason::UnknownDocument);
         };
         let mut doc = doc.lock();
+        // The quarantine count lives in the document: checked under the
+        // lock its panic boundary increments it under, before any
+        // evaluation.
+        if self.quarantines(doc.panics) {
+            return degraded(DegradedReason::Quarantined);
+        }
         self.submit_locked_contained(&mut doc, request)
-    }
-
-    /// The degraded-mode gate every commit path runs first: a rejection
-    /// if the gateway (read-only, halted) or this document (quarantined)
-    /// cannot take commits right now, `None` when serving.
-    fn refusal(&self, doc: DocId) -> Option<Verdict> {
-        match self.state() {
-            GatewayState::Serving => {}
-            GatewayState::ReadOnly => {
-                return Some(Verdict::Rejected(RejectReason::Degraded {
-                    reason: DegradedReason::ReadOnly,
-                }))
-            }
-            GatewayState::Halted => {
-                return Some(Verdict::Rejected(RejectReason::Degraded {
-                    reason: DegradedReason::Halted,
-                }))
-            }
-        }
-        if self.is_quarantined(doc) {
-            return Some(Verdict::Rejected(RejectReason::Degraded {
-                reason: DegradedReason::Quarantined,
-            }));
-        }
-        None
     }
 
     /// [`submit_locked`](Self::submit_locked) under the panic-containment
@@ -637,7 +604,10 @@ impl Gateway {
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "request handler panicked".to_owned());
-                self.record_contained_panic(request.doc);
+                doc.panics += 1;
+                if let Some(m) = self.metrics() {
+                    m.note_contained_panic(doc.panics == self.quarantine_threshold());
+                }
                 Verdict::Rejected(RejectReason::Internal { error: bounded_internal_error(error) })
             }
         }
@@ -658,7 +628,7 @@ impl Gateway {
             }
         }
         self.fire_injected_panic(request.doc);
-        match session.commit_with(&self.signer, self.admission) {
+        match session.commit(&self.signer) {
             Ok(receipt) => {
                 if let Some(journal) = &self.journal {
                     // Still under the document mutex: the log's
@@ -818,6 +788,16 @@ impl Gateway {
     pub fn coalesce_stats(&self) -> CoalesceStats {
         CoalesceStats::default()
     }
+}
+
+/// Benchmark compatibility: `gatebench/` is its only caller, passing
+/// `Delta` to `Gateway::recover_with`, which ignores it. The gateway has
+/// one admission path.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum AdmissionMode {
+    #[default]
+    Delta,
 }
 
 /// Benchmark compatibility: `gatebench/` is its only caller, passing it

@@ -25,9 +25,10 @@
 //!   scopes accumulate into a [`DirtyRegion`](xuc_xtree::DirtyRegion)
 //!   and the committed baseline range results are spliced in place
 //!   ([`eval_set_splice`](xuc_xpath::Evaluator::eval_set_splice)) — the
-//!   check costs what the batch touched, not what the document holds
-//!   (predicate suites degrade to the full pass; the differential
-//!   harness pins both arms identical);
+//!   check costs what the batch touched, not what the document holds.
+//!   Predicate suites make the splice decline and one full sweep stand
+//!   in for it; both yield one [`SpliceJournal`](xuc_xpath::SpliceJournal),
+//!   the only thing a commit is judged and certified from;
 //! * [`SuiteCache`] — constraint suites fingerprinted by canonical
 //!   pattern serialization ([`xuc_xpath::fingerprint`]); compiled
 //!   automata are memoized so admission rides the
@@ -37,13 +38,17 @@
 //!   and drain a request stream through a deterministic worker pool
 //!   ([`Gateway::process`]) whose accept/reject log is byte-identical at
 //!   every worker count;
-//! * commit **re-certifies** the document incrementally: the splice's
+//! * commit **re-certifies** the document incrementally: the journal's
 //!   added and removed set entries are folded into each signed set's
 //!   additive hash ([`xuc_sigstore::SetSum`]) and the O(k) certificate
 //!   header is re-chained ([`xuc_sigstore::CertHeader::rechain`]),
 //!   closing the Figure 1 loop — users can verify every accepted state
 //!   without seeing its predecessor, and the commit costs what the edit
-//!   touched.
+//!   touched;
+//! * [`reference`](mod@reference) keeps the pre-delta admission and commit
+//!   ([`reference::admit`], [`reference::FullPass`]) as oracles for the
+//!   differential suites and the experiments; production code calls
+//!   neither.
 //!
 //! ```
 //! use xuc_core::parse_constraint;
@@ -78,19 +83,20 @@ pub mod cache;
 pub mod gateway;
 pub mod persist;
 pub mod queue;
+pub mod reference;
 pub mod session;
 pub mod store;
 pub mod telemetry;
 pub mod workload;
 
 pub use cache::SuiteCache;
-pub use gateway::{render_log, Gateway, GatewayState, ThroughputOptions};
+pub use gateway::{render_log, AdmissionMode, Gateway, GatewayState, ThroughputOptions};
 pub use persist::{DurableOptions, RecoverError, ResumeError};
 pub use queue::{plan_admission, render_arrival_log, Arrival, LoadOptions, LoadReport, ShedCause};
-pub use session::{admit, admit_delta_in_place, AdmissionMode, Commit, Rejection, Session};
+pub use session::{admit_delta_in_place, Commit, Rejection, Session};
 pub use store::{Document, DocumentStore, PublishError};
 pub use telemetry::{scrape_engine_metrics, scrape_persist_metrics};
-pub use xuc_persist::{RetryPolicy, WriteFault};
+pub use xuc_persist::{RetryPolicy, SystemClock, WriteFault};
 pub use xuc_telemetry::{
     Determinism, MetricsRegistry, MetricsSnapshot, RecordInto, Stage, Telemetry, TraceRing,
 };

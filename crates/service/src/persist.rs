@@ -40,8 +40,8 @@
 //!   See DESIGN.md §9 for the full failure matrix.
 
 use crate::cache::SuiteCache;
-use crate::session::{AdmissionMode, Session};
-use crate::store::{Document, DocumentStore};
+use crate::session::Session;
+use crate::store::{Document, DocumentStore, PublishError};
 use crate::DocId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -50,7 +50,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::MutexGuard;
-use xuc_core::Constraint;
 use xuc_persist::{
     read_snapshots, retry_io, write_snapshot, Clock, DocSnapshot, IoFailure, PersistError,
     RetryPolicy, WalRecord, WalWriter,
@@ -243,23 +242,34 @@ impl Journal {
         }
     }
 
-    /// Appends (and syncs — publishes are rare and must never sit in the
-    /// group-commit buffer while their commits land) a publish record.
+    /// Installs a published document into `store` after appending and
+    /// syncing its publish record (encoded from the document's own tree),
+    /// both under the journal lock: no commit can reach the document, or
+    /// the log, ahead of its publish record, and a refused duplicate
+    /// (`Err`) writes nothing. `Ok` carries the journal's outcome; on a
+    /// journal error the document is served from memory, unlogged.
     /// Caller holds no document mutex.
-    pub(crate) fn log_publish(
+    pub(crate) fn publish(
         &self,
-        id: DocId,
-        tree: DataTree,
-        suite: Vec<Constraint>,
-    ) -> Result<(), JournalError> {
+        store: &DocumentStore,
+        doc: Document,
+    ) -> Result<Result<(), JournalError>, PublishError> {
         let mut inner = self.lock();
+        if store.contains(doc.id()) {
+            return Err(PublishError::Duplicate(doc.id()));
+        }
+        let logged = self.append_publish(&mut inner, &doc);
+        store.install(doc)?;
+        Ok(logged)
+    }
+
+    fn append_publish(&self, inner: &mut JournalInner, doc: &Document) -> Result<(), JournalError> {
         if inner.writer.is_sealed() {
             return Err(JournalError::Sealed);
         }
-        let rec = WalRecord::Publish { doc: id.as_str().to_owned(), tree, suite };
-        let first = inner.writer.append(&rec).err();
-        self.flush_with_retry(&mut inner, first, "publish append")?;
-        inner.logged.entry(id).or_insert(0);
+        let first = inner.writer.append_publish(doc.id().as_str(), doc.tree(), doc.suite()).err();
+        self.flush_with_retry(inner, first, "publish append")?;
+        inner.logged.entry(doc.id()).or_insert(0);
         Ok(())
     }
 
@@ -537,7 +547,8 @@ fn update_max_id(u: &Update) -> u64 {
 /// 1. install every snapshot (committed state with a fresh evaluator and
 ///    cache-shared automata; a snapshot whose certificate its own
 ///    baselines do not reproduce is [`RecoverError::Diverged`]);
-/// 2. replay the WAL's durable prefix through the live admission path,
+/// 2. replay the WAL's durable prefix through [`Session::commit`], the
+///    call every [`Gateway::submit`](crate::Gateway::submit) makes,
 ///    skipping records a snapshot already covers (replay is idempotent),
 ///    and cross-checking each replayed certificate — field for field,
 ///    hash chain included — against the logged one;
@@ -545,7 +556,6 @@ fn update_max_id(u: &Update) -> u64 {
 ///    post-recovery `NodeId::fresh()` never collides with history.
 pub(crate) fn recover(
     signer: &Signer,
-    admission: AdmissionMode,
     dir: &Path,
     opts: DurableOptions,
     clock: Box<dyn Clock + Send + Sync>,
@@ -616,7 +626,7 @@ pub(crate) fn recover(
                         });
                     }
                 }
-                match session.commit_with(signer, admission) {
+                match session.commit(signer) {
                     Ok(receipt) => debug_assert_eq!(receipt.commit, commit),
                     Err(r) => {
                         return Err(RecoverError::ReplayFailed {

@@ -16,23 +16,25 @@
 //!   [`eval_set_splice`](xuc_xpath::Evaluator::eval_set_splice) re-drives
 //!   the suite's compiled automaton only below the batch's dirty subtrees
 //!   — the subtrees whose root path changed, at any depth — patching the
-//!   committed baseline in place and judging Definition 2.3 off its
-//!   journal. Predicate suites make the splice decline, and the commit
-//!   falls back to [`admit`], the one full-pass admission
-//!   ([`AdmissionMode::FullPass`] runs it unconditionally) — identical
-//!   verdicts and baselines either way,
-//!   pinned by `tests/differential.rs`. Accepted batches re-certify
-//!   **incrementally**: each [`SpliceJournal`] event (an entry added to
-//!   or removed from a signed set) is folded into that set's additive
-//!   hash ([`SetSum`](xuc_sigstore::SetSum)), a full pass re-hashes the
-//!   sets it replaced, and the O(k) certificate header is re-chained
-//!   onto the outgoing certificate's digest
+//!   committed baseline in place and recording every entry it adds or
+//!   removes in a [`SpliceJournal`]. Predicate suites make the splice
+//!   decline; one full `eval_set` sweep then stands in for it, and its
+//!   fresh sets are diffed against the baselines into the same kind of
+//!   journal ([`SpliceJournal::install`]). So every commit has one judge —
+//!   Definition 2.3 off the journal's net changes, in suite order — and
+//!   one certificate fold: each journal event (an entry added to or
+//!   removed from a signed set) is folded into that set's additive hash
+//!   ([`SetSum`](xuc_sigstore::SetSum)), and the O(k) certificate header
+//!   is re-chained onto the outgoing certificate's digest
 //!   ([`CertHeader::rechain`](xuc_sigstore::CertHeader::rechain)) — no
-//!   set is copied or serialized. An accepted batch then releases
-//!   ([`Evaluator::release`]) its undo tokens: the slots its deletions
-//!   parked go back on the arena's free list, so a document's arena
-//!   stays bounded by its peak live size however many deletions it
-//!   commits. Rejected batches unwind;
+//!   set is copied, serialized or re-hashed whole. The pre-delta commit
+//!   (full pass, whole-set verdict, certificate from scratch) lives on in
+//!   [`crate::reference`](mod@crate::reference), which `tests/differential.rs` pins the session
+//!   against. An accepted batch then releases ([`Evaluator::release`])
+//!   its undo tokens: the slots its deletions parked go back on the
+//!   arena's free list, so a document's arena stays bounded by its peak
+//!   live size however many deletions it commits. Rejected batches
+//!   unwind;
 //! * [`Session::rollback`] (and `Drop`, for abandoned sessions) unwinds
 //!   the undo stack in LIFO order. Undo is an *exact* inverse (each node
 //!   relinked after its former previous sibling), so the tree returns
@@ -75,73 +77,6 @@ impl std::fmt::Display for Rejection {
 
 impl std::error::Error for Rejection {}
 
-/// The admission check: evaluates the whole suite in **one**
-/// [`eval_set`](Evaluator::eval_set) pass over `compiled` and compares
-/// each range against the committed baseline under Definition 2.3
-/// (`⊆` for ↓, `⊇` for ↑ — via
-/// [`ConstraintKind::satisfied_on`](xuc_core::ConstraintKind::satisfied_on)).
-///
-/// Returns the fresh range results on success (the caller re-uses them as
-/// the next baseline and as certification snapshots), or the first
-/// violation in suite order. This is the reference admission: the
-/// production splice is checked against it, and a declined splice falls
-/// back to it. Exposed for the E-SVC experiment, which measures this
-/// exact function under cached vs per-request-recompiled automata.
-pub fn admit(
-    ev: &mut Evaluator,
-    compiled: &CompiledPatternSet,
-    suite: &[Constraint],
-    base_sets: &[BTreeSet<NodeRef>],
-) -> Result<Vec<BTreeSet<NodeRef>>, Rejection> {
-    admit_traced(ev, compiled, suite, base_sets, None, 0, None).0
-}
-
-/// [`admit`] with optional stage tracing: the full `eval_set` sweep is
-/// attributed to a [`Stage::Splice`] span (the evaluation stage — splice
-/// or full pass) opened at `splice_open`, which a declined splice sets to
-/// before its own attempt. The Definition 2.3 comparison runs in an open
-/// [`Stage::Verdict`] span whose start is returned beside the verdict:
-/// the caller closes it on the reading that opens the next stage.
-/// Telemetry is observationally inert: verdicts and returned sets are
-/// those of [`admit`] on every input.
-pub(crate) fn admit_traced(
-    ev: &mut Evaluator,
-    compiled: &CompiledPatternSet,
-    suite: &[Constraint],
-    base_sets: &[BTreeSet<NodeRef>],
-    tel: Option<&Telemetry>,
-    tag: u16,
-    splice_open: Option<u64>,
-) -> (Result<Vec<BTreeSet<NodeRef>>, Rejection>, Option<u64>) {
-    debug_assert_eq!(suite.len(), base_sets.len(), "one baseline per constraint");
-    let now_sets = ev.eval_set(compiled);
-    // Splice closes and Verdict opens on one shared clock reading — the
-    // read, not the atomics, is the tracer's hot-path cost.
-    let verdict_open = close_span(tel, Stage::Splice, tag, splice_open);
-    (check_against_baseline(suite, base_sets, now_sets), verdict_open)
-}
-
-/// [`admit_traced`] installing the fresh range results as `base_sets` on
-/// an accept: the full-pass commit, shared by [`AdmissionMode::FullPass`]
-/// and a declined splice. An accept carries no splice journal.
-fn admit_full_in_place(
-    ev: &mut Evaluator,
-    compiled: &CompiledPatternSet,
-    suite: &[Constraint],
-    base_sets: &mut Vec<BTreeSet<NodeRef>>,
-    tel: Option<&Telemetry>,
-    tag: u16,
-    splice_open: Option<u64>,
-) -> (Result<Option<SpliceJournal>, Rejection>, Option<u64>) {
-    let (admitted, verdict_open) =
-        admit_traced(ev, compiled, suite, base_sets, tel, tag, splice_open);
-    let installed = admitted.map(|now_sets| {
-        *base_sets = now_sets;
-        None
-    });
-    (installed, verdict_open)
-}
-
 /// Closes the `stage` span opened at `opened` and returns the closing
 /// reading, which opens the adjacent next span.
 fn close_span(tel: Option<&Telemetry>, stage: Stage, tag: u16, opened: Option<u64>) -> Option<u64> {
@@ -152,113 +87,90 @@ fn close_span(tel: Option<&Telemetry>, stage: Stage, tag: u16, opened: Option<u6
     })
 }
 
-/// The commit hot path: edit-proportional admission built on
-/// [`eval_set_splice`](Evaluator::eval_set_splice). The committed
-/// baselines are spliced directly — targeted removals/patches/inserts
-/// proportional to the batch's dirty region, never a clone or re-sweep of
-/// the whole document — and Definition 2.3 is judged straight off the
-/// splice journal's net changes (`base \ now` per ↑ range, `now \ base`
-/// per ↓). On success `base_sets` **are** the admission pass's fresh
-/// range results (certify from them); on rejection the splice has been
-/// reverted and `base_sets` are byte-identical to the committed
-/// baselines. When the splice does not apply (predicate fallbacks, a
-/// stale region, or a dirty region so large the clean sweep is
-/// cheaper) it falls back to [`admit`] and `base_sets` is replaced
-/// wholesale on an accept.
+/// The commit's admission check, edit-proportional wherever the suite
+/// allows it. The committed baselines are spliced in place
+/// ([`eval_set_splice`](Evaluator::eval_set_splice)): targeted
+/// removals, patches and inserts proportional to the batch's dirty
+/// region, never a clone or re-sweep of the whole document. When the
+/// splice declines (predicate fallbacks, a stale region, or a dirty
+/// region so large the clean sweep is cheaper), one full
+/// [`eval_set`](Evaluator::eval_set) sweep stands in for it, and each
+/// fresh set is installed through
+/// [`SpliceJournal::install`], which journals its difference from the
+/// baseline. Either way Definition 2.3 is judged off the journal's net
+/// changes (`base \ now` per ↑ range, `now \ base` per ↓), in suite
+/// order, stopping at the first violation; a sweep's sets are installed
+/// one at a time as they are judged, so none after the violated one is
+/// touched.
 ///
-/// Returns `Ok(Some(journal))` on a spliced accept, `Ok(None)` on a
-/// full-pass accept. Verdicts, resulting baselines and rejection
-/// offenders are identical to [`admit`]'s on every input — pinned by the
-/// differential harness in `tests/differential.rs`.
+/// On success `base_sets` **are** the fresh range results (certify from
+/// them) and the journal holds every entry added or removed; on
+/// rejection the journal has been reverted and `base_sets` are equal to
+/// the committed baselines. Verdicts, resulting baselines and rejection
+/// offenders are identical to [`reference::admit`](crate::reference::admit)'s
+/// on every input — pinned by the differential harness in
+/// `tests/differential.rs`.
 pub fn admit_delta_in_place(
     ev: &mut Evaluator,
     compiled: &CompiledPatternSet,
     suite: &[Constraint],
-    base_sets: &mut Vec<BTreeSet<NodeRef>>,
+    base_sets: &mut [BTreeSet<NodeRef>],
     region: &DirtyRegion,
-) -> Result<Option<SpliceJournal>, Rejection> {
+) -> Result<SpliceJournal, Rejection> {
     admit_delta_in_place_traced(ev, compiled, suite, base_sets, region, None, 0).0
 }
 
-/// [`admit_delta_in_place`] with optional stage tracing: the splice (or
-/// its full-pass degradation) is attributed to [`Stage::Splice`], the
-/// Definition 2.3 judgement off the journal's net changes (or against
-/// the baseline) runs in an open [`Stage::Verdict`] span whose start is
-/// returned, as [`admit_traced`] does. Telemetry is observationally
-/// inert — verdicts, baselines and journals are those of the untraced
-/// form on every input.
-pub(crate) fn admit_delta_in_place_traced(
+/// [`admit_delta_in_place`] with optional stage tracing: the splice, or
+/// the splice attempt and the sweep standing in for it, is one
+/// [`Stage::Splice`] span — what the evaluation stage cost, not how it
+/// got there. The judgement runs in an open [`Stage::Verdict`] span whose
+/// start is returned beside the verdict: the caller closes it on the
+/// reading that opens the next stage. Telemetry is observationally inert:
+/// verdicts, baselines and journals are those of the untraced form on
+/// every input.
+fn admit_delta_in_place_traced(
     ev: &mut Evaluator,
     compiled: &CompiledPatternSet,
     suite: &[Constraint],
-    base_sets: &mut Vec<BTreeSet<NodeRef>>,
+    base_sets: &mut [BTreeSet<NodeRef>],
     region: &DirtyRegion,
     tel: Option<&Telemetry>,
     tag: u16,
-) -> (Result<Option<SpliceJournal>, Rejection>, Option<u64>) {
+) -> (Result<SpliceJournal, Rejection>, Option<u64>) {
     debug_assert_eq!(suite.len(), base_sets.len(), "one baseline per constraint");
     let t0 = tel.map(Telemetry::now_micros);
-    match ev.eval_set_splice(compiled, region, base_sets) {
-        // Degradation: the splice attempt *and* the full pass it fell
-        // back to are one Splice span — what the evaluation stage cost,
-        // not how it got there.
-        None => admit_full_in_place(ev, compiled, suite, base_sets, tel, tag, t0),
-        Some(journal) => {
-            let verdict_open = close_span(tel, Stage::Splice, tag, t0);
-            let judged = (|| {
-                for (i, c) in suite.iter().enumerate() {
-                    let (net_removed, net_added) = journal.net_changes(i);
-                    let offenders = match c.kind {
-                        ConstraintKind::NoRemove => net_removed.len(),
-                        ConstraintKind::NoInsert => net_added.len(),
-                    };
-                    if offenders > 0 {
-                        journal.revert(base_sets);
-                        return Err(Rejection { constraint: c.clone(), offenders });
-                    }
-                }
-                Ok(())
-            })();
-            (judged.map(|()| Some(journal)), verdict_open)
+    let (mut journal, swept) = match ev.eval_set_splice(compiled, region, base_sets) {
+        Some(journal) => (journal, Vec::new()),
+        None => (SpliceJournal::new(suite.len()), ev.eval_set(compiled)),
+    };
+    // Splice closes and Verdict opens on one shared clock reading — the
+    // read, not the atomics, is the tracer's hot-path cost.
+    let verdict_open = close_span(tel, Stage::Splice, tag, t0);
+    let mut swept = swept.into_iter();
+    for (i, c) in suite.iter().enumerate() {
+        if let Some(fresh) = swept.next() {
+            journal.install(i, &mut base_sets[i], fresh);
+        }
+        let (net_removed, net_added) = journal.net_changes(i);
+        let offenders = match c.kind {
+            ConstraintKind::NoRemove => net_removed.len(),
+            ConstraintKind::NoInsert => net_added.len(),
+        };
+        if offenders > 0 {
+            journal.revert(base_sets);
+            return (Err(Rejection { constraint: c.clone(), offenders }), verdict_open);
         }
     }
-}
-
-/// Definition 2.3 on precomputed range results: first violation in suite
-/// order, or the fresh results for reuse as the next baseline.
-fn check_against_baseline(
-    suite: &[Constraint],
-    base_sets: &[BTreeSet<NodeRef>],
-    now_sets: Vec<BTreeSet<NodeRef>>,
-) -> Result<Vec<BTreeSet<NodeRef>>, Rejection> {
-    for ((c, base), now) in suite.iter().zip(base_sets).zip(&now_sets) {
-        if !c.kind.satisfied_on(base, now) {
-            let offenders = c.kind.offenders_on(base, now).len();
-            return Err(Rejection { constraint: c.clone(), offenders });
-        }
-    }
-    Ok(now_sets)
-}
-
-/// How a [`Session`] (and the [`Gateway`](crate::Gateway) above it) runs
-/// its admission check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionMode {
-    /// Edit-proportional splice ([`admit_delta_in_place`]): the
-    /// production path.
-    #[default]
-    Delta,
-    /// Unconditional full `eval_set` pass ([`admit`]): the pre-delta
-    /// shape, kept as the differential-testing and benchmarking baseline.
-    FullPass,
+    (Ok(journal), verdict_open)
 }
 
 /// An open transaction on one document. See the module docs.
 pub struct Session<'a> {
     doc: &'a mut Document,
     undo_stack: Vec<Undo>,
-    /// Union of the batch's edit scopes — what [`admit_delta_in_place`] splices
-    /// against at commit time. Reset (with the undo stack) on rollback.
+    /// Union of the batch's edit scopes — what [`admit_delta_in_place`]
+    /// splices against at commit time. Reset (with the undo stack) on
+    /// rollback.
     region: DirtyRegion,
     open: bool,
     /// Stage tracer, when the owning gateway has telemetry attached.
@@ -332,83 +244,50 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
-    /// The accumulated dirty region of the batch so far (what a
-    /// [`AdmissionMode::Delta`] commit will splice against).
-    pub fn dirty_region(&self) -> &DirtyRegion {
-        &self.region
-    }
-
     /// Commits the batch: admission check, then re-certification.
     ///
     /// * Accepted: the working tree becomes the committed state, the
     ///   admission pass's range results become the new baseline **and**
-    ///   the signed sets (no re-evaluation, no copy), the certificate
-    ///   header is folded forward and re-chained, and the commit counter
-    ///   advances. The undo tokens are released, freeing the slots
-    ///   the batch's deletions parked. [`Stage::Certify`] spans the whole
-    ///   re-certification — the fold, the outgoing digest and the
-    ///   re-chain — and the release, O(deleted nodes).
+    ///   the signed sets (no re-evaluation, no copy), the journal's
+    ///   events are folded into the certificate header, which is
+    ///   re-chained, and the commit counter advances. The undo tokens are
+    ///   released, freeing the slots the batch's deletions parked.
+    ///   [`Stage::Certify`] spans the whole re-certification — the fold,
+    ///   the outgoing digest and the re-chain — and the release,
+    ///   O(deleted nodes).
     /// * Rejected: the batch is unwound exactly ([`Session::rollback`])
     ///   before the [`Rejection`] is returned — the document is
     ///   byte-identical to its committed state.
-    pub fn commit(self, signer: &Signer) -> Result<Commit, Rejection> {
-        self.commit_with(signer, AdmissionMode::Delta)
-    }
-
-    /// [`commit`](Self::commit) with an explicit [`AdmissionMode`] —
-    /// [`AdmissionMode::FullPass`] forces the pre-delta full `eval_set`
-    /// admission (the differential harness's reference arm).
-    pub fn commit_with(
-        mut self,
-        signer: &Signer,
-        mode: AdmissionMode,
-    ) -> Result<Commit, Rejection> {
+    pub fn commit(mut self, signer: &Signer) -> Result<Commit, Rejection> {
         let (tel, tag) = (self.tel, self.tag);
-        let (admitted, verdict_open) = match mode {
-            // The delta path splices doc.base_sets in place: on success
-            // they already ARE the admission pass's fresh range results,
-            // on rejection they have been reverted to the committed
-            // baselines.
-            AdmissionMode::Delta => admit_delta_in_place_traced(
-                &mut self.doc.ev,
-                &self.doc.compiled,
-                &self.doc.suite,
-                &mut self.doc.base_sets,
-                &self.region,
-                tel,
-                tag,
-            ),
-            AdmissionMode::FullPass => admit_full_in_place(
-                &mut self.doc.ev,
-                &self.doc.compiled,
-                &self.doc.suite,
-                &mut self.doc.base_sets,
-                tel,
-                tag,
-                tel.map(Telemetry::now_micros),
-            ),
-        };
+        let doc = &mut *self.doc;
+        // On success doc.base_sets already ARE the admission pass's fresh
+        // range results; on rejection they have been reverted to the
+        // committed baselines.
+        let (admitted, verdict_open) = admit_delta_in_place_traced(
+            &mut doc.ev,
+            &doc.compiled,
+            &doc.suite,
+            &mut doc.base_sets,
+            &self.region,
+            tel,
+            tag,
+        );
         // Verdict closes, and on an accept Certify opens, on one reading.
         let certify_open = close_span(tel, Stage::Verdict, tag, verdict_open);
         match admitted {
             Ok(journal) => {
                 let doc = &mut *self.doc;
-                // Bring each set's sum up to the new baseline: fold the
-                // splice's own events (O(edit)), or re-hash the sets a
-                // full pass replaced wholesale.
-                match &journal {
-                    Some(journal) => {
-                        for (i, entry) in doc.header.entries.iter_mut().enumerate() {
-                            for (r, added) in journal.events(i) {
-                                if *added {
-                                    entry.sum.add(signer, r);
-                                } else {
-                                    entry.sum.remove(signer, r);
-                                }
-                            }
+                // Bring each set's sum up to the new baseline by folding
+                // the journal's events: one element hashed per event.
+                for (i, entry) in doc.header.entries.iter_mut().enumerate() {
+                    for (r, added) in journal.events(i) {
+                        if *added {
+                            entry.sum.add(signer, r);
+                        } else {
+                            entry.sum.remove(signer, r);
                         }
                     }
-                    None => doc.header.resum(signer, &doc.base_sets),
                 }
                 // Chain onto the outgoing certificate: its digest becomes
                 // the new `prev_digest`, making the document's certificate

@@ -62,6 +62,9 @@ pub struct Document {
     /// The current certificate minus its sets, which are `base_sets`.
     pub(crate) header: CertHeader,
     pub(crate) commits: u64,
+    /// Contained panics since publish (or the last lifted quarantine),
+    /// for the gateway's quarantine policy.
+    pub(crate) panics: u32,
 }
 
 impl Document {
@@ -75,7 +78,7 @@ impl Document {
         let mut ev = Evaluator::from_tree(tree);
         let base_sets = ev.eval_set(&*compiled);
         let header = CertHeader::new(signer, &suite, &base_sets, 0);
-        Document { id, ev, suite, compiled, base_sets, header, commits: 0 }
+        Document { id, ev, suite, compiled, base_sets, header, commits: 0, panics: 0 }
     }
 
     /// Reassembles a document from a snapshot (the recovery path). The
@@ -104,7 +107,8 @@ impl Document {
             return Err(RecoverError::Diverged { doc, commit: commits });
         }
         let ev = Evaluator::from_tree(tree);
-        Ok(Document { id: DocId::new(&doc), ev, suite, compiled, base_sets, header, commits })
+        let id = DocId::new(&doc);
+        Ok(Document { id, ev, suite, compiled, base_sets, header, commits, panics: 0 })
     }
 
     pub fn id(&self) -> DocId {
@@ -210,23 +214,36 @@ impl DocumentStore {
         cache: &SuiteCache,
         signer: &Signer,
     ) -> Result<(), PublishError> {
-        // Cheap duplicate pre-check before compiling/evaluating/signing;
-        // the write-lock re-check below closes the race.
-        if self.shards[shard_of(id)].read().contains_key(&id) {
+        let doc = self.prepare(id, tree, suite, cache, signer)?;
+        self.install(doc)
+    }
+
+    /// The document [`publish`](Self::publish) inserts, not yet inserted.
+    /// A cheap duplicate pre-check runs before compiling, evaluating and
+    /// signing; [`install`](Self::install)'s write-lock re-check closes
+    /// the race.
+    pub(crate) fn prepare(
+        &self,
+        id: DocId,
+        tree: DataTree,
+        suite: Vec<Constraint>,
+        cache: &SuiteCache,
+        signer: &Signer,
+    ) -> Result<Document, PublishError> {
+        if self.contains(id) {
             return Err(PublishError::Duplicate(id));
         }
         let compiled = cache.get_or_compile(&suite);
-        let doc = Document::open(id, tree, suite, compiled, signer);
-        let mut shard = self.shards[shard_of(id)].write();
-        if shard.contains_key(&id) {
-            return Err(PublishError::Duplicate(id));
-        }
-        shard.insert(id, Arc::new(Mutex::new(doc)));
-        Ok(())
+        Ok(Document::open(id, tree, suite, compiled, signer))
     }
 
-    /// Inserts an already-assembled document (the recovery path). Same
-    /// duplicate discipline as [`publish`](Self::publish).
+    /// Is a document registered under `id`?
+    pub(crate) fn contains(&self, id: DocId) -> bool {
+        self.shards[shard_of(id)].read().contains_key(&id)
+    }
+
+    /// Inserts an already-assembled document (a prepared publish, or the
+    /// recovery path), refusing an id already taken.
     pub(crate) fn install(&self, doc: Document) -> Result<(), PublishError> {
         let id = doc.id();
         let mut shard = self.shards[shard_of(id)].write();

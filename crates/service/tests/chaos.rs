@@ -28,8 +28,8 @@ use xuc_core::{parse_constraint, Constraint};
 use xuc_persist::VirtualClock;
 use xuc_service::workload::SplitMix;
 use xuc_service::{
-    render_log, AdmissionMode, DegradedReason, DocId, DurableOptions, Gateway, GatewayState,
-    RejectReason, Request, Verdict, WriteFault,
+    render_log, DegradedReason, DocId, DurableOptions, Gateway, GatewayState, RejectReason,
+    Request, Verdict, WriteFault,
 };
 use xuc_sigstore::Signer;
 use xuc_xtree::{DataTree, NodeId, Update};
@@ -98,7 +98,6 @@ fn seeded_stream(
 fn durable(name: &str, clock: Arc<VirtualClock>) -> Gateway {
     Gateway::recover_with_clock(
         Signer::new(KEY),
-        AdmissionMode::Delta,
         tmp_dir(name),
         DurableOptions::default(),
         Box::new(clock),

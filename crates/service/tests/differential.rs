@@ -1,25 +1,26 @@
-//! The differential fuzz harness pinning delta admission to full-pass
-//! admission.
+//! The differential fuzz harness pinning the gateway's admission to the
+//! full-pass reference.
 //!
-//! Two gateways are published from identical deployments — one on
-//! [`AdmissionMode::Delta`] (edit-proportional splice commit validation),
-//! one on [`AdmissionMode::FullPass`] (the pre-delta full `eval_set`
-//! admission) — and driven with byte-identical seeded session streams
-//! mixing relabels, id swaps (including duplicate-id and id-recycling
-//! traffic), structural edits, commits, explicit rollbacks and malformed
-//! updates. After every step the two arms must agree **observably and
-//! internally**: verdict for verdict, committed trees render-identical,
-//! baseline range-result sets equal, certificates equal entry-for-entry
-//! and verifying identically — and the delta gateway's accept/reject log
-//! must stay byte-identical at 1, 2 and 8 workers (and to the full-pass
-//! log).
+//! A [`Gateway`] (splice or sweep, judged and certified off one splice
+//! journal) and a [`FullPass`] reference (the pre-delta commit: full
+//! `eval_set` admission, whole-set verdict, certificate from scratch) are
+//! published from identical deployments and driven with byte-identical
+//! seeded streams mixing relabels, id swaps (including duplicate-id and
+//! id-recycling traffic), structural edits, commits, explicit rollbacks
+//! and malformed updates. After every step the two arms must agree
+//! **observably and internally**: verdict for verdict, committed trees
+//! render-identical, baseline range-result sets equal, certificates equal
+//! entry-for-entry and verifying identically — and the gateway's
+//! accept/reject log must stay byte-identical at 1, 2 and 8 workers (and
+//! to the reference's log).
 
 use std::collections::{BTreeSet, HashMap};
 use xuc_core::{parse_constraint, Constraint, ConstraintKind};
+use xuc_service::reference::FullPass;
 use xuc_service::workload::SplitMix;
 use xuc_service::{
-    render_log, AdmissionMode, DocId, DurableOptions, Gateway, Request, Session, Verdict,
-    WriteFault,
+    render_log, DocId, DurableOptions, Gateway, RecoverError, Request, Session, SystemClock,
+    Verdict, WriteFault,
 };
 use xuc_sigstore::Signer;
 use xuc_xtree::{DataTree, Label, NodeId, NodeRef, Update};
@@ -123,12 +124,26 @@ fn publish_into(gw: &Gateway, docs: &[(DocId, DataTree, Vec<Constraint>)]) {
     }
 }
 
+/// A durable gateway on `dir`.
+fn durable(key: u64, dir: &std::path::Path, opts: DurableOptions) -> Result<Gateway, RecoverError> {
+    Gateway::recover_with_clock(Signer::new(key), dir, opts, Box::new(SystemClock))
+}
+
+/// The reference arm over the same deployment.
+fn reference_of(key: u64, docs: &[(DocId, DataTree, Vec<Constraint>)]) -> FullPass {
+    let mut full = FullPass::new(Signer::new(key));
+    for (id, tree, suite) in docs {
+        full.publish(*id, tree.clone(), suite.clone());
+    }
+    full
+}
+
 /// Certificates must be equal entry-for-entry: same constraints, same
 /// signed snapshots, same MACs (the keyed MAC is a function of the set,
 /// so equal tags ⟺ equal signed sets under one key).
-fn assert_certs_identical(gw_a: &Gateway, gw_b: &Gateway, id: DocId, ctx: &str) {
-    let a = gw_a.certificate(id).unwrap();
-    let b = gw_b.certificate(id).unwrap();
+fn assert_certs_identical(gw: &Gateway, full: &FullPass, id: DocId, ctx: &str) {
+    let a = gw.certificate(id).unwrap();
+    let b = full.certificate(id).unwrap();
     assert_eq!(a.entries.len(), b.entries.len(), "{ctx}: {id} entry count");
     for (i, (ea, eb)) in a.entries.iter().zip(&b.entries).enumerate() {
         assert_eq!(ea.constraint.to_string(), eb.constraint.to_string(), "{ctx}: {id} entry {i}");
@@ -142,22 +157,20 @@ fn assert_certs_identical(gw_a: &Gateway, gw_b: &Gateway, id: DocId, ctx: &str) 
 /// each arm must verify against the *other* arm's snapshot.
 fn assert_arms_converged(
     delta: &Gateway,
-    full: &Gateway,
+    full: &FullPass,
     docs: &[(DocId, DataTree, Vec<Constraint>)],
     key: u64,
     ctx: &str,
 ) {
     for (id, ..) in docs {
         let snap_d = delta.snapshot(*id).unwrap();
-        let snap_f = full.snapshot(*id).unwrap();
+        let snap_f = full.tree(*id).unwrap();
         assert_eq!(snap_d.render(), snap_f.render(), "{ctx}: {id} trees diverged");
         let doc_d = delta.store().document(*id).unwrap();
-        let doc_f = full.store().document(*id).unwrap();
         let base_d: Vec<BTreeSet<NodeRef>> = doc_d.lock().baseline().to_vec();
-        let base_f: Vec<BTreeSet<NodeRef>> = doc_f.lock().baseline().to_vec();
-        assert_eq!(base_d, base_f, "{ctx}: {id} baselines diverged");
+        assert_eq!(base_d, full.baseline(*id).unwrap(), "{ctx}: {id} baselines diverged");
         assert_certs_identical(delta, full, *id, ctx);
-        assert!(delta.certificate(*id).unwrap().verify(key, &snap_f).is_ok(), "{ctx}: {id}");
+        assert!(delta.certificate(*id).unwrap().verify(key, snap_f).is_ok(), "{ctx}: {id}");
         assert!(full.certificate(*id).unwrap().verify(key, &snap_d).is_ok(), "{ctx}: {id}");
     }
 }
@@ -170,12 +183,9 @@ fn delta_admission_is_equivalent_to_full_admission() {
     let key = 0xD1FF;
     for seed in [0x5eed_0001u64, 0x5eed_0002, 0xfeed_f00d] {
         let docs = deployment();
-        let delta = Gateway::with_admission(Signer::new(key), AdmissionMode::Delta);
-        let full = Gateway::with_admission(Signer::new(key), AdmissionMode::FullPass);
-        assert_eq!(delta.admission_mode(), AdmissionMode::Delta);
-        assert_eq!(full.admission_mode(), AdmissionMode::FullPass);
+        let delta = Gateway::new(Signer::new(key));
         publish_into(&delta, &docs);
-        publish_into(&full, &docs);
+        let mut full = reference_of(key, &docs);
 
         let requests = seeded_stream(&docs, seed, 120);
         let mut accepts = 0usize;
@@ -183,17 +193,16 @@ fn delta_admission_is_equivalent_to_full_admission() {
         for (i, req) in requests.iter().enumerate() {
             if i % 7 == 3 {
                 // An abandoned batch: apply the request's updates in a
-                // manual session and roll back — on BOTH arms — before
-                // resubmitting. Rollback must leave no trace in either.
-                for gw in [&delta, &full] {
-                    let doc = gw.store().document(req.doc).unwrap();
-                    let mut doc = doc.lock();
-                    let mut session = Session::begin(&mut doc);
-                    for u in &req.updates {
-                        let _ = session.apply(u);
-                    }
-                    session.rollback();
+                // manual session on the gateway and roll back before
+                // resubmitting. Rollback must leave no trace.
+                let doc = delta.store().document(req.doc).unwrap();
+                let mut doc = doc.lock();
+                let mut session = Session::begin(&mut doc);
+                for u in &req.updates {
+                    let _ = session.apply(u);
                 }
+                session.rollback();
+                drop(doc);
                 assert_arms_converged(
                     &delta,
                     &full,
@@ -220,8 +229,8 @@ fn delta_admission_is_equivalent_to_full_admission() {
 
 /// Fixed inputs that the seeded streams are unlikely to draw, each a
 /// document, its suite and one batch that a from-scratch admission
-/// rejects. Both arms must reject it and stay converged, and the delta
-/// arm must not walk the document.
+/// rejects. The reference must reject it, the gateway must reject it too
+/// without walking the document, and both must stay converged.
 fn pinned_inputs() -> Vec<(DocId, DataTree, Vec<Constraint>, Vec<Update>)> {
     let n = NodeId::from_raw;
     let c = |s: &str| parse_constraint(s).unwrap();
@@ -294,10 +303,9 @@ fn pinned_inputs_reject_on_both_arms_and_stay_converged() {
     let key = 0x9177;
     for (id, tree, suite, updates) in pinned_inputs() {
         let docs = vec![(id, tree, suite)];
-        let delta = Gateway::with_admission(Signer::new(key), AdmissionMode::Delta);
-        let full = Gateway::with_admission(Signer::new(key), AdmissionMode::FullPass);
+        let delta = Gateway::new(Signer::new(key));
         publish_into(&delta, &docs);
-        publish_into(&full, &docs);
+        let mut full = reference_of(key, &docs);
         let req = Request { doc: id, updates };
         let vf = full.submit(&req);
         assert!(matches!(vf, Verdict::Rejected(_)), "{id}: full pass must reject, got {vf:?}");
@@ -312,27 +320,25 @@ fn pinned_inputs_reject_on_both_arms_and_stay_converged() {
 
 /// Worker-count determinism re-pinned on the delta path: the log of one
 /// seeded stream is byte-identical at 1, 2 and 8 workers — and identical
-/// to the full-pass arm's log.
+/// to the full-pass reference's log.
 #[test]
 fn delta_logs_byte_identical_at_1_2_8_workers_and_to_full_pass() {
     let docs = deployment();
     let requests = seeded_stream(&docs, 0x00D1_5EA5, 200);
-    let run = |mode: AdmissionMode, workers: usize| {
-        let gw = Gateway::with_admission(Signer::new(0xF1E1D), mode);
+    let run = |workers: usize| {
+        let gw = Gateway::new(Signer::new(0xF1E1D));
         publish_into(&gw, &docs);
         let verdicts = gw.process(&requests, workers);
         render_log(&requests, &verdicts)
     };
-    let reference = run(AdmissionMode::Delta, 1);
+    let reference = run(1);
     assert!(reference.contains("ACCEPT") && reference.contains("REJECT"));
     for workers in [2usize, 8] {
-        assert_eq!(
-            run(AdmissionMode::Delta, workers),
-            reference,
-            "delta log diverged at {workers} workers"
-        );
+        assert_eq!(run(workers), reference, "delta log diverged at {workers} workers");
     }
-    assert_eq!(run(AdmissionMode::FullPass, 4), reference, "full-pass log diverged from delta");
+    let mut full = reference_of(0xF1E1D, &docs);
+    let verdicts: Vec<Verdict> = requests.iter().map(|r| full.submit(r)).collect();
+    assert_eq!(render_log(&requests, &verdicts), reference, "full-pass log diverged from delta");
 }
 
 /// The kill/restart arm: a durable gateway is cut down at a request
@@ -390,14 +396,13 @@ fn kill_restart_recovers_byte_identical() {
         let ctx = format!("case {case} (cut {cut}, {fault:?}, {workers}w, gc {group_commit})");
         let opts = DurableOptions { group_commit, snapshot_every, ..DurableOptions::default() };
 
-        let gw = Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, &dir, opts).unwrap();
+        let gw = durable(key, &dir, opts).unwrap();
         publish_into(&gw, &docs);
         let pre = gw.process(&requests[..cut], workers);
         assert_eq!(pre, ref_verdicts[..cut], "{ctx}: pre-crash verdicts diverged");
         gw.simulate_crash(fault).unwrap();
 
-        let rec =
-            Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, &dir, opts).unwrap();
+        let rec = durable(key, &dir, opts).unwrap();
         // A fault can eat a publish record (only when that document had
         // no durable commits after it); the operator re-publishes, as
         // the source would on discovering the loss.
@@ -484,7 +489,7 @@ fn self_contradicting_snapshot_recovers_as_diverged() {
         parse_constraint("(/patient, ↓)").unwrap(),
     ];
     {
-        let gw = Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, &dir, opts).unwrap();
+        let gw = durable(key, &dir, opts).unwrap();
         gw.publish(doc, tree, suite).unwrap();
         for parent in [2, 4] {
             let visit = Update::InsertLeaf {
@@ -499,7 +504,7 @@ fn self_contradicting_snapshot_recovers_as_diverged() {
     assert_eq!(snaps.len(), 1);
     let good = snaps.into_iter().next().unwrap();
     assert_eq!(good.commits, 2);
-    let recover = || Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, &dir, opts);
+    let recover = || durable(key, &dir, opts);
     assert!(recover().is_ok(), "the untampered snapshot recovers");
 
     fn relabel_first(set: &mut BTreeSet<NodeRef>) {
@@ -548,16 +553,13 @@ fn self_contradicting_snapshot_recovers_as_diverged() {
 fn wrong_wal_records_recover_as_typed_errors() {
     use xuc_persist::{read_wal, WalRecord, WalWriter};
     use xuc_service::persist::wal_path;
-    use xuc_service::RecoverError;
 
     let key = 0x3A1;
     let base = std::env::temp_dir().join(format!("xuc-diff-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let opts =
         DurableOptions { group_commit: 1, snapshot_every: None, ..DurableOptions::default() };
-    let recover = |dir: &std::path::Path| {
-        Gateway::recover_with(Signer::new(key), AdmissionMode::Delta, dir, opts)
-    };
+    let recover = |dir: &std::path::Path| durable(key, dir, opts);
     let doc = DocId::new("journaled");
     let source = base.join("source");
     {

@@ -188,8 +188,7 @@ pub struct HeaderEntry {
 /// demand.
 ///
 /// The lifecycle of one accepted edit: fold each added or removed set
-/// element into the matching entry's [`sum`](HeaderEntry::sum) (or
-/// [`resum`](Self::resum) from the new sets), then
+/// element into the matching entry's [`sum`](HeaderEntry::sum), then
 /// [`rechain`](Self::rechain) — digest the outgoing certificate, seal the
 /// new tags and link them to it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,16 +223,6 @@ impl CertHeader {
         let mut header = CertHeader { entries, prev_digest: 0, chain_tag: 0 };
         header.seal(signer, prev_digest);
         header
-    }
-
-    /// Recomputes every sum from `sets` (for an edit whose set changes
-    /// were not tracked element by element). Tags stay those of the
-    /// outgoing certificate until [`rechain`](Self::rechain).
-    pub fn resum(&mut self, signer: &Signer, sets: &[BTreeSet<NodeRef>]) {
-        debug_assert_eq!(self.entries.len(), sets.len(), "one set per constraint");
-        for (e, set) in self.entries.iter_mut().zip(sets) {
-            e.sum = SetSum::of(signer, set);
-        }
     }
 
     /// Turns the header into its successor: the current certificate's

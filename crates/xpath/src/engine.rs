@@ -48,10 +48,8 @@
 //! naive oracle), never against a second incremental copy.
 //!
 //! [`Evaluator::refresh`] re-copies a cold caller's tree after it
-//! changed; [`Evaluator::invalidate`] is the guard rail that makes a
-//! forgotten refresh a loud panic instead of a silent wrong answer. Every
-//! document-sized rebuild — the copy of `new` and `refresh`, re-deriving
-//! the rows after a structural edit — counts one
+//! changed. Every document-sized rebuild — the copy of `new` and
+//! `refresh`, re-deriving the rows after a structural edit — counts one
 //! [`xuc_xtree::preorder_walk_count`] walk.
 //!
 //! The algorithm is exactly the one documented in [`crate::eval`](mod@crate::eval)
@@ -189,6 +187,32 @@ impl SpliceJournal {
         &self.events[i]
     }
 
+    /// An empty journal over `sets` sets.
+    pub fn new(sets: usize) -> SpliceJournal {
+        SpliceJournal { events: vec![Vec::new(); sets] }
+    }
+
+    /// Installs `fresh` as `set`, set `i` of the journaled batch, and
+    /// journals the difference, found by one sorted merge: every entry of
+    /// `set` missing from `fresh` as removed, every entry of `fresh`
+    /// missing from `set` as added. This is how a full
+    /// [`eval_set`](Evaluator::eval_set) pass becomes a journal: its
+    /// events judge and [`revert`](Self::revert) exactly as a splice's do.
+    pub fn install(&mut self, i: usize, set: &mut BTreeSet<NodeRef>, fresh: BTreeSet<NodeRef>) {
+        let events = &mut self.events[i];
+        let mut added = fresh.iter().peekable();
+        for &old in set.iter() {
+            while let Some(&new) = added.next_if(|&&new| new < old) {
+                events.push((new, true));
+            }
+            if added.next_if_eq(&&old).is_none() {
+                events.push((old, false));
+            }
+        }
+        events.extend(added.map(|&new| (new, true)));
+        *set = fresh;
+    }
+
     /// Did the splice change nothing at all?
     pub fn is_empty(&self) -> bool {
         self.events.iter().all(Vec::is_empty)
@@ -249,10 +273,6 @@ pub struct Evaluator {
     label_rows: HashMap<Label, Vec<u64>>,
     /// Did a structural edit leave `ones` and `label_rows` stale?
     rows_stale: bool,
-    /// Set by [`invalidate`](Self::invalidate): a copied tree may no
-    /// longer match its source, so only a full [`refresh`](Self::refresh)
-    /// can make the evaluator usable again.
-    invalidated: bool,
     /// Reused `(slot, state)` stack of the sweeps.
     stack: Vec<(u32, u32)>,
 }
@@ -267,7 +287,6 @@ impl Evaluator {
             ones: Vec::new(),
             label_rows: HashMap::new(),
             rows_stale: true,
-            invalidated: false,
             stack: Vec::new(),
         }
     }
@@ -337,12 +356,10 @@ impl Evaluator {
     }
 
     /// Re-reads the whole of `tree` into the evaluator's packed copy after
-    /// it was mutated, reusing the existing allocations; see
-    /// [`invalidate`](Self::invalidate).
+    /// it was mutated, reusing the existing allocations.
     pub fn refresh(&mut self, tree: &DataTree) {
         self.tree.copy_packed_from(tree);
         self.rows_stale = true;
-        self.invalidated = false;
     }
 
     /// Benchmark compatibility: `gatebench/`'s traced mirror, which edits
@@ -351,13 +368,11 @@ impl Evaluator {
     /// `tree`, described by the [`EditScope`] that
     /// [`xuc_xtree::apply_undoable`] (or [`xuc_xtree::undo`]) returned
     /// for it: a relabel or an id swap is patched in O(1), any other scope
-    /// (or an [invalidated](Self::invalidate) evaluator) takes one full
-    /// [`refresh`](Self::refresh). An evaluator that owns its tree
-    /// follows [`apply`](Self::apply) instead.
+    /// takes one full [`refresh`](Self::refresh). An evaluator that owns
+    /// its tree follows [`apply`](Self::apply) instead.
     #[doc(hidden)]
     pub fn refresh_after(&mut self, tree: &DataTree, scope: &EditScope) {
         let patched = match *scope {
-            _ if self.invalidated => false,
             EditScope::Relabel { node, to, .. } => self.tree.relabel(node, to).is_ok(),
             EditScope::ReplaceId { from, to } => self.tree.replace_id(from, to).is_ok(),
             _ => false,
@@ -392,21 +407,6 @@ impl Evaluator {
         self.rows_stale = false;
     }
 
-    /// Marks the evaluator stale. Call this when the tree a copying
-    /// evaluator ([`new`](Self::new)) was built from is mutated; any
-    /// evaluation before the matching [`refresh`](Self::refresh) panics
-    /// instead of returning answers computed against a dead copy.
-    pub fn invalidate(&mut self) {
-        self.invalidated = true;
-    }
-
-    /// Is the evaluator marked stale by [`invalidate`](Self::invalidate)?
-    /// (Label rows awaiting re-derivation are not stale in this sense:
-    /// the tree is current.)
-    pub fn is_stale(&self) -> bool {
-        self.invalidated
-    }
-
     /// Number of nodes in the tree.
     pub fn len(&self) -> usize {
         self.tree.len()
@@ -420,13 +420,6 @@ impl Evaluator {
     /// Trees always have a root, so an evaluator is never empty.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    fn check_fresh(&self) {
-        assert!(
-            !self.invalidated,
-            "Evaluator used after invalidate(): call refresh(&tree) after mutating the tree"
-        );
     }
 
     fn slot_named(&self, id: NodeId, what: &str) -> u32 {
@@ -487,7 +480,6 @@ impl Evaluator {
     /// Phase 1 + phase 2 producing the output-node frontier bitset of `q`
     /// evaluated at `start`, on rows indexed by slot.
     fn frontier_at(&mut self, q: &Pattern, start: NodeId) -> Vec<u64> {
-        self.check_fresh();
         if self.rows_stale {
             self.derive_rows();
         }
@@ -671,7 +663,6 @@ impl Evaluator {
         set: &A,
         start: NodeId,
     ) -> Vec<BTreeSet<NodeRef>> {
-        self.check_fresh();
         crate::stats::bump(&crate::stats::EVAL_SET_SWEEPS, 1);
         let top = self.slot_named(start, "start");
         // Members are gathered per pattern and bulk-built at the end: a
@@ -920,7 +911,6 @@ impl Evaluator {
         region: &DirtyRegion,
         sets: &mut [BTreeSet<NodeRef>],
     ) -> Option<SpliceJournal> {
-        self.check_fresh();
         if !set.fallbacks().is_empty() || sets.len() != set.pattern_count() {
             return None;
         }
@@ -1072,16 +1062,6 @@ mod tests {
         t.delete_subtree(NodeId::from_raw(1)).unwrap();
         ev.refresh(&t);
         assert_eq!(ids(&ev.eval(&q)), vec![3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalidate")]
-    fn stale_snapshot_panics() {
-        let t = parse_term("root(a#1)").unwrap();
-        let mut ev = Evaluator::new(&t);
-        ev.invalidate();
-        let q = parse("/a").unwrap();
-        let _ = ev.eval(&q);
     }
 
     #[test]
@@ -1241,24 +1221,6 @@ mod tests {
             ev.undo(token).unwrap();
             check(&mut ev, "undo");
         }
-    }
-
-    #[test]
-    fn refresh_after_an_invalidate_refreshes_fully() {
-        // The tree changes behind the evaluator's back after invalidate();
-        // a later scoped refresh cannot vouch for those edits, so it must
-        // re-read the whole tree rather than patch and clear the guard.
-        let mut t = parse_term("root(a#1(b#2),a#3)").unwrap();
-        let mut ev = Evaluator::new(&t);
-        ev.invalidate();
-        t.add(NodeId::from_raw(3), "b").unwrap();
-        let op = Update::Relabel { node: NodeId::from_raw(2), label: Label::new("c") };
-        let (_token, scope) = apply_undoable(&mut t, &op).unwrap();
-        ev.refresh_after(&t, &scope);
-        assert!(!ev.is_stale());
-        let q = parse("/a/b").unwrap();
-        assert_eq!(ev.eval(&q).len(), 1, "b under a#3 is visible");
-        assert_eq!(ev.eval(&q), Evaluator::new(&t).eval(&q));
     }
 
     #[test]
@@ -1526,6 +1488,31 @@ mod tests {
     }
 
     #[test]
+    fn installed_sweeps_journal_like_a_splice() {
+        let set = DepthOneA { fallback: Vec::new() };
+        let mut ev = Evaluator::from_tree(parse_term("root(a#1,x#2,a#3,a#4)").unwrap());
+        let base = ev.eval_set(&set);
+        for op in [
+            Update::Relabel { node: NodeId::from_raw(2), label: Label::new("a") },
+            Update::DeleteSubtree { node: NodeId::from_raw(3) },
+            Update::InsertLeaf { parent: ev.root().id, id: NodeId::from_raw(5), label: "a".into() },
+        ] {
+            ev.apply(&op).unwrap();
+        }
+        let mut live = base.clone();
+        let mut journal = SpliceJournal::new(1);
+        journal.install(0, &mut live[0], ev.eval_set(&set).remove(0));
+        assert_eq!(live, ev.eval_set(&set), "the sweep is installed");
+        let a = |id| NodeRef { id: NodeId::from_raw(id), label: Label::new("a") };
+        // One event per entry of the symmetric difference, none for the
+        // members both sets share (a#1, a#4).
+        assert_eq!(journal.events(0).len(), 3);
+        assert_eq!(journal.net_changes(0), (vec![a(3)], vec![a(2), a(5)]));
+        journal.revert(&mut live);
+        assert_eq!(live, base, "revert restores the baseline");
+    }
+
+    #[test]
     fn eval_set_splice_degenerate_regions() {
         use xuc_xtree::{DirtyRegion, EditScope};
         let t = parse_term("root(a#1(a#2),x#3)").unwrap();
@@ -1547,16 +1534,6 @@ mod tests {
         assert_eq!(sets, base);
         // Mismatched baseline width: declined, nothing touched.
         assert!(ev.eval_set_splice(&set, &rooted, &mut []).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalidate")]
-    fn eval_set_checks_staleness() {
-        let t = parse_term("root(a#1)").unwrap();
-        let mut ev = Evaluator::new(&t);
-        ev.invalidate();
-        let set = DepthOneA { fallback: Vec::new() };
-        let _ = ev.eval_set(&set);
     }
 
     #[test]

@@ -188,20 +188,6 @@ impl Pattern {
         path
     }
 
-    /// Is `i` on the spine?
-    pub fn on_spine(&self, i: PIdx) -> bool {
-        let mut cur = self.output;
-        loop {
-            if cur == i {
-                return true;
-            }
-            match self.nodes[cur].parent {
-                Some(p) => cur = p,
-                None => return false,
-            }
-        }
-    }
-
     /// Predicate children of `i`: children that are not the next spine node.
     pub fn predicate_children(&self, i: PIdx) -> Vec<PIdx> {
         let spine = self.spine();
@@ -240,11 +226,6 @@ impl Pattern {
     /// the paper's terminology)?
     pub fn is_concrete(&self) -> bool {
         !self.nodes[self.output].test.is_wildcard()
-    }
-
-    /// The output node's test.
-    pub fn output_test(&self) -> NodeTest {
-        self.nodes[self.output].test
     }
 
     /// Number of descendant (`//`) edges in the pattern.

@@ -10,7 +10,9 @@
 //! [`xuc_xtree::DirtyRegion`]) is pinned directly against all three
 //! from-scratch passes after every edit and every undo of the same
 //! sequences, including regions that merge into ancestor scopes and
-//! declined splices; its journal must revert the baseline exactly.
+//! declined splices, whose full sweep is journaled as admission journals
+//! it (`SpliceJournal::install`); either journal's net changes must be
+//! exactly the set differences, and it must revert the baseline exactly.
 //! Edit sequences applied and undone through an evaluator that owns its
 //! tree (`Evaluator::apply`/`undo`, bitset rows re-derived on demand,
 //! parked slots mid-batch) are pinned against a fresh copying evaluator
@@ -21,7 +23,9 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use xuc_automata::{CompiledPatternSet, PatternSetCompiler};
-use xuc_xpath::{canonical, containment, eval, naive, Axis, Evaluator, Pattern, PatternBuilder};
+use xuc_xpath::{
+    canonical, containment, eval, naive, Axis, Evaluator, Pattern, PatternBuilder, SpliceJournal,
+};
 use xuc_xtree::{
     apply_undoable, preorder_walk_count, undo, DataTree, DirtyRegion, Label, NodeId, NodeRef,
     Update,
@@ -111,11 +115,12 @@ fn linear_pattern_strategy(max_steps: usize) -> impl Strategy<Value = Pattern> {
     })
 }
 
-/// Splices a clone of `base` as admission does, then checks the answer
-/// admission would use — the spliced sets, or `eval_set` when the splice
-/// declines — against `eval_set`, a fresh evaluator's `eval_all` and the
-/// naive oracle on `inc`'s tree, and that the splice journal reverts the
-/// clone to `base`.
+/// Splices a clone of `base` as admission does — or, when the splice
+/// declines, installs `eval_set`'s sets into it through one journal —
+/// then checks the answer admission would use against `eval_set`, a
+/// fresh evaluator's `eval_all` and the naive oracle on `inc`'s tree,
+/// that the journal's net changes are the differences admission judges,
+/// and that it reverts the clone to `base`.
 fn check_splice(
     inc: &mut Evaluator,
     compiled: &CompiledPatternSet,
@@ -125,19 +130,26 @@ fn check_splice(
     ctx: &str,
 ) {
     let full_rows = inc.eval_set(compiled);
-    let mut spliced = base.to_vec();
-    let answer = match inc.eval_set_splice(compiled, region, &mut spliced) {
-        Some(journal) => {
-            let answer = spliced.clone();
-            journal.revert(&mut spliced);
-            prop_assert_eq!(&spliced, base, "revert after {}", ctx);
-            answer
-        }
+    let mut sets = base.to_vec();
+    let journal = match inc.eval_set_splice(compiled, region, &mut sets) {
+        Some(journal) => journal,
         None => {
-            prop_assert_eq!(&spliced, base, "a declined splice touched the sets after {}", ctx);
-            full_rows.clone()
+            prop_assert_eq!(&sets, base, "a declined splice touched the sets after {}", ctx);
+            let mut journal = SpliceJournal::new(sets.len());
+            for (i, fresh) in full_rows.iter().cloned().enumerate() {
+                journal.install(i, &mut sets[i], fresh);
+            }
+            journal
         }
     };
+    let answer = sets.clone();
+    for (i, (b, now)) in base.iter().zip(&answer).enumerate() {
+        let (removed, added) = journal.net_changes(i);
+        prop_assert_eq!(removed, b.difference(now).copied().collect::<Vec<_>>(), "{}", ctx);
+        prop_assert_eq!(added, now.difference(b).copied().collect::<Vec<_>>(), "{}", ctx);
+    }
+    journal.revert(&mut sets);
+    prop_assert_eq!(&sets, base, "revert after {}", ctx);
     prop_assert_eq!(&answer, &full_rows, "splice vs eval_set after {}", ctx);
     prop_assert_eq!(&answer, &Evaluator::new(inc.tree()).eval_all(batch), "after {}", ctx);
     for (q, r) in batch.iter().zip(&answer) {
@@ -270,7 +282,6 @@ proptest! {
                 label: Label::new("b"),
             },
         };
-        ev.invalidate();
         if let Ok((token, _scope)) = apply_undoable(&mut work, &op) {
             // After the edit: the refreshed snapshot matches the oracle on
             // the edited tree.

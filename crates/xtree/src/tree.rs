@@ -1092,28 +1092,6 @@ impl DataTree {
         Ok(out)
     }
 
-    /// Extracts the subtree rooted at `id` as a standalone tree
-    /// (ids preserved).
-    pub fn subtree(&self, id: NodeId) -> Result<DataTree, TreeError> {
-        let slot = self.slot(id)?;
-        let mut out = DataTree::with_root_id(self.ids[slot as usize], self.labels[slot as usize]);
-        let root = out.root_id();
-        let kids: Vec<u32> = self.child_slot_iter(slot).collect();
-        for c in kids {
-            out.graft_subtree(root, self, self.ids[c as usize])?;
-        }
-        Ok(out)
-    }
-
-    /// A deep copy with fresh ids everywhere (including the root).
-    pub fn deep_copy_fresh(&self) -> DataTree {
-        let mut out = DataTree::new(self.root_label());
-        for c in self.children_iter(self.root_id()).expect("root") {
-            out.graft_copy(out.root_id(), self, c).expect("graft");
-        }
-        out
-    }
-
     /// Structural equality **ignoring node ids** and sibling order: same
     /// shape and labels. This is isomorphism of the underlying labeled
     /// unordered trees.
@@ -1317,7 +1295,12 @@ mod tests {
         // Fresh-id graft never collides.
         let copy = host.graft_copy(host.root_id(), &t, a).unwrap();
         assert_ne!(copy, a);
-        assert!(host.subtree(copy).unwrap().structurally_eq(&t.subtree(a).unwrap()));
+        // The copy has the original's labels in the same order, under ids
+        // it does not share with it.
+        let (copied, original) = (host.subtree_nodes(copy).unwrap(), t.subtree_nodes(a).unwrap());
+        let labels = |refs: &[NodeRef]| refs.iter().map(|r| r.label).collect::<Vec<_>>();
+        assert_eq!(labels(&copied), labels(&original));
+        assert!(copied.iter().all(|r| !t.contains(r.id)));
     }
 
     #[test]
@@ -1329,15 +1312,6 @@ mod tests {
         let before = host.render();
         let _ = host.graft_subtree(host.root_id(), &t, a);
         assert_eq!(host.render(), before);
-    }
-
-    #[test]
-    fn subtree_extraction() {
-        let t = sample();
-        let a = t.children(t.root_id()).unwrap()[0];
-        let sub = t.subtree(a).unwrap();
-        assert_eq!(sub.root_id(), a);
-        assert_eq!(sub.len(), 4);
     }
 
     #[test]
@@ -1419,16 +1393,6 @@ mod tests {
             assert!(p < i, "parents precede children");
             assert_eq!(t.parent(*id).unwrap(), Some(flat[p].0));
             assert_eq!(t.label(*id).unwrap(), *label);
-        }
-    }
-
-    #[test]
-    fn deep_copy_fresh_is_isomorphic_but_disjoint() {
-        let t = sample();
-        let c = t.deep_copy_fresh();
-        assert!(t.structurally_eq(&c));
-        for id in c.node_ids() {
-            assert!(!t.contains(id));
         }
     }
 

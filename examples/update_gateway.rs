@@ -85,11 +85,12 @@ fn main() {
     }
 
     // ---- Delta admission: edit-proportional commit validation ----------
-    // Under an all-linear policy, commits ride the in-place splice
-    // (`AdmissionMode::Delta`, the default): the admission check re-derives
-    // results only below the batch's dirty subtrees and patches the cached
-    // baselines — a relabel-only batch commits without a single pre-order
-    // walk of the document, however large it is.
+    // Under an all-linear policy, commits ride the in-place splice: the
+    // admission check re-derives results only below the batch's dirty
+    // subtrees and patches the cached baselines — a relabel-only batch
+    // commits without a single pre-order walk of the document, however
+    // large it is. (A predicate policy makes the splice decline; one full
+    // sweep then stands in, judged and certified off the same journal.)
     let records = DocId::new("records");
     let records_tree =
         parse_term("hospital#50(patient#51(visit#52,phone#53),patient#54(phone#55))").unwrap();

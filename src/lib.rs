@@ -70,10 +70,10 @@ pub mod prelude {
         RelativeConstraint,
     };
     pub use xuc_service::{
-        admit, admit_delta_in_place, plan_admission, render_arrival_log, render_log, AdmissionMode,
-        Arrival, DegradedReason, DocId, DocumentStore, DurableOptions, Gateway, GatewayState,
-        LoadOptions, LoadReport, RecoverError, RejectReason, Request, ResumeError, RetryPolicy,
-        Session, ShedCause, SuiteCache, Verdict, WriteFault,
+        admit_delta_in_place, plan_admission, render_arrival_log, render_log, Arrival,
+        DegradedReason, DocId, DocumentStore, DurableOptions, Gateway, GatewayState, LoadOptions,
+        LoadReport, RecoverError, RejectReason, Request, ResumeError, RetryPolicy, Session,
+        ShedCause, SuiteCache, Verdict, WriteFault,
     };
     pub use xuc_sigstore::{Certificate, Signer};
     pub use xuc_telemetry::{
