@@ -1144,6 +1144,44 @@ fn main() {
             );
             rep.metric("E-REC", &format!("recover_us_{name}"), t);
             times.push(t);
+            if cadence == Some(100) {
+                // The snapshot alone, restored from a directory holding
+                // nothing else: one tree decode, one `eval_set`, one
+                // signing of the re-derived sets.
+                let snap = std::fs::read_dir(&dir)
+                    .expect("durability dir")
+                    .map(|e| e.expect("dir entry").path())
+                    .find(|p| p.extension().is_some_and(|x| x == "snap"))
+                    .expect("cadence 100 snapshots");
+                let bytes = std::fs::metadata(&snap).expect("snapshot file").len();
+                let only = dir.with_extension("snaponly");
+                let _ = std::fs::remove_dir_all(&only);
+                std::fs::create_dir_all(&only).expect("restore dir");
+                std::fs::copy(&snap, only.join(snap.file_name().expect("file name")))
+                    .expect("copy the snapshot");
+                let restore_alone = || {
+                    Gateway::recover_with_clock(
+                        Signer::new(key),
+                        &only,
+                        opts,
+                        Box::new(SystemClock),
+                    )
+                    .expect("snapshot restore")
+                };
+                let at = commits as u64 / 100 * 100;
+                let restore = wl::median_micros(3, || {
+                    let rec = restore_alone();
+                    let d = rec.store().document(doc).expect("restored");
+                    assert_eq!(d.lock().commits(), at, "the snapshot's commit counter");
+                });
+                let rec = restore_alone();
+                let cert = rec.certificate(doc).expect("restored");
+                assert!(cert.verify(key, &rec.snapshot(doc).expect("restored")).is_ok());
+                rep.metric("E-REC", "snapshot_bytes", bytes as f64);
+                rep.metric("E-REC", "snapshot_restore_us", restore);
+                println!("   snapshot: {bytes} B, restored alone in {:.1} ms", restore / 1e3);
+                let _ = std::fs::remove_dir_all(&only);
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
         let speedup = times[0] / times[1];

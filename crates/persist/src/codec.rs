@@ -11,9 +11,10 @@
 //! Constraints ride their canonical [`Display`](std::fmt::Display) form,
 //! which [`xuc_core::parse_constraint`] round-trips.
 //!
-//! Checksums are FNV-1a-64 over the payload ([`checksum64`]); the framing
-//! layer ([`crate::wal`], [`crate::snapshot`]) stores them next to a length
-//! prefix so a torn or bit-flipped tail is detected, never decoded.
+//! Checksums are FNV-1a-64 over the payload ([`checksum64`]). WAL frames
+//! and snapshot files share one framing, `[u32 len][u64 checksum][payload]`,
+//! written by [`append_frame`] and read by [`split_frame`], so a torn or
+//! bit-flipped frame is detected, never decoded.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -46,12 +47,15 @@ pub enum DecodeError {
     /// A constraint's canonical form failed to parse back.
     BadConstraint(String),
     /// A tree encoding violates the preorder invariants (non-root first
-    /// node, forward parent reference, duplicate id).
+    /// node, a parent off the current root path, duplicate id).
     BadTree(String),
     /// The stored checksum does not match the payload.
     Checksum,
     /// Payload bytes left over after a complete decode.
     TrailingBytes,
+    /// A file does not open with the magic of the format this build
+    /// reads: another kind of file, or an older format version.
+    BadMagic,
 }
 
 impl fmt::Display for DecodeError {
@@ -64,6 +68,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadTree(e) => write!(f, "tree encoding invalid: {e}"),
             DecodeError::Checksum => write!(f, "checksum mismatch"),
             DecodeError::TrailingBytes => write!(f, "trailing bytes after payload"),
+            DecodeError::BadMagic => write!(f, "unknown file magic or format version"),
         }
     }
 }
@@ -79,11 +84,6 @@ pub struct Encoder {
 impl Encoder {
     pub fn new() -> Encoder {
         Encoder { buf: Vec::new() }
-    }
-
-    /// An encoder that appends to `buf`.
-    pub(crate) fn with_bytes(buf: Vec<u8>) -> Encoder {
-        Encoder { buf }
     }
 
     pub fn into_bytes(self) -> Vec<u8> {
@@ -166,6 +166,42 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// Bytes in front of each frame's payload: its length and checksum.
+const FRAME_HEADER: usize = 4 + 8;
+
+/// Appends one `[u32 payload length][u64 checksum][payload]` frame to
+/// `buf` (all little-endian), the payload being what `encode` writes. The
+/// payload is encoded in place and the header patched in after it, so no
+/// second copy of it exists. Returns the frame's length.
+pub fn append_frame(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Encoder)) -> usize {
+    let start = buf.len();
+    let mut e = Encoder { buf: std::mem::take(buf) };
+    e.u32(0);
+    e.u64(0);
+    encode(&mut e);
+    *buf = e.buf;
+    let (header, payload) = buf[start..].split_at_mut(FRAME_HEADER);
+    let len = u32::try_from(payload.len()).expect("payload fits u32");
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
+    buf.len() - start
+}
+
+/// Splits the frame [`append_frame`] wrote at the head of `bytes` into its
+/// payload and the bytes after it. A frame cut short is
+/// [`DecodeError::Truncated`], one whose payload does not match its
+/// checksum [`DecodeError::Checksum`].
+pub fn split_frame(bytes: &[u8]) -> Result<(&[u8], &[u8]), DecodeError> {
+    let mut d = Decoder::new(bytes);
+    let len = d.u32()? as usize;
+    let sum = d.u64()?;
+    let payload = d.take(len)?;
+    if checksum64(payload) != sum {
+        return Err(DecodeError::Checksum);
+    }
+    Ok((payload, &bytes[d.pos..]))
+}
+
 /// Encodes `tree` as its preorder snapshot (see the module docs),
 /// streamed from one pre-order walk: no snapshot of the tree is built.
 pub fn encode_tree(e: &mut Encoder, tree: &DataTree) {
@@ -203,30 +239,30 @@ pub fn decode_tree(d: &mut Decoder) -> Result<DataTree, DecodeError> {
     if n > d.remaining() / MIN_NODE_BYTES {
         return Err(DecodeError::Truncated);
     }
-    let mut tree: Option<DataTree> = None;
-    let mut ids: Vec<NodeId> = Vec::with_capacity(n);
-    for i in 0..n {
-        let id = NodeId::from_raw(d.u64()?);
-        let parent = d.u32()? as usize;
-        let label = Label::new(d.str()?);
-        match (&mut tree, parent) {
-            (None, 0) => {
-                tree = Some(DataTree::with_root_id(id, label));
-                ids.push(id);
-            }
-            (None, _) => return Err(DecodeError::BadTree("first node is not the root".into())),
-            (Some(_), 0) => return Err(DecodeError::BadTree(format!("second root at {i}"))),
-            (Some(t), p) => {
-                if p > i {
-                    return Err(DecodeError::BadTree(format!("forward parent at {i}")));
-                }
-                t.add_with_id(ids[p - 1], id, label)
-                    .map_err(|e| DecodeError::BadTree(e.to_string()))?;
-                ids.push(id);
-            }
-        }
+    let node = |d: &mut Decoder| -> Result<_, DecodeError> {
+        Ok((NodeId::from_raw(d.u64()?), d.u32()? as usize, Label::new(d.str()?)))
+    };
+    let (root, parent, label) = node(d)?;
+    if parent != 0 {
+        return Err(DecodeError::BadTree("first node is not the root".into()));
     }
-    Ok(tree.expect("n > 0"))
+    let mut tree = DataTree::with_root_id(root, label);
+    // The root path down to the previous node, as (pre-order index, id):
+    // a node's parent must lie on it, or the bytes are not the pre-order
+    // walk `encode_tree` writes and would re-encode differently.
+    let mut path = vec![(0, root)];
+    for i in 1..n {
+        let (id, parent, label) = node(d)?;
+        while path.last().is_some_and(|&(at, _)| at >= parent) {
+            path.pop();
+        }
+        let Some(&(_, parent_id)) = path.last().filter(|&&(at, _)| at + 1 == parent) else {
+            return Err(DecodeError::BadTree(format!("node {i} breaks pre-order")));
+        };
+        tree.add_with_id(parent_id, id, label).map_err(|e| DecodeError::BadTree(e.to_string()))?;
+        path.push((i, id));
+    }
+    Ok(tree)
 }
 
 pub fn encode_update(e: &mut Encoder, u: &Update) {
@@ -297,25 +333,6 @@ pub fn decode_updates(d: &mut Decoder) -> Result<Vec<Update>, DecodeError> {
     (0..n).map(|_| decode_update(d)).collect()
 }
 
-pub fn encode_node_set(e: &mut Encoder, set: &BTreeSet<NodeRef>) {
-    e.u32(u32::try_from(set.len()).expect("set size fits u32"));
-    for r in set {
-        e.u64(r.id.raw());
-        e.str(r.label.as_str());
-    }
-}
-
-pub fn decode_node_set(d: &mut Decoder) -> Result<BTreeSet<NodeRef>, DecodeError> {
-    let n = d.u32()? as usize;
-    let mut set = BTreeSet::new();
-    for _ in 0..n {
-        let id = NodeId::from_raw(d.u64()?);
-        let label = Label::new(d.str()?);
-        set.insert(NodeRef { id, label });
-    }
-    Ok(set)
-}
-
 /// Constraints travel as their canonical `Display` form (e.g.
 /// `(/patient/visit, ↑)`), which [`parse_constraint`] round-trips exactly.
 pub fn encode_constraint(e: &mut Encoder, c: &Constraint) {
@@ -345,7 +362,11 @@ pub fn encode_certificate(e: &mut Encoder, cert: &Certificate) {
     e.u32(u32::try_from(cert.entries.len()).expect("entry count fits u32"));
     for entry in &cert.entries {
         encode_constraint(e, &entry.constraint);
-        encode_node_set(e, &entry.snapshot);
+        e.u32(u32::try_from(entry.snapshot.len()).expect("set size fits u32"));
+        for r in &entry.snapshot {
+            e.u64(r.id.raw());
+            e.str(r.label.as_str());
+        }
         e.u64(entry.tag);
     }
 }
@@ -357,7 +378,11 @@ pub fn decode_certificate(d: &mut Decoder) -> Result<Certificate, DecodeError> {
     let entries = (0..n)
         .map(|_| {
             let constraint = decode_constraint(d)?;
-            let snapshot = decode_node_set(d)?;
+            let snapshot = (0..d.u32()?)
+                .map(|_| {
+                    Ok(NodeRef { id: NodeId::from_raw(d.u64()?), label: Label::new(d.str()?) })
+                })
+                .collect::<Result<BTreeSet<_>, DecodeError>>()?;
             let tag = d.u64()?;
             Ok(CertEntry { constraint, snapshot, tag })
         })
@@ -404,6 +429,22 @@ mod tests {
         frame.resize(24, 0);
         let mut d = Decoder::new(&frame);
         assert!(matches!(decode_tree(&mut d), Err(DecodeError::Truncated)));
+    }
+
+    /// Node #5 names node #3 as its parent after node #4, a child of the
+    /// root, closed #3's subtree: no pre-order walk writes that.
+    #[test]
+    fn a_parent_off_the_root_path_is_refused() {
+        let mut e = Encoder::new();
+        e.u32(5);
+        for (id, parent) in [(1, 0), (2, 1), (3, 2), (4, 1), (5, 3)] {
+            e.u64(id);
+            e.u32(parent);
+            e.str("a");
+        }
+        let bytes = e.into_bytes();
+        let err = decode_tree(&mut Decoder::new(&bytes)).unwrap_err();
+        assert_eq!(err, DecodeError::BadTree("node 4 breaks pre-order".into()));
     }
 
     #[test]

@@ -3,20 +3,22 @@
 //! binary codec underneath both.
 //!
 //! The crate is deliberately mechanism-only — it knows how to frame,
-//! checksum, persist and reload trees, update batches, baselines and
-//! certificates, but holds no admission logic. `xuc-service` composes
+//! checksum, persist and reload trees, update batches and certificates,
+//! but holds no admission logic. `xuc-service` composes
 //! these pieces into `Gateway::recover`: load [`snapshot`]s, replay the
 //! [`wal`] tail through the live admission path, and arrive at a store
 //! byte-identical to the pre-crash one (the kill/restart differential
 //! harness in `crates/service/tests/differential.rs` is the proof).
 //!
 //! * [`codec`] — fixed-width little-endian primitives; exact-order tree
-//!   encoding; constraints as their canonical parseable text.
-//! * [`wal`] — `[len][checksum][payload]` frames behind a magic header,
-//!   group-commit buffering, torn-tail truncation on reopen, and a
-//!   [`WriteFault`] hook for crash-injection tests.
-//! * [`snapshot`] — one checksummed file per document, written to a
-//!   `.tmp` sibling and installed by atomic rename.
+//!   encoding; constraints as their canonical parseable text; the one
+//!   `[len][checksum][payload]` frame writer and reader.
+//! * [`wal`] — frames behind a magic header, group-commit buffering,
+//!   torn-tail truncation on reopen, and a [`WriteFault`] hook for
+//!   crash-injection tests.
+//! * [`snapshot`] — one framed file per document (tree, suite, commit
+//!   counter and chain anchor), written to a `.tmp` sibling and
+//!   installed by atomic rename.
 //! * [`retry`] — transient-vs-fatal IO error classification and a
 //!   bounded, deterministically backed-off retry loop with an injectable
 //!   clock; the policy half of the gateway's survive-the-fault story.
@@ -31,16 +33,12 @@ pub mod snapshot;
 pub mod stats;
 pub mod wal;
 
-pub use codec::{
-    checksum64, decode_certificate, decode_constraint, decode_node_set, decode_suite, decode_tree,
-    decode_update, decode_updates, encode_certificate, encode_constraint, encode_node_set,
-    encode_suite, encode_tree, encode_update, encode_updates, DecodeError, Decoder, Encoder,
-};
+pub use codec::{checksum64, decode_tree, encode_tree, DecodeError, Decoder, Encoder};
 pub use retry::{
     classify, retry_io, Clock, FaultClass, IoFailure, RetryOutcome, RetryPolicy, SystemClock,
     VirtualClock,
 };
-pub use snapshot::{read_snapshot, read_snapshots, snapshot_path, write_snapshot, DocSnapshot};
+pub use snapshot::{read_snapshots, snapshot_path, write_snapshot, DocSnapshot};
 pub use stats::{persist_counters, PersistCounters};
 pub use wal::{read_wal, WalRecord, WalScan, WalWriter, WriteFault};
 

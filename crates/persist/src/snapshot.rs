@@ -1,71 +1,81 @@
-//! Per-document snapshots: the full admission state of one document in a
-//! single checksummed file, installed atomically.
+//! Per-document snapshots: what replay cannot re-derive about one
+//! document, in a single checksummed file installed atomically.
 //!
-//! A snapshot file is `XUCSNP01` followed by one frame in the WAL's
-//! `[u32 len][u64 checksum][payload]` shape, where the payload is a
-//! [`DocSnapshot`] in the [`crate::codec`] encoding. Writing goes through
-//! a `*.tmp` sibling and an atomic `rename`, so a crash mid-snapshot
-//! leaves either the old snapshot or the new one — never a half-written
-//! file (a stray `.tmp` is ignored by [`read_snapshots`]). File names are
-//! the hex-encoded document name plus `.snap`, so arbitrary document
-//! names never fight the filesystem.
+//! A snapshot holds the committed tree, the constraint suite, the commit
+//! counter and the certificate's chain anchor (`prev_digest` and
+//! `chain_tag`). The signed sets are not stored: they are the suite's
+//! ranges evaluated on the tree, so restoring a document re-derives them
+//! and re-signs them under `prev_digest`, and the stored `chain_tag` must
+//! come out again — a snapshot that contradicts itself cannot be served.
+//!
+//! A snapshot file is `XUCSNP02` followed by one frame of the WAL's
+//! `[u32 len][u64 checksum][payload]` shape ([`append_frame`] /
+//! [`split_frame`]), where the payload is a [`DocSnapshot`] in the
+//! [`crate::codec`] encoding. Writing goes through a `*.tmp` sibling and an
+//! atomic `rename`, so a crash mid-snapshot leaves either the old snapshot
+//! or the new one — never a half-written file (a stray `.tmp` is ignored by
+//! [`read_snapshots`]). File names are the hex-encoded document name plus
+//! `.snap`, so arbitrary document names never fight the filesystem.
 
-use crate::codec::{checksum64, Decoder, Encoder};
-use crate::{
-    decode_certificate, decode_suite, decode_tree, encode_certificate, encode_suite, encode_tree,
-    DecodeError, PersistError,
+use crate::codec::{
+    append_frame, decode_suite, decode_tree, encode_suite, encode_tree, split_frame, DecodeError,
+    Decoder, Encoder,
 };
-use std::collections::BTreeSet;
+use crate::PersistError;
+use std::borrow::Cow;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use xuc_core::Constraint;
-use xuc_sigstore::Certificate;
-use xuc_xtree::NodeRef;
+use xuc_xtree::DataTree;
 
-const SNAP_MAGIC: &[u8; 8] = b"XUCSNP01";
+/// The format tag every snapshot file opens with. `XUCSNP01` files (which
+/// also stored the signed sets and the whole certificate) are refused as
+/// [`DecodeError::BadMagic`].
+const SNAP_MAGIC: &[u8; 8] = b"XUCSNP02";
 
-/// Everything needed to re-open a document without replaying its history:
-/// the committed tree, suite, admission baselines, certificate and commit
-/// counter as of `commits`.
+/// One document as of commit `commits`: everything needed to re-open it
+/// without replaying its history. Writing borrows the served document's
+/// tree and suite; reading owns them.
 #[derive(Debug, Clone)]
-pub struct DocSnapshot {
-    pub doc: String,
+pub struct DocSnapshot<'a> {
+    pub doc: Cow<'a, str>,
     pub commits: u64,
-    pub tree: xuc_xtree::DataTree,
-    pub suite: Vec<Constraint>,
-    /// `suite[i].range`'s evaluation on `tree` — the admission baseline,
-    /// persisted so recovery does not re-evaluate the whole document.
-    pub base_sets: Vec<BTreeSet<NodeRef>>,
-    pub cert: Certificate,
+    pub tree: Cow<'a, DataTree>,
+    pub suite: Cow<'a, [Constraint]>,
+    /// The digest of the certificate before this state's (`0` for a
+    /// document never committed to).
+    pub prev_digest: u64,
+    /// This state's certificate chain tag: what the suite's sets on the
+    /// tree, signed under `prev_digest`, must reproduce.
+    pub chain_tag: u64,
 }
 
-impl DocSnapshot {
+impl DocSnapshot<'_> {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.str(&self.doc);
-        e.u64(self.commits);
-        encode_tree(&mut e, &self.tree);
-        encode_suite(&mut e, &self.suite);
-        e.u32(u32::try_from(self.base_sets.len()).expect("baseline count fits u32"));
-        for set in &self.base_sets {
-            crate::encode_node_set(&mut e, set);
-        }
-        encode_certificate(&mut e, &self.cert);
+        self.encode_into(&mut e);
         e.into_bytes()
     }
 
-    pub fn decode(payload: &[u8]) -> Result<DocSnapshot, DecodeError> {
+    fn encode_into(&self, e: &mut Encoder) {
+        e.str(&self.doc);
+        e.u64(self.commits);
+        encode_tree(e, &self.tree);
+        encode_suite(e, &self.suite);
+        e.u64(self.prev_digest);
+        e.u64(self.chain_tag);
+    }
+
+    pub fn decode(payload: &[u8]) -> Result<DocSnapshot<'static>, DecodeError> {
         let mut d = Decoder::new(payload);
-        let doc = d.str()?.to_owned();
+        let doc = Cow::Owned(d.str()?.to_owned());
         let commits = d.u64()?;
-        let tree = decode_tree(&mut d)?;
-        let suite = decode_suite(&mut d)?;
-        let n = d.u32()? as usize;
-        let base_sets =
-            (0..n).map(|_| crate::decode_node_set(&mut d)).collect::<Result<Vec<_>, _>>()?;
-        let cert = decode_certificate(&mut d)?;
+        let tree = Cow::Owned(decode_tree(&mut d)?);
+        let suite = Cow::Owned(decode_suite(&mut d)?);
+        let prev_digest = d.u64()?;
+        let chain_tag = d.u64()?;
         d.finish()?;
-        Ok(DocSnapshot { doc, commits, tree, suite, base_sets, cert })
+        Ok(DocSnapshot { doc, commits, tree, suite, prev_digest, chain_tag })
     }
 }
 
@@ -79,16 +89,12 @@ pub fn snapshot_path(dir: &Path, doc: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// Writes `snap` atomically: encode + checksum into `<path>.tmp`, fsync,
-/// rename over the final path. Replaces any previous snapshot of the
-/// document.
+/// Writes `snap` atomically: magic and one frame, encoded into one buffer,
+/// into `<path>.tmp`, fsync, rename over the final path. Replaces any
+/// previous snapshot of the document.
 pub fn write_snapshot(dir: &Path, snap: &DocSnapshot) -> io::Result<()> {
-    let payload = snap.encode();
-    let mut bytes = Vec::with_capacity(SNAP_MAGIC.len() + 12 + payload.len());
-    bytes.extend_from_slice(SNAP_MAGIC);
-    bytes.extend_from_slice(&u32::try_from(payload.len()).expect("payload fits u32").to_le_bytes());
-    bytes.extend_from_slice(&checksum64(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
+    let mut bytes = SNAP_MAGIC.to_vec();
+    append_frame(&mut bytes, |e| snap.encode_into(e));
     let path = snapshot_path(dir, &snap.doc);
     let tmp = path.with_extension("tmp");
     {
@@ -101,30 +107,11 @@ pub fn write_snapshot(dir: &Path, snap: &DocSnapshot) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads one snapshot file, validating magic, length and checksum.
-pub fn read_snapshot(path: &Path) -> Result<DocSnapshot, PersistError> {
-    let bytes = std::fs::read(path)?;
-    let header = SNAP_MAGIC.len() + 12;
-    if bytes.len() < header || &bytes[..SNAP_MAGIC.len()] != SNAP_MAGIC {
-        return Err(PersistError::Decode(DecodeError::Truncated));
-    }
-    let len = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-    let sum = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let payload =
-        bytes.get(header..header + len).ok_or(PersistError::Decode(DecodeError::Truncated))?;
-    if bytes.len() != header + len {
-        return Err(PersistError::Decode(DecodeError::TrailingBytes));
-    }
-    if checksum64(payload) != sum {
-        return Err(PersistError::Decode(DecodeError::Checksum));
-    }
-    Ok(DocSnapshot::decode(payload)?)
-}
-
-/// All `*.snap` files under `dir`, sorted by document name (deterministic
-/// recovery order). A missing directory holds no snapshots; stray `.tmp`
-/// files (a crash mid-snapshot) are ignored.
-pub fn read_snapshots(dir: &Path) -> Result<Vec<DocSnapshot>, PersistError> {
+/// All `*.snap` files under `dir`, each validated (magic, framing,
+/// checksum) and decoded, sorted by document name (deterministic recovery
+/// order). A missing directory holds no snapshots; stray `.tmp` files (a
+/// crash mid-snapshot) are ignored.
+pub fn read_snapshots(dir: &Path) -> Result<Vec<DocSnapshot<'static>>, PersistError> {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -133,9 +120,16 @@ pub fn read_snapshots(dir: &Path) -> Result<Vec<DocSnapshot>, PersistError> {
     let mut snaps = Vec::new();
     for entry in entries {
         let path = entry.map_err(PersistError::Io)?.path();
-        if path.extension().and_then(|e| e.to_str()) == Some("snap") {
-            snaps.push(read_snapshot(&path)?);
+        if path.extension().and_then(|e| e.to_str()) != Some("snap") {
+            continue;
         }
+        let bytes = std::fs::read(&path)?;
+        let framed = bytes.strip_prefix(SNAP_MAGIC).ok_or(DecodeError::BadMagic)?;
+        let (payload, rest) = split_frame(framed)?;
+        if !rest.is_empty() {
+            return Err(DecodeError::TrailingBytes.into());
+        }
+        snaps.push(DocSnapshot::decode(payload)?);
     }
     snaps.sort_by(|a, b| a.doc.cmp(&b.doc));
     Ok(snaps)
@@ -145,7 +139,6 @@ pub fn read_snapshots(dir: &Path) -> Result<Vec<DocSnapshot>, PersistError> {
 mod tests {
     use super::*;
     use xuc_core::parse_constraint;
-    use xuc_sigstore::Signer;
     use xuc_xtree::parse_term;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -155,13 +148,15 @@ mod tests {
         dir
     }
 
-    fn sample(doc: &str) -> DocSnapshot {
-        let tree = parse_term("h(patient#2(visit#3,visit#4))").unwrap();
-        let suite = vec![parse_constraint("(/patient/visit, ↑)").unwrap()];
-        let mut ev = xuc_xpath::Evaluator::new(&tree);
-        let base_sets: Vec<_> = suite.iter().map(|c| ev.eval(&c.range)).collect();
-        let cert = Signer::new(3).certify_precomputed(&suite, &base_sets);
-        DocSnapshot { doc: doc.into(), commits: 4, tree, suite, base_sets, cert }
+    fn sample(doc: &str) -> DocSnapshot<'static> {
+        DocSnapshot {
+            doc: Cow::Owned(doc.into()),
+            commits: 4,
+            tree: Cow::Owned(parse_term("h(patient#2(visit#3,visit#4))").unwrap()),
+            suite: Cow::Owned(vec![parse_constraint("(/patient/visit, ↑)").unwrap()]),
+            prev_digest: 0x0123_4567_89ab_cdef,
+            chain_tag: 0xfeed,
+        }
     }
 
     #[test]
@@ -176,8 +171,10 @@ mod tests {
         assert_eq!(b.commits, snap.commits);
         assert_eq!(b.tree.preorder_snapshot(), snap.tree.preorder_snapshot());
         assert_eq!(b.suite, snap.suite);
-        assert_eq!(b.base_sets, snap.base_sets);
-        assert_eq!(b.cert, snap.cert);
+        assert_eq!((b.prev_digest, b.chain_tag), (snap.prev_digest, snap.chain_tag));
+        // Magic, frame header and payload, nothing else.
+        let file = std::fs::metadata(snapshot_path(&dir, "mercy-west")).unwrap().len();
+        assert_eq!(file as usize, 8 + 12 + snap.encode().len());
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! ```
 //!
 //! where the payload is one [`WalRecord`] in the [`crate::codec`] encoding.
+//! Frames are written by [`crate::codec::append_frame`] and read by
+//! [`crate::codec::split_frame`], the framing snapshot files use too.
 //!
 //! # Torn-tail policy
 //!
@@ -30,10 +32,10 @@
 //! is exactly the [`WriteFault::LoseBuffered`] fault the kill/restart
 //! differential harness injects.
 
-use crate::codec::{checksum64, Decoder, Encoder};
-use crate::{
-    decode_certificate, decode_suite, decode_tree, decode_updates, encode_certificate,
-    encode_suite, encode_tree, encode_updates, DecodeError,
+use crate::codec::{
+    append_frame, decode_certificate, decode_suite, decode_tree, decode_updates,
+    encode_certificate, encode_suite, encode_tree, encode_updates, split_frame, DecodeError,
+    Decoder, Encoder,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -43,7 +45,6 @@ use xuc_sigstore::Certificate;
 use xuc_xtree::{DataTree, Update};
 
 const WAL_MAGIC: &[u8; 8] = b"XUCWAL01";
-const FRAME_HEADER: u64 = 4 + 8;
 
 /// One logged event. The WAL records *accepted* state transitions only —
 /// rejected batches leave no trace (they changed nothing).
@@ -173,23 +174,13 @@ pub fn read_wal(path: &Path) -> io::Result<WalScan> {
         if rest.is_empty() {
             return Ok(WalScan { records, valid_len: pos as u64, torn: false });
         }
-        let torn = |records: Vec<WalRecord>| WalScan { records, valid_len: pos as u64, torn: true };
-        if rest.len() < FRAME_HEADER as usize {
-            return Ok(torn(records));
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        let sum = u64::from_le_bytes(rest[4..12].try_into().expect("8 bytes"));
-        let Some(payload) = rest.get(FRAME_HEADER as usize..FRAME_HEADER as usize + len) else {
-            return Ok(torn(records));
-        };
-        if checksum64(payload) != sum {
-            return Ok(torn(records));
-        }
-        let Ok(rec) = WalRecord::decode(payload) else {
-            return Ok(torn(records));
+        let frame = split_frame(rest)
+            .and_then(|(payload, after)| Ok((WalRecord::decode(payload)?, after.len())));
+        let Ok((rec, after)) = frame else {
+            return Ok(WalScan { records, valid_len: pos as u64, torn: true });
         };
         records.push(rec);
-        pos += FRAME_HEADER as usize + len;
+        pos = bytes.len() - after;
     }
 }
 
@@ -307,21 +298,12 @@ impl WalWriter {
     }
 
     /// Frames the payload `encode` writes, encoding it straight into the
-    /// group-commit buffer (the frame header is patched in after it), so
-    /// no second copy of the payload exists.
+    /// group-commit buffer, so no second copy of the payload exists.
     fn append_with(&mut self, encode: impl FnOnce(&mut Encoder)) -> io::Result<()> {
         let start = self.pending.len();
-        let mut e = Encoder::with_bytes(std::mem::take(&mut self.pending));
-        e.u32(0);
-        e.u64(0);
-        encode(&mut e);
-        self.pending = e.into_bytes();
-        let (header, payload) = self.pending[start..].split_at_mut(FRAME_HEADER as usize);
-        let len = u32::try_from(payload.len()).expect("payload fits u32");
-        header[..4].copy_from_slice(&len.to_le_bytes());
-        header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
+        let frame = append_frame(&mut self.pending, encode);
         crate::stats::bump(&crate::stats::WAL_FRAMES, 1);
-        crate::stats::bump(&crate::stats::WAL_BYTES, FRAME_HEADER + payload.len() as u64);
+        crate::stats::bump(&crate::stats::WAL_BYTES, frame as u64);
         self.last_frame_start = self.len + start as u64;
         self.pending_frames += 1;
         if self.pending_frames >= self.group_commit {
@@ -338,6 +320,10 @@ impl WalWriter {
     /// have left instead of appending after it. That is what lets the
     /// journal's bounded-retry loop simply call `sync` again on a
     /// transient fault.
+    ///
+    /// A buffer left holding more than twice the batch it just wrote is
+    /// shrunk to that batch, so one large frame (a publish) does not stay
+    /// resident for the writer's lifetime.
     pub fn sync(&mut self) -> io::Result<()> {
         if self.pending.is_empty() {
             return Ok(());
@@ -350,8 +336,12 @@ impl WalWriter {
         self.file.sync_all()?;
         crate::stats::bump(&crate::stats::WAL_FLUSHES, 1);
         crate::stats::bump(&crate::stats::WAL_FSYNCS, 1);
-        self.len += self.pending.len() as u64;
+        let written = self.pending.len();
+        self.len += written as u64;
         self.pending.clear();
+        if self.pending.capacity() > 2 * written {
+            self.pending.shrink_to(written);
+        }
         self.pending_frames = 0;
         Ok(())
     }
@@ -718,6 +708,29 @@ mod tests {
         w.append(&records[1]).unwrap();
         w.simulate_crash(WriteFault::DiskFull).unwrap();
         assert_eq!(read_wal(&path).unwrap().records, records[..1]);
+    }
+
+    #[test]
+    fn a_large_frame_does_not_stay_resident() {
+        let path = tmp("shrink");
+        let mut tree = DataTree::with_root_id(NodeId::from_raw(1), "h");
+        for i in 2..10_000 {
+            tree.add_with_id(NodeId::from_raw(1), NodeId::from_raw(i), "visit").unwrap();
+        }
+        let large = WalRecord::Publish { doc: "h".into(), tree, suite: Vec::new() };
+        let small = &sample_records()[1];
+        let (mut w, _) = WalWriter::open(&path, 1).unwrap();
+        w.append(&large).unwrap();
+        assert!(w.pending.capacity() >= large.encode().len(), "the large frame used the buffer");
+        w.append(small).unwrap();
+        let small_batch = small.encode().len() + 12;
+        assert!(
+            w.pending.capacity() <= 2 * small_batch,
+            "capacity {} kept after a {small_batch}-byte batch",
+            w.pending.capacity()
+        );
+        drop(w);
+        assert_eq!(read_wal(&path).unwrap().records, vec![large, small.clone()]);
     }
 
     #[test]

@@ -1,14 +1,20 @@
 //! Property tests for the persistence codec: `encode ∘ decode = id` over
 //! random trees, update batches, certificates, WAL records and document
-//! snapshots — and decode-rejects-corruption (a flipped bit anywhere in a
-//! WAL file's frame region never produces a wrong record: the scan yields
-//! an exact prefix of what was written).
+//! snapshots — decode-rejects-corruption (a flipped bit anywhere in a WAL
+//! file's frame region never produces a wrong record: the scan yields an
+//! exact prefix of what was written) — and a mutation fuzzer: snapshot
+//! payloads and WAL frames mangled and then re-checksummed, so only the
+//! decoder stands between them and recovery, decode to a typed error or
+//! to a value whose tree re-encodes to exactly the bytes it came from.
 
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use xuc_core::{parse_constraint, Constraint};
+use xuc_persist::codec::split_frame;
 use xuc_persist::{
-    decode_tree, encode_tree, read_wal, Decoder, DocSnapshot, Encoder, WalRecord, WalWriter,
+    checksum64, decode_tree, encode_tree, read_wal, Decoder, DocSnapshot, Encoder, WalRecord,
+    WalWriter,
 };
 use xuc_sigstore::{Certificate, Signer};
 use xuc_xtree::{DataTree, Label, NodeId, NodeRef, Update};
@@ -107,13 +113,88 @@ fn record_strategy() -> BoxedStrategy<WalRecord> {
     Union::new(vec![publish, commit]).boxed()
 }
 
+fn snapshot_strategy() -> impl Strategy<Value = DocSnapshot<'static>> {
+    (
+        tree_strategy(12),
+        proptest::collection::vec(0..CONSTRAINTS.len(), 0..4),
+        0..10_000usize,
+        0..usize::MAX,
+        0..usize::MAX,
+    )
+        .prop_map(|(tree, cs, commits, prev, tag)| DocSnapshot {
+            doc: Cow::Borrowed("prop-doc"),
+            commits: commits as u64,
+            tree: Cow::Owned(tree),
+            suite: cs.iter().map(|&c| parse_constraint(CONSTRAINTS[c]).unwrap()).collect(),
+            prev_digest: prev as u64,
+            chain_tag: tag as u64,
+        })
+}
+
 fn assert_snap_eq(a: &DocSnapshot, b: &DocSnapshot) {
     assert_eq!(a.doc, b.doc);
     assert_eq!(a.commits, b.commits);
     assert_eq!(a.tree.preorder_snapshot(), b.tree.preorder_snapshot());
     assert_eq!(a.suite, b.suite);
-    assert_eq!(a.base_sets, b.base_sets);
-    assert_eq!(a.cert, b.cert);
+    assert_eq!((a.prev_digest, a.chain_tag), (b.prev_digest, b.chain_tag));
+}
+
+/// One byte-level mutation of an encoded payload: flip a bit, overwrite a
+/// byte, delete a span, duplicate a span, or insert a run of one byte.
+#[derive(Debug, Clone)]
+struct Mutation {
+    op: usize,
+    at: usize,
+    span: usize,
+    byte: u8,
+}
+
+fn mutations() -> impl Strategy<Value = Vec<Mutation>> {
+    let one = (0..5usize, 0..usize::MAX, 1..16usize, 0..256usize)
+        .prop_map(|(op, at, span, byte)| Mutation { op, at, span, byte: byte as u8 });
+    proptest::collection::vec(one, 1..4)
+}
+
+impl Mutation {
+    fn apply(&self, bytes: &mut Vec<u8>) {
+        if bytes.is_empty() {
+            bytes.push(self.byte);
+            return;
+        }
+        let at = self.at % bytes.len();
+        let end = (at + self.span).min(bytes.len());
+        match self.op {
+            0 => bytes[at] ^= 1 << (self.byte % 8),
+            1 => bytes[at] = self.byte,
+            2 => drop(bytes.drain(at..end)),
+            3 => {
+                let dup = bytes[at..end].to_vec();
+                bytes.splice(at..at, dup);
+            }
+            _ => drop(bytes.splice(at..at, std::iter::repeat_n(self.byte, self.span))),
+        }
+    }
+}
+
+/// `payload` after `muts`, framed with a fresh length and checksum: the
+/// frame reader accepts it, so only the decoder can refuse it.
+fn mutated_frame(payload: &[u8], muts: &[Mutation]) -> Vec<u8> {
+    let mut bytes = payload.to_vec();
+    for m in muts {
+        m.apply(&mut bytes);
+    }
+    let mut frame = (bytes.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&checksum64(&bytes).to_le_bytes());
+    frame.extend_from_slice(&bytes);
+    frame
+}
+
+/// `tree`'s encoding is exactly the bytes of `payload` at `start`.
+fn tree_reencodes_from(tree: &xuc_xtree::DataTree, payload: &[u8], start: usize) {
+    let mut e = Encoder::new();
+    encode_tree(&mut e, tree);
+    let bytes = e.into_bytes();
+    assert_eq!(payload.get(start..start + bytes.len()), Some(&bytes[..]), "tree re-encodes");
 }
 
 proptest! {
@@ -128,27 +209,7 @@ proptest! {
 
     /// encode ∘ decode = id on document snapshots.
     #[test]
-    fn snapshot_round_trip(
-        tree in tree_strategy(12),
-        sets in proptest::collection::vec(node_set_strategy(), 0..3),
-        commits_seed in 0..10_000usize,
-    ) {
-        let commits = commits_seed as u64;
-        let suite: Vec<Constraint> = CONSTRAINTS
-            .iter()
-            .take(sets.len())
-            .map(|s| parse_constraint(s).unwrap())
-            .collect();
-        let sets = sets[..suite.len()].to_vec();
-        let cert = Signer::new(0x5eed).certify_chained(&suite, &sets, commits);
-        let snap = DocSnapshot {
-            doc: "prop-doc".into(),
-            commits,
-            tree,
-            suite,
-            base_sets: sets,
-            cert,
-        };
+    fn snapshot_round_trip(snap in snapshot_strategy()) {
         let back = DocSnapshot::decode(&snap.encode()).unwrap();
         assert_snap_eq(&snap, &back);
     }
@@ -210,6 +271,82 @@ proptest! {
             prop_assert!(back != rec, "mangled payload decoded to the original record");
         }
     }
+}
+
+/// A mutated, re-checksummed snapshot payload decodes to a typed error or
+/// to a snapshot whose tree re-encodes to the very bytes it was decoded
+/// from, and which is a fixed point of encode ∘ decode. Both outcomes
+/// occur, so neither arm is dead.
+#[test]
+fn mutated_snapshot_payloads_decode_typed_or_exact() {
+    let mut rng = proptest::test_runner::TestRng::deterministic("snapshot-fuzz");
+    let (snaps, muts) = (snapshot_strategy(), mutations());
+    let mut outcomes = [0usize; 2];
+    for _ in 0..512 {
+        let frame = mutated_frame(&snaps.generate(&mut rng).encode(), &muts.generate(&mut rng));
+        let (payload, rest) = split_frame(&frame).unwrap();
+        assert!(rest.is_empty());
+        match DocSnapshot::decode(payload) {
+            Ok(back) => {
+                tree_reencodes_from(&back.tree, payload, 4 + back.doc.len() + 8);
+                assert_snap_eq(&back, &DocSnapshot::decode(&back.encode()).unwrap());
+                outcomes[0] += 1;
+            }
+            Err(_) => outcomes[1] += 1,
+        }
+    }
+    assert!(outcomes.iter().all(|&n| n > 0), "decoded / refused: {outcomes:?}");
+}
+
+/// A mutated, re-checksummed WAL frame between two good ones: the scan
+/// yields the first record, then either stops there as a torn tail or
+/// yields exactly what the mutated payload decodes to and goes on. A
+/// decoded publish's tree re-encodes to its own bytes, and every decoded
+/// record is a fixed point of encode ∘ decode.
+#[test]
+fn mutated_wal_frames_decode_typed_or_exact() {
+    let dir = std::env::temp_dir().join(format!("xuc-prop-fuzz-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wal.log");
+    let mut rng = proptest::test_runner::TestRng::deterministic("wal-fuzz");
+    let (records, muts) = (record_strategy(), mutations());
+    let mut outcomes = [0usize; 2];
+    for _ in 0..512 {
+        let rec = records.generate(&mut rng);
+        let good = mutated_frame(&rec.encode(), &[]);
+        let frame = mutated_frame(&rec.encode(), &muts.generate(&mut rng));
+        let (payload, _) = split_frame(&frame).unwrap();
+        let decoded = WalRecord::decode(payload);
+        if let Ok(back) = &decoded {
+            if let WalRecord::Publish { doc, tree, .. } = back {
+                tree_reencodes_from(tree, payload, 1 + 4 + doc.len());
+            }
+            assert!(WalRecord::decode(&back.encode()).unwrap() == *back);
+        }
+
+        let _ = std::fs::remove_file(&path);
+        drop(WalWriter::open(&path, 1).unwrap());
+        let mut file = std::fs::read(&path).unwrap();
+        for f in [&good, &frame, &good] {
+            file.extend_from_slice(f);
+        }
+        std::fs::write(&path, &file).unwrap();
+        let scan = read_wal(&path).unwrap();
+        assert!(scan.records[0] == rec);
+        match decoded {
+            Ok(back) => {
+                assert!(!scan.torn && scan.records.len() == 3 && scan.records[1] == back);
+                outcomes[0] += 1;
+            }
+            Err(_) => {
+                assert!(scan.torn && scan.records.len() == 1);
+                outcomes[1] += 1;
+            }
+        }
+    }
+    assert!(outcomes.iter().all(|&n| n > 0), "decoded / refused: {outcomes:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Flipping any byte of a WAL file's frame region yields an exact prefix

@@ -14,16 +14,17 @@
 //!   can lose a suffix of *acknowledged* commits — the classic durability
 //!   window, bounded by the batch size and closed by `group_commit = 1`.
 //! * **Snapshots and truncation.** Every `snapshot_every` commits a
-//!   document's full admission state is written (atomic rename); once
+//!   document's tree, suite, commit counter and chain anchor are written
+//!   (atomic rename) — its signed sets are re-derived at restore; once
 //!   every document logged in the WAL is covered by a snapshot at least
 //!   as new, the whole log is truncated. Recovery cost is therefore
 //!   bounded by the snapshot cadence, not by history length (measured by
 //!   the E-REC experiment).
-//! * **Recovery = snapshots + replay.** `recover` loads snapshots,
-//!   re-runs the WAL tail through the *live* admission path
-//!   ([`Session`]), and cross-checks every replayed certificate against
-//!   the logged one — recovery that diverges from the original run is an
-//!   error, never a silent wrong state. The kill/restart differential
+//! * **Recovery = snapshots + replay.** `recover` re-opens each snapshot
+//!   through the one document constructor, re-runs the WAL tail through
+//!   the *live* admission path ([`Session`]), and cross-checks every
+//!   replayed certificate against the logged one — recovery that diverges
+//!   from the original run is an error, never a silent wrong state. The kill/restart differential
 //!   harness (`tests/differential.rs`) asserts byte-identical recovery
 //!   under injected write faults at several worker counts.
 //! * **Survive-the-fault journal.** A journal IO error is classified
@@ -44,6 +45,7 @@ use crate::session::Session;
 use crate::store::{Document, DocumentStore, PublishError};
 use crate::DocId;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -52,7 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::MutexGuard;
 use xuc_persist::{
     read_snapshots, retry_io, write_snapshot, Clock, DocSnapshot, IoFailure, PersistError,
-    RetryPolicy, WalRecord, WalWriter,
+    RetryOutcome, RetryPolicy, WalRecord, WalWriter,
 };
 use xuc_sigstore::{Certificate, Signer};
 use xuc_xtree::{DataTree, NodeId, Update};
@@ -321,12 +323,28 @@ impl Journal {
     /// disk that cannot take snapshots can never truncate its log — the
     /// gateway must degrade before the log grows without bound.
     pub(crate) fn snapshot(&self, doc: &Document) -> Result<(), JournalError> {
-        let snap = doc_snapshot(doc);
-        let outcome = retry_io(self.opts.retry, &*self.clock, || write_snapshot(&self.dir, &snap));
+        let outcome = self.install_snapshot(doc);
         let mut inner = self.lock();
         self.settle(&mut inner, outcome.map(|o| o.retries), "snapshot write")?;
         inner.snapshotted.insert(doc.id(), doc.commits());
         self.try_truncate(&mut inner)
+    }
+
+    /// Writes `doc`'s snapshot under the retry policy, encoded straight
+    /// from the locked document: its tree and suite are borrowed, not
+    /// copied, and its signed sets are not written (restore re-derives
+    /// them).
+    fn install_snapshot(&self, doc: &Document) -> Result<RetryOutcome<()>, IoFailure> {
+        let header = doc.certificate_header();
+        let snap = DocSnapshot {
+            doc: Cow::Borrowed(doc.id().as_str()),
+            commits: doc.commits(),
+            tree: Cow::Borrowed(doc.tree()),
+            suite: Cow::Borrowed(doc.suite()),
+            prev_digest: header.prev_digest,
+            chain_tag: header.chain_tag,
+        };
+        retry_io(self.opts.retry, &*self.clock, || write_snapshot(&self.dir, &snap))
     }
 
     /// Truncates the whole log iff every logged document has a snapshot
@@ -407,8 +425,7 @@ impl Journal {
             if covered && doc.commits() == durable {
                 continue;
             }
-            let snap = doc_snapshot(&doc);
-            retry_io(self.opts.retry, &*self.clock, || write_snapshot(&self.dir, &snap))
+            self.install_snapshot(&doc)
                 .map_err(|f| ResumeError::Persist(PersistError::Io(f.error)))?;
             resnapshotted.push((id, doc.commits()));
         }
@@ -432,19 +449,6 @@ impl Journal {
     }
 }
 
-/// The snapshot of `doc`'s current state: the one snapshot builder of
-/// [`Journal::snapshot`] and [`Journal::resume`].
-fn doc_snapshot(doc: &Document) -> DocSnapshot {
-    DocSnapshot {
-        doc: doc.id().as_str().to_owned(),
-        commits: doc.commits(),
-        tree: doc.tree().clone(),
-        suite: doc.suite().to_vec(),
-        base_sets: doc.baseline().to_vec(),
-        cert: doc.certificate(),
-    }
-}
-
 /// Why [`Gateway::recover`](crate::Gateway::recover) refused to come up.
 /// Recovery is all-or-nothing: a journal that cannot be replayed exactly
 /// is surfaced, never partially applied.
@@ -460,9 +464,9 @@ pub enum RecoverError {
     /// the live admission path disagree on an *accepted* batch.
     ReplayFailed { doc: String, commit: u64, error: String },
     /// Replay ran but did not reproduce the logged commit number or the
-    /// logged certificate (hash chain included) — or a snapshot's
-    /// certificate is not the one its own baselines sign (`commit` is
-    /// then the snapshot's commit count).
+    /// logged certificate (hash chain included) — or a snapshot's stored
+    /// chain tag is not the one its own tree, suite and `prev_digest`
+    /// sign (`commit` is then the snapshot's commit count).
     Diverged { doc: String, commit: u64 },
     /// The durability directory contradicts itself: two snapshots, or a
     /// snapshot-plus-publish race, claim the same document id. Snapshot
@@ -544,9 +548,10 @@ fn update_max_id(u: &Update) -> u64 {
 /// Rebuilds gateway state from `dir` (created if absent — an empty
 /// directory recovers to an empty, durable gateway):
 ///
-/// 1. install every snapshot (committed state with a fresh evaluator and
-///    cache-shared automata; a snapshot whose certificate its own
-///    baselines do not reproduce is [`RecoverError::Diverged`]);
+/// 1. open every snapshot through the one document constructor (its tree
+///    with a fresh evaluator, cache-shared automata, the signed sets
+///    re-derived and re-signed under its `prev_digest`); a snapshot whose
+///    stored chain tag does not come out again is [`RecoverError::Diverged`];
 /// 2. replay the WAL's durable prefix through [`Session::commit`], the
 ///    call every [`Gateway::submit`](crate::Gateway::submit) makes,
 ///    skipping records a snapshot already covers (replay is idempotent),
@@ -571,7 +576,13 @@ pub(crate) fn recover(
         let (id, commits) = (DocId::new(&snap.doc), snap.commits);
         max_id = max_id.max(tree_max_id(&snap.tree));
         let compiled = cache.get_or_compile(&snap.suite);
-        let doc = Document::restore(snap, compiled, signer)?;
+        let (tree, suite) = (snap.tree.into_owned(), snap.suite.into_owned());
+        let doc = Document::open(id, tree, suite, compiled, signer, snap.prev_digest, commits);
+        // A tampered tree, suite or anchor signs differently: serving it
+        // would hand out a certificate its own history does not chain to.
+        if doc.header.chain_tag != snap.chain_tag {
+            return Err(RecoverError::Diverged { doc: id.as_str().to_owned(), commit: commits });
+        }
         if store.install(doc).is_err() {
             // Snapshot file names derive from document names, so a
             // duplicate means the directory contradicts itself.

@@ -22,7 +22,6 @@
 //! impossible by construction.
 
 use crate::cache::SuiteCache;
-use crate::persist::RecoverError;
 use crate::DocId;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeSet;
@@ -31,7 +30,6 @@ use std::fmt;
 use std::sync::Arc;
 use xuc_automata::CompiledPatternSet;
 use xuc_core::Constraint;
-use xuc_persist::DocSnapshot;
 use xuc_sigstore::{CertHeader, Certificate, Signer};
 use xuc_xpath::{Evaluator, Pattern};
 use xuc_xtree::{DataTree, NodeRef};
@@ -68,47 +66,25 @@ pub struct Document {
 }
 
 impl Document {
-    fn open(
+    /// The one constructor of a served document — publish, the WAL's
+    /// publish replay and snapshot restore all build through it. The warm
+    /// evaluator takes the tree over, one `eval_set` derives the signed
+    /// sets, and the header signs them as the successor of `prev_digest`
+    /// at commit `commits` (`0` and `0` for a publish), so the baselines
+    /// agree with the tree by construction.
+    pub(crate) fn open(
         id: DocId,
         tree: DataTree,
         suite: Vec<Constraint>,
         compiled: Arc<CompiledPatternSet>,
         signer: &Signer,
+        prev_digest: u64,
+        commits: u64,
     ) -> Document {
         let mut ev = Evaluator::from_tree(tree);
         let base_sets = ev.eval_set(&*compiled);
-        let header = CertHeader::new(signer, &suite, &base_sets, 0);
-        Document { id, ev, suite, compiled, base_sets, header, commits: 0, panics: 0 }
-    }
-
-    /// Reassembles a document from a snapshot (the recovery path). The
-    /// snapshot's tree, baselines and commit counter are trusted as the
-    /// committed state; the warm evaluator takes the tree over, the suite's
-    /// automaton comes back through the cache (recovered documents under
-    /// one policy still share one compile), and the certificate's sums
-    /// are re-hashed from the baselines.
-    ///
-    /// A snapshot whose certificate does not match those baselines — other
-    /// constraints than the suite, a signed set that differs from its
-    /// baseline, or a tag or chain tag that the baselines do not
-    /// reproduce — is refused as [`RecoverError::Diverged`]: serving it
-    /// would hand out a certificate that fails `verify`.
-    pub(crate) fn restore(
-        snap: DocSnapshot,
-        compiled: Arc<CompiledPatternSet>,
-        signer: &Signer,
-    ) -> Result<Document, RecoverError> {
-        let DocSnapshot { doc, commits, tree, suite, base_sets, cert } = snap;
-        if suite.len() != base_sets.len() {
-            return Err(RecoverError::Diverged { doc, commit: commits });
-        }
-        let header = CertHeader::new(signer, &suite, &base_sets, cert.prev_digest);
-        if !header.describes(&cert, &base_sets) {
-            return Err(RecoverError::Diverged { doc, commit: commits });
-        }
-        let ev = Evaluator::from_tree(tree);
-        let id = DocId::new(&doc);
-        Ok(Document { id, ev, suite, compiled, base_sets, header, commits, panics: 0 })
+        let header = CertHeader::new(signer, &suite, &base_sets, prev_digest);
+        Document { id, ev, suite, compiled, base_sets, header, commits, panics: 0 }
     }
 
     pub fn id(&self) -> DocId {
@@ -234,7 +210,7 @@ impl DocumentStore {
             return Err(PublishError::Duplicate(id));
         }
         let compiled = cache.get_or_compile(&suite);
-        Ok(Document::open(id, tree, suite, compiled, signer))
+        Ok(Document::open(id, tree, suite, compiled, signer, 0, 0))
     }
 
     /// Is a document registered under `id`?

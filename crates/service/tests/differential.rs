@@ -16,6 +16,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use xuc_core::{parse_constraint, Constraint, ConstraintKind};
+use xuc_persist::DecodeError;
 use xuc_service::reference::FullPass;
 use xuc_service::workload::SplitMix;
 use xuc_service::{
@@ -470,36 +471,50 @@ fn kill_restart_recovers_byte_identical() {
     );
 }
 
-/// A snapshot that contradicts itself — its certificate is not the one
-/// its own baselines sign — must stop recovery with a typed
-/// `RecoverError::Diverged` naming the snapshot's commit, never bring up a
-/// gateway whose certificate fails `verify`. Each tampered snapshot is
-/// written through `write_snapshot`, so its frame checksum is valid and
-/// only the certificate check can catch it.
+/// Publishes "snapped" durably into `dir`, commits twice under snapshot
+/// cadence 2 (so the snapshot covers everything and the WAL is empty) and
+/// returns the snapshot file's path.
+fn snapshotted_dir(key: u64, dir: &std::path::Path) -> std::path::PathBuf {
+    let _ = std::fs::remove_dir_all(dir);
+    let opts = DurableOptions { snapshot_every: Some(2), ..DurableOptions::default() };
+    let doc = DocId::new("snapped");
+    let gw = durable(key, dir, opts).unwrap();
+    let tree = xuc_xtree::parse_term("h#1(patient#2(visit#3),patient#4(visit#5))").unwrap();
+    let suite = vec![
+        parse_constraint("(/patient/visit, ↑)").unwrap(),
+        parse_constraint("(/patient, ↓)").unwrap(),
+        parse_constraint("(//visit, ↑)").unwrap(),
+    ];
+    gw.publish(doc, tree, suite).unwrap();
+    for parent in [2, 4] {
+        let visit = Update::InsertLeaf {
+            parent: NodeId::from_raw(parent),
+            id: NodeId::fresh(),
+            label: "visit".into(),
+        };
+        assert!(gw.submit(&Request { doc, updates: vec![visit] }).is_accepted());
+    }
+    let snaps: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+        .collect();
+    assert_eq!(snaps.len(), 1);
+    snaps.into_iter().next().unwrap()
+}
+
+/// A snapshot that contradicts itself — its stored chain tag is not the
+/// one its own tree, suite and `prev_digest` sign — must stop recovery
+/// with a typed `RecoverError::Diverged` naming the snapshot's commit,
+/// never bring up a gateway whose certificate fails `verify`. Each
+/// tampered snapshot is written through `write_snapshot`, so its frame
+/// checksum is valid and only the re-derived chain tag can catch it.
 #[test]
 fn self_contradicting_snapshot_recovers_as_diverged() {
     let key = 0x5AFE;
     let dir = std::env::temp_dir().join(format!("xuc-diff-snap-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    snapshotted_dir(key, &dir);
     let opts = DurableOptions { snapshot_every: Some(2), ..DurableOptions::default() };
-    let doc = DocId::new("snapped");
-    let tree = xuc_xtree::parse_term("h#1(patient#2(visit#3),patient#4)").unwrap();
-    let suite = vec![
-        parse_constraint("(/patient/visit, ↑)").unwrap(),
-        parse_constraint("(/patient, ↓)").unwrap(),
-    ];
-    {
-        let gw = durable(key, &dir, opts).unwrap();
-        gw.publish(doc, tree, suite).unwrap();
-        for parent in [2, 4] {
-            let visit = Update::InsertLeaf {
-                parent: NodeId::from_raw(parent),
-                id: NodeId::fresh(),
-                label: "visit".into(),
-            };
-            assert!(gw.submit(&Request { doc, updates: vec![visit] }).is_accepted());
-        }
-    }
     let snaps = xuc_persist::read_snapshots(&dir).unwrap();
     assert_eq!(snaps.len(), 1);
     let good = snaps.into_iter().next().unwrap();
@@ -507,26 +522,17 @@ fn self_contradicting_snapshot_recovers_as_diverged() {
     let recover = || durable(key, &dir, opts);
     assert!(recover().is_ok(), "the untampered snapshot recovers");
 
-    fn relabel_first(set: &mut BTreeSet<NodeRef>) {
-        let first = *set.iter().next().unwrap();
-        set.remove(&first);
-        set.insert(NodeRef { id: first.id, label: Label::new("w") });
-    }
-    type Tamper = fn(&mut xuc_persist::DocSnapshot);
-    let tampers: [(&str, Tamper); 5] = [
-        ("signed set differs from its baseline", |s| {
-            relabel_first(&mut s.cert.entries[0].snapshot);
+    type Tamper = fn(&mut xuc_persist::DocSnapshot<'static>);
+    let tampers: [(&str, Tamper); 4] = [
+        // The tree now puts visit#3 outside the signed (/patient/visit).
+        ("tree relabelled inside a signed range", |s| {
+            s.tree.to_mut().relabel(NodeId::from_raw(3), "note").unwrap();
         }),
-        ("constraint differs from the suite", |s| {
-            s.cert.entries[1].constraint = parse_constraint("(/patient, ↑)").unwrap();
+        ("constraint differs from the one signed", |s| {
+            s.suite.to_mut()[1] = parse_constraint("(/patient, ↑)").unwrap();
         }),
-        ("tag differs from the recomputed one", |s| s.cert.entries[1].tag ^= 1),
-        ("chain tag differs from the recomputed one", |s| s.cert.chain_tag ^= 1),
-        // The sets agree, but the carried tag no longer signs them.
-        ("one entry relabelled in the certificate and the baseline", |s| {
-            relabel_first(&mut s.cert.entries[0].snapshot);
-            relabel_first(&mut s.base_sets[0]);
-        }),
+        ("prev_digest differs from the one signed", |s| s.prev_digest ^= 1),
+        ("chain tag differs from the recomputed one", |s| s.chain_tag ^= 1),
     ];
     for (what, tamper) in tampers {
         let mut bad = good.clone();
@@ -539,6 +545,88 @@ fn self_contradicting_snapshot_recovers_as_diverged() {
             Err(e) => panic!("{what}: expected Diverged, got {e}"),
             Ok(_) => panic!("{what}: a self-contradicting snapshot was served"),
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Snapshot payloads mutated byte-wise (bit flips, overwrites, deleted,
+/// duplicated and inserted spans) and re-checksummed, so the frame reader
+/// passes them: recovery either serves documents whose certificates
+/// `verify` against the served trees, or refuses with a typed
+/// `RecoverError` — never a panic. Both outcomes occur.
+#[test]
+fn mutated_snapshots_recover_verified_or_typed() {
+    let key = 0xF022;
+    let dir = std::env::temp_dir().join(format!("xuc-diff-fuzz-{}", std::process::id()));
+    let path = snapshotted_dir(key, &dir);
+    let clean = std::fs::read(&path).unwrap();
+    let (magic, payload) = (&clean[..8], &clean[8 + 12..]);
+    let opts = DurableOptions { snapshot_every: None, ..DurableOptions::default() };
+    let mut rng = SplitMix::new(0xF022);
+    let (mut served, mut refused) = (0, 0);
+    for case in 0..300 {
+        let mut bytes = payload.to_vec();
+        for _ in 0..1 + rng.below(3) {
+            let at = rng.below(bytes.len());
+            let end = (at + 1 + rng.below(12)).min(bytes.len());
+            let byte = rng.next_u64() as u8;
+            match rng.below(5) {
+                0 => bytes[at] ^= 1 << (byte % 8),
+                1 => bytes[at] = byte,
+                2 => drop(bytes.drain(at..end)),
+                3 => {
+                    let dup = bytes[at..end].to_vec();
+                    bytes.splice(at..at, dup);
+                }
+                _ => bytes.insert(at, byte),
+            }
+            if bytes.is_empty() {
+                bytes.push(byte);
+            }
+        }
+        let mut file = magic.to_vec();
+        file.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        file.extend_from_slice(&xuc_persist::checksum64(&bytes).to_le_bytes());
+        file.extend_from_slice(&bytes);
+        let _ = std::fs::remove_file(xuc_service::persist::wal_path(&dir));
+        std::fs::write(&path, &file).unwrap();
+        match durable(key, &dir, opts) {
+            Ok(gw) => {
+                for id in gw.store().doc_ids() {
+                    let cert = gw.certificate(id).unwrap();
+                    let tree = gw.snapshot(id).unwrap();
+                    assert!(cert.verify(key, &tree).is_ok(), "case {case}: {id} fails verify");
+                }
+                served += 1;
+            }
+            Err(
+                RecoverError::Persist(_)
+                | RecoverError::Diverged { .. }
+                | RecoverError::Conflict { .. }
+                | RecoverError::UnknownDocument { .. }
+                | RecoverError::ReplayFailed { .. },
+            ) => refused += 1,
+        }
+    }
+    assert!(served > 0 && refused > 0, "served {served}, refused {refused}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot in the older `XUCSNP01` format (which also stored the
+/// signed sets and the whole certificate) recovers as a typed decode
+/// error naming the magic, not as a gateway.
+#[test]
+fn an_older_snapshot_format_recovers_as_a_typed_error() {
+    let key = 0x01D;
+    let dir = std::env::temp_dir().join(format!("xuc-diff-old-{}", std::process::id()));
+    let path = snapshotted_dir(key, &dir);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[..8].copy_from_slice(b"XUCSNP01");
+    std::fs::write(&path, &bytes).unwrap();
+    match durable(key, &dir, DurableOptions::default()) {
+        Err(RecoverError::Persist(xuc_persist::PersistError::Decode(DecodeError::BadMagic))) => {}
+        Err(e) => panic!("expected a decode error, got {e}"),
+        Ok(_) => panic!("an XUCSNP01 snapshot was served"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
