@@ -896,12 +896,20 @@ fn main() {
         let mut work = xuc_workloads::trees::hospital_sized(&mut wl::rng(), nodes);
         assert_eq!(work.slot_capacity(), work.len(), "a freshly built arena must be dense");
 
-        // Snapshot fast path: the sibling-chain walk over the dense
-        // parallel arrays into a reused buffer.
-        let mut buf = Vec::new();
-        work.preorder_snapshot_into(&mut buf);
-        assert_eq!(buf.len(), work.len());
-        let snap = wl::median_micros(runs, || work.preorder_snapshot_into(&mut buf));
+        // Snapshot fast path: the sibling-chain pre-order walk over the
+        // dense parallel arrays that `encode_tree` streams a snapshot or
+        // publish record from, reading every node's id, label and depth.
+        let walk = || {
+            let mut fold = 0u64;
+            let visited = work.for_each_preorder(work.root_id(), |id, label, depth| {
+                std::hint::black_box(label);
+                fold = fold.wrapping_add(id.raw() ^ depth as u64);
+            });
+            std::hint::black_box(fold);
+            visited
+        };
+        assert_eq!(walk(), Ok(work.len()));
+        let snap = wl::median_micros(runs, walk);
         let mnodes_s = work.len() as f64 / snap;
         rep.row("E-M1", "snapshot", nodes, snap, &format!("{mnodes_s:.0} Mnodes/s"));
         rep.metric("E-M1", "snapshot_mnodes_per_s", mnodes_s);

@@ -15,6 +15,9 @@
 //! and snapshot files share one framing, `[u32 len][u64 checksum][payload]`,
 //! written by [`append_frame`] and read by [`split_frame`], so a torn or
 //! bit-flipped frame is detected, never decoded.
+//!
+//! Lengths and counts are `u32`s; a larger one is an [`EncodeError`] from
+//! [`append_frame`], which then leaves its buffer as it was.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -75,19 +78,55 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Append-only byte sink with the codec's primitive writers.
+/// Why a value could not be encoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EncodeError {
+    /// A length or count does not fit the format's `u32` field.
+    TooLong(usize),
+}
+
+impl fmt::Display for EncodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EncodeError::TooLong(n) => write!(f, "length {n} does not fit a u32 field"),
+        }
+    }
+}
+
+impl std::error::Error for EncodeError {}
+
+/// `n` as a `u32` length field.
+pub fn wire_len(n: usize) -> Result<u32, EncodeError> {
+    u32::try_from(n).map_err(|_| EncodeError::TooLong(n))
+}
+
+/// Append-only byte sink with the codec's primitive writers. A length
+/// that does not fit its field is written as `u32::MAX` and remembered
+/// for [`append_frame`] to refuse.
 #[derive(Default)]
 pub struct Encoder {
     buf: Vec<u8>,
+    overflow: Option<EncodeError>,
 }
 
 impl Encoder {
     pub fn new() -> Encoder {
-        Encoder { buf: Vec::new() }
+        Encoder::default()
     }
 
+    /// The bytes written, even if a length overflowed (its field then
+    /// reads `u32::MAX`): for measuring an encoding, not for storing it.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Writes `n` as a `u32` length or count field.
+    pub fn len(&mut self, n: usize) {
+        let v = wire_len(n).unwrap_or_else(|e| {
+            self.overflow.get_or_insert(e);
+            u32::MAX
+        });
+        self.u32(v);
     }
 
     pub fn u8(&mut self, v: u8) {
@@ -103,7 +142,7 @@ impl Encoder {
     }
 
     pub fn str(&mut self, s: &str) {
-        self.u32(u32::try_from(s.len()).expect("string length fits u32"));
+        self.len(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
 }
@@ -143,11 +182,11 @@ impl<'a> Decoder<'a> {
     }
 
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().map_err(|_| DecodeError::Truncated)?))
     }
 
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().map_err(|_| DecodeError::Truncated)?))
     }
 
     pub fn str(&mut self) -> Result<&'a str, DecodeError> {
@@ -172,19 +211,25 @@ const FRAME_HEADER: usize = 4 + 8;
 /// Appends one `[u32 payload length][u64 checksum][payload]` frame to
 /// `buf` (all little-endian), the payload being what `encode` writes. The
 /// payload is encoded in place and the header patched in after it, so no
-/// second copy of it exists. Returns the frame's length.
-pub fn append_frame(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Encoder)) -> usize {
+/// second copy of it exists. Returns the frame's length. A length inside
+/// the payload, or the payload's own, that does not fit a `u32` refuses
+/// the frame: `buf` is cut back to exactly what it held before the call.
+pub fn append_frame(
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Encoder),
+) -> Result<usize, EncodeError> {
     let start = buf.len();
-    let mut e = Encoder { buf: std::mem::take(buf) };
+    let mut e = Encoder { buf: std::mem::take(buf), overflow: None };
     e.u32(0);
     e.u64(0);
     encode(&mut e);
+    let len = e.overflow.map_or_else(|| wire_len(e.buf.len() - start - FRAME_HEADER), Err);
     *buf = e.buf;
+    let len = len.inspect_err(|_| buf.truncate(start))?;
     let (header, payload) = buf[start..].split_at_mut(FRAME_HEADER);
-    let len = u32::try_from(payload.len()).expect("payload fits u32");
     header[..4].copy_from_slice(&len.to_le_bytes());
     header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
-    buf.len() - start
+    Ok(buf.len() - start)
 }
 
 /// Splits the frame [`append_frame`] wrote at the head of `bytes` into its
@@ -205,21 +250,21 @@ pub fn split_frame(bytes: &[u8]) -> Result<(&[u8], &[u8]), DecodeError> {
 /// Encodes `tree` as its preorder snapshot (see the module docs),
 /// streamed from one pre-order walk: no snapshot of the tree is built.
 pub fn encode_tree(e: &mut Encoder, tree: &DataTree) {
-    e.u32(u32::try_from(tree.len()).expect("tree size fits u32"));
+    e.len(tree.len());
     // Preorder indices of the current root path; a node's parent is the
     // entry one level up.
-    let mut ancestors: Vec<u32> = Vec::new();
-    let mut next = 0u32;
+    let mut ancestors: Vec<usize> = Vec::new();
+    let mut next = 0;
     let visited = tree
         .for_each_preorder(tree.root_id(), |id, label, depth| {
             ancestors.truncate(depth);
             e.u64(id.raw());
-            e.u32(depth.checked_sub(1).map_or(0, |d| ancestors[d] + 1));
+            e.len(depth.checked_sub(1).map_or(0, |d| ancestors[d] + 1));
             e.str(label.as_str());
             ancestors.push(next);
             next += 1;
         })
-        .expect("the root is live");
+        .unwrap_or(0);
     // The count written first must match the nodes encoded, or the frame
     // decodes wrong.
     assert_eq!(visited, tree.len(), "every live node is reachable from the root");
@@ -322,7 +367,7 @@ pub fn decode_update(d: &mut Decoder) -> Result<Update, DecodeError> {
 }
 
 pub fn encode_updates(e: &mut Encoder, updates: &[Update]) {
-    e.u32(u32::try_from(updates.len()).expect("batch size fits u32"));
+    e.len(updates.len());
     for u in updates {
         encode_update(e, u);
     }
@@ -345,7 +390,7 @@ pub fn decode_constraint(d: &mut Decoder) -> Result<Constraint, DecodeError> {
 }
 
 pub fn encode_suite(e: &mut Encoder, suite: &[Constraint]) {
-    e.u32(u32::try_from(suite.len()).expect("suite size fits u32"));
+    e.len(suite.len());
     for c in suite {
         encode_constraint(e, c);
     }
@@ -359,10 +404,10 @@ pub fn decode_suite(d: &mut Decoder) -> Result<Vec<Constraint>, DecodeError> {
 pub fn encode_certificate(e: &mut Encoder, cert: &Certificate) {
     e.u64(cert.prev_digest);
     e.u64(cert.chain_tag);
-    e.u32(u32::try_from(cert.entries.len()).expect("entry count fits u32"));
+    e.len(cert.entries.len());
     for entry in &cert.entries {
         encode_constraint(e, &entry.constraint);
-        e.u32(u32::try_from(entry.snapshot.len()).expect("set size fits u32"));
+        e.len(entry.snapshot.len());
         for r in &entry.snapshot {
             e.u64(r.id.raw());
             e.str(r.label.as_str());
@@ -407,6 +452,15 @@ mod tests {
         d.finish().unwrap();
         assert_eq!(back.render(), tree.render());
         assert_eq!(back.preorder_snapshot(), tree.preorder_snapshot());
+    }
+
+    /// The boundary through the length helper, without a 4 GiB buffer
+    /// (the writer's refusal of such a frame is tested in `wal`).
+    #[test]
+    fn a_length_past_u32_is_refused_as_a_typed_error() {
+        assert_eq!(wire_len(u32::MAX as usize), Ok(u32::MAX));
+        let too_long = u32::MAX as usize + 1;
+        assert_eq!(wire_len(too_long), Err(EncodeError::TooLong(too_long)));
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //! * [`codec`] — fixed-width little-endian primitives; exact-order tree
 //!   encoding; constraints as their canonical parseable text; the one
 //!   `[len][checksum][payload]` frame writer and reader.
-//! * [`wal`] — frames behind a magic header, group-commit buffering,
-//!   torn-tail truncation on reopen, and a [`WriteFault`] hook for
+//! * [`wal`] — frames behind a magic header, buffered until the caller
+//!   syncs, torn-tail truncation on reopen, and a [`WriteFault`] hook for
 //!   crash-injection tests.
 //! * [`snapshot`] — one framed file per document (tree, suite, commit
-//!   counter and chain anchor), written to a `.tmp` sibling and
-//!   installed by atomic rename.
+//!   counter, chain anchor and the keyed tag binding them), written to a
+//!   `.tmp` sibling and installed by atomic rename.
 //! * [`retry`] — transient-vs-fatal IO error classification and a
 //!   bounded, deterministically backed-off retry loop with an injectable
 //!   clock; the policy half of the gateway's survive-the-fault story.
@@ -26,6 +26,12 @@
 //! The `test-hooks` cargo feature additionally compiles write-time fault
 //! injection into [`WalWriter`] (`wal::WalWriter::inject_fault`) for
 //! the chaos harness; release builds carry no injection state.
+//!
+//! Outside tests the crate uses no `unwrap` or `expect`: a value too
+//! large for the format is an [`EncodeError`], a bad byte a
+//! [`DecodeError`].
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod codec;
 pub mod retry;
@@ -33,7 +39,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod wal;
 
-pub use codec::{checksum64, decode_tree, encode_tree, DecodeError, Decoder, Encoder};
+pub use codec::{checksum64, decode_tree, encode_tree, DecodeError, Decoder, EncodeError, Encoder};
 pub use retry::{
     classify, retry_io, Clock, FaultClass, IoFailure, RetryOutcome, RetryPolicy, SystemClock,
     VirtualClock,

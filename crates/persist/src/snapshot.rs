@@ -7,8 +7,11 @@
 //! ranges evaluated on the tree, so restoring a document re-derives them
 //! and re-signs them under `prev_digest`, and the stored `chain_tag` must
 //! come out again — a snapshot that contradicts itself cannot be served.
+//! The chain tag does not cover the document's name or commit counter, so
+//! a keyed `tag` over `(doc, commits, prev_digest, chain_tag)` does; this
+//! crate stores it as an opaque `u64` and the signer checks it.
 //!
-//! A snapshot file is `XUCSNP02` followed by one frame of the WAL's
+//! A snapshot file is `XUCSNP03` followed by one frame of the WAL's
 //! `[u32 len][u64 checksum][payload]` shape ([`append_frame`] /
 //! [`split_frame`]), where the payload is a [`DocSnapshot`] in the
 //! [`crate::codec`] encoding. Writing goes through a `*.tmp` sibling and an
@@ -28,10 +31,10 @@ use std::path::{Path, PathBuf};
 use xuc_core::Constraint;
 use xuc_xtree::DataTree;
 
-/// The format tag every snapshot file opens with. `XUCSNP01` files (which
-/// also stored the signed sets and the whole certificate) are refused as
-/// [`DecodeError::BadMagic`].
-const SNAP_MAGIC: &[u8; 8] = b"XUCSNP02";
+/// The format tag every snapshot file opens with. Older formats are
+/// refused as [`DecodeError::BadMagic`]: `XUCSNP01` files also stored the
+/// signed sets and the whole certificate, `XUCSNP02` files lack the tag.
+const SNAP_MAGIC: &[u8; 8] = b"XUCSNP03";
 
 /// One document as of commit `commits`: everything needed to re-open it
 /// without replaying its history. Writing borrows the served document's
@@ -48,6 +51,9 @@ pub struct DocSnapshot<'a> {
     /// This state's certificate chain tag: what the suite's sets on the
     /// tree, signed under `prev_digest`, must reproduce.
     pub chain_tag: u64,
+    /// The signer's keyed tag over `doc`, `commits`, `prev_digest` and
+    /// `chain_tag` (opaque here).
+    pub tag: u64,
 }
 
 impl DocSnapshot<'_> {
@@ -64,6 +70,7 @@ impl DocSnapshot<'_> {
         encode_suite(e, &self.suite);
         e.u64(self.prev_digest);
         e.u64(self.chain_tag);
+        e.u64(self.tag);
     }
 
     pub fn decode(payload: &[u8]) -> Result<DocSnapshot<'static>, DecodeError> {
@@ -74,8 +81,9 @@ impl DocSnapshot<'_> {
         let suite = Cow::Owned(decode_suite(&mut d)?);
         let prev_digest = d.u64()?;
         let chain_tag = d.u64()?;
+        let tag = d.u64()?;
         d.finish()?;
-        Ok(DocSnapshot { doc, commits, tree, suite, prev_digest, chain_tag })
+        Ok(DocSnapshot { doc, commits, tree, suite, prev_digest, chain_tag, tag })
     }
 }
 
@@ -94,7 +102,7 @@ pub fn snapshot_path(dir: &Path, doc: &str) -> PathBuf {
 /// previous snapshot of the document.
 pub fn write_snapshot(dir: &Path, snap: &DocSnapshot) -> io::Result<()> {
     let mut bytes = SNAP_MAGIC.to_vec();
-    append_frame(&mut bytes, |e| snap.encode_into(e));
+    append_frame(&mut bytes, |e| snap.encode_into(e)).map_err(io::Error::other)?;
     let path = snapshot_path(dir, &snap.doc);
     let tmp = path.with_extension("tmp");
     {
@@ -156,6 +164,7 @@ mod tests {
             suite: Cow::Owned(vec![parse_constraint("(/patient/visit, ↑)").unwrap()]),
             prev_digest: 0x0123_4567_89ab_cdef,
             chain_tag: 0xfeed,
+            tag: 0xbeef,
         }
     }
 
@@ -171,7 +180,10 @@ mod tests {
         assert_eq!(b.commits, snap.commits);
         assert_eq!(b.tree.preorder_snapshot(), snap.tree.preorder_snapshot());
         assert_eq!(b.suite, snap.suite);
-        assert_eq!((b.prev_digest, b.chain_tag), (snap.prev_digest, snap.chain_tag));
+        assert_eq!(
+            (b.prev_digest, b.chain_tag, b.tag),
+            (snap.prev_digest, snap.chain_tag, snap.tag)
+        );
         // Magic, frame header and payload, nothing else.
         let file = std::fs::metadata(snapshot_path(&dir, "mercy-west")).unwrap().len();
         assert_eq!(file as usize, 8 + 12 + snap.encode().len());

@@ -1,5 +1,5 @@
-//! The write-ahead log: length-prefixed, checksummed frames with group
-//! commit and a torn-tail recovery policy.
+//! The write-ahead log: length-prefixed, checksummed frames, a buffer that
+//! syncs when asked, and a torn-tail recovery policy.
 //!
 //! # Frame format
 //!
@@ -24,18 +24,18 @@
 //! every unclean shutdown into an outage; trailing garbage after a bad
 //! frame is unreachable anyway because frames are only ever appended.
 //!
-//! # Group commit
+//! # Buffering
 //!
-//! [`WalWriter::append`] buffers encoded frames in memory and writes +
-//! syncs once every `group_commit` frames (and on [`WalWriter::sync`] /
-//! drop). A crash between syncs loses at most the buffered suffix — which
-//! is exactly the [`WriteFault::LoseBuffered`] fault the kill/restart
-//! differential harness injects.
+//! [`WalWriter::append`] buffers encoded frames in memory; only
+//! [`WalWriter::sync`] (or drop) writes and syncs them, so when to sync —
+//! group commit — is the caller's policy. A crash between syncs loses the
+//! buffered suffix — which is exactly the [`WriteFault::LoseBuffered`]
+//! fault the kill/restart differential harness injects.
 
 use crate::codec::{
     append_frame, decode_certificate, decode_suite, decode_tree, decode_updates,
     encode_certificate, encode_suite, encode_tree, encode_updates, split_frame, DecodeError,
-    Decoder, Encoder,
+    Decoder, EncodeError, Encoder,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -90,6 +90,9 @@ impl WalRecord {
         }
     }
 
+    /// The record's payload bytes. A length past `u32` is written as
+    /// `u32::MAX`, so these bytes measure a record; the writer refuses to
+    /// frame one ([`WalWriter::append`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         self.encode_into(&mut e);
@@ -194,8 +197,8 @@ pub fn read_wal(path: &Path) -> io::Result<WalScan> {
 /// the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteFault {
-    /// The in-memory group-commit buffer never reached the file: every
-    /// frame since the last sync is gone.
+    /// The in-memory buffer never reached the file: every frame since the
+    /// last sync is gone.
     LoseBuffered,
     /// The last durable frame vanishes whole (its sectors never hit the
     /// platter despite the write returning).
@@ -227,7 +230,7 @@ struct Injection {
 }
 
 /// Append handle on a WAL file. See the module docs for the frame format
-/// and the group-commit discipline.
+/// and the buffering discipline.
 pub struct WalWriter {
     file: File,
     /// Durable file length (bytes actually written through).
@@ -237,7 +240,6 @@ pub struct WalWriter {
     last_frame_start: u64,
     pending: Vec<u8>,
     pending_frames: usize,
-    group_commit: usize,
     /// Set by [`simulate_crash`](Self::simulate_crash) and [`seal`](Self::seal):
     /// suppresses the drop-time sync so crashed/sealed state stays put.
     dead: bool,
@@ -249,7 +251,11 @@ impl WalWriter {
     /// Opens (creating if absent) the log at `path`, scans it, truncates
     /// any torn tail, and positions for appending. Returns the writer and
     /// the durable records for replay.
-    pub fn open(path: &Path, group_commit: usize) -> io::Result<(WalWriter, WalScan)> {
+    ///
+    /// The second parameter, once the group-commit batch size, is ignored:
+    /// benchmark compatibility (gatebench's mirror passes `usize::MAX`),
+    /// to be deleted with ROADMAP item 1.
+    pub fn open(path: &Path, _batch: usize) -> io::Result<(WalWriter, WalScan)> {
         let scan = read_wal(path)?;
         // truncate(false): the valid prefix must survive reopening — only
         // a torn tail is cut, via the explicit set_len below.
@@ -271,7 +277,6 @@ impl WalWriter {
             last_frame_start: len,
             pending: Vec::new(),
             pending_frames: 0,
-            group_commit: group_commit.max(1),
             dead: false,
             #[cfg(any(test, feature = "test-hooks"))]
             injection: Injection::default(),
@@ -279,9 +284,9 @@ impl WalWriter {
         Ok((writer, scan))
     }
 
-    /// Frames `record` into the group-commit buffer; writes and syncs the
-    /// buffer once it holds `group_commit` frames.
-    pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
+    /// Frames `record` into the buffer. A length past `u32` refuses the
+    /// frame and leaves the buffer as it was.
+    pub fn append(&mut self, record: &WalRecord) -> Result<(), EncodeError> {
         self.append_with(|e| record.encode_into(e))
     }
 
@@ -293,22 +298,19 @@ impl WalWriter {
         doc: &str,
         tree: &DataTree,
         suite: &[Constraint],
-    ) -> io::Result<()> {
+    ) -> Result<(), EncodeError> {
         self.append_with(|e| encode_publish(e, doc, tree, suite))
     }
 
     /// Frames the payload `encode` writes, encoding it straight into the
-    /// group-commit buffer, so no second copy of the payload exists.
-    fn append_with(&mut self, encode: impl FnOnce(&mut Encoder)) -> io::Result<()> {
+    /// buffer, so no second copy of the payload exists.
+    fn append_with(&mut self, encode: impl FnOnce(&mut Encoder)) -> Result<(), EncodeError> {
         let start = self.pending.len();
-        let frame = append_frame(&mut self.pending, encode);
+        let frame = append_frame(&mut self.pending, encode)?;
         crate::stats::bump(&crate::stats::WAL_FRAMES, 1);
         crate::stats::bump(&crate::stats::WAL_BYTES, frame as u64);
         self.last_frame_start = self.len + start as u64;
         self.pending_frames += 1;
-        if self.pending_frames >= self.group_commit {
-            self.sync()?;
-        }
         Ok(())
     }
 
@@ -413,7 +415,7 @@ impl WalWriter {
         self.len
     }
 
-    /// Number of frames waiting in the group-commit buffer.
+    /// Number of frames appended since the last sync.
     pub fn pending_frames(&self) -> usize {
         self.pending_frames
     }
@@ -481,8 +483,7 @@ impl WalWriter {
 }
 
 impl Drop for WalWriter {
-    /// A clean shutdown flushes the group-commit buffer; a simulated
-    /// crash does not.
+    /// A clean shutdown flushes the buffer; a simulated crash does not.
     fn drop(&mut self) {
         if !self.dead {
             let _ = self.sync();
@@ -545,19 +546,48 @@ mod tests {
         assert_eq!(read_wal(&path).unwrap().records.len(), 3);
     }
 
+    /// Whatever the ignored batch parameter says, appends only buffer:
+    /// the caller decides when to sync.
     #[test]
-    fn group_commit_buffers_until_threshold() {
-        let path = tmp("group");
+    fn the_writer_never_syncs_on_its_own() {
+        let path = tmp("buffer");
         let records = sample_records();
-        let (mut w, _) = WalWriter::open(&path, 3).unwrap();
+        for batch in [0, 1, 3, usize::MAX] {
+            let (mut w, _) = WalWriter::open(&path, batch).unwrap();
+            w.truncate_all().unwrap();
+            for r in records.iter().cycle().take(5) {
+                w.append(r).unwrap();
+            }
+            assert_eq!(w.pending_frames(), 5, "batch {batch}");
+            assert_eq!(w.durable_len(), WAL_MAGIC.len() as u64, "batch {batch}");
+            w.sync().unwrap();
+            assert_eq!(w.pending_frames(), 0);
+            assert!(w.durable_len() > WAL_MAGIC.len() as u64);
+        }
+    }
+
+    /// A frame with a length past `u32` is refused as a typed error, and
+    /// the buffer — holding an earlier, unsynced frame — is left byte for
+    /// byte as it was; the earlier frame still syncs.
+    #[test]
+    fn a_refused_frame_leaves_the_buffer_as_it_was() {
+        let path = tmp("refused");
+        let records = sample_records();
+        let (mut w, _) = WalWriter::open(&path, 1).unwrap();
         w.append(&records[0]).unwrap();
-        w.append(&records[1]).unwrap();
-        assert_eq!(w.pending_frames(), 2);
-        // Nothing durable yet beyond the magic.
-        assert_eq!(w.durable_len(), WAL_MAGIC.len() as u64);
-        w.append(&records[1]).unwrap();
-        assert_eq!(w.pending_frames(), 0, "third frame triggers the group sync");
-        assert!(w.durable_len() > WAL_MAGIC.len() as u64);
+        let (pending, frames) = (w.pending.clone(), w.pending_frames());
+        let too_long = u32::MAX as usize + 1;
+        let refused = w.append_with(|e| {
+            e.u8(2);
+            e.str("h");
+            e.len(too_long);
+        });
+        assert_eq!(refused, Err(EncodeError::TooLong(too_long)));
+        assert_eq!(w.pending, pending, "the refused frame left bytes behind");
+        assert_eq!(w.pending_frames(), frames);
+        w.sync().unwrap();
+        drop(w);
+        assert_eq!(read_wal(&path).unwrap().records, records[..1]);
     }
 
     #[test]
@@ -595,6 +625,7 @@ mod tests {
         let (mut w, _) = WalWriter::open(&path, 1).unwrap();
         for r in &records {
             w.append(r).unwrap();
+            w.sync().unwrap();
         }
         let full = std::fs::metadata(&path).unwrap().len();
         w.simulate_crash(WriteFault::TearLastFrame).unwrap();
@@ -692,6 +723,7 @@ mod tests {
         w.inject_fault(WriteFault::Latency { micros: 250 });
         for r in &records {
             w.append(r).unwrap();
+            w.sync().unwrap();
         }
         assert_eq!(w.injected_latency_micros(), 500, "one charge per sync");
         drop(w);
@@ -721,8 +753,10 @@ mod tests {
         let small = &sample_records()[1];
         let (mut w, _) = WalWriter::open(&path, 1).unwrap();
         w.append(&large).unwrap();
+        w.sync().unwrap();
         assert!(w.pending.capacity() >= large.encode().len(), "the large frame used the buffer");
         w.append(small).unwrap();
+        w.sync().unwrap();
         let small_batch = small.encode().len() + 12;
         assert!(
             w.pending.capacity() <= 2 * small_batch,

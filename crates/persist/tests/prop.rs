@@ -118,16 +118,17 @@ fn snapshot_strategy() -> impl Strategy<Value = DocSnapshot<'static>> {
         tree_strategy(12),
         proptest::collection::vec(0..CONSTRAINTS.len(), 0..4),
         0..10_000usize,
-        0..usize::MAX,
+        (0..usize::MAX, 0..usize::MAX),
         0..usize::MAX,
     )
-        .prop_map(|(tree, cs, commits, prev, tag)| DocSnapshot {
+        .prop_map(|(tree, cs, commits, (prev, chain), tag)| DocSnapshot {
             doc: Cow::Borrowed("prop-doc"),
             commits: commits as u64,
             tree: Cow::Owned(tree),
             suite: cs.iter().map(|&c| parse_constraint(CONSTRAINTS[c]).unwrap()).collect(),
             prev_digest: prev as u64,
-            chain_tag: tag as u64,
+            chain_tag: chain as u64,
+            tag: tag as u64,
         })
 }
 
@@ -136,7 +137,7 @@ fn assert_snap_eq(a: &DocSnapshot, b: &DocSnapshot) {
     assert_eq!(a.commits, b.commits);
     assert_eq!(a.tree.preorder_snapshot(), b.tree.preorder_snapshot());
     assert_eq!(a.suite, b.suite);
-    assert_eq!((a.prev_digest, a.chain_tag), (b.prev_digest, b.chain_tag));
+    assert_eq!((a.prev_digest, a.chain_tag, a.tag), (b.prev_digest, b.chain_tag, b.tag));
 }
 
 /// One byte-level mutation of an encoded payload: flip a bit, overwrite a

@@ -18,7 +18,7 @@
 //! * commit numbers are per-document counters advanced in that fixed
 //!   order, so even the `commit=` fields of the log are scheduling-free;
 //! * fresh node ids are minted by the *client* (requests carry concrete
-//!   [`Update`] values), not by workers — nothing
+//!   [`Update`](xuc_xtree::Update) values), not by workers — nothing
 //!   about a verdict or a log line depends on which thread ran it.
 //!
 //! Cross-document interleaving is where the parallelism lives: documents
@@ -53,8 +53,8 @@ use std::sync::{Arc, OnceLock};
 use xuc_core::Constraint;
 use xuc_persist::{Clock, SystemClock, WriteFault};
 use xuc_sigstore::{Certificate, Signer};
-use xuc_telemetry::{Stage, Telemetry};
-use xuc_xtree::{DataTree, Update};
+use xuc_telemetry::Telemetry;
+use xuc_xtree::DataTree;
 
 /// Serving health of a [`Gateway`] — the degraded-mode state machine
 /// (DESIGN.md §9). Transitions: `Serving → ReadOnly` on a fatal journal
@@ -637,13 +637,9 @@ impl Gateway {
                     // real in memory — it degrades the gateway, and the
                     // unjournaled suffix is covered by resume/recovery
                     // like a lost group-commit buffer.
-                    match self.log_commit_traced(journal, doc, &request.updates, tel, tag) {
-                        Ok(()) => {
-                            if let Err(e) = journal.maybe_snapshot(doc) {
-                                self.note_journal_error(e);
-                            }
-                        }
-                        Err(e) => self.note_journal_error(e),
+                    let journaled = journal.log_commit(doc, &request.updates, tel, tag);
+                    if let Err(e) = journaled.and_then(|()| journal.maybe_snapshot(doc)) {
+                        self.note_journal_error(e);
                     }
                 }
                 Verdict::Accepted { commit: receipt.commit }
@@ -653,36 +649,6 @@ impl Gateway {
                 offenders: r.offenders,
             }),
         }
-    }
-
-    /// Journals one accepted commit, attributing the span to
-    /// [`Stage::Fsync`] when the append tripped a durability sync (the
-    /// process-global fsync counter moved — a heuristic that can
-    /// misattribute under concurrently-journaling gateways, acceptable
-    /// for an inherently scheduling-dependent stage) and
-    /// [`Stage::JournalAppend`] when it was buffered for group commit.
-    /// The record carries the materialized certificate, so its one clone
-    /// of the signed sets falls inside the span.
-    fn log_commit_traced(
-        &self,
-        journal: &Journal,
-        doc: &Document,
-        updates: &[Update],
-        tel: Option<&Telemetry>,
-        tag: u16,
-    ) -> Result<(), JournalError> {
-        let log = || journal.log_commit(doc.id(), doc.commits(), updates, doc.certificate());
-        let Some(t) = tel else { return log() };
-        let fsyncs_before = xuc_persist::persist_counters().wal_fsyncs;
-        let started = t.now_micros();
-        let out = log();
-        let stage = if xuc_persist::persist_counters().wal_fsyncs > fsyncs_before {
-            Stage::Fsync
-        } else {
-            Stage::JournalAppend
-        };
-        t.record_stage(stage, tag, started);
-        out
     }
 
     /// Drains `requests` over `workers` threads and returns one verdict

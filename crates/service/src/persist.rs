@@ -4,18 +4,20 @@
 //! a `Journal`: a write-ahead log of every publish and every *accepted*
 //! commit (rejected batches change nothing, so they are never logged),
 //! plus periodic per-document snapshots. The mechanisms — frame format,
-//! checksums, group commit, torn-tail truncation, atomic snapshot
+//! checksums, the frame buffer, torn-tail truncation, atomic snapshot
 //! install — live in [`xuc_persist`]; this module owns the *policy*:
 //!
 //! * **Write-ahead ordering.** A publish is appended (and synced) before
 //!   `publish` returns; a commit is appended while the document's mutex
 //!   is still held, so the log's per-document commit order is exactly the
-//!   store's. With `group_commit > 1` frames buffer in memory and a crash
-//!   can lose a suffix of *acknowledged* commits — the classic durability
-//!   window, bounded by the batch size and closed by `group_commit = 1`.
+//!   store's. The journal, not the writer, syncs: once `group_commit`
+//!   frames are pending. With `group_commit > 1` a crash can lose a
+//!   suffix of *acknowledged* commits — the classic durability window,
+//!   bounded by the batch size and closed by `group_commit = 1`.
 //! * **Snapshots and truncation.** Every `snapshot_every` commits a
 //!   document's tree, suite, commit counter and chain anchor are written
-//!   (atomic rename) — its signed sets are re-derived at restore; once
+//!   (atomic rename) with a keyed tag binding the name and counter to
+//!   the anchor — its signed sets are re-derived at restore; once
 //!   every document logged in the WAL is covered by a snapshot at least
 //!   as new, the whole log is truncated. Recovery cost is therefore
 //!   bounded by the snapshot cadence, not by history length (measured by
@@ -41,7 +43,7 @@
 //!   See DESIGN.md §9 for the full failure matrix.
 
 use crate::cache::SuiteCache;
-use crate::session::Session;
+use crate::session::{close_span, Session};
 use crate::store::{Document, DocumentStore, PublishError};
 use crate::DocId;
 use parking_lot::Mutex;
@@ -53,10 +55,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::MutexGuard;
 use xuc_persist::{
-    read_snapshots, retry_io, write_snapshot, Clock, DocSnapshot, IoFailure, PersistError,
-    RetryOutcome, RetryPolicy, WalRecord, WalWriter,
+    read_snapshots, retry_io, write_snapshot, Clock, DocSnapshot, EncodeError, IoFailure,
+    PersistError, RetryOutcome, RetryPolicy, WalRecord, WalWriter,
 };
-use xuc_sigstore::{Certificate, Signer};
+use xuc_sigstore::Signer;
+use xuc_telemetry::{Stage, Telemetry};
 use xuc_xtree::{DataTree, NodeId, Update};
 
 /// File name of the write-ahead log inside a gateway's durability
@@ -162,6 +165,8 @@ impl std::error::Error for ResumeError {
 pub(crate) struct Journal {
     dir: PathBuf,
     opts: DurableOptions,
+    /// Signs each snapshot's name and counter to its chain anchor.
+    signer: Signer,
     /// Time source for retry backoff. `SystemClock` in production;
     /// chaos tests inject a `VirtualClock` so retried schedules run at
     /// full speed and the slept-for backoff is assertable.
@@ -203,22 +208,25 @@ impl Journal {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// Syncs the writer's buffer under the retry policy. `first_error`
-    /// (from an append whose auto-sync tripped) counts as the first
-    /// attempt — the frame is already buffered, so retrying means
-    /// re-syncing, never re-appending. On escalation the writer seals.
+    /// Syncs the writer's buffer under the retry policy. On escalation
+    /// the writer seals.
     fn flush_with_retry(
         &self,
         inner: &mut JournalInner,
-        first_error: Option<io::Error>,
         what: &'static str,
     ) -> Result<(), JournalError> {
-        let mut first = first_error;
-        let outcome = retry_io(self.opts.retry, &*self.clock, || match first.take() {
-            Some(e) => Err(e),
-            None => inner.writer.sync(),
-        });
+        let outcome = retry_io(self.opts.retry, &*self.clock, || inner.writer.sync());
         self.settle(inner, outcome.map(|o| o.retries), what)
+    }
+
+    /// A frame the writer refused — a length past the format's `u32`
+    /// fields — is fatal. The refusal left the buffer as it was, so the
+    /// frames of earlier commits are synced before the writer seals.
+    fn refuse(&self, inner: &mut JournalInner, e: EncodeError, what: &'static str) -> JournalError {
+        // A failed sync seals on its own; the refusal is the error to report.
+        let _ = self.flush_with_retry(inner, what);
+        inner.writer.seal();
+        JournalError::Fatal { what, error: e.to_string() }
     }
 
     /// Books retries and converts an escalated failure into a sealed
@@ -269,37 +277,49 @@ impl Journal {
         if inner.writer.is_sealed() {
             return Err(JournalError::Sealed);
         }
-        let first = inner.writer.append_publish(doc.id().as_str(), doc.tree(), doc.suite()).err();
-        self.flush_with_retry(inner, first, "publish append")?;
+        if let Err(e) = inner.writer.append_publish(doc.id().as_str(), doc.tree(), doc.suite()) {
+            return Err(self.refuse(inner, e, "publish append"));
+        }
+        self.flush_with_retry(inner, "publish append")?;
         inner.logged.entry(doc.id()).or_insert(0);
         Ok(())
     }
 
-    /// Appends an accepted commit. Caller holds the document's mutex, so
-    /// per-document log order equals store commit order. An `Err` means
-    /// the commit is in memory but **not** durable — the gateway must
-    /// degrade (the journaled-or-degraded invariant).
+    /// Appends `doc`'s last commit (`updates` and its materialized
+    /// certificate), then syncs once `group_commit` frames are pending;
+    /// traced as [`Stage::JournalAppend`] and [`Stage::Fsync`] under `tag`.
+    /// Caller holds the document's mutex, so per-document log order equals
+    /// store commit order. An `Err` means the commit is in memory but
+    /// **not** durable — the gateway must degrade (the journaled-or-degraded
+    /// invariant).
     pub(crate) fn log_commit(
         &self,
-        id: DocId,
-        commit: u64,
+        doc: &Document,
         updates: &[Update],
-        cert: Certificate,
+        tel: Option<&Telemetry>,
+        tag: u16,
     ) -> Result<(), JournalError> {
+        let (id, commit) = (doc.id(), doc.commits());
+        let started = tel.map(Telemetry::now_micros);
+        let record = WalRecord::Commit {
+            doc: id.as_str().to_owned(),
+            commit,
+            updates: updates.to_vec(),
+            cert: doc.certificate(),
+        };
         let mut inner = self.lock();
         if inner.writer.is_sealed() {
             return Err(JournalError::Sealed);
         }
-        let rec = WalRecord::Commit {
-            doc: id.as_str().to_owned(),
-            commit,
-            updates: updates.to_vec(),
-            cert,
-        };
-        if let Err(e) = inner.writer.append(&rec) {
-            // The frame made it into the buffer; only the auto-sync at
-            // the group-commit threshold failed.
-            self.flush_with_retry(&mut inner, Some(e), "commit append")?;
+        let appended = inner.writer.append(&record);
+        let appended_at = close_span(tel, Stage::JournalAppend, tag, started);
+        if let Err(e) = appended {
+            return Err(self.refuse(&mut inner, e, "commit append"));
+        }
+        if inner.writer.pending_frames() >= self.opts.group_commit {
+            let synced = self.flush_with_retry(&mut inner, "commit sync");
+            close_span(tel, Stage::Fsync, tag, appended_at);
+            synced?;
         }
         inner.logged.insert(id, commit);
         Ok(())
@@ -335,14 +355,15 @@ impl Journal {
     /// copied, and its signed sets are not written (restore re-derives
     /// them).
     fn install_snapshot(&self, doc: &Document) -> Result<RetryOutcome<()>, IoFailure> {
-        let header = doc.certificate_header();
+        let (name, commits, header) = (doc.id().as_str(), doc.commits(), doc.certificate_header());
         let snap = DocSnapshot {
-            doc: Cow::Borrowed(doc.id().as_str()),
-            commits: doc.commits(),
+            doc: Cow::Borrowed(name),
+            commits,
             tree: Cow::Borrowed(doc.tree()),
             suite: Cow::Borrowed(doc.suite()),
             prev_digest: header.prev_digest,
             chain_tag: header.chain_tag,
+            tag: self.signer.snapshot_tag(name, commits, header.prev_digest, header.chain_tag),
         };
         retry_io(self.opts.retry, &*self.clock, || write_snapshot(&self.dir, &snap))
     }
@@ -391,19 +412,9 @@ impl Journal {
     /// 3. **Swap** (journal lock): install the fresh writer and rebuilt
     ///    bookkeeping, then truncate if snapshots now cover the log.
     pub(crate) fn resume(&self, store: &DocumentStore) -> Result<(), ResumeError> {
-        let (writer, scan) = WalWriter::open(&wal_path(&self.dir), self.opts.group_commit)
+        let (writer, scan) = WalWriter::open(&wal_path(&self.dir), 0)
             .map_err(|e| ResumeError::Persist(PersistError::Io(e)))?;
-        let mut logged: HashMap<DocId, u64> = HashMap::new();
-        for rec in &scan.records {
-            match rec {
-                WalRecord::Publish { doc, .. } => {
-                    logged.entry(DocId::new(doc)).or_insert(0);
-                }
-                WalRecord::Commit { doc, commit, .. } => {
-                    logged.insert(DocId::new(doc), *commit);
-                }
-            }
-        }
+        let logged = logged_commits(&scan.records);
         // Snapshots are atomic installs recorded only after success, so
         // the in-memory map *is* trustworthy — unlike `logged`.
         let snapshotted: HashMap<DocId, u64> = self.lock().snapshotted.clone();
@@ -464,9 +475,10 @@ pub enum RecoverError {
     /// the live admission path disagree on an *accepted* batch.
     ReplayFailed { doc: String, commit: u64, error: String },
     /// Replay ran but did not reproduce the logged commit number or the
-    /// logged certificate (hash chain included) — or a snapshot's stored
-    /// chain tag is not the one its own tree, suite and `prev_digest`
-    /// sign (`commit` is then the snapshot's commit count).
+    /// logged certificate (hash chain included) — or a snapshot fails its
+    /// keyed tag over name, counter and anchor, or its stored chain tag is
+    /// not the one its own tree, suite and `prev_digest` sign (`commit` is
+    /// then the snapshot's commit count).
     Diverged { doc: String, commit: u64 },
     /// The durability directory contradicts itself: two snapshots, or a
     /// snapshot-plus-publish race, claim the same document id. Snapshot
@@ -527,6 +539,19 @@ pub(crate) struct RecoveredState {
     pub(crate) journal: Journal,
 }
 
+/// The journal's `logged` map over `records`: each document's last
+/// commit number (`0`: its publish record only).
+fn logged_commits(records: &[WalRecord]) -> HashMap<DocId, u64> {
+    let mut logged = HashMap::new();
+    for rec in records {
+        let last = logged.entry(DocId::new(rec.doc())).or_insert(0);
+        if let WalRecord::Commit { commit, .. } = rec {
+            *last = *commit;
+        }
+    }
+    logged
+}
+
 fn tree_max_id(tree: &DataTree) -> u64 {
     let mut max = 0;
     tree.for_each_preorder(tree.root_id(), |id, _, _| max = max.max(id.raw()))
@@ -551,7 +576,8 @@ fn update_max_id(u: &Update) -> u64 {
 /// 1. open every snapshot through the one document constructor (its tree
 ///    with a fresh evaluator, cache-shared automata, the signed sets
 ///    re-derived and re-signed under its `prev_digest`); a snapshot whose
-///    stored chain tag does not come out again is [`RecoverError::Diverged`];
+///    keyed tag over its name, counter and anchor fails, or whose stored
+///    chain tag does not come out again, is [`RecoverError::Diverged`];
 /// 2. replay the WAL's durable prefix through [`Session::commit`], the
 ///    call every [`Gateway::submit`](crate::Gateway::submit) makes,
 ///    skipping records a snapshot already covers (replay is idempotent),
@@ -569,11 +595,16 @@ pub(crate) fn recover(
     let store = DocumentStore::new();
     let cache = SuiteCache::new();
     let mut max_id: u64 = 0;
-    let mut logged: HashMap<DocId, u64> = HashMap::new();
     let mut snapshotted: HashMap<DocId, u64> = HashMap::new();
 
     for snap in read_snapshots(dir)? {
         let (id, commits) = (DocId::new(&snap.doc), snap.commits);
+        // The name and counter lie outside the chain tag: a snapshot
+        // renamed, or with its counter moved (which would skip WAL
+        // commits as already covered), fails its own keyed tag.
+        if signer.snapshot_tag(&snap.doc, commits, snap.prev_digest, snap.chain_tag) != snap.tag {
+            return Err(RecoverError::Diverged { doc: id.as_str().to_owned(), commit: commits });
+        }
         max_id = max_id.max(tree_max_id(&snap.tree));
         let compiled = cache.get_or_compile(&snap.suite);
         let (tree, suite) = (snap.tree.into_owned(), snap.suite.into_owned());
@@ -591,13 +622,13 @@ pub(crate) fn recover(
         snapshotted.insert(id, commits);
     }
 
-    let (writer, scan) = WalWriter::open(&wal_path(dir), opts.group_commit)?;
+    let (writer, scan) = WalWriter::open(&wal_path(dir), 0)?;
+    let logged = logged_commits(&scan.records);
     for rec in scan.records {
         match rec {
             WalRecord::Publish { doc, tree, suite } => {
                 let id = DocId::new(&doc);
                 max_id = max_id.max(tree_max_id(&tree));
-                logged.entry(id).or_insert(0);
                 if store.document(id).is_some() {
                     // A snapshot already installed this document.
                     continue;
@@ -614,7 +645,6 @@ pub(crate) fn recover(
                 for u in &updates {
                     max_id = max_id.max(update_max_id(u));
                 }
-                logged.insert(id, commit);
                 let Some(arc) = store.document(id) else {
                     return Err(RecoverError::UnknownDocument { doc });
                 };
@@ -659,6 +689,7 @@ pub(crate) fn recover(
     let journal = Journal {
         dir: dir.to_owned(),
         opts,
+        signer: *signer,
         clock,
         retries: AtomicU64::new(0),
         inner: Mutex::new(JournalInner { writer, logged, snapshotted }),

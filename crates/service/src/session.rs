@@ -79,7 +79,12 @@ impl std::error::Error for Rejection {}
 
 /// Closes the `stage` span opened at `opened` and returns the closing
 /// reading, which opens the adjacent next span.
-fn close_span(tel: Option<&Telemetry>, stage: Stage, tag: u16, opened: Option<u64>) -> Option<u64> {
+pub(crate) fn close_span(
+    tel: Option<&Telemetry>,
+    stage: Stage,
+    tag: u16,
+    opened: Option<u64>,
+) -> Option<u64> {
     tel.map(|t| {
         let now = t.now_micros();
         t.record_span(stage, tag, now.saturating_sub(opened.unwrap_or(now)));

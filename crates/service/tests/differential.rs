@@ -549,6 +549,71 @@ fn self_contradicting_snapshot_recovers_as_diverged() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A snapshot whose commit counter is moved forward — rewritten through
+/// `write_snapshot`, so its checksum is valid — must not recover. The
+/// counter lies outside the chain tag, and replay skips every WAL commit
+/// at or below it as already covered, so the acknowledged commits 3 and 4
+/// in the log below the forged counter 7 would vanish without an error.
+#[test]
+fn a_snapshot_with_a_forged_commit_counter_recovers_as_diverged() {
+    let key = 0xC047;
+    let dir = std::env::temp_dir().join(format!("xuc-diff-counter-{}", std::process::id()));
+    snapshotted_dir(key, &dir);
+    let doc = DocId::new("snapped");
+    // Two more commits, journaled but not snapshotted: the WAL tail.
+    let opts = DurableOptions { snapshot_every: None, ..DurableOptions::default() };
+    {
+        let gw = durable(key, &dir, opts).unwrap();
+        for parent in [2, 4] {
+            let visit = Update::InsertLeaf {
+                parent: NodeId::from_raw(parent),
+                id: NodeId::fresh(),
+                label: "visit".into(),
+            };
+            assert!(gw.submit(&Request { doc, updates: vec![visit] }).is_accepted());
+        }
+    }
+    let commits = |gw: &Gateway| gw.store().document(doc).unwrap().lock().commits();
+    assert_eq!(commits(&durable(key, &dir, opts).unwrap()), 4, "the tail replays");
+
+    let mut forged = xuc_persist::read_snapshots(&dir).unwrap().pop().unwrap();
+    assert_eq!(forged.commits, 2);
+    forged.commits = 7;
+    xuc_persist::write_snapshot(&dir, &forged).unwrap();
+    match durable(key, &dir, opts) {
+        Err(RecoverError::Diverged { doc: d, commit }) => {
+            assert_eq!((d.as_str(), commit), ("snapped", 7))
+        }
+        Err(e) => panic!("a forged counter: expected Diverged, got {e}"),
+        Ok(gw) => panic!("a forged counter was served at commit {}", commits(&gw)),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot whose payload names another document — written under that
+/// name with a valid checksum, the original removed, the WAL empty — must
+/// not be served as that document: the name lies outside the chain tag.
+#[test]
+fn a_renamed_snapshot_recovers_as_diverged() {
+    let key = 0x4E4D;
+    let dir = std::env::temp_dir().join(format!("xuc-diff-rename-{}", std::process::id()));
+    let path = snapshotted_dir(key, &dir);
+    let wal = std::fs::metadata(xuc_service::persist::wal_path(&dir)).unwrap().len();
+    assert_eq!(wal, 8, "the snapshot truncated the WAL to its magic");
+    let mut renamed = xuc_persist::read_snapshots(&dir).unwrap().pop().unwrap();
+    renamed.doc = "impostor".into();
+    xuc_persist::write_snapshot(&dir, &renamed).unwrap();
+    std::fs::remove_file(path).unwrap();
+    match durable(key, &dir, DurableOptions::default()) {
+        Err(RecoverError::Diverged { doc: d, commit }) => {
+            assert_eq!((d.as_str(), commit), ("impostor", 2))
+        }
+        Err(e) => panic!("a renamed snapshot: expected Diverged, got {e}"),
+        Ok(_) => panic!("a renamed snapshot was served"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Snapshot payloads mutated byte-wise (bit flips, overwrites, deleted,
 /// duplicated and inserted spans) and re-checksummed, so the frame reader
 /// passes them: recovery either serves documents whose certificates

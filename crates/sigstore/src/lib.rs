@@ -383,6 +383,22 @@ impl Signer {
     ) -> Certificate {
         CertHeader::new(self, constraints, snapshots, prev_digest).materialize(snapshots)
     }
+
+    /// The keyed tag a document snapshot carries over what its chain tag
+    /// does not cover: the document's name and commit counter, bound to
+    /// the chain anchor (`prev_digest`, `chain_tag`) they belong with. A
+    /// snapshot renamed, or with its counter moved, fails this tag.
+    pub fn snapshot_tag(&self, doc: &str, commits: u64, prev_digest: u64, chain_tag: u64) -> u64 {
+        let mut data = Vec::with_capacity(8 + 8 + doc.len() + 24);
+        // Domain-separated from the chain tag's payload.
+        data.extend_from_slice(b"snapshot");
+        data.extend_from_slice(&(doc.len() as u64).to_le_bytes());
+        data.extend_from_slice(doc.as_bytes());
+        for field in [commits, prev_digest, chain_tag] {
+            data.extend_from_slice(&field.to_le_bytes());
+        }
+        mac(self.key, &data)
+    }
 }
 
 /// The chain MAC: over the predecessor link plus every entry's constraint

@@ -31,9 +31,10 @@ pub enum Stage {
     Verdict = 3,
     /// Building the chained certificate from precomputed results.
     Certify = 4,
-    /// Appending the commit record to the WAL (buffer + group commit).
+    /// Encoding the commit record into the WAL's buffer.
     JournalAppend = 5,
-    /// The WAL sync itself — the durability fsync.
+    /// The WAL sync itself — the durability fsync, run when the journal's
+    /// group-commit batch fills.
     Fsync = 6,
 }
 

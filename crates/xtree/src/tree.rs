@@ -41,8 +41,7 @@ use std::fmt;
 thread_local! {
     /// Per-thread count of full pre-order walks: every
     /// [`DataTree::for_each_preorder`] from the root (which
-    /// [`DataTree::preorder_snapshot_into`] and its allocating wrapper
-    /// run), every packed copy, and every [`Slots::for_each_live`] walk a
+    /// [`DataTree::preorder_snapshot`] runs), every packed copy, and every [`Slots::for_each_live`] walk a
     /// snapshot holder makes over the arena. Tests use the delta of
     /// [`preorder_walk_count`] to assert that edit-proportional refresh
     /// paths really do avoid O(n) re-walks; thread-local so concurrently
@@ -650,22 +649,11 @@ impl DataTree {
 
     /// Pre-order traversal as `(id, label, parent_index)` triples, where
     /// `parent_index` points at an earlier entry of the returned vector
-    /// (`None` for the root). This is the bulk-export used by evaluation
-    /// engines to build dense snapshots in one pass, without per-node
-    /// id lookups.
+    /// (`None` for the root). Two trees with equal snapshots are equal
+    /// node for node, sibling order included: tests and exact record
+    /// equality (the persist crate's `WalRecord`) compare trees this way.
     pub fn preorder_snapshot(&self) -> Vec<(NodeId, Label, Option<usize>)> {
         let mut out = Vec::with_capacity(self.live);
-        self.preorder_snapshot_into(&mut out);
-        out
-    }
-
-    /// Like [`preorder_snapshot`](Self::preorder_snapshot), but fills a
-    /// caller-owned buffer (cleared first) so repeated snapshots reuse
-    /// one heap allocation instead of allocating a fresh triple `Vec` per
-    /// call.
-    pub fn preorder_snapshot_into(&self, out: &mut Vec<(NodeId, Label, Option<usize>)>) {
-        out.clear();
-        out.reserve(self.live);
         // Output indices of the current root path; `last()` is the
         // parent index for the node being emitted.
         let mut ancestors: Vec<usize> = Vec::new();
@@ -675,6 +663,7 @@ impl DataTree {
             out.push((id, label, depth.checked_sub(1).map(|d| ancestors[d])));
         })
         .expect("the root is live");
+        out
     }
 
     /// Calls `f(id, label, depth)` for every node of `id`'s subtree

@@ -60,9 +60,7 @@ fn million_node_churn_keeps_capacity_bounded() {
     assert!(t.len() >= n);
     assert_eq!(t.slot_capacity(), t.len(), "a freshly built arena is dense");
 
-    let mut buf = Vec::new();
-    t.preorder_snapshot_into(&mut buf);
-    assert_eq!(buf.len(), t.len());
+    assert_eq!(t.for_each_preorder(t.root_id(), |_, _, _| {}), Ok(t.len()));
 
     // 10k cycles of a 4-node patient subtree: the free list must hand the
     // same four slots back every cycle.
@@ -100,10 +98,13 @@ fn million_node_churn_keeps_capacity_bounded() {
         "bulk delete + reinsert must reuse free-listed slots, not allocate"
     );
 
-    // The snapshot walk still visits exactly the live nodes, in order.
-    t.preorder_snapshot_into(&mut buf);
-    assert_eq!(buf.len(), t.len());
-    assert_eq!(buf[0].0, t.root_id());
+    // The pre-order walk still visits exactly the live nodes, root first.
+    let mut first = None;
+    let visited = t.for_each_preorder(t.root_id(), |id, _, _| {
+        first.get_or_insert(id);
+    });
+    assert_eq!(visited, Ok(t.len()));
+    assert_eq!(first, Some(t.root_id()));
 }
 
 /// Traversals stay iterative at pathological depth: a chain half the

@@ -10,7 +10,8 @@
 //! snapshots every second commit. Afterwards an auditor — with the
 //! verification key and the gateway's durability directory, but *no
 //! gateway* — verifies the snapshot offline (re-deriving its signed sets
-//! from its tree and suite and checking its chain tag under the key),
+//! from its tree and suite, checking its chain tag under the key, and
+//! checking the tag that binds its name and commit counter to that chain),
 //! then replays the journal tail on top of it and checks every later
 //! state's certificate, each hash-linked to its predecessor: a
 //! tamper-evident chain from the snapshot to the present.
@@ -117,8 +118,17 @@ fn main() {
         let cert = Signer::new(key).certify_chained(&snap.suite, &sets, snap.prev_digest);
         assert_eq!(cert.chain_tag, snap.chain_tag, "the snapshot's chain tag signs its tree");
         cert.verify_chained(key, &snap.tree, snap.prev_digest).expect("snapshot verifies");
+        // The name and commit counter lie outside the chain tag; the
+        // snapshot's own keyed tag binds them to its anchor.
+        let tag = Signer::new(key).snapshot_tag(
+            &snap.doc,
+            snap.commits,
+            snap.prev_digest,
+            snap.chain_tag,
+        );
+        assert_eq!(tag, snap.tag, "the snapshot's tag signs its name and counter");
         println!(
-            "  snapshot of {:?} at commit {}: {} signed sets re-derived, chain tag verified",
+            "  snapshot of {:?} at commit {}: {} signed sets re-derived, chain and snapshot tags verified",
             snap.doc,
             snap.commits,
             sets.len()
