@@ -3,8 +3,9 @@
 //! — so on the 10k E-DLT document it weighs the document's publish record
 //! plus a few fixed fields, not the tree plus every signed set again.
 
+use std::sync::Arc;
 use xuc_service::persist::wal_path;
-use xuc_service::{DocId, DurableOptions, Gateway, Request, SystemClock};
+use xuc_service::{DocId, DurableOptions, Gateway, Request, StdFs, SystemClock};
 use xuc_sigstore::Signer;
 
 #[test]
@@ -12,8 +13,14 @@ fn a_snapshot_is_the_publish_record_plus_its_anchor() {
     let dir = std::env::temp_dir().join(format!("xuc-snap-size-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = DurableOptions { group_commit: 1, snapshot_every: Some(1), ..Default::default() };
-    let gw = Gateway::recover_with_clock(Signer::new(0x512E), &dir, opts, Box::new(SystemClock))
-        .expect("fresh durability dir");
+    let gw = Gateway::recover_with_io(
+        Signer::new(0x512E),
+        &dir,
+        opts,
+        Box::new(SystemClock),
+        Arc::new(StdFs),
+    )
+    .expect("fresh durability dir");
     let (tree, suite) = xuc_bench::edlt_workload(10_000, 12);
     // One relabel-only batch (phone → note: labels only shrink).
     let updates = xuc_workloads::trees::delta_batches(&mut xuc_bench::rng(), &tree, 1, 4, false)

@@ -1,6 +1,7 @@
 //! Durability for the update-validation gateway (ROADMAP item 4): a
-//! write-ahead log of accepted commits, per-document snapshots, and the
-//! binary codec underneath both.
+//! write-ahead log of accepted commits, per-document snapshots, the
+//! binary codec underneath both, and the one file-system seam they write
+//! through.
 //!
 //! The crate is deliberately mechanism-only — it knows how to frame,
 //! checksum, persist and reload trees, update batches and certificates,
@@ -8,24 +9,30 @@
 //! these pieces into `Gateway::recover`: load [`snapshot`]s, replay the
 //! [`wal`] tail through the live admission path, and arrive at a store
 //! byte-identical to the pre-crash one (the kill/restart differential
-//! harness in `crates/service/tests/differential.rs` is the proof).
+//! harness in `crates/service/tests/differential.rs` and the crash-state
+//! explorer in `crates/service/tests/crash_states.rs` are the proof).
 //!
 //! * [`codec`] — fixed-width little-endian primitives; exact-order tree
 //!   encoding; constraints as their canonical parseable text; the one
 //!   `[len][checksum][payload]` frame writer and reader.
 //! * [`wal`] — frames behind a magic header, buffered until the caller
-//!   syncs, torn-tail truncation on reopen, and a [`WriteFault`] hook for
-//!   crash-injection tests.
+//!   syncs, torn-tail truncation on reopen, and a corrupted header refused
+//!   rather than truncated.
 //! * [`snapshot`] — one framed file per document (tree, suite, commit
 //!   counter, chain anchor and the keyed tag binding them), written to a
-//!   `.tmp` sibling and installed by atomic rename.
+//!   `.tmp` sibling, installed by atomic rename and made durable by a
+//!   directory sync.
+//! * [`fs`] — the [`FileSystem`] trait every file operation above goes
+//!   through, and [`StdFs`], which calls `std::fs`.
+//! * [`sim`] — [`SimDisk`], the simulated disk: durable and volatile
+//!   state under a conservative crash model (unsynced writes may be lost
+//!   or torn; a create or rename persists only once its directory is
+//!   synced), an operation trace, every crash state it allows, and sync
+//!   faults on request. The crash, chaos and kill/restart suites take
+//!   their faults from it; there is no other fault-injection mechanism.
 //! * [`retry`] — transient-vs-fatal IO error classification and a
 //!   bounded, deterministically backed-off retry loop with an injectable
 //!   clock; the policy half of the gateway's survive-the-fault story.
-//!
-//! The `test-hooks` cargo feature additionally compiles write-time fault
-//! injection into [`WalWriter`] (`wal::WalWriter::inject_fault`) for
-//! the chaos harness; release builds carry no injection state.
 //!
 //! Outside tests the crate uses no `unwrap` or `expect`: a value too
 //! large for the format is an [`EncodeError`], a bad byte a
@@ -34,19 +41,23 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod codec;
+pub mod fs;
 pub mod retry;
+pub mod sim;
 pub mod snapshot;
 pub mod stats;
 pub mod wal;
 
 pub use codec::{checksum64, decode_tree, encode_tree, DecodeError, Decoder, EncodeError, Encoder};
+pub use fs::{FileHandle, FileSystem, StdFs};
 pub use retry::{
     classify, retry_io, Clock, FaultClass, IoFailure, RetryOutcome, RetryPolicy, SystemClock,
     VirtualClock,
 };
+pub use sim::{Crash, CrashState, SimDisk, SyncFault};
 pub use snapshot::{read_snapshots, snapshot_path, write_snapshot, DocSnapshot};
 pub use stats::{persist_counters, PersistCounters};
-pub use wal::{read_wal, WalRecord, WalScan, WalWriter, WriteFault};
+pub use wal::{read_wal, WalRecord, WalScan, WalWriter};
 
 use std::fmt;
 use std::io;

@@ -14,19 +14,23 @@
 //! A snapshot file is `XUCSNP03` followed by one frame of the WAL's
 //! `[u32 len][u64 checksum][payload]` shape ([`append_frame`] /
 //! [`split_frame`]), where the payload is a [`DocSnapshot`] in the
-//! [`crate::codec`] encoding. Writing goes through a `*.tmp` sibling and an
-//! atomic `rename`, so a crash mid-snapshot leaves either the old snapshot
-//! or the new one — never a half-written file (a stray `.tmp` is ignored by
-//! [`read_snapshots`]). File names are the hex-encoded document name plus
-//! `.snap`, so arbitrary document names never fight the filesystem.
+//! [`crate::codec`] encoding. Writing goes through a `*.tmp` sibling, a
+//! `sync_all`, an atomic `rename` and a sync of the directory, so a crash
+//! mid-snapshot leaves either the old snapshot or the new one — never a
+//! half-written file (a stray `.tmp` is ignored by [`read_snapshots`]) —
+//! and once [`write_snapshot`] returns, the new one survives any crash:
+//! the caller may truncate the log it covers. File names are the
+//! hex-encoded document name plus `.snap`, so arbitrary document names
+//! never fight the filesystem.
 
 use crate::codec::{
     append_frame, decode_suite, decode_tree, encode_suite, encode_tree, split_frame, DecodeError,
     Decoder, Encoder,
 };
+use crate::fs::FileSystem;
 use crate::PersistError;
 use std::borrow::Cow;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use xuc_core::Constraint;
 use xuc_xtree::DataTree;
@@ -97,41 +101,45 @@ pub fn snapshot_path(dir: &Path, doc: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// Writes `snap` atomically: magic and one frame, encoded into one buffer,
-/// into `<path>.tmp`, fsync, rename over the final path. Replaces any
-/// previous snapshot of the document.
-pub fn write_snapshot(dir: &Path, snap: &DocSnapshot) -> io::Result<()> {
+/// Writes `snap` atomically on `fs`: magic and one frame, encoded into
+/// one buffer, into `<path>.tmp`, `sync_all`, rename over the final path,
+/// sync the directory. Replaces any previous snapshot of the document.
+pub fn write_snapshot(fs: &dyn FileSystem, dir: &Path, snap: &DocSnapshot) -> io::Result<()> {
     let mut bytes = SNAP_MAGIC.to_vec();
     append_frame(&mut bytes, |e| snap.encode_into(e)).map_err(io::Error::other)?;
     let path = snapshot_path(dir, &snap.doc);
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, &path)?;
+    let mut file = fs.open(&tmp)?;
+    file.set_len(0)?;
+    file.write_at(0, &bytes)?;
+    file.sync_all()?;
+    fs.rename(&tmp, &path)?;
+    // The rename is durable only once the directory is: until then a
+    // crash may keep the old snapshot, and the log it covers must stay.
+    fs.sync_dir(dir)?;
     crate::stats::bump(&crate::stats::SNAPSHOT_INSTALLS, 1);
     Ok(())
 }
 
-/// All `*.snap` files under `dir`, each validated (magic, framing,
-/// checksum) and decoded, sorted by document name (deterministic recovery
-/// order). A missing directory holds no snapshots; stray `.tmp` files (a
-/// crash mid-snapshot) are ignored.
-pub fn read_snapshots(dir: &Path) -> Result<Vec<DocSnapshot<'static>>, PersistError> {
-    let entries = match std::fs::read_dir(dir) {
+/// All `*.snap` files under `dir` on `fs`, each validated (magic,
+/// framing, checksum) and decoded, sorted by document name
+/// (deterministic recovery order). A missing directory holds no
+/// snapshots; stray `.tmp` files (a crash mid-snapshot) are ignored.
+pub fn read_snapshots(
+    fs: &dyn FileSystem,
+    dir: &Path,
+) -> Result<Vec<DocSnapshot<'static>>, PersistError> {
+    let entries = match fs.list(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(PersistError::Io(e)),
     };
     let mut snaps = Vec::new();
-    for entry in entries {
-        let path = entry.map_err(PersistError::Io)?.path();
+    for path in entries {
         if path.extension().and_then(|e| e.to_str()) != Some("snap") {
             continue;
         }
-        let bytes = std::fs::read(&path)?;
+        let bytes = fs.read(&path)?;
         let framed = bytes.strip_prefix(SNAP_MAGIC).ok_or(DecodeError::BadMagic)?;
         let (payload, rest) = split_frame(framed)?;
         if !rest.is_empty() {
@@ -146,6 +154,7 @@ pub fn read_snapshots(dir: &Path) -> Result<Vec<DocSnapshot<'static>>, PersistEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::StdFs;
     use xuc_core::parse_constraint;
     use xuc_xtree::parse_term;
 
@@ -172,8 +181,8 @@ mod tests {
     fn write_read_round_trip() {
         let dir = tmp_dir("rt");
         let snap = sample("mercy-west");
-        write_snapshot(&dir, &snap).unwrap();
-        let back = read_snapshots(&dir).unwrap();
+        write_snapshot(&StdFs, &dir, &snap).unwrap();
+        let back = read_snapshots(&StdFs, &dir).unwrap();
         assert_eq!(back.len(), 1);
         let b = &back[0];
         assert_eq!(b.doc, snap.doc);
@@ -193,12 +202,12 @@ mod tests {
     fn rewrite_replaces_and_tmp_ignored() {
         let dir = tmp_dir("replace");
         let mut snap = sample("doc");
-        write_snapshot(&dir, &snap).unwrap();
+        write_snapshot(&StdFs, &dir, &snap).unwrap();
         snap.commits = 9;
-        write_snapshot(&dir, &snap).unwrap();
+        write_snapshot(&StdFs, &dir, &snap).unwrap();
         // A crash can abandon a .tmp file; it must not confuse recovery.
         std::fs::write(dir.join("deadbeef.tmp"), b"half-written").unwrap();
-        let back = read_snapshots(&dir).unwrap();
+        let back = read_snapshots(&StdFs, &dir).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].commits, 9);
     }
@@ -207,14 +216,14 @@ mod tests {
     fn corrupted_snapshot_is_rejected() {
         let dir = tmp_dir("corrupt");
         let snap = sample("doc");
-        write_snapshot(&dir, &snap).unwrap();
+        write_snapshot(&StdFs, &dir, &snap).unwrap();
         let path = snapshot_path(&dir, "doc");
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            read_snapshots(&dir),
+            read_snapshots(&StdFs, &dir),
             Err(PersistError::Decode(DecodeError::Checksum)) | Err(PersistError::Decode(_))
         ));
     }
@@ -223,7 +232,7 @@ mod tests {
     fn missing_dir_is_empty() {
         let dir = std::env::temp_dir().join("xuc-snap-definitely-missing");
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(read_snapshots(&dir).unwrap().is_empty());
+        assert!(read_snapshots(&StdFs, &dir).unwrap().is_empty());
     }
 
     #[test]

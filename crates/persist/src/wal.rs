@@ -20,25 +20,36 @@
 //! [`read_wal`] scans frames in order and **stops at the first bad one**:
 //! everything before it is the durable prefix, everything after is
 //! discarded — recovery truncates the file there and starts serving
-//! ([`WalWriter::open`] does the truncation). Refusing to start would turn
-//! every unclean shutdown into an outage; trailing garbage after a bad
-//! frame is unreachable anyway because frames are only ever appended.
+//! ([`WalWriter::open_in`] does the truncation). Refusing to start would
+//! turn every unclean shutdown into an outage; trailing garbage after a
+//! bad frame is unreachable anyway because frames are only ever appended.
 //!
-//! # Buffering
+//! The header is different. [`WalWriter::open_in`] syncs it before any
+//! frame is appended, so a torn header can only be a file no longer than
+//! the magic, which is an empty log. A longer file with a wrong header is
+//! corruption, and it is refused as [`DecodeError::BadMagic`] without
+//! touching the file: truncating it would silently drop every logged
+//! commit.
+//!
+//! # Buffering and the file system
 //!
 //! [`WalWriter::append`] buffers encoded frames in memory; only
 //! [`WalWriter::sync`] (or drop) writes and syncs them, so when to sync —
 //! group commit — is the caller's policy. A crash between syncs loses the
-//! buffered suffix — which is exactly the [`WriteFault::LoseBuffered`]
-//! fault the kill/restart differential harness injects.
+//! buffered suffix. Every file operation goes through a
+//! [`FileSystem`]: [`WalWriter::open`] runs on [`StdFs`], and the crash
+//! suites run the same writer on the simulated disk
+//! ([`crate::sim::SimDisk`]), which loses, drops or tears unsynced writes
+//! and fails syncs on request.
 
 use crate::codec::{
     append_frame, decode_certificate, decode_suite, decode_tree, decode_updates,
     encode_certificate, encode_suite, encode_tree, encode_updates, split_frame, DecodeError,
     Decoder, EncodeError, Encoder,
 };
-use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use crate::fs::{parent_dir, FileHandle, FileSystem, StdFs};
+use crate::PersistError;
+use std::io;
 use std::path::Path;
 use xuc_core::Constraint;
 use xuc_sigstore::Certificate;
@@ -156,18 +167,24 @@ pub struct WalScan {
     pub torn: bool,
 }
 
-/// Scans `path` frame by frame, stopping at the first torn or corrupted
-/// frame (see the module docs). A missing file is an empty log.
-pub fn read_wal(path: &Path) -> io::Result<WalScan> {
-    let bytes = match std::fs::read(path) {
+/// Scans `path` on `fs` frame by frame, stopping at the first torn or
+/// corrupted frame (see the module docs). A missing file is an empty log,
+/// and so is a file no longer than the magic that is not the magic (a
+/// torn header). A longer file whose header is wrong is
+/// [`DecodeError::BadMagic`]: the header is synced before any frame is
+/// appended, so no crash can produce one.
+pub fn read_wal(fs: &dyn FileSystem, path: &Path) -> Result<WalScan, PersistError> {
+    let bytes = match fs.read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
             return Ok(WalScan { records: Vec::new(), valid_len: 0, torn: false })
         }
-        Err(e) => return Err(e),
+        Err(e) => return Err(e.into()),
     };
-    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        // No intact header: treat the whole file as a torn tail.
+    if !bytes.starts_with(WAL_MAGIC) {
+        if bytes.len() > WAL_MAGIC.len() {
+            return Err(DecodeError::BadMagic.into());
+        }
         return Ok(WalScan { records: Vec::new(), valid_len: 0, torn: !bytes.is_empty() });
     }
     let mut records = Vec::new();
@@ -187,100 +204,51 @@ pub fn read_wal(path: &Path) -> io::Result<WalScan> {
     }
 }
 
-/// A simulated storage fault. The first three are **crash-time** faults,
-/// applied while tearing a writer down ([`WalWriter::simulate_crash`]):
-/// they model what a real power loss can do to the tail of an
-/// append-only file. The rest are **write-time** faults, armed on a live
-/// writer (`WalWriter::inject_fault`, behind the `test-hooks` feature):
-/// they surface as IO errors or latency out of [`WalWriter::sync`], which
-/// is how the chaos harness exercises the retry/degrade machinery above
-/// the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteFault {
-    /// The in-memory buffer never reached the file: every frame since the
-    /// last sync is gone.
-    LoseBuffered,
-    /// The last durable frame vanishes whole (its sectors never hit the
-    /// platter despite the write returning).
-    DropLastFrame,
-    /// The last durable frame is cut mid-bytes — a torn write the
-    /// checksum scan must detect and discard.
-    TearLastFrame,
-    /// The next `n` syncs fail with an `EINTR`-class transient error
-    /// (nothing reaches the file); the sync after that succeeds. The
-    /// retry loop above the log must absorb these invisibly.
-    TransientOnce { n: u32 },
-    /// Every sync from now on fails with `StorageFull` — the canonical
-    /// fatal, non-retryable fault. Escalation (seal + degrade) is the
-    /// only correct response.
-    DiskFull,
-    /// Every sync is charged `micros` of virtual latency (accumulated in
-    /// `WalWriter::injected_latency_micros`, never actually slept)
-    /// before succeeding — for modeling slow disks without slow tests.
-    Latency { micros: u64 },
-}
-
-/// Live-writer fault state (`test-hooks` builds only; release builds
-/// carry no injection fields).
-#[cfg(any(test, feature = "test-hooks"))]
-#[derive(Debug, Default)]
-struct Injection {
-    armed: Option<WriteFault>,
-    latency_micros: u64,
-}
-
 /// Append handle on a WAL file. See the module docs for the frame format
 /// and the buffering discipline.
 pub struct WalWriter {
-    file: File,
+    file: Box<dyn FileHandle>,
     /// Durable file length (bytes actually written through).
     len: u64,
-    /// Offset of the most recently written frame — where the fault
-    /// injector cuts.
-    last_frame_start: u64,
     pending: Vec<u8>,
     pending_frames: usize,
-    /// Set by [`simulate_crash`](Self::simulate_crash) and [`seal`](Self::seal):
-    /// suppresses the drop-time sync so crashed/sealed state stays put.
-    dead: bool,
-    #[cfg(any(test, feature = "test-hooks"))]
-    injection: Injection,
+    /// Set by [`seal`](Self::seal): suppresses all further IO, the
+    /// drop-time sync included.
+    sealed: bool,
 }
 
 impl WalWriter {
-    /// Opens (creating if absent) the log at `path`, scans it, truncates
-    /// any torn tail, and positions for appending. Returns the writer and
-    /// the durable records for replay.
+    /// [`open_in`](Self::open_in) on the real file system.
     ///
     /// The second parameter, once the group-commit batch size, is ignored:
     /// benchmark compatibility (gatebench's mirror passes `usize::MAX`),
     /// to be deleted with ROADMAP item 1.
-    pub fn open(path: &Path, _batch: usize) -> io::Result<(WalWriter, WalScan)> {
-        let scan = read_wal(path)?;
-        // truncate(false): the valid prefix must survive reopening — only
-        // a torn tail is cut, via the explicit set_len below.
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
+    pub fn open(path: &Path, _batch: usize) -> Result<(WalWriter, WalScan), PersistError> {
+        WalWriter::open_in(&StdFs, path)
+    }
+
+    /// Opens (creating if absent) the log at `path` on `fs`, scans it,
+    /// truncates any torn tail, syncs, and positions for appending.
+    /// Writing a fresh header also syncs the log's directory, so the log's
+    /// name is as durable as its header. Returns the writer and the
+    /// durable records for replay; a wrong header is an error and leaves
+    /// the file untouched.
+    pub fn open_in(fs: &dyn FileSystem, path: &Path) -> Result<(WalWriter, WalScan), PersistError> {
+        let scan = read_wal(fs, path)?;
+        let mut file = fs.open(path)?;
         let mut len = scan.valid_len;
         if len == 0 {
             file.set_len(0)?;
-            file.write_all(WAL_MAGIC)?;
+            file.write_at(0, WAL_MAGIC)?;
             len = WAL_MAGIC.len() as u64;
         } else if scan.torn {
             file.set_len(len)?;
         }
-        file.seek(SeekFrom::Start(len))?;
         file.sync_all()?;
-        let writer = WalWriter {
-            file,
-            len,
-            last_frame_start: len,
-            pending: Vec::new(),
-            pending_frames: 0,
-            dead: false,
-            #[cfg(any(test, feature = "test-hooks"))]
-            injection: Injection::default(),
-        };
+        if scan.valid_len == 0 {
+            fs.sync_dir(parent_dir(path))?;
+        }
+        let writer = WalWriter { file, len, pending: Vec::new(), pending_frames: 0, sealed: false };
         Ok((writer, scan))
     }
 
@@ -305,11 +273,9 @@ impl WalWriter {
     /// Frames the payload `encode` writes, encoding it straight into the
     /// buffer, so no second copy of the payload exists.
     fn append_with(&mut self, encode: impl FnOnce(&mut Encoder)) -> Result<(), EncodeError> {
-        let start = self.pending.len();
         let frame = append_frame(&mut self.pending, encode)?;
         crate::stats::bump(&crate::stats::WAL_FRAMES, 1);
         crate::stats::bump(&crate::stats::WAL_BYTES, frame as u64);
-        self.last_frame_start = self.len + start as u64;
         self.pending_frames += 1;
         Ok(())
     }
@@ -317,11 +283,10 @@ impl WalWriter {
     /// Writes and syncs any buffered frames.
     ///
     /// Failure leaves the buffer **intact** and the call **idempotent**:
-    /// every attempt re-seeks to the durable length first, so a retry
-    /// overwrites whatever partial tail an earlier failed attempt may
-    /// have left instead of appending after it. That is what lets the
-    /// journal's bounded-retry loop simply call `sync` again on a
-    /// transient fault.
+    /// every attempt writes at the durable length, so a retry overwrites
+    /// whatever partial tail an earlier failed attempt may have left
+    /// instead of appending after it. That is what lets the journal's
+    /// bounded-retry loop simply call `sync` again on a transient fault.
     ///
     /// A buffer left holding more than twice the batch it just wrote is
     /// shrunk to that batch, so one large frame (a publish) does not stay
@@ -330,11 +295,7 @@ impl WalWriter {
         if self.pending.is_empty() {
             return Ok(());
         }
-        if let Some(e) = self.injected_sync_error() {
-            return Err(e);
-        }
-        self.file.seek(SeekFrom::Start(self.len))?;
-        self.file.write_all(&self.pending)?;
+        self.file.write_at(self.len, &self.pending)?;
         self.file.sync_all()?;
         crate::stats::bump(&crate::stats::WAL_FLUSHES, 1);
         crate::stats::bump(&crate::stats::WAL_FSYNCS, 1);
@@ -348,52 +309,6 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Surfaces (and steps) any armed write-time fault. Compiled to a
-    /// no-op without `test-hooks`.
-    #[allow(unused_mut, clippy::needless_return)]
-    fn injected_sync_error(&mut self) -> Option<io::Error> {
-        #[cfg(any(test, feature = "test-hooks"))]
-        {
-            match self.injection.armed {
-                Some(WriteFault::TransientOnce { n }) if n > 0 => {
-                    self.injection.armed =
-                        (n > 1).then_some(WriteFault::TransientOnce { n: n - 1 });
-                    return Some(io::Error::new(
-                        io::ErrorKind::Interrupted,
-                        "injected transient IO fault",
-                    ));
-                }
-                Some(WriteFault::TransientOnce { .. }) => self.injection.armed = None,
-                Some(WriteFault::DiskFull) => {
-                    return Some(io::Error::new(
-                        io::ErrorKind::StorageFull,
-                        "injected disk-full fault",
-                    ));
-                }
-                Some(WriteFault::Latency { micros }) => {
-                    self.injection.latency_micros += micros;
-                }
-                Some(_) | None => {}
-            }
-        }
-        None
-    }
-
-    /// Arms a write-time fault on this writer; the next syncs observe it
-    /// (see the [`WriteFault`] variants). Re-arming replaces the previous
-    /// fault; crash-time variants armed here are inert until
-    /// [`simulate_crash`](Self::simulate_crash).
-    #[cfg(any(test, feature = "test-hooks"))]
-    pub fn inject_fault(&mut self, fault: WriteFault) {
-        self.injection.armed = Some(fault);
-    }
-
-    /// Virtual latency accumulated by [`WriteFault::Latency`] syncs.
-    #[cfg(any(test, feature = "test-hooks"))]
-    pub fn injected_latency_micros(&self) -> u64 {
-        self.injection.latency_micros
-    }
-
     /// Seals the writer: discards buffered frames and suppresses all
     /// further IO including the drop-time sync. The on-disk log stays
     /// exactly as the last successful sync left it — this is how a
@@ -401,16 +316,15 @@ impl WalWriter {
     pub fn seal(&mut self) {
         self.pending.clear();
         self.pending_frames = 0;
-        self.dead = true;
+        self.sealed = true;
     }
 
-    /// Whether [`seal`](Self::seal) (or a simulated crash) has shut this
-    /// writer down.
+    /// Whether [`seal`](Self::seal) has shut this writer down.
     pub fn is_sealed(&self) -> bool {
-        self.dead
+        self.sealed
     }
 
-    /// Durable bytes (what a crash without faults preserves).
+    /// Durable bytes (what a crash preserves).
     pub fn durable_len(&self) -> u64 {
         self.len
     }
@@ -427,65 +341,19 @@ impl WalWriter {
         self.pending.clear();
         self.pending_frames = 0;
         self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(WAL_MAGIC)?;
+        self.file.write_at(0, WAL_MAGIC)?;
         self.file.sync_all()?;
         crate::stats::bump(&crate::stats::WAL_TRUNCATIONS, 1);
         crate::stats::bump(&crate::stats::WAL_FSYNCS, 1);
         self.len = WAL_MAGIC.len() as u64;
-        self.last_frame_start = self.len;
-        Ok(())
-    }
-
-    /// Kills the writer as a crash would, optionally mangling the tail of
-    /// the file first. After this the writer performs no further IO (the
-    /// drop-time sync is suppressed).
-    pub fn simulate_crash(mut self, fault: WriteFault) -> io::Result<()> {
-        match fault {
-            WriteFault::LoseBuffered => {
-                // The buffered frames simply never existed.
-                self.pending.clear();
-                self.pending_frames = 0;
-            }
-            WriteFault::DropLastFrame => {
-                // Make everything durable first, then drop the final
-                // frame whole — models a write acknowledged but lost.
-                self.sync()?;
-                if self.last_frame_start < self.len {
-                    self.file.set_len(self.last_frame_start)?;
-                    self.file.sync_all()?;
-                }
-            }
-            WriteFault::TearLastFrame => {
-                // Make everything durable, then cut the final frame
-                // mid-bytes — the torn tail read_wal must discard.
-                self.sync()?;
-                if self.last_frame_start < self.len {
-                    let frame = self.len - self.last_frame_start;
-                    let keep = self.last_frame_start + 1 + (frame - 1) / 2;
-                    self.file.set_len(keep)?;
-                    self.file.sync_all()?;
-                }
-            }
-            WriteFault::TransientOnce { .. }
-            | WriteFault::DiskFull
-            | WriteFault::Latency { .. } => {
-                // Write-time faults (armed via `inject_fault`): at crash
-                // time they reduce to losing whatever the failing sync
-                // never wrote — the buffered suffix.
-                self.pending.clear();
-                self.pending_frames = 0;
-            }
-        }
-        self.dead = true;
         Ok(())
     }
 }
 
 impl Drop for WalWriter {
-    /// A clean shutdown flushes the buffer; a simulated crash does not.
+    /// A clean shutdown flushes the buffer; a sealed writer does not.
     fn drop(&mut self) {
-        if !self.dead {
+        if !self.sealed {
             let _ = self.sync();
         }
     }
@@ -494,6 +362,7 @@ impl Drop for WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{Crash, SimDisk, SyncFault};
     use xuc_core::parse_constraint;
     use xuc_sigstore::Signer;
     use xuc_xtree::{parse_term, Label, NodeId};
@@ -503,6 +372,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("wal.log")
+    }
+
+    const LOG: &str = "wal.log";
+
+    fn records_on(fs: &dyn FileSystem) -> Vec<WalRecord> {
+        read_wal(fs, Path::new(LOG)).unwrap().records
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -534,7 +409,7 @@ mod tests {
                 w.append(r).unwrap();
             }
         }
-        let scan = read_wal(&path).unwrap();
+        let scan = read_wal(&StdFs, &path).unwrap();
         assert!(!scan.torn);
         assert_eq!(scan.records, records);
         // Reopening appends after the existing tail.
@@ -543,7 +418,7 @@ mod tests {
             assert_eq!(scan.records.len(), 2);
             w.append(&records[1]).unwrap();
         }
-        assert_eq!(read_wal(&path).unwrap().records.len(), 3);
+        assert_eq!(read_wal(&StdFs, &path).unwrap().records.len(), 3);
     }
 
     /// Whatever the ignored batch parameter says, appends only buffer:
@@ -571,9 +446,9 @@ mod tests {
     /// byte as it was; the earlier frame still syncs.
     #[test]
     fn a_refused_frame_leaves_the_buffer_as_it_was() {
-        let path = tmp("refused");
+        let disk = SimDisk::new();
         let records = sample_records();
-        let (mut w, _) = WalWriter::open(&path, 1).unwrap();
+        let (mut w, _) = WalWriter::open_in(&disk, Path::new(LOG)).unwrap();
         w.append(&records[0]).unwrap();
         let (pending, frames) = (w.pending.clone(), w.pending_frames());
         let too_long = u32::MAX as usize + 1;
@@ -586,60 +461,64 @@ mod tests {
         assert_eq!(w.pending, pending, "the refused frame left bytes behind");
         assert_eq!(w.pending_frames(), frames);
         w.sync().unwrap();
-        drop(w);
-        assert_eq!(read_wal(&path).unwrap().records, records[..1]);
+        assert_eq!(records_on(&disk), records[..1]);
     }
 
     #[test]
     fn lose_buffered_drops_exactly_the_unsynced_suffix() {
-        let path = tmp("lose");
+        let disk = SimDisk::new();
         let records = sample_records();
-        let (mut w, _) = WalWriter::open(&path, 10).unwrap();
+        let (mut w, _) = WalWriter::open_in(&disk, Path::new(LOG)).unwrap();
         w.append(&records[0]).unwrap();
         w.sync().unwrap();
         w.append(&records[1]).unwrap();
-        w.simulate_crash(WriteFault::LoseBuffered).unwrap();
-        let scan = read_wal(&path).unwrap();
+        let after = disk.crash(Crash::LoseUnsynced);
+        drop(w);
+        let scan = read_wal(&after, Path::new(LOG)).unwrap();
         assert!(!scan.torn, "lost buffer leaves a clean file");
         assert_eq!(scan.records, records[..1]);
     }
 
+    /// Power fails during the last sync: its write never lands, and the
+    /// file ends cleanly after the frame before it.
     #[test]
     fn drop_last_frame_is_clean_truncation() {
-        let path = tmp("drop");
+        let disk = SimDisk::new();
         let records = sample_records();
-        let (mut w, _) = WalWriter::open(&path, 1).unwrap();
+        let (mut w, _) = WalWriter::open_in(&disk, Path::new(LOG)).unwrap();
         for r in &records {
             w.append(r).unwrap();
+            w.sync().unwrap();
         }
-        w.simulate_crash(WriteFault::DropLastFrame).unwrap();
-        let scan = read_wal(&path).unwrap();
+        let after = disk.crash(Crash::DropLastWrite);
+        drop(w);
+        let scan = read_wal(&after, Path::new(LOG)).unwrap();
         assert!(!scan.torn);
         assert_eq!(scan.records, records[..1]);
     }
 
     #[test]
     fn torn_tail_is_detected_and_truncated_on_reopen() {
-        let path = tmp("tear");
+        let disk = SimDisk::new();
         let records = sample_records();
-        let (mut w, _) = WalWriter::open(&path, 1).unwrap();
+        let (mut w, _) = WalWriter::open_in(&disk, Path::new(LOG)).unwrap();
         for r in &records {
             w.append(r).unwrap();
             w.sync().unwrap();
         }
-        let full = std::fs::metadata(&path).unwrap().len();
-        w.simulate_crash(WriteFault::TearLastFrame).unwrap();
-        let cut = std::fs::metadata(&path).unwrap().len();
-        assert!(cut < full, "the tear must remove bytes");
-        let scan = read_wal(&path).unwrap();
+        let full = disk.read(Path::new(LOG)).unwrap().len();
+        let disk = disk.crash(Crash::TearLastWrite);
+        drop(w);
+        assert!(disk.read(Path::new(LOG)).unwrap().len() < full, "the tear must remove bytes");
+        let scan = read_wal(&disk, Path::new(LOG)).unwrap();
         assert!(scan.torn, "half a frame is a torn tail");
         assert_eq!(scan.records, records[..1]);
         // Reopening truncates the tail and serves appends again.
-        let (mut w, scan) = WalWriter::open(&path, 1).unwrap();
+        let (mut w, scan) = WalWriter::open_in(&disk, Path::new(LOG)).unwrap();
         assert_eq!(scan.records.len(), 1);
         w.append(&records[1]).unwrap();
         drop(w);
-        let scan = read_wal(&path).unwrap();
+        let scan = read_wal(&disk, Path::new(LOG)).unwrap();
         assert!(!scan.torn);
         assert_eq!(scan.records, records);
     }
@@ -658,7 +537,7 @@ mod tests {
         let last = bytes.len() - 3;
         bytes[last] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let scan = read_wal(&path).unwrap();
+        let scan = read_wal(&StdFs, &path).unwrap();
         assert!(scan.torn, "checksum must catch the flip");
         assert_eq!(scan.records, records[..1]);
     }
@@ -666,25 +545,27 @@ mod tests {
     #[test]
     fn missing_and_headerless_files_are_empty_logs() {
         let path = tmp("empty");
-        let scan = read_wal(&path).unwrap();
+        let scan = read_wal(&StdFs, &path).unwrap();
         assert!(scan.records.is_empty() && !scan.torn && scan.valid_len == 0);
         std::fs::write(&path, b"garbage").unwrap();
-        let scan = read_wal(&path).unwrap();
+        let scan = read_wal(&StdFs, &path).unwrap();
         assert!(scan.records.is_empty() && scan.torn);
         let (w, scan) = WalWriter::open(&path, 1).unwrap();
         assert!(scan.records.is_empty());
         assert_eq!(w.durable_len(), WAL_MAGIC.len() as u64);
     }
 
+    /// Transient sync failures leave the buffer intact; the retry writes
+    /// it once, at the durable length.
     #[test]
     fn transient_injection_fails_then_succeeds_idempotently() {
-        let path = tmp("transient");
+        let disk = SimDisk::new();
         let records = sample_records();
-        let (mut w, _) = WalWriter::open(&path, 10).unwrap();
+        let (mut w, _) = WalWriter::open_in(&disk, Path::new(LOG)).unwrap();
         for r in &records {
             w.append(r).unwrap();
         }
-        w.inject_fault(WriteFault::TransientOnce { n: 2 });
+        disk.fail_syncs(SyncFault::Interrupted(2));
         for _ in 0..2 {
             let e = w.sync().unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::Interrupted);
@@ -693,65 +574,53 @@ mod tests {
         // Third attempt goes through; nothing duplicated, nothing lost.
         w.sync().unwrap();
         assert_eq!(w.pending_frames(), 0);
-        drop(w);
-        assert_eq!(read_wal(&path).unwrap().records, records);
+        assert_eq!(records_on(&disk.crash(Crash::LoseUnsynced)), records);
     }
 
+    /// A full disk fails every sync; sealing abandons the buffered frame,
+    /// and a crash keeps only what was durable before the fault.
     #[test]
     fn disk_full_injection_is_persistent_and_fatal_kind() {
-        let path = tmp("full");
+        let disk = SimDisk::new();
         let records = sample_records();
-        let (mut w, _) = WalWriter::open(&path, 10).unwrap();
+        let (mut w, _) = WalWriter::open_in(&disk, Path::new(LOG)).unwrap();
         w.append(&records[0]).unwrap();
-        w.inject_fault(WriteFault::DiskFull);
+        disk.fail_syncs(SyncFault::StorageFull);
         for _ in 0..3 {
             assert_eq!(w.sync().unwrap_err().kind(), io::ErrorKind::StorageFull);
         }
-        // Sealing abandons the buffered frame; the file keeps only what
-        // was durable before the fault (just the magic here).
         w.seal();
         assert!(w.is_sealed());
         drop(w);
-        assert!(read_wal(&path).unwrap().records.is_empty());
+        assert!(records_on(&disk.crash(Crash::LoseUnsynced)).is_empty());
     }
 
-    #[test]
-    fn latency_injection_accumulates_without_failing() {
-        let path = tmp("latency");
-        let records = sample_records();
-        let (mut w, _) = WalWriter::open(&path, 1).unwrap();
-        w.inject_fault(WriteFault::Latency { micros: 250 });
-        for r in &records {
-            w.append(r).unwrap();
-            w.sync().unwrap();
-        }
-        assert_eq!(w.injected_latency_micros(), 500, "one charge per sync");
-        drop(w);
-        assert_eq!(read_wal(&path).unwrap().records, records);
-    }
-
+    /// A write whose sync failed reached the file but not the disk: a
+    /// crash loses it like a buffered frame.
     #[test]
     fn write_time_faults_at_crash_time_lose_the_buffer() {
-        let path = tmp("crashwrite");
+        let disk = SimDisk::new();
         let records = sample_records();
-        let (mut w, _) = WalWriter::open(&path, 10).unwrap();
+        let (mut w, _) = WalWriter::open_in(&disk, Path::new(LOG)).unwrap();
         w.append(&records[0]).unwrap();
         w.sync().unwrap();
         w.append(&records[1]).unwrap();
-        w.simulate_crash(WriteFault::DiskFull).unwrap();
-        assert_eq!(read_wal(&path).unwrap().records, records[..1]);
+        disk.fail_syncs(SyncFault::StorageFull);
+        assert!(w.sync().is_err());
+        assert_eq!(records_on(&disk), records, "the failed sync's write reached the file");
+        assert_eq!(records_on(&disk.crash(Crash::LoseUnsynced)), records[..1]);
     }
 
     #[test]
     fn a_large_frame_does_not_stay_resident() {
-        let path = tmp("shrink");
+        let disk = SimDisk::new();
         let mut tree = DataTree::with_root_id(NodeId::from_raw(1), "h");
         for i in 2..10_000 {
             tree.add_with_id(NodeId::from_raw(1), NodeId::from_raw(i), "visit").unwrap();
         }
         let large = WalRecord::Publish { doc: "h".into(), tree, suite: Vec::new() };
         let small = &sample_records()[1];
-        let (mut w, _) = WalWriter::open(&path, 1).unwrap();
+        let (mut w, _) = WalWriter::open_in(&disk, Path::new(LOG)).unwrap();
         w.append(&large).unwrap();
         w.sync().unwrap();
         assert!(w.pending.capacity() >= large.encode().len(), "the large frame used the buffer");
@@ -764,21 +633,20 @@ mod tests {
             w.pending.capacity()
         );
         drop(w);
-        assert_eq!(read_wal(&path).unwrap().records, vec![large, small.clone()]);
+        assert_eq!(records_on(&disk), vec![large, small.clone()]);
     }
 
     #[test]
     fn truncate_all_resets_to_empty() {
-        let path = tmp("trunc");
+        let disk = SimDisk::new();
         let records = sample_records();
-        let (mut w, _) = WalWriter::open(&path, 1).unwrap();
+        let (mut w, _) = WalWriter::open_in(&disk, Path::new(LOG)).unwrap();
         for r in &records {
             w.append(r).unwrap();
         }
         w.truncate_all().unwrap();
         w.append(&records[0]).unwrap();
         drop(w);
-        let scan = read_wal(&path).unwrap();
-        assert_eq!(scan.records, records[..1]);
+        assert_eq!(records_on(&disk), records[..1]);
     }
 }

@@ -13,8 +13,8 @@ use std::collections::BTreeSet;
 use xuc_core::{parse_constraint, Constraint};
 use xuc_persist::codec::split_frame;
 use xuc_persist::{
-    checksum64, decode_tree, encode_tree, read_wal, Decoder, DocSnapshot, Encoder, WalRecord,
-    WalWriter,
+    checksum64, decode_tree, encode_tree, read_wal, Decoder, DocSnapshot, Encoder, StdFs,
+    WalRecord, WalWriter,
 };
 use xuc_sigstore::{Certificate, Signer};
 use xuc_xtree::{DataTree, Label, NodeId, NodeRef, Update};
@@ -333,7 +333,7 @@ fn mutated_wal_frames_decode_typed_or_exact() {
             file.extend_from_slice(f);
         }
         std::fs::write(&path, &file).unwrap();
-        let scan = read_wal(&path).unwrap();
+        let scan = read_wal(&StdFs, &path).unwrap();
         assert!(scan.records[0] == rec);
         match decoded {
             Ok(back) => {
@@ -369,7 +369,7 @@ fn wal_file_corruption_yields_only_prefixes() {
         }
     }
     let clean = std::fs::read(&path).unwrap();
-    let reference = read_wal(&path).unwrap();
+    let reference = read_wal(&StdFs, &path).unwrap();
     assert_eq!(reference.records, records);
 
     // Flip one byte at a spread of positions after the magic header.
@@ -378,7 +378,7 @@ fn wal_file_corruption_yields_only_prefixes() {
         let mut bytes = clean.clone();
         bytes[pos] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let scan = read_wal(&path).unwrap();
+        let scan = read_wal(&StdFs, &path).unwrap();
         assert!(scan.records.len() <= records.len(), "corruption at byte {pos} grew the log");
         for (a, b) in scan.records.iter().zip(&records) {
             assert!(a == b, "corruption at byte {pos} produced a wrong record");

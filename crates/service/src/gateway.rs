@@ -51,7 +51,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use xuc_core::Constraint;
-use xuc_persist::{Clock, SystemClock, WriteFault};
+use xuc_persist::{Clock, FileSystem, StdFs, SystemClock};
 use xuc_sigstore::{Certificate, Signer};
 use xuc_telemetry::Telemetry;
 use xuc_xtree::DataTree;
@@ -199,7 +199,8 @@ impl Gateway {
     /// on. An empty directory recovers to an empty gateway, so this is
     /// also how a durable gateway is *started*.
     pub fn recover(signer: Signer, dir: impl AsRef<Path>) -> Result<Gateway, RecoverError> {
-        Gateway::recover_with_clock(signer, dir, DurableOptions::default(), Box::new(SystemClock))
+        let opts = DurableOptions::default();
+        Gateway::recover_with_io(signer, dir, opts, Box::new(SystemClock), Arc::new(StdFs))
     }
 
     /// [`recover`](Self::recover) with explicit [`DurableOptions`]
@@ -212,20 +213,24 @@ impl Gateway {
         dir: impl AsRef<Path>,
         opts: DurableOptions,
     ) -> Result<Gateway, RecoverError> {
-        Gateway::recover_with_clock(signer, dir, opts, Box::new(SystemClock))
+        Gateway::recover_with_io(signer, dir, opts, Box::new(SystemClock), Arc::new(StdFs))
     }
 
     /// [`recover_with`](Self::recover_with) with an injectable retry
-    /// [`Clock`] — chaos tests pass a virtual clock so the production
-    /// backoff loop runs (and is asserted) without real sleeping.
-    pub fn recover_with_clock(
+    /// [`Clock`] and [`FileSystem`] — the crash and chaos suites pass a
+    /// virtual clock, so the production backoff loop runs (and is
+    /// asserted) without real sleeping, and a simulated disk
+    /// ([`xuc_persist::SimDisk`]), which fails syncs and crashes on
+    /// request. Production passes `SystemClock` and [`StdFs`].
+    pub fn recover_with_io(
         signer: Signer,
         dir: impl AsRef<Path>,
         opts: DurableOptions,
         clock: Box<dyn Clock + Send + Sync>,
+        fs: Arc<dyn FileSystem>,
     ) -> Result<Gateway, RecoverError> {
         let RecoveredState { store, cache, journal } =
-            crate::persist::recover(&signer, dir.as_ref(), opts, clock)?;
+            crate::persist::recover(&signer, dir.as_ref(), opts, clock, fs)?;
         Ok(Gateway::assemble(store, cache, signer, Some(journal)))
     }
 
@@ -444,18 +449,6 @@ impl Gateway {
         }
     }
 
-    /// Tears the gateway down as a simulated crash: pending group-commit
-    /// frames and the WAL tail suffer `fault` instead of the orderly
-    /// drop-time sync. Only meaningful on durable gateways (a no-op
-    /// otherwise); the crash-injection arm of the differential harness
-    /// is built on this.
-    pub fn simulate_crash(self, fault: WriteFault) -> std::io::Result<()> {
-        match self.journal {
-            Some(journal) => journal.into_writer().simulate_crash(fault),
-            None => Ok(()),
-        }
-    }
-
     /// Test hook (`test-hooks` feature): the next `count` sessions
     /// against `doc` panic after applying their updates, exercising the
     /// panic containment and quarantine paths without a buggy handler.
@@ -482,17 +475,6 @@ impl Gateway {
     #[cfg(not(any(test, feature = "test-hooks")))]
     #[inline(always)]
     fn fire_injected_panic(&self, _doc: DocId) {}
-
-    /// Test hook (`test-hooks` feature): arms a write-time fault on the
-    /// journal's WAL writer — the next syncs observe it. No-op on
-    /// non-durable gateways. This is the chaos harness's lever for
-    /// driving the retry/degrade machinery.
-    #[cfg(feature = "test-hooks")]
-    pub fn inject_journal_fault(&self, fault: WriteFault) {
-        if let Some(journal) = &self.journal {
-            journal.inject_fault(fault);
-        }
-    }
 
     /// Publishes a document under its constraint suite (the Source side
     /// of Figure 1): compiles or cache-hits the suite, certifies the

@@ -96,7 +96,7 @@ pub use queue::{plan_admission, render_arrival_log, Arrival, LoadOptions, LoadRe
 pub use session::{admit_delta_in_place, Commit, Rejection, Session};
 pub use store::{Document, DocumentStore, PublishError};
 pub use telemetry::{scrape_engine_metrics, scrape_persist_metrics};
-pub use xuc_persist::{RetryPolicy, SystemClock, WriteFault};
+pub use xuc_persist::{Crash, RetryPolicy, SimDisk, StdFs, SyncFault, SystemClock};
 pub use xuc_telemetry::{
     Determinism, MetricsRegistry, MetricsSnapshot, RecordInto, Stage, Telemetry, TraceRing,
 };

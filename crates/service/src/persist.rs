@@ -26,9 +26,22 @@
 //!   through the one document constructor, re-runs the WAL tail through
 //!   the *live* admission path ([`Session`]), and cross-checks every
 //!   replayed certificate against the logged one — recovery that diverges
-//!   from the original run is an error, never a silent wrong state. The kill/restart differential
-//!   harness (`tests/differential.rs`) asserts byte-identical recovery
-//!   under injected write faults at several worker counts.
+//!   from the original run is an error, never a silent wrong state. The
+//!   kill/restart differential harness (`tests/differential.rs`) asserts
+//!   byte-identical recovery from crash images at several worker counts.
+//! * **One file-system seam, and the directory-sync rule.** Every file
+//!   operation goes through the journal's [`FileSystem`]:
+//!   [`xuc_persist::StdFs`] in production, the simulated disk
+//!   ([`xuc_persist::SimDisk`]) in the crash, chaos and kill/restart
+//!   suites, which is where their sync faults and crash images come
+//!   from. A create or rename is durable only once its directory is
+//!   synced, so recovery syncs the parent of the durability directory it
+//!   creates, the WAL writer syncs the directory when it creates the log,
+//!   and a snapshot's install syncs the directory after the rename —
+//!   before the log it covers may be truncated. Without that last sync a crash could keep the truncated
+//!   log and the old snapshot, and lose acknowledged commits. The
+//!   crash-state explorer (`tests/crash_states.rs`) recovers every state
+//!   the simulated disk's crash model allows and checks exactly this.
 //! * **Survive-the-fault journal.** A journal IO error is classified
 //!   ([`xuc_persist::classify`]): *transient* failures retry with
 //!   bounded exponential backoff through an injectable clock
@@ -53,10 +66,11 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::MutexGuard;
+use std::sync::{Arc, MutexGuard};
+use xuc_persist::fs::parent_dir;
 use xuc_persist::{
-    read_snapshots, retry_io, write_snapshot, Clock, DocSnapshot, EncodeError, IoFailure,
-    PersistError, RetryOutcome, RetryPolicy, WalRecord, WalWriter,
+    read_snapshots, retry_io, write_snapshot, Clock, DocSnapshot, EncodeError, FileSystem,
+    IoFailure, PersistError, RetryOutcome, RetryPolicy, WalRecord, WalWriter,
 };
 use xuc_sigstore::Signer;
 use xuc_telemetry::{Stage, Telemetry};
@@ -171,6 +185,9 @@ pub(crate) struct Journal {
     /// chaos tests inject a `VirtualClock` so retried schedules run at
     /// full speed and the slept-for backoff is assertable.
     clock: Box<dyn Clock + Send + Sync>,
+    /// Where the log and snapshots live: `StdFs` in production, a
+    /// simulated disk in the crash and chaos suites.
+    fs: Arc<dyn FileSystem>,
     /// Transient failures absorbed by the retry loop (journal-lifetime
     /// total, surfaced as `Gateway::journal_transient_retries`).
     retries: AtomicU64,
@@ -365,7 +382,7 @@ impl Journal {
             chain_tag: header.chain_tag,
             tag: self.signer.snapshot_tag(name, commits, header.prev_digest, header.chain_tag),
         };
-        retry_io(self.opts.retry, &*self.clock, || write_snapshot(&self.dir, &snap))
+        retry_io(self.opts.retry, &*self.clock, || write_snapshot(&*self.fs, &self.dir, &snap))
     }
 
     /// Truncates the whole log iff every logged document has a snapshot
@@ -387,12 +404,6 @@ impl Journal {
         Ok(())
     }
 
-    /// Arms a write-time fault on the WAL writer (chaos tests).
-    #[cfg(feature = "test-hooks")]
-    pub(crate) fn inject_fault(&self, fault: xuc_persist::WriteFault) {
-        self.lock().writer.inject_fault(fault);
-    }
-
     /// Re-opens the WAL after a degraded seal and reconciles disk with
     /// memory, in three phases chosen so the journal lock is never held
     /// around a document mutex (the store's lock order):
@@ -412,8 +423,8 @@ impl Journal {
     /// 3. **Swap** (journal lock): install the fresh writer and rebuilt
     ///    bookkeeping, then truncate if snapshots now cover the log.
     pub(crate) fn resume(&self, store: &DocumentStore) -> Result<(), ResumeError> {
-        let (writer, scan) = WalWriter::open(&wal_path(&self.dir), 0)
-            .map_err(|e| ResumeError::Persist(PersistError::Io(e)))?;
+        let (writer, scan) =
+            WalWriter::open_in(&*self.fs, &wal_path(&self.dir)).map_err(ResumeError::Persist)?;
         let logged = logged_commits(&scan.records);
         // Snapshots are atomic installs recorded only after success, so
         // the in-memory map *is* trustworthy — unlike `logged`.
@@ -451,12 +462,6 @@ impl Journal {
             return Err(ResumeError::Persist(PersistError::Io(io::Error::other(error))));
         }
         Ok(())
-    }
-
-    /// Consumes the journal for crash injection
-    /// ([`Gateway::simulate_crash`](crate::Gateway::simulate_crash)).
-    pub(crate) fn into_writer(self) -> WalWriter {
-        self.inner.into_inner().writer
     }
 }
 
@@ -570,8 +575,9 @@ fn update_max_id(u: &Update) -> u64 {
     }
 }
 
-/// Rebuilds gateway state from `dir` (created if absent — an empty
-/// directory recovers to an empty, durable gateway):
+/// Rebuilds gateway state from `dir` on `fs` (created if absent, and its
+/// parent synced so the new entry is durable — an empty directory
+/// recovers to an empty, durable gateway):
 ///
 /// 1. open every snapshot through the one document constructor (its tree
 ///    with a fresh evaluator, cache-shared automata, the signed sets
@@ -590,14 +596,16 @@ pub(crate) fn recover(
     dir: &Path,
     opts: DurableOptions,
     clock: Box<dyn Clock + Send + Sync>,
+    fs: Arc<dyn FileSystem>,
 ) -> Result<RecoveredState, RecoverError> {
-    std::fs::create_dir_all(dir).map_err(PersistError::Io)?;
+    fs.create_dir_all(dir)?;
+    fs.sync_dir(parent_dir(dir))?;
     let store = DocumentStore::new();
     let cache = SuiteCache::new();
     let mut max_id: u64 = 0;
     let mut snapshotted: HashMap<DocId, u64> = HashMap::new();
 
-    for snap in read_snapshots(dir)? {
+    for snap in read_snapshots(&*fs, dir)? {
         let (id, commits) = (DocId::new(&snap.doc), snap.commits);
         // The name and counter lie outside the chain tag: a snapshot
         // renamed, or with its counter moved (which would skip WAL
@@ -622,7 +630,7 @@ pub(crate) fn recover(
         snapshotted.insert(id, commits);
     }
 
-    let (writer, scan) = WalWriter::open(&wal_path(dir), 0)?;
+    let (writer, scan) = WalWriter::open_in(&*fs, &wal_path(dir))?;
     let logged = logged_commits(&scan.records);
     for rec in scan.records {
         match rec {
@@ -691,6 +699,7 @@ pub(crate) fn recover(
         opts,
         signer: *signer,
         clock,
+        fs,
         retries: AtomicU64::new(0),
         inner: Mutex::new(JournalInner { writer, logged, snapshotted }),
     };

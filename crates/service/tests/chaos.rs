@@ -1,23 +1,26 @@
 //! The chaos harness: differential fault-injection runs against the
-//! survive-the-fault gateway (`test-hooks` feature, enabled for this
+//! survive-the-fault gateway. Storage faults and crashes come from the
+//! simulated disk the gateway journals to (`SimDisk`); session panics
+//! from `inject_session_panic` (`test-hooks` feature, enabled for this
 //! test target through the crate's self-dev-dependency).
 //!
 //! The invariants pinned here:
 //!
 //! * **Transient transparency** — any schedule of absorbable
-//!   `TransientOnce` journal faults leaves a run *byte-identical* to the
+//!   `Interrupted` sync faults leaves a run *byte-identical* to the
 //!   fault-free reference (verdict log, trees, baselines, certificates),
 //!   at 1, 2 and 8 workers, with the gateway still `Serving` and the
 //!   retry counter showing the absorbed faults (a proptest arm drives
 //!   random schedules through the same assertion);
-//! * **Fatal containment** — a fatal journal fault (`DiskFull`) seals
+//! * **Fatal containment** — a fatal sync fault (`StorageFull`) seals
 //!   the WAL and drops the gateway to `ReadOnly`: no panic and no
 //!   process exit at any worker count, reads keep serving, commits
 //!   reject with `Degraded`, and every accepted commit is journaled
 //!   *or* the gateway is degraded (the journaled-or-degraded
 //!   invariant);
-//! * **Resume** — `try_resume` after a fatal fault re-opens the journal,
-//!   makes the un-journaled suffix durable, and restores commit service;
+//! * **Resume** — `try_resume` fails while the disk is still full, and
+//!   once it is healed re-opens the journal, makes the un-journaled
+//!   suffix durable, and restores commit service;
 //!   a crash after resume recovers byte-identical to the live state;
 //! * **Quarantine** — repeated contained panics quarantine one
 //!   document; its siblings and its own reads keep serving.
@@ -28,19 +31,13 @@ use xuc_core::{parse_constraint, Constraint};
 use xuc_persist::VirtualClock;
 use xuc_service::workload::SplitMix;
 use xuc_service::{
-    render_log, DegradedReason, DocId, DurableOptions, Gateway, GatewayState, RejectReason,
-    Request, Verdict, WriteFault,
+    render_log, Crash, DegradedReason, DocId, DurableOptions, Gateway, GatewayState, RejectReason,
+    Request, SimDisk, SyncFault, Verdict,
 };
 use xuc_sigstore::Signer;
 use xuc_xtree::{DataTree, NodeId, Update};
 
 const KEY: u64 = 0xC4A05;
-
-fn tmp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("xuc-chaos-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Four documents across shards; each keeps an ↑-guarded visit so the
 /// stream produces both accepts (inserts) and rejects (guarded deletes).
@@ -95,14 +92,25 @@ fn seeded_stream(
         .collect()
 }
 
-fn durable(name: &str, clock: Arc<VirtualClock>) -> Gateway {
-    Gateway::recover_with_clock(
+/// A durable gateway with default options on `disk`.
+fn durable(disk: &SimDisk, clock: Arc<VirtualClock>) -> Gateway {
+    let fs = Arc::new(disk.clone());
+    Gateway::recover_with_io(
         Signer::new(KEY),
-        tmp_dir(name),
+        "chaos",
         DurableOptions::default(),
         Box::new(clock),
+        fs,
     )
     .unwrap()
+}
+
+/// Crashes `gw`'s disk, losing everything unsynced, and recovers from
+/// the crash image.
+fn crash_and_recover(gw: Gateway, disk: &SimDisk) -> Gateway {
+    let image = disk.crash(Crash::LoseUnsynced);
+    drop(gw);
+    durable(&image, Arc::new(VirtualClock::new()))
 }
 
 /// Asserts two gateways hold byte-identical state for every deployment
@@ -127,21 +135,22 @@ fn assert_state_identical(
     }
 }
 
-/// Drives `requests` through `gw` in chunks of `chunk`, arming the fault
-/// from `schedule` (keyed by chunk index) before each chunk. Returns the
-/// concatenated verdicts.
+/// Drives `requests` through `gw` in chunks of `chunk`, arming the sync
+/// fault from `schedule` (keyed by chunk index) on `disk` before each
+/// chunk. Returns the concatenated verdicts.
 fn run_with_schedule(
     gw: &Gateway,
+    disk: &SimDisk,
     requests: &[Request],
     workers: usize,
     chunk: usize,
-    schedule: &[(usize, WriteFault)],
+    schedule: &[(usize, SyncFault)],
 ) -> Vec<Verdict> {
     let mut verdicts = Vec::with_capacity(requests.len());
     for (ci, slice) in requests.chunks(chunk).enumerate() {
         for &(at, fault) in schedule {
             if at == ci {
-                gw.inject_journal_fault(fault);
+                disk.fail_syncs(fault);
             }
         }
         verdicts.extend(gw.process(slice, workers));
@@ -158,14 +167,14 @@ fn run_with_schedule(
 fn transient_fault_schedules_are_byte_identical_to_fault_free() {
     let docs = deployment();
     let requests = seeded_stream(&docs, 0x7AB5_1E17, 96);
-    let schedule: &[(usize, WriteFault)] = &[
-        (0, WriteFault::TransientOnce { n: 1 }),
-        (2, WriteFault::TransientOnce { n: 3 }),
-        (5, WriteFault::TransientOnce { n: 2 }),
-        (9, WriteFault::TransientOnce { n: 3 }),
+    let schedule: &[(usize, SyncFault)] = &[
+        (0, SyncFault::Interrupted(1)),
+        (2, SyncFault::Interrupted(3)),
+        (5, SyncFault::Interrupted(2)),
+        (9, SyncFault::Interrupted(3)),
     ];
 
-    let reference = durable("trans-ref", Arc::new(VirtualClock::new()));
+    let reference = durable(&SimDisk::new(), Arc::new(VirtualClock::new()));
     publish_into(&reference, &docs);
     let ref_verdicts = reference.process(&requests, 4);
     let ref_log = render_log(&requests, &ref_verdicts);
@@ -174,15 +183,15 @@ fn transient_fault_schedules_are_byte_identical_to_fault_free() {
     assert_eq!(reference.journal_transient_retries(), 0);
 
     for workers in [1usize, 2, 8] {
-        let clock = Arc::new(VirtualClock::new());
-        let gw = durable(&format!("trans-{workers}w"), Arc::clone(&clock));
+        let (disk, clock) = (SimDisk::new(), Arc::new(VirtualClock::new()));
+        let gw = durable(&disk, Arc::clone(&clock));
         // The faulted arms run instrumented: telemetry must stay inert
         // through the retry loop, and the accept counter must restate
         // the (fault-free-identical) log.
         let tel = Arc::new(xuc_service::Telemetry::new());
         gw.attach_telemetry(Arc::clone(&tel));
         publish_into(&gw, &docs);
-        let verdicts = run_with_schedule(&gw, &requests, workers, 8, schedule);
+        let verdicts = run_with_schedule(&gw, &disk, &requests, workers, 8, schedule);
         assert_eq!(
             render_log(&requests, &verdicts),
             ref_log,
@@ -204,7 +213,7 @@ fn transient_fault_schedules_are_byte_identical_to_fault_free() {
     }
 }
 
-/// **Fatal containment + journaled-or-degraded.** A `DiskFull` fault
+/// **Fatal containment + journaled-or-degraded.** A `StorageFull` fault
 /// makes the *next* journaled commit degrade the gateway: the commit
 /// itself stays accepted (it is real in memory), the WAL seals, further
 /// commits reject `Degraded(ReadOnly)`, reads and publishes keep
@@ -217,8 +226,8 @@ fn fatal_fault_degrades_to_read_only_and_keeps_serving_reads() {
     let requests = seeded_stream(&docs, 0x00FA_7A11, 48);
     for workers in [1usize, 2, 8] {
         let name = format!("fatal-{workers}w");
-        let dir = std::env::temp_dir().join(format!("xuc-chaos-{}-{name}", std::process::id()));
-        let gw = durable(&name, Arc::new(VirtualClock::new()));
+        let disk = SimDisk::new();
+        let gw = durable(&disk, Arc::new(VirtualClock::new()));
         publish_into(&gw, &docs);
         let pre = gw.process(&requests[..24], workers);
         let pre_accepts = pre.iter().filter(|v| v.is_accepted()).count();
@@ -228,7 +237,7 @@ fn fatal_fault_degrades_to_read_only_and_keeps_serving_reads() {
             .map(|(id, ..)| gw.store().document(*id).unwrap().lock().commits())
             .collect();
 
-        gw.inject_journal_fault(WriteFault::DiskFull);
+        disk.fail_syncs(SyncFault::StorageFull);
         // The whole remaining stream drains without a panic or an exit —
         // at every worker count — while the gateway degrades mid-flight.
         let post = gw.process(&requests[24..], workers);
@@ -259,8 +268,7 @@ fn fatal_fault_degrades_to_read_only_and_keeps_serving_reads() {
             .iter()
             .map(|(id, ..)| gw.store().document(*id).unwrap().lock().commits())
             .collect();
-        gw.simulate_crash(WriteFault::LoseBuffered).unwrap();
-        let rec = Gateway::recover(Signer::new(KEY), &dir).unwrap();
+        let rec = crash_and_recover(gw, &disk);
         for (k, (id, ..)) in docs.iter().enumerate() {
             let recovered = rec.store().document(*id).unwrap().lock().commits();
             assert!(
@@ -273,8 +281,10 @@ fn fatal_fault_degrades_to_read_only_and_keeps_serving_reads() {
     }
 }
 
-/// **Resume.** After a fatal fault, `try_resume` re-opens the journal,
-/// snapshots everything memory holds beyond the durable prefix
+/// **Resume.** After a fatal fault, `try_resume` fails while the disk is
+/// still full and leaves the gateway read-only; once the disk is healed
+/// it re-opens the journal, snapshots everything memory holds beyond the
+/// durable prefix
 /// (including the accepted commit whose journaling failed and documents
 /// published while read-only), and restores commit service. A crash
 /// right after resume must recover byte-identical to the live state.
@@ -282,19 +292,21 @@ fn fatal_fault_degrades_to_read_only_and_keeps_serving_reads() {
 fn try_resume_restores_service_and_durability() {
     let docs = deployment();
     let requests = seeded_stream(&docs, 0x05E5_04E5, 60);
-    let name = "resume";
-    let dir = std::env::temp_dir().join(format!("xuc-chaos-{}-{name}", std::process::id()));
-    let gw = durable(name, Arc::new(VirtualClock::new()));
+    let disk = SimDisk::new();
+    let gw = durable(&disk, Arc::new(VirtualClock::new()));
     publish_into(&gw, &docs);
     gw.process(&requests[..20], 2);
 
-    gw.inject_journal_fault(WriteFault::DiskFull);
+    disk.fail_syncs(SyncFault::StorageFull);
     gw.process(&requests[20..40], 2);
     assert_eq!(gw.state(), GatewayState::ReadOnly);
     // A document published while degraded: memory-only until resume.
     let annex = DocId::new("resume-annex");
     gw.publish(annex, docs[0].1.clone(), docs[0].2.clone()).unwrap();
 
+    assert!(matches!(gw.try_resume(), Err(xuc_service::ResumeError::Persist(_))));
+    assert_eq!(gw.state(), GatewayState::ReadOnly, "a failed resume stays read-only");
+    disk.heal();
     gw.try_resume().expect("journal re-opens fine");
     assert_eq!(gw.state(), GatewayState::Serving);
     assert!(!gw.journal_sealed());
@@ -326,8 +338,7 @@ fn try_resume_restores_service_and_durability() {
         })
         .collect();
     let live_certs: Vec<_> = all.iter().map(|(id, ..)| gw.certificate(*id).unwrap()).collect();
-    gw.simulate_crash(WriteFault::LoseBuffered).unwrap();
-    let rec = Gateway::recover(Signer::new(KEY), &dir).unwrap();
+    let rec = crash_and_recover(gw, &disk);
     for ((id, render, commits), cert) in live_state.iter().zip(&live_certs) {
         let arc = rec.store().document(*id).unwrap();
         {
@@ -354,7 +365,7 @@ fn try_resume_restores_service_and_durability() {
 #[test]
 fn quarantine_isolates_the_panicking_document() {
     let docs = deployment();
-    let gw = durable("quarantine", Arc::new(VirtualClock::new()));
+    let gw = durable(&SimDisk::new(), Arc::new(VirtualClock::new()));
     publish_into(&gw, &docs);
     gw.set_quarantine_threshold(2);
     let (sick, healthy) = (docs[0].0, docs[1].0);
@@ -412,12 +423,12 @@ proptest! {
         publish_into(&reference, &docs);
         let ref_log = render_log(&requests, &reference.process(&requests, workers));
 
-        let schedule: Vec<(usize, WriteFault)> =
-            faults.iter().map(|&(at, n)| (at, WriteFault::TransientOnce { n: n as u32 })).collect();
-        let clock = Arc::new(VirtualClock::new());
-        let gw = durable(&format!("prop-{seed:x}"), Arc::clone(&clock));
+        let schedule: Vec<(usize, SyncFault)> =
+            faults.iter().map(|&(at, n)| (at, SyncFault::Interrupted(n as u32))).collect();
+        let disk = SimDisk::new();
+        let gw = durable(&disk, Arc::new(VirtualClock::new()));
         publish_into(&gw, &docs);
-        let verdicts = run_with_schedule(&gw, &requests, workers, 4, &schedule);
+        let verdicts = run_with_schedule(&gw, &disk, &requests, workers, 4, &schedule);
         prop_assert_eq!(render_log(&requests, &verdicts), ref_log);
         prop_assert_eq!(gw.state(), GatewayState::Serving);
         for (id, ..) in &docs {

@@ -15,13 +15,15 @@
 //! to the reference's log).
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use xuc_core::{parse_constraint, Constraint, ConstraintKind};
 use xuc_persist::DecodeError;
+use xuc_persist::StdFs;
 use xuc_service::reference::FullPass;
 use xuc_service::workload::SplitMix;
 use xuc_service::{
-    render_log, DocId, DurableOptions, Gateway, RecoverError, Request, Session, SystemClock,
-    Verdict, WriteFault,
+    render_log, Crash, DocId, DurableOptions, Gateway, RecoverError, Request, Session, SimDisk,
+    SystemClock, Verdict,
 };
 use xuc_sigstore::Signer;
 use xuc_xtree::{DataTree, Label, NodeId, NodeRef, Update};
@@ -127,7 +129,13 @@ fn publish_into(gw: &Gateway, docs: &[(DocId, DataTree, Vec<Constraint>)]) {
 
 /// A durable gateway on `dir`.
 fn durable(key: u64, dir: &std::path::Path, opts: DurableOptions) -> Result<Gateway, RecoverError> {
-    Gateway::recover_with_clock(Signer::new(key), dir, opts, Box::new(SystemClock))
+    Gateway::recover_with_io(Signer::new(key), dir, opts, Box::new(SystemClock), Arc::new(StdFs))
+}
+
+/// A durable gateway on the simulated `disk`.
+fn durable_on(key: u64, disk: &SimDisk, opts: DurableOptions) -> Result<Gateway, RecoverError> {
+    let fs = Arc::new(disk.clone());
+    Gateway::recover_with_io(Signer::new(key), "gw", opts, Box::new(SystemClock), fs)
 }
 
 /// The reference arm over the same deployment.
@@ -342,9 +350,10 @@ fn delta_logs_byte_identical_at_1_2_8_workers_and_to_full_pass() {
     assert_eq!(render_log(&requests, &verdicts), reference, "full-pass log diverged from delta");
 }
 
-/// The kill/restart arm: a durable gateway is cut down at a request
-/// index — including mid-group-commit, via a write fault that drops or
-/// tears the last WAL frame — recovered from disk, driven through the
+/// The kill/restart arm: a durable gateway on a simulated disk is cut
+/// down at a request index — its crash image loses every unsynced write,
+/// or the power fails during the last sync and drops or tears its write —
+/// recovered from that image, driven through the
 /// lost and remaining requests, and must end **byte-identical** to an
 /// uninterrupted in-memory reference: verdict for verdict on everything
 /// it replays, tree renders, baselines, commit counters, and
@@ -375,36 +384,35 @@ fn kill_restart_recovers_byte_identical() {
     assert!(ref_verdicts.iter().any(|v| v.is_accepted()));
     assert!(ref_verdicts.iter().any(|v| !v.is_accepted()));
 
-    // (cut index, fault, workers, group_commit, snapshot cadence) —
-    // covering every fault kind, 1/2/8 workers, sync-per-commit and
+    // (cut index, crash image, workers, group_commit, snapshot cadence) —
+    // covering every crash image, 1/2/8 workers, sync-per-commit and
     // buffered group commit, and no/short/long snapshot cadences.
-    let cases: &[(usize, WriteFault, usize, usize, Option<u64>)] = &[
-        (40, WriteFault::LoseBuffered, 1, 4, None),
-        (40, WriteFault::DropLastFrame, 2, 1, Some(10)),
-        (80, WriteFault::TearLastFrame, 8, 4, None),
-        (80, WriteFault::TearLastFrame, 2, 1, Some(5)),
-        (120, WriteFault::LoseBuffered, 8, 8, Some(25)),
-        (120, WriteFault::DropLastFrame, 1, 1, None),
-        (160, WriteFault::LoseBuffered, 8, 16, Some(10)),
-        (16, WriteFault::DropLastFrame, 2, 4, None),
+    let cases: &[(usize, Crash, usize, usize, Option<u64>)] = &[
+        (40, Crash::LoseUnsynced, 1, 4, None),
+        (40, Crash::DropLastWrite, 2, 1, Some(10)),
+        (80, Crash::TearLastWrite, 8, 4, None),
+        (80, Crash::TearLastWrite, 2, 1, Some(5)),
+        (120, Crash::LoseUnsynced, 8, 8, Some(25)),
+        (120, Crash::DropLastWrite, 1, 1, None),
+        (160, Crash::LoseUnsynced, 8, 16, Some(10)),
+        (16, Crash::DropLastWrite, 2, 4, None),
     ];
 
     let mut frames_lost_somewhere = false;
-    for (case, &(cut, fault, workers, group_commit, snapshot_every)) in cases.iter().enumerate() {
-        let dir =
-            std::env::temp_dir().join(format!("xuc-diff-crash-{}-{case}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let ctx = format!("case {case} (cut {cut}, {fault:?}, {workers}w, gc {group_commit})");
+    for (case, &(cut, crash, workers, group_commit, snapshot_every)) in cases.iter().enumerate() {
+        let ctx = format!("case {case} (cut {cut}, {crash:?}, {workers}w, gc {group_commit})");
         let opts = DurableOptions { group_commit, snapshot_every, ..DurableOptions::default() };
 
-        let gw = durable(key, &dir, opts).unwrap();
+        let disk = SimDisk::new();
+        let gw = durable_on(key, &disk, opts).unwrap();
         publish_into(&gw, &docs);
         let pre = gw.process(&requests[..cut], workers);
         assert_eq!(pre, ref_verdicts[..cut], "{ctx}: pre-crash verdicts diverged");
-        gw.simulate_crash(fault).unwrap();
+        let image = disk.crash(crash);
+        drop(gw);
 
-        let rec = durable(key, &dir, opts).unwrap();
-        // A fault can eat a publish record (only when that document had
+        let rec = durable_on(key, &image, opts).unwrap();
+        // A crash can eat a publish record (only when that document had
         // no durable commits after it); the operator re-publishes, as
         // the source would on discovering the loss.
         for (id, tree, suite) in &docs {
@@ -463,11 +471,10 @@ fn kill_restart_recovers_byte_identical() {
             );
             assert!(rec.certificate(*id).unwrap().verify(key, &snap_ref).is_ok(), "{ctx}: {id}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
     assert!(
         frames_lost_somewhere,
-        "the fault matrix never actually lost a durable frame — the injection is dead code"
+        "the crash matrix never actually lost a frame — the crash images are dead code"
     );
 }
 
@@ -515,7 +522,7 @@ fn self_contradicting_snapshot_recovers_as_diverged() {
     let dir = std::env::temp_dir().join(format!("xuc-diff-snap-{}", std::process::id()));
     snapshotted_dir(key, &dir);
     let opts = DurableOptions { snapshot_every: Some(2), ..DurableOptions::default() };
-    let snaps = xuc_persist::read_snapshots(&dir).unwrap();
+    let snaps = xuc_persist::read_snapshots(&StdFs, &dir).unwrap();
     assert_eq!(snaps.len(), 1);
     let good = snaps.into_iter().next().unwrap();
     assert_eq!(good.commits, 2);
@@ -537,7 +544,7 @@ fn self_contradicting_snapshot_recovers_as_diverged() {
     for (what, tamper) in tampers {
         let mut bad = good.clone();
         tamper(&mut bad);
-        xuc_persist::write_snapshot(&dir, &bad).unwrap();
+        xuc_persist::write_snapshot(&StdFs, &dir, &bad).unwrap();
         match recover() {
             Err(xuc_service::RecoverError::Diverged { doc: d, commit }) => {
                 assert_eq!((d.as_str(), commit), ("snapped", 2), "{what}");
@@ -576,10 +583,10 @@ fn a_snapshot_with_a_forged_commit_counter_recovers_as_diverged() {
     let commits = |gw: &Gateway| gw.store().document(doc).unwrap().lock().commits();
     assert_eq!(commits(&durable(key, &dir, opts).unwrap()), 4, "the tail replays");
 
-    let mut forged = xuc_persist::read_snapshots(&dir).unwrap().pop().unwrap();
+    let mut forged = xuc_persist::read_snapshots(&StdFs, &dir).unwrap().pop().unwrap();
     assert_eq!(forged.commits, 2);
     forged.commits = 7;
-    xuc_persist::write_snapshot(&dir, &forged).unwrap();
+    xuc_persist::write_snapshot(&StdFs, &dir, &forged).unwrap();
     match durable(key, &dir, opts) {
         Err(RecoverError::Diverged { doc: d, commit }) => {
             assert_eq!((d.as_str(), commit), ("snapped", 7))
@@ -600,9 +607,9 @@ fn a_renamed_snapshot_recovers_as_diverged() {
     let path = snapshotted_dir(key, &dir);
     let wal = std::fs::metadata(xuc_service::persist::wal_path(&dir)).unwrap().len();
     assert_eq!(wal, 8, "the snapshot truncated the WAL to its magic");
-    let mut renamed = xuc_persist::read_snapshots(&dir).unwrap().pop().unwrap();
+    let mut renamed = xuc_persist::read_snapshots(&StdFs, &dir).unwrap().pop().unwrap();
     renamed.doc = "impostor".into();
-    xuc_persist::write_snapshot(&dir, &renamed).unwrap();
+    xuc_persist::write_snapshot(&StdFs, &dir, &renamed).unwrap();
     std::fs::remove_file(path).unwrap();
     match durable(key, &dir, DurableOptions::default()) {
         Err(RecoverError::Diverged { doc: d, commit }) => {
@@ -729,7 +736,7 @@ fn wrong_wal_records_recover_as_typed_errors() {
             assert!(gw.submit(&Request { doc, updates: vec![insert] }).is_accepted());
         }
     }
-    let records = read_wal(&wal_path(&source)).unwrap().records;
+    let records = read_wal(&StdFs, &wal_path(&source)).unwrap().records;
     assert_eq!(records.len(), 4, "one publish and three commits");
     assert!(recover(&source).is_ok(), "the untampered journal recovers");
 

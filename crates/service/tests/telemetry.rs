@@ -29,6 +29,7 @@ use std::sync::Arc;
 use xuc_core::clock::SystemClock;
 use xuc_core::{parse_constraint, Constraint};
 use xuc_service::workload::seeded_zipf_requests;
+use xuc_service::StdFs;
 use xuc_service::{render_log, DocId, Gateway, Request, Stage, Telemetry, Verdict};
 use xuc_sigstore::Signer;
 use xuc_xtree::{DataTree, NodeId, Update};
@@ -209,8 +210,14 @@ fn durable_commits_attribute_journal_append_or_fsync() {
             snapshot_every: None,
             ..Default::default()
         };
-        let gw = Gateway::recover_with_clock(Signer::new(KEY), &dir, opts, Box::new(SystemClock))
-            .unwrap();
+        let gw = Gateway::recover_with_io(
+            Signer::new(KEY),
+            &dir,
+            opts,
+            Box::new(SystemClock),
+            Arc::new(StdFs),
+        )
+        .unwrap();
         let tel = Arc::new(Telemetry::new());
         gw.attach_telemetry(Arc::clone(&tel));
         let docs = deployment();

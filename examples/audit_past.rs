@@ -18,10 +18,11 @@
 //!
 //! Run with `cargo run --example audit_past`.
 
+use std::sync::Arc;
 use xml_update_constraints::persist::{read_snapshots, read_wal, WalRecord};
 use xml_update_constraints::prelude::*;
 use xml_update_constraints::service::persist::wal_path;
-use xml_update_constraints::service::SystemClock;
+use xml_update_constraints::service::{StdFs, SystemClock};
 
 fn main() {
     let current =
@@ -67,8 +68,14 @@ fn main() {
         // A snapshot every second commit: the second accepted review is
         // snapshotted and the journal truncated behind it.
         let opts = DurableOptions { snapshot_every: Some(2), ..DurableOptions::default() };
-        let gw = Gateway::recover_with_clock(Signer::new(key), &dir, opts, Box::new(SystemClock))
-            .expect("fresh durability dir");
+        let gw = Gateway::recover_with_io(
+            Signer::new(key),
+            &dir,
+            opts,
+            Box::new(SystemClock),
+            Arc::new(StdFs),
+        )
+        .expect("fresh durability dir");
         gw.publish(doc, current.clone(), policy.clone()).unwrap();
         let review = |product: u64| Request {
             doc,
@@ -95,8 +102,8 @@ fn main() {
     } // orderly shutdown: the journal is synced
 
     // The auditor's whole world: the files, and the verification key.
-    let snaps = read_snapshots(&dir).unwrap();
-    let scan = read_wal(&wal_path(&dir)).unwrap();
+    let snaps = read_snapshots(&StdFs, &dir).unwrap();
+    let scan = read_wal(&StdFs, &wal_path(&dir)).unwrap();
     println!();
     println!(
         "offline audit: {} snapshot(s), {} journal record(s), torn tail: {}",
@@ -174,7 +181,7 @@ fn main() {
     let last = bytes.len() - 10;
     bytes[last] ^= 0x40;
     std::fs::write(&wal, &bytes).unwrap();
-    let reread = read_wal(&wal).unwrap();
+    let reread = read_wal(&StdFs, &wal).unwrap();
     assert!(reread.torn && reread.records.len() < scan.records.len());
     println!(
         "tampering with the journal tail: scan now yields {} record(s), torn tail detected",

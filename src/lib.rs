@@ -73,7 +73,7 @@ pub mod prelude {
         admit_delta_in_place, plan_admission, render_arrival_log, render_log, Arrival,
         DegradedReason, DocId, DocumentStore, DurableOptions, Gateway, GatewayState, LoadOptions,
         LoadReport, RecoverError, RejectReason, Request, ResumeError, RetryPolicy, Session,
-        ShedCause, SuiteCache, Verdict, WriteFault,
+        ShedCause, SuiteCache, Verdict,
     };
     pub use xuc_sigstore::{Certificate, Signer};
     pub use xuc_telemetry::{
