@@ -12,7 +12,7 @@ use xuc_sigstore::Signer;
 fn a_snapshot_is_the_publish_record_plus_its_anchor() {
     let dir = std::env::temp_dir().join(format!("xuc-snap-size-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = DurableOptions { group_commit: 1, snapshot_every: Some(1), ..Default::default() };
+    let opts = DurableOptions { group_commit: 1, snapshot_every: Some(1) };
     let gw = Gateway::recover_with_io(
         Signer::new(0x512E),
         &dir,

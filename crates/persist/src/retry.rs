@@ -48,8 +48,8 @@ pub fn classify(e: &io::Error) -> FaultClass {
     }
 }
 
-/// Bounds and shape of the transient-retry loop. `Copy` so it can ride
-/// inside other option structs (e.g. the gateway's `DurableOptions`).
+/// Bounds and shape of the transient-retry loop. The gateway's journal
+/// runs every write under the [`Default`] policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (first try included). `1` disables retrying.
@@ -62,11 +62,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries at all: the first error, transient or not, escalates.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy { max_attempts: 1, base_backoff_micros: 0, max_backoff_micros: 0 }
-    }
-
     /// The backoff before retry number `retry` (0-based): exponential,
     /// saturating at the ceiling.
     pub fn backoff_micros(&self, retry: u32) -> u64 {
@@ -225,9 +220,11 @@ mod tests {
 
     #[test]
     fn policy_none_escalates_immediately() {
+        // A single-attempt policy: the first error, transient or not,
+        // escalates.
         let clock = VirtualClock::new();
-        let err = retry_io(RetryPolicy::none(), &clock, || -> io::Result<()> { Err(transient()) })
-            .unwrap_err();
+        let once = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
+        let err = retry_io(once, &clock, || -> io::Result<()> { Err(transient()) }).unwrap_err();
         assert_eq!(err.retries, 0);
         assert_eq!(clock.slept_micros(), 0);
     }

@@ -41,7 +41,7 @@ use crate::persist::{
     DurableOptions, Journal, JournalError, RecoverError, RecoveredState, ResumeError,
 };
 use crate::session::Session;
-use crate::store::{shard_of, Document, DocumentStore, PublishError};
+use crate::store::{Document, DocumentStore, PublishError};
 use crate::telemetry::ServiceMetrics;
 use crate::{DegradedReason, DocId, RejectReason, Request, Verdict};
 use parking_lot::Mutex;
@@ -53,7 +53,7 @@ use std::sync::{Arc, OnceLock};
 use xuc_core::Constraint;
 use xuc_persist::{Clock, FileSystem, StdFs, SystemClock};
 use xuc_sigstore::{Certificate, Signer};
-use xuc_telemetry::Telemetry;
+use xuc_telemetry::{Telemetry, Timeline};
 use xuc_xtree::DataTree;
 
 /// Serving health of a [`Gateway`] — the degraded-mode state machine
@@ -436,16 +436,15 @@ impl Gateway {
         } else {
             Verdict::Rejected(RejectReason::UnknownDocument)
         };
-        self.note_verdict(&v, doc);
+        self.note_verdict(&v);
         v
     }
 
     /// Restates one verdict into the attached registry (no-op without
-    /// telemetry); striped by the document's shard so concurrent
-    /// workers stay off each other's counter lines.
-    pub(crate) fn note_verdict(&self, v: &Verdict, doc: DocId) {
+    /// telemetry).
+    pub(crate) fn note_verdict(&self, v: &Verdict) {
         if let Some(m) = self.metrics() {
-            m.note_verdict(v, shard_of(doc));
+            m.note_verdict(v);
         }
     }
 
@@ -548,7 +547,7 @@ impl Gateway {
     /// [`crate::persist`] and [`GatewayState`]).
     pub fn submit(&self, request: &Request) -> Verdict {
         let v = self.submit_uncounted(request);
-        self.note_verdict(&v, request.doc);
+        self.note_verdict(&v);
         v
     }
 
@@ -596,12 +595,12 @@ impl Gateway {
     }
 
     fn submit_locked(&self, doc: &mut Document, request: &Request) -> Verdict {
-        let m = self.metrics();
-        let tel = m.map(|m| &*m.tel);
-        let tag = m.map_or(0, ServiceMetrics::next_tag);
-        let mut session = Session::begin_traced(doc, tel, tag);
+        // The request's one timeline: its spans publish when it drops,
+        // on every exit from here, unwinding included.
+        let mut tl = Timeline::start(self.telemetry().map(|t| &**t));
+        let mut session = Session::begin(doc);
         for (index, update) in request.updates.iter().enumerate() {
-            if let Err(e) = session.apply(update) {
+            if let Err(e) = session.apply_timed(update, &mut tl) {
                 // Dropping the session rolls the applied prefix back.
                 return Verdict::Rejected(RejectReason::FailedUpdate {
                     index,
@@ -610,7 +609,7 @@ impl Gateway {
             }
         }
         self.fire_injected_panic(request.doc);
-        match session.commit(&self.signer) {
+        match session.commit_timed(&self.signer, &mut tl) {
             Ok(receipt) => {
                 if let Some(journal) = &self.journal {
                     // Still under the document mutex: the log's
@@ -619,7 +618,7 @@ impl Gateway {
                     // real in memory — it degrades the gateway, and the
                     // unjournaled suffix is covered by resume/recovery
                     // like a lost group-commit buffer.
-                    let journaled = journal.log_commit(doc, &request.updates, tel, tag);
+                    let journaled = journal.log_commit(doc, &request.updates, &mut tl);
                     if let Err(e) = journaled.and_then(|()| journal.maybe_snapshot(doc)) {
                         self.note_journal_error(e);
                     }

@@ -44,8 +44,8 @@
 //!   the simulated disk's crash model allows and checks exactly this.
 //! * **Survive-the-fault journal.** A journal IO error is classified
 //!   ([`xuc_persist::classify`]): *transient* failures retry with
-//!   bounded exponential backoff through an injectable clock
-//!   ([`DurableOptions::retry`]) and, absorbed, leave no trace beyond a
+//!   bounded exponential backoff ([`RetryPolicy::default`]) through an
+//!   injectable clock and, absorbed, leave no trace beyond a
 //!   counter; a *fatal* failure (or an exhausted retry budget) **seals**
 //!   the WAL writer and surfaces a fatal `JournalError`, which the
 //!   gateway answers by degrading to read-only — not by dying. The
@@ -56,7 +56,7 @@
 //!   See DESIGN.md §9 for the full failure matrix.
 
 use crate::cache::SuiteCache;
-use crate::session::{close_span, Session};
+use crate::session::Session;
 use crate::store::{Document, DocumentStore, PublishError};
 use crate::DocId;
 use parking_lot::Mutex;
@@ -73,7 +73,7 @@ use xuc_persist::{
     IoFailure, PersistError, RetryOutcome, RetryPolicy, WalRecord, WalWriter,
 };
 use xuc_sigstore::Signer;
-use xuc_telemetry::{Stage, Telemetry};
+use xuc_telemetry::{Stage, Timeline};
 use xuc_xtree::{DataTree, NodeId, Update};
 
 /// File name of the write-ahead log inside a gateway's durability
@@ -97,15 +97,11 @@ pub struct DurableOptions {
     /// Snapshot a document every this-many commits (`None`: never —
     /// recovery replays the document's whole history from the log).
     pub snapshot_every: Option<u64>,
-    /// Transient-fault retry bounds for every journal write (appends,
-    /// syncs, snapshots, truncation). [`RetryPolicy::none`] escalates on
-    /// the first error of any class.
-    pub retry: RetryPolicy,
 }
 
 impl Default for DurableOptions {
     fn default() -> DurableOptions {
-        DurableOptions { group_commit: 1, snapshot_every: Some(256), retry: RetryPolicy::default() }
+        DurableOptions { group_commit: 1, snapshot_every: Some(256) }
     }
 }
 
@@ -232,7 +228,7 @@ impl Journal {
         inner: &mut JournalInner,
         what: &'static str,
     ) -> Result<(), JournalError> {
-        let outcome = retry_io(self.opts.retry, &*self.clock, || inner.writer.sync());
+        let outcome = retry_io(RetryPolicy::default(), &*self.clock, || inner.writer.sync());
         self.settle(inner, outcome.map(|o| o.retries), what)
     }
 
@@ -304,7 +300,8 @@ impl Journal {
 
     /// Appends `doc`'s last commit (`updates` and its materialized
     /// certificate), then syncs once `group_commit` frames are pending;
-    /// traced as [`Stage::JournalAppend`] and [`Stage::Fsync`] under `tag`.
+    /// the append closes a [`Stage::JournalAppend`] span on the request's
+    /// timeline `tl`, and the sync, when it runs, a [`Stage::Fsync`] span.
     /// Caller holds the document's mutex, so per-document log order equals
     /// store commit order. An `Err` means the commit is in memory but
     /// **not** durable — the gateway must degrade (the journaled-or-degraded
@@ -313,11 +310,9 @@ impl Journal {
         &self,
         doc: &Document,
         updates: &[Update],
-        tel: Option<&Telemetry>,
-        tag: u16,
+        tl: &mut Timeline<'_>,
     ) -> Result<(), JournalError> {
         let (id, commit) = (doc.id(), doc.commits());
-        let started = tel.map(Telemetry::now_micros);
         let record = WalRecord::Commit {
             doc: id.as_str().to_owned(),
             commit,
@@ -329,13 +324,13 @@ impl Journal {
             return Err(JournalError::Sealed);
         }
         let appended = inner.writer.append(&record);
-        let appended_at = close_span(tel, Stage::JournalAppend, tag, started);
+        tl.mark(Stage::JournalAppend);
         if let Err(e) = appended {
             return Err(self.refuse(&mut inner, e, "commit append"));
         }
         if inner.writer.pending_frames() >= self.opts.group_commit {
             let synced = self.flush_with_retry(&mut inner, "commit sync");
-            close_span(tel, Stage::Fsync, tag, appended_at);
+            tl.mark(Stage::Fsync);
             synced?;
         }
         inner.logged.insert(id, commit);
@@ -382,7 +377,9 @@ impl Journal {
             chain_tag: header.chain_tag,
             tag: self.signer.snapshot_tag(name, commits, header.prev_digest, header.chain_tag),
         };
-        retry_io(self.opts.retry, &*self.clock, || write_snapshot(&*self.fs, &self.dir, &snap))
+        retry_io(RetryPolicy::default(), &*self.clock, || {
+            write_snapshot(&*self.fs, &self.dir, &snap)
+        })
     }
 
     /// Truncates the whole log iff every logged document has a snapshot
@@ -398,7 +395,8 @@ impl Journal {
         if !covered {
             return Ok(());
         }
-        let outcome = retry_io(self.opts.retry, &*self.clock, || inner.writer.truncate_all());
+        let outcome =
+            retry_io(RetryPolicy::default(), &*self.clock, || inner.writer.truncate_all());
         self.settle(inner, outcome.map(|o| o.retries), "truncate")?;
         inner.logged.clear();
         Ok(())

@@ -238,11 +238,8 @@ impl Gateway {
         // bump here; the plan is pure, so these counts are deterministic
         // at every worker count.
         if self.metrics().is_some() {
-            for (a, p) in arrivals.iter().zip(&plan) {
-                if let Some(cause) = p {
-                    let v = Verdict::Rejected(RejectReason::Overloaded { cause: *cause });
-                    self.note_verdict(&v, a.request.doc);
-                }
+            for cause in plan.iter().flatten() {
+                self.note_verdict(&Verdict::Rejected(RejectReason::Overloaded { cause: *cause }));
             }
         }
 

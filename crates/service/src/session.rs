@@ -41,13 +41,18 @@
 //!   byte-identical to the committed state. Each undo goes through the
 //!   evaluator as `apply` does ([`Evaluator::undo`]), so a rejected batch
 //!   never re-reads the document.
+//!
+//! The gateway lends each request's [`Timeline`] to the session, which
+//! marks every stage boundary it reaches (apply and dirty-accumulate per
+//! update, then splice, verdict and, on an accept, certify) with one
+//! clock reading. The public methods run untraced.
 
 use crate::store::Document;
 use std::collections::BTreeSet;
 use xuc_automata::CompiledPatternSet;
 use xuc_core::{Constraint, ConstraintKind};
 use xuc_sigstore::Signer;
-use xuc_telemetry::{Stage, Telemetry};
+use xuc_telemetry::{Stage, Timeline};
 use xuc_xpath::{Evaluator, SpliceJournal};
 use xuc_xtree::{DirtyRegion, NodeRef, Undo, Update, UpdateError};
 
@@ -76,21 +81,6 @@ impl std::fmt::Display for Rejection {
 }
 
 impl std::error::Error for Rejection {}
-
-/// Closes the `stage` span opened at `opened` and returns the closing
-/// reading, which opens the adjacent next span.
-pub(crate) fn close_span(
-    tel: Option<&Telemetry>,
-    stage: Stage,
-    tag: u16,
-    opened: Option<u64>,
-) -> Option<u64> {
-    tel.map(|t| {
-        let now = t.now_micros();
-        t.record_span(stage, tag, now.saturating_sub(opened.unwrap_or(now)));
-        now
-    })
-}
 
 /// The commit's admission check, edit-proportional wherever the suite
 /// allows it. The committed baselines are spliced in place
@@ -122,35 +112,28 @@ pub fn admit_delta_in_place(
     base_sets: &mut [BTreeSet<NodeRef>],
     region: &DirtyRegion,
 ) -> Result<SpliceJournal, Rejection> {
-    admit_delta_in_place_traced(ev, compiled, suite, base_sets, region, None, 0).0
+    admit_timed(ev, compiled, suite, base_sets, region, &mut Timeline::untraced())
 }
 
-/// [`admit_delta_in_place`] with optional stage tracing: the splice, or
-/// the splice attempt and the sweep standing in for it, is one
+/// [`admit_delta_in_place`] on a request's timeline: the splice, or the
+/// splice attempt and the sweep standing in for it, closes as one
 /// [`Stage::Splice`] span — what the evaluation stage cost, not how it
-/// got there. The judgement runs in an open [`Stage::Verdict`] span whose
-/// start is returned beside the verdict: the caller closes it on the
-/// reading that opens the next stage. Telemetry is observationally inert:
-/// verdicts, baselines and journals are those of the untraced form on
-/// every input.
-fn admit_delta_in_place_traced(
+/// got there — and the judgement runs in the [`Stage::Verdict`] stage,
+/// which the caller closes.
+fn admit_timed(
     ev: &mut Evaluator,
     compiled: &CompiledPatternSet,
     suite: &[Constraint],
     base_sets: &mut [BTreeSet<NodeRef>],
     region: &DirtyRegion,
-    tel: Option<&Telemetry>,
-    tag: u16,
-) -> (Result<SpliceJournal, Rejection>, Option<u64>) {
+    tl: &mut Timeline<'_>,
+) -> Result<SpliceJournal, Rejection> {
     debug_assert_eq!(suite.len(), base_sets.len(), "one baseline per constraint");
-    let t0 = tel.map(Telemetry::now_micros);
     let (mut journal, swept) = match ev.eval_set_splice(compiled, region, base_sets) {
         Some(journal) => (journal, Vec::new()),
         None => (SpliceJournal::new(suite.len()), ev.eval_set(compiled)),
     };
-    // Splice closes and Verdict opens on one shared clock reading — the
-    // read, not the atomics, is the tracer's hot-path cost.
-    let verdict_open = close_span(tel, Stage::Splice, tag, t0);
+    tl.mark(Stage::Splice);
     let mut swept = swept.into_iter();
     for (i, c) in suite.iter().enumerate() {
         if let Some(fresh) = swept.next() {
@@ -163,10 +146,10 @@ fn admit_delta_in_place_traced(
         };
         if offenders > 0 {
             journal.revert(base_sets);
-            return (Err(Rejection { constraint: c.clone(), offenders }), verdict_open);
+            return Err(Rejection { constraint: c.clone(), offenders });
         }
     }
-    (Ok(journal), verdict_open)
+    Ok(journal)
 }
 
 /// An open transaction on one document. See the module docs.
@@ -178,28 +161,13 @@ pub struct Session<'a> {
     /// rollback.
     region: DirtyRegion,
     open: bool,
-    /// Stage tracer, when the owning gateway has telemetry attached.
-    /// Never consulted for any admission decision.
-    tel: Option<&'a Telemetry>,
-    /// Trace-ring tag correlating this session's spans.
-    tag: u16,
 }
 
 impl<'a> Session<'a> {
     /// Opens a transaction. Free: the baseline range results were cached
     /// by the last commit (or publish), so nothing is evaluated here.
     pub fn begin(doc: &'a mut Document) -> Session<'a> {
-        Session::begin_traced(doc, None, 0)
-    }
-
-    /// [`begin`](Self::begin) with a stage tracer: `apply` and `commit`
-    /// attribute their phases to the [`Stage`] taxonomy under `tag`.
-    pub(crate) fn begin_traced(
-        doc: &'a mut Document,
-        tel: Option<&'a Telemetry>,
-        tag: u16,
-    ) -> Session<'a> {
-        Session { doc, undo_stack: Vec::new(), region: DirtyRegion::new(), open: true, tel, tag }
+        Session { doc, undo_stack: Vec::new(), region: DirtyRegion::new(), open: true }
     }
 
     /// Number of updates applied so far.
@@ -213,16 +181,18 @@ impl<'a> Session<'a> {
     /// stays usable — the caller decides whether to continue or roll
     /// back.
     pub fn apply(&mut self, update: &Update) -> Result<(), UpdateError> {
-        let (tel, tag) = (self.tel, self.tag);
+        self.apply_timed(update, &mut Timeline::untraced())
+    }
+
+    /// [`apply`](Self::apply), closing [`Stage::Apply`] after the edit and
+    /// [`Stage::DirtyAccumulate`] after the region bookkeeping; a failing
+    /// update returns before either mark.
+    pub(crate) fn apply_timed(
+        &mut self,
+        update: &Update,
+        tl: &mut Timeline<'_>,
+    ) -> Result<(), UpdateError> {
         let doc = &mut *self.doc;
-        // Stage::Apply covers the footprint probe and the edit —
-        // everything proportional to the edit;
-        // Stage::DirtyAccumulate the region bookkeeping. The two spans
-        // split on ONE shared boundary reading: the tracer's hot-path
-        // cost is the clock, so adjacent stages never read it twice at
-        // their seam. (A failing apply returns before the boundary and
-        // drops its open span — rejected updates carry no timing.)
-        let t0 = tel.map(Telemetry::now_micros);
         // Capture what a deletion is about to remove, before it
         // happens (cost proportional to the doomed subtree, like the
         // deletion itself): the commit-time splice evicts exactly
@@ -233,18 +203,12 @@ impl<'a> Session<'a> {
             _ => None,
         };
         let (token, scope) = doc.ev.apply(update)?;
-        let boundary = tel.map(|t| {
-            let t1 = t.now_micros();
-            t.record_span(Stage::Apply, tag, t1.saturating_sub(t0.unwrap_or(t1)));
-            t1
-        });
+        tl.mark(Stage::Apply);
         if let Some(refs) = doomed {
             self.region.record_removals(&refs);
         }
         self.region.record(doc.tree(), &scope);
-        if let (Some(t), Some(t1)) = (tel, boundary) {
-            t.record_stage(Stage::DirtyAccumulate, tag, t1);
-        }
+        tl.mark(Stage::DirtyAccumulate);
         self.undo_stack.push(token);
         Ok(())
     }
@@ -263,23 +227,30 @@ impl<'a> Session<'a> {
     /// * Rejected: the batch is unwound exactly ([`Session::rollback`])
     ///   before the [`Rejection`] is returned — the document is
     ///   byte-identical to its committed state.
-    pub fn commit(mut self, signer: &Signer) -> Result<Commit, Rejection> {
-        let (tel, tag) = (self.tel, self.tag);
+    pub fn commit(self, signer: &Signer) -> Result<Commit, Rejection> {
+        self.commit_timed(signer, &mut Timeline::untraced())
+    }
+
+    /// [`commit`](Self::commit), closing [`Stage::Splice`],
+    /// [`Stage::Verdict`] and, on an accept, [`Stage::Certify`].
+    pub(crate) fn commit_timed(
+        mut self,
+        signer: &Signer,
+        tl: &mut Timeline<'_>,
+    ) -> Result<Commit, Rejection> {
         let doc = &mut *self.doc;
         // On success doc.base_sets already ARE the admission pass's fresh
         // range results; on rejection they have been reverted to the
         // committed baselines.
-        let (admitted, verdict_open) = admit_delta_in_place_traced(
+        let admitted = admit_timed(
             &mut doc.ev,
             &doc.compiled,
             &doc.suite,
             &mut doc.base_sets,
             &self.region,
-            tel,
-            tag,
+            tl,
         );
-        // Verdict closes, and on an accept Certify opens, on one reading.
-        let certify_open = close_span(tel, Stage::Verdict, tag, verdict_open);
+        tl.mark(Stage::Verdict);
         match admitted {
             Ok(journal) => {
                 let doc = &mut *self.doc;
@@ -302,7 +273,10 @@ impl<'a> Session<'a> {
                 for token in self.undo_stack.drain(..) {
                     doc.ev.release(token);
                 }
-                close_span(tel, Stage::Certify, tag, certify_open);
+                // The journal is spent; freeing it is certification's
+                // last step, not time after the request's final span.
+                drop(journal);
+                tl.mark(Stage::Certify);
                 doc.commits += 1;
                 self.open = false;
                 Ok(Commit { commit: doc.commits })

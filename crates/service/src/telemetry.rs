@@ -30,7 +30,6 @@
 
 use crate::queue::LoadReport;
 use crate::{RejectReason, ShedCause, Verdict};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xuc_telemetry::{Counter, Determinism, MetricsRegistry, RecordInto, Telemetry};
 
@@ -41,10 +40,6 @@ use xuc_telemetry::{Counter, Determinism, MetricsRegistry, RecordInto, Telemetry
 /// the registry map.
 pub(crate) struct ServiceMetrics {
     pub(crate) tel: Arc<Telemetry>,
-    /// Monotonic per-gateway request sequence; its low 16 bits tag the
-    /// trace-ring spans of one request so a drained ring can be grouped
-    /// back into per-request traces.
-    pub(crate) trace_seq: AtomicU64,
     commits_accepted: Counter,
     reads_served: Counter,
     rejected_violation: Counter,
@@ -68,7 +63,6 @@ impl ServiceMetrics {
         let det = Determinism::Deterministic;
         let sched = Determinism::SchedulingDependent;
         ServiceMetrics {
-            trace_seq: AtomicU64::new(0),
             commits_accepted: reg.counter("xuc_gateway_commits_accepted_total", det),
             reads_served: reg.counter("xuc_gateway_reads_served_total", det),
             rejected_violation: reg.counter("xuc_gateway_rejected_violation_total", det),
@@ -88,10 +82,8 @@ impl ServiceMetrics {
         }
     }
 
-    /// Restates one verdict as a counter bump. `stripe` spreads
-    /// concurrent workers across counter shards (any per-request value
-    /// works; the gateway passes its trace tag).
-    pub(crate) fn note_verdict(&self, v: &Verdict, stripe: usize) {
+    /// Restates one verdict as a counter bump.
+    pub(crate) fn note_verdict(&self, v: &Verdict) {
         let c = match v {
             Verdict::Accepted { .. } => &self.commits_accepted,
             Verdict::Served => &self.reads_served,
@@ -106,7 +98,7 @@ impl ServiceMetrics {
                 ShedCause::ShedForCommit => &self.shed_for_commit,
             },
         };
-        c.add_striped(stripe, 1);
+        c.inc();
     }
 
     pub(crate) fn note_contained_panic(&self, quarantined_now: bool) {
@@ -126,10 +118,6 @@ impl ServiceMetrics {
 
     pub(crate) fn note_halt(&self) {
         self.halts.inc();
-    }
-
-    pub(crate) fn next_tag(&self) -> u16 {
-        self.trace_seq.fetch_add(1, Ordering::Relaxed) as u16
     }
 }
 

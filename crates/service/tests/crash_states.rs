@@ -41,8 +41,7 @@ const KEY: u64 = 0xC5A5;
 const DIR: &str = "gw";
 
 fn durable(disk: &SimDisk, group_commit: usize) -> Result<Gateway, RecoverError> {
-    let opts =
-        DurableOptions { group_commit, snapshot_every: Some(4), ..DurableOptions::default() };
+    let opts = DurableOptions { group_commit, snapshot_every: Some(4) };
     let (clock, fs) = (Box::new(VirtualClock::new()), Arc::new(disk.clone()));
     Gateway::recover_with_io(Signer::new(KEY), DIR, opts, clock, fs)
 }

@@ -401,7 +401,7 @@ fn kill_restart_recovers_byte_identical() {
     let mut frames_lost_somewhere = false;
     for (case, &(cut, crash, workers, group_commit, snapshot_every)) in cases.iter().enumerate() {
         let ctx = format!("case {case} (cut {cut}, {crash:?}, {workers}w, gc {group_commit})");
-        let opts = DurableOptions { group_commit, snapshot_every, ..DurableOptions::default() };
+        let opts = DurableOptions { group_commit, snapshot_every };
 
         let disk = SimDisk::new();
         let gw = durable_on(key, &disk, opts).unwrap();
@@ -717,8 +717,7 @@ fn wrong_wal_records_recover_as_typed_errors() {
     let key = 0x3A1;
     let base = std::env::temp_dir().join(format!("xuc-diff-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    let opts =
-        DurableOptions { group_commit: 1, snapshot_every: None, ..DurableOptions::default() };
+    let opts = DurableOptions { group_commit: 1, snapshot_every: None };
     let recover = |dir: &std::path::Path| durable(key, dir, opts);
     let doc = DocId::new("journaled");
     let source = base.join("source");

@@ -21,7 +21,7 @@ const DIR: &str = "journal";
 /// A durable gateway on `disk`, journaling at `group_commit` with
 /// snapshots off.
 fn durable(disk: &SimDisk, group_commit: usize, clock: Arc<VirtualClock>) -> Gateway {
-    let opts = DurableOptions { group_commit, snapshot_every: None, ..DurableOptions::default() };
+    let opts = DurableOptions { group_commit, snapshot_every: None };
     let fs = Arc::new(disk.clone());
     Gateway::recover_with_io(Signer::new(KEY), DIR, opts, Box::new(clock), fs).unwrap()
 }

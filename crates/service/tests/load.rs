@@ -136,6 +136,11 @@ fn process_is_differential_to_the_sequential_reference_arm() {
             assert_arms_converged(&gw, &reference, &docs, &ctx);
             gw.record_metrics();
             let det = tel.registry().snapshot().exposition_deterministic();
+            // The admission stages' span counts ride in the pinned text.
+            for stage in ["apply", "dirty_accumulate", "splice", "verdict", "certify"] {
+                let series = format!("xuc_stage_{stage}_spans_total");
+                assert!(det.contains(&series), "{ctx}: deterministic exposition missing {series}");
+            }
             match &det_exposition {
                 None => det_exposition = Some(det),
                 Some(first) => assert_eq!(&det, first, "{ctx}: deterministic exposition diverged"),

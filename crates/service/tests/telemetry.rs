@@ -18,15 +18,21 @@
 //! * **Ring boundedness** — a trace ring too small for the stream fills,
 //!   counts every further span in its drop counter, and never blocks or
 //!   perturbs the run.
-//! * **Stage attribution** — each request's spans share one trace tag,
-//!   so a drained ring groups back into per-request traces; rejected
-//!   commits show the admission stages but never a certify span, and a
-//!   durable gateway records one `journal_append` span per accepted
-//!   commit and one `fsync` span per group-commit sync.
+//! * **Stage attribution** — each request's spans sit contiguous in the
+//!   ring under one trace tag (the slot of its first span), so a drained
+//!   ring groups back into per-request traces; rejected commits show the
+//!   admission stages but never a certify span, and a durable gateway
+//!   records one `journal_append` span per accepted commit and one
+//!   `fsync` span per group-commit sync.
+//! * **Clock discipline** — one clock reading per stage boundary: a
+//!   counting clock pins the reads per request shape, and since each
+//!   reading ticks it by 1 µs, a request's spans sum to its reads − 1
+//!   (they telescope from its first reading to its last).
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use xuc_core::clock::SystemClock;
+use xuc_core::clock::{Clock, SystemClock};
 use xuc_core::{parse_constraint, Constraint};
 use xuc_service::workload::seeded_zipf_requests;
 use xuc_service::StdFs;
@@ -176,21 +182,109 @@ fn trace_tags_group_spans_per_request_and_rejects_skip_certify() {
     assert!(matches!(gw.submit(&bad), Verdict::Rejected(_)));
     assert_eq!(tel.stages().rows()[Stage::Certify as usize].count, 1, "one commit, one Certify");
 
+    // Each request's spans are contiguous under the tag of its first
+    // span: the accepted request's group opens the ring, the rejected
+    // one's follows it.
     let events = tel.ring().drain();
     assert!(!events.is_empty());
-    let stages_of = |tag: u16| -> Vec<Stage> {
-        events.iter().filter(|e| e.tag == tag).map(|e| e.stage).collect()
+    let group = |from: usize| -> Vec<Stage> {
+        events[from..].iter().take_while(|e| e.tag == events[from].tag).map(|e| e.stage).collect()
     };
-    let accepted = stages_of(0);
+    let accepted = group(0);
     assert!(accepted.contains(&Stage::Apply), "accepted trace missing apply: {accepted:?}");
     assert!(accepted.contains(&Stage::Certify), "accepted trace missing certify: {accepted:?}");
-    let rejected = stages_of(1);
+    assert_eq!(events[accepted.len()].tag as usize, accepted.len(), "tag = first slot");
+    let rejected = group(accepted.len());
     assert!(rejected.contains(&Stage::Apply), "rejected trace missing apply: {rejected:?}");
     assert!(
         !rejected.contains(&Stage::Certify),
         "a rejected commit must never certify: {rejected:?}"
     );
     assert_eq!(events.len(), accepted.len() + rejected.len(), "no spans outside the two tags");
+}
+
+/// A test clock that ticks 1 µs per reading, so its value is the number
+/// of readings taken.
+#[derive(Default)]
+struct CountingClock(AtomicU64);
+
+impl Clock for CountingClock {
+    fn now_micros(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn sleep_micros(&self, _micros: u64) {}
+}
+
+/// Submits `request` and returns the clock readings it took, checking
+/// that its spans telescope: one tag, summing to readings − 1.
+fn reads_of(gw: &Gateway, tel: &Telemetry, clock: &CountingClock, request: &Request) -> u64 {
+    let before = clock.0.load(Ordering::Relaxed);
+    gw.submit(request);
+    let reads = clock.0.load(Ordering::Relaxed) - before;
+    let events = tel.ring().drain();
+    assert!(events.iter().all(|e| e.tag == 0), "one request, one tag: {events:?}");
+    let spanned: u64 = events.iter().map(|e| e.micros).sum();
+    assert_eq!(spanned, reads - 1, "spans must sum to first-to-last reading: {events:?}");
+    reads
+}
+
+/// **Clock discipline.** One reading starts a request and one closes
+/// each stage it reaches: 2u + 4 for an accepted u-update commit in
+/// memory, 2u + 3 for a violation, 2i + 1 for a batch whose update `i`
+/// fails, and 2u + 6 for a durable commit at `group_commit` 1 (journal
+/// append and fsync).
+#[test]
+fn one_clock_reading_per_stage_boundary() {
+    let visit = |parent| Update::InsertLeaf {
+        parent: NodeId::from_raw(parent),
+        id: NodeId::fresh(),
+        label: "visit".into(),
+    };
+    let doc = DocId::new("obs-clock");
+    let tree = || xuc_xtree::parse_term("hospital#1(patient#2(visit#3))").unwrap();
+    let suite = || vec![parse_constraint("(/patient/visit, ↑)").unwrap()];
+    let instrumented = |gw: &Gateway| {
+        let clock = Arc::new(CountingClock::default());
+        let tel = Arc::new(Telemetry::with_clock(Box::new(Arc::clone(&clock)), 64));
+        gw.attach_telemetry(Arc::clone(&tel));
+        gw.publish(doc, tree(), suite()).unwrap();
+        (clock, tel)
+    };
+
+    let gw = Gateway::new(Signer::new(KEY));
+    let (clock, tel) = instrumented(&gw);
+    for u in [1u64, 3] {
+        let accept = Request { doc, updates: (0..u).map(|_| visit(2)).collect() };
+        assert_eq!(reads_of(&gw, &tel, &clock, &accept), 2 * u + 4, "accepted, {u} updates");
+    }
+    let violation = Request {
+        doc,
+        updates: vec![visit(2), Update::DeleteSubtree { node: NodeId::from_raw(3) }],
+    };
+    assert_eq!(reads_of(&gw, &tel, &clock, &violation), 2 * 2 + 3, "violation reject");
+    let failed = Request {
+        doc,
+        updates: vec![visit(2), visit(2), Update::DeleteSubtree { node: NodeId::from_raw(999) }],
+    };
+    assert_eq!(reads_of(&gw, &tel, &clock, &failed), 2 * 2 + 1, "update 2 fails");
+
+    let dir = std::env::temp_dir().join(format!("xuc-obs-clock-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = xuc_service::DurableOptions { group_commit: 1, snapshot_every: None };
+    let durable = Gateway::recover_with_io(
+        Signer::new(KEY),
+        &dir,
+        opts,
+        Box::new(SystemClock),
+        Arc::new(StdFs),
+    )
+    .unwrap();
+    let (clock, tel) = instrumented(&durable);
+    let accept = Request { doc, updates: vec![visit(2), visit(2)] };
+    assert_eq!(reads_of(&durable, &tel, &clock, &accept), 2 * 2 + 6, "durable, group_commit 1");
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// **Durability attribution.** On a durable gateway at `group_commit` n
@@ -205,11 +299,7 @@ fn durable_commits_attribute_journal_append_or_fsync() {
         let dir = std::env::temp_dir()
             .join(format!("xuc-obs-journal-{}-{group_commit}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let opts = xuc_service::DurableOptions {
-            group_commit,
-            snapshot_every: None,
-            ..Default::default()
-        };
+        let opts = xuc_service::DurableOptions { group_commit, snapshot_every: None };
         let gw = Gateway::recover_with_io(
             Signer::new(KEY),
             &dir,
@@ -278,6 +368,14 @@ proptest! {
                 prop_assert!(!det.contains(series), "{series} leaked into the deterministic exposition");
             }
             prop_assert!(det.contains("xuc_gateway_commits_accepted_total"));
+            // The admission stages' span counts restate the stream, so
+            // they are pinned with it; their microseconds are timing.
+            for stage in ["apply", "dirty_accumulate", "splice", "verdict", "certify"] {
+                let spans = format!("xuc_stage_{stage}_spans_total{{class=\"deterministic\"}}");
+                prop_assert!(det.contains(&spans), "deterministic exposition missing {spans}");
+                prop_assert!(full.contains(&format!("xuc_stage_{stage}_micros_total")));
+            }
+            prop_assert!(!det.contains("micros"), "span timings leaked into the deterministic exposition");
             expositions.push(det);
         }
         prop_assert_eq!(

@@ -12,12 +12,13 @@
 //!   render byte-identically at any worker count (pinned by the
 //!   differential suites), scheduling-dependent ones are explicitly
 //!   classified rather than quietly flaky.
-//! * [`TraceRing`] + [`StageTable`] — span tracing over the shared
-//!   [`Clock`] abstraction, attributing commit
-//!   admission to the closed [`Stage`] taxonomy (apply → dirty-region →
-//!   splice → verdict → certify → journal append → fsync). The ring is
-//!   bounded and lock-free with drop counting: telemetry never blocks
-//!   the hot path.
+//! * [`Timeline`] + [`TraceRing`] + [`StageTable`] — span tracing over
+//!   the shared [`Clock`] abstraction, attributing commit admission to
+//!   the closed [`Stage`] taxonomy (apply → dirty-region → splice →
+//!   verdict → certify → journal append → fsync). A request's timeline
+//!   reads the clock once per stage boundary, so its spans are
+//!   contiguous, and publishes them once, with one reservation in the
+//!   bounded lock-free ring: telemetry never blocks the hot path.
 //! * [`Telemetry`] — the bundle a gateway holds: one registry, one
 //!   ring, one stage table, one clock. Constructing it is cheap;
 //!   attaching it must be **observationally inert** — verdict logs,
@@ -34,8 +35,6 @@ pub use registry::{
     Counter, Determinism, Gauge, Histo, HistogramSummary, MetricsRegistry, MetricsSnapshot,
 };
 pub use trace::{Stage, StageRow, StageTable, TraceEvent, TraceRing};
-
-use std::sync::Arc;
 
 use xuc_core::clock::{Clock, SystemClock};
 
@@ -93,12 +92,9 @@ impl Telemetry {
     /// `Arc<VirtualClock>` (boxed) to drive span timings
     /// deterministically, and a small ring to exercise overflow.
     pub fn with_clock(clock: Box<dyn Clock + Send + Sync>, ring_capacity: usize) -> Telemetry {
-        Telemetry {
-            registry: MetricsRegistry::new(),
-            stages: StageTable::new(),
-            ring: TraceRing::new(ring_capacity),
-            clock,
-        }
+        let registry = MetricsRegistry::new();
+        let stages = StageTable::register(&registry);
+        Telemetry { registry, stages, ring: TraceRing::new(ring_capacity), clock }
     }
 
     pub fn registry(&self) -> &MetricsRegistry {
@@ -113,30 +109,8 @@ impl Telemetry {
         &self.stages
     }
 
-    /// The clock's current reading — capture before a stage, hand back
-    /// to [`record_stage`](Telemetry::record_stage) after.
-    pub fn now_micros(&self) -> u64 {
+    fn now_micros(&self) -> u64 {
         self.clock.now_micros()
-    }
-
-    /// Closes a span opened at `started_micros`: accumulates it in the
-    /// stage table and appends it to the trace ring. Two atomic adds
-    /// plus one ring store — never blocks.
-    pub fn record_stage(&self, stage: Stage, tag: u16, started_micros: u64) {
-        let micros = self.clock.now_micros().saturating_sub(started_micros);
-        self.record_span(stage, tag, micros);
-    }
-
-    /// Records a span whose length the caller already computed — the
-    /// primitive under [`record_stage`](Telemetry::record_stage),
-    /// exposed so *adjacent* stages can split on a single shared clock
-    /// reading: the tracer's dominant hot-path cost is the clock read,
-    /// not the atomics, so pipelined stages (apply → dirty-accumulate,
-    /// splice → verdict → certify) close one span and open the next
-    /// from the same `now_micros` value.
-    pub fn record_span(&self, stage: Stage, tag: u16, micros: u64) {
-        self.stages.record(stage, micros);
-        self.ring.record(stage, tag, micros);
     }
 
     /// Renders the per-stage attribution table: name, span count, total
@@ -164,13 +138,60 @@ impl Telemetry {
     }
 }
 
-/// `Telemetry` behind an `Arc` — the shape every instrumented component
-/// stores.
-pub type SharedTelemetry = Arc<Telemetry>;
+/// One request's stage timeline. [`start`](Timeline::start) takes the
+/// first clock reading and every [`mark`](Timeline::mark) one more,
+/// closing the running stage as a span and opening the next. The spans
+/// are buffered and published when the timeline drops, so a request that
+/// ends early (a failed update, a panic) still publishes what it marked;
+/// a stage left open is not recorded. An [`untraced`](Timeline::untraced)
+/// timeline reads no clock, touches no atomic and allocates nothing.
+pub struct Timeline<'t> {
+    tel: Option<&'t Telemetry>,
+    /// The reading that opened the running stage.
+    opened: u64,
+    /// Packed, untagged spans, in the order they closed.
+    spans: Vec<u64>,
+}
+
+impl<'t> Timeline<'t> {
+    /// Starts a request's timeline: one clock reading when traced.
+    pub fn start(tel: Option<&'t Telemetry>) -> Timeline<'t> {
+        let Some(t) = tel else { return Timeline::untraced() };
+        Timeline { tel, opened: t.now_micros(), spans: Vec::with_capacity(16) }
+    }
+
+    /// A timeline that records nothing.
+    pub const fn untraced() -> Timeline<'t> {
+        Timeline { tel: None, opened: 0, spans: Vec::new() }
+    }
+
+    /// One stage boundary: closes the running stage as a `stage` span
+    /// and opens the next, on one clock reading.
+    pub fn mark(&mut self, stage: Stage) {
+        if let Some(t) = self.tel {
+            let now = t.now_micros();
+            self.spans.push(trace::pack(stage, now.saturating_sub(self.opened)));
+            self.opened = now;
+        }
+    }
+}
+
+impl Drop for Timeline<'_> {
+    /// Publishes the spans: one ring reservation, one stage-table add
+    /// each.
+    fn drop(&mut self) {
+        let Some(t) = self.tel.filter(|_| !self.spans.is_empty()) else { return };
+        t.ring.publish(&self.spans);
+        for ev in self.spans.iter().filter_map(|&s| trace::unpack(s)) {
+            t.stages.add(ev.stage, ev.micros);
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use xuc_core::clock::VirtualClock;
 
     fn virtual_telemetry(ring: usize) -> (Arc<VirtualClock>, Telemetry) {
@@ -180,15 +201,38 @@ mod tests {
     }
 
     #[test]
-    fn record_stage_measures_virtual_time() {
+    fn timeline_marks_measure_virtual_time() {
         let (clock, tel) = virtual_telemetry(16);
-        let t0 = tel.now_micros();
+        let mut tl = Timeline::start(Some(&tel));
         clock.advance_micros(120);
-        tel.record_stage(Stage::Splice, 3, t0);
+        tl.mark(Stage::Splice);
+        clock.advance_micros(30);
+        tl.mark(Stage::Verdict);
+        assert!(tel.ring().is_empty(), "spans publish when the request ends");
+        drop(tl);
         let rows = tel.stages().rows();
         assert_eq!(rows[Stage::Splice as usize].total_micros, 120);
+        assert_eq!(rows[Stage::Verdict as usize].total_micros, 30);
         let events = tel.ring().events();
-        assert_eq!(events, vec![TraceEvent { stage: Stage::Splice, tag: 3, micros: 120 }]);
+        assert_eq!(
+            events,
+            [
+                TraceEvent { stage: Stage::Splice, tag: 0, micros: 120 },
+                TraceEvent { stage: Stage::Verdict, tag: 0, micros: 30 }
+            ]
+        );
+        // The next request's tag is the slot of its first span.
+        let mut tl = Timeline::start(Some(&tel));
+        tl.mark(Stage::Apply);
+        drop(tl);
+        assert_eq!(tel.ring().events()[2].tag, 2);
+    }
+
+    #[test]
+    fn untraced_timelines_record_nothing() {
+        let mut tl = Timeline::untraced();
+        tl.mark(Stage::Apply);
+        assert!(tl.spans.is_empty() && tl.spans.capacity() == 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! 1. **Handles, not lookups.** Instrument sites call
 //!    [`MetricsRegistry::counter`] once at wiring time and keep the
 //!    returned [`Counter`] handle; the hot path is a single relaxed
-//!    atomic add on a thread-striped shard — no map lookup, no lock,
+//!    atomic add on the calling thread's shard — no map lookup, no lock,
 //!    no allocation.
 //! 2. **Every metric declares its [`Determinism`].** A counter is
 //!    `Deterministic` iff its final value is a pure function of the
@@ -22,7 +22,7 @@
 //!    diff with `assert_eq!` in tests and across worker counts.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -65,10 +65,20 @@ struct CounterInner {
     det: Determinism,
 }
 
+/// The calling thread's counter stripe: fixed per thread and handed out
+/// round-robin, so concurrent workers land on different shards.
+fn thread_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed);
+    }
+    STRIPE.with(|s| *s)
+}
+
 /// A named monotonic counter. Cheap to clone (an `Arc`); increments are
 /// relaxed atomic adds striped across `COUNTER_SHARDS` (16) shards by
-/// caller-supplied stripe (typically a worker index), reads sum the
-/// stripes — sums are exact because counters only grow.
+/// the calling thread, reads sum the stripes — sums are exact because
+/// counters only grow.
 #[derive(Clone)]
 pub struct Counter {
     inner: Arc<CounterInner>,
@@ -79,14 +89,10 @@ impl Counter {
         self.add(1);
     }
 
+    /// Adds on the calling thread's stripe, so concurrent workers'
+    /// increments don't contend on one line.
     pub fn add(&self, n: u64) {
-        self.add_striped(0, n);
-    }
-
-    /// Adds on stripe `stripe % COUNTER_SHARDS` — workers pass their
-    /// index so concurrent increments don't contend on one line.
-    pub fn add_striped(&self, stripe: usize, n: u64) {
-        self.inner.shards[stripe % COUNTER_SHARDS].0.fetch_add(n, Ordering::Relaxed);
+        self.inner.shards[thread_stripe() % COUNTER_SHARDS].0.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn value(&self) -> u64 {
@@ -153,12 +159,9 @@ pub struct Histo {
 }
 
 impl Histo {
+    /// Records on the calling thread's stripe.
     pub fn record(&self, value: u64) {
-        self.record_striped(0, value);
-    }
-
-    pub fn record_striped(&self, stripe: usize, value: u64) {
-        self.inner.shards[stripe % HISTO_SHARDS].lock().record(value);
+        self.inner.shards[thread_stripe() % HISTO_SHARDS].lock().record(value);
     }
 
     /// All stripes merged into one histogram.
@@ -395,9 +398,11 @@ mod tests {
     fn counters_stripe_and_sum_exactly() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("xuc_test_total", Determinism::Deterministic);
-        for stripe in 0..64 {
-            c.add_striped(stripe, 3);
-        }
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| (0..8).for_each(|_| c.add(3)));
+            }
+        });
         assert_eq!(c.value(), 192);
         assert_eq!(reg.snapshot().counter("xuc_test_total"), Some(192));
     }
@@ -424,9 +429,11 @@ mod tests {
     fn set_absolute_overwrites_striped_state() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("xuc_scraped_total", Determinism::Deterministic);
-        for stripe in 0..COUNTER_SHARDS {
-            c.add_striped(stripe, 10);
-        }
+        std::thread::scope(|s| {
+            for _ in 0..COUNTER_SHARDS {
+                s.spawn(|| c.add(10));
+            }
+        });
         c.set_absolute(42);
         assert_eq!(c.value(), 42);
     }

@@ -3,15 +3,18 @@
 //!
 //! The gateway's hot path must never block on its own instruments, so
 //! the ring is a fixed array of atomic slots filled by a fetch-add
-//! cursor: recording is two relaxed atomic operations, and once the
-//! ring is full further events increment a drop counter instead of
-//! waiting or wrapping (fill-until-drained semantics — the reader
-//! [`drain`](TraceRing::drain)s and the ring refills). Each event packs
-//! into one `u64` — `[tag:16][stage:8][micros:40]` — so a slot write is
-//! a single store; 40 bits of microseconds cover ~12 days of span
-//! length, far beyond any admission stage.
+//! cursor. A request publishes all its spans at once: one relaxed
+//! `fetch_add` reserves a run of consecutive slots, and one store fills
+//! each. Once the ring is full further spans are counted as dropped
+//! instead of waiting or wrapping (fill-until-drained semantics — the
+//! reader [`drain`](TraceRing::drain)s and the ring refills). Each event
+//! packs into one `u64` — `[tag:16][stage:8][micros:40]` — so a slot
+//! write is a single store; 40 bits of microseconds cover ~12 days of
+//! span length, far beyond any admission stage.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use crate::registry::{Counter, Determinism, MetricsRegistry};
 
 /// The named stages of commit admission, in pipeline order. The
 /// taxonomy is closed on purpose: every stage a commit can spend time
@@ -70,9 +73,9 @@ impl Stage {
     }
 }
 
-/// One decoded trace event: which stage, the caller's 16-bit tag
-/// (typically a document-id hash or batch sequence), and the span
-/// length in microseconds (saturated at 40 bits).
+/// One decoded trace event: which stage, the request's 16-bit tag (the
+/// ring slot of its first span, truncated), and the span length in
+/// microseconds (saturated at 40 bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     pub stage: Stage,
@@ -82,28 +85,31 @@ pub struct TraceEvent {
 
 const MICROS_BITS: u64 = 40;
 const MICROS_MASK: u64 = (1 << MICROS_BITS) - 1;
+const TAG_SHIFT: u64 = MICROS_BITS + 8;
 
-fn pack(stage: Stage, tag: u16, micros: u64) -> u64 {
-    ((tag as u64) << (MICROS_BITS + 8))
-        | ((stage as u8 as u64) << MICROS_BITS)
-        | micros.min(MICROS_MASK)
+/// A span without its tag — what a request buffers until it publishes.
+pub(crate) fn pack(stage: Stage, micros: u64) -> u64 {
+    ((stage as u8 as u64) << MICROS_BITS) | micros.min(MICROS_MASK)
 }
 
-fn unpack(v: u64) -> Option<TraceEvent> {
+pub(crate) fn unpack(v: u64) -> Option<TraceEvent> {
     let stage = Stage::from_u8(((v >> MICROS_BITS) & 0xff) as u8)?;
-    Some(TraceEvent { stage, tag: (v >> (MICROS_BITS + 8)) as u16, micros: v & MICROS_MASK })
+    Some(TraceEvent { stage, tag: (v >> TAG_SHIFT) as u16, micros: v & MICROS_MASK })
 }
 
 /// The bounded lock-free span ring; see the [module docs](self).
 ///
-/// Concurrent recording is always safe and never blocks. Draining is a
+/// Concurrent publishing is always safe and never blocks. Draining is a
 /// reader-side operation: call it from a quiescent point (between
 /// processing runs), not concurrently with writers — a writer that has
-/// claimed a slot but not yet stored into it would be missed.
+/// reserved slots but not yet stored into them would be missed.
 pub struct TraceRing {
     slots: Vec<AtomicU64>,
+    /// Spans reserved since the last drain; past the capacity, the
+    /// excess is the drop count.
     next: AtomicUsize,
-    dropped: AtomicU64,
+    /// Spans dropped before the last drain.
+    dropped_before: AtomicU64,
 }
 
 impl TraceRing {
@@ -112,29 +118,25 @@ impl TraceRing {
         TraceRing {
             slots: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             next: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
+            dropped_before: AtomicU64::new(0),
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Records one span. Two relaxed atomics when the ring has room;
-    /// one when it is full (the drop counter). Never blocks, never
-    /// allocates.
-    pub fn record(&self, stage: Stage, tag: u16, micros: u64) {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        if i < self.slots.len() {
-            self.slots[i].store(pack(stage, tag, micros), Ordering::Relaxed);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+    /// Publishes one request's packed, untagged spans under one
+    /// reservation, tagged with the slot of the first; spans past the
+    /// capacity are dropped, and counted by the cursor itself.
+    pub(crate) fn publish(&self, spans: &[u64]) {
+        let first = self.next.fetch_add(spans.len(), Ordering::Relaxed);
+        let tag = (first as u16 as u64) << TAG_SHIFT;
+        for (slot, span) in self.slots.get(first..).unwrap_or_default().iter().zip(spans) {
+            slot.store(tag | span, Ordering::Relaxed);
         }
     }
 
-    /// Events recorded but not stored because the ring was full.
+    /// Spans published but not stored because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        let over = self.next.load(Ordering::Relaxed).saturating_sub(self.slots.len());
+        self.dropped_before.load(Ordering::Relaxed) + over as u64
     }
 
     /// Number of events currently stored.
@@ -146,28 +148,31 @@ impl TraceRing {
         self.len() == 0
     }
 
-    /// Copies out the stored events in record order without resetting.
+    /// Copies out the stored events in slot order without resetting.
     pub fn events(&self) -> Vec<TraceEvent> {
         (0..self.len()).filter_map(|i| unpack(self.slots[i].load(Ordering::Relaxed))).collect()
     }
 
-    /// Takes the stored events and empties the ring (the drop counter
+    /// Takes the stored events and empties the ring (the drop count
     /// keeps its lifetime total). Reader-side; see the type docs.
     pub fn drain(&self) -> Vec<TraceEvent> {
         let out = self.events();
-        self.next.store(0, Ordering::Relaxed);
+        let over = self.next.swap(0, Ordering::Relaxed).saturating_sub(self.slots.len());
+        self.dropped_before.fetch_add(over as u64, Ordering::Relaxed);
         out
     }
 }
 
-/// Per-stage accumulation: event counts and total microseconds, indexed
-/// by [`Stage`]. This is what stage-attribution breakdowns read — the
-/// ring holds individual spans, the table holds their sums, and neither
-/// blocks.
-#[derive(Default)]
+/// Per-stage span counts and total microseconds, as registry
+/// [`Counter`]s (`xuc_stage_<name>_spans_total`, `..._micros_total`):
+/// the ring holds individual spans, the table their sums. The five
+/// admission stages' counts restate the request stream, so they are
+/// [`Determinism::Deterministic`]; the journal stages' counts (which
+/// commit fills a group-commit batch is up to the schedule) and every
+/// microsecond total are not.
 pub struct StageTable {
-    counts: [AtomicU64; Stage::COUNT],
-    micros: [AtomicU64; Stage::COUNT],
+    spans: [Counter; Stage::COUNT],
+    micros: [Counter; Stage::COUNT],
 }
 
 /// One row of a stage breakdown.
@@ -179,13 +184,26 @@ pub struct StageRow {
 }
 
 impl StageTable {
-    pub fn new() -> StageTable {
-        StageTable::default()
+    /// Registers the table's counters in `reg`.
+    pub(crate) fn register(reg: &MetricsRegistry) -> StageTable {
+        let sched = Determinism::SchedulingDependent;
+        StageTable {
+            spans: Stage::ALL.map(|s| {
+                let det = match s {
+                    Stage::JournalAppend | Stage::Fsync => sched,
+                    _ => Determinism::Deterministic,
+                };
+                reg.counter(&format!("xuc_stage_{}_spans_total", s.name()), det)
+            }),
+            micros: Stage::ALL
+                .map(|s| reg.counter(&format!("xuc_stage_{}_micros_total", s.name()), sched)),
+        }
     }
 
-    pub fn record(&self, stage: Stage, micros: u64) {
-        self.counts[stage as usize].fetch_add(1, Ordering::Relaxed);
-        self.micros[stage as usize].fetch_add(micros, Ordering::Relaxed);
+    /// Adds one `stage` span of `micros`.
+    pub(crate) fn add(&self, stage: Stage, micros: u64) {
+        self.spans[stage as usize].inc();
+        self.micros[stage as usize].add(micros);
     }
 
     /// All stages in pipeline order (zero rows included, so breakdowns
@@ -195,8 +213,8 @@ impl StageTable {
             .iter()
             .map(|&s| StageRow {
                 stage: s,
-                count: self.counts[s as usize].load(Ordering::Relaxed),
-                total_micros: self.micros[s as usize].load(Ordering::Relaxed),
+                count: self.spans[s as usize].value(),
+                total_micros: self.micros[s as usize].value(),
             })
             .collect()
     }
@@ -204,7 +222,7 @@ impl StageTable {
     /// Total microseconds across all stages — the denominator for
     /// attribution shares.
     pub fn total_micros(&self) -> u64 {
-        self.micros.iter().map(|m| m.load(Ordering::Relaxed)).sum()
+        self.micros.iter().map(Counter::value).sum()
     }
 }
 
@@ -212,49 +230,61 @@ impl StageTable {
 mod tests {
     use super::*;
 
+    fn tagged(stage: Stage, tag: u16, micros: u64) -> TraceEvent {
+        TraceEvent { stage, tag, micros }
+    }
+
     #[test]
     fn events_round_trip_through_the_packing() {
-        for (stage, tag, micros) in [
-            (Stage::Apply, 0u16, 0u64),
-            (Stage::Splice, 0xBEEF, 123_456),
-            (Stage::Fsync, u16::MAX, MICROS_MASK),
-        ] {
-            let ev = unpack(pack(stage, tag, micros)).unwrap();
-            assert_eq!(ev, TraceEvent { stage, tag, micros });
-        }
+        let ring = TraceRing::new(4);
+        let spans =
+            [pack(Stage::Apply, 0), pack(Stage::Splice, 123_456), pack(Stage::Fsync, MICROS_MASK)];
+        ring.publish(&spans);
+        assert_eq!(
+            ring.events(),
+            [
+                tagged(Stage::Apply, 0, 0),
+                tagged(Stage::Splice, 0, 123_456),
+                tagged(Stage::Fsync, 0, MICROS_MASK)
+            ]
+        );
         // Span lengths beyond 40 bits saturate instead of corrupting
-        // the stage/tag fields.
-        let ev = unpack(pack(Stage::Verdict, 7, u64::MAX)).unwrap();
-        assert_eq!((ev.stage, ev.tag, ev.micros), (Stage::Verdict, 7, MICROS_MASK));
+        // the stage field.
+        let ev = unpack(pack(Stage::Verdict, u64::MAX)).unwrap();
+        assert_eq!((ev.stage, ev.micros), (Stage::Verdict, MICROS_MASK));
     }
 
     #[test]
     fn ring_fills_then_counts_drops_without_blocking() {
         let ring = TraceRing::new(4);
-        for i in 0..10 {
-            ring.record(Stage::Apply, i as u16, i);
+        for i in 0..5 {
+            ring.publish(&[pack(Stage::Apply, i), pack(Stage::Certify, i)]);
         }
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.dropped(), 6);
         let events = ring.drain();
-        assert_eq!(events.len(), 4);
-        assert_eq!(events[2], TraceEvent { stage: Stage::Apply, tag: 2, micros: 2 });
+        // The second request's spans are tagged with its first slot.
+        assert_eq!(events[2..], [tagged(Stage::Apply, 2, 1), tagged(Stage::Certify, 2, 1)]);
         assert!(ring.is_empty());
-        // Refills after a drain; the drop counter keeps its total.
-        ring.record(Stage::Fsync, 1, 99);
+        // Refills after a drain; the drop count keeps its total.
+        ring.publish(&[pack(Stage::Fsync, 99)]);
+        assert_eq!(ring.events(), [tagged(Stage::Fsync, 0, 99)]);
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.dropped(), 6);
+        // A request that straddles the end keeps what fits.
+        ring.publish(&[pack(Stage::Splice, 1); 5]);
+        assert_eq!((ring.len(), ring.dropped()), (4, 8));
     }
 
     #[test]
     fn concurrent_recording_loses_nothing_to_races() {
         let ring = std::sync::Arc::new(TraceRing::new(1_000));
         let threads: Vec<_> = (0..8)
-            .map(|t| {
+            .map(|_| {
                 let ring = ring.clone();
                 std::thread::spawn(move || {
-                    for i in 0..500u64 {
-                        ring.record(Stage::Splice, t as u16, i);
+                    for i in 0..100u64 {
+                        ring.publish(&[pack(Stage::Splice, i); 5]);
                     }
                 })
             })
@@ -262,24 +292,35 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        // 4000 records into 1000 slots: exactly 1000 stored, 3000
-        // dropped — the fetch-add cursor never double-assigns a slot.
+        // 4000 spans into 1000 slots: exactly 1000 stored, 3000
+        // dropped — the fetch-add cursor never double-assigns a slot,
+        // so every stored request's spans sit contiguous under its tag.
         assert_eq!(ring.len(), 1_000);
         assert_eq!(ring.dropped(), 3_000);
-        assert_eq!(ring.events().len(), 1_000);
+        let events = ring.events();
+        for (i, request) in events.chunks(5).enumerate() {
+            assert!(request.iter().all(|e| e.tag == (5 * i) as u16), "{request:?}");
+        }
     }
 
     #[test]
     fn stage_table_accumulates_counts_and_micros() {
-        let table = StageTable::new();
-        table.record(Stage::Apply, 10);
-        table.record(Stage::Apply, 30);
-        table.record(Stage::Fsync, 5);
+        let reg = MetricsRegistry::new();
+        let table = StageTable::register(&reg);
+        table.add(Stage::Apply, 10);
+        table.add(Stage::Apply, 30);
+        table.add(Stage::Fsync, 5);
         let rows = table.rows();
         assert_eq!(rows.len(), Stage::COUNT, "every stage has a row");
         assert_eq!((rows[0].count, rows[0].total_micros), (2, 40));
         assert_eq!(rows[Stage::Fsync as usize].total_micros, 5);
         assert_eq!(table.total_micros(), 45);
+        // Admission-stage counts are deterministic; journal-stage counts
+        // and every microsecond total are not.
+        let det = reg.snapshot().exposition_deterministic();
+        assert!(det.contains("xuc_stage_apply_spans_total{class=\"deterministic\"} 2"));
+        assert!(!det.contains("xuc_stage_fsync_spans_total"));
+        assert!(!det.contains("micros"));
     }
 
     #[test]

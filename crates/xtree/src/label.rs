@@ -21,41 +21,57 @@ use std::sync::OnceLock;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Label(u32);
 
-struct Interner {
-    names: Vec<&'static str>,
-    index: HashMap<&'static str, u32>,
+/// Name → id, for [`Label::new`]. The reverse table is [`NAMES`].
+fn index() -> &'static RwLock<HashMap<&'static str, u32>> {
+    static INDEX: OnceLock<RwLock<HashMap<&'static str, u32>>> = OnceLock::new();
+    INDEX.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| RwLock::new(Interner { names: Vec::new(), index: HashMap::new() }))
+/// One segment of the id → name table.
+type Segment = OnceLock<Box<[OnceLock<&'static str>]>>;
+
+/// Segments of the id → name table: segment `k` holds ids
+/// `2^k - 1 .. 2^(k+1) - 1`, so 33 segments cover every `u32` id. The
+/// table is append-only and a segment never moves once allocated, so
+/// readers index it without a lock; only [`Label::new`], under the
+/// index's write lock, fills it.
+static NAMES: [Segment; 33] = [const { OnceLock::new() }; 33];
+
+/// The segment and offset of `id` in [`NAMES`].
+fn slot(id: u32) -> (usize, usize) {
+    let n = u64::from(id) + 1;
+    let segment = n.ilog2() as usize;
+    (segment, (n - (1 << segment)) as usize)
 }
 
 impl Label {
     /// Interns `name` and returns its label handle.
     pub fn new(name: &str) -> Self {
-        {
-            let guard = interner().read();
-            if let Some(&id) = guard.index.get(name) {
-                return Label(id);
-            }
+        if let Some(&id) = index().read().get(name) {
+            return Label(id);
         }
-        let mut guard = interner().write();
-        if let Some(&id) = guard.index.get(name) {
+        let mut index = index().write();
+        if let Some(&id) = index.get(name) {
             return Label(id);
         }
         // Labels live for the whole process; leaking keeps `as_str` free of
         // locking and allocation on the hot path.
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let id = u32::try_from(guard.names.len()).expect("label interner overflow");
-        guard.names.push(leaked);
-        guard.index.insert(leaked, id);
+        let id = u32::try_from(index.len()).expect("label interner overflow");
+        let (segment, offset) = slot(id);
+        let names = NAMES[segment]
+            .get_or_init(|| (0..1usize << segment).map(|_| OnceLock::new()).collect());
+        // Invariant: ids are handed out once each, under this lock.
+        names[offset].set(leaked).expect("fresh label id");
+        index.insert(leaked, id);
         Label(id)
     }
 
-    /// The interned string.
+    /// The interned string: two lock-free loads.
     pub fn as_str(self) -> &'static str {
-        interner().read().names[self.0 as usize]
+        let (segment, offset) = slot(self.0);
+        // Invariant: a `Label` is minted only after its name is stored.
+        NAMES[segment].get().and_then(|names| names[offset].get()).expect("interned label")
     }
 
     /// A stable integer handle, usable as an automaton alphabet symbol.
@@ -128,6 +144,36 @@ mod tests {
     #[test]
     fn z_label_is_z() {
         assert_eq!(Label::z().as_str(), "z");
+    }
+
+    #[test]
+    fn concurrent_interning_agrees_and_reads_back() {
+        let threads: Vec<_> = (1..=4)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    (0..2_000)
+                        .map(|i| {
+                            let name = format!("concurrent{}", (i * t) % 1_500);
+                            let label = Label::new(&name);
+                            assert_eq!(label.as_str(), name);
+                            (name, label)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for (name, label) in threads.into_iter().flat_map(|h| h.join().unwrap()) {
+            assert_eq!(Label::new(&name), label, "{name} interned twice");
+            assert_eq!(label.as_str(), name);
+        }
+    }
+
+    #[test]
+    fn slots_tile_the_id_space() {
+        assert_eq!(slot(0), (0, 0));
+        assert_eq!((slot(1), slot(2), slot(3)), ((1, 0), (1, 1), (2, 0)));
+        assert_eq!(slot(u32::MAX - 1), (31, (1 << 31) - 1));
+        assert_eq!(slot(u32::MAX), (32, 0));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   subset, the part that is byte-identical at any worker count),
 //! * the per-stage latency attribution over the commit pipeline
 //!   (apply → dirty-region → splice → verdict → certify),
-//! * the bounded ring trace of one rejected commit, span by span.
+//! * the bounded ring trace of one rejected commit, span by span: its
+//!   spans are published together, so they sit contiguous in the ring
+//!   under one tag, in pipeline order.
 //!
 //! Attaching the bundle is observationally inert: the verdicts below are
 //! the ones the uninstrumented gateway would have produced.
@@ -108,6 +110,15 @@ fn main() {
         println!("  tag {:>3}  {:<16} {:>6} µs", ev.tag, ev.stage.name(), ev.micros);
     }
     assert!(matches!(verdict, Verdict::Rejected(RejectReason::Violation { .. })));
+    // The request published its spans at once, so they sit contiguous
+    // from the slot its tag names, and they telescope in pipeline order.
+    assert_eq!(tag, 0, "the tag is the ring slot of the request's first span");
+    let stages: Vec<Stage> = trace.iter().map(|ev| ev.stage).collect();
+    assert_eq!(
+        stages,
+        [Stage::Apply, Stage::DirtyAccumulate, Stage::Splice, Stage::Verdict],
+        "one span per stage reached, contiguous and in pipeline order"
+    );
     assert!(
         trace.iter().all(|ev| ev.stage != Stage::Certify),
         "a rejected commit is never certified"
