@@ -19,6 +19,7 @@ use xuc_bench as wl;
 use xuc_bench::load::{saturation_throughput, simulate, SimConfig};
 use xuc_core::implication::search::find_counterexample_sharded;
 use xuc_core::{implication, instance};
+use xuc_service::persist::wal_path;
 use xuc_service::reference::{admit, FullPass};
 use xuc_service::workload::{seeded_arrivals, seeded_zipf_requests};
 use xuc_service::{
@@ -1154,10 +1155,19 @@ fn main() {
             };
             let gw = recover().expect("fresh durability dir");
             gw.publish(doc, tree.clone(), suite.clone()).expect("fresh gateway");
+            let wal_len = || std::fs::metadata(wal_path(&dir)).expect("the log").len();
+            let published = wal_len();
             for (i, r) in requests.iter().enumerate() {
                 assert!(gw.submit(r).is_accepted(), "E-REC request #{i} must be accepted");
             }
             drop(gw); // orderly shutdown: pending group-commit frames sync
+            if cadence.is_none() {
+                // The cold log holds every commit record after the
+                // publish: the journal's bytes per commit, frame included.
+                let per_commit = (wal_len() - published) as f64 / commits as f64;
+                rep.metric("E-REC", "commit_record_bytes", per_commit);
+                println!("   commit record: {per_commit:.0} B per commit, frame included");
+            }
 
             // Discarded warm-up: the first recovery in a process pays
             // page-cache/heap-growth costs (the cold WAL here is ~260 MB)
@@ -1232,7 +1242,15 @@ fn main() {
                 assert!(cert.verify(key, &rec.snapshot(doc).expect("restored")).is_ok());
                 rep.metric("E-REC", "snapshot_bytes", bytes as f64);
                 rep.metric("E-REC", "snapshot_restore_us", restore);
-                println!("   snapshot: {bytes} B, restored alone in {:.1} ms", restore / 1e3);
+                let per_node = bytes as f64 / tree.len() as f64;
+                println!(
+                    "   snapshot: {bytes} B ({per_node:.2} B per node), restored alone in {:.1} ms",
+                    restore / 1e3
+                );
+                // Half of the 22.8 B per node that fixed-width ids and a
+                // name per node took: a byte count, so asserted at every
+                // size, smoke included.
+                assert!(per_node <= 11.4, "snapshot {per_node:.2} B per node, bound 11.4");
                 let _ = std::fs::remove_dir_all(&only);
             }
             let _ = std::fs::remove_dir_all(&dir);

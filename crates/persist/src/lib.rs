@@ -12,9 +12,10 @@
 //! harness in `crates/service/tests/differential.rs` and the crash-state
 //! explorer in `crates/service/tests/crash_states.rs` are the proof).
 //!
-//! * [`codec`] — fixed-width little-endian primitives; exact-order tree
-//!   encoding; constraints as their canonical parseable text; the one
-//!   `[len][checksum][payload]` frame writer and reader.
+//! * [`codec`] — minimal varints, one label dictionary per frame;
+//!   exact-order tree encoding and gap-coded signed sets; constraints as
+//!   their canonical parseable text; the one `[len][checksum][payload]`
+//!   frame writer and reader.
 //! * [`wal`] — frames behind a magic header, buffered until the caller
 //!   syncs, torn-tail truncation on reopen, and a corrupted header refused
 //!   rather than truncated.

@@ -11,10 +11,12 @@
 //! a keyed `tag` over `(doc, commits, prev_digest, chain_tag)` does; this
 //! crate stores it as an opaque `u64` and the signer checks it.
 //!
-//! A snapshot file is `XUCSNP03` followed by one frame of the WAL's
+//! A snapshot file is `XUCSNP04` followed by one frame of the WAL's
 //! `[u32 len][u64 checksum][payload]` shape ([`append_frame`] /
 //! [`split_frame`]), where the payload is a [`DocSnapshot`] in the
-//! [`crate::codec`] encoding. Writing goes through a `*.tmp` sibling, a
+//! [`crate::codec`] encoding: the name, the commit counter as a varint,
+//! the tree and suite under the frame's one label dictionary, then the
+//! anchor and tag as fixed-width `u64`s. Writing goes through a `*.tmp` sibling, a
 //! `sync_all`, an atomic `rename` and a sync of the directory, so a crash
 //! mid-snapshot leaves either the old snapshot or the new one — never a
 //! half-written file (a stray `.tmp` is ignored by [`read_snapshots`]) —
@@ -37,8 +39,9 @@ use xuc_xtree::DataTree;
 
 /// The format tag every snapshot file opens with. Older formats are
 /// refused as [`DecodeError::BadMagic`]: `XUCSNP01` files also stored the
-/// signed sets and the whole certificate, `XUCSNP02` files lack the tag.
-const SNAP_MAGIC: &[u8; 8] = b"XUCSNP03";
+/// signed sets and the whole certificate, `XUCSNP02` files lack the tag,
+/// and `XUCSNP03` files wrote fixed-width ids and a name per node.
+const SNAP_MAGIC: &[u8; 8] = b"XUCSNP04";
 
 /// One document as of commit `commits`: everything needed to re-open it
 /// without replaying its history. Writing borrows the served document's
@@ -69,7 +72,7 @@ impl DocSnapshot<'_> {
 
     fn encode_into(&self, e: &mut Encoder) {
         e.str(&self.doc);
-        e.u64(self.commits);
+        e.var(self.commits);
         encode_tree(e, &self.tree);
         encode_suite(e, &self.suite);
         e.u64(self.prev_digest);
@@ -80,7 +83,7 @@ impl DocSnapshot<'_> {
     pub fn decode(payload: &[u8]) -> Result<DocSnapshot<'static>, DecodeError> {
         let mut d = Decoder::new(payload);
         let doc = Cow::Owned(d.str()?.to_owned());
-        let commits = d.u64()?;
+        let commits = d.var()?;
         let tree = Cow::Owned(decode_tree(&mut d)?);
         let suite = Cow::Owned(decode_suite(&mut d)?);
         let prev_digest = d.u64()?;

@@ -3,13 +3,16 @@
 //!
 //! # Frame format
 //!
-//! The file opens with the 8-byte magic `XUCWAL01`; every frame after it is
+//! The file opens with the 8-byte magic `XUCWAL02`; every frame after it is
 //!
 //! ```text
 //! [u32 payload length, LE][u64 FNV-1a-64 checksum of payload, LE][payload]
 //! ```
 //!
-//! where the payload is one [`WalRecord`] in the [`crate::codec`] encoding.
+//! where the payload is one [`WalRecord`] in the [`crate::codec`] encoding,
+//! under one label dictionary per frame. A log that opens with the older
+//! `XUCWAL01` (fixed-width ids, a name per node and per signed entry) is
+//! refused as [`DecodeError::BadMagic`], like any other wrong header.
 //! Frames are written by [`crate::codec::append_frame`] and read by
 //! [`crate::codec::split_frame`], the framing snapshot files use too.
 //!
@@ -55,7 +58,7 @@ use xuc_core::Constraint;
 use xuc_sigstore::Certificate;
 use xuc_xtree::{DataTree, Update};
 
-const WAL_MAGIC: &[u8; 8] = b"XUCWAL01";
+const WAL_MAGIC: &[u8; 8] = b"XUCWAL02";
 
 /// One logged event. The WAL records *accepted* state transitions only —
 /// rejected batches leave no trace (they changed nothing).
@@ -116,7 +119,7 @@ impl WalRecord {
             WalRecord::Commit { doc, commit, updates, cert } => {
                 e.u8(2);
                 e.str(doc);
-                e.u64(*commit);
+                e.var(*commit);
                 encode_updates(e, updates);
                 encode_certificate(e, cert);
             }
@@ -134,7 +137,7 @@ impl WalRecord {
             }
             2 => {
                 let doc = d.str()?.to_owned();
-                let commit = d.u64()?;
+                let commit = d.var()?;
                 let updates = decode_updates(&mut d)?;
                 let cert = decode_certificate(&mut d)?;
                 WalRecord::Commit { doc, commit, updates, cert }

@@ -2,22 +2,72 @@
 //! random trees, update batches, certificates, WAL records and document
 //! snapshots — decode-rejects-corruption (a flipped bit anywhere in a WAL
 //! file's frame region never produces a wrong record: the scan yields an
-//! exact prefix of what was written) — and a mutation fuzzer: snapshot
-//! payloads and WAL frames mangled and then re-checksummed, so only the
-//! decoder stands between them and recovery, decode to a typed error or
-//! to a value whose tree re-encodes to exactly the bytes it came from.
+//! exact prefix of what was written) — a mutation fuzzer (snapshot
+//! payloads and WAL frames mangled, overlong and overflowing varints
+//! spliced in, then re-checksummed, so only the decoder stands between
+//! them and recovery: each decodes to a typed error or to a value that
+//! re-encodes to exactly the bytes it came from), and hand-built hostile
+//! frames, one per way the dictionary frames can lie, each refused as its
+//! own typed error without an allocation the input could not fill.
 
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
 use xuc_core::{parse_constraint, Constraint};
 use xuc_persist::codec::split_frame;
 use xuc_persist::{
-    checksum64, decode_tree, encode_tree, read_wal, Decoder, DocSnapshot, Encoder, StdFs,
-    WalRecord, WalWriter,
+    checksum64, decode_tree, encode_tree, read_wal, DecodeError, Decoder, DocSnapshot, Encoder,
+    StdFs, WalRecord, WalWriter,
 };
 use xuc_sigstore::{Certificate, Signer};
 use xuc_xtree::{DataTree, Label, NodeId, NodeRef, Update};
+
+/// The system allocator, noting the largest single request each thread
+/// makes: the hostile-frame test reads it around a decode.
+struct Largest;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds `GlobalAlloc`'s contract; `note` only updates a
+// const-initialized thread-local `Cell`, which neither allocates nor
+// unwinds.
+unsafe impl GlobalAlloc for Largest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's guarantees for `layout` are `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Largest = Largest;
 
 const LABELS: &[&str] = &["a", "b", "visit", "patient", "note"];
 
@@ -64,9 +114,12 @@ fn update_strategy() -> impl Strategy<Value = Update> {
     })
 }
 
+/// A set of nodes of one tree: ids are unique (a later pair for an id
+/// replaces an earlier one), as in every set a signer evaluates.
 fn node_set_strategy() -> impl Strategy<Value = BTreeSet<NodeRef>> {
     proptest::collection::vec((0..60usize, 0..LABELS.len()), 0..12).prop_map(|pairs| {
-        pairs
+        let by_id: BTreeMap<usize, usize> = pairs.into_iter().collect();
+        by_id
             .into_iter()
             .map(|(id, l)| NodeRef {
                 id: NodeId::from_raw(id as u64),
@@ -141,7 +194,10 @@ fn assert_snap_eq(a: &DocSnapshot, b: &DocSnapshot) {
 }
 
 /// One byte-level mutation of an encoded payload: flip a bit, overwrite a
-/// byte, delete a span, duplicate a span, or insert a run of one byte.
+/// byte, delete a span, duplicate a span, insert a run of one byte, make
+/// a varint overlong (a byte below `0x80`, a varint's last byte wherever
+/// it ends one, gains a continuation and a zero byte), or splice in a
+/// varint that overflows 64 bits.
 #[derive(Debug, Clone)]
 struct Mutation {
     op: usize,
@@ -151,7 +207,7 @@ struct Mutation {
 }
 
 fn mutations() -> impl Strategy<Value = Vec<Mutation>> {
-    let one = (0..5usize, 0..usize::MAX, 1..16usize, 0..256usize)
+    let one = (0..7usize, 0..usize::MAX, 1..16usize, 0..256usize)
         .prop_map(|(op, at, span, byte)| Mutation { op, at, span, byte: byte as u8 });
     proptest::collection::vec(one, 1..4)
 }
@@ -172,7 +228,17 @@ impl Mutation {
                 let dup = bytes[at..end].to_vec();
                 bytes.splice(at..at, dup);
             }
-            _ => drop(bytes.splice(at..at, std::iter::repeat_n(self.byte, self.span))),
+            4 => drop(bytes.splice(at..at, std::iter::repeat_n(self.byte, self.span))),
+            5 => {
+                let Some(last) = (at..bytes.len()).find(|&i| bytes[i] < 0x80) else { return };
+                bytes[last] |= 0x80;
+                bytes.insert(last + 1, 0);
+            }
+            _ => {
+                let mut overflow = vec![0xff; 9];
+                overflow.push(2 + self.byte % 0x7e);
+                bytes.splice(at..at, overflow);
+            }
         }
     }
 }
@@ -190,12 +256,38 @@ fn mutated_frame(payload: &[u8], muts: &[Mutation]) -> Vec<u8> {
     frame
 }
 
-/// `tree`'s encoding is exactly the bytes of `payload` at `start`.
-fn tree_reencodes_from(tree: &xuc_xtree::DataTree, payload: &[u8], start: usize) {
-    let mut e = Encoder::new();
-    encode_tree(&mut e, tree);
-    let bytes = e.into_bytes();
-    assert_eq!(payload.get(start..start + bytes.len()), Some(&bytes[..]), "tree re-encodes");
+/// Tallies the outcomes of a mutation fuzzer: decoded frames, and the
+/// refusals by kind.
+#[derive(Default, Debug)]
+struct Outcomes {
+    decoded: usize,
+    refused: BTreeMap<&'static str, usize>,
+}
+
+impl Outcomes {
+    fn refused(&mut self, e: &DecodeError) {
+        let kind = match e {
+            DecodeError::Truncated => "truncated",
+            DecodeError::BadVarint => "varint",
+            DecodeError::BadLabel(_) => "label",
+            DecodeError::BadSet(_) => "set",
+            DecodeError::BadTree(_) => "tree",
+            DecodeError::BadConstraint(_) => "constraint",
+            DecodeError::BadTag(_) => "tag",
+            DecodeError::BadString => "string",
+            DecodeError::TrailingBytes => "trailing",
+            DecodeError::Checksum | DecodeError::BadMagic => "framing",
+        };
+        *self.refused.entry(kind).or_default() += 1;
+    }
+
+    /// Both arms ran, and each refusal kind in `kinds` occurred.
+    fn assert_covers(&self, kinds: &[&str]) {
+        assert!(self.decoded > 0, "{self:?}");
+        for kind in kinds {
+            assert!(self.refused.get(kind).is_some_and(|&n| n > 0), "no {kind} refusal: {self:?}");
+        }
+    }
 }
 
 proptest! {
@@ -275,35 +367,35 @@ proptest! {
 }
 
 /// A mutated, re-checksummed snapshot payload decodes to a typed error or
-/// to a snapshot whose tree re-encodes to the very bytes it was decoded
-/// from, and which is a fixed point of encode ∘ decode. Both outcomes
-/// occur, so neither arm is dead.
+/// to a snapshot that re-encodes to the very bytes it was decoded from.
+/// Both outcomes occur, and overlong and overflowing varints, label
+/// indices past the dictionary and counts past the input are among the
+/// refusals, so no arm is dead.
 #[test]
 fn mutated_snapshot_payloads_decode_typed_or_exact() {
     let mut rng = proptest::test_runner::TestRng::deterministic("snapshot-fuzz");
     let (snaps, muts) = (snapshot_strategy(), mutations());
-    let mut outcomes = [0usize; 2];
-    for _ in 0..512 {
+    let mut outcomes = Outcomes::default();
+    for _ in 0..1024 {
         let frame = mutated_frame(&snaps.generate(&mut rng).encode(), &muts.generate(&mut rng));
         let (payload, rest) = split_frame(&frame).unwrap();
         assert!(rest.is_empty());
         match DocSnapshot::decode(payload) {
             Ok(back) => {
-                tree_reencodes_from(&back.tree, payload, 4 + back.doc.len() + 8);
-                assert_snap_eq(&back, &DocSnapshot::decode(&back.encode()).unwrap());
-                outcomes[0] += 1;
+                assert_eq!(back.encode(), payload, "a decoded snapshot re-encodes to its bytes");
+                outcomes.decoded += 1;
             }
-            Err(_) => outcomes[1] += 1,
+            Err(e) => outcomes.refused(&e),
         }
     }
-    assert!(outcomes.iter().all(|&n| n > 0), "decoded / refused: {outcomes:?}");
+    outcomes.assert_covers(&["truncated", "varint", "label", "tree"]);
 }
 
 /// A mutated, re-checksummed WAL frame between two good ones: the scan
 /// yields the first record, then either stops there as a torn tail or
-/// yields exactly what the mutated payload decodes to and goes on. A
-/// decoded publish's tree re-encodes to its own bytes, and every decoded
-/// record is a fixed point of encode ∘ decode.
+/// yields exactly what the mutated payload decodes to and goes on. Every
+/// decoded record re-encodes to exactly its payload, and the refusals
+/// include signed sets out of order.
 #[test]
 fn mutated_wal_frames_decode_typed_or_exact() {
     let dir = std::env::temp_dir().join(format!("xuc-prop-fuzz-{}", std::process::id()));
@@ -312,18 +404,15 @@ fn mutated_wal_frames_decode_typed_or_exact() {
     let path = dir.join("wal.log");
     let mut rng = proptest::test_runner::TestRng::deterministic("wal-fuzz");
     let (records, muts) = (record_strategy(), mutations());
-    let mut outcomes = [0usize; 2];
-    for _ in 0..512 {
+    let mut outcomes = Outcomes::default();
+    for _ in 0..1024 {
         let rec = records.generate(&mut rng);
         let good = mutated_frame(&rec.encode(), &[]);
         let frame = mutated_frame(&rec.encode(), &muts.generate(&mut rng));
         let (payload, _) = split_frame(&frame).unwrap();
         let decoded = WalRecord::decode(payload);
         if let Ok(back) = &decoded {
-            if let WalRecord::Publish { doc, tree, .. } = back {
-                tree_reencodes_from(tree, payload, 1 + 4 + doc.len());
-            }
-            assert!(WalRecord::decode(&back.encode()).unwrap() == *back);
+            assert_eq!(back.encode(), payload, "a decoded record re-encodes to its bytes");
         }
 
         let _ = std::fs::remove_file(&path);
@@ -338,16 +427,216 @@ fn mutated_wal_frames_decode_typed_or_exact() {
         match decoded {
             Ok(back) => {
                 assert!(!scan.torn && scan.records.len() == 3 && scan.records[1] == back);
-                outcomes[0] += 1;
+                outcomes.decoded += 1;
             }
-            Err(_) => {
+            Err(e) => {
                 assert!(scan.torn && scan.records.len() == 1);
-                outcomes[1] += 1;
+                outcomes.refused(&e);
             }
         }
     }
-    assert!(outcomes.iter().all(|&n| n > 0), "decoded / refused: {outcomes:?}");
+    outcomes.assert_covers(&["truncated", "varint", "label", "set", "tree"]);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot payload whose tree section is `tree`: the name `d`, commit
+/// 1, then the given bytes, an empty suite and the three anchor words.
+fn snapshot_with_tree(tree: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.str("d");
+    e.var(1);
+    tree(&mut e);
+    e.len(0);
+    for _ in 0..3 {
+        e.u64(0);
+    }
+    e.into_bytes()
+}
+
+/// A commit record of document `d` whose sections after the commit
+/// number are `body`.
+fn commit_with(body: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.u8(2);
+    e.str("d");
+    e.var(1);
+    body(&mut e);
+    e.into_bytes()
+}
+
+/// A certificate header (digest, chain tag) and one entry on
+/// `(/a, ↑)` whose set section is `set`.
+fn one_entry_cert(e: &mut Encoder, set: impl FnOnce(&mut Encoder)) {
+    e.u64(0);
+    e.u64(0);
+    e.len(1);
+    e.str("(/a, ↑)");
+    set(e);
+    e.u64(0);
+}
+
+/// Hand-built hostile frames, one per way the dictionary frames can lie:
+/// each decodes to its own typed error, and no decode makes an
+/// allocation anywhere near what a hostile count asks for.
+#[test]
+fn hostile_frames_are_refused_as_typed_errors() {
+    let a = Label::new("a");
+    let root = |e: &mut Encoder| {
+        e.len(1);
+        e.var(2);
+        e.label(a);
+    };
+    let snapshots: Vec<(&str, Vec<u8>, DecodeError)> = vec![
+        (
+            "overlong commit counter",
+            {
+                let mut e = Encoder::new();
+                e.str("d");
+                e.u8(0x81);
+                e.u8(0x00);
+                e.into_bytes()
+            },
+            DecodeError::BadVarint,
+        ),
+        (
+            "overflowing node id",
+            snapshot_with_tree(|e| {
+                e.len(1);
+                for _ in 0..9 {
+                    e.u8(0xff);
+                }
+                e.u8(0x02);
+                e.label(a);
+            }),
+            DecodeError::BadVarint,
+        ),
+        (
+            "label index past the dictionary",
+            snapshot_with_tree(|e| {
+                e.len(1);
+                e.var(2);
+                e.len(1);
+            }),
+            DecodeError::BadLabel("index 1 past a 0-label dictionary".into()),
+        ),
+        (
+            "a new label whose name the dictionary holds",
+            snapshot_with_tree(|e| {
+                e.len(2);
+                e.var(2);
+                e.label(a);
+                e.var(2);
+                e.len(1);
+                e.len(1);
+                e.str("a");
+            }),
+            DecodeError::BadLabel("`a` defined twice".into()),
+        ),
+        (
+            "node count past the input",
+            snapshot_with_tree(|e| {
+                e.len(u32::MAX as usize);
+                e.var(2);
+                e.label(a);
+            }),
+            DecodeError::Truncated,
+        ),
+        (
+            "constraint count past the input",
+            {
+                let mut e = Encoder::new();
+                e.str("d");
+                e.var(1);
+                root(&mut e);
+                e.len(1 << 30);
+                e.into_bytes()
+            },
+            DecodeError::Truncated,
+        ),
+        (
+            "name length past the input",
+            {
+                let mut e = Encoder::new();
+                e.len(u32::MAX as usize);
+                e.into_bytes()
+            },
+            DecodeError::Truncated,
+        ),
+    ];
+    let commits: Vec<(&str, Vec<u8>, DecodeError)> = vec![
+        (
+            "set entries out of order",
+            commit_with(|e| {
+                e.len(0);
+                one_entry_cert(e, |e| {
+                    e.len(2);
+                    for gap in [7, 0] {
+                        e.var(gap);
+                        e.label(a);
+                    }
+                });
+            }),
+            DecodeError::BadSet("entry 1 out of order".into()),
+        ),
+        (
+            "set count past the input",
+            commit_with(|e| {
+                e.len(0);
+                one_entry_cert(e, |e| e.len(u32::MAX as usize));
+            }),
+            DecodeError::Truncated,
+        ),
+        (
+            "update count past the input",
+            commit_with(|e| e.len(u32::MAX as usize)),
+            DecodeError::Truncated,
+        ),
+        (
+            "certificate entry count past the input",
+            commit_with(|e| {
+                e.len(0);
+                e.u64(0);
+                e.u64(0);
+                e.len(u32::MAX as usize);
+            }),
+            DecodeError::Truncated,
+        ),
+        (
+            "label index past the dictionary in an update",
+            commit_with(|e| {
+                e.len(1);
+                e.u8(4);
+                e.var(9);
+                e.len(3);
+            }),
+            DecodeError::BadLabel("index 3 past a 0-label dictionary".into()),
+        ),
+        (
+            "overlong update id",
+            commit_with(|e| {
+                e.len(1);
+                e.u8(1);
+                e.u8(0x89);
+                e.u8(0x80);
+                e.u8(0x00);
+            }),
+            DecodeError::BadVarint,
+        ),
+    ];
+    type Decode = fn(&[u8]) -> Result<(), DecodeError>;
+    let decoders: [(&str, Decode); 2] = [
+        ("snapshot", |b| DocSnapshot::decode(b).map(drop)),
+        ("commit", |b| WalRecord::decode(b).map(drop)),
+    ];
+    for ((kind, decode), cases) in decoders.into_iter().zip([snapshots, commits]) {
+        for (case, payload, want) in cases {
+            LARGEST.with(|l| l.set(0));
+            let got = decode(&payload);
+            let largest = LARGEST.with(Cell::get);
+            assert_eq!(got, Err(want), "{kind}: {case}");
+            assert!(largest <= 1 << 16, "{kind}: {case} allocated {largest} B");
+        }
+    }
 }
 
 /// Flipping any byte of a WAL file's frame region yields an exact prefix

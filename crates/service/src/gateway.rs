@@ -619,7 +619,7 @@ impl Gateway {
                     // unjournaled suffix is covered by resume/recovery
                     // like a lost group-commit buffer.
                     let journaled = journal.log_commit(doc, &request.updates, &mut tl);
-                    if let Err(e) = journaled.and_then(|()| journal.maybe_snapshot(doc)) {
+                    if let Err(e) = journaled.and_then(|()| journal.maybe_snapshot(doc, &mut tl)) {
                         self.note_journal_error(e);
                     }
                 }

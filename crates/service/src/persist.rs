@@ -337,15 +337,22 @@ impl Journal {
         Ok(())
     }
 
-    /// Snapshots `doc` if its commit counter hits the cadence. Caller
-    /// holds the document's mutex (so the state written is exactly the
-    /// state just committed).
-    pub(crate) fn maybe_snapshot(&self, doc: &Document) -> Result<(), JournalError> {
+    /// Snapshots `doc` if its commit counter hits the cadence, closing a
+    /// [`Stage::Snapshot`] span on the request's timeline `tl`; a commit
+    /// off the cadence reads no clock here. Caller holds the document's
+    /// mutex (so the state written is exactly the state just committed).
+    pub(crate) fn maybe_snapshot(
+        &self,
+        doc: &Document,
+        tl: &mut Timeline<'_>,
+    ) -> Result<(), JournalError> {
         let Some(every) = self.opts.snapshot_every else { return Ok(()) };
         if every == 0 || doc.commits() == 0 || !doc.commits().is_multiple_of(every) {
             return Ok(());
         }
-        self.snapshot(doc)
+        let snapshotted = self.snapshot(doc);
+        tl.mark(Stage::Snapshot);
+        snapshotted
     }
 
     /// Unconditionally snapshots `doc` (atomic install, retried under

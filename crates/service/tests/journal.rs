@@ -2,7 +2,8 @@
 //! `group_commit` n syncs once every n accepted commits, a crash loses
 //! exactly the unsynced suffix, and a sync that fails escalates through
 //! the retry policy. The faults and crashes come from the simulated
-//! disk. A log whose header is corrupted is refused, not emptied.
+//! disk. A log whose header is corrupted is refused, not emptied, and so
+//! are journals and snapshots in an older format.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -123,5 +124,52 @@ fn a_corrupted_wal_header_recovers_as_bad_magic_and_keeps_the_log() {
         Ok(gw) => panic!("served {} commits from a log with a corrupted header", commits(&gw)),
     }
     assert_eq!(std::fs::read(&wal).unwrap(), bytes, "recovery touched the log");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Journals and snapshots in the formats before the dictionary frames
+/// (`XUCWAL01`, `XUCSNP03`) are refused as a typed `BadMagic`: no reader
+/// for the old layouts is kept. Recovery leaves every byte of both files
+/// in place, whichever of the two is old.
+#[test]
+fn old_format_journals_and_snapshots_recover_as_bad_magic_untouched() {
+    let dir = std::env::temp_dir().join(format!("xuc-journal-{}-old", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let recover = |dir: &Path| {
+        let opts = DurableOptions { group_commit: 1, snapshot_every: Some(2) };
+        let (clock, fs) = (Box::new(xuc_persist::SystemClock), Arc::new(xuc_persist::StdFs));
+        Gateway::recover_with_io(Signer::new(KEY), dir, opts, clock, fs)
+    };
+    {
+        let gw = recover(&dir).unwrap();
+        publish_ward(&gw);
+        for _ in 0..3 {
+            commit_visit(&gw);
+        }
+    }
+    let wal = wal_path(&dir);
+    let snap = xuc_persist::snapshot_path(&dir, ward().as_str());
+    let (wal_bytes, snap_bytes) = (std::fs::read(&wal).unwrap(), std::fs::read(&snap).unwrap());
+    assert!(wal_bytes.len() > 8, "commit 3 is logged after the snapshot at commit 2");
+    for (old, path, magic) in [("journal", &wal, b"XUCWAL01"), ("snapshot", &snap, b"XUCSNP03")] {
+        std::fs::write(&wal, &wal_bytes).unwrap();
+        std::fs::write(&snap, &snap_bytes).unwrap();
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[..8].copy_from_slice(magic);
+        std::fs::write(path, &bytes).unwrap();
+        let (wal_before, snap_before) =
+            (std::fs::read(&wal).unwrap(), std::fs::read(&snap).unwrap());
+        match recover(&dir) {
+            Err(RecoverError::Persist(PersistError::Decode(DecodeError::BadMagic))) => {}
+            Err(e) => panic!("old {old}: expected BadMagic, got {e}"),
+            Ok(gw) => panic!("old {old}: served {} commits", commits(&gw)),
+        }
+        assert_eq!(std::fs::read(&wal).unwrap(), wal_before, "old {old}: the log was touched");
+        assert_eq!(
+            std::fs::read(&snap).unwrap(),
+            snap_before,
+            "old {old}: the snapshot was touched"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -232,8 +232,9 @@ fn reads_of(gw: &Gateway, tel: &Telemetry, clock: &CountingClock, request: &Requ
 /// **Clock discipline.** One reading starts a request and one closes
 /// each stage it reaches: 2u + 4 for an accepted u-update commit in
 /// memory, 2u + 3 for a violation, 2i + 1 for a batch whose update `i`
-/// fails, and 2u + 6 for a durable commit at `group_commit` 1 (journal
-/// append and fsync).
+/// fails, 2u + 6 for a durable commit at `group_commit` 1 (journal
+/// append and fsync), and one more on a commit that writes a snapshot —
+/// none on the commits between snapshots.
 #[test]
 fn one_clock_reading_per_stage_boundary() {
     let visit = |parent| Update::InsertLeaf {
@@ -271,7 +272,7 @@ fn one_clock_reading_per_stage_boundary() {
 
     let dir = std::env::temp_dir().join(format!("xuc-obs-clock-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = xuc_service::DurableOptions { group_commit: 1, snapshot_every: None };
+    let opts = xuc_service::DurableOptions { group_commit: 1, snapshot_every: Some(2) };
     let durable = Gateway::recover_with_io(
         Signer::new(KEY),
         &dir,
@@ -281,10 +282,60 @@ fn one_clock_reading_per_stage_boundary() {
     )
     .unwrap();
     let (clock, tel) = instrumented(&durable);
-    let accept = Request { doc, updates: vec![visit(2), visit(2)] };
-    assert_eq!(reads_of(&durable, &tel, &clock, &accept), 2 * 2 + 6, "durable, group_commit 1");
+    let accept = || Request { doc, updates: vec![visit(2), visit(2)] };
+    assert_eq!(reads_of(&durable, &tel, &clock, &accept()), 2 * 2 + 6, "durable, group_commit 1");
+    assert_eq!(reads_of(&durable, &tel, &clock, &accept()), 2 * 2 + 7, "commit 2 snapshots");
+    assert_eq!(reads_of(&durable, &tel, &clock, &accept()), 2 * 2 + 6, "commit 3 does not");
     drop(durable);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// **Snapshot attribution.** A durable gateway snapshotting every k
+/// commits records one `snapshot` span per snapshot it writes: ⌊accepted
+/// / k⌋ on one document, and none on a gateway with snapshots off.
+#[test]
+fn snapshot_commits_attribute_a_snapshot_span() {
+    let doc = DocId::new("obs-snap");
+    for snapshot_every in [None, Some(3)] {
+        let dir = std::env::temp_dir()
+            .join(format!("xuc-obs-snap-{}-{snapshot_every:?}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = xuc_service::DurableOptions { group_commit: 2, snapshot_every };
+        let gw = Gateway::recover_with_io(
+            Signer::new(KEY),
+            &dir,
+            opts,
+            Box::new(SystemClock),
+            Arc::new(StdFs),
+        )
+        .unwrap();
+        let tel = Arc::new(Telemetry::new());
+        gw.attach_telemetry(Arc::clone(&tel));
+        let tree = xuc_xtree::parse_term("hospital#1(patient#2(visit#3))").unwrap();
+        gw.publish(doc, tree, vec![parse_constraint("(/patient/visit, ↑)").unwrap()]).unwrap();
+        // Every third request deletes the guarded visit and is rejected.
+        let requests: Vec<Request> = (0..10)
+            .map(|i| {
+                let update = match i % 3 {
+                    2 => Update::DeleteSubtree { node: NodeId::from_raw(3) },
+                    _ => Update::InsertLeaf {
+                        parent: NodeId::from_raw(2),
+                        id: NodeId::fresh(),
+                        label: "visit".into(),
+                    },
+                };
+                Request { doc, updates: vec![update] }
+            })
+            .collect();
+        let accepted = gw.process(&requests, 2).iter().filter(|v| v.is_accepted()).count() as u64;
+        assert_eq!(accepted, 7, "the guarded deletes are rejected");
+        let rows = tel.stages().rows();
+        let want = snapshot_every.map_or(0, |k| accepted / k);
+        assert_eq!(rows[Stage::Snapshot as usize].count, want, "{snapshot_every:?}: {rows:?}");
+        assert_eq!(rows[Stage::JournalAppend as usize].count, accepted);
+        drop(gw);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// **Durability attribution.** On a durable gateway at `group_commit` n

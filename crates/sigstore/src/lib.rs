@@ -40,7 +40,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xuc_core::{Constraint, ConstraintKind};
 use xuc_xpath::Evaluator;
-use xuc_xtree::{DataTree, Label, NodeRef};
+use xuc_xtree::{DataTree, NodeRef};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -74,9 +74,10 @@ fn mac(key: u64, data: &[u8]) -> u64 {
 }
 
 /// The keyed per-element hash summed by [`SetSum`]: the node id mixed
-/// with an FNV of the label's bytes (`label_fnv`, computed by the caller
-/// so runs of one label hash its bytes once). Allocation-free. Like
-/// [`mac`], the one place to swap in a real primitive.
+/// with the FNV-1a-64 of the label's bytes, which the interner stores
+/// beside the name (`Label::fnv`), so no string bytes are hashed.
+/// Allocation-free. Like [`mac`], the one place to swap in a real
+/// primitive.
 fn element_hash(key: u64, id: u64, label_fnv: u64) -> u64 {
     // SplitMix64's finalizer: every input bit reaches every output bit,
     // so summing element hashes does not cancel structure in the ids.
@@ -85,10 +86,6 @@ fn element_hash(key: u64, id: u64, label_fnv: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-fn label_fnv(label: Label) -> u64 {
-    fnv(FNV_OFFSET, label.as_str().as_bytes())
 }
 
 /// The additive multiset hash of one signed set: the wrapping (mod 2⁶⁴)
@@ -106,17 +103,8 @@ impl SetSum {
     /// The sum of `set`, hashed from scratch.
     pub fn of(signer: &Signer, set: &BTreeSet<NodeRef>) -> SetSum {
         let mut out = SetSum { sum: 0, len: set.len() as u64 };
-        let mut last: Option<(Label, u64)> = None;
         for r in set {
-            let lf = match last {
-                Some((l, h)) if l == r.label => h,
-                _ => {
-                    let h = label_fnv(r.label);
-                    last = Some((r.label, h));
-                    h
-                }
-            };
-            out.sum = out.sum.wrapping_add(element_hash(signer.key, r.id.raw(), lf));
+            out.sum = out.sum.wrapping_add(element_hash(signer.key, r.id.raw(), r.label.fnv()));
         }
         ELEMENTS_HASHED.fetch_add(out.len, Ordering::Relaxed);
         out
@@ -334,7 +322,7 @@ impl Signer {
     /// One element's keyed hash, counted in [`elements_hashed_count`].
     fn element(&self, r: &NodeRef) -> u64 {
         ELEMENTS_HASHED.fetch_add(1, Ordering::Relaxed);
-        element_hash(self.key, r.id.raw(), label_fnv(r.label))
+        element_hash(self.key, r.id.raw(), r.label.fnv())
     }
 
     /// Certifies `document` under `constraints`: evaluates each range
@@ -510,7 +498,7 @@ impl Certificate {
 mod tests {
     use super::*;
     use xuc_core::parse_constraint;
-    use xuc_xtree::parse_term;
+    use xuc_xtree::{parse_term, Label};
 
     fn c(s: &str) -> Constraint {
         parse_constraint(s).unwrap()

@@ -15,10 +15,10 @@
 //! * [`Timeline`] + [`TraceRing`] + [`StageTable`] — span tracing over
 //!   the shared [`Clock`] abstraction, attributing commit admission to
 //!   the closed [`Stage`] taxonomy (apply → dirty-region → splice →
-//!   verdict → certify → journal append → fsync). A request's timeline
-//!   reads the clock once per stage boundary, so its spans are
-//!   contiguous, and publishes them once, with one reservation in the
-//!   bounded lock-free ring: telemetry never blocks the hot path.
+//!   verdict → certify → journal append → fsync → snapshot). A
+//!   request's timeline reads the clock once per stage boundary, so its
+//!   spans are contiguous, and publishes them once, with one reservation
+//!   in the bounded lock-free ring: telemetry never blocks the hot path.
 //! * [`Telemetry`] — the bundle a gateway holds: one registry, one
 //!   ring, one stage table, one clock. Constructing it is cheap;
 //!   attaching it must be **observationally inert** — verdict logs,
@@ -39,7 +39,7 @@ pub use trace::{Stage, StageRow, StageTable, TraceEvent, TraceRing};
 use xuc_core::clock::{Clock, SystemClock};
 
 /// Default trace-ring capacity: large enough to hold every span of a
-/// several-hundred-commit burst (7 stages per commit), small enough to
+/// several-hundred-commit burst (8 stages per commit), small enough to
 /// stay cache-resident.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 

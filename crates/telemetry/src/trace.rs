@@ -39,10 +39,14 @@ pub enum Stage {
     /// The WAL sync itself — the durability fsync, run when the journal's
     /// group-commit batch fills.
     Fsync = 6,
+    /// Writing and installing the document's snapshot (and truncating the
+    /// log it covers), run only by a commit that hits the snapshot
+    /// cadence.
+    Snapshot = 7,
 }
 
 impl Stage {
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 8;
 
     /// All stages in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -53,6 +57,7 @@ impl Stage {
         Stage::Certify,
         Stage::JournalAppend,
         Stage::Fsync,
+        Stage::Snapshot,
     ];
 
     /// Stable snake-case name used in expositions and BENCH series.
@@ -65,6 +70,7 @@ impl Stage {
             Stage::Certify => "certify",
             Stage::JournalAppend => "journal_append",
             Stage::Fsync => "fsync",
+            Stage::Snapshot => "snapshot",
         }
     }
 
@@ -168,7 +174,8 @@ impl TraceRing {
 /// the ring holds individual spans, the table their sums. The five
 /// admission stages' counts restate the request stream, so they are
 /// [`Determinism::Deterministic`]; the journal stages' counts (which
-/// commit fills a group-commit batch is up to the schedule) and every
+/// commit fills a group-commit batch is up to the schedule, and a
+/// degraded journal stops appending and snapshotting) and every
 /// microsecond total are not.
 pub struct StageTable {
     spans: [Counter; Stage::COUNT],
@@ -190,7 +197,7 @@ impl StageTable {
         StageTable {
             spans: Stage::ALL.map(|s| {
                 let det = match s {
-                    Stage::JournalAppend | Stage::Fsync => sched,
+                    Stage::JournalAppend | Stage::Fsync | Stage::Snapshot => sched,
                     _ => Determinism::Deterministic,
                 };
                 reg.counter(&format!("xuc_stage_{}_spans_total", s.name()), det)
@@ -335,7 +342,8 @@ mod tests {
                 "verdict",
                 "certify",
                 "journal_append",
-                "fsync"
+                "fsync",
+                "snapshot"
             ]
         );
     }

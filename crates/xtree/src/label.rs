@@ -27,8 +27,23 @@ fn index() -> &'static RwLock<HashMap<&'static str, u32>> {
     INDEX.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
+/// A label's name and the FNV-1a-64 of its bytes, stored once when the
+/// label is interned so that hashing a label reads a word, not a string.
+#[derive(Debug)]
+struct Name {
+    text: &'static str,
+    fnv: u64,
+}
+
+/// FNV-1a-64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
 /// One segment of the id → name table.
-type Segment = OnceLock<Box<[OnceLock<&'static str>]>>;
+type Segment = OnceLock<Box<[OnceLock<Name>]>>;
 
 /// Segments of the id → name table: segment `k` holds ids
 /// `2^k - 1 .. 2^(k+1) - 1`, so 33 segments cover every `u32` id. The
@@ -38,6 +53,7 @@ type Segment = OnceLock<Box<[OnceLock<&'static str>]>>;
 static NAMES: [Segment; 33] = [const { OnceLock::new() }; 33];
 
 /// The segment and offset of `id` in [`NAMES`].
+#[inline]
 fn slot(id: u32) -> (usize, usize) {
     let n = u64::from(id) + 1;
     let segment = n.ilog2() as usize;
@@ -62,13 +78,26 @@ impl Label {
         let names = NAMES[segment]
             .get_or_init(|| (0..1usize << segment).map(|_| OnceLock::new()).collect());
         // Invariant: ids are handed out once each, under this lock.
-        names[offset].set(leaked).expect("fresh label id");
+        let name = Name { text: leaked, fnv: fnv1a(leaked.as_bytes()) };
+        names[offset].set(name).expect("fresh label id");
         index.insert(leaked, id);
         Label(id)
     }
 
     /// The interned string: two lock-free loads.
     pub fn as_str(self) -> &'static str {
+        self.name().text
+    }
+
+    /// The FNV-1a-64 of the label's bytes, computed once at interning:
+    /// two lock-free loads, no string bytes read.
+    #[inline]
+    pub fn fnv(self) -> u64 {
+        self.name().fnv
+    }
+
+    #[inline]
+    fn name(self) -> &'static Name {
         let (segment, offset) = slot(self.0);
         // Invariant: a `Label` is minted only after its name is stored.
         NAMES[segment].get().and_then(|names| names[offset].get()).expect("interned label")
@@ -166,6 +195,15 @@ mod tests {
             assert_eq!(Label::new(&name), label, "{name} interned twice");
             assert_eq!(label.as_str(), name);
         }
+    }
+
+    #[test]
+    fn the_stored_hash_is_fnv1a_of_the_name() {
+        // FNV-1a-64 test vectors: the empty string and "a".
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let l = Label::new("clinicalTrial");
+        assert_eq!(l.fnv(), fnv1a(b"clinicalTrial"));
     }
 
     #[test]
