@@ -834,23 +834,30 @@ fn main() {
             let tel = Arc::new(Telemetry::new());
             gw.attach_telemetry(Arc::clone(&tel));
             gw.publish(doc, tree.clone(), suite.clone()).expect("fresh gateway");
-            let mut wall_us = 0.0;
+            let (mut wall_us, mut requests) = (0.0, 0usize);
             for u in [&relabels, &inserts, &deletes, &root_inserts, &moves, &splices]
                 .into_iter()
                 .flatten()
             {
+                requests += 1;
                 let req = Request { doc, updates: vec![u.clone()] };
                 let t = std::time::Instant::now();
                 let verdict = gw.submit(&req);
                 wall_us += t.elapsed().as_secs_f64() * 1e6;
                 assert!(verdict.is_accepted(), "E-E2E {u} refused: {verdict}");
             }
-            let unattributed = 1.0 - tel.stages().total_micros() as f64 / wall_us;
+            let staged_us = tel.stages().total_micros() as f64;
+            let unattributed = 1.0 - staged_us / wall_us;
+            // The same gap in absolute terms: a slower boundary and a
+            // faster commit both raise the share, only the first this.
+            let boundary_us = (wall_us - staged_us) / requests as f64;
             rep.metric("E-E2E", &format!("unattributed_share_{nodes}"), unattributed);
+            rep.metric("E-E2E", &format!("boundary_us_{nodes}"), boundary_us);
             println!(
                 "   attribution at {nodes} nodes: stage spans leave {:.1}% of submit wall \
-                 clock unattributed (≤ 5%)",
-                100.0 * unattributed
+                 clock unattributed (≤ 5%), {boundary_us:.2} µs per request of {:.2} µs",
+                100.0 * unattributed,
+                wall_us / requests as f64
             );
             // HARD even under XUC_SMOKE: the spans are contiguous, so only
             // work moved outside them (or a costly boundary) can open

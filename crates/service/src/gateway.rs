@@ -53,7 +53,7 @@ use std::sync::{Arc, OnceLock};
 use xuc_core::Constraint;
 use xuc_persist::{Clock, FileSystem, StdFs, SystemClock};
 use xuc_sigstore::{Certificate, Signer};
-use xuc_telemetry::{Telemetry, Timeline};
+use xuc_telemetry::{Stage, Telemetry, Timeline};
 use xuc_xtree::DataTree;
 
 /// Serving health of a [`Gateway`] — the degraded-mode state machine
@@ -555,6 +555,10 @@ impl Gateway {
     /// counting happens exactly once per verdict, at whichever boundary
     /// produced it.
     fn submit_uncounted(&self, request: &Request) -> Verdict {
+        // The request's one timeline: its first reading opens the
+        // acquire stage, and its spans publish when it drops, on every
+        // exit from here, a contained panic included.
+        let mut tl = Timeline::start(self.telemetry().map(|t| &**t));
         let degraded = |reason| Verdict::Rejected(RejectReason::Degraded { reason });
         match self.state() {
             GatewayState::Serving => {}
@@ -565,19 +569,25 @@ impl Gateway {
             return Verdict::Rejected(RejectReason::UnknownDocument);
         };
         let mut doc = doc.lock();
+        tl.mark(Stage::Acquire);
         // The quarantine count lives in the document: checked under the
         // lock its panic boundary increments it under, before any
         // evaluation.
         if self.quarantines(doc.panics) {
             return degraded(DegradedReason::Quarantined);
         }
-        self.submit_locked_contained(&mut doc, request)
+        self.submit_locked_contained(&mut doc, request, &mut tl)
     }
 
     /// [`submit_locked`](Self::submit_locked) under the panic-containment
     /// boundary described on [`submit`](Self::submit).
-    fn submit_locked_contained(&self, doc: &mut Document, request: &Request) -> Verdict {
-        match panic::catch_unwind(AssertUnwindSafe(|| self.submit_locked(doc, request))) {
+    fn submit_locked_contained(
+        &self,
+        doc: &mut Document,
+        request: &Request,
+        tl: &mut Timeline<'_>,
+    ) -> Verdict {
+        match panic::catch_unwind(AssertUnwindSafe(|| self.submit_locked(doc, request, tl))) {
             Ok(verdict) => verdict,
             Err(payload) => {
                 let error = payload
@@ -594,13 +604,15 @@ impl Gateway {
         }
     }
 
-    fn submit_locked(&self, doc: &mut Document, request: &Request) -> Verdict {
-        // The request's one timeline: its spans publish when it drops,
-        // on every exit from here, unwinding included.
-        let mut tl = Timeline::start(self.telemetry().map(|t| &**t));
+    fn submit_locked(
+        &self,
+        doc: &mut Document,
+        request: &Request,
+        tl: &mut Timeline<'_>,
+    ) -> Verdict {
         let mut session = Session::begin(doc);
         for (index, update) in request.updates.iter().enumerate() {
-            if let Err(e) = session.apply_timed(update, &mut tl) {
+            if let Err(e) = session.apply_timed(update, tl) {
                 // Dropping the session rolls the applied prefix back.
                 return Verdict::Rejected(RejectReason::FailedUpdate {
                     index,
@@ -609,7 +621,7 @@ impl Gateway {
             }
         }
         self.fire_injected_panic(request.doc);
-        match session.commit_timed(&self.signer, &mut tl) {
+        match session.commit_timed(&self.signer, tl) {
             Ok(receipt) => {
                 if let Some(journal) = &self.journal {
                     // Still under the document mutex: the log's
@@ -618,15 +630,17 @@ impl Gateway {
                     // real in memory — it degrades the gateway, and the
                     // unjournaled suffix is covered by resume/recovery
                     // like a lost group-commit buffer.
-                    let journaled = journal.log_commit(doc, &request.updates, &mut tl);
-                    if let Err(e) = journaled.and_then(|()| journal.maybe_snapshot(doc, &mut tl)) {
+                    let journaled = journal.log_commit(doc, &request.updates, tl);
+                    if let Err(e) = journaled.and_then(|()| journal.maybe_snapshot(doc, tl)) {
                         self.note_journal_error(e);
                     }
                 }
                 Verdict::Accepted { commit: receipt.commit }
             }
+            // The violated entry's text was rendered when the document
+            // opened; the verdict copies it.
             Err(r) => Verdict::Rejected(RejectReason::Violation {
-                constraint: r.constraint.to_string(),
+                constraint: doc.certificate_header().entries[r.index].text().to_owned(),
                 offenders: r.offenders,
             }),
         }

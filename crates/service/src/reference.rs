@@ -42,10 +42,10 @@ pub fn admit(
 ) -> Result<Vec<BTreeSet<NodeRef>>, Rejection> {
     debug_assert_eq!(suite.len(), base_sets.len(), "one baseline per constraint");
     let now_sets = ev.eval_set(compiled);
-    for ((c, base), now) in suite.iter().zip(base_sets).zip(&now_sets) {
+    for (index, ((c, base), now)) in suite.iter().zip(base_sets).zip(&now_sets).enumerate() {
         if !c.kind.satisfied_on(base, now) {
             let offenders = c.kind.offenders_on(base, now).len();
-            return Err(Rejection { constraint: c.clone(), offenders });
+            return Err(Rejection { constraint: c.clone(), index, offenders });
         }
     }
     Ok(now_sets)

@@ -70,6 +70,8 @@ pub struct Commit {
 pub struct Rejection {
     /// The first violated constraint (suite order).
     pub constraint: Constraint,
+    /// Its position in the suite, which is also its certificate entry's.
+    pub index: usize,
     /// Nodes inserted into (↓) or removed from (↑) its range.
     pub offenders: usize,
 }
@@ -146,7 +148,7 @@ fn admit_timed(
         };
         if offenders > 0 {
             journal.revert(base_sets);
-            return Err(Rejection { constraint: c.clone(), offenders });
+            return Err(Rejection { constraint: c.clone(), index: i, offenders });
         }
     }
     Ok(journal)
@@ -270,12 +272,13 @@ impl<'a> Session<'a> {
                 // history a hash-linked chain auditable from the journal
                 // alone (see `xuc-persist`).
                 doc.header.rechain(signer);
-                for token in self.undo_stack.drain(..) {
+                for token in std::mem::take(&mut self.undo_stack) {
                     doc.ev.release(token);
                 }
-                // The journal is spent; freeing it is certification's
-                // last step, not time after the request's final span.
-                drop(journal);
+                // The journal and the batch's region are spent; freeing
+                // them is certification's last step, not time after the
+                // request's final span.
+                drop((journal, std::mem::take(&mut self.region)));
                 tl.mark(Stage::Certify);
                 doc.commits += 1;
                 self.open = false;

@@ -71,7 +71,9 @@ impl Document {
     /// evaluator takes the tree over, one `eval_set` derives the signed
     /// sets, and the header signs them as the successor of `prev_digest`
     /// at commit `commits` (`0` and `0` for a publish), so the baselines
-    /// agree with the tree by construction.
+    /// agree with the tree by construction. The header renders each
+    /// constraint's text here, once for the document's lifetime: commits
+    /// hash the stored bytes, and violation verdicts copy them.
     pub(crate) fn open(
         id: DocId,
         tree: DataTree,

@@ -379,3 +379,33 @@ fn committed_node_deletions_free_their_slots() {
     let capacity = capacity_after_churn(|node| Update::DeleteNode { node });
     assert!(capacity <= 5, "served arena grew to {capacity} slots");
 }
+
+#[test]
+fn violation_verdicts_name_the_constraint_as_rendered() {
+    // One constraint per label family, so each request below violates
+    // exactly one; two are written with their predicates out of
+    // canonical order, one with a `//` predicate, one with a wildcard.
+    let suite: Vec<Constraint> = ["(//a, ↑)", "(/b[/d][/c], ↓)", "(/*/e, ↓)", "(//g[//h], ↑)"]
+        .into_iter()
+        .map(|s| parse_constraint(s).unwrap())
+        .collect();
+    let tree = xuc_xtree::parse_term("r(a#1,x#2,g#4(k#5(h#6)),b#7(c#8))").unwrap();
+    let id = |raw| NodeId::from_raw(raw);
+    let violations = [
+        Update::DeleteSubtree { node: id(1) },
+        Update::InsertLeaf { parent: id(7), id: NodeId::fresh(), label: Label::new("d") },
+        Update::InsertLeaf { parent: id(2), id: NodeId::fresh(), label: Label::new("e") },
+        Update::DeleteSubtree { node: id(6) },
+    ];
+    let doc = DocId::new("verdicts");
+    let gw = Gateway::new(Signer::new(0x7E47));
+    gw.publish(doc, tree, suite.clone()).unwrap();
+    for (c, update) in suite.iter().zip(violations) {
+        let verdict = gw.submit(&Request { doc, updates: vec![update] });
+        let Verdict::Rejected(RejectReason::Violation { constraint, .. }) = verdict else {
+            panic!("{c}: expected a violation, got {verdict}");
+        };
+        assert_eq!(constraint, c.to_string());
+    }
+    assert_eq!(gw.certificate(doc).unwrap().prev_digest, 0, "nothing was committed");
+}

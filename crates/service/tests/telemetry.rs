@@ -230,11 +230,11 @@ fn reads_of(gw: &Gateway, tel: &Telemetry, clock: &CountingClock, request: &Requ
 }
 
 /// **Clock discipline.** One reading starts a request and one closes
-/// each stage it reaches: 2u + 4 for an accepted u-update commit in
-/// memory, 2u + 3 for a violation, 2i + 1 for a batch whose update `i`
-/// fails, 2u + 6 for a durable commit at `group_commit` 1 (journal
-/// append and fsync), and one more on a commit that writes a snapshot —
-/// none on the commits between snapshots.
+/// each stage it reaches, the acquire stage first: 2u + 5 for an
+/// accepted u-update commit in memory, 2u + 4 for a violation, 2i + 2
+/// for a batch whose update `i` fails, 2u + 7 for a durable commit at
+/// `group_commit` 1 (journal append and fsync), and one more on a commit
+/// that writes a snapshot — none on the commits between snapshots.
 #[test]
 fn one_clock_reading_per_stage_boundary() {
     let visit = |parent| Update::InsertLeaf {
@@ -257,18 +257,18 @@ fn one_clock_reading_per_stage_boundary() {
     let (clock, tel) = instrumented(&gw);
     for u in [1u64, 3] {
         let accept = Request { doc, updates: (0..u).map(|_| visit(2)).collect() };
-        assert_eq!(reads_of(&gw, &tel, &clock, &accept), 2 * u + 4, "accepted, {u} updates");
+        assert_eq!(reads_of(&gw, &tel, &clock, &accept), 2 * u + 5, "accepted, {u} updates");
     }
     let violation = Request {
         doc,
         updates: vec![visit(2), Update::DeleteSubtree { node: NodeId::from_raw(3) }],
     };
-    assert_eq!(reads_of(&gw, &tel, &clock, &violation), 2 * 2 + 3, "violation reject");
+    assert_eq!(reads_of(&gw, &tel, &clock, &violation), 2 * 2 + 4, "violation reject");
     let failed = Request {
         doc,
         updates: vec![visit(2), visit(2), Update::DeleteSubtree { node: NodeId::from_raw(999) }],
     };
-    assert_eq!(reads_of(&gw, &tel, &clock, &failed), 2 * 2 + 1, "update 2 fails");
+    assert_eq!(reads_of(&gw, &tel, &clock, &failed), 2 * 2 + 2, "update 2 fails");
 
     let dir = std::env::temp_dir().join(format!("xuc-obs-clock-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -283,9 +283,9 @@ fn one_clock_reading_per_stage_boundary() {
     .unwrap();
     let (clock, tel) = instrumented(&durable);
     let accept = || Request { doc, updates: vec![visit(2), visit(2)] };
-    assert_eq!(reads_of(&durable, &tel, &clock, &accept()), 2 * 2 + 6, "durable, group_commit 1");
-    assert_eq!(reads_of(&durable, &tel, &clock, &accept()), 2 * 2 + 7, "commit 2 snapshots");
-    assert_eq!(reads_of(&durable, &tel, &clock, &accept()), 2 * 2 + 6, "commit 3 does not");
+    assert_eq!(reads_of(&durable, &tel, &clock, &accept()), 2 * 2 + 7, "durable, group_commit 1");
+    assert_eq!(reads_of(&durable, &tel, &clock, &accept()), 2 * 2 + 8, "commit 2 snapshots");
+    assert_eq!(reads_of(&durable, &tel, &clock, &accept()), 2 * 2 + 7, "commit 3 does not");
     drop(durable);
     let _ = std::fs::remove_dir_all(&dir);
 }

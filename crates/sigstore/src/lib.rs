@@ -30,6 +30,15 @@
 //! sum from scratch through the same tag and digest functions, so they are
 //! the oracle the incremental path is tested against.
 //!
+//! **Constraint text, rendered once.** The digest and the chain tag cover
+//! each constraint's canonical text (its `Display` rendering, predicates
+//! sorted). A [`CertHeader`] renders that text once, when it is built,
+//! and keeps it in each [`HeaderEntry`]; [`rechain`](CertHeader::rechain)
+//! and [`digest`](CertHeader::digest) hash the stored bytes, so a commit
+//! renders nothing. The [`Certificate`] side renders on every call, as
+//! the from-scratch oracle does; both feed one byte layout, so their
+//! digests and chain tags agree bit for bit.
+//!
 //! **This is a simulation**: the MAC and the element hash are keyed
 //! FNV-style mixes, not cryptographic primitives. The reasoning machinery
 //! of `xuc-core` never depends on the hash strength; it only consumes the
@@ -67,7 +76,12 @@ fn fnv(mut h: u64, data: &[u8]) -> u64 {
 
 /// A 64-bit FNV-1a style keyed digest (simulation of a MAC).
 fn mac(key: u64, data: &[u8]) -> u64 {
-    let h = fnv(FNV_OFFSET ^ key, data);
+    mac_seal(key, fnv(FNV_OFFSET ^ key, data))
+}
+
+/// Finishes a [`mac`] whose data was streamed into `h` from
+/// `FNV_OFFSET ^ key`, piece by piece.
+fn mac_seal(key: u64, h: u64) -> u64 {
     // One extra mixing round keyed again, so extension attacks on the toy
     // hash are at least inconvenient.
     (h ^ key.rotate_left(17)).wrapping_mul(FNV_PRIME)
@@ -160,13 +174,28 @@ pub struct Certificate {
 }
 
 /// One entry of a [`CertHeader`]: a [`CertEntry`] with the signed set
-/// replaced by its running [`SetSum`].
+/// replaced by its running [`SetSum`], and the constraint's canonical
+/// text, rendered once when the header is built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeaderEntry {
-    pub constraint: Constraint,
+    constraint: Constraint,
+    /// `constraint.to_string()`: what the digest and chain tag hash.
+    text: String,
     pub sum: SetSum,
     /// The tag last sealed from `sum` (what the certificate carries).
     pub tag: u64,
+}
+
+impl HeaderEntry {
+    pub fn constraint(&self) -> &Constraint {
+        &self.constraint
+    }
+
+    /// The constraint's canonical text, `constraint().to_string()`,
+    /// without rendering it again.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
 }
 
 /// A [`Certificate`] without its signed sets: per-entry sums and tags plus
@@ -204,6 +233,7 @@ impl CertHeader {
             .zip(sets)
             .map(|(c, set)| HeaderEntry {
                 constraint: c.clone(),
+                text: c.to_string(),
                 sum: SetSum::of(signer, set),
                 tag: 0,
             })
@@ -216,7 +246,7 @@ impl CertHeader {
     /// Turns the header into its successor: the current certificate's
     /// [`digest`](Self::digest) becomes `prev_digest`, every tag is sealed
     /// from its (already updated) sum, and the chain tag is re-signed.
-    /// O(k): no set is read.
+    /// O(k): no set is read and no constraint rendered.
     pub fn rechain(&mut self, signer: &Signer) {
         let prev = self.digest();
         self.seal(signer, prev);
@@ -230,12 +260,12 @@ impl CertHeader {
         self.chain_tag = chain_tag(signer.key, prev_digest, self.tagged());
     }
 
-    fn tagged(&self) -> impl Iterator<Item = (&Constraint, u64)> {
-        self.entries.iter().map(|e| (&e.constraint, e.tag))
+    fn tagged(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.entries.iter().map(|e| (e.text.as_str(), e.tag))
     }
 
     /// The [`Certificate::digest`] of the certificate this header
-    /// describes, in O(k).
+    /// describes, in O(k), over the stored constraint texts.
     pub fn digest(&self) -> u64 {
         digest(self.prev_digest, self.chain_tag, self.tagged())
     }
@@ -391,34 +421,35 @@ impl Signer {
 
 /// The chain MAC: over the predecessor link plus every entry's constraint
 /// text and tag (the tags already authenticate the signed sets, so
-/// covering them covers the whole certificate content).
-fn chain_tag<'a>(
+/// covering them covers the whole certificate content). The texts come
+/// rendered — stored in a header, or fresh from a certificate. The
+/// payload streams into the MAC, so nothing is buffered.
+fn chain_tag(
     key: u64,
     prev_digest: u64,
-    entries: impl Iterator<Item = (&'a Constraint, u64)>,
+    entries: impl Iterator<Item = (impl AsRef<str>, u64)>,
 ) -> u64 {
-    let mut out = Vec::with_capacity(8 + 64);
-    out.extend_from_slice(&prev_digest.to_le_bytes());
+    let mut h = fnv(FNV_OFFSET ^ key, &prev_digest.to_le_bytes());
     for (c, tag) in entries {
-        let c = c.to_string();
-        out.extend_from_slice(&(c.len() as u64).to_le_bytes());
-        out.extend_from_slice(c.as_bytes());
-        out.extend_from_slice(&tag.to_le_bytes());
+        let c = c.as_ref();
+        h = fnv(h, &(c.len() as u64).to_le_bytes());
+        h = fnv(h, c.as_bytes());
+        h = fnv(h, &tag.to_le_bytes());
     }
-    mac(key, &out)
+    mac_seal(key, h)
 }
 
 /// The unkeyed certificate digest: the chain fields, then each entry's
 /// constraint text and tag.
-fn digest<'a>(
+fn digest(
     prev_digest: u64,
     chain_tag: u64,
-    entries: impl Iterator<Item = (&'a Constraint, u64)>,
+    entries: impl Iterator<Item = (impl AsRef<str>, u64)>,
 ) -> u64 {
     let mut h = fnv(FNV_OFFSET, &prev_digest.to_le_bytes());
     h = fnv(h, &chain_tag.to_le_bytes());
     for (c, tag) in entries {
-        let c = c.to_string();
+        let c = c.as_ref();
         h = fnv(h, &(c.len() as u64).to_le_bytes());
         h = fnv(h, c.as_bytes());
         h = fnv(h, &tag.to_le_bytes());
@@ -427,8 +458,9 @@ fn digest<'a>(
 }
 
 impl Certificate {
-    fn tagged(&self) -> impl Iterator<Item = (&Constraint, u64)> {
-        self.entries.iter().map(|e| (&e.constraint, e.tag))
+    /// Each entry's constraint, rendered afresh, and its tag.
+    fn tagged(&self) -> impl Iterator<Item = (String, u64)> + '_ {
+        self.entries.iter().map(|e| (e.constraint.to_string(), e.tag))
     }
 
     /// An **unkeyed** content digest of this certificate — what the

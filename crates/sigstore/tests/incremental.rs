@@ -10,6 +10,12 @@
 //! `Signer::certify_chained` over the document's baselines, field for
 //! field; the header must digest like the certificate; and tampering with
 //! a signed set or swapping two tags must fail verification.
+//!
+//! The header hashes constraint text it rendered once, when the document
+//! was published; the from-scratch side renders afresh. The suites hold
+//! the shapes where rendering does more than copy the source: predicates
+//! written out of canonical order (and the same pair in order), a `//`
+//! predicate and wildcard steps.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -24,10 +30,22 @@ const KEY: u64 = 0x1AC2;
 const LABELS: &[&str] = &["patient", "visit", "note", "phone", "clinicalTrial"];
 
 fn suite(predicate: bool) -> Vec<Constraint> {
-    let mut ranges =
-        vec!["(/patient/visit, ↑)", "(//visit, ↑)", "(//phone, ↓)", "(/patient, ↓)", "(//note, ↑)"];
+    let mut ranges = vec![
+        "(/patient/visit, ↑)",
+        "(//visit, ↑)",
+        "(//phone, ↓)",
+        "(/patient, ↓)",
+        "(//note, ↑)",
+        "(//*/clinicalTrial, ↑)",
+    ];
     if predicate {
-        ranges.push("(/patient[/clinicalTrial], ↓)");
+        ranges.extend([
+            "(/patient[/clinicalTrial], ↓)",
+            "(/patient[/visit][/clinicalTrial], ↓)",
+            "(/patient[/clinicalTrial][/visit], ↓)",
+            "(/patient[//note], ↑)",
+            "(/*[/phone], ↑)",
+        ]);
     }
     ranges.into_iter().map(|s| parse_constraint(s).unwrap()).collect()
 }
@@ -149,6 +167,25 @@ fn run(seed: usize, predicate: bool, steps: usize) {
         // process-wide, but the predicate arm never splices).
         assert!(xuc_xpath::engine_counters().splice_commits > splices, "seed {seed}: no splice");
     }
+}
+
+#[test]
+fn header_text_is_the_rendered_constraint() {
+    let suite = suite(true);
+    let gw = Gateway::new(Signer::new(KEY));
+    let doc = DocId::new("text");
+    gw.publish(doc, document(&mut SplitMix::new(7)), suite.clone()).unwrap();
+    let arc = gw.store().document(doc).unwrap();
+    let d = arc.lock();
+    let entries = &d.certificate_header().entries;
+    for (c, e) in suite.iter().zip(entries) {
+        assert_eq!(e.text(), c.to_string());
+        assert_eq!(e.constraint(), c);
+    }
+    // Two predicate orders, one canonical text.
+    let text = |i: usize| entries[i].text();
+    let pair = suite.iter().position(|c| c.to_string().contains("][")).unwrap();
+    assert_eq!(text(pair), text(pair + 1));
 }
 
 proptest! {

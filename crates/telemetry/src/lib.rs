@@ -14,11 +14,12 @@
 //!   classified rather than quietly flaky.
 //! * [`Timeline`] + [`TraceRing`] + [`StageTable`] — span tracing over
 //!   the shared [`Clock`] abstraction, attributing commit admission to
-//!   the closed [`Stage`] taxonomy (apply → dirty-region → splice →
-//!   verdict → certify → journal append → fsync → snapshot). A
+//!   the closed [`Stage`] taxonomy (acquire → apply → dirty-region →
+//!   splice → verdict → certify → journal append → fsync → snapshot). A
 //!   request's timeline reads the clock once per stage boundary, so its
 //!   spans are contiguous, and publishes them once, with one reservation
-//!   in the bounded lock-free ring: telemetry never blocks the hot path.
+//!   in the bounded lock-free ring and plain adds to the stage table's
+//!   per-thread counter shards: telemetry never blocks the hot path.
 //! * [`Telemetry`] — the bundle a gateway holds: one registry, one
 //!   ring, one stage table, one clock. Constructing it is cheap;
 //!   attaching it must be **observationally inert** — verdict logs,
@@ -39,7 +40,7 @@ pub use trace::{Stage, StageRow, StageTable, TraceEvent, TraceRing};
 use xuc_core::clock::{Clock, SystemClock};
 
 /// Default trace-ring capacity: large enough to hold every span of a
-/// several-hundred-commit burst (8 stages per commit), small enough to
+/// several-hundred-commit burst (9 stages per commit), small enough to
 /// stay cache-resident.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
@@ -138,31 +139,43 @@ impl Telemetry {
     }
 }
 
+/// Spans a timeline holds in place: an accepted u-update request closes
+/// 2u + 4 spans in memory (2u + 7 at most when durable), so requests of
+/// up to 14 updates never touch the heap.
+const INLINE_SPANS: usize = 32;
+
 /// One request's stage timeline. [`start`](Timeline::start) takes the
 /// first clock reading and every [`mark`](Timeline::mark) one more,
 /// closing the running stage as a span and opening the next. The spans
-/// are buffered and published when the timeline drops, so a request that
-/// ends early (a failed update, a panic) still publishes what it marked;
-/// a stage left open is not recorded. An [`untraced`](Timeline::untraced)
-/// timeline reads no clock, touches no atomic and allocates nothing.
+/// are buffered in place (spilling to the heap only past
+/// `INLINE_SPANS`) and published when the timeline drops, so a request
+/// that ends early (a failed update, a panic) still publishes what it
+/// marked; a stage left open is not recorded. An
+/// [`untraced`](Timeline::untraced) timeline reads no clock, touches no
+/// atomic and allocates nothing.
 pub struct Timeline<'t> {
     tel: Option<&'t Telemetry>,
     /// The reading that opened the running stage.
     opened: u64,
-    /// Packed, untagged spans, in the order they closed.
-    spans: Vec<u64>,
+    /// Spans closed so far.
+    len: usize,
+    /// Packed, untagged spans, in the order they closed — here while
+    /// they fit…
+    inline: [u64; INLINE_SPANS],
+    /// …and all of them here once they do not.
+    spilled: Vec<u64>,
 }
 
 impl<'t> Timeline<'t> {
     /// Starts a request's timeline: one clock reading when traced.
     pub fn start(tel: Option<&'t Telemetry>) -> Timeline<'t> {
-        let Some(t) = tel else { return Timeline::untraced() };
-        Timeline { tel, opened: t.now_micros(), spans: Vec::with_capacity(16) }
+        let opened = tel.map_or(0, Telemetry::now_micros);
+        Timeline { tel, opened, len: 0, inline: [0; INLINE_SPANS], spilled: Vec::new() }
     }
 
     /// A timeline that records nothing.
     pub const fn untraced() -> Timeline<'t> {
-        Timeline { tel: None, opened: 0, spans: Vec::new() }
+        Timeline { tel: None, opened: 0, len: 0, inline: [0; INLINE_SPANS], spilled: Vec::new() }
     }
 
     /// One stage boundary: closes the running stage as a `stage` span
@@ -170,21 +183,32 @@ impl<'t> Timeline<'t> {
     pub fn mark(&mut self, stage: Stage) {
         if let Some(t) = self.tel {
             let now = t.now_micros();
-            self.spans.push(trace::pack(stage, now.saturating_sub(self.opened)));
+            let span = trace::pack(stage, now.saturating_sub(self.opened));
             self.opened = now;
+            if let Some(slot) = self.inline.get_mut(self.len) {
+                *slot = span;
+            } else {
+                if self.spilled.is_empty() {
+                    self.spilled.extend_from_slice(&self.inline);
+                }
+                self.spilled.push(span);
+            }
+            self.len += 1;
         }
+    }
+
+    fn spans(&self) -> &[u64] {
+        self.inline.get(..self.len).unwrap_or(&self.spilled)
     }
 }
 
 impl Drop for Timeline<'_> {
-    /// Publishes the spans: one ring reservation, one stage-table add
-    /// each.
+    /// Publishes the spans: one ring reservation, and two stage-table
+    /// adds per stage reached.
     fn drop(&mut self) {
-        let Some(t) = self.tel.filter(|_| !self.spans.is_empty()) else { return };
-        t.ring.publish(&self.spans);
-        for ev in self.spans.iter().filter_map(|&s| trace::unpack(s)) {
-            t.stages.add(ev.stage, ev.micros);
-        }
+        let Some(t) = self.tel.filter(|_| self.len > 0) else { return };
+        t.ring.publish(self.spans());
+        t.stages.add_spans(self.spans());
     }
 }
 
@@ -232,7 +256,27 @@ mod tests {
     fn untraced_timelines_record_nothing() {
         let mut tl = Timeline::untraced();
         tl.mark(Stage::Apply);
-        assert!(tl.spans.is_empty() && tl.spans.capacity() == 0);
+        assert!(tl.spans().is_empty() && tl.spilled.capacity() == 0);
+    }
+
+    #[test]
+    fn long_timelines_spill_and_publish_every_span() {
+        let (clock, tel) = virtual_telemetry(64);
+        let mut tl = Timeline::start(Some(&tel));
+        let n = INLINE_SPANS + 3;
+        for i in 0..n {
+            clock.advance_micros(1 + i as u64);
+            tl.mark(if i % 2 == 0 { Stage::Apply } else { Stage::DirtyAccumulate });
+        }
+        assert_eq!(tl.spans().len(), n);
+        drop(tl);
+        let events = tel.ring().events();
+        assert_eq!(events.len(), n, "one reservation holds the whole request");
+        assert!(events.iter().enumerate().all(|(i, e)| e.micros == 1 + i as u64 && e.tag == 0));
+        let rows = tel.stages().rows();
+        let apply = rows[Stage::Apply as usize];
+        assert_eq!(apply.count, n.div_ceil(2) as u64);
+        assert_eq!(tel.stages().total_micros(), (1..=n as u64).sum::<u64>());
     }
 
     #[test]

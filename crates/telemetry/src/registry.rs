@@ -6,9 +6,9 @@
 //!
 //! 1. **Handles, not lookups.** Instrument sites call
 //!    [`MetricsRegistry::counter`] once at wiring time and keep the
-//!    returned [`Counter`] handle; the hot path is a single relaxed
-//!    atomic add on the calling thread's shard — no map lookup, no lock,
-//!    no allocation.
+//!    returned [`Counter`] handle; the hot path is one relaxed load and
+//!    store on a shard the calling thread alone writes — no map lookup,
+//!    no lock, no locked read-modify-write, no allocation.
 //! 2. **Every metric declares its [`Determinism`].** A counter is
 //!    `Deterministic` iff its final value is a pure function of the
 //!    request stream (verdict counts, shed causes, splice fallbacks);
@@ -22,7 +22,7 @@
 //!    diff with `assert_eq!` in tests and across worker counts.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -52,8 +52,55 @@ impl Determinism {
 }
 
 /// Shards per counter: enough to keep eight workers off each other's
-/// cache lines without bloating the registry.
+/// cache lines without bloating the registry. All but the last are
+/// leased, one live thread each; the last is shared.
 const COUNTER_SHARDS: usize = 16;
+
+/// The shard of threads that found no lease free (and of code running
+/// after its thread's lease was returned): written with atomic adds.
+const SHARED_SHARD: usize = COUNTER_SHARDS - 1;
+
+/// Bit `i` set: shard `i` is leased to a live thread.
+static LEASED: AtomicU64 = AtomicU64::new(0);
+
+/// A thread's claim on one counter shard, taken at its first add and
+/// returned when the thread exits. While a thread holds shard `i`, no
+/// other thread writes shard `i` of any counter, so the holder adds with
+/// a plain load and store. Returning the lease (`Release`) and taking
+/// it (`Acquire`) order the old holder's last store before the new
+/// holder's first load.
+struct ShardLease(usize);
+
+impl ShardLease {
+    fn take() -> ShardLease {
+        let leasable = (1u64 << SHARED_SHARD) - 1;
+        let mut held = LEASED.load(Ordering::Acquire);
+        loop {
+            let free = leasable & !held;
+            if free == 0 {
+                return ShardLease(SHARED_SHARD);
+            }
+            let bit = free.trailing_zeros();
+            match LEASED.compare_exchange_weak(
+                held,
+                held | 1 << bit,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return ShardLease(bit as usize),
+                Err(now) => held = now,
+            }
+        }
+    }
+}
+
+impl Drop for ShardLease {
+    fn drop(&mut self) {
+        if self.0 != SHARED_SHARD {
+            LEASED.fetch_and(!(1 << self.0), Ordering::Release);
+        }
+    }
+}
 
 /// A cache-line-padded atomic so neighbouring shards don't false-share.
 #[repr(align(64))]
@@ -65,19 +112,20 @@ struct CounterInner {
     det: Determinism,
 }
 
-/// The calling thread's counter stripe: fixed per thread and handed out
-/// round-robin, so concurrent workers land on different shards.
-fn thread_stripe() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
+/// The calling thread's counter shard: its leased one, or the shared
+/// one if it holds none.
+pub(crate) fn thread_shard() -> usize {
     thread_local! {
-        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed);
+        static LEASE: ShardLease = ShardLease::take();
     }
-    STRIPE.with(|s| *s)
+    LEASE.try_with(|l| l.0).unwrap_or(SHARED_SHARD)
 }
 
-/// A named monotonic counter. Cheap to clone (an `Arc`); increments are
-/// relaxed atomic adds striped across `COUNTER_SHARDS` (16) shards by
-/// the calling thread, reads sum the stripes — sums are exact because
+/// A named monotonic counter. Cheap to clone (an `Arc`); increments land
+/// on the calling thread's shard of `COUNTER_SHARDS` (16) — a plain
+/// relaxed load and store on a leased shard, an atomic add on the shared
+/// one — and reads sum the shards. Sums are exact at any point every
+/// adding thread has been synchronized with (a join, a lock), because
 /// counters only grow.
 #[derive(Clone)]
 pub struct Counter {
@@ -89,10 +137,23 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds on the calling thread's stripe, so concurrent workers'
+    /// Adds on the calling thread's shard, so concurrent workers'
     /// increments don't contend on one line.
     pub fn add(&self, n: u64) {
-        self.inner.shards[thread_stripe() % COUNTER_SHARDS].0.fetch_add(n, Ordering::Relaxed);
+        self.add_on(thread_shard(), n);
+    }
+
+    /// [`add`](Self::add) on the shard [`thread_shard`] returned to the
+    /// calling thread, looked up once for a burst of adds.
+    pub(crate) fn add_on(&self, shard: usize, n: u64) {
+        let cell = &self.inner.shards[shard].0;
+        if shard == SHARED_SHARD {
+            cell.fetch_add(n, Ordering::Relaxed);
+        } else {
+            // The calling thread holds this shard's lease: no other
+            // thread writes it, so there is no update to lose.
+            cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+        }
     }
 
     pub fn value(&self) -> u64 {
@@ -161,7 +222,7 @@ pub struct Histo {
 impl Histo {
     /// Records on the calling thread's stripe.
     pub fn record(&self, value: u64) {
-        self.inner.shards[thread_stripe() % HISTO_SHARDS].lock().record(value);
+        self.inner.shards[thread_shard() % HISTO_SHARDS].lock().record(value);
     }
 
     /// All stripes merged into one histogram.
@@ -423,6 +484,23 @@ mod tests {
         let reg = MetricsRegistry::new();
         let _ = reg.counter("xuc_conflict_total", Determinism::Deterministic);
         let _ = reg.counter("xuc_conflict_total", Determinism::SchedulingDependent);
+    }
+
+    #[test]
+    fn adds_from_more_threads_than_shards_are_exact() {
+        let reg = MetricsRegistry::new();
+        let c = reg.counter("xuc_crowd_total", Determinism::Deterministic);
+        // Three waves of 40 threads: some run out of leases and share the
+        // atomic shard, and later waves re-take the leases earlier ones
+        // returned.
+        for _ in 0..3 {
+            std::thread::scope(|s| {
+                for _ in 0..40 {
+                    s.spawn(|| (0..1_000).for_each(|_| c.inc()));
+                }
+            });
+        }
+        assert_eq!(c.value(), 120_000);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use crate::registry::{Counter, Determinism, MetricsRegistry};
+use crate::registry::{thread_shard, Counter, Determinism, MetricsRegistry};
 
 /// The named stages of commit admission, in pipeline order. The
 /// taxonomy is closed on purpose: every stage a commit can spend time
@@ -23,33 +23,37 @@ use crate::registry::{Counter, Determinism, MetricsRegistry};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Stage {
+    /// Reaching the document: the gateway's state check, the store
+    /// lookup and the document lock (waiting included).
+    Acquire = 0,
     /// Applying updates to the tree.
-    Apply = 0,
+    Apply = 1,
     /// Accumulating edit scopes into the batch's `DirtyRegion`.
-    DirtyAccumulate = 1,
+    DirtyAccumulate = 2,
     /// The in-place `eval_set_splice` over cached baselines (or the
     /// full-pass `eval_set` when the splice declines).
-    Splice = 2,
+    Splice = 3,
     /// Deriving per-constraint verdicts from the journaled net changes.
-    Verdict = 3,
+    Verdict = 4,
     /// Building the chained certificate from precomputed results.
-    Certify = 4,
+    Certify = 5,
     /// Encoding the commit record into the WAL's buffer.
-    JournalAppend = 5,
+    JournalAppend = 6,
     /// The WAL sync itself — the durability fsync, run when the journal's
     /// group-commit batch fills.
-    Fsync = 6,
+    Fsync = 7,
     /// Writing and installing the document's snapshot (and truncating the
     /// log it covers), run only by a commit that hits the snapshot
     /// cadence.
-    Snapshot = 7,
+    Snapshot = 8,
 }
 
 impl Stage {
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 9;
 
     /// All stages in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
+        Stage::Acquire,
         Stage::Apply,
         Stage::DirtyAccumulate,
         Stage::Splice,
@@ -63,6 +67,7 @@ impl Stage {
     /// Stable snake-case name used in expositions and BENCH series.
     pub fn name(self) -> &'static str {
         match self {
+            Stage::Acquire => "acquire",
             Stage::Apply => "apply",
             Stage::DirtyAccumulate => "dirty_accumulate",
             Stage::Splice => "splice",
@@ -171,7 +176,7 @@ impl TraceRing {
 
 /// Per-stage span counts and total microseconds, as registry
 /// [`Counter`]s (`xuc_stage_<name>_spans_total`, `..._micros_total`):
-/// the ring holds individual spans, the table their sums. The five
+/// the ring holds individual spans, the table their sums. The six
 /// admission stages' counts restate the request stream, so they are
 /// [`Determinism::Deterministic`]; the journal stages' counts (which
 /// commit fills a group-commit batch is up to the schedule, and a
@@ -207,10 +212,20 @@ impl StageTable {
         }
     }
 
-    /// Adds one `stage` span of `micros`.
-    pub(crate) fn add(&self, stage: Stage, micros: u64) {
-        self.spans[stage as usize].inc();
-        self.micros[stage as usize].add(micros);
+    /// Adds one request's packed spans: summed per stage first, then
+    /// two adds per stage reached, all on the calling thread's shard.
+    pub(crate) fn add_spans(&self, spans: &[u64]) {
+        let mut count = [0u64; Stage::COUNT];
+        let mut micros = [0u64; Stage::COUNT];
+        for ev in spans.iter().filter_map(|&s| unpack(s)) {
+            count[ev.stage as usize] += 1;
+            micros[ev.stage as usize] += ev.micros;
+        }
+        let shard = thread_shard();
+        for (s, (&n, &us)) in count.iter().zip(&micros).enumerate().filter(|(_, (&n, _))| n > 0) {
+            self.spans[s].add_on(shard, n);
+            self.micros[s].add_on(shard, us);
+        }
     }
 
     /// All stages in pipeline order (zero rows included, so breakdowns
@@ -314,12 +329,12 @@ mod tests {
     fn stage_table_accumulates_counts_and_micros() {
         let reg = MetricsRegistry::new();
         let table = StageTable::register(&reg);
-        table.add(Stage::Apply, 10);
-        table.add(Stage::Apply, 30);
-        table.add(Stage::Fsync, 5);
+        // One request's spans: two of one stage fold into one row.
+        table.add_spans(&[pack(Stage::Apply, 10), pack(Stage::Apply, 30), pack(Stage::Fsync, 5)]);
         let rows = table.rows();
         assert_eq!(rows.len(), Stage::COUNT, "every stage has a row");
-        assert_eq!((rows[0].count, rows[0].total_micros), (2, 40));
+        let apply = rows[Stage::Apply as usize];
+        assert_eq!((apply.count, apply.total_micros), (2, 40));
         assert_eq!(rows[Stage::Fsync as usize].total_micros, 5);
         assert_eq!(table.total_micros(), 45);
         // Admission-stage counts are deterministic; journal-stage counts
@@ -336,6 +351,7 @@ mod tests {
         assert_eq!(
             names,
             [
+                "acquire",
                 "apply",
                 "dirty_accumulate",
                 "splice",

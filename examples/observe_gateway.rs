@@ -8,7 +8,7 @@
 //! * the Prometheus-style metrics exposition (and its deterministic
 //!   subset, the part that is byte-identical at any worker count),
 //! * the per-stage latency attribution over the commit pipeline
-//!   (apply → dirty-region → splice → verdict → certify),
+//!   (acquire → apply → dirty-region → splice → verdict → certify),
 //! * the bounded ring trace of one rejected commit, span by span: its
 //!   spans are published together, so they sit contiguous in the ring
 //!   under one tag, in pipeline order.
@@ -116,7 +116,7 @@ fn main() {
     let stages: Vec<Stage> = trace.iter().map(|ev| ev.stage).collect();
     assert_eq!(
         stages,
-        [Stage::Apply, Stage::DirtyAccumulate, Stage::Splice, Stage::Verdict],
+        [Stage::Acquire, Stage::Apply, Stage::DirtyAccumulate, Stage::Splice, Stage::Verdict],
         "one span per stage reached, contiguous and in pipeline order"
     );
     assert!(
